@@ -107,6 +107,9 @@ class PhaseRow:
     # telemetry or used no data-parallel engine).
     allreduce_elements: float = 0.0
     allreduce_bytes: float = 0.0
+    # Mean MCTS searches and network evaluations per run (self-play only).
+    mcts_searches: float = 0.0
+    mcts_evaluations: float = 0.0
 
 
 def _decompose_run(run: RunResult):
@@ -122,7 +125,7 @@ def _decompose_run(run: RunResult):
     return init, creation, phases.train_s, phases.eval_s, phases.other_s, ttt
 
 
-def _allreduce_counter(run: RunResult, name: str) -> float:
+def _run_counter(run: RunResult, name: str) -> float:
     if run.telemetry is None or not run.telemetry.metrics:
         return 0.0
     inst = run.telemetry.metrics.get(name)
@@ -139,10 +142,12 @@ def build_phase_table(runs_by_benchmark: dict[str, list[RunResult]]) -> list[Pha
             continue
         parts = [_decompose_run(r) for r in runs]
         means = [sum(p[i] for p in parts) / len(parts) for i in range(6)]
-        elements = sum(_allreduce_counter(r, "allreduce_elements") for r in runs) / len(runs)
-        nbytes = sum(_allreduce_counter(r, "allreduce_bytes") for r in runs) / len(runs)
-        rows.append(PhaseRow(benchmark, len(runs), *means,
-                             allreduce_elements=elements, allreduce_bytes=nbytes))
+        counters = {
+            name: sum(_run_counter(r, name) for r in runs) / len(runs)
+            for name in ("allreduce_elements", "allreduce_bytes",
+                         "mcts_searches", "mcts_evaluations")
+        }
+        rows.append(PhaseRow(benchmark, len(runs), *means, **counters))
     return rows
 
 
@@ -161,7 +166,7 @@ def render_phase_table(rows: list[PhaseRow]) -> str:
     header = (
         f"{'Benchmark':<26}{'Runs':>6}{'Init':>9}{'Create':>9}{'Train':>9}"
         f"{'Eval':>9}{'Other':>9}{'TTT (s)':>10}{'Train%':>8}"
-        f"{'AllRed el':>11}{'AllRed B':>10}"
+        f"{'AllRed el':>11}{'AllRed B':>10}{'Searches':>10}{'NN evals':>10}"
     )
     lines = [header, "-" * len(header)]
     for row in rows:
@@ -173,6 +178,8 @@ def render_phase_table(rows: list[PhaseRow]) -> str:
             f"{row.other_s:>9.3f}{row.time_to_train_s:>10.3f}{train_pct:>7.1f}%"
             f"{_human_count(row.allreduce_elements):>11}"
             f"{_human_count(row.allreduce_bytes):>10}"
+            f"{_human_count(row.mcts_searches):>10}"
+            f"{_human_count(row.mcts_evaluations):>10}"
         )
     return "\n".join(lines)
 

@@ -1339,7 +1339,7 @@ class StepExecutor:
             loss = forward()
             if pre_backward is not None:
                 pre_backward()
-            loss.backward(seed)
+            loss.backward(seed, release_tape=self.release_tape)
             return loss
 
         tape: list[Tensor] = []

@@ -2,20 +2,21 @@
 
 The paper's §2.2.4 observation — math libraries win by choosing
 mathematically-equivalent-but-faster algorithms — is made executable here.
-Every hot kernel (convolution, pooling, linear, the SGD update, and the
-``DataLoader`` batch assembly) consults :func:`kernel_mode` and picks one of
-three bit-identical implementations:
+Every hot kernel (convolution, pooling, linear, normalization, the SGD
+update, and the ``DataLoader`` batch assembly) consults :func:`kernel_mode`
+and picks one of four bit-identical implementations:
 
 - ``naive`` — the straightforward reference path: every call allocates its
   own scratch (the original seed behaviour).  Always available as the
-  gold standard the other two modes are checked against.
+  gold standard the other three modes are checked against.
 - ``reuse`` — identical math, but scratch buffers are borrowed from the
   per-thread :class:`~repro.framework.workspace.Workspace` arena and GEMMs
   write into reused outputs (``out=``).  Values are bit-identical to
   ``naive``.
 - ``fused`` — ``reuse`` plus fused kernels (``conv2d_bias_relu``,
-  ``linear_bias_act``, the in-place SGD/momentum update) that collapse
-  several autograd nodes into one.  Still bit-identical.
+  ``linear_bias_act``, ``normalize`` behind batch and layer norm, the
+  in-place SGD/momentum update) that collapse several autograd nodes into
+  one.  Still bit-identical.
 - ``compiled`` — ``fused`` plus whole-step graph capture and compiled
   replay (see :mod:`repro.framework.compile`): training steps driven
   through a :class:`~repro.framework.compile.StepExecutor` fingerprint the

@@ -7,13 +7,15 @@ closures backward.  The kernels here compute the same values (bit-identical
 — enforced by tests) in one node, with scratch drawn from the workspace
 arena and element masks applied in place.
 
-Fusion only engages in ``fused`` kernel mode (see
+Fusion only engages in the ``fused`` and ``compiled`` kernel modes (see
 :mod:`repro.framework.config`); in ``naive``/``reuse`` modes these
 functions run the equivalent composition of primitives, so call sites can
 use them unconditionally.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .prof import profiled_op
 from .tensor import Tensor, _unbroadcast, is_grad_enabled
 from .workspace import arena
 
-__all__ = ["conv2d_bias_relu", "linear_bias_act"]
+__all__ = ["conv2d_bias_relu", "linear_bias_act", "normalize"]
 
 _ACTS = ("none", "relu")
 
@@ -104,5 +106,102 @@ def _linear_fused(x: Tensor, weight: Tensor, bias: Tensor | None, act: str, dt) 
             x._accumulate(_unbroadcast(g @ wd, x.shape))
         if gm is not None:
             ws.release(gm)
+
+    return Tensor._make(y, parents, backward)
+
+
+@profiled_op("normalize")
+def normalize(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
+              shape: tuple[int, ...] | None = None,
+              moments: tuple[np.ndarray, np.ndarray] | None = None,
+              observe=None) -> Tensor:
+    """Fused ``(x - mean) / sqrt(var + eps) * gamma + beta`` — one graph node.
+
+    The one kernel behind ``BatchNorm1d/2d`` and ``LayerNorm``.  ``mean`` and
+    ``var`` are the statistics of ``x`` over ``axes`` (kept as size-1 axes),
+    and ``observe(mean, var)``, if given, is called with them (batch norm's
+    running averages).  ``moments=(mean, var)`` normalizes with those
+    constants instead (eval-mode batch norm).  ``gamma`` and ``beta`` are
+    viewed as ``shape`` before broadcasting when ``shape`` is given.
+
+    The composed graph is 18 nodes that compute the mean and ``x - mean``
+    twice; the kernel runs its arithmetic sequence once on raw arrays and
+    its backward replays that graph's adjoints in that graph's order, so the
+    result, every gradient and the observed moments are bit-identical to it.
+    Operands of mixed dtype use the composition, as in the other kernels.
+    """
+    if kernel_mode() in ("fused", "compiled"):
+        dt = _uniform_float_dtype(x, gamma, beta)
+        if dt is not None and (moments is None or all(m.dtype == dt for m in moments)):
+            return _normalize_fused(x, axes, gamma, beta, eps, shape, moments, observe)
+    if moments is None:
+        mean = x.mean(axis=axes, keepdims=True)
+        var = x.var(axis=axes, keepdims=True)
+        if observe is not None:
+            observe(mean.data, var.data)
+    else:
+        mean, var = Tensor(moments[0]), Tensor(moments[1])
+    xhat = (x - mean) / (var + eps).sqrt()
+    if shape is None:
+        return xhat * gamma + beta
+    return xhat * gamma.reshape(shape) + beta.reshape(shape)
+
+
+def _normalize_fused(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
+                     shape, moments, observe) -> Tensor:
+    xd = x.data
+    batch_stats = moments is None
+    if batch_stats:
+        reduced = (axes,) if np.isscalar(axes) else tuple(axes)
+        inv_n = 1.0 / math.prod(xd.shape[a % xd.ndim] for a in reduced)
+        mean = xd.sum(axis=axes, keepdims=True) * inv_n
+        centered = xd + (-mean)
+        var = (centered * centered).sum(axis=axes, keepdims=True) * inv_n
+        if observe is not None:
+            observe(mean, var)
+    else:
+        mean, var = moments
+        centered = xd + (-mean)
+    std = np.sqrt(var + eps)
+    gd = gamma.data if shape is None else gamma.data.reshape(shape)
+    bd = beta.data if shape is None else beta.data.reshape(shape)
+    parents = (x, gamma, beta)
+    if not (is_grad_enabled() and any(t.requires_grad for t in parents)):
+        # Nothing will read the intermediates again: as temporaries each is
+        # freed when the next exists, which keeps a serving batch's peak at
+        # the composition's three activation-sized arrays instead of four.
+        return Tensor(centered / std * gd + bd)
+    xhat = centered / std
+    y = xhat * gd + bd
+
+    def backward(result: Tensor) -> None:
+        # Each line is one adjoint of the composed graph, named after the
+        # node whose gradient it produces.  ``x`` has four consumers there
+        # (``x - mean`` and the sum inside ``mean``, once for ``xhat`` and
+        # once inside ``var``); float addition does not associate, so they
+        # accumulate into ``x.grad`` in the order that graph's reverse
+        # topological walk reaches them.
+        g = result.grad
+        g_xhat = g * gd
+        gamma._accumulate(_unbroadcast(g * xhat, gd.shape).reshape(gamma.shape))
+        beta._accumulate(_unbroadcast(g, bd.shape).reshape(beta.shape))
+        if not x.requires_grad:
+            return
+        g_centered = g_xhat / std
+        if not batch_stats:
+            x._accumulate(g_centered, owned=True)
+            return
+        g_sum = -_unbroadcast(g_centered, mean.shape) * inv_n
+        g_std = _unbroadcast(-g_xhat * centered / (std * std), std.shape)
+        g_sqsum = g_std * 0.5 / std * inv_n
+        # Materialised as the sum adjoint does: the layout of this product
+        # (and so the order of the reduction below) depends on it.
+        g_centered_var = np.broadcast_to(g_sqsum, xd.shape).copy() * centered
+        g_centered_var += g_centered_var
+        g_sum_var = -_unbroadcast(g_centered_var, mean.shape) * inv_n
+        x._accumulate(g_centered, owned=True)
+        x._accumulate(np.broadcast_to(g_sum, xd.shape))
+        x._accumulate(g_centered_var)
+        x._accumulate(np.broadcast_to(g_sum_var, xd.shape))
 
     return Tensor._make(y, parents, backward)

@@ -13,7 +13,7 @@ import numpy as np
 from . import init
 from .conv import avg_pool2d, conv2d, global_avg_pool2d, max_pool2d
 from .functional import dropout
-from .fused import conv2d_bias_relu, linear_bias_act
+from .fused import conv2d_bias_relu, linear_bias_act, normalize
 from .module import Module, Parameter
 from .tensor import Tensor
 
@@ -97,18 +97,17 @@ class _BatchNorm(Module):
 
     def _normalize(self, x: Tensor, axes: tuple[int, ...], shape: tuple[int, ...]) -> Tensor:
         if self.training:
-            mean = x.mean(axis=axes, keepdims=True)
-            var = x.var(axis=axes, keepdims=True)
-            # The moving-average decay here is itself a hyperparameter the
-            # paper lists as an example of layer-level HPs (§2.1).
-            m = self.momentum
-            self.running_mean = (1 - m) * self.running_mean + m * mean.data.reshape(-1)
-            self.running_var = (1 - m) * self.running_var + m * var.data.reshape(-1)
-        else:
-            mean = Tensor(self.running_mean.reshape(shape))
-            var = Tensor(self.running_var.reshape(shape))
-        xhat = (x - mean) / (var + self.eps).sqrt()
-        return xhat * self.gamma.reshape(shape) + self.beta.reshape(shape)
+            return normalize(x, axes, self.gamma, self.beta, self.eps, shape,
+                             observe=self._update_running)
+        moments = (self.running_mean.reshape(shape), self.running_var.reshape(shape))
+        return normalize(x, axes, self.gamma, self.beta, self.eps, shape, moments=moments)
+
+    def _update_running(self, mean: np.ndarray, var: np.ndarray) -> None:
+        # The moving-average decay here is itself a hyperparameter the
+        # paper lists as an example of layer-level HPs (§2.1).
+        m = self.momentum
+        self.running_mean = (1 - m) * self.running_mean + m * mean.reshape(-1)
+        self.running_var = (1 - m) * self.running_var + m * var.reshape(-1)
 
 
 class BatchNorm2d(_BatchNorm):
@@ -137,10 +136,7 @@ class LayerNorm(Module):
         self.beta = Parameter(init.zeros(num_features))
 
     def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        xhat = (x - mean) / (var + self.eps).sqrt()
-        return xhat * self.gamma + self.beta
+        return normalize(x, -1, self.gamma, self.beta, self.eps)
 
 
 class Embedding(Module):

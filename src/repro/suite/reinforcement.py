@@ -78,11 +78,17 @@ class _Session(TrainingSession):
         tracer = current_tracer()
         metrics = current_metrics()
         # 1. Self-play data generation (the expensive exploration phase).
-        with tracer.span("selfplay", games=self.hp["games_per_iteration"]):
+        searches = metrics.counter("mcts_searches")
+        evaluations = metrics.counter("mcts_evaluations")
+        searches_before, evaluations_before = searches.value, evaluations.value
+        with tracer.span("selfplay", games=self.hp["games_per_iteration"]) as span:
             examples = selfplay_batch(
                 self.model, self.hp["games_per_iteration"], self.board_size, self.rng,
                 self.mcts_config, komi=self.komi,
             )
+            span.set(moves=len(examples),
+                     searches=int(searches.value - searches_before),
+                     evaluations=int(evaluations.value - evaluations_before))
         self.replay.extend(examples)
         if len(self.replay) > self.hp["replay_capacity"]:
             self.replay = self.replay[-self.hp["replay_capacity"] :]

@@ -209,13 +209,23 @@ class TestMergeAndRender:
 
 class TestBenchProfile:
     def test_smoke_bench_payload_and_gate(self):
+        # Shape, op coverage and bit-identity of a live run.  The overhead
+        # ratios are wall-clock and so only range-checked; the gate that
+        # bounds them runs on synthetic payloads below and in the bench job.
         payload = bench_profile(smoke=True, steps=2, repeats=1)
         assert payload["schema"] == "repro.bench_profile.v1"
         checks = payload["checks"]
         assert checks["ops_recorded"] == 5
         assert checks["bit_identical"]
-        assert checks["off_overhead"] >= 0.0
+        assert all(checks["bit_identical_by_mode"].values())
+        for mode in ("off", "sampled", "full"):
+            assert checks[f"{mode}_overhead"] >= 0.0
         assert payload["op_profile"]["ops"]["update"]["optimizer_step"]["calls"] == 2
+
+    def test_gate_passes_clean_payload_at_the_bound(self):
+        payload = {"checks": {"ops_recorded": 5, "sampled_overhead": 0.05,
+                              "bit_identical": True,
+                              "bit_identical_by_mode": {"full": True}}}
         assert gate_profile_failures(payload) == []
 
     def test_gate_flags_excess_overhead_and_missing_ops(self):

@@ -15,7 +15,10 @@ import pytest
 
 from repro.framework import (
     ArrayDataset,
+    BatchNorm1d,
+    BatchNorm2d,
     DataLoader,
+    LayerNorm,
     Parameter,
     SGD,
     Tensor,
@@ -23,6 +26,7 @@ from repro.framework import (
     conv2d,
     conv2d_bias_relu,
     conv2d_same,
+    inference_mode,
     kernel_mode,
     linear_bias_act,
     max_pool2d,
@@ -169,6 +173,205 @@ class TestLinearBitIdentity:
         with pytest.raises(ValueError):
             linear_bias_act(Tensor(np.zeros((2, 3))), Parameter(np.zeros((4, 3))),
                             act="gelu")
+
+
+def _nhwc_backed(x):
+    """Same values, NHWC memory: the layout ``naive`` conv2d hands batch norm."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+# (layer factory, feature count, input shape)
+_NORM_CASES = {
+    "bn2d": (BatchNorm2d, 3, (5, 3, 7, 5)),
+    "bn2d-n1": (BatchNorm2d, 4, (1, 4, 5, 5)),      # self-play: batch of one
+    "bn2d-1x1": (BatchNorm2d, 3, (1, 3, 1, 1)),     # nothing to reduce
+    "bn1d": (BatchNorm1d, 5, (7, 5)),
+    "bn1d-n1": (BatchNorm1d, 4, (1, 4)),
+    "ln": (LayerNorm, 7, (3, 5, 7)),
+    "ln-2d": (LayerNorm, 6, (1, 6)),
+}
+
+
+def _norm_layer(case, dtype, seed=11):
+    cls, features, shape = _NORM_CASES[case]
+    rng = np.random.default_rng(seed)
+    layer = cls(features)
+    layer.gamma.data = rng.normal(1.0, 0.3, size=features).astype(dtype)
+    layer.beta.data = rng.normal(0.0, 0.3, size=features).astype(dtype)
+    x = rng.normal(0.5, 2.0, size=shape).astype(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    return layer, x, g
+
+
+def _running_stats(layer):
+    if isinstance(layer, LayerNorm):
+        return ()
+    return layer.running_mean, layer.running_var
+
+
+def _run_norm(mode, case, *, dtype=np.float32, training=True, layout=None,
+              consumer=None, warm=False):
+    """Forward + backward of one normalization layer under ``mode``.
+
+    ``x`` is an interior node (so its gradient accumulates rather than
+    lands on a leaf); ``consumer`` gives it a second reader whose adjoint
+    reaches ``x.grad`` before (``"first"``) or after (``"last"``) the
+    layer's, the two orders a residual or pre-norm block produces.
+    """
+    with use_kernel_mode(mode):
+        layer, x, g = _norm_layer(case, dtype)
+        if layout is not None:
+            x, g = layout(x), layout(g)
+        if warm:  # running statistics of the input's dtype, not float32 ones/zeros
+            layer(Tensor(x))
+        layer.train(training)
+        leaf = Tensor(x, requires_grad=True)
+        h = leaf * 1.5
+        out = layer(h)
+        if consumer == "first":
+            out = h.tanh() * out
+        elif consumer == "last":
+            out = out * h.tanh()
+        out.backward(g)
+        return (out.data, leaf.grad, layer.gamma.grad, layer.beta.grad,
+                *_running_stats(layer))
+
+
+def _assert_norm_identical(ref, got, context):
+    names = ("out", "x.grad", "gamma.grad", "beta.grad", "running_mean", "running_var")
+    assert len(ref) == len(got)
+    for name, a, c in zip(names, ref, got):
+        assert a.dtype == c.dtype, f"{context}: {name} dtype {c.dtype} != {a.dtype}"
+        assert np.array_equal(a, c), f"{context}: {name} diverged"
+
+
+class TestNormalizeBitIdentity:
+    """The single-node ``normalize`` kernel vs the composed graph.
+
+    ``fused``/``compiled`` run the kernel, ``naive``/``reuse`` the
+    composition; output, all three gradients and the running statistics
+    must agree to the bit.
+    """
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("case", sorted(_NORM_CASES))
+    def test_matches_naive(self, mode, training, case):
+        ref = _run_norm("naive", case, training=training)
+        got = _run_norm(mode, case, training=training)
+        _assert_norm_identical(ref, got, f"{case}[{mode},train={training}]")
+
+    @pytest.mark.parametrize("consumer", ["first", "last"])
+    @pytest.mark.parametrize("case", sorted(_NORM_CASES))
+    def test_accumulation_order_with_second_consumer(self, consumer, case):
+        ref = _run_norm("naive", case, consumer=consumer)
+        got = _run_norm("fused", case, consumer=consumer)
+        _assert_norm_identical(ref, got, f"{case}[consumer {consumer}]")
+
+    @pytest.mark.parametrize("training,warm", [(True, False), (False, True), (False, False)])
+    @pytest.mark.parametrize("case", sorted(_NORM_CASES))
+    def test_float64(self, training, warm, case):
+        # Eval with cold (float32) running statistics against float64 input
+        # is the mixed-dtype case that must take the composed path.
+        kwargs = dict(dtype=np.float64, training=training, warm=warm)
+        ref = _run_norm("naive", case, **kwargs)
+        got = _run_norm("fused", case, **kwargs)
+        assert got[0].dtype == np.float64
+        _assert_norm_identical(ref, got, f"{case}-f64[train={training},warm={warm}]")
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("case", ["bn2d", "bn2d-n1"])
+    def test_nhwc_backed_input(self, training, case):
+        kwargs = dict(training=training, layout=_nhwc_backed, consumer="last")
+        ref = _run_norm("naive", case, **kwargs)
+        got = _run_norm("fused", case, **kwargs)
+        _assert_norm_identical(ref, got, f"{case}-nhwc[train={training}]")
+
+    def test_transposed_layer_norm_input(self):
+        swap = lambda a: np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2)
+        ref = _run_norm("naive", "ln", layout=swap)
+        got = _run_norm("fused", "ln", layout=swap)
+        _assert_norm_identical(ref, got, "ln-transposed")
+
+    @pytest.mark.parametrize("context", [no_grad, inference_mode])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("case", sorted(_NORM_CASES))
+    def test_forward_only(self, context, training, case):
+        results = {}
+        for mode in ("naive", "fused"):
+            with use_kernel_mode(mode):
+                layer, x, _ = _norm_layer(case, np.float32)
+                layer.train(training)
+                with context():
+                    first = layer(Tensor(x))
+                    second = layer(Tensor(x))  # self-play: stats move per call
+                assert not second.requires_grad and second._backward is None
+                results[mode] = (first.data, second.data, *_running_stats(layer))
+        for a, c in zip(results["naive"], results["fused"]):
+            assert np.array_equal(a, c)
+
+    def test_frozen_input_still_trains_scale_and_shift(self):
+        results = {}
+        for mode in ("naive", "fused"):
+            with use_kernel_mode(mode):
+                layer, x, g = _norm_layer("bn2d", np.float32)
+                out = layer(Tensor(x))
+                out.backward(g)
+                results[mode] = (out.data, layer.gamma.grad, layer.beta.grad)
+        for a, c in zip(results["naive"], results["fused"]):
+            assert np.array_equal(a, c)
+
+    def test_kernel_is_one_node(self):
+        with use_kernel_mode("fused"):
+            layer, x, _ = _norm_layer("bn2d", np.float32)
+            leaf = Tensor(x, requires_grad=True)
+            out = layer(leaf)
+        assert out._prev == (leaf, layer.gamma, layer.beta)
+
+    @pytest.mark.parametrize("ref_mode", ["reuse", "fused"])
+    def test_compiled_step_executor_horizon(self, ref_mode):
+        """conv → BN → relu → pool → LN → linear, trained for several steps
+        through the step executor: replayed plans with the kernel inside
+        match eager execution of the composed graph (``reuse``; ``naive``
+        conv2d returns an NHWC-backed view, which moves the batch
+        statistics' last bits whatever the normalization code)."""
+        from repro.framework import Conv2d, Linear
+        from repro.framework.compile import StepExecutor
+
+        def train(mode):
+            with use_kernel_mode(mode):
+                rng = np.random.default_rng(5)
+                conv = Conv2d(3, 4, 3, rng, padding=1, bias=False)
+                bn, ln, fc = BatchNorm2d(4), LayerNorm(4), Linear(4, 2, rng)
+                params = [*conv.parameters(), *bn.parameters(), *ln.parameters(),
+                          *fc.parameters()]
+                opt = SGD(params, lr=0.05, momentum=0.9)
+                executor = StepExecutor()
+                data = np.random.default_rng(6)
+                trace = []
+                for _ in range(5):
+                    batch = data.normal(size=(6, 3, 5, 5)).astype(np.float32)
+
+                    def loss_fn():
+                        h = bn(conv(Tensor(batch))).relu()
+                        y = fc(ln(h.mean(axis=(2, 3))))
+                        return (y * y).mean()
+
+                    def zero():
+                        for p in params:
+                            p.grad = None
+
+                    loss = executor.step(loss_fn, pre_backward=zero)
+                    trace.append([loss.data.copy(), *(p.grad.copy() for p in params)])
+                    opt.step()
+                trace.append([p.data.copy() for p in params]
+                             + [bn.running_mean, bn.running_var])
+            return trace
+
+        ref, got = train(ref_mode), train("compiled")
+        for step, (r, g) in enumerate(zip(ref, got)):
+            for i, (a, c) in enumerate(zip(r, g)):
+                assert np.array_equal(a, c), f"step {step} item {i} diverged"
 
 
 class TestSGDBitIdentity:

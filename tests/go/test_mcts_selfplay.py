@@ -63,9 +63,14 @@ class TestMCTS:
         b = GoBoard(3).play(4)  # black owns board
         b = b.play(b.pass_move).play(b.pass_move)
         assert b.is_over
-        # search on a terminal board returns all-zero (no children visited)
-        policy = make_mcts().search(b)
-        assert policy.sum() == 0.0
+        # A finished game has no move to search for: the old all-zero
+        # distribution turned into move 0 and failed later, inside play().
+        assert b.legal_moves() == []
+        assert not b.is_legal(b.pass_move)
+        with pytest.raises(ValueError, match="game is over"):
+            make_mcts().search(b)
+        with pytest.raises(ValueError, match="game is over"):
+            make_mcts().best_move(b)
 
 
 class TestHeuristicPlayer:

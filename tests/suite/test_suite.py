@@ -153,6 +153,30 @@ class TestSessionMechanics:
         assert len(sess.replay) > 0
         assert 0.0 <= sess.evaluate() <= 1.0
 
+    def test_reinforcement_selfplay_is_observable(self):
+        from repro.telemetry import Telemetry
+
+        sims = 4
+        bench, sess = _short_session(
+            "reinforcement",
+            games_per_iteration=1,
+            mcts_simulations=sims,
+            train_steps_per_iteration=1,
+        )
+        tele = Telemetry()
+        with tele.activate():
+            sess.run_epoch(0)
+        (span,) = [s for s in tele.tracer.spans if s.name == "selfplay"]
+        moves = len(sess.replay)  # one example, and one search, per move
+        assert span.args["games"] == 1
+        assert span.args["moves"] == span.args["searches"] == moves
+        # Root expansion plus at most one per simulation (terminal leaves need none).
+        assert moves < span.args["evaluations"] <= moves * (sims + 1)
+        counters = tele.metrics.snapshot()
+        assert counters["mcts_searches"]["value"] == moves
+        assert counters["mcts_evaluations"]["value"] == span.args["evaluations"]
+        assert "mcts_evaluations" in tele.metrics.render()  # what `repro stats` prints
+
     def test_reinforcement_reference_masks_sane(self):
         bench = create_benchmark("reinforcement")
         bench.prepare_data()

@@ -477,9 +477,10 @@ class TestBenchProfileCommand:
         report = tmp_path / "BENCH_profile.json"
         # A 2-step/1-repeat loop is far too noisy to hold the real 5%
         # overhead bound (CI's profile-smoke job owns that); this test
-        # checks the command plumbing, so the band is wide open.
+        # checks the command plumbing, so no finite wall-clock ratio may
+        # decide it (one 10 ms preemption is a 10x "overhead" here).
         code, text = run_cli("bench-profile", "--smoke", "--steps", "2",
-                             "--repeats", "1", "--max-overhead", "10.0",
+                             "--repeats", "1", "--max-overhead", "inf",
                              "-o", str(report))
         assert code == 0
         assert "baseline (no telemetry):" in text
