@@ -861,16 +861,29 @@ def _cmd_bench_diff(args, out) -> int:
     return 0 if report.ok else 1
 
 
-def _result_file_op_profile(path) -> dict:
-    """The op_profile header field of one result_*.txt (or {})."""
+def _result_file_header(path) -> dict:
+    """The ``# repro-run`` header of one result_*.txt (or {})."""
     first = path.read_text().partition("\n")[0]
     if not first.startswith("# repro-run "):
         return {}
     try:
-        header = json.loads(first[len("# repro-run "):])
+        return json.loads(first[len("# repro-run "):])
     except json.JSONDecodeError:
         return {}
-    return header.get("op_profile") or {}
+
+
+def _render_kernel_fallbacks(headers) -> str:
+    """One line: calls where a fused kernel ran its composed reference."""
+    from .core.reporting import kernel_fallback_counts
+
+    totals: dict[str, float] = {}
+    for header in headers:
+        for key, value in kernel_fallback_counts(header.get("metrics")).items():
+            totals[key] = totals.get(key, 0.0) + value
+    if not totals:
+        return "  kernel fallbacks: none"
+    return "  kernel fallbacks: " + "  ".join(
+        f"{key}={value:g}" for key, value in sorted(totals.items()))
 
 
 def _cmd_profile(args, out) -> int:
@@ -888,7 +901,8 @@ def _cmd_profile(args, out) -> int:
     else:
         print(f"no such file or directory: {path}", file=out)
         return 2
-    profiles = [p for p in (_result_file_op_profile(f) for f in sources) if p]
+    headers = [h for h in map(_result_file_header, sources) if h.get("op_profile")]
+    profiles = [h["op_profile"] for h in headers]
     if not profiles:
         print(f"no op profiles found under {path} — run with "
               "REPRO_PROFILE=sampled (or full) to record one", file=out)
@@ -899,6 +913,7 @@ def _cmd_profile(args, out) -> int:
     else:
         print(f"{len(profiles)} profiled run(s) under {path}", file=out)
         print(render_op_profile(merged), file=out)
+        print(_render_kernel_fallbacks(headers), file=out)
     return 0
 
 

@@ -110,6 +110,9 @@ class PhaseRow:
     # Mean MCTS searches and network evaluations per run (self-play only).
     mcts_searches: float = 0.0
     mcts_evaluations: float = 0.0
+    # Mean calls per run in which a fused kernel ran its composed reference
+    # (mixed operand dtypes, unsupported rank), all ops and reasons together.
+    kernel_fallbacks: float = 0.0
 
 
 def _decompose_run(run: RunResult):
@@ -134,6 +137,19 @@ def _run_counter(run: RunResult, name: str) -> float:
     return float(inst["value"])
 
 
+def kernel_fallback_counts(metrics: dict | None) -> dict[str, float]:
+    """``{"<op>/<reason>": calls}`` from a metrics snapshot's
+    ``kernel_fallbacks.<op>.<reason>`` counters."""
+    prefix = "kernel_fallbacks."
+    return {name[len(prefix):].replace(".", "/", 1): float(inst["value"])
+            for name, inst in (metrics or {}).items() if name.startswith(prefix)}
+
+
+def _run_kernel_fallbacks(run: RunResult) -> float:
+    metrics = run.telemetry.metrics if run.telemetry is not None else None
+    return sum(kernel_fallback_counts(metrics).values())
+
+
 def build_phase_table(runs_by_benchmark: dict[str, list[RunResult]]) -> list[PhaseRow]:
     """Aggregate per-run phase decompositions into per-benchmark means."""
     rows = []
@@ -147,6 +163,7 @@ def build_phase_table(runs_by_benchmark: dict[str, list[RunResult]]) -> list[Pha
             for name in ("allreduce_elements", "allreduce_bytes",
                          "mcts_searches", "mcts_evaluations")
         }
+        counters["kernel_fallbacks"] = sum(map(_run_kernel_fallbacks, runs)) / len(runs)
         rows.append(PhaseRow(benchmark, len(runs), *means, **counters))
     return rows
 
@@ -167,6 +184,7 @@ def render_phase_table(rows: list[PhaseRow]) -> str:
         f"{'Benchmark':<26}{'Runs':>6}{'Init':>9}{'Create':>9}{'Train':>9}"
         f"{'Eval':>9}{'Other':>9}{'TTT (s)':>10}{'Train%':>8}"
         f"{'AllRed el':>11}{'AllRed B':>10}{'Searches':>10}{'NN evals':>10}"
+        f"{'Fallbacks':>11}"
     )
     lines = [header, "-" * len(header)]
     for row in rows:
@@ -180,6 +198,7 @@ def render_phase_table(rows: list[PhaseRow]) -> str:
             f"{_human_count(row.allreduce_bytes):>10}"
             f"{_human_count(row.mcts_searches):>10}"
             f"{_human_count(row.mcts_evaluations):>10}"
+            f"{_human_count(row.kernel_fallbacks):>11}"
         )
     return "\n".join(lines)
 

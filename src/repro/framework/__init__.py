@@ -13,7 +13,7 @@ from . import init
 from .config import KERNEL_MODES, kernel_mode, set_kernel_mode, use_kernel_mode
 from .workspace import Workspace, arena, record_arena_gauges
 from .conv import conv2d, conv2d_naive, conv2d_same, max_pool2d, avg_pool2d, global_avg_pool2d, im2col, col2im
-from .fused import conv2d_bias_relu, linear_bias_act
+from .fused import conv2d_bias_relu, linear_bias_act, lstm_cell
 from .layers import (
     AvgPool2d,
     BatchNorm1d,
@@ -34,6 +34,7 @@ from .attention import (
     MultiHeadAttention,
     TransformerDecoderLayer,
     TransformerEncoderLayer,
+    attention_bias,
     causal_mask,
     positional_encoding,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "conv2d_same",
     "conv2d_bias_relu",
     "linear_bias_act",
+    "lstm_cell",
     "max_pool2d",
     "avg_pool2d",
     "global_avg_pool2d",
@@ -98,6 +100,7 @@ __all__ = [
     "MultiHeadAttention",
     "TransformerDecoderLayer",
     "TransformerEncoderLayer",
+    "attention_bias",
     "causal_mask",
     "positional_encoding",
     "LARS",

@@ -8,6 +8,8 @@ fully connected layers").
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import init
@@ -23,6 +25,7 @@ __all__ = [
     "TransformerDecoderLayer",
     "positional_encoding",
     "causal_mask",
+    "attention_bias",
 ]
 
 _NEG_INF = -1e9
@@ -43,11 +46,21 @@ def causal_mask(length: int) -> np.ndarray:
     return np.tril(np.ones((length, length), dtype=bool))
 
 
+def attention_bias(mask: np.ndarray) -> np.ndarray:
+    """Additive form of a boolean attention mask: 0 where allowed, -1e9 elsewhere.
+
+    :class:`MultiHeadAttention` takes either form, so a model whose layers
+    share a mask converts it once per forward, not once per attention call.
+    """
+    return np.where(mask, 0.0, _NEG_INF).astype(np.float32)
+
+
 class MultiHeadAttention(Module):
     """Scaled dot-product attention with ``num_heads`` parallel heads.
 
     Inputs are ``(N, T, d_model)``.  ``mask`` broadcasts against the
-    ``(N, heads, T_q, T_k)`` attention logits; False entries are masked out.
+    ``(N, heads, T_q, T_k)`` attention logits: boolean (False entries are
+    masked out) or already additive (see :func:`attention_bias`).
     """
 
     def __init__(self, d_model: int, num_heads: int, rng: np.random.Generator, dropout: float = 0.0):
@@ -57,6 +70,9 @@ class MultiHeadAttention(Module):
         self.d_model = d_model
         self.num_heads = num_heads
         self.d_head = d_model // num_heads
+        # A Python float: a NumPy scalar is strongly typed and would widen
+        # everything downstream of the scores to float64.
+        self.scale = 1.0 / math.sqrt(self.d_head)
         self.w_q = Linear(d_model, d_model, rng, init_fn=init.xavier_uniform)
         self.w_k = Linear(d_model, d_model, rng, init_fn=init.xavier_uniform)
         self.w_v = Linear(d_model, d_model, rng, init_fn=init.xavier_uniform)
@@ -67,14 +83,20 @@ class MultiHeadAttention(Module):
         n, t, _ = x.shape
         return x.reshape(n, t, self.num_heads, self.d_head).transpose(0, 2, 1, 3)
 
-    def forward(self, query: Tensor, key: Tensor, value: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    def project_kv(self, key: Tensor, value: Tensor) -> tuple[Tensor, Tensor]:
+        """Per-head keys and values ``(N, H, Tk, dh)``: the part of a forward
+        that does not depend on the query, so a decode loop attending to a
+        fixed memory computes it once and passes it back as ``kv``."""
+        return self._split(self.w_k(key)), self._split(self.w_v(value))
+
+    def forward(self, query: Tensor, key: Tensor, value: Tensor, mask: np.ndarray | None = None,
+                kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
         n, tq, _ = query.shape
         q = self._split(self.w_q(query))  # (N, H, Tq, dh)
-        k = self._split(self.w_k(key))
-        v = self._split(self.w_v(value))
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.d_head))
+        k, v = self.project_kv(key, value) if kv is None else kv
+        scores = (q @ k.transpose(0, 1, 3, 2)) * self.scale
         if mask is not None:
-            bias = np.where(mask, 0.0, _NEG_INF).astype(np.float32)
+            bias = attention_bias(mask) if mask.dtype == np.bool_ else mask
             scores = scores + Tensor(bias)
         attn = softmax(scores, axis=-1)
         if self.drop is not None:
@@ -135,10 +157,13 @@ class TransformerDecoderLayer(Module):
         memory: Tensor,
         tgt_mask: np.ndarray | None = None,
         memory_mask: np.ndarray | None = None,
+        memory_kv: tuple[Tensor, Tensor] | None = None,
     ) -> Tensor:
+        """``memory_kv``: ``self.cross_attn.project_kv(memory, memory)`` from an
+        earlier call with the same ``memory`` (greedy decoding)."""
         h = self.norm1(x)
         x = x + self.self_attn(h, h, h, mask=tgt_mask)
         h = self.norm2(x)
-        x = x + self.cross_attn(h, memory, memory, mask=memory_mask)
+        x = x + self.cross_attn(h, memory, memory, mask=memory_mask, kv=memory_kv)
         x = x + self.ff(self.norm3(x))
         return x

@@ -60,7 +60,7 @@ import numpy as np
 from . import tensor as _tensor_module
 from .config import kernel_mode
 from .prof import profiler
-from .tensor import Tensor
+from .tensor import Tensor, _index_add
 from .workspace import arena
 
 __all__ = ["StepExecutor"]
@@ -750,9 +750,6 @@ class _PlanBuilder:
             return all(p.data.shape == node.data.shape for p in prev)
         if op == "matmul":
             return prev[0].data.ndim == 2 and prev[1].data.ndim == 2
-        if op == "getitem":
-            # np.add.at accepts any index the forward accepted.
-            return True
         return True
 
     def _find_chains(self, schedule, pos_of, consumers, registry, ran):
@@ -1139,15 +1136,15 @@ class _PlanBuilder:
                 if tg is None:
                     if view is not None:
                         view[...] = 0
-                        np.add.at(view, index, g)
+                        _index_add(view, index, g)
                         t.grad = view
                     else:
                         fresh = np.zeros_like(t.data)
-                        np.add.at(fresh, index, g)
+                        _index_add(fresh, index, g)
                         t.grad = fresh
                 else:
                     scr[...] = 0
-                    np.add.at(scr, index, g)
+                    _index_add(scr, index, g)
                     np.add(tg, scr, out=tg)
                 _fire_hooks(nd)
                 nd.grad = None

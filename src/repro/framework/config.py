@@ -14,9 +14,9 @@ and picks one of four bit-identical implementations:
   write into reused outputs (``out=``).  Values are bit-identical to
   ``naive``.
 - ``fused`` — ``reuse`` plus fused kernels (``conv2d_bias_relu``,
-  ``linear_bias_act``, ``normalize`` behind batch and layer norm, the
-  in-place SGD/momentum update) that collapse several autograd nodes into
-  one.  Still bit-identical.
+  ``linear_bias_act``, ``normalize`` behind batch and layer norm,
+  ``lstm_cell``, the in-place SGD/momentum update) that collapse many
+  autograd nodes into one or a few.  Still bit-identical.
 - ``compiled`` — ``fused`` plus whole-step graph capture and compiled
   replay (see :mod:`repro.framework.compile`): training steps driven
   through a :class:`~repro.framework.compile.StepExecutor` fingerprint the

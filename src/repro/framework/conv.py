@@ -75,17 +75,16 @@ def col2im(
 # Arena-backed helpers (reuse/fused modes)
 # ---------------------------------------------------------------------------
 
-def _uniform_float_dtype(x: Tensor, weight: Tensor, bias: Tensor | None):
+def _uniform_float_dtype(x: Tensor, *others):
     """The shared float dtype of the operands, or ``None`` when mixed.
 
-    The arena kernels add bias in place, which would silently demote a
-    mixed-precision promotion the naive path performs; mixed-dtype calls
-    therefore fall back to the reference implementation.
+    ``others`` are tensors or arrays; a ``None`` among them (an absent bias
+    or mask) is skipped.  The arena kernels add bias in place, which would
+    silently demote a mixed-precision promotion the naive path performs;
+    mixed-dtype calls therefore fall back to the reference implementation.
     """
     dt = x.dtype
-    if dt.kind != "f" or weight.dtype != dt:
-        return None
-    if bias is not None and bias.dtype != dt:
+    if dt.kind != "f" or any(t is not None and t.dtype != dt for t in others):
         return None
     return dt
 

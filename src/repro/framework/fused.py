@@ -22,12 +22,24 @@ import numpy as np
 from .config import kernel_mode
 from .conv import _conv2d_arena, _uniform_float_dtype, conv2d
 from .prof import profiled_op
-from .tensor import Tensor, _unbroadcast, is_grad_enabled
+from .tensor import Tensor, _sigmoid, _unbroadcast, is_grad_enabled
 from .workspace import arena
 
-__all__ = ["conv2d_bias_relu", "linear_bias_act", "normalize"]
+__all__ = ["conv2d_bias_relu", "linear_bias_act", "normalize", "lstm_cell"]
 
 _ACTS = ("none", "relu")
+
+
+def _count_fallback(op: str, reason: str) -> None:
+    """A kernel mode is active but ``op`` ran its composed reference: say so.
+
+    Called on that branch only, so the kernel path pays nothing.  The count
+    lands in the ambient metrics registry as ``kernel_fallbacks.<op>.<reason>``
+    (a no-op instrument when no telemetry session is active).
+    """
+    from ..telemetry import current_metrics
+
+    current_metrics().counter(f"kernel_fallbacks.{op}.{reason}").inc()
 
 
 @profiled_op("conv2d_bias_relu")
@@ -44,6 +56,7 @@ def conv2d_bias_relu(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         dt = _uniform_float_dtype(x, weight, bias)
         if dt is not None:
             return _conv2d_arena(x, weight, bias, stride, pad, dt, relu=True)
+        _count_fallback("conv2d_bias_relu", "mixed_dtype")
     return conv2d(x, weight, bias, stride=stride, pad=pad).relu()
 
 
@@ -58,10 +71,11 @@ def linear_bias_act(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     """
     if act not in _ACTS:
         raise ValueError(f"act must be one of {_ACTS}, got {act!r}")
-    if kernel_mode() in ("fused", "compiled") and x.ndim >= 2:
-        dt = _uniform_float_dtype(x, weight, bias)
+    if kernel_mode() in ("fused", "compiled"):
+        dt = _uniform_float_dtype(x, weight, bias) if x.ndim >= 2 else None
         if dt is not None:
             return _linear_fused(x, weight, bias, act, dt)
+        _count_fallback("linear", "ndim" if x.ndim < 2 else "mixed_dtype")
     out = x @ weight.T
     if bias is not None:
         out = out + bias
@@ -131,9 +145,9 @@ def normalize(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
     Operands of mixed dtype use the composition, as in the other kernels.
     """
     if kernel_mode() in ("fused", "compiled"):
-        dt = _uniform_float_dtype(x, gamma, beta)
-        if dt is not None and (moments is None or all(m.dtype == dt for m in moments)):
+        if _uniform_float_dtype(x, gamma, beta, *(moments or ())) is not None:
             return _normalize_fused(x, axes, gamma, beta, eps, shape, moments, observe)
+        _count_fallback("normalize", "mixed_dtype")
     if moments is None:
         mean = x.mean(axis=axes, keepdims=True)
         var = x.var(axis=axes, keepdims=True)
@@ -205,3 +219,131 @@ def _normalize_fused(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
         x._accumulate(np.broadcast_to(g_sum_var, xd.shape))
 
     return Tensor._make(y, parents, backward)
+
+
+@profiled_op("lstm_cell")
+def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w_x: Tensor, w_h: Tensor,
+              bias: Tensor, mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """One LSTM step; returns the new ``(h, c)``.
+
+    ``x`` is ``(N, input)``, the state ``(N, H)``; ``w_x``/``w_h``/``bias``
+    hold the input, forget, cell and output gates stacked along their first
+    axis.  ``mask`` is an ``(N, 1)`` array of 0/1 in ``x``'s dtype: rows at 0
+    keep their previous state (a padded batch).
+
+    The composed graph is 19 nodes (25 with the mask) whose four gate
+    slices each scatter into a zeroed ``(N, 4H)`` adjoint.  The kernel runs
+    the same arithmetic sequence on raw arrays and keeps only the nodes
+    whose position in the reverse walk decides an accumulation order: the
+    two weight transposes (a recurrent weight collects one term per time
+    step), the cell state, ``h``, and the blended ``c`` when masked.  Their
+    adjoints are the composed graph's, in its order, written into one gate
+    buffer, so ``h``, ``c`` and every gradient are bit-identical to it.
+    Operands of mixed dtype use the composition, as in the other kernels.
+    """
+    if kernel_mode() in ("fused", "compiled"):
+        if x.ndim == 2 and _uniform_float_dtype(
+                x, h_prev, c_prev, w_x, w_h, bias, mask) is not None:
+            return _lstm_cell_fused(x, h_prev, c_prev, w_x, w_h, bias, mask)
+        _count_fallback("lstm_cell", "ndim" if x.ndim != 2 else "mixed_dtype")
+    hs = w_h.shape[1]
+    gates = x @ w_x.T + h_prev @ w_h.T + bias
+    i = gates[:, 0 * hs : 1 * hs].sigmoid()
+    f = gates[:, 1 * hs : 2 * hs].sigmoid()
+    g = gates[:, 2 * hs : 3 * hs].tanh()
+    o = gates[:, 3 * hs : 4 * hs].sigmoid()
+    c = f * c_prev + i * g
+    h = o * c.tanh()
+    if mask is not None:
+        h = h * mask + h_prev * (1.0 - mask)
+        c = c * mask + c_prev * (1.0 - mask)
+    return h, c
+
+
+def _lstm_cell_fused(x: Tensor, h_prev: Tensor, c_prev: Tensor, w_x: Tensor,
+                     w_h: Tensor, bias: Tensor, mask) -> tuple[Tensor, Tensor]:
+    hs = w_h.shape[1]
+    xd, hd, cd = x.data, h_prev.data, c_prev.data
+    gates = np.matmul(xd, w_x.data.T)
+    gates += np.matmul(hd, w_h.data.T)
+    gates += bias.data
+    i = _sigmoid(gates[:, :hs])
+    f = _sigmoid(gates[:, hs : 2 * hs])
+    g = np.tanh(gates[:, 2 * hs : 3 * hs])
+    o = _sigmoid(gates[:, 3 * hs :])
+    c_raw = f * cd
+    c_raw += i * g
+    tc = np.tanh(c_raw)
+    h = o * tc
+    c = c_raw
+    if mask is not None:
+        keep = 1.0 - mask
+        h *= mask
+        h += hd * keep
+        c = c_raw * mask
+        c += cd * keep
+    if not (is_grad_enabled() and any(
+            t.requires_grad for t in (x, h_prev, c_prev, w_x, w_h, bias))):
+        return Tensor(h), Tensor(c)
+
+    # The pre-activations are dead once the gates exist, so their array is
+    # the gate-gradient buffer.  ``h``'s adjoint fills the output gate's
+    # slice for the cell's adjoint, which always runs after it.
+    dgates = gates
+    output_gate_filled = False
+
+    def backward_h(result: Tensor) -> None:
+        nonlocal output_gate_filled
+        g_h = result.grad
+        if mask is not None:
+            # The rows this reaches are the rows the cell's own term for
+            # ``h_prev`` leaves at zero, so which lands first is immaterial.
+            if h_prev.requires_grad:
+                h_prev._accumulate(g_h * keep, owned=True)
+            g_h = g_h * mask
+        np.multiply(g_h * tc * o, 1.0 - o, out=dgates[:, 3 * hs :])
+        output_gate_filled = True
+        cell._accumulate(g_h * o * (1.0 - tc * tc), owned=True)
+
+    def backward_c(result: Tensor) -> None:
+        g_c = result.grad
+        cell._accumulate(g_c * mask, owned=True)
+        if c_prev.requires_grad:
+            c_prev._accumulate(g_c * keep, owned=True)
+
+    def backward_cell(result: Tensor) -> None:
+        nonlocal output_gate_filled
+        g_c, dg = result.grad, dgates
+        if not output_gate_filled:  # ``h`` had no gradient: nor has its gate
+            dg[:, 3 * hs :] = 0.0
+        np.multiply(g_c * g * i, 1.0 - i, out=dg[:, :hs])
+        np.multiply(g_c * cd * f, 1.0 - f, out=dg[:, hs : 2 * hs])
+        np.multiply(g_c * i, 1.0 - g * g, out=dg[:, 2 * hs : 3 * hs])
+        # The slices' adjoints add into a zeroed buffer: -0.0 lands as +0.0.
+        dg += 0.0
+        if c_prev.requires_grad:
+            c_prev._accumulate(g_c * f, owned=True)
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(dg, bias.shape), owned=True)
+        if x.requires_grad:
+            x._accumulate(dg @ w_x.data, owned=True)
+        if w_xt.requires_grad:
+            w_xt._accumulate(xd.T @ dg, owned=True)
+        if h_prev.requires_grad:
+            h_prev._accumulate(dg @ w_h.data, owned=True)
+        if w_ht.requires_grad:
+            w_ht._accumulate(hd.T @ dg, owned=True)
+        output_gate_filled = False
+
+    # The transposes stay graph nodes: each passes its gradient on when the
+    # reverse walk reaches *it* -- for ``w_h`` after the earlier time steps
+    # (unmasked) or before them (masked) -- and a kernel that added into
+    # ``w_h.grad`` at the cell's own position would sum the steps in another
+    # order.  Parent order below is the order the composed graph's walk
+    # meets the same tensors in, reversed.
+    w_xt, w_ht = w_x.T, w_h.T
+    cell = Tensor._make(c_raw, (c_prev, x, w_xt, h_prev, w_ht, bias), backward_cell)
+    if mask is None:
+        return Tensor._make(h, (cell,), backward_h), cell
+    return (Tensor._make(h, (cell, h_prev), backward_h),
+            Tensor._make(c, (cell, c_prev), backward_c))

@@ -3,8 +3,8 @@
 DAWNBench-style timing breakdowns argue that end-to-end numbers need
 per-kernel decompositions to be actionable; this module times the kernels
 the §3.2.1 timed region actually spends its wall clock in — conv2d
-forward+backward, the fused linear, pooling, the SGD update, and one
-``DataLoader`` epoch — under the active kernel mode *and* under ``naive``,
+forward+backward, the fused linear, the LSTM cell, pooling, the SGD update,
+and one ``DataLoader`` epoch — under the active kernel mode *and* under ``naive``,
 so every report carries its own baseline.
 
 Each benchmark is a closure that runs one full forward+backward (or one
@@ -30,7 +30,7 @@ import numpy as np
 from .config import kernel_mode, use_kernel_mode
 from .conv import avg_pool2d, max_pool2d
 from .data import ArrayDataset, DataLoader
-from .fused import conv2d_bias_relu, linear_bias_act
+from .fused import conv2d_bias_relu, linear_bias_act, lstm_cell
 from .module import Parameter
 from .optim import SGD
 from .tensor import Tensor
@@ -97,6 +97,30 @@ def _linear_step(rng: np.random.Generator) -> StepFn:
     return step
 
 
+def _lstm_cell_step(rng: np.random.Generator) -> StepFn:
+    """Two chained LSTM steps at GNMT's width, the second over a padded batch."""
+    n, e, hs = 32, 48, 64
+    xs = rng.standard_normal((2, n, e)).astype(np.float32)
+    h0 = rng.standard_normal((n, hs)).astype(np.float32)
+    c0 = rng.standard_normal((n, hs)).astype(np.float32)
+    wx0 = (rng.standard_normal((4 * hs, e)) * 0.1).astype(np.float32)
+    wh0 = (rng.standard_normal((4 * hs, hs)) * 0.1).astype(np.float32)
+    b0 = rng.standard_normal(4 * hs).astype(np.float32)
+    g0 = rng.standard_normal((n, hs)).astype(np.float32)
+    mask = (np.arange(n) % 4 != 0).astype(np.float32)[:, None]
+
+    def step() -> tuple[np.ndarray, ...]:
+        x = Tensor(xs, requires_grad=True)
+        h, c = Tensor(h0, requires_grad=True), Tensor(c0)
+        w_x, w_h, b = Parameter(wx0), Parameter(wh0), Parameter(b0)
+        state = lstm_cell(x[0], h, c, w_x, w_h, b)
+        out, cell = lstm_cell(x[1], *state, w_x, w_h, b, mask)
+        (out + cell).backward(g0)
+        return out.data, cell.data, x.grad, h.grad, w_x.grad, w_h.grad, b.grad
+
+    return step
+
+
 def _pool_step(rng: np.random.Generator) -> StepFn:
     x0 = rng.standard_normal((8, 16, 16, 16)).astype(np.float32)
     g_max = rng.standard_normal((8, 16, 8, 8)).astype(np.float32)
@@ -152,6 +176,7 @@ def _loader_step(rng: np.random.Generator) -> StepFn:
 _KERNELS: dict[str, Callable[[np.random.Generator], StepFn]] = {
     "conv2d_fwd_bwd": _conv_step,
     "linear_fwd_bwd": _linear_step,
+    "lstm_cell_fwd_bwd": _lstm_cell_step,
     "pool2d_fwd_bwd": _pool_step,
     "sgd_momentum_step": _sgd_step,
     "dataloader_epoch": _loader_step,

@@ -12,8 +12,8 @@ decorator kernels use:
 When the profiler is inactive (the default), the wrapper is a cached
 global lookup, one function call, and one attribute check — cheap enough
 to leave on every kernel.  When active, it times the forward call,
-estimates bytes moved from the tensor operands, and (if the result is a
-graph node) wraps its backward closure so the same op's backward cost is
+estimates bytes moved from the tensor operands, and wraps the backward
+closure of each graph node the op built so the same op's backward cost is
 charged to the ``backward`` phase.  The wrapped closure calls the
 original unchanged, so profiled runs stay bit-identical.
 """
@@ -38,17 +38,34 @@ def profiler():
     return _CURRENT_PROFILER()
 
 
+def _results(out) -> tuple:
+    return out if isinstance(out, tuple) else (out,)
+
+
 def _operand_bytes(args, out) -> int:
-    """Bytes touched by an op: tensor operands in, result out."""
+    """Bytes touched by an op: tensor operands in, result(s) out."""
     total = 0
-    data = getattr(out, "data", None)
-    if data is not None and hasattr(data, "nbytes"):
-        total += data.nbytes
-    for arg in args:
+    for arg in (*_results(out), *args):
         data = getattr(arg, "data", None)
         if data is not None and hasattr(data, "nbytes"):
             total += data.nbytes
     return total
+
+
+def _built_nodes(operands, out) -> list:
+    """The graph nodes an op built: those reachable from its result(s)
+    without passing through an operand.  One for most kernels; ``lstm_cell``
+    builds up to five and returns two of them."""
+    seen = {id(t) for t in operands}
+    nodes, stack = [], list(_results(out))
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or getattr(node, "_backward", None) is None:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._prev)
+    return nodes
 
 
 def profiled_op(name: str):
@@ -70,9 +87,8 @@ def profiled_op(name: str):
             dt = perf_counter_ns() - t0
             nbytes = _operand_bytes(args, out)
             prof.end(name, dt, nbytes)
-            bwd = getattr(out, "_backward", None)
-            if bwd is not None:
-                def timed_backward(_bwd=bwd, _prof=prof, _nbytes=nbytes):
+            for node in _built_nodes((*args, *kwargs.values()), out):
+                def timed_backward(_bwd=node._backward, _prof=prof, _nbytes=nbytes):
                     # begin() before the closure so nested profiled ops
                     # charge as children (self-time stays double-count free).
                     _prof.begin()
@@ -85,7 +101,8 @@ def profiled_op(name: str):
                     _prof.end(name, perf_counter_ns() - b0, _nbytes,
                               phase="backward")
 
-                out._backward = timed_backward
+                node._backward = timed_backward
+                nbytes = 0  # an op's traffic is charged once, to its first node
             return out
 
         return wrapper

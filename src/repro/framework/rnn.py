@@ -1,9 +1,11 @@
 """Recurrent layers: LSTM cell and multi-layer sequence LSTM.
 
 GNMT (§3.1.3) is the suite's only RNN workload; these layers provide the
-LSTM-with-skip-connections building blocks it needs.  The implementation
-composes ``Tensor`` primitives, so gradients flow through time without any
-bespoke BPTT code.
+LSTM-with-skip-connections building blocks it needs.  One step is the
+:func:`~repro.framework.fused.lstm_cell` kernel (or, in the reference kernel
+modes, the composition of ``Tensor`` primitives it mirrors); steps chain
+through the ordinary autodiff graph, so gradients flow through time without
+any bespoke BPTT code.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import init
+from .fused import lstm_cell
 from .module import Module, ModuleList, Parameter
 from .tensor import Tensor
 
@@ -35,20 +38,15 @@ class LSTMCell(Module):
         bias[hidden_size : 2 * hidden_size] = 1.0  # forget gate
         self.bias = Parameter(bias)
 
-    def forward(self, x: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
+    def forward(self, x: Tensor, state: tuple[Tensor, Tensor],
+                mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+        """``(h, c)`` after one step; rows where the ``(N, 1)`` ``mask`` is 0
+        keep ``state``."""
         h_prev, c_prev = state
-        gates = x @ self.w_x.T + h_prev @ self.w_h.T + self.bias
-        hs = self.hidden_size
-        i = gates[:, 0 * hs : 1 * hs].sigmoid()
-        f = gates[:, 1 * hs : 2 * hs].sigmoid()
-        g = gates[:, 2 * hs : 3 * hs].tanh()
-        o = gates[:, 3 * hs : 4 * hs].sigmoid()
-        c = f * c_prev + i * g
-        h = o * c.tanh()
-        return h, c
+        return lstm_cell(x, h_prev, c_prev, self.w_x, self.w_h, self.bias, mask)
 
     def zero_state(self, batch: int) -> tuple[Tensor, Tensor]:
-        z = np.zeros((batch, self.hidden_size), dtype=np.float32)
+        z = np.zeros((batch, self.hidden_size), dtype=self.w_h.dtype)
         return Tensor(z), Tensor(z.copy())
 
 
@@ -63,10 +61,6 @@ class LSTM(Module):
     def __init__(self, input_size: int, hidden_size: int, num_layers: int,
                  rng: np.random.Generator, residual: bool = False):
         super().__init__()
-        if residual and num_layers > 1 and hidden_size != input_size:
-            # Residual stacking needs matching widths past the first layer,
-            # which it has by construction; only the first layer may differ.
-            pass
         self.num_layers = num_layers
         self.hidden_size = hidden_size
         self.residual = residual
@@ -94,16 +88,14 @@ class LSTM(Module):
         t_steps, batch = x.shape[0], x.shape[1]
         if states is None:
             states = [cell.zero_state(batch) for cell in self.cells]
+        if mask is not None:
+            mask = mask.astype(x.dtype, order="C")[:, :, None]  # (T, N, 1), one cast
         outputs: list[Tensor] = []
         for t in range(t_steps):
             inp = x[t]
-            step_mask = None if mask is None else mask[t].astype(np.float32)[:, None]
+            step_mask = None if mask is None else mask[t]
             for layer, cell in enumerate(self.cells):
-                h, c = cell(inp, states[layer])
-                if step_mask is not None:
-                    h_prev, c_prev = states[layer]
-                    h = h * step_mask + h_prev * (1.0 - step_mask)
-                    c = c * step_mask + c_prev * (1.0 - step_mask)
+                h, c = cell(inp, states[layer], step_mask)
                 states[layer] = (h, c)
                 if self.residual and layer >= 1:
                     inp = h + inp

@@ -130,6 +130,45 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))``, stable in both tails, with one ``exp``.
+
+    ``e = exp(-|x|)`` never overflows; the result is ``1 / (1 + e)`` where
+    ``x >= 0`` and ``e / (1 + e)`` elsewhere.  ``e <= 1``, so the numerator
+    is ``max(e, x >= 0)``.  ``exp`` always sees a fresh dense array, whatever
+    ``x``'s strides.
+    """
+    e = np.asarray(np.copysign(x, -1.0))  # asarray: a 0-d result is a scalar
+    np.exp(e, out=e)
+    denom = 1.0 + e
+    np.maximum(e, x >= 0, out=e)
+    e /= denom
+    return e
+
+
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` selects each element at most once (no fancy part)."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(
+        item is None or item is Ellipsis or isinstance(item, slice)
+        or (isinstance(item, (int, np.integer)) and not isinstance(item, (bool, np.bool_)))
+        for item in items
+    )
+
+
+def _index_add(grad: np.ndarray, index, g: np.ndarray) -> None:
+    """``grad[index] += g``, accumulating over repeated elements.
+
+    A basic index (ints, slices, ``...``, ``None``) is a view, so the
+    in-place add is the scatter; only an advanced index can name an element
+    twice and needs the unbuffered ``np.add.at``.
+    """
+    if _is_basic_index(index):
+        grad[index] += g
+    else:
+        np.add.at(grad, index, g)
+
+
 def _as_array(value, dtype=None) -> np.ndarray:
     if isinstance(value, Tensor):
         raise TypeError("expected raw data, got Tensor")
@@ -528,12 +567,7 @@ class Tensor:
 
     @profiled_op("sigmoid")
     def sigmoid(self) -> "Tensor":
-        # Numerically stable in both tails.
-        result = np.where(
-            self.data >= 0,
-            1.0 / (1.0 + np.exp(-np.clip(self.data, 0, None))),
-            np.exp(np.clip(self.data, None, 0)) / (1.0 + np.exp(np.clip(self.data, None, 0))),
-        )
+        result = _sigmoid(self.data)
 
         def backward(out: Tensor) -> None:
             self._accumulate(out.grad * out.data * (1.0 - out.data), owned=True)
@@ -623,7 +657,10 @@ class Tensor:
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         axes = axes or tuple(reversed(range(self.ndim)))
-        inverse = tuple(np.argsort(axes))
+        inverse = [0] * len(axes)
+        for position, axis in enumerate(axes):
+            inverse[axis] = position
+        inverse = tuple(inverse)
 
         def backward(out: Tensor) -> None:
             self._accumulate(out.grad.transpose(inverse))
@@ -638,7 +675,7 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         def backward(out: Tensor) -> None:
             grad = np.zeros_like(self.data)
-            np.add.at(grad, index, out.grad)
+            _index_add(grad, index, out.grad)
             self._accumulate(grad, owned=True)
 
         return Tensor._make(self.data[index], (self,), backward)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..framework import LSTM, Embedding, Linear, Module, Tensor, functional as F
+from ..framework import LSTM, Embedding, Linear, Module, Tensor, attention_bias, functional as F
 from ..datasets.translation import BOS, EOS, PAD
 
 __all__ = ["MiniGNMT"]
@@ -34,34 +34,34 @@ class MiniGNMT(Module):
 
     # -- encoding ---------------------------------------------------------------
     def encode(self, src: np.ndarray) -> tuple[Tensor, list, np.ndarray]:
-        """Encode ``(N, T_src)`` token ids; returns (memory, states, pad mask)."""
+        """Encode ``(N, T_src)`` token ids; returns (memory, states, additive pad mask)."""
         mask = src != PAD  # (N, T)
         emb = self.embed(src.T)  # (T, N, E)
         memory, states = self.encoder(emb, mask=mask.T)
-        return memory, states, mask
+        return memory, states, attention_bias(mask)
 
-    def _attend(self, h: Tensor, memory: Tensor, src_mask: np.ndarray) -> Tensor:
+    def _attend(self, h: Tensor, memory: Tensor, src_bias: np.ndarray) -> Tensor:
         """Luong dot attention: one decoder state against all memory steps.
 
-        ``h``: (N, H); ``memory``: (T, N, H); returns context-combined (N, H).
+        ``h``: (N, H); ``memory``: (T, N, H); ``src_bias``: (N, T), -1e9 on
+        padding; returns context-combined (N, H).
         """
         mem = memory.transpose(1, 0, 2)  # (N, T, H)
         scores = (mem @ h.reshape(h.shape[0], self.hidden, 1)).reshape(h.shape[0], -1)
-        bias = np.where(src_mask, 0.0, -1e9).astype(np.float32)
-        weights = F.softmax(scores + Tensor(bias), axis=-1)  # (N, T)
+        weights = F.softmax(scores + Tensor(src_bias), axis=-1)  # (N, T)
         context = (weights.reshape(weights.shape[0], 1, -1) @ mem).reshape(h.shape[0], self.hidden)
         return self.attn_combine(Tensor.concat([h, context], axis=1)).tanh()
 
     # -- training -------------------------------------------------------------
     def forward(self, src: np.ndarray, dec_input: np.ndarray) -> Tensor:
         """Teacher-forced logits ``(N, T_tgt, V)``."""
-        memory, states, src_mask = self.encode(src)
+        memory, states, src_bias = self.encode(src)
         emb = self.embed(dec_input.T)  # (T, N, E)
         dec_out, _ = self.decoder(emb, states=states)
         t_steps = dec_out.shape[0]
         logits = []
         for t in range(t_steps):
-            combined = self._attend(dec_out[t], memory, src_mask)
+            combined = self._attend(dec_out[t], memory, src_bias)
             logits.append(self.out(combined))
         return Tensor.stack(logits, axis=1)  # (N, T, V)
 
@@ -75,23 +75,23 @@ class MiniGNMT(Module):
         from ..framework import no_grad
 
         with no_grad():
-            memory, states, src_mask = self.encode(src)
+            memory, states, src_bias = self.encode(src)
             n = src.shape[0]
             tokens = np.full(n, BOS, dtype=np.int64)
             finished = np.zeros(n, dtype=bool)
-            outputs: list[list[int]] = [[] for _ in range(n)]
+            steps: list[np.ndarray] = []
             for _ in range(max_len):
                 emb = self.embed(tokens[None])  # (1, N, E)
                 dec_out, states = self.decoder(emb, states=states)
-                combined = self._attend(dec_out[0], memory, src_mask)
-                logits = self.out(combined).data
-                tokens = logits.argmax(axis=-1)
-                for i in range(n):
-                    if not finished[i]:
-                        if tokens[i] == EOS:
-                            finished[i] = True
-                        else:
-                            outputs[i].append(int(tokens[i]))
+                combined = self._attend(dec_out[0], memory, src_bias)
+                tokens = self.out(combined).data.argmax(axis=-1)
+                steps.append(tokens)
+                finished |= tokens == EOS
                 if finished.all():
                     break
-            return outputs
+        # A sentence is what its row produced before its first EOS.
+        outputs: list[list[int]] = []
+        for row in np.stack(steps, axis=1) if steps else np.empty((n, 0), dtype=np.int64):
+            stop = np.flatnonzero(row == EOS)
+            outputs.append(row[: stop[0]].tolist() if stop.size else row.tolist())
+        return outputs

@@ -17,6 +17,7 @@ from ..framework import (
     Tensor,
     TransformerDecoderLayer,
     TransformerEncoderLayer,
+    attention_bias,
     causal_mask,
     functional as F,
     positional_encoding,
@@ -50,8 +51,10 @@ class MiniTransformer(Module):
         return self.embed(tokens) * self.scale + Tensor(self.pos[None, :t])
 
     def encode(self, src: np.ndarray) -> tuple[Tensor, np.ndarray]:
-        """Encode ``(N, T_src)``; returns (memory, key-padding mask)."""
-        pad_mask = (src != PAD)[:, None, None, :]  # (N, 1, 1, T) broadcast over heads & queries
+        """Encode ``(N, T_src)``; returns (memory, additive key-padding mask)."""
+        # (N, 1, 1, T): broadcasts over heads & queries; one conversion serves
+        # every layer that attends to the source.
+        pad_mask = attention_bias((src != PAD)[:, None, None, :])
         h = self._embed(src)
         for layer in self.enc_layers:
             h = layer(h, src_mask=pad_mask)
@@ -62,7 +65,7 @@ class MiniTransformer(Module):
         memory, mem_mask = self.encode(src)
         t = dec_input.shape[1]
         tgt_pad = (dec_input != PAD)[:, None, None, :]
-        tgt_mask = tgt_pad & causal_mask(t)[None, None]
+        tgt_mask = attention_bias(tgt_pad & causal_mask(t)[None, None])
         h = self._embed(dec_input)
         for layer in self.dec_layers:
             h = layer(h, memory, tgt_mask=tgt_mask, memory_mask=mem_mask)
@@ -75,20 +78,29 @@ class MiniTransformer(Module):
                                label_smoothing=label_smoothing)
 
     def greedy_decode(self, src: np.ndarray, max_len: int = 24) -> list[list[int]]:
-        """Greedy decoding (re-runs the decoder per step; fine at mini scale)."""
+        """Greedy decoding.
+
+        Self-attention re-runs over the whole prefix each step (a one-row
+        GEMM need not match the bits of a row of the full one); the memory's
+        cross-attention keys and values do not depend on the prefix, so each
+        layer projects them once.
+        """
         from ..framework import no_grad
 
         with no_grad():
             memory, mem_mask = self.encode(src)
+            memory_kvs = [layer.cross_attn.project_kv(memory, memory)
+                          for layer in self.dec_layers]
             n = src.shape[0]
             dec = np.full((n, 1), BOS, dtype=np.int64)
             finished = np.zeros(n, dtype=bool)
             for _ in range(max_len):
                 t = dec.shape[1]
-                tgt_mask = causal_mask(t)[None, None]
+                tgt_mask = attention_bias(causal_mask(t)[None, None])
                 h = self._embed(dec)
-                for layer in self.dec_layers:
-                    h = layer(h, memory, tgt_mask=tgt_mask, memory_mask=mem_mask)
+                for layer, kv in zip(self.dec_layers, memory_kvs):
+                    h = layer(h, memory, tgt_mask=tgt_mask, memory_mask=mem_mask,
+                              memory_kv=kv)
                 logits = self.out(h).data[:, -1]
                 next_tok = logits.argmax(axis=-1)
                 next_tok[finished] = PAD

@@ -224,6 +224,32 @@ class TestRunResultMetricsRoundtrip:
         path = save_run_result(tmp_path / "result_0.txt", run)
         assert load_run_result(run.benchmark, path).telemetry is None
 
+    def test_stats_table_totals_kernel_fallbacks(self, tmp_path):
+        """Every ``kernel_fallbacks.<op>.<reason>`` counter lands in one column."""
+        from repro.core import build_phase_table, render_phase_table
+        from repro.core.artifacts import load_run_result, save_run_result
+        from repro.framework import Tensor, linear_bias_act, use_kernel_mode
+        from repro.telemetry import Telemetry
+
+        clock = FakeClock()
+        telemetry = Telemetry(clock=clock)
+        with telemetry.activate(), use_kernel_mode("fused"):
+            wide = Tensor(np.ones((2, 3), dtype=np.float64))
+            narrow = Tensor(np.ones((4, 3), dtype=np.float32))
+            linear_bias_act(wide, narrow)
+            linear_bias_act(narrow[0], narrow)
+            linear_bias_act(narrow[0], narrow)
+            run = BenchmarkRunner(clock=clock).run(FakeBenchmark(clock=clock), seed=0,
+                                                   telemetry=telemetry)
+        loaded = load_run_result(run.benchmark,
+                                 save_run_result(tmp_path / "result_0.txt", run))
+        quiet = BenchmarkRunner(clock=clock).run(FakeBenchmark(clock=clock), seed=1)
+        (row,) = build_phase_table({run.benchmark: [loaded, quiet]})
+        assert row.kernel_fallbacks == 1.5  # 3 calls over 2 runs
+        table = render_phase_table([row])
+        assert "Fallbacks" in table.splitlines()[0]
+        assert table.splitlines()[-1].split()[-1] == "2"  # rendered as a whole count
+
 
 class TestRunResultSeriesRoundtrip:
     """Per-run sampled series persist in the header for `stats --series`."""

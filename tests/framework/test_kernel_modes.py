@@ -18,6 +18,8 @@ from repro.framework import (
     BatchNorm1d,
     BatchNorm2d,
     DataLoader,
+    LSTM,
+    LSTMCell,
     LayerNorm,
     Parameter,
     SGD,
@@ -29,6 +31,7 @@ from repro.framework import (
     inference_mode,
     kernel_mode,
     linear_bias_act,
+    lstm_cell,
     max_pool2d,
     no_grad,
     set_kernel_mode,
@@ -372,6 +375,353 @@ class TestNormalizeBitIdentity:
         for step, (r, g) in enumerate(zip(ref, got)):
             for i, (a, c) in enumerate(zip(r, g)):
                 assert np.array_equal(a, c), f"step {step} item {i} diverged"
+
+
+_CELL_GRADS = ("x", "h_prev", "c_prev", "w_x", "w_h", "bias")
+
+
+def _cell_mask(kind, n, dtype):
+    """An ``(N, 1)`` step mask as ``LSTM.forward`` builds it, or ``None``."""
+    if kind is None:
+        return None
+    keep = {"mixed": np.arange(n) % 3 != 1, "none-kept": np.zeros(n, dtype=bool),
+            "all-kept": np.ones(n, dtype=bool)}[kind]
+    return keep.astype(dtype)[:, None]
+
+
+def _run_cell(mode, *, mask=None, dtype=np.float32, n=5, use="both", second_reader=None,
+              context=None):
+    """One ``lstm_cell`` step under ``mode``: ``h``, ``c`` and the six gradients.
+
+    The step's inputs are interior nodes, so their gradients accumulate.
+    ``use`` picks which results the loss reads (``"twice"``: each by two
+    readers); ``second_reader`` gives ``h_prev`` and ``c_prev`` one more
+    reader whose adjoint arrives before (``"first"``) or after (``"last"``)
+    the cell's.
+    """
+    e, hs = 7, 6
+    rng = np.random.default_rng(3)
+    draw = lambda *shape: rng.normal(size=shape).astype(dtype)
+    x0, h0, c0 = draw(n, e), draw(n, hs), draw(n, hs)
+    weights = draw(4 * hs, e) * 0.4, draw(4 * hs, hs) * 0.4, draw(4 * hs)
+    g_h, g_c, g_h2, g_c2 = draw(n, hs), draw(n, hs), draw(n, hs), draw(n, hs)
+    with use_kernel_mode(mode):
+        leaves = [Tensor(a, requires_grad=True) for a in (x0, h0, c0)]
+        params = [Parameter(w) for w in weights]
+        x, h_prev, c_prev = (leaf * 1.5 for leaf in leaves)
+        if context is not None:
+            with context():
+                h, c = lstm_cell(x, h_prev, c_prev, *params, _cell_mask(mask, n, dtype))
+            assert not h.requires_grad and h._backward is None and c._backward is None
+            return h.data, c.data
+        h, c = lstm_cell(x, h_prev, c_prev, *params, _cell_mask(mask, n, dtype))
+        terms = []
+        if use in ("h", "both", "twice"):
+            terms.append((h * Tensor(g_h)).sum())
+        if use in ("c", "both", "twice"):
+            terms.append((c * Tensor(g_c)).sum())
+        if use == "twice":
+            terms += [(h.tanh() * Tensor(g_h2)).sum(), (c * c * Tensor(g_c2)).sum()]
+        # The reverse walk runs the terms' adjoints in the order they were added.
+        extra = (h_prev * c_prev).sum()
+        if second_reader == "first":
+            terms.insert(0, extra)
+        elif second_reader == "last":
+            terms.append(extra)
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = loss + term
+        loss.backward()
+        return (h.data, c.data, *(t.grad for t in leaves), *(p.grad for p in params))
+
+
+def _assert_cell_identical(ref, got, context):
+    names = ("h", "c", *(f"{name}.grad" for name in _CELL_GRADS))
+    assert len(ref) == len(got)
+    for name, a, c in zip(names, ref, got):
+        assert a.dtype == c.dtype, f"{context}: {name} dtype {c.dtype} != {a.dtype}"
+        assert np.array_equal(a, c), f"{context}: {name} diverged"
+
+
+def _sequence_case(dtype=np.float32, t=6, n=5, e=7):
+    rng = np.random.default_rng(8)
+    lengths = rng.integers(1, t + 1, size=n)
+    lengths[0] = t
+    return (rng.normal(size=(t, n, e)).astype(dtype),
+            np.arange(t)[:, None] < lengths[None, :],
+            rng.normal(size=(t, n, 6)).astype(dtype))
+
+
+def _run_encoder_decoder(mode, dtype=np.float32):
+    """A padded 2-layer residual encoder whose final ``(h, c)`` start an
+    unpadded decoder over the same parameters' shapes: the GNMT wiring."""
+    with use_kernel_mode(mode):
+        rng = np.random.default_rng(4)
+        encoder = LSTM(7, 6, 2, rng, residual=True)
+        decoder = LSTM(7, 6, 2, rng, residual=True)
+        params = [*encoder.parameters(), *decoder.parameters()]
+        for p in params:
+            p.data = p.data.astype(dtype)
+        seq, mask, g = _sequence_case(dtype)
+        emb = Parameter(seq)
+        memory, states = encoder(emb * 1.0, mask=mask)
+        out, final = decoder(emb * 0.5, states=states)
+        loss = (out * Tensor(g)).sum() + (memory * Tensor(g[::-1].copy())).sum()
+        loss = loss + (final[-1][1] * final[0][0]).sum()
+        loss.backward()
+        return [memory.data, out.data, emb.grad, *(p.grad for p in params),
+                *(s.data for pair in final for s in pair)]
+
+
+class TestLstmCellBitIdentity:
+    """The ``lstm_cell`` kernel vs the composed graph it replaces.
+
+    ``fused``/``compiled`` run the kernel, ``naive``/``reuse`` the
+    composition; both results and all six gradients must agree to the bit.
+    """
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mask", [None, "mixed", "none-kept", "all-kept"])
+    @pytest.mark.parametrize("use", ["both", "h", "c", "twice"])
+    def test_matches_naive(self, mode, mask, use):
+        ref = _run_cell("naive", mask=mask, use=use)
+        got = _run_cell(mode, mask=mask, use=use)
+        _assert_cell_identical(ref, got, f"[{mode},mask={mask},use={use}]")
+
+    @pytest.mark.parametrize("mask", [None, "mixed"])
+    @pytest.mark.parametrize("second_reader", ["first", "last"])
+    @pytest.mark.parametrize("use", ["both", "twice"])
+    def test_accumulation_order_with_another_reader_of_the_state(self, mask, second_reader, use):
+        kwargs = dict(mask=mask, second_reader=second_reader, use=use)
+        _assert_cell_identical(_run_cell("naive", **kwargs), _run_cell("fused", **kwargs),
+                               f"[mask={mask},reader {second_reader},use={use}]")
+
+    @pytest.mark.parametrize("mask", [None, "mixed", "none-kept"])
+    def test_batch_of_one(self, mask):
+        ref = _run_cell("naive", mask=mask, n=1)
+        _assert_cell_identical(ref, _run_cell("fused", mask=mask, n=1), f"n=1[mask={mask}]")
+
+    @pytest.mark.parametrize("mask", [None, "mixed"])
+    def test_float64(self, mask):
+        ref = _run_cell("naive", mask=mask, dtype=np.float64)
+        got = _run_cell("fused", mask=mask, dtype=np.float64)
+        assert got[0].dtype == np.float64
+        _assert_cell_identical(ref, got, f"f64[mask={mask}]")
+
+    @pytest.mark.parametrize("context", [no_grad, inference_mode])
+    @pytest.mark.parametrize("mask", [None, "mixed"])
+    def test_forward_only(self, context, mask):
+        ref = _run_cell("naive", mask=mask, context=context)
+        got = _run_cell("fused", mask=mask, context=context)
+        assert np.array_equal(ref[0], got[0]) and np.array_equal(ref[1], got[1])
+
+    def test_kernel_graph(self):
+        """Unmasked, ``h`` hangs off ``c`` and ``c`` off the operands (the
+        weights through their transposes); the blend adds one node."""
+        rng = np.random.default_rng(0)
+        cell = LSTMCell(3, 4, rng)
+        x = Tensor(rng.normal(size=(2, 3)).astype(np.float32), requires_grad=True)
+        state = cell.zero_state(2)
+        with use_kernel_mode("fused"):
+            h, c = cell(x, state)
+            hm, cm = cell(x, state, np.ones((2, 1), dtype=np.float32))
+        assert h._prev == (c,)
+        assert [p for p in c._prev if p._backward is None] == [state[1], x, state[0], cell.bias]
+        assert [p._prev for p in c._prev if p._backward is not None] == [(cell.w_x,), (cell.w_h,)]
+        assert hm._prev[1] is state[0] and cm._prev == (hm._prev[0], state[1])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_padded_residual_stack_into_decoder(self, mode):
+        ref, got = _run_encoder_decoder("naive"), _run_encoder_decoder(mode)
+        for k, (a, c) in enumerate(zip(ref, got)):
+            assert np.array_equal(a, c), f"[{mode}] item {k} diverged"
+
+    def test_float64_stack_gets_a_float64_mask_and_state(self):
+        ref, got = _run_encoder_decoder("naive", np.float64), _run_encoder_decoder("fused", np.float64)
+        assert all(a.dtype == np.float64 for a in got)
+        for k, (a, c) in enumerate(zip(ref, got)):
+            assert np.array_equal(a, c), f"item {k} diverged"
+
+    @pytest.mark.parametrize("ref_mode", ["naive", "fused"])
+    def test_compiled_step_executor_horizon(self, ref_mode):
+        """A padded 2-layer stack trained for several steps through the step
+        executor: replayed plans, with the kernel's nodes on their closure
+        entries, match eager execution of the composed graph."""
+        from repro.framework import Adam
+        from repro.framework.compile import StepExecutor
+
+        def train(mode):
+            with use_kernel_mode(mode):
+                lstm = LSTM(7, 6, 2, np.random.default_rng(5), residual=True)
+                params = lstm.parameters()
+                opt = Adam(params, lr=0.01)
+                executor = StepExecutor()
+                seq, mask, g = _sequence_case()
+                trace = []
+                for step in range(5):
+                    batch = Tensor(seq * (1.0 + 0.1 * step))
+
+                    def loss_fn():
+                        out, states = lstm(batch, mask=mask)
+                        return (out * Tensor(g)).mean() + (states[1][1] * states[0][0]).mean()
+
+                    loss = executor.step(loss_fn, pre_backward=lstm.zero_grad)
+                    trace.append([loss.data.copy(), *(p.grad.copy() for p in params)])
+                    opt.step()
+                trace.append([p.data.copy() for p in params])
+                if mode == "compiled":
+                    assert executor.stats()["hits"] == 4
+            return trace
+
+        ref, got = train(ref_mode), train("compiled")
+        for step, (r, g) in enumerate(zip(ref, got)):
+            for i, (a, c) in enumerate(zip(r, g)):
+                assert np.array_equal(a, c), f"step {step} item {i} diverged"
+
+
+def _three_exp_sigmoid(x):
+    """``Tensor.sigmoid`` as it was before the one-``exp`` form (the oracle)."""
+    return np.where(
+        x >= 0,
+        1.0 / (1.0 + np.exp(-np.clip(x, 0, None))),
+        np.exp(np.clip(x, None, 0)) / (1.0 + np.exp(np.clip(x, None, 0))),
+    )
+
+
+class TestSigmoidBitIdentity:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("view", ["contiguous", "column-slice", "transposed", "0-d"])
+    def test_matches_three_exp_form(self, dtype, view):
+        rng = np.random.default_rng(2)
+        x = (rng.normal(size=(33, 40)) * rng.choice([0.1, 1.0, 10.0, 60.0], size=(33, 40)))
+        x = x.astype(dtype)
+        x[0, :10] = [np.inf, -np.inf, np.nan, -0.0, 0.0, 88.5, -88.5, 104.0, -104.0, 750.0]
+        x[1, :2] = [-750.0, np.finfo(dtype).tiny]
+        x = {"contiguous": x, "column-slice": x[:, 3:29], "transposed": x.T,
+             "0-d": x[2, 2]}[view]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = _three_exp_sigmoid(x)
+            got = Tensor(x).sigmoid().data
+        assert got.dtype == dtype and got.shape == ref.shape
+        assert np.array_equal(np.isnan(ref), np.isnan(got))
+        finite = ~np.isnan(ref)
+        assert np.array_equal(ref[finite], got[finite])
+        assert np.array_equal(np.signbit(ref[finite]), np.signbit(got[finite]))
+
+    def test_gradient_unchanged(self):
+        x = Tensor(np.linspace(-30, 30, 41, dtype=np.float32), requires_grad=True)
+        y = x.sigmoid()
+        y.backward(np.ones_like(y.data))
+        ref = _three_exp_sigmoid(x.data)
+        assert np.array_equal(x.grad, ref * (1.0 - ref))
+
+
+_BASIC_INDICES = [
+    2, -1, slice(1, 4), slice(None, None, 2), slice(None, None, -1), slice(4, 0, -2),
+    (slice(None), 1), (Ellipsis, 0), (1, Ellipsis), (None, 2), (slice(None), None, slice(0, 2)),
+    (np.int64(1), slice(None)), (2, 3, 1), Ellipsis, (slice(0, 0),),
+]
+_ADVANCED_INDICES = [
+    [0, 0, 2], np.array([3, 1, 3, 3]), (np.array([0, 0, 1]), np.array([2, 2, 0])),
+    (slice(None), [1, 1]), np.array([True, False, True, False, True]),
+    (np.array([[0, 1], [1, 0]]),), (True,),
+]
+
+
+class TestGetitemAdjoint:
+    """``x[index]``'s adjoint scatters into a zeroed array: in place through
+    the view for a basic index, through ``np.add.at`` for an advanced one."""
+
+    @staticmethod
+    def _check(index):
+        rng = np.random.default_rng(1)
+        data = rng.normal(size=(5, 4, 3)).astype(np.float32)
+        x = Tensor(data, requires_grad=True)
+        picked = x[index]
+        g = rng.normal(size=picked.shape).astype(np.float32)
+        g.reshape(-1)[:1] = -0.0
+        picked.backward(g)
+        oracle = np.zeros_like(data)
+        np.add.at(oracle, index, g)
+        assert np.array_equal(x.grad, oracle)
+        assert np.array_equal(np.signbit(x.grad), np.signbit(oracle))
+
+    @pytest.mark.parametrize("index", _BASIC_INDICES, ids=repr)
+    def test_basic_index(self, index):
+        from repro.framework.tensor import _is_basic_index
+
+        assert _is_basic_index(index)
+        self._check(index)
+
+    @pytest.mark.parametrize("index", _ADVANCED_INDICES, ids=repr)
+    def test_advanced_index_accumulates_duplicates(self, index):
+        from repro.framework.tensor import _is_basic_index
+
+        assert not _is_basic_index(index)
+        self._check(index)
+
+    def test_adjoint_through_compiled_replay(self):
+        from repro.framework.compile import StepExecutor
+
+        w = Parameter(np.arange(24, dtype=np.float32).reshape(4, 6))
+        results = {}
+        for mode in ("naive", "compiled"):
+            with use_kernel_mode(mode):
+                executor = StepExecutor()
+                grads = []
+                for _ in range(3):
+                    w.grad = None
+                    executor.step(lambda: ((w * 1.0)[1:3, ::-2] * (w * 2.0)[[0, 0, 3]][:, :3].sum(axis=0)).sum())
+                    grads.append(w.grad.copy())
+                results[mode] = grads
+        for a, c in zip(results["naive"], results["compiled"]):
+            assert np.array_equal(a, c)
+
+
+def _mixed_dtype_calls():
+    f32 = lambda *shape: Tensor(np.ones(shape, dtype=np.float32))
+    f64 = lambda *shape: Tensor(np.ones(shape, dtype=np.float64))
+    return {
+        "conv2d_bias_relu": lambda: conv2d_bias_relu(f64(1, 2, 4, 4), f32(3, 2, 3, 3), f32(3)),
+        "linear": lambda: linear_bias_act(f64(2, 3), f32(4, 3), f32(4)),
+        "normalize": lambda: LayerNorm(3)(f64(2, 3)),
+        "lstm_cell": lambda: lstm_cell(f64(2, 3), f32(2, 4), f32(2, 4), f32(16, 3), f32(16, 4), f32(16)),
+    }
+
+
+class TestKernelFallbacksAreCounted:
+    @pytest.mark.parametrize("op", sorted(_mixed_dtype_calls()))
+    def test_mixed_dtype_call_counts_a_fallback(self, op):
+        from repro.telemetry import Telemetry
+
+        call = _mixed_dtype_calls()[op]
+        name = f"kernel_fallbacks.{op}.mixed_dtype"
+        for mode, expected in (("fused", 1.0), ("compiled", 1.0), ("naive", None), ("reuse", None)):
+            telemetry = Telemetry()
+            with use_kernel_mode(mode), telemetry.activate():
+                out = call()
+            out = out[0] if isinstance(out, tuple) else out
+            assert out.dtype == np.float64  # the composition promotes
+            counted = telemetry.metrics.snapshot().get(name, {}).get("value")
+            assert counted == expected, f"{mode}: {counted}"
+
+    def test_one_dimensional_linear_input_is_an_ndim_fallback(self):
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        with use_kernel_mode("fused"), telemetry.activate():
+            linear_bias_act(Tensor(np.ones(3, dtype=np.float32)),
+                            Tensor(np.ones((4, 3), dtype=np.float32)))
+        assert telemetry.metrics.snapshot()["kernel_fallbacks.linear.ndim"]["value"] == 1.0
+
+    def test_uniform_calls_count_nothing(self):
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        with use_kernel_mode("fused"), telemetry.activate():
+            _run_cell("fused", mask="mixed")
+            LayerNorm(3)(Tensor(np.ones((2, 3), dtype=np.float32)))
+        assert not telemetry.metrics.snapshot()
 
 
 class TestSGDBitIdentity:

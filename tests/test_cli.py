@@ -398,6 +398,28 @@ class TestProfileCommand:
         assert "2 profiled run(s)" in text
         assert "forward" in text and "Share" in text
 
+    def test_profile_lists_kernel_fallbacks(self, tmp_path, monkeypatch):
+        import json
+
+        monkeypatch.setenv("REPRO_PROFILE", "sampled")
+        run_cli("run", "recommendation", "--seeds", "2",
+                "--save", str(tmp_path), "--submitter", "prof-test")
+        code, text = run_cli("profile", str(tmp_path / "prof-test"))
+        assert code == 0
+        assert "kernel fallbacks: none" in text  # float32 end to end
+        # The same counters a mixed-dtype call would have left in each header.
+        for path in (tmp_path / "prof-test").rglob("result_*.txt"):
+            first, _, rest = path.read_text().partition("\n")
+            header = json.loads(first[len("# repro-run "):])
+            header["metrics"]["kernel_fallbacks.linear.mixed_dtype"] = {
+                "type": "counter", "value": 27.0}
+            header["metrics"]["kernel_fallbacks.normalize.mixed_dtype"] = {
+                "type": "counter", "value": 8.0}
+            path.write_text("# repro-run " + json.dumps(header) + "\n" + rest)
+        code, text = run_cli("profile", str(tmp_path / "prof-test"))
+        assert code == 0
+        assert "kernel fallbacks: linear/mixed_dtype=54  normalize/mixed_dtype=16" in text
+
     def test_profile_json_merges_runs(self, tmp_path, monkeypatch):
         import json
 
