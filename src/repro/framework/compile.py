@@ -340,7 +340,7 @@ class _Plan:
     __slots__ = ("entries", "closure_refs", "scheduled", "root_idx",
                  "root_buf", "chain_guard", "peak_grad_bytes", "slab_bytes",
                  "fused_chains", "fused_links", "registry_nodes",
-                 "closure_nodes", "n_nodes")
+                 "closure_nodes", "n_nodes", "borrows")
 
     def __init__(self) -> None:
         self.entries: list[Callable[[list], None]] = []
@@ -357,6 +357,11 @@ class _Plan:
         self.registry_nodes = 0
         self.closure_nodes = 0
         self.n_nodes = 0
+        # The arena borrows behind the entries' storage.  Entries hold views
+        # *derived* from them (slab slices, reshapes), which keep the memory
+        # alive but not the borrow: were the borrowed array itself to die,
+        # the arena would repool the bytes under a live plan.
+        self.borrows: list[np.ndarray] = []
 
     # -- replay -----------------------------------------------------------
 
@@ -718,6 +723,8 @@ class _PlanBuilder:
             else:
                 self._emit_closure(idx, node is root)
 
+        plan.borrows = [b for b in (self._slab, *self._scratch.values(),
+                                    *self._buffers.values()) if b is not None]
         plan.registry_nodes = len(registry)
         plan.closure_nodes = sum(
             1 for k, node in enumerate(schedule)

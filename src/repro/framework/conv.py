@@ -13,7 +13,11 @@ Every public kernel dispatches on :func:`repro.framework.config.kernel_mode`:
   (padded images, patch columns, GEMM outputs, gradient scratch) from the
   per-thread :class:`~repro.framework.workspace.Workspace` and unfold
   patches directly into the patch-major layout the GEMM wants — skipping
-  the big ``ascontiguousarray`` transpose copies of the naive path.
+  the big ``ascontiguousarray`` transpose copies of the naive path.  The
+  ``kh*kw`` strided im2col/col2im passes run over blocks of samples whose
+  slab of the patch matrix fits in cache (``_BLOCK_BYTES``); the GEMMs
+  stay whole-batch.  Only data movement is blocked, never arithmetic:
+  each padded pixel still receives its terms in ``(i, j)`` order.
 
 The arena variants are **bit-identical** to ``naive``: same element values,
 same accumulation order, same dtypes (enforced by tests).  The only
@@ -93,9 +97,30 @@ def _pad_into(ws, x: np.ndarray, pad: int) -> np.ndarray:
     """Zero-padded copy of ``x`` in an arena borrow (caller releases)."""
     n, c, h, w = x.shape
     buf = ws.take((n, c, h + 2 * pad, w + 2 * pad), x.dtype)
-    buf[...] = 0
+    # Only the border needs the zeros; the interior is overwritten below.
+    buf[:, :, :pad] = 0
+    buf[:, :, pad + h :] = 0
+    buf[:, :, pad : pad + h, :pad] = 0
+    buf[:, :, pad : pad + h, pad + w :] = 0
     buf[:, :, pad : pad + h, pad : pad + w] = x
     return buf
+
+
+# The patch matrix of a suite-sized conv is several times the L2 cache, and
+# each of the kh*kw unfold/fold passes writes (reads) one element in every
+# kh*kw of it, so an unblocked pass streams the whole matrix through the
+# cache once per kernel tap.  Running all the taps over a slab of samples
+# this big keeps the slab resident between taps.  A constant, not a knob:
+# 256 KiB / 512 KiB / 1 MiB time within 4 % of each other (DESIGN.md,
+# *Kernel modes*), and the result is the same bits at any value.
+_BLOCK_BYTES = 512 * 1024
+
+
+def _block(n: int, per_sample_bytes: int) -> int:
+    """Samples per unfold/fold block: all ``n`` whenever ``n`` samples fit."""
+    if n * per_sample_bytes > _BLOCK_BYTES:
+        n = _BLOCK_BYTES // per_sample_bytes
+    return max(1, n)
 
 
 def _unfold_patch_major(img: np.ndarray, kh: int, kw: int, stride: int,
@@ -104,12 +129,19 @@ def _unfold_patch_major(img: np.ndarray, kh: int, kw: int, stride: int,
 
     Flattening ``colT`` to ``(N*OH*OW, C*kh*kw)`` yields *exactly* the
     array the naive path builds with ``ascontiguousarray(transpose(...))``
-    — same values, one pass, no transpose copy.
+    — same values, no transpose copy.  The ``kh*kw`` strided passes run per
+    block of samples (:func:`_block`); they are copies, so the blocking is
+    invisible in the result.
     """
-    for i in range(kh):
-        for j in range(kw):
-            src = img[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-            colT[:, :, :, :, i, j] = src.transpose(0, 2, 3, 1)
+    n = colT.shape[0]
+    step = _block(n, colT.strides[0])
+    for s in range(0, n, step):
+        src = img[s : s + step].transpose(0, 2, 3, 1)
+        dst = colT[s : s + step]
+        for i in range(kh):
+            for j in range(kw):
+                dst[:, :, :, :, i, j] = src[:, i : i + stride * oh : stride,
+                                            j : j + stride * ow : stride]
 
 
 def _conv2d_arena(x: Tensor, weight: Tensor, bias: Tensor | None,
@@ -179,13 +211,19 @@ def _conv2d_arena(x: Tensor, weight: Tensor, bias: Tensor | None,
             cT = dcolT.reshape(n, oh, ow, c, kh, kw)
             # Fold channels-last (contiguous inner axis), then hand the
             # NCHW transpose view to _accumulate — same per-element add
-            # order as col2im, one less transpose copy.
+            # order as col2im, one less transpose copy.  Blocked over
+            # samples like the unfold: every padded pixel still receives
+            # its terms in (i, j) order, so the sums are the same bits.
             img_cl = ws.take((n, h + 2 * pad, w + 2 * pad, c), dt)
-            img_cl[...] = 0
-            for i in range(kh):
-                for j in range(kw):
-                    img_cl[:, i : i + stride * oh : stride,
-                           j : j + stride * ow : stride, :] += cT[:, :, :, :, i, j]
+            step = _block(n, cT.strides[0])
+            for s in range(0, n, step):
+                dst = img_cl[s : s + step]
+                src = cT[s : s + step]
+                dst[...] = 0
+                for i in range(kh):
+                    for j in range(kw):
+                        dst[:, i : i + stride * oh : stride,
+                            j : j + stride * ow : stride, :] += src[:, :, :, :, i, j]
             x._accumulate(
                 img_cl[:, pad : pad + h, pad : pad + w, :].transpose(0, 3, 1, 2))
             ws.release(dcolT)
@@ -200,14 +238,26 @@ def _conv2d_arena(x: Tensor, weight: Tensor, bias: Tensor | None,
 # Public kernels
 # ---------------------------------------------------------------------------
 
+def _check_conv_args(x: Tensor, weight: Tensor, stride: int, pad: int) -> None:
+    """Reject calls no conv path can run (an empty ``(N, F, 0, 0)`` is legal)."""
+    if x.shape[1] != weight.shape[1]:
+        raise ValueError(f"input channels {x.shape[1]} != weight channels {weight.shape[1]}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    h, w = x.shape[2:]
+    kh, kw = weight.shape[2:]
+    if (h + 2 * pad - kh) // stride < -1 or (w + 2 * pad - kw) // stride < -1:
+        raise ValueError(
+            f"kernel {(kh, kw)} does not fit input {(h, w)} with pad {pad}")
+
+
 @profiled_op("conv2d")
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D convolution (cross-correlation) via im2col + batched GEMM.
 
     ``x``: ``(N, C, H, W)``; ``weight``: ``(F, C, kh, kw)``; ``bias``: ``(F,)``.
     """
-    if x.shape[1] != weight.shape[1]:
-        raise ValueError(f"input channels {x.shape[1]} != weight channels {weight.shape[1]}")
+    _check_conv_args(x, weight, stride, pad)
     if kernel_mode() != "naive":
         dt = _uniform_float_dtype(x, weight, bias)
         if dt is not None:

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .config import kernel_mode
-from .conv import _conv2d_arena, _uniform_float_dtype, conv2d
+from .conv import _check_conv_args, _conv2d_arena, _uniform_float_dtype, conv2d
 from .prof import profiled_op
 from .tensor import Tensor, _sigmoid, _unbroadcast, is_grad_enabled
 from .workspace import arena
@@ -50,8 +50,7 @@ def conv2d_bias_relu(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     Bit-identical to the composition in every mode; the fused single-node
     kernel runs only in ``fused`` mode (with uniform float dtypes).
     """
-    if x.shape[1] != weight.shape[1]:
-        raise ValueError(f"input channels {x.shape[1]} != weight channels {weight.shape[1]}")
+    _check_conv_args(x, weight, stride, pad)
     if kernel_mode() in ("fused", "compiled"):
         dt = _uniform_float_dtype(x, weight, bias)
         if dt is not None:

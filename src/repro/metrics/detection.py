@@ -85,17 +85,23 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float = 0.5) -> np
     """
     boxes = np.asarray(boxes, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
+    if len(boxes) != len(scores):
+        raise ValueError(f"{len(boxes)} boxes but {len(scores)} scores")
     order = np.argsort(-scores)
+    if order.size == 0:
+        return np.empty(0, dtype=np.int64)
+    # One pairwise matrix over the score-ranked boxes, then a greedy walk:
+    # a kept box leaves alive only the boxes it does not overlap.  ``<=``
+    # is False for a NaN IoU, so NaN suppresses.
+    ranked = boxes[order]
+    clear = box_iou(ranked, ranked) <= iou_threshold
+    alive = np.ones(order.size, dtype=bool)
     keep: list[int] = []
-    while order.size > 0:
-        best = order[0]
-        keep.append(int(best))
-        if order.size == 1:
-            break
-        rest = order[1:]
-        ious = box_iou(boxes[best : best + 1], boxes[rest])[0]
-        order = rest[ious <= iou_threshold]
-    return np.array(keep, dtype=np.int64)
+    for i in range(order.size):
+        if alive[i]:
+            keep.append(i)
+            alive &= clear[i]
+    return order[keep].astype(np.int64, copy=False)
 
 
 def _match_detections(

@@ -94,11 +94,23 @@ class MiniMaskRCNN(Module):
         return proposals
 
     def _upsample2x(self, x: Tensor) -> Tensor:
-        """Nearest-neighbour 2x spatial upsample via index gather."""
-        n, c, h, w = x.shape
-        rows = np.repeat(np.arange(h), 2)
-        cols = np.repeat(np.arange(w), 2)
-        return x[:, :, rows][:, :, :, cols]
+        """Nearest-neighbour 2x spatial upsample (one graph node)."""
+        out = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
+
+        def backward(result: Tensor) -> None:
+            # Each input pixel's gradient is the sum of its 2x2 outputs,
+            # columns first, then rows: the order a scatter into zeros adds
+            # them in.  The scatter's leading zero shows only in the sign of
+            # a zero result (``0.0 + -0.0`` is ``+0.0``); adding it in the
+            # rows step covers the columns step too, whose zeros it absorbs.
+            g = result.grad
+            cols = g[..., 0::2] + g[..., 1::2]
+            grad = np.empty_like(x.data)
+            np.add(cols[:, :, 0::2], 0.0, out=grad)
+            grad += cols[:, :, 1::2]
+            x._accumulate(grad, owned=True)
+
+        return Tensor._make(out, (x,), backward)
 
     def mask_head(self, roi_feats: Tensor) -> Tensor:
         h = self.mask_conv1(roi_feats)

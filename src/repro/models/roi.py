@@ -13,10 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..framework import Tensor
+from ..framework.prof import profiled_op
 
 __all__ = ["roi_align"]
 
 
+@profiled_op("roi_align")
 def roi_align(
     features: Tensor,
     boxes: np.ndarray,

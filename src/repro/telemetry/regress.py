@@ -73,6 +73,7 @@ SCHEMA_METRICS: dict[str, tuple[MetricSpec, ...]] = {
         MetricSpec("arena.hit_rate", "higher", abs_tol=0.05),
         MetricSpec("arena.steady_state_bytes_allocated", "lower"),
         MetricSpec("checks.conv_speedup", "higher", rel_tol=0.5),
+        MetricSpec("kernels.conv2d_resnet_fwd_bwd.speedup", "higher", rel_tol=0.5),
         MetricSpec("kernels.lstm_cell_fwd_bwd.speedup", "higher", rel_tol=0.5),
     ),
     "repro.bench_comms.v1": (

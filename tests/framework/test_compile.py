@@ -13,6 +13,8 @@ memory order, so replay must preserve eager layouts bit-for-bit).
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.framework import (
     use_kernel_mode,
 )
 from repro.framework.compile import StepExecutor
+from repro.framework.workspace import arena
 
 RNG = np.random.default_rng(7)
 
@@ -101,6 +104,29 @@ class TestMultiStepBitIdentity:
         assert stats == got[2].stats()  # stats() is pure
         assert stats["misses"] == 1 and stats["hits"] == len(batches) - 1
         assert stats["fallbacks"] == 0 and stats["plans"] == 1
+
+    def test_plan_keeps_its_arena_borrows(self):
+        # A plan's entries hold views *derived* from its arena borrows
+        # (slab slices, reshapes).  The borrows themselves must outlive the
+        # builder, or the arena repools their bytes under the live plan and
+        # the next borrow of the size class scribbles over its gradients.
+        batches = _batches(4)
+        ref = _train("fused", batches)
+        execu = StepExecutor()
+        _train("compiled", batches[:1], executor=execu)
+        gc.collect()
+        ws = arena()
+        (plan,) = execu._plans.values()
+        assert plan.borrows and plan.slab_bytes
+        assert all(id(b) in ws._live for b in plan.borrows)
+        scribbled = [ws.take((b.nbytes,), np.uint8) for b in plan.borrows]
+        for buf, borrow in zip(scribbled, plan.borrows):
+            assert not np.shares_memory(buf, borrow)
+            buf[...] = 0xFF
+        got = _train("compiled", batches, executor=execu)
+        ws.release_all(scribbled)
+        _assert_traces_identical(ref, got, "plan-borrows")
+        assert got[2].stats()["hits"] == len(batches)
 
     def test_shared_subgraph(self):
         # One hidden activation feeds two branches whose losses are

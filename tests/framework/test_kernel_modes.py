@@ -37,6 +37,8 @@ from repro.framework import (
     set_kernel_mode,
     use_kernel_mode,
 )
+from repro.framework import conv as conv_module
+from repro.framework.compile import StepExecutor
 from repro.framework.workspace import arena
 
 RNG = np.random.default_rng(0)
@@ -131,6 +133,186 @@ class TestConvBitIdentity:
             before = ws.live_count
             conv2d_bias_relu(Tensor(x), Parameter(wt), Parameter(b), stride=1, pad=1)
             assert ws.live_count == before
+
+
+# (conv_case kwargs, conv kwargs): shapes that straddle the unfold/fold block.
+_BLOCKED_CASES = {
+    "3x3-s1-p1": (dict(), dict(stride=1, pad=1)),
+    "3x3-s2-p1": (dict(), dict(stride=2, pad=1)),
+    "3x3-s1-p0": (dict(), dict(stride=1, pad=0)),
+    "1x1": (dict(k=1), dict(stride=1, pad=0)),
+    "1x1-s2": (dict(k=1), dict(stride=2, pad=0)),
+    "5x5-p2": (dict(k=5), dict(stride=1, pad=2)),
+    "c1": (dict(c=1), dict(stride=1, pad=1)),
+    "n1": (dict(n=1), dict(stride=1, pad=1)),
+    "n2": (dict(n=2), dict(stride=2, pad=1)),
+    "f64": (dict(dtype=np.float64), dict(stride=1, pad=1)),
+}
+
+
+def _run_conv_seeded(mode, fn, x, wt, b, **kwargs):
+    """Like ``_run_conv``, but ``x`` is used as given (layout included) and
+    the upstream gradient is random — the same draw on every call."""
+    with use_kernel_mode(mode):
+        xt = Tensor(x, requires_grad=True)
+        wp, bp = Parameter(wt.copy()), Parameter(b.copy())
+        out = fn(xt, wp, bp, **kwargs)
+        out.backward(np.random.default_rng(7).normal(size=out.shape).astype(out.dtype))
+        return out.data, xt.grad, wp.grad, bp.grad
+
+
+class TestBlockedUnfoldFold:
+    """The sample-blocked im2col/col2im passes are invisible in the bits.
+
+    ``_BLOCK_BYTES`` is patched down so that these small tensors take the
+    multi-block path the suite's 9 MB patch matrices take: ``1`` makes
+    every block one sample (a per-sample slab larger than the block), the
+    two-sample setting leaves a short last block (5 = 2 + 2 + 1).
+    """
+
+    @pytest.fixture(params=["one-sample", "two-samples"])
+    def small_blocks(self, request, monkeypatch):
+        def patch(x, wt, stride, pad):
+            if request.param == "one-sample":
+                monkeypatch.setattr(conv_module, "_BLOCK_BYTES", 1)
+                return
+            oh = (x.shape[2] + 2 * pad - wt.shape[2]) // stride + 1
+            ow = (x.shape[3] + 2 * pad - wt.shape[3]) // stride + 1
+            per_sample = oh * ow * wt[0].size * x.itemsize
+            monkeypatch.setattr(conv_module, "_BLOCK_BYTES", 2 * per_sample)
+            assert conv_module._block(5, per_sample) == 2
+        return patch
+
+    def test_block_is_whole_batch_when_it_fits(self):
+        # Go boards and single serving queries: one block, today's nine calls.
+        assert conv_module._block(1, 32 * 81 * 9 * 4) == 1
+        assert conv_module._block(8, 9 * 9 * 17 * 9 * 4) == 8
+        assert conv_module._block(0, 0) == 1  # empty batch: range() needs a step
+        # The dominant suite conv, (64,16,16,16) 3x3: 144 KiB a sample.
+        assert conv_module._block(64, 16 * 16 * 16 * 9 * 4) == 3
+        assert conv_module._block(2, 10 * conv_module._BLOCK_BYTES) == 1
+
+    @pytest.mark.parametrize("mode", ("reuse", "fused"))
+    @pytest.mark.parametrize("fn", (conv2d, conv2d_bias_relu), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("case", sorted(_BLOCKED_CASES))
+    def test_matches_naive(self, small_blocks, mode, fn, case):
+        case_kwargs, conv_kwargs = _BLOCKED_CASES[case]
+        x, wt, b = _conv_case(**case_kwargs)
+        ref = _run_conv_seeded("naive", fn, x.copy(), wt, b, **conv_kwargs)
+        small_blocks(x, wt, **conv_kwargs)
+        got = _run_conv_seeded(mode, fn, x.copy(), wt, b, **conv_kwargs)
+        _assert_identical(ref, got, f"blocked {fn.__name__}[{mode},{case}]")
+        assert all(a.dtype == c.dtype for a, c in zip(ref, got))
+
+    @pytest.mark.parametrize("layout", ("nhwc", "sliced"))
+    def test_strided_input(self, small_blocks, layout):
+        x, wt, b = _conv_case()
+        if layout == "nhwc":
+            xs = _nhwc_backed(x)
+        else:
+            wide = RNG.normal(size=(5, 6, 9, 7)).astype(np.float32)
+            wide[:, ::2] = x
+            xs = wide[:, ::2]
+        assert not xs.flags.c_contiguous and np.array_equal(xs, x)
+        ref = _run_conv_seeded("naive", conv2d, xs, wt, b, stride=1, pad=1)
+        small_blocks(x, wt, 1, 1)
+        got = _run_conv_seeded("fused", conv2d, xs, wt, b, stride=1, pad=1)
+        _assert_identical(ref, got, f"blocked conv2d[{layout}]")
+
+    def test_no_grad_output_and_scratch(self, small_blocks):
+        x, wt, b = _conv_case()
+        with use_kernel_mode("naive"), no_grad():
+            ref = conv2d_bias_relu(Tensor(x), Tensor(wt), Tensor(b), stride=2, pad=1)
+        small_blocks(x, wt, 2, 1)
+        ws = arena()
+        with use_kernel_mode("fused"), no_grad():
+            before = ws.live_count
+            got = conv2d_bias_relu(Tensor(x), Tensor(wt), Tensor(b), stride=2, pad=1)
+            assert ws.live_count == before
+        assert np.array_equal(ref.data, got.data)
+
+    def test_padding_border_is_zeroed_in_a_dirty_buffer(self):
+        # _pad_into clears only the border strips: hand it a buffer full of
+        # NaN (the pool is LIFO, so the next borrow of the class gets it).
+        x, wt, b = _conv_case()
+        ref = _run_conv_seeded("naive", conv2d, x.copy(), wt, b, stride=1, pad=2)
+        ws = arena()
+        dirty = ws.take((5, 3, 13, 11), np.float32)
+        dirty[...] = np.nan
+        ws.release(dirty)
+        got = _run_conv_seeded("fused", conv2d, x.copy(), wt, b, stride=1, pad=2)
+        _assert_identical(ref, got, "blocked conv2d[dirty pad buffer]")
+
+    @pytest.mark.parametrize("ref_mode", ("reuse", "fused"))
+    def test_compiled_horizon(self, small_blocks, ref_mode):
+        # Three optimizer steps of conv -> conv+relu -> mean under the step
+        # executor: capture, then two replays, all through blocked passes.
+        # The reference runs single-block (the default constant) in an arena
+        # mode: naive's conv output is an NHWC-backed view, which moves the
+        # last bit of the mean that follows it whatever the conv does.
+        x, wt, b = _conv_case()
+        wt2 = (RNG.normal(size=(2, 4, 3, 3)) * 0.2).astype(np.float32)
+        b2 = RNG.normal(size=2).astype(np.float32)
+        batches = [x, x[::-1].copy(), x * 0.5]
+
+        def train(mode):
+            with use_kernel_mode(mode):
+                params = [Parameter(a.copy()) for a in (wt, b, wt2, b2)]
+                opt = SGD(params, lr=0.05, momentum=0.9)
+                executor = StepExecutor()
+                trace = []
+
+                def zero():
+                    for p in params:
+                        p.grad = None
+
+                for batch in batches:
+                    def loss_fn(batch=batch):
+                        h = conv2d(Tensor(batch), params[0], params[1], stride=1, pad=1)
+                        y = conv2d_bias_relu(h, params[2], params[3], stride=2, pad=1)
+                        return (y * y).mean()
+                    loss = executor.step(loss_fn, pre_backward=zero)
+                    trace.append((loss.data.copy(), [p.grad.copy() for p in params]))
+                    opt.step()
+                return trace, [p.data.copy() for p in params]
+
+        ref_trace, ref_final = train(ref_mode)
+        small_blocks(x, wt, 1, 1)
+        got_trace, got_final = train("compiled")
+        for (rl, rg), (gl, gg) in zip(ref_trace, got_trace):
+            assert np.array_equal(rl, gl)
+            assert all(np.array_equal(a, c) for a, c in zip(rg, gg))
+        assert all(np.array_equal(a, c) for a, c in zip(ref_final, got_final))
+
+
+class TestConvArgumentChecks:
+    @pytest.mark.parametrize("mode", ("naive", "fused"))
+    @pytest.mark.parametrize("fn", (conv2d, conv2d_bias_relu), ids=lambda f: f.__name__)
+    def test_bad_calls_raise_value_error(self, mode, fn):
+        x = Tensor(np.ones((2, 3, 4, 4), dtype=np.float32))
+        w = Tensor(np.ones((5, 3, 3, 3), dtype=np.float32))
+        with use_kernel_mode(mode):
+            with pytest.raises(ValueError, match="channels"):
+                fn(x, Tensor(np.ones((5, 2, 3, 3), dtype=np.float32)))
+            for stride in (0, -1):
+                with pytest.raises(ValueError, match="stride"):
+                    fn(x, w, stride=stride)
+            with pytest.raises(ValueError, match="does not fit"):
+                fn(x, Tensor(np.ones((5, 3, 6, 6), dtype=np.float32)))
+            with pytest.raises(ValueError, match="does not fit"):
+                fn(x, Tensor(np.ones((5, 3, 3, 8), dtype=np.float32)), pad=1)
+
+    @pytest.mark.parametrize("mode", ("naive", "fused"))
+    def test_empty_output_stays_legal(self, mode):
+        # A kernel exactly one pixel larger than the padded input: (N, F, 0, 0).
+        x = Tensor(np.ones((2, 3, 4, 4), dtype=np.float32), requires_grad=True)
+        w = Parameter(np.ones((5, 3, 5, 5), dtype=np.float32))
+        with use_kernel_mode(mode):
+            out = conv2d(x, w)
+            assert out.shape == (2, 5, 0, 0)
+            out.backward(np.ones_like(out.data))
+        assert np.array_equal(x.grad, np.zeros_like(x.data))
+        assert np.array_equal(w.grad, np.zeros_like(w.data))
 
 
 class TestPoolBitIdentity:

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.framework.workspace import Workspace, arena, record_arena_gauges
+from repro.framework.workspace import Workspace, _size_class, arena, record_arena_gauges
 from repro.telemetry import Telemetry
 
 
@@ -40,11 +40,16 @@ class TestTakeRelease:
         assert ws.hits == 1
 
     def test_dtype_keyed(self):
+        # The key is the byte size class, not the dtype: a released buffer
+        # serves any dtype whose borrow lands in the same class.
         ws = Workspace()
-        a = ws.take((8,), np.float32)
+        a = ws.take((2048,), np.float32)  # 8 KiB
         ws.release(a)
-        ws.take((8,), np.float64)
-        assert ws.hits == 0 and ws.misses == 2
+        b = ws.take((1024,), np.float64)  # 8 KiB again
+        assert b.dtype == np.float64 and b.shape == (1024,)
+        assert ws.hits == 1 and ws.misses == 1
+        ws.take((2048,), np.float64)  # 16 KiB: another class
+        assert ws.hits == 1 and ws.misses == 2
 
     def test_live_borrows_never_alias(self):
         ws = Workspace()
@@ -77,6 +82,39 @@ class TestTakeRelease:
         assert ws.hits == 1
 
 
+class TestSizeClasses:
+    def test_eight_steps_per_power_of_two_with_floor(self):
+        assert _size_class(0) == _size_class(1) == _size_class(4096) == 4096
+        classes = sorted({_size_class(n) for n in range(4097, 8193)})
+        assert classes == [4096 + 512 * k for k in range(1, 9)]
+        for n in (4097, 12345, 147456 * 3, 2**20 + 1, 9437184, 10**9 + 7):
+            c = _size_class(n)
+            assert n <= c <= n + n // 8 and _size_class(c) == c
+
+    def test_nearby_sizes_share_a_buffer(self):
+        # A batch dimension that drifts (RoI count) must not leave one
+        # buffer per distinct size behind.
+        ws = Workspace()
+        for k in (64, 67, 63, 66, 65):
+            ws.release(ws.take((k, 32, 7, 7), np.float32))
+        assert ws.misses == 1 and ws.hits == 4
+        assert ws.pooled_bytes == ws.bytes_allocated == _size_class(64 * 32 * 49 * 4)
+        ws = Workspace()
+        for k in range(32, 65):  # 33 distinct sizes, a factor of two apart
+            ws.release(ws.take((k, 32, 7, 7), np.float32))
+        assert ws.misses <= 9
+
+    def test_view_is_exactly_the_request(self):
+        ws = Workspace()
+        buf = ws.take((5, 300), np.float32)  # 6000 B in a 6144 B class
+        assert buf.shape == (5, 300) and buf.nbytes == 6000
+        assert buf.flags.c_contiguous and buf.flags.writeable
+        assert ws.live_bytes == 6144
+        ws.release(buf)
+        assert ws.live_bytes == 0
+        assert ws.take((0, 7), np.float64).shape == (0, 7)
+
+
 class TestReclaimAndStats:
     def test_dead_borrow_is_reclaimed(self):
         ws = Workspace()
@@ -96,7 +134,7 @@ class TestReclaimAndStats:
         assert b.size == 8
         assert stats["hits"] == 1 and stats["misses"] == 1
         assert stats["hit_rate"] == 0.5
-        assert stats["bytes_allocated"] == 32
+        assert stats["bytes_allocated"] == 4096  # the floor class, not 8 * 4
         assert stats["live"] == 1
         ws.reset_stats()
         assert ws.hit_rate == 0.0 and ws.bytes_allocated == 0
@@ -129,7 +167,7 @@ class TestTelemetry:
         metrics = telemetry.metrics
         assert metrics.counter("kernel_arena_misses").value == 1
         assert metrics.counter("kernel_arena_hits").value == 1
-        assert metrics.counter("kernel_arena_bytes_allocated").value == 64
+        assert metrics.counter("kernel_arena_bytes_allocated").value == 4096
 
     def test_record_arena_gauges(self):
         telemetry = Telemetry()

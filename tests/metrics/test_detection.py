@@ -116,6 +116,95 @@ class TestNMS:
         assert len(nms(boxes, scores, iou_threshold=0.1)) == 1
 
 
+def _nms_per_box_loop(boxes, scores, iou_threshold=0.5):
+    """``nms`` as it was before the one-matrix rewrite, verbatim: the oracle."""
+    boxes = np.asarray(boxes, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(-scores)
+    keep: list[int] = []
+    while order.size > 0:
+        best = order[0]
+        keep.append(int(best))
+        if order.size == 1:
+            break
+        rest = order[1:]
+        ious = box_iou(boxes[best : best + 1], boxes[rest])[0]
+        order = rest[ious <= iou_threshold]
+    return np.array(keep, dtype=np.int64)
+
+
+def _random_boxes(rng, count, extent=40.0):
+    xy = rng.uniform(0, extent, size=(count, 2))
+    wh = rng.uniform(1, extent / 2, size=(count, 2))
+    return np.concatenate([xy, xy + wh], axis=1)
+
+
+class TestNMSMatchesPerBoxLoop:
+    """One IoU matrix + a greedy walk keeps exactly what the loop kept."""
+
+    THRESHOLDS = (0.0, 0.5, 1.0)
+
+    def _check(self, boxes, scores):
+        for thr in self.THRESHOLDS:
+            with np.errstate(invalid="ignore"):
+                want = _nms_per_box_loop(boxes, scores, thr)
+                got = nms(boxes, scores, thr)
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want), f"threshold {thr}"
+
+    @pytest.mark.parametrize("count", [2, 3, 17, 64, 300])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_random_boxes(self, count, seed):
+        rng = np.random.default_rng(1000 * seed + count)
+        self._check(_random_boxes(rng, count), rng.standard_normal(count))
+
+    def test_float32_inputs(self):
+        rng = np.random.default_rng(5)
+        self._check(_random_boxes(rng, 50).astype(np.float32),
+                    rng.standard_normal(50).astype(np.float32))
+
+    def test_tied_scores(self):
+        rng = np.random.default_rng(6)
+        boxes = _random_boxes(rng, 80)
+        self._check(boxes, rng.integers(0, 4, size=80).astype(np.float64))
+        self._check(boxes, np.zeros(80))
+
+    def test_duplicate_boxes(self):
+        rng = np.random.default_rng(7)
+        boxes = np.repeat(_random_boxes(rng, 20), 3, axis=0)
+        self._check(boxes, rng.standard_normal(60))
+
+    def test_zero_area_boxes(self):
+        # IoU of a degenerate box with itself is 0/0 -> 0: never suppressed.
+        rng = np.random.default_rng(8)
+        boxes = _random_boxes(rng, 40)
+        boxes[::3, 2:] = boxes[::3, :2]          # points
+        boxes[1::7, 2] = boxes[1::7, 0]          # vertical segments
+        self._check(boxes, rng.standard_normal(40))
+        self._check(np.zeros((5, 4)), np.arange(5.0))
+
+    def test_nan_score_and_nan_box(self):
+        rng = np.random.default_rng(9)
+        boxes = _random_boxes(rng, 30)
+        scores = rng.standard_normal(30)
+        scores[4] = np.nan                        # sorts last
+        self._check(boxes, scores)
+        boxes[11] = np.nan                        # NaN IoU: suppresses
+        self._check(boxes, scores)
+
+    def test_empty_and_single(self):
+        self._check(np.zeros((0, 4)), np.zeros(0))
+        self._check(np.array([[1.0, 2.0, 5.0, 9.0]]), np.array([0.3]))
+        assert nms(np.zeros((0, 4)), np.zeros(0)).dtype == np.int64
+
+    def test_length_mismatch_raises(self):
+        # Three boxes with two scores used to answer [0 1].
+        with pytest.raises(ValueError, match="3 boxes but 2 scores"):
+            nms(np.zeros((3, 4)), np.zeros(2))
+        with pytest.raises(ValueError):
+            nms(np.zeros((0, 4)), np.zeros(1))
+
+
 class TestAP:
     def test_perfect_detection(self):
         gts = [gt(0, [0, 0, 10, 10])]

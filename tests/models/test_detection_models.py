@@ -14,6 +14,7 @@ from repro.models import (
     roi_align,
 )
 from repro.models.ssd import AnchorGrid
+from repro.telemetry import Telemetry
 
 RNG = np.random.default_rng(0)
 
@@ -113,6 +114,26 @@ class TestRoIAlign:
         out = roi_align(feat, np.array([[0.0, 0.0, 16.0, 16.0]]), np.array([1]), 2, 0.25)
         np.testing.assert_allclose(out.data, 7.0)
 
+    def test_profiler_charges_forward_and_gather_adjoints_to_one_row(self):
+        def run():
+            data = np.random.default_rng(3).normal(size=(1, 2, 8, 8))
+            feat = Tensor(data.astype(np.float32), requires_grad=True)
+            out = roi_align(feat, np.array([[0.0, 0.0, 16.0, 16.0]]), np.array([0]), 4, 0.25)
+            (out * out).sum().backward()
+            return out.data, feat.grad
+
+        plain = run()
+        tele = Telemetry(profile="full")
+        with tele.activate():
+            profiled = run()
+        ops = tele.profiler.snapshot()["ops"]
+        assert ops["forward"]["roi_align"]["calls"] == 1
+        # The four corner gathers' np.add.at adjoints (and the blend
+        # arithmetic between them) all land on the roi_align row.
+        assert ops["backward"]["roi_align"]["calls"] >= 4
+        for a, b in zip(plain, profiled):
+            assert np.array_equal(a, b)
+
 
 class TestMiniSSD:
     def test_head_shapes(self):
@@ -194,6 +215,41 @@ class TestMiniMaskRCNN:
             assert d.mask is not None
             assert d.mask.shape == (32, 32)
             assert d.mask.dtype == bool
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("second_consumer", [False, True])
+    def test_upsample2x_matches_index_gather(self, dtype, second_consumer):
+        # The oracle is the two fancy-index gathers the layer used to be,
+        # whose adjoint is np.add.at into zeros: same values, same
+        # gradient, bit for bit — including the sign of a zero.
+        model = MiniMaskRCNN(3, np.random.default_rng(8))
+        n, c, h, w = 3, 2, 5, 7  # odd, H != W
+        rows, cols = np.repeat(np.arange(h), 2), np.repeat(np.arange(w), 2)
+        x0 = RNG.normal(size=(n, c, h, w)).astype(dtype)
+        g = RNG.normal(size=(n, c, 2 * h, 2 * w)).astype(dtype)
+        g[0, 0, :4, :4] = -0.0    # -0.0 + -0.0 stays -0.0 unless a +0.0 leads
+        g[0, 1, 0, :2] = [0.0, -0.0]
+
+        def run(upsample):
+            x = Tensor(x0.copy(), requires_grad=True)
+            out = upsample(x)
+            if second_consumer:
+                (x * x).backward(np.ones_like(x0))
+            out.backward(g.copy())
+            return out.data, x.grad
+
+        want = run(lambda x: x[:, :, rows][:, :, :, cols])
+        got = run(model._upsample2x)
+        for a, b in zip(want, got):
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+        assert got[1].flags.c_contiguous
+
+    def test_upsample2x_without_grad_builds_no_node(self):
+        model = MiniMaskRCNN(3, np.random.default_rng(8))
+        out = model._upsample2x(Tensor(np.ones((1, 1, 2, 3), dtype=np.float32)))
+        assert out.shape == (1, 1, 4, 6) and not out.requires_grad
 
     def test_mask_crop_roundtrip(self):
         model = MiniMaskRCNN(3, np.random.default_rng(8))
