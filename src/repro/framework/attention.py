@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import init
-from .functional import softmax
+from .fused import attention
 from .layers import Dropout, LayerNorm, Linear
 from .module import Module
 from .tensor import Tensor
@@ -26,6 +26,7 @@ __all__ = [
     "positional_encoding",
     "causal_mask",
     "attention_bias",
+    "DecodeCache",
 ]
 
 _NEG_INF = -1e9
@@ -46,13 +47,13 @@ def causal_mask(length: int) -> np.ndarray:
     return np.tril(np.ones((length, length), dtype=bool))
 
 
-def attention_bias(mask: np.ndarray) -> np.ndarray:
+def attention_bias(mask: np.ndarray, dtype=np.float32) -> np.ndarray:
     """Additive form of a boolean attention mask: 0 where allowed, -1e9 elsewhere.
 
     :class:`MultiHeadAttention` takes either form, so a model whose layers
     share a mask converts it once per forward, not once per attention call.
     """
-    return np.where(mask, 0.0, _NEG_INF).astype(np.float32)
+    return np.where(mask, 0.0, _NEG_INF).astype(dtype)
 
 
 class MultiHeadAttention(Module):
@@ -60,7 +61,9 @@ class MultiHeadAttention(Module):
 
     Inputs are ``(N, T, d_model)``.  ``mask`` broadcasts against the
     ``(N, heads, T_q, T_k)`` attention logits: boolean (False entries are
-    masked out) or already additive (see :func:`attention_bias`).
+    masked out) or already additive (see :func:`attention_bias`); any other
+    dtype is a ``ValueError``.  ``kv`` replaces the projection of ``key`` and
+    ``value`` with an earlier :meth:`project_kv` result.
     """
 
     def __init__(self, d_model: int, num_heads: int, rng: np.random.Generator, dropout: float = 0.0):
@@ -79,31 +82,52 @@ class MultiHeadAttention(Module):
         self.w_o = Linear(d_model, d_model, rng, init_fn=init.xavier_uniform)
         self.drop = Dropout(dropout, rng) if dropout > 0 else None
 
-    def _split(self, x: Tensor) -> Tensor:
-        n, t, _ = x.shape
-        return x.reshape(n, t, self.num_heads, self.d_head).transpose(0, 2, 1, 3)
-
     def project_kv(self, key: Tensor, value: Tensor) -> tuple[Tensor, Tensor]:
-        """Per-head keys and values ``(N, H, Tk, dh)``: the part of a forward
-        that does not depend on the query, so a decode loop attending to a
-        fixed memory computes it once and passes it back as ``kv``."""
-        return self._split(self.w_k(key)), self._split(self.w_v(value))
+        """Projected keys and values ``(N, Tk, d_model)``: the part of a
+        forward that does not depend on the query, so a decode loop computes
+        it once per memory (or once per new row) and passes it back as ``kv``."""
+        return self.w_k(key), self.w_v(value)
 
     def forward(self, query: Tensor, key: Tensor, value: Tensor, mask: np.ndarray | None = None,
                 kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
-        n, tq, _ = query.shape
-        q = self._split(self.w_q(query))  # (N, H, Tq, dh)
-        k, v = self.project_kv(key, value) if kv is None else kv
-        scores = (q @ k.transpose(0, 1, 3, 2)) * self.scale
         if mask is not None:
-            bias = attention_bias(mask) if mask.dtype == np.bool_ else mask
-            scores = scores + Tensor(bias)
-        attn = softmax(scores, axis=-1)
-        if self.drop is not None:
-            attn = self.drop(attn)
-        context = attn @ v  # (N, H, Tq, dh)
-        merged = context.transpose(0, 2, 1, 3).reshape(n, tq, self.d_model)
-        return self.w_o(merged)
+            if mask.dtype == np.bool_:
+                mask = attention_bias(mask, query.dtype)
+            elif mask.dtype.kind != "f":
+                raise ValueError("attention mask must be boolean or floating (additive), "
+                                 f"got dtype {mask.dtype}")
+        q = self.w_q(query)
+        k, v = self.project_kv(key, value) if kv is None else kv
+        # Dropout is the identity outside training, so only a training call
+        # hands it on (and takes the composed path for it).
+        drop = self.drop if self.drop is not None and self.drop.training else None
+        return self.w_o(attention(q, k, v, mask, self.scale, self.num_heads, dropout=drop))
+
+
+class DecodeCache:
+    """One decoder layer's keys and values while it decodes token by token.
+
+    ``memory_kv`` is the cross-attention projection of the encoder memory
+    (fixed for the whole decode); ``k``/``v`` hold the self-attention
+    projections of the rows decoded so far, in buffers sized for the longest
+    prefix so a step writes one row and copies none.
+    """
+
+    def __init__(self, memory_kv: tuple[Tensor, Tensor], max_len: int):
+        self.memory_kv = memory_kv
+        n, _, d_model = memory_kv[0].shape
+        self.k = np.empty((n, max_len, d_model), dtype=memory_kv[0].dtype)
+        self.v = np.empty_like(self.k)
+        self.length = 0
+
+    def append(self, k_row: Tensor, v_row: Tensor) -> tuple[Tensor, Tensor]:
+        """Store the newest row's ``(N, 1, d_model)`` projections; returns the
+        keys and values of every row so far."""
+        t = self.length
+        self.k[:, t] = k_row.data[:, 0]
+        self.v[:, t] = v_row.data[:, 0]
+        self.length = t + 1
+        return Tensor(self.k[:, : t + 1]), Tensor(self.v[:, : t + 1])
 
 
 class FeedForward(Module):
@@ -151,18 +175,31 @@ class TransformerDecoderLayer(Module):
         self.norm2 = LayerNorm(d_model)
         self.norm3 = LayerNorm(d_model)
 
+    def decode_cache(self, memory: Tensor, max_len: int) -> DecodeCache:
+        """The state :meth:`forward` needs to decode ``max_len`` rows over
+        ``memory`` one row per call."""
+        return DecodeCache(self.cross_attn.project_kv(memory, memory), max_len)
+
     def forward(
         self,
         x: Tensor,
         memory: Tensor,
         tgt_mask: np.ndarray | None = None,
         memory_mask: np.ndarray | None = None,
-        memory_kv: tuple[Tensor, Tensor] | None = None,
+        cache: DecodeCache | None = None,
     ) -> Tensor:
-        """``memory_kv``: ``self.cross_attn.project_kv(memory, memory)`` from an
-        earlier call with the same ``memory`` (greedy decoding)."""
+        """With a ``cache`` (from :meth:`decode_cache`, forward-only), ``x`` is
+        the newest row ``(N, 1, d_model)`` alone: it attends to the cached
+        rows before it and to itself, which is what the causal mask leaves
+        the last row of a full prefix, so ``tgt_mask`` is not used."""
         h = self.norm1(x)
-        x = x + self.self_attn(h, h, h, mask=tgt_mask)
+        if cache is None:
+            x = x + self.self_attn(h, h, h, mask=tgt_mask)
+            memory_kv = None
+        else:
+            self_kv = cache.append(*self.self_attn.project_kv(h, h))
+            x = x + self.self_attn(h, h, h, kv=self_kv)
+            memory_kv = cache.memory_kv
         h = self.norm2(x)
         x = x + self.cross_attn(h, memory, memory, mask=memory_mask, kv=memory_kv)
         x = x + self.ff(self.norm3(x))

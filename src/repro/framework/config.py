@@ -2,9 +2,10 @@
 
 The paper's §2.2.4 observation — math libraries win by choosing
 mathematically-equivalent-but-faster algorithms — is made executable here.
-Every hot kernel (convolution, pooling, linear, normalization, the SGD
-update, and the ``DataLoader`` batch assembly) consults :func:`kernel_mode`
-and picks one of four bit-identical implementations:
+Every hot kernel (convolution, pooling, linear, normalization, the LSTM
+cell, attention, the SGD update, and the ``DataLoader`` batch assembly)
+consults :func:`kernel_mode` and picks one of four bit-identical
+implementations:
 
 - ``naive`` — the straightforward reference path: every call allocates its
   own scratch (the original seed behaviour).  Always available as the
@@ -15,8 +16,8 @@ and picks one of four bit-identical implementations:
   ``naive``.
 - ``fused`` — ``reuse`` plus fused kernels (``conv2d_bias_relu``,
   ``linear_bias_act``, ``normalize`` behind batch and layer norm,
-  ``lstm_cell``, the in-place SGD/momentum update) that collapse many
-  autograd nodes into one or a few.  Still bit-identical.
+  ``lstm_cell``, ``attention``, the in-place SGD/momentum update) that
+  collapse many autograd nodes into one or a few.  Still bit-identical.
 - ``compiled`` — ``fused`` plus whole-step graph capture and compiled
   replay (see :mod:`repro.framework.compile`): training steps driven
   through a :class:`~repro.framework.compile.StepExecutor` fingerprint the

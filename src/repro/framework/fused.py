@@ -22,10 +22,11 @@ import numpy as np
 from .config import kernel_mode
 from .conv import _check_conv_args, _conv2d_arena, _uniform_float_dtype, conv2d
 from .prof import profiled_op
+from .functional import softmax
 from .tensor import Tensor, _sigmoid, _unbroadcast, is_grad_enabled
 from .workspace import arena
 
-__all__ = ["conv2d_bias_relu", "linear_bias_act", "normalize", "lstm_cell"]
+__all__ = ["conv2d_bias_relu", "linear_bias_act", "normalize", "lstm_cell", "attention"]
 
 _ACTS = ("none", "relu")
 
@@ -346,3 +347,92 @@ def _lstm_cell_fused(x: Tensor, h_prev: Tensor, c_prev: Tensor, w_x: Tensor,
         return Tensor._make(h, (cell,), backward_h), cell
     return (Tensor._make(h, (cell, h_prev), backward_h),
             Tensor._make(c, (cell, c_prev), backward_c))
+
+
+def _split_heads(x, num_heads: int):
+    """``(N, T, D)`` tensor or array as its ``(N, heads, T, D // heads)`` view."""
+    n, t, d = x.shape
+    return x.reshape(n, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+
+
+@profiled_op("attention")
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None, scale: float,
+              num_heads: int, dropout=None) -> Tensor:
+    """Multi-head scaled dot-product attention over projected operands.
+
+    ``q`` is ``(N, Tq, D)``, ``k`` and ``v`` ``(N, Tk, D)``; each is cut into
+    ``num_heads`` heads of ``D // num_heads``.  ``bias`` is an additive mask
+    broadcastable to the ``(N, heads, Tq, Tk)`` scores (or ``None``),
+    ``scale`` a Python float, ``dropout`` a callable applied to the attention
+    weights (or ``None``).  Returns the heads' contexts merged to
+    ``(N, Tq, D)``.
+
+    The composed graph is 14 nodes (three head splits of two nodes each, the
+    key transpose, scores, scale, bias, softmax, context, and the merge's
+    two).  The kernel runs that arithmetic once on raw arrays, in place
+    where the value is unchanged, and its backward replays the adjoints on
+    operands of the layouts the composed graph hands them, so the result and
+    the three gradients are bit-identical to it.  The node's parents are
+    ``(q, k, v)`` in that order: it is the order the composed graph's reverse
+    walk reaches the three projections in, and so the order their terms land
+    in a tensor all three were projected from.  Mixed dtypes and a
+    ``dropout`` (which draws from its generator between two of the fused
+    steps) use the composition.
+    """
+    if kernel_mode() in ("fused", "compiled"):
+        if dropout is not None:
+            _count_fallback("attention", "dropout")
+        elif _uniform_float_dtype(q, k, v, bias) is None:
+            _count_fallback("attention", "mixed_dtype")
+        else:
+            return _attention_fused(q, k, v, bias, scale, num_heads)
+    n, tq, d = q.shape
+    qh, kh, vh = (_split_heads(t, num_heads) for t in (q, k, v))
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
+    if bias is not None:
+        scores = scores + Tensor(bias)
+    attn = softmax(scores, axis=-1)
+    if dropout is not None:
+        attn = dropout(attn)
+    return (attn @ vh).transpose(0, 2, 1, 3).reshape(n, tq, d)
+
+
+def _attention_fused(q: Tensor, k: Tensor, v: Tensor, bias, scale: float,
+                     num_heads: int) -> Tensor:
+    n, tq, d = q.shape
+    tk = k.shape[1]
+    # Strided views of the projections, as the composed head split makes them.
+    qh, kh, vh = (_split_heads(t.data, num_heads) for t in (q, k, v))
+    attn = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    attn *= scale
+    if bias is not None:
+        attn += bias
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    merged = np.matmul(attn, vh).transpose(0, 2, 1, 3).reshape(n, tq, d)
+    if not (is_grad_enabled() and (q.requires_grad or k.requires_grad or v.requires_grad)):
+        return Tensor(merged)
+
+    def backward(result: Tensor) -> None:
+        # (N, H, Tq, dh) values in (N, Tq, H, dh) memory: the context's
+        # gradient as the merge's adjoints leave it (they copy in K order,
+        # so a view of a dense gradient has their strides), and what the two
+        # products below must see for their bits to match.
+        g_ctx = _split_heads(result.grad, num_heads)
+        g_s = np.matmul(g_ctx, vh.transpose(0, 1, 3, 2))
+        # softmax, then the bias add (a pass-through), then the scale
+        g_s -= (g_s * attn).sum(axis=-1, keepdims=True)
+        g_s *= attn
+        g_s *= scale
+        if q.requires_grad:
+            g_q = np.matmul(g_s, kh)
+            q._accumulate(g_q.transpose(0, 2, 1, 3).reshape(n, tq, d), owned=True)
+        if k.requires_grad:
+            g_kt = np.matmul(qh.transpose(0, 1, 3, 2), g_s)
+            k._accumulate(g_kt.transpose(0, 3, 1, 2).reshape(n, tk, d), owned=True)
+        if v.requires_grad:
+            g_v = np.matmul(attn.transpose(0, 1, 3, 2), g_ctx)
+            v._accumulate(g_v.transpose(0, 2, 1, 3).reshape(n, tk, d), owned=True)
+
+    return Tensor._make(merged, (q, k, v), backward)

@@ -3,9 +3,9 @@
 DAWNBench-style timing breakdowns argue that end-to-end numbers need
 per-kernel decompositions to be actionable; this module times the kernels
 the §3.2.1 timed region actually spends its wall clock in — conv2d
-forward+backward, the fused linear, the LSTM cell, pooling, the SGD update,
-and one ``DataLoader`` epoch — under the active kernel mode *and* under ``naive``,
-so every report carries its own baseline.
+forward+backward, the fused linear, the LSTM cell, multi-head attention,
+pooling, the SGD update, and one ``DataLoader`` epoch — under the active
+kernel mode *and* under ``naive``, so every report carries its own baseline.
 
 Each benchmark is a closure that runs one full forward+backward (or one
 optimizer step / one epoch); timing takes the *minimum* over repeats after
@@ -27,10 +27,11 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .attention import attention_bias, causal_mask
 from .config import kernel_mode, use_kernel_mode
 from .conv import avg_pool2d, max_pool2d
 from .data import ArrayDataset, DataLoader
-from .fused import conv2d_bias_relu, linear_bias_act, lstm_cell
+from .fused import attention, conv2d_bias_relu, linear_bias_act, lstm_cell
 from .module import Parameter
 from .optim import SGD
 from .tensor import Tensor
@@ -131,6 +132,23 @@ def _lstm_cell_step(rng: np.random.Generator) -> StepFn:
     return step
 
 
+def _attention_step(rng: np.random.Generator) -> StepFn:
+    """Causal self-attention at the Transformer's training shape: a batch of
+    32 sentences of 16 tokens, ``d_model`` 64 in 4 heads, additive mask."""
+    n, t, d, heads = 32, 16, 64, 4
+    q0, k0, v0, g0 = (rng.standard_normal((n, t, d)).astype(np.float32) for _ in range(4))
+    bias = attention_bias(causal_mask(t))[None, None]
+    scale = 1.0 / float(np.sqrt(d // heads))
+
+    def step() -> tuple[np.ndarray, ...]:
+        q, k, v = (Tensor(a, requires_grad=True) for a in (q0, k0, v0))
+        out = attention(q, k, v, bias, scale, heads)
+        out.backward(g0)
+        return out.data, q.grad, k.grad, v.grad
+
+    return step
+
+
 def _pool_step(rng: np.random.Generator) -> StepFn:
     x0 = rng.standard_normal((8, 16, 16, 16)).astype(np.float32)
     g_max = rng.standard_normal((8, 16, 8, 8)).astype(np.float32)
@@ -188,6 +206,7 @@ _KERNELS: dict[str, Callable[[np.random.Generator], StepFn]] = {
     "conv2d_resnet_fwd_bwd": _conv_resnet_step,
     "linear_fwd_bwd": _linear_step,
     "lstm_cell_fwd_bwd": _lstm_cell_step,
+    "attention_fwd_bwd": _attention_step,
     "pool2d_fwd_bwd": _pool_step,
     "sgd_momentum_step": _sgd_step,
     "dataloader_epoch": _loader_step,

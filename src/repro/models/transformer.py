@@ -46,12 +46,19 @@ class MiniTransformer(Module):
         self.out = Linear(d_model, vocab_size, rng)
         self.scale = float(np.sqrt(d_model))
 
-    def _embed(self, tokens: np.ndarray) -> Tensor:
-        t = tokens.shape[1]
-        return self.embed(tokens) * self.scale + Tensor(self.pos[None, :t])
+    def _check_length(self, length: int, what: str) -> None:
+        if length > self.pos.shape[0]:
+            raise ValueError(f"{what} of length {length} outgrows the positional "
+                             f"table: the model was built with max_len={self.pos.shape[0]}")
+
+    def _embed(self, tokens: np.ndarray, start: int = 0) -> Tensor:
+        """Embed ``(N, T)`` tokens standing at positions ``start .. start+T``."""
+        stop = start + tokens.shape[1]
+        return self.embed(tokens) * self.scale + Tensor(self.pos[None, start:stop])
 
     def encode(self, src: np.ndarray) -> tuple[Tensor, np.ndarray]:
         """Encode ``(N, T_src)``; returns (memory, additive key-padding mask)."""
+        self._check_length(src.shape[1], "source")
         # (N, 1, 1, T): broadcasts over heads & queries; one conversion serves
         # every layer that attends to the source.
         pad_mask = attention_bias((src != PAD)[:, None, None, :])
@@ -62,8 +69,9 @@ class MiniTransformer(Module):
 
     def forward(self, src: np.ndarray, dec_input: np.ndarray) -> Tensor:
         """Teacher-forced logits ``(N, T_tgt, V)``."""
-        memory, mem_mask = self.encode(src)
         t = dec_input.shape[1]
+        self._check_length(t, "decoder input")
+        memory, mem_mask = self.encode(src)
         tgt_pad = (dec_input != PAD)[:, None, None, :]
         tgt_mask = attention_bias(tgt_pad & causal_mask(t)[None, None])
         h = self._embed(dec_input)
@@ -78,34 +86,36 @@ class MiniTransformer(Module):
                                label_smoothing=label_smoothing)
 
     def greedy_decode(self, src: np.ndarray, max_len: int = 24) -> list[list[int]]:
-        """Greedy decoding.
+        """Greedy decoding, one row per step.
 
-        Self-attention re-runs over the whole prefix each step (a one-row
-        GEMM need not match the bits of a row of the full one); the memory's
-        cross-attention keys and values do not depend on the prefix, so each
-        layer projects them once.
+        Each step embeds only the newest token and runs it through the
+        decoder as a length-1 query: every layer keeps the self-attention
+        keys and values of the rows before it (and the memory's
+        cross-attention ones, which never change) in a
+        :class:`~repro.framework.attention.DecodeCache`, so a sentence costs
+        O(T) decoder rows, not O(T^2).  The promise is the *tokens* of the
+        loop that re-runs the whole prefix each step, not its logit bits (a
+        one-row GEMM need not round like a row of the full one); DESIGN.md
+        has the contract and ``tests/models/test_greedy_decode.py`` the loop.
         """
         from ..framework import no_grad
 
+        self._check_length(max_len, "greedy_decode(max_len)")
         with no_grad():
             memory, mem_mask = self.encode(src)
-            memory_kvs = [layer.cross_attn.project_kv(memory, memory)
-                          for layer in self.dec_layers]
+            caches = [layer.decode_cache(memory, max_len) for layer in self.dec_layers]
             n = src.shape[0]
-            dec = np.full((n, 1), BOS, dtype=np.int64)
+            dec = np.full((n, max_len + 1), PAD, dtype=np.int64)
+            dec[:, 0] = BOS
             finished = np.zeros(n, dtype=bool)
-            for _ in range(max_len):
-                t = dec.shape[1]
-                tgt_mask = attention_bias(causal_mask(t)[None, None])
-                h = self._embed(dec)
-                for layer, kv in zip(self.dec_layers, memory_kvs):
-                    h = layer(h, memory, tgt_mask=tgt_mask, memory_mask=mem_mask,
-                              memory_kv=kv)
-                logits = self.out(h).data[:, -1]
-                next_tok = logits.argmax(axis=-1)
+            for t in range(max_len):
+                h = self._embed(dec[:, t : t + 1], start=t)
+                for layer, cache in zip(self.dec_layers, caches):
+                    h = layer(h, memory, memory_mask=mem_mask, cache=cache)
+                next_tok = self.out(h).data[:, 0].argmax(axis=-1)
                 next_tok[finished] = PAD
                 finished |= next_tok == EOS
-                dec = np.concatenate([dec, next_tok[:, None]], axis=1)
+                dec[:, t + 1] = next_tok
                 if finished.all():
                     break
             outputs: list[list[int]] = []

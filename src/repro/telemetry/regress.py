@@ -75,6 +75,7 @@ SCHEMA_METRICS: dict[str, tuple[MetricSpec, ...]] = {
         MetricSpec("checks.conv_speedup", "higher", rel_tol=0.5),
         MetricSpec("kernels.conv2d_resnet_fwd_bwd.speedup", "higher", rel_tol=0.5),
         MetricSpec("kernels.lstm_cell_fwd_bwd.speedup", "higher", rel_tol=0.5),
+        MetricSpec("kernels.attention_fwd_bwd.speedup", "higher", rel_tol=0.5),
     ),
     "repro.bench_comms.v1": (
         MetricSpec("checks.bit_identical", "exact"),

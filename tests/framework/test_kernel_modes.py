@@ -21,6 +21,7 @@ from repro.framework import (
     LSTM,
     LSTMCell,
     LayerNorm,
+    MultiHeadAttention,
     Parameter,
     SGD,
     Tensor,
@@ -39,6 +40,7 @@ from repro.framework import (
 )
 from repro.framework import conv as conv_module
 from repro.framework.compile import StepExecutor
+from repro.framework.fused import attention
 from repro.framework.workspace import arena
 
 RNG = np.random.default_rng(0)
@@ -761,6 +763,329 @@ class TestLstmCellBitIdentity:
                 assert np.array_equal(a, c), f"step {step} item {i} diverged"
 
 
+def _attention_mask(kind, n, tq, tk, dtype):
+    """``None`` or a mask of the forms ``MultiHeadAttention`` accepts: a key
+    padding mask ``(N, 1, 1, Tk)`` or a per-query one ``(N, 1, Tq, Tk)``,
+    boolean or additive; ``masked-row`` leaves the first sentence no key."""
+    if kind is None:
+        return None
+    form, _, shape = kind.partition("-")
+    if shape == "keys" or kind == "masked-row":
+        keep = np.arange(tk)[None, :] < (tk - np.arange(n) % 3)[:, None]
+        if kind == "masked-row":
+            keep[0] = False
+        keep = keep[:, None, None, :]
+    else:
+        keep = np.broadcast_to(np.tril(np.ones((tq, tk), dtype=bool), k=tk - tq), (n, 1, tq, tk))
+        keep = keep & (np.arange(n) % 2 == 0)[:, None, None, None] | np.eye(tq, tk, dtype=bool)
+    return keep if form != "add" else np.where(keep, 0.0, -1e9).astype(dtype)
+
+
+def _run_attention(mode, *, kind="self", n=3, tq=5, tk=5, heads=4, dtype=np.float32,
+                   mask=None, context=None, second_reader=None, dropout=0.0):
+    """One ``MultiHeadAttention`` call under ``mode``: the output, then the
+    gradients of the inputs and of the four projections.
+
+    The inputs are interior nodes, so in self-attention the three
+    projections' terms accumulate into one gradient -- in the order the
+    reverse walk reaches them.  ``second_reader`` gives that input one more
+    consumer, whose adjoint runs before (``"first"``) or after (``"last"``)
+    the layer's.
+    """
+    d = 8 * heads
+    rng = np.random.default_rng(6)
+    draw = lambda *shape: rng.normal(size=shape).astype(dtype)
+    x0, m0, g, g2 = draw(n, tq, d), draw(n, tk, d), draw(n, tq, d), draw(n, tq, d)
+    with use_kernel_mode(mode):
+        layer = MultiHeadAttention(d, heads, np.random.default_rng(2), dropout=dropout)
+        params = layer.parameters()
+        for p in params:
+            p.data = p.data.astype(dtype)
+        leaves = [Tensor(x0, requires_grad=True), Tensor(m0, requires_grad=True)]
+        x, memory = (leaf * 1.5 for leaf in leaves)
+        if kind == "self":
+            memory = x
+        bias = _attention_mask(mask, n, tq, tk, dtype)
+        if context is not None:
+            with context():
+                out = layer(x, memory, memory, mask=bias)
+            assert not out.requires_grad and out._backward is None
+            return [out.data]
+        out = layer(x, memory, memory, mask=bias)
+        terms = [(out * Tensor(g)).sum()]
+        extra = (x * x * Tensor(g2)).sum()
+        if second_reader == "first":
+            terms.insert(0, extra)
+        elif second_reader == "last":
+            terms.append(extra)
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = loss + term
+        loss.backward()
+        grads = [leaf.grad for leaf in leaves if leaf.grad is not None]
+        return [out.data, *grads, *(p.grad for p in params)]
+
+
+def _run_attention_kernel(mode, *, tq=5, tk=7, heads=2, bias=False, query_reader=None,
+                          shared=False):
+    """``fused.attention`` itself on projections that are interior nodes: the
+    output and the gradient of each projection's source."""
+    n, d = 3, 8 * heads
+    rng = np.random.default_rng(9)
+    draw = lambda *shape: rng.normal(size=shape).astype(np.float32)
+    q0, k0, v0, g, g2 = draw(n, tq, d), draw(n, tk, d), draw(n, tk, d), draw(n, tq, d), draw(n, tq, d)
+    with use_kernel_mode(mode):
+        leaves = [Tensor(a, requires_grad=True) for a in (q0, k0, v0)]
+        q, k, v = (leaf * 0.5 for leaf in leaves)
+        if shared:  # one tensor in all three roles
+            k = v = q
+        out = attention(q, k, v, _attention_mask("add-keys", n, tq, tk, np.float32) if bias else None,
+                        0.25, heads)
+        terms = [(out * Tensor(g)).sum()]
+        if query_reader is not None:
+            terms.insert(0 if query_reader == "first" else 1, (q.tanh() * Tensor(g2)).sum())
+            terms.insert(0 if query_reader == "first" else 2, (q * q).sum())
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = loss + term
+        loss.backward()
+        return [out.data, *(leaf.grad for leaf in leaves if leaf.grad is not None)]
+
+
+def _assert_all_identical(ref, got, context):
+    assert len(ref) == len(got)
+    for k, (a, c) in enumerate(zip(ref, got)):
+        assert a.dtype == c.dtype, f"{context}: item {k} dtype {c.dtype} != {a.dtype}"
+        assert np.array_equal(a, c), f"{context}: item {k} diverged"
+
+
+_ATTENTION_MASKS = [None, "bool-keys", "bool-queries", "add-keys", "add-queries", "masked-row"]
+
+
+class TestAttentionBitIdentity:
+    """The ``attention`` kernel vs the composed graph it replaces.
+
+    ``fused``/``compiled`` run the kernel, ``naive``/``reuse`` the
+    composition; the output and every gradient must agree to the bit.
+    """
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mask", _ATTENTION_MASKS)
+    @pytest.mark.parametrize("kind,tq,tk", [("self", 5, 5), ("cross", 5, 5), ("cross", 4, 7),
+                                            ("cross", 6, 1), ("cross", 1, 6)])
+    def test_matches_naive(self, mode, mask, kind, tq, tk):
+        kwargs = dict(kind=kind, tq=tq, tk=tk, mask=mask)
+        _assert_all_identical(_run_attention("naive", **kwargs), _run_attention(mode, **kwargs),
+                              f"[{mode},{kind},{tq}x{tk},mask={mask}]")
+
+    @pytest.mark.parametrize("mask", [None, "add-queries"])
+    @pytest.mark.parametrize("kind", ["self", "cross"])
+    @pytest.mark.parametrize("heads,n", [(1, 3), (4, 1), (1, 1)])
+    def test_one_head_and_batch_of_one(self, heads, n, kind, mask):
+        kwargs = dict(kind=kind, tk=5 if kind == "self" else 3, heads=heads, n=n, mask=mask)
+        _assert_all_identical(_run_attention("naive", **kwargs), _run_attention("fused", **kwargs),
+                              f"[heads={heads},n={n},{kind},mask={mask}]")
+
+    @pytest.mark.parametrize("mask", [None, "bool-queries", "add-keys", "masked-row"])
+    @pytest.mark.parametrize("kind", ["self", "cross"])
+    def test_float64(self, kind, mask):
+        from repro.telemetry import Telemetry
+
+        kwargs = dict(kind=kind, tk=5 if kind == "self" else 3, mask=mask, dtype=np.float64)
+        ref = _run_attention("naive", **kwargs)
+        telemetry = Telemetry()
+        with telemetry.activate():
+            got = _run_attention("fused", **kwargs)
+        assert got[0].dtype == np.float64
+        _assert_all_identical(ref, got, f"f64[{kind},mask={mask}]")
+        assert not telemetry.metrics.snapshot()  # a boolean mask is built in the layer's dtype
+
+    @pytest.mark.parametrize("second_reader", ["first", "last"])
+    @pytest.mark.parametrize("kind", ["self", "cross"])
+    def test_accumulation_order_with_another_reader_of_the_input(self, kind, second_reader):
+        kwargs = dict(kind=kind, mask="add-queries", second_reader=second_reader)
+        _assert_all_identical(_run_attention("naive", **kwargs), _run_attention("fused", **kwargs),
+                              f"[{kind},reader {second_reader}]")
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("query_reader", [None, "first", "last"])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_projection_gradients(self, mode, bias, query_reader):
+        """The kernel on its own: a query projection that other nodes read
+        too collects its terms in the composed graph's order."""
+        kwargs = dict(bias=bias, query_reader=query_reader)
+        _assert_all_identical(_run_attention_kernel("naive", **kwargs),
+                              _run_attention_kernel(mode, **kwargs),
+                              f"[{mode},bias={bias},reader {query_reader}]")
+
+    def test_one_tensor_as_query_key_and_value(self):
+        kwargs = dict(tq=5, tk=5, shared=True, query_reader="last")
+        _assert_all_identical(_run_attention_kernel("naive", **kwargs),
+                              _run_attention_kernel("fused", **kwargs), "shared")
+
+    @pytest.mark.parametrize("context", [no_grad, inference_mode])
+    @pytest.mark.parametrize("mask", [None, "bool-queries", "masked-row"])
+    def test_forward_only(self, context, mask):
+        ref = _run_attention("naive", kind="cross", tk=7, mask=mask, context=context)
+        got = _run_attention("fused", kind="cross", tk=7, mask=mask, context=context)
+        assert np.array_equal(ref[0], got[0])
+
+    def test_frozen_operands(self):
+        """Only the operands that want a gradient get one."""
+        rng = np.random.default_rng(0)
+        draw = lambda t: rng.normal(size=(2, t, 8)).astype(np.float32)
+        q0, k0, v0 = draw(3), draw(4), draw(4)
+        results = {}
+        for mode in ("naive", "fused"):
+            with use_kernel_mode(mode):
+                q, k, v = Tensor(q0), Tensor(k0, requires_grad=True), Tensor(v0)
+                out = attention(q, k, v, None, 0.5, 2)
+                out.backward(np.ones_like(out.data))
+                assert q.grad is None and v.grad is None
+                results[mode] = [out.data, k.grad]
+        _assert_all_identical(results["naive"], results["fused"], "frozen q, v")
+
+    def test_kernel_is_one_node(self):
+        rng = np.random.default_rng(0)
+        q, k, v = (Tensor(rng.normal(size=(2, 3, 8)).astype(np.float32), requires_grad=True)
+                   for _ in range(3))
+        with use_kernel_mode("fused"):
+            out = attention(q, k, v, None, 0.5, 2)
+        assert out._prev == (q, k, v)
+
+    @pytest.mark.parametrize("axes", [(1, 0, 2), (0, 2, 1), (2, 1, 0)])
+    def test_output_gradient_in_another_memory_order(self, axes):
+        """A transposed reader hands the output a gradient laid out its way;
+        the merge's adjoint keeps that order and so must the kernel."""
+        rng = np.random.default_rng(1)
+        draw = lambda *shape: rng.normal(size=shape).astype(np.float32)
+        q0, k0, v0 = draw(3, 4, 8), draw(3, 5, 8), draw(3, 5, 8)
+        seed = draw(3, 4, 8).transpose(axes).copy()
+        results = {}
+        for mode in ("naive", "fused"):
+            with use_kernel_mode(mode):
+                leaves = [Tensor(a, requires_grad=True) for a in (q0, k0, v0)]
+                out = attention(*leaves, None, 0.5, 2)
+                out.transpose(axes).backward(seed)
+                assert not out.grad.flags.c_contiguous
+                results[mode] = [leaf.grad for leaf in leaves]
+        _assert_all_identical(results["naive"], results["fused"], str(axes))
+
+    def test_dropout_takes_the_reference_path_and_is_counted(self):
+        from repro.telemetry import Telemetry
+
+        ref = _run_attention("naive", mask="add-queries", dropout=0.25)
+        for mode, expected in (("fused", 1.0), ("compiled", 1.0), ("reuse", None)):
+            telemetry = Telemetry()
+            with telemetry.activate():
+                got = _run_attention(mode, mask="add-queries", dropout=0.25)
+            _assert_all_identical(ref, got, f"dropout[{mode}]")
+            counted = telemetry.metrics.snapshot().get("kernel_fallbacks.attention.dropout", {})
+            assert counted.get("value") == expected, mode
+
+    def test_eval_mode_dropout_stays_on_the_kernel(self):
+        from repro.telemetry import Telemetry
+
+        layer = MultiHeadAttention(8, 2, np.random.default_rng(0), dropout=0.5).eval()
+        x = Tensor(np.ones((2, 3, 8), dtype=np.float32))
+        telemetry = Telemetry()
+        with use_kernel_mode("fused"), telemetry.activate():
+            layer(x, x, x)
+        assert not telemetry.metrics.snapshot()
+
+    def test_integer_mask_is_rejected(self):
+        layer = MultiHeadAttention(8, 2, np.random.default_rng(0))
+        x = Tensor(np.ones((1, 3, 8), dtype=np.float32))
+        for mode in ("naive", "fused"):
+            with use_kernel_mode(mode), pytest.raises(ValueError, match="int64"):
+                layer(x, x, x, mask=np.tril(np.ones((3, 3), dtype=np.int64)))
+
+    def test_profiler_and_fallback_reports_show_the_kernel(self):
+        """``repro profile`` lists ``attention`` (one forward and, on the
+        kernel, one backward call per layer call) and ``repro stats`` /
+        ``profile`` total its fallbacks by reason; profiling moves no bit."""
+        from repro.core.reporting import kernel_fallback_counts
+        from repro.telemetry import Telemetry, render_op_profile
+
+        plain = _run_attention("fused", mask="add-queries")
+        tele = Telemetry(profile="full")
+        with tele.activate():
+            profiled = _run_attention("fused", mask="add-queries")
+            _run_attention("fused", dropout=0.25)
+            _run_attention("naive", dropout=0.25)
+        _assert_all_identical(plain, profiled, "profiled")
+        ops = tele.profiler.snapshot()["ops"]
+        assert ops["forward"]["attention"]["calls"] == 3
+        assert ops["backward"]["attention"]["calls"] >= 3
+        assert " attention " in render_op_profile(tele.profiler.snapshot())
+        assert kernel_fallback_counts(tele.metrics.snapshot()) == {"attention/dropout": 1.0}
+
+    def test_full_transformer_step(self):
+        """Loss and all 87 parameter gradients of one ``MiniTransformer``
+        step: the kernel sits in six places, under three kinds of mask."""
+        from repro.datasets import SyntheticTranslation, TranslationConfig
+        from repro.models import MiniTransformer
+
+        corpus = SyntheticTranslation(TranslationConfig(train_size=32, test_size=8))
+        pairs = corpus.train_pairs[:16]
+        src = corpus.encoder_inputs([s for s, _ in pairs])
+        dec_in, dec_out = corpus.decoder_io([t for _, t in pairs])
+
+        def step(mode):
+            with use_kernel_mode(mode):
+                model = MiniTransformer(corpus.vocab.size, np.random.default_rng(0))
+                loss = model.loss(src, dec_in, dec_out)
+                loss.backward()
+                return [loss.data, *(p.grad for p in model.parameters())]
+
+        ref = step("naive")
+        assert len(ref) == 1 + 87
+        for mode in MODES:
+            _assert_all_identical(ref, step(mode), mode)
+
+    @pytest.mark.parametrize("ref_mode", ["naive", "fused"])
+    def test_compiled_step_executor_horizon(self, ref_mode):
+        """Self- and cross-attention trained for several steps through the
+        step executor: replayed plans run the kernel's node through its
+        closure and match eager execution of the composed graph."""
+        from repro.framework import Adam
+
+        def train(mode):
+            with use_kernel_mode(mode):
+                rng = np.random.default_rng(5)
+                self_attn, cross_attn = MultiHeadAttention(16, 4, rng), MultiHeadAttention(16, 4, rng)
+                params = self_attn.parameters() + cross_attn.parameters()
+                opt = Adam(params, lr=0.01)
+                executor = StepExecutor()
+                x0 = rng.normal(size=(3, 5, 16)).astype(np.float32)
+                m0 = rng.normal(size=(3, 7, 16)).astype(np.float32)
+                causal = _attention_mask("add-queries", 3, 5, 5, np.float32)
+                keys = _attention_mask("bool-keys", 3, 5, 7, np.float32)
+                trace = []
+                for step in range(5):
+                    x, memory = Tensor(x0 * (1.0 + 0.1 * step)), Tensor(m0)
+
+                    def loss_fn():
+                        h = x + self_attn(x, x, x, mask=causal)
+                        h = h + cross_attn(h, memory, memory, mask=keys)
+                        return (h * h).mean()
+
+                    def zero_grad():
+                        for p in params:
+                            p.zero_grad()
+
+                    loss = executor.step(loss_fn, pre_backward=zero_grad)
+                    trace.append([loss.data.copy(), *(p.grad.copy() for p in params)])
+                    opt.step()
+                trace.append([p.data.copy() for p in params])
+                if mode == "compiled":
+                    assert executor.stats()["hits"] == 4
+            return trace
+
+        for step, (r, g) in enumerate(zip(train(ref_mode), train("compiled"))):
+            _assert_all_identical(r, g, f"step {step}")
+
+
 def _three_exp_sigmoid(x):
     """``Tensor.sigmoid`` as it was before the one-``exp`` form (the oracle)."""
     return np.where(
@@ -868,6 +1193,7 @@ def _mixed_dtype_calls():
         "linear": lambda: linear_bias_act(f64(2, 3), f32(4, 3), f32(4)),
         "normalize": lambda: LayerNorm(3)(f64(2, 3)),
         "lstm_cell": lambda: lstm_cell(f64(2, 3), f32(2, 4), f32(2, 4), f32(16, 3), f32(16, 4), f32(16)),
+        "attention": lambda: attention(f64(2, 3, 4), f32(2, 5, 4), f32(2, 5, 4), None, 0.5, 2),
     }
 
 
@@ -902,6 +1228,7 @@ class TestKernelFallbacksAreCounted:
         telemetry = Telemetry()
         with use_kernel_mode("fused"), telemetry.activate():
             _run_cell("fused", mask="mixed")
+            _run_attention("fused", mask="bool-keys")
             LayerNorm(3)(Tensor(np.ones((2, 3), dtype=np.float32)))
         assert not telemetry.metrics.snapshot()
 

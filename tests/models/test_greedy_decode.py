@@ -1,10 +1,12 @@
 """Greedy decoding emits the tokens the step-by-step loops did.
 
-Both models' ``greedy_decode`` hoist work that does not change from one
-generated token to the next (the Transformer's cross-attention keys and
-values and its additive masks, GNMT's per-row bookkeeping).  The loops they
-replaced are kept here as oracles: same tokens, sentence for sentence, on
-the test corpus.
+Both models' ``greedy_decode`` avoid work that does not change from one
+generated token to the next: the Transformer decodes one row per step over
+cached keys and values, GNMT drops its per-row bookkeeping.  The loops they
+replaced are kept here as oracles -- for the Transformer the loop that
+re-runs the decoder over the whole prefix.  The contract is the tokens,
+sentence for sentence (DESIGN.md, *Decode contract*): one differing
+sentence here revokes the incremental decode.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 
 from repro.datasets import SyntheticTranslation, TranslationConfig
 from repro.datasets.translation import BOS, EOS, PAD
-from repro.framework import Adam, causal_mask, no_grad, use_kernel_mode
+from repro.framework import Adam, TransformerDecoderLayer, causal_mask, no_grad, use_kernel_mode
 from repro.models import MiniGNMT, MiniTransformer
 
 MAX_LEN = 14
@@ -109,11 +111,86 @@ def test_matches_step_by_step_loop(cls, mode, corpus, models):
             got = model.greedy_decode(src, max_len=MAX_LEN)
             assert got == _ORACLES[cls](model, src, MAX_LEN)
             assert all(type(tok) is int for seq in got for tok in seq)
+            # rows of one batch end at different steps: a finished row rides
+            # along as PAD while the others go on
+            assert len({len(seq) for seq in got}) > 1
             lengths.update(len(seq) for seq in got)
     assert min(lengths) < MAX_LEN, "no sentence ended: the EOS cut is untested"
+
+
+@pytest.mark.parametrize("cls", [MiniGNMT, MiniTransformer], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("mode", ["naive", "fused"])
+def test_batch_of_one(cls, mode, corpus, models):
+    with use_kernel_mode(mode):
+        for source, _ in corpus.test_pairs[:6]:
+            src = corpus.encoder_inputs([source])
+            assert models[cls].greedy_decode(src, max_len=MAX_LEN) == \
+                _ORACLES[cls](models[cls], src, MAX_LEN)
 
 
 @pytest.mark.parametrize("cls", [MiniGNMT, MiniTransformer], ids=lambda c: c.__name__)
 def test_zero_length_budget(cls, corpus, models):
     src = corpus.encoder_inputs([s for s, _ in corpus.test_pairs[:3]])
     assert models[cls].greedy_decode(src, max_len=0) == [[], [], []]
+
+
+@pytest.mark.parametrize("cls", [MiniGNMT, MiniTransformer], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("mode", ["naive", "fused"])
+def test_budget_of_one(cls, mode, corpus, models):
+    src = corpus.encoder_inputs([s for s, _ in corpus.test_pairs[:3]])
+    with use_kernel_mode(mode):
+        one = models[cls].greedy_decode(src, max_len=1)
+    assert one == _ORACLES[cls](models[cls], src, 1)
+    assert all(len(seq) <= 1 for seq in one)
+
+
+def test_transformer_decodes_one_row_per_step(corpus, models, monkeypatch):
+    """Every decoder-layer call of a decode sees a length-1 query -- the
+    newest row -- and each layer is called once per generated position: a
+    return to re-running the prefix fails here, not in a benchmark."""
+    model = models[MiniTransformer]
+    queries = []
+    forward = TransformerDecoderLayer.forward
+
+    def recording_forward(self, x, *args, **kwargs):
+        queries.append(x.shape)
+        return forward(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(TransformerDecoderLayer, "forward", recording_forward)
+    src = corpus.encoder_inputs([s for s, _ in corpus.test_pairs[:16]])
+    got = model.greedy_decode(src, max_len=MAX_LEN)
+    steps = min(MAX_LEN, max(len(seq) for seq in got) + 1)  # + the step that emits EOS
+    assert steps > 2
+    assert queries == [(16, 1, model.d_model)] * (steps * len(model.dec_layers))
+
+
+class TestPositionalTableBound:
+    """A sequence longer than the positional table is refused at entry,
+    naming ``max_len``, not by a broadcast error from inside ``_embed``."""
+
+    @pytest.fixture(scope="class")
+    def model(self, corpus):
+        return MiniTransformer(corpus.vocab.size, np.random.default_rng(0), max_len=10).eval()
+
+    def test_decode_budget(self, model, corpus):
+        src = corpus.encoder_inputs([s for s, _ in corpus.test_pairs[:2]])[:, :10]
+        assert len(model.greedy_decode(src, max_len=10)) == 2
+        with pytest.raises(ValueError, match=r"length 11 .*max_len=10"):
+            model.greedy_decode(src, max_len=11)
+        assert model.greedy_decode(src, max_len=0) == [[], []]
+
+    def test_default_table_and_the_reported_call(self, corpus):
+        model = MiniTransformer(corpus.vocab.size, np.random.default_rng(0)).eval()
+        src = corpus.encoder_inputs([s for s, _ in corpus.test_pairs[:2]])
+        with pytest.raises(ValueError, match=r"length 70 .*max_len=64"):
+            model.greedy_decode(src, max_len=70)
+
+    def test_source_and_decoder_input(self, model):
+        long, short = np.full((2, 11), 5, dtype=np.int64), np.full((2, 4), 5, dtype=np.int64)
+        with pytest.raises(ValueError, match=r"source of length 11 .*max_len=10"):
+            model.encode(long)
+        with pytest.raises(ValueError, match=r"source of length 11 .*max_len=10"):
+            model.greedy_decode(long, max_len=3)
+        with pytest.raises(ValueError, match=r"decoder input of length 11 .*max_len=10"):
+            model(short, long)
+        assert model(short, long[:, :10]).shape[:2] == (2, 10)
