@@ -107,9 +107,11 @@ class PhaseRow:
     # telemetry or used no data-parallel engine).
     allreduce_elements: float = 0.0
     allreduce_bytes: float = 0.0
-    # Mean MCTS searches and network evaluations per run (self-play only).
+    # Mean MCTS searches, network answers they asked for, and how many of
+    # those the per-game memo gave without a forward pass (self-play only).
     mcts_searches: float = 0.0
     mcts_evaluations: float = 0.0
+    mcts_memo_hits: float = 0.0
     # Mean calls per run in which a fused kernel ran its composed reference
     # (mixed operand dtypes, unsupported rank), all ops and reasons together.
     kernel_fallbacks: float = 0.0
@@ -161,7 +163,7 @@ def build_phase_table(runs_by_benchmark: dict[str, list[RunResult]]) -> list[Pha
         counters = {
             name: sum(_run_counter(r, name) for r in runs) / len(runs)
             for name in ("allreduce_elements", "allreduce_bytes",
-                         "mcts_searches", "mcts_evaluations")
+                         "mcts_searches", "mcts_evaluations", "mcts_memo_hits")
         }
         counters["kernel_fallbacks"] = sum(map(_run_kernel_fallbacks, runs)) / len(runs)
         rows.append(PhaseRow(benchmark, len(runs), *means, **counters))
@@ -184,6 +186,7 @@ def render_phase_table(rows: list[PhaseRow]) -> str:
         f"{'Benchmark':<26}{'Runs':>6}{'Init':>9}{'Create':>9}{'Train':>9}"
         f"{'Eval':>9}{'Other':>9}{'TTT (s)':>10}{'Train%':>8}"
         f"{'AllRed el':>11}{'AllRed B':>10}{'Searches':>10}{'NN evals':>10}"
+        f"{'Memo hits':>11}"
         f"{'Fallbacks':>11}"
     )
     lines = [header, "-" * len(header)]
@@ -198,6 +201,7 @@ def render_phase_table(rows: list[PhaseRow]) -> str:
             f"{_human_count(row.allreduce_bytes):>10}"
             f"{_human_count(row.mcts_searches):>10}"
             f"{_human_count(row.mcts_evaluations):>10}"
+            f"{_human_count(row.mcts_memo_hits):>11}"
             f"{_human_count(row.kernel_fallbacks):>11}"
         )
     return "\n".join(lines)

@@ -8,6 +8,9 @@ requires identical initialization across submissions, and Figures 2/3 vary
 
 from __future__ import annotations
 
+import contextlib
+from contextvars import ContextVar
+
 import numpy as np
 
 from . import init
@@ -38,7 +41,39 @@ __all__ = [
     "AvgPool2d",
     "GlobalAvgPool2d",
     "Flatten",
+    "recorded_moments",
+    "replay_moments",
 ]
+
+# The ``recorded_moments`` log of this context, if one is open.
+_MOMENTS_LOG: ContextVar[list | None] = ContextVar("repro_moments_log", default=None)
+
+
+@contextlib.contextmanager
+def recorded_moments():
+    """Log every batch-norm running-statistics update made inside the block.
+
+    Yields the log: one ``(layer, mean, var)`` entry per update, in the order
+    the forward made them (nothing in eval mode).  :func:`replay_moments` on
+    it leaves every layer's running statistics as a second, identical forward
+    would — the arithmetic is the update's own, on the same arrays.  An
+    enclosing block's log receives the entries too.
+    """
+    log: list = []
+    token = _MOMENTS_LOG.set(log)
+    try:
+        yield log
+    finally:
+        _MOMENTS_LOG.reset(token)
+        outer = _MOMENTS_LOG.get()
+        if outer is not None:
+            outer.extend(log)
+
+
+def replay_moments(log) -> None:
+    """Re-apply the updates a :func:`recorded_moments` block logged."""
+    for layer, mean, var in log:
+        layer._update_running(mean, var)
 
 
 class Linear(Module):
@@ -105,6 +140,9 @@ class _BatchNorm(Module):
     def _update_running(self, mean: np.ndarray, var: np.ndarray) -> None:
         # The moving-average decay here is itself a hyperparameter the
         # paper lists as an example of layer-level HPs (§2.1).
+        log = _MOMENTS_LOG.get()
+        if log is not None:
+            log.append((self, mean, var))
         m = self.momentum
         self.running_mean = (1 - m) * self.running_mean + m * mean.reshape(-1)
         self.running_var = (1 - m) * self.running_var + m * var.reshape(-1)

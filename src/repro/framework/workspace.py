@@ -31,10 +31,12 @@ Design:
   borrow's own lifetime must keep the borrowed array too.
 - **Per-thread.**  :func:`arena` returns a thread-local instance; kernels
   running on different threads never contend or alias.
-- **Telemetry-counted.**  Every take increments ``kernel_arena_hits`` /
+- **Telemetry-counted.**  Every take increments ``kernel_arena_hits`` or
   ``kernel_arena_misses`` (and ``kernel_arena_bytes_allocated`` on a miss)
-  on the ambient :class:`~repro.telemetry.metrics.MetricsRegistry`, so
-  traces show allocation pressure per phase;
+  on the :class:`~repro.telemetry.metrics.MetricsRegistry` that is ambient
+  at that take, so traces show allocation pressure per phase.  A workspace
+  looks each counter up once per registry (first use; a weak reference tells
+  it when the ambient registry has changed), not once per borrow;
   :func:`record_arena_gauges` snapshots hit rate and pool size as gauges.
 
 The arena is engaged by the ``reuse`` and ``fused`` kernel modes (see
@@ -81,6 +83,20 @@ class Workspace:
         self.bytes_requested = 0
         self.live_bytes = 0
         self.peak_live_bytes = 0
+        # Weak reference to the registry the cached counters belong to.
+        self._registry: Any = lambda: None
+        self._counters: dict[str, Any] = {}
+
+    def _counter(self, name: str):
+        """``kernel_arena_<name>`` on the ambient metrics registry."""
+        registry = _current_metrics()
+        if self._registry() is not registry:
+            self._registry = weakref.ref(registry)
+            self._counters = {}
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = registry.counter(f"kernel_arena_{name}")
+        return counter
 
     # -- borrow / release ----------------------------------------------------
     def take(self, shape: tuple[int, ...] | int, dtype=np.float32) -> np.ndarray:
@@ -100,13 +116,13 @@ class Workspace:
         if free:
             flat = free.pop()
             self.hits += 1
-            _metrics_counter("kernel_arena_hits").inc()
+            self._counter("hits").inc()
         else:
             flat = np.empty(class_bytes, dtype=np.uint8)
             self.misses += 1
             self.bytes_allocated += flat.nbytes
-            _metrics_counter("kernel_arena_misses").inc()
-            _metrics_counter("kernel_arena_bytes_allocated").inc(flat.nbytes)
+            self._counter("misses").inc()
+            self._counter("bytes_allocated").inc(flat.nbytes)
         self.bytes_requested += flat.nbytes
         self.live_bytes += flat.nbytes
         if self.live_bytes > self.peak_live_bytes:
@@ -224,11 +240,18 @@ def arena() -> Workspace:
     return ws
 
 
-def _metrics_counter(name: str):
-    # Imported lazily to keep framework -> telemetry a soft dependency.
-    from ..telemetry import current_metrics
+_CURRENT_METRICS = None
 
-    return current_metrics().counter(name)
+
+def _current_metrics():
+    """The ambient metrics registry (lazy import, cached resolver: telemetry
+    imports the framework at load time)."""
+    global _CURRENT_METRICS
+    if _CURRENT_METRICS is None:
+        from ..telemetry.context import current_metrics
+
+        _CURRENT_METRICS = current_metrics
+    return _CURRENT_METRICS()
 
 
 def record_arena_gauges(metrics=None) -> dict[str, float]:
@@ -242,9 +265,7 @@ def record_arena_gauges(metrics=None) -> dict[str, float]:
     """
     ws = arena()
     if metrics is None:
-        from ..telemetry import current_metrics
-
-        metrics = current_metrics()
+        metrics = _current_metrics()
     stats = ws.stats()
     metrics.gauge("kernel_arena_hit_rate").set(stats["hit_rate"])
     metrics.gauge("kernel_arena_live_borrows").set(stats["live"])

@@ -31,6 +31,19 @@ class MCTSConfig:
     # double-pass games and the value net degenerates.
     min_moves_before_pass: int = 10
 
+    def __post_init__(self):
+        # A search with no simulation returns an all-zero visit vector, which
+        # has no best move and cannot be sampled from.
+        for field, bound, ok in (
+            ("num_simulations", ">= 1", self.num_simulations >= 1),
+            ("c_puct", "> 0", self.c_puct > 0),
+            ("dirichlet_alpha", "> 0", self.dirichlet_alpha > 0),
+            ("dirichlet_weight", "in [0, 1]", 0 <= self.dirichlet_weight <= 1),
+            ("min_moves_before_pass", ">= 0", self.min_moves_before_pass >= 0),
+        ):
+            if not ok:
+                raise ValueError(f"{field} must be {bound}, got {getattr(self, field)!r}")
+
 
 class _Node:
     """One position in the search tree.

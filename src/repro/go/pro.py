@@ -30,7 +30,7 @@ import numpy as np
 from .board import GoBoard
 from .mcts import MCTS, MCTSConfig
 from .reference_player import ReferenceGame
-from .selfplay import play_selfplay_game
+from .selfplay import EvaluationMemo, play_selfplay_game
 
 __all__ = [
     "ProConfig",
@@ -107,7 +107,8 @@ def generate_pro_games(
     games: list[ReferenceGame] = []
     config = MCTSConfig(num_simulations=mcts_simulations, dirichlet_weight=0.0)
     for _ in range(num_games):
-        mcts = MCTS(net.evaluate, config, rng=np.random.default_rng(rng.integers(2**31)))
+        memo = EvaluationMemo(net.evaluate)
+        mcts = MCTS(memo, config, rng=np.random.default_rng(rng.integers(2**31)))
         board = GoBoard(board_size, komi=komi)
         positions: list[np.ndarray] = []
         moves: list[int] = []
@@ -123,6 +124,7 @@ def generate_pro_games(
                 moves.append(move)
             board = board.play(move)
             ply += 1
+        memo.count_hits()
         games.append(ReferenceGame(positions=positions, moves=moves))
     return games
 

@@ -13,10 +13,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..framework.layers import recorded_moments, replay_moments
+from ..telemetry import current_metrics
 from .board import GoBoard
 from .mcts import MCTS, MCTSConfig
 
-__all__ = ["SelfPlayExample", "play_selfplay_game", "selfplay_batch"]
+__all__ = ["EvaluationMemo", "SelfPlayExample", "play_selfplay_game", "selfplay_batch"]
+
+
+class EvaluationMemo:
+    """``evaluate`` for one game, running the network once per position.
+
+    A search re-asks about positions the previous move's search expanded.
+    Within a game the weights are fixed, so ``(stones, side to move)`` decides
+    the answer; what a repeated forward would still change is batch norm's
+    running statistics (first-epoch self-play runs in training mode), so a
+    hit replays the updates its miss recorded and the network ends every
+    game in the state the unmemoised game leaves it in.  Make one per game.
+    """
+
+    def __init__(self, evaluate):
+        self._evaluate = evaluate
+        self._answers: dict = {}
+        self.hits = 0
+
+    def __call__(self, board: GoBoard):
+        key = (board._cells, board.to_play)
+        answer = self._answers.get(key)
+        if answer is None:
+            with recorded_moments() as moments:
+                policy, value = self._evaluate(board)
+            policy.setflags(write=False)  # every later hit shares it
+            self._answers[key] = (policy, value, moments)
+            return policy, value
+        policy, value, moments = answer
+        self.hits += 1
+        replay_moments(moments)
+        return policy, value
+
+    def count_hits(self) -> None:
+        """Add this game's hits to the ambient ``mcts_memo_hits`` counter."""
+        current_metrics().counter("mcts_memo_hits").inc(self.hits)
 
 
 @dataclass
@@ -41,7 +78,8 @@ def play_selfplay_game(
     Early moves sample from the visit distribution (temperature 1) for
     diversity; later moves play the max-visit move.
     """
-    mcts = MCTS(network.evaluate, mcts_config, rng=rng)
+    memo = EvaluationMemo(network.evaluate)
+    mcts = MCTS(memo, mcts_config, rng=rng)
     board = GoBoard(board_size, komi=komi)
     trajectory: list[tuple[np.ndarray, np.ndarray, int]] = []  # planes, policy, color
     while not board.is_over:
@@ -52,6 +90,7 @@ def play_selfplay_game(
         else:
             move = int(policy.argmax())
         board = board.play(move)
+    memo.count_hits()
     winner = board.winner()
     return [
         SelfPlayExample(planes=planes, policy=policy, value=1.0 if color == winner else -1.0)

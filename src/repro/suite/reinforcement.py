@@ -78,17 +78,19 @@ class _Session(TrainingSession):
         tracer = current_tracer()
         metrics = current_metrics()
         # 1. Self-play data generation (the expensive exploration phase).
-        searches = metrics.counter("mcts_searches")
-        evaluations = metrics.counter("mcts_evaluations")
-        searches_before, evaluations_before = searches.value, evaluations.value
+        # evaluations = answers the searches asked for; memo_hits of them
+        # came from the game's memo instead of a forward pass.
+        counters = {attr: metrics.counter(f"mcts_{attr}")
+                    for attr in ("searches", "evaluations", "memo_hits")}
+        before = {attr: counter.value for attr, counter in counters.items()}
         with tracer.span("selfplay", games=self.hp["games_per_iteration"]) as span:
             examples = selfplay_batch(
                 self.model, self.hp["games_per_iteration"], self.board_size, self.rng,
                 self.mcts_config, komi=self.komi,
             )
             span.set(moves=len(examples),
-                     searches=int(searches.value - searches_before),
-                     evaluations=int(evaluations.value - evaluations_before))
+                     **{attr: int(counter.value - before[attr])
+                        for attr, counter in counters.items()})
         self.replay.extend(examples)
         if len(self.replay) > self.hp["replay_capacity"]:
             self.replay = self.replay[-self.hp["replay_capacity"] :]

@@ -250,6 +250,36 @@ class TestRunResultMetricsRoundtrip:
         assert "Fallbacks" in table.splitlines()[0]
         assert table.splitlines()[-1].split()[-1] == "2"  # rendered as a whole count
 
+    def test_stats_table_shows_memo_hits_beside_nn_evals(self, tmp_path):
+        """Self-play's three counters survive save/load and a snapshot merge."""
+        from repro.core import build_phase_table, render_phase_table
+        from repro.core.artifacts import load_run_result, save_run_result
+        from repro.telemetry import Telemetry, merge_snapshots
+
+        clock = FakeClock()
+        runs = []
+        for seed, (searches, evaluations, hits) in enumerate([(92, 1452, 459), (75, 1139, 470)]):
+            telemetry = Telemetry(clock=clock)
+            telemetry.metrics.counter("mcts_searches").inc(searches)
+            telemetry.metrics.counter("mcts_evaluations").inc(evaluations)
+            telemetry.metrics.counter("mcts_memo_hits").inc(hits)
+            run = BenchmarkRunner(clock=clock).run(FakeBenchmark(clock=clock), seed=seed,
+                                                   telemetry=telemetry)
+            runs.append(load_run_result(
+                run.benchmark, save_run_result(tmp_path / f"result_{seed}.txt", run)))
+        merged = merge_snapshots(run.telemetry.metrics for run in runs)
+        assert merged["mcts_memo_hits"]["value"] == 929
+        (row,) = build_phase_table({runs[0].benchmark: runs})
+        assert (row.mcts_evaluations, row.mcts_memo_hits) == (1295.5, 464.5)
+        header, _, line = render_phase_table([row]).splitlines()
+        columns = header.replace("TTT (s)", "TTT").replace("AllRed el", "AllRed_el") \
+            .replace("AllRed B", "AllRed_B").replace("NN evals", "NN_evals") \
+            .replace("Memo hits", "Memo_hits").split()
+        cells = dict(zip(columns, line.split()))
+        assert cells["NN_evals"] == "1.3K"
+        assert cells["Memo_hits"] == "464"
+        assert columns.index("Memo_hits") == columns.index("NN_evals") + 1
+
 
 class TestRunResultSeriesRoundtrip:
     """Per-run sampled series persist in the header for `stats --series`."""

@@ -169,6 +169,61 @@ class TestTelemetry:
         assert metrics.counter("kernel_arena_hits").value == 1
         assert metrics.counter("kernel_arena_bytes_allocated").value == 4096
 
+    def test_takes_follow_the_ambient_registry(self):
+        first, second = Telemetry(), Telemetry()
+        ws = Workspace()
+        with first.activate():
+            ws.release(ws.take((16,), np.float32))  # miss
+            ws.release(ws.take((16,), np.float32))  # hit
+            with second.activate():
+                ws.release(ws.take((16,), np.float32))  # hit, nested session
+            ws.release(ws.take((16,), np.float32))  # hit, back in the first
+        with second.activate():
+            big = ws.take((32, 1024), np.float32)  # miss
+        assert big.nbytes == 32 * 4096
+        assert first.metrics.counter("kernel_arena_hits").value == 2
+        assert first.metrics.counter("kernel_arena_misses").value == 1
+        assert second.metrics.counter("kernel_arena_hits").value == 1
+        assert second.metrics.counter("kernel_arena_misses").value == 1
+        assert second.metrics.counter("kernel_arena_bytes_allocated").value == 32 * 4096
+
+    def test_disabled_registry_gets_no_instrument(self):
+        from repro.telemetry import current_metrics
+
+        ws = Workspace()
+        ws.release(ws.take((16,), np.float32))
+        ws.release(ws.take((16,), np.float32))
+        assert current_metrics().names() == []
+        telemetry = Telemetry()
+        with telemetry.activate():  # what was cached for the null registry is dropped
+            ws.release(ws.take((16,), np.float32))
+        assert telemetry.metrics.counter("kernel_arena_hits").value == 1
+
+    def test_miss_counters_absent_until_the_first_miss(self):
+        ws = Workspace()
+        ws.release(ws.take((16,), np.float32))
+        telemetry = Telemetry()
+        with telemetry.activate():
+            ws.release(ws.take((16,), np.float32))
+            assert set(telemetry.metrics.snapshot()) == {"kernel_arena_hits"}
+            ws.release(ws.take((64, 1024), np.float32))
+        assert set(telemetry.metrics.snapshot()) == {
+            "kernel_arena_hits", "kernel_arena_misses", "kernel_arena_bytes_allocated"}
+
+    def test_workspace_does_not_keep_a_finished_registry_alive(self):
+        import gc
+        import weakref
+
+        ws = Workspace()
+        telemetry = Telemetry()
+        with telemetry.activate():
+            ws.release(ws.take((16,), np.float32))
+        registry = weakref.ref(telemetry.metrics)
+        del telemetry
+        gc.collect()
+        assert registry() is None
+        ws.release(ws.take((16,), np.float32))  # and the workspace still works
+
     def test_record_arena_gauges(self):
         telemetry = Telemetry()
         with telemetry.activate():

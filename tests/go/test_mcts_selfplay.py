@@ -124,6 +124,37 @@ class TestReferenceGames:
                 assert 0 <= m <= 16
 
 
+class TestMCTSConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("num_simulations", 0),
+        ("num_simulations", -3),
+        ("c_puct", 0.0),
+        ("c_puct", float("nan")),
+        ("dirichlet_alpha", 0.0),
+        ("dirichlet_weight", -0.1),
+        ("dirichlet_weight", 1.5),
+        ("min_moves_before_pass", -1),
+    ])
+    def test_out_of_range_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MCTSConfig(**{field: value})
+
+    def test_boundary_values_are_accepted(self):
+        config = MCTSConfig(num_simulations=1, dirichlet_weight=0.0, min_moves_before_pass=0)
+        policy = MCTS(uniform_evaluate, config, rng=np.random.default_rng(0)).search(GoBoard(3))
+        np.testing.assert_allclose(policy.sum(), 1.0)
+        MCTSConfig(dirichlet_weight=1.0)
+
+    def test_zero_simulations_is_rejected_where_the_hyperparameter_enters(self):
+        from repro.suite import create_benchmark
+
+        bench = create_benchmark("reinforcement")
+        bench.prepare_data()
+        hp = bench.spec.resolve_hyperparameters({"mcts_simulations": 0})
+        with pytest.raises(ValueError, match="num_simulations"):
+            bench.create_session(seed=0, hyperparameters=hp)
+
+
 class TestSelfPlay:
     def test_game_produces_examples(self):
         rng = np.random.default_rng(0)
