@@ -34,9 +34,6 @@ Commands mirror how the MLPerf artifacts are used in practice:
   spans/gaps, optional folded-stacks export;
 - ``bench-profile`` — measure profiler overhead per mode against a
   no-telemetry baseline (the profile-smoke CI gate);
-- ``bench-step`` — benchmark whole training steps under the compiled
-  executor (``REPRO_KERNEL_MODE=compiled``) against fused eager, with
-  multi-step bit-identity and plan-cache checks (the step-bench CI gate);
 - ``serve-metrics`` — the live observability server: Prometheus text at
   ``/metrics``, a JSON API (``/api/campaigns``, ``.../jobs``,
   ``/api/runs/.../series``, ``/api/alerts``), and an SSE stream at
@@ -298,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench-kernels",
         help="micro-benchmark the framework hot-path kernels against the "
              "naive reference (per-kernel ns/op, arena hit rate, bit-identity)")
-    bench.add_argument("--mode", choices=["naive", "reuse", "fused"], default=None,
+    bench.add_argument("--mode", choices=["naive", "fused"], default=None,
                        help="kernel mode to benchmark (default: the active "
                             "REPRO_KERNEL_MODE, normally 'fused')")
     bench.add_argument("--smoke", action="store_true",
@@ -312,35 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="timing repeats per kernel (default 30; 5 with --smoke)")
     bench.add_argument("-o", "--out", metavar="FILE",
                        default="benchmarks/reports/BENCH_kernels.json",
-                       help="report path (default %(default)s; '-' to skip writing)")
-
-    bstep = sub.add_parser(
-        "bench-step",
-        help="benchmark whole training steps (forward+backward+update) "
-             "under the compiled graph executor against fused eager: "
-             "per-workload step time, speedup, plan-cache hit rate, and "
-             "multi-step bit-identity")
-    bstep.add_argument("--mode", choices=["reuse", "fused", "compiled"],
-                       default=None,
-                       help="kernel mode to benchmark against the fused "
-                            "baseline (default 'compiled')")
-    bstep.add_argument("--smoke", action="store_true",
-                       help="fast CI variant: fewer repeats/steps, and exit "
-                            "non-zero if any workload diverges from fused "
-                            "eager, a fixed-shape step falls back to eager, "
-                            "the plan cache misses after first sighting, or "
-                            "the best speedup is below --min-speedup")
-    bstep.add_argument("--min-speedup", type=float, default=1.15,
-                       help="smoke gate on the best whole-step speedup over "
-                            "fused eager (default 1.15; 0 disables)")
-    bstep.add_argument("--repeats", type=int, default=None,
-                       help="timing repeats per workload (default 40; 8 with "
-                            "--smoke)")
-    bstep.add_argument("--identity-steps", type=int, default=None,
-                       help="optimizer steps in the lockstep bit-identity "
-                            "horizon (default 6; 4 with --smoke)")
-    bstep.add_argument("-o", "--out", metavar="FILE",
-                       default="benchmarks/reports/BENCH_step.json",
                        help="report path (default %(default)s; '-' to skip writing)")
 
     comms = sub.add_parser(
@@ -1047,45 +1015,6 @@ def _cmd_bench_kernels(args, out) -> int:
     return 0
 
 
-def _cmd_bench_step(args, out) -> int:
-    from pathlib import Path
-
-    from .framework.microbench import bench_step, gate_step_failures
-
-    payload = bench_step(mode=args.mode, smoke=args.smoke,
-                         repeats=args.repeats,
-                         identity_steps=args.identity_steps)
-    print(f"kernel mode: {payload['kernel_mode']} vs fused eager "
-          f"(repeats={payload['repeats']}, warmup={payload['warmup']}, "
-          f"identity_steps={payload['identity_steps']})", file=out)
-    for name, entry in payload["workloads"].items():
-        flag = "ok" if entry["bit_identical"] else "DIVERGED"
-        ex = entry["executor"]
-        print(f"  {name:<20} {entry['fused_ns_per_step'] / 1e3:>9.1f}us fused  "
-              f"{entry['ns_per_step'] / 1e3:>9.1f}us {payload['kernel_mode']}  "
-              f"{entry['speedup']:>5.2f}x  hit_rate={entry['hit_rate_after_first']:.2f}  "
-              f"chains={ex['fused_chains']}  "
-              f"peak={ex['peak_grad_bytes'] // 1024}KiB  [{flag}]", file=out)
-    checks = payload["checks"]
-    print(f"  best: {checks['best_speedup']:.2f}x "
-          f"({checks['best_speedup_workload']})  "
-          f"fallbacks={checks['fallbacks']}", file=out)
-
-    if args.out and args.out != "-":
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"report written to {path}", file=out)
-
-    if args.smoke:
-        min_speedup = args.min_speedup if args.min_speedup > 0 else None
-        failures = gate_step_failures(payload, min_speedup=min_speedup)
-        for failure in failures:
-            print(f"GATE FAILED: {failure}", file=out)
-        return 1 if failures else 0
-    return 0
-
-
 def _cmd_bench_comms(args, out) -> int:
     from pathlib import Path
 
@@ -1255,7 +1184,6 @@ _COMMANDS = {
     "hp-table": _cmd_hp_table,
     "simulate": _cmd_simulate,
     "bench-kernels": _cmd_bench_kernels,
-    "bench-step": _cmd_bench_step,
     "bench-comms": _cmd_bench_comms,
     "bench-profile": _cmd_bench_profile,
     "loadgen": _cmd_loadgen,
@@ -1266,6 +1194,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
+    try:
+        from .framework import config  # noqa: F401  (reads REPRO_KERNEL_MODE)
+    except ValueError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     return _COMMANDS[args.command](args, out)
 
 

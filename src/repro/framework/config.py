@@ -4,26 +4,18 @@ The paper's §2.2.4 observation — math libraries win by choosing
 mathematically-equivalent-but-faster algorithms — is made executable here.
 Every hot kernel (convolution, pooling, linear, normalization, the LSTM
 cell, attention, the SGD update, and the ``DataLoader`` batch assembly)
-consults :func:`kernel_mode` and picks one of four bit-identical
+consults :func:`kernel_mode` and picks one of two bit-identical
 implementations:
 
 - ``naive`` — the straightforward reference path: every call allocates its
-  own scratch (the original seed behaviour).  Always available as the
-  gold standard the other three modes are checked against.
-- ``reuse`` — identical math, but scratch buffers are borrowed from the
-  per-thread :class:`~repro.framework.workspace.Workspace` arena and GEMMs
-  write into reused outputs (``out=``).  Values are bit-identical to
-  ``naive``.
-- ``fused`` — ``reuse`` plus fused kernels (``conv2d_bias_relu``,
+  own scratch and every layer is the composed graph of primitives.  The
+  gold standard ``fused`` is checked against, to the bit.
+- ``fused`` — scratch buffers are borrowed from the per-thread
+  :class:`~repro.framework.workspace.Workspace` arena, GEMMs write into
+  reused outputs (``out=``), and fused kernels (``conv2d_bias_relu``,
   ``linear_bias_act``, ``normalize`` behind batch and layer norm,
-  ``lstm_cell``, ``attention``, the in-place SGD/momentum update) that
-  collapse many autograd nodes into one or a few.  Still bit-identical.
-- ``compiled`` — ``fused`` plus whole-step graph capture and compiled
-  replay (see :mod:`repro.framework.compile`): training steps driven
-  through a :class:`~repro.framework.compile.StepExecutor` fingerprint the
-  autograd tape once, then replay a pre-resolved plan with liveness-planned
-  gradient storage and automatically fused elementwise backward chains.
-  Still bit-identical; non-matching steps fall back to eager replay.
+  ``lstm_cell``, ``attention``, the in-place SGD/momentum update)
+  collapse many autograd nodes into one or a few.
 
 The mode is process-wide (read once from the environment, overridable with
 :func:`set_kernel_mode` / :func:`use_kernel_mode`), not per-tensor: the
@@ -37,14 +29,15 @@ import os
 
 __all__ = ["KERNEL_MODES", "kernel_mode", "set_kernel_mode", "use_kernel_mode"]
 
-KERNEL_MODES = ("naive", "reuse", "fused", "compiled")
+KERNEL_MODES = ("naive", "fused")
 
 _DEFAULT_MODE = "fused"
 
 
 def _validated(mode: str) -> str:
     if mode not in KERNEL_MODES:
-        raise ValueError(f"kernel mode must be one of {KERNEL_MODES}, got {mode!r}")
+        raise ValueError(
+            f"REPRO_KERNEL_MODE must be one of {KERNEL_MODES}, got {mode!r}")
     return mode
 
 
@@ -52,7 +45,7 @@ _MODE = _validated(os.environ.get("REPRO_KERNEL_MODE", _DEFAULT_MODE))
 
 
 def kernel_mode() -> str:
-    """The active kernel mode (``naive`` | ``reuse`` | ``fused`` | ``compiled``)."""
+    """The active kernel mode (``naive`` | ``fused``)."""
     return _MODE
 
 

@@ -9,7 +9,7 @@ reference (used in tests and the im2col-vs-naive ablation bench).
 Every public kernel dispatches on :func:`repro.framework.config.kernel_mode`:
 
 - ``naive`` runs the original allocate-per-call implementations below;
-- ``reuse``/``fused`` run arena-backed variants that draw all scratch
+- ``fused`` runs arena-backed variants that draw all scratch
   (padded images, patch columns, GEMM outputs, gradient scratch) from the
   per-thread :class:`~repro.framework.workspace.Workspace` and unfold
   patches directly into the patch-major layout the GEMM wants — skipping
@@ -21,7 +21,7 @@ Every public kernel dispatches on :func:`repro.framework.config.kernel_mode`:
 
 The arena variants are **bit-identical** to ``naive``: same element values,
 same accumulation order, same dtypes (enforced by tests).  The only
-behavioural difference is that a graph produced in ``reuse``/``fused`` mode
+behavioural difference is that a graph produced in ``fused`` mode
 recycles its scratch when its backward runs, so calling ``backward()``
 twice through the same conv node is unsupported outside ``naive`` mode.
 """
@@ -76,7 +76,7 @@ def col2im(
 
 
 # ---------------------------------------------------------------------------
-# Arena-backed helpers (reuse/fused modes)
+# Arena-backed helpers (fused mode)
 # ---------------------------------------------------------------------------
 
 def _uniform_float_dtype(x: Tensor, *others):
@@ -281,7 +281,11 @@ def _conv2d_reference(x: Tensor, weight: Tensor, bias: Tensor | None, stride: in
     out_flat = col_t @ w2.T  # (N*P, F)
     if bias is not None:
         out_flat = out_flat + bias.data
-    out = out_flat.reshape(n, p, f).transpose(0, 2, 1).reshape(n, f, oh, ow)
+    # A dense NCHW copy, not the NHWC-backed view: NumPy's pairwise sums
+    # follow memory order, so whatever reduces this output next (batch norm,
+    # a mean) would otherwise round differently from the arena path.
+    out = np.ascontiguousarray(
+        out_flat.reshape(n, p, f).transpose(0, 2, 1).reshape(n, f, oh, ow))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 

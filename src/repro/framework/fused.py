@@ -7,10 +7,10 @@ closures backward.  The kernels here compute the same values (bit-identical
 — enforced by tests) in one node, with scratch drawn from the workspace
 arena and element masks applied in place.
 
-Fusion only engages in the ``fused`` and ``compiled`` kernel modes (see
-:mod:`repro.framework.config`); in ``naive``/``reuse`` modes these
-functions run the equivalent composition of primitives, so call sites can
-use them unconditionally.
+Fusion only engages in the ``fused`` kernel mode (see
+:mod:`repro.framework.config`); in ``naive`` mode these functions run the
+equivalent composition of primitives, so call sites can use them
+unconditionally.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def conv2d_bias_relu(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     kernel runs only in ``fused`` mode (with uniform float dtypes).
     """
     _check_conv_args(x, weight, stride, pad)
-    if kernel_mode() in ("fused", "compiled"):
+    if kernel_mode() == "fused":
         dt = _uniform_float_dtype(x, weight, bias)
         if dt is not None:
             return _conv2d_arena(x, weight, bias, stride, pad, dt, relu=True)
@@ -71,7 +71,7 @@ def linear_bias_act(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     """
     if act not in _ACTS:
         raise ValueError(f"act must be one of {_ACTS}, got {act!r}")
-    if kernel_mode() in ("fused", "compiled"):
+    if kernel_mode() == "fused":
         dt = _uniform_float_dtype(x, weight, bias) if x.ndim >= 2 else None
         if dt is not None:
             return _linear_fused(x, weight, bias, act, dt)
@@ -144,7 +144,7 @@ def normalize(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
     result, every gradient and the observed moments are bit-identical to it.
     Operands of mixed dtype use the composition, as in the other kernels.
     """
-    if kernel_mode() in ("fused", "compiled"):
+    if kernel_mode() == "fused":
         if _uniform_float_dtype(x, gamma, beta, *(moments or ())) is not None:
             return _normalize_fused(x, axes, gamma, beta, eps, shape, moments, observe)
         _count_fallback("normalize", "mixed_dtype")
@@ -241,7 +241,7 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w_x: Tensor, w_h: Tenso
     buffer, so ``h``, ``c`` and every gradient are bit-identical to it.
     Operands of mixed dtype use the composition, as in the other kernels.
     """
-    if kernel_mode() in ("fused", "compiled"):
+    if kernel_mode() == "fused":
         if x.ndim == 2 and _uniform_float_dtype(
                 x, h_prev, c_prev, w_x, w_h, bias, mask) is not None:
             return _lstm_cell_fused(x, h_prev, c_prev, w_x, w_h, bias, mask)
@@ -379,7 +379,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None, scale: f
     ``dropout`` (which draws from its generator between two of the fused
     steps) use the composition.
     """
-    if kernel_mode() in ("fused", "compiled"):
+    if kernel_mode() == "fused":
         if dropout is not None:
             _count_fallback("attention", "dropout")
         elif _uniform_float_dtype(q, k, v, bias) is None:

@@ -38,12 +38,10 @@ from .tensor import Tensor
 from .workspace import arena
 
 __all__ = ["bench_kernels", "gate_failures", "BENCH_SCHEMA",
-           "bench_profile", "gate_profile_failures", "PROFILE_BENCH_SCHEMA",
-           "bench_step", "gate_step_failures", "STEP_BENCH_SCHEMA"]
+           "bench_profile", "gate_profile_failures", "PROFILE_BENCH_SCHEMA"]
 
 BENCH_SCHEMA = "repro.bench_kernels.v1"
 PROFILE_BENCH_SCHEMA = "repro.bench_profile.v1"
-STEP_BENCH_SCHEMA = "repro.bench_step.v1"
 
 # A "step" returns the arrays that must be bit-identical across modes.
 StepFn = Callable[[], tuple[np.ndarray, ...]]
@@ -513,237 +511,4 @@ def gate_profile_failures(payload: dict[str, Any], *,
         failures.append(
             f"sampled-mode overhead {checks['sampled_overhead']:.1%} > "
             f"{max_sampled_overhead:.0%} of the baseline step loop")
-    return failures
-
-
-# -- whole-step compiled-replay bench (``repro bench-step``) ------------------
-#
-# The kernel bench above times individual primitives; this harness times
-# *whole training steps* — forward, backward, optimizer update — because
-# that is the unit the compiled executor (REPRO_KERNEL_MODE=compiled)
-# optimises: graph-traversal dispatch, per-edge gradient allocation, and
-# elementwise-chain materialisation are cross-op costs invisible to
-# per-kernel timing.  Three step shapes cover the planner's regimes: a
-# deep recurrent tape (long schedules, many small matmuls), a fused-linear
-# MLP (closure-heavy plans), and an attention block (the reshape/transpose
-# pass-through and 4-D matmul paths, where gradient memory *layout* — not
-# just values — must match eager bit-for-bit).
-
-
-def _rnn_step_workload(rng: np.random.Generator):
-    """Unrolled tanh RNN: a deep tape of small matmuls and fused chains."""
-    H, B, T = 64, 32, 12
-    wx = Parameter(rng.standard_normal((H, H)).astype(np.float32) * 0.2)
-    wh = Parameter(rng.standard_normal((H, H)).astype(np.float32) * 0.2)
-    b = Parameter(rng.standard_normal(H).astype(np.float32) * 0.1)
-    xs = [Tensor(rng.standard_normal((B, H)).astype(np.float32))
-          for _ in range(T)]
-
-    def forward() -> Tensor:
-        h = xs[0] @ wx
-        for t in range(T):
-            h = (xs[t] @ wx + h @ wh + b).tanh()
-        return (h * h).mean()
-
-    return [wx, wh, b], forward
-
-
-def _mlp_step_workload(rng: np.random.Generator):
-    """Two fused linear layers: plans dominated by closure entries."""
-    x0 = Tensor(rng.standard_normal((256, 128)).astype(np.float32))
-    w1 = Parameter(rng.standard_normal((128, 128)).astype(np.float32) * 0.05)
-    b1 = Parameter(rng.standard_normal(128).astype(np.float32) * 0.1)
-    w2 = Parameter(rng.standard_normal((32, 128)).astype(np.float32) * 0.05)
-    b2 = Parameter(rng.standard_normal(32).astype(np.float32) * 0.1)
-
-    def forward() -> Tensor:
-        h = linear_bias_act(x0, w1, b1, act="relu")
-        y = linear_bias_act(h, w2, b2, act="none")
-        return (y * y).mean()
-
-    return [w1, b1, w2, b2], forward
-
-
-def _attention_step_workload(rng: np.random.Generator):
-    """One self-attention block: reshape/transpose pass-throughs, 4-D
-    matmuls, and a tanh chain standing in for the softmax's elementwise
-    tail (same tape structure, cheaper arithmetic)."""
-    B, T, D, heads = 16, 16, 64, 4
-    dh = D // heads
-    x0 = Tensor(rng.standard_normal((B, T, D)).astype(np.float32))
-    wq = Parameter(rng.standard_normal((D, D)).astype(np.float32) * 0.1)
-    wk = Parameter(rng.standard_normal((D, D)).astype(np.float32) * 0.1)
-    wv = Parameter(rng.standard_normal((D, D)).astype(np.float32) * 0.1)
-    wo = Parameter(rng.standard_normal((D, D)).astype(np.float32) * 0.1)
-    scale = 1.0 / float(np.sqrt(dh))
-
-    def forward() -> Tensor:
-        def split(w: Parameter) -> Tensor:
-            return (x0 @ w).reshape(B, T, heads, dh).transpose(0, 2, 1, 3)
-
-        q, k, v = split(wq), split(wk), split(wv)
-        attn = ((q @ k.transpose(0, 1, 3, 2)) * scale).tanh()
-        ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(B, T, D)
-        out = ctx @ wo
-        return (out * out).mean()
-
-    return [wq, wk, wv, wo], forward
-
-
-_STEP_WORKLOADS: dict[str, Callable[[np.random.Generator], Any]] = {
-    "rnn_tanh_unrolled": _rnn_step_workload,
-    "mlp_fused_linear": _mlp_step_workload,
-    "attention_block": _attention_step_workload,
-}
-
-
-def _step_harness(factory, mode: str, seed: int, name: str):
-    """Fresh workload + executor + optimizer under ``mode``.
-
-    Returns ``(one_step, params, executor)``; ``one_step`` runs a full
-    zero-grad / forward / backward / SGD-update training step through
-    :class:`~repro.framework.compile.StepExecutor` (an eager pass-through
-    for non-compiled modes, so both sides of every comparison share the
-    same harness overhead).
-    """
-    from .compile import StepExecutor
-
-    rng = np.random.default_rng(seed)
-    params, forward = factory(rng)
-    opt = SGD(params, lr=1e-3, momentum=0.9)
-    executor = StepExecutor(name=f"bench-step-{name}-{mode}")
-
-    def zero() -> None:
-        for p in params:
-            p.grad = None
-
-    def one_step() -> Tensor:
-        loss = executor.step(forward, pre_backward=zero)
-        opt.step()
-        return loss
-
-    return one_step, params, executor
-
-
-def _step_outputs(factory, mode: str, seed: int, steps: int,
-                  name: str) -> tuple[list, Any]:
-    """Run ``steps`` optimizer steps; collect per-step loss+grad bits and
-    the final parameters (so divergence anywhere in the horizon is caught,
-    not just at the end)."""
-    one_step, params, executor = _step_harness(factory, mode, seed, name)
-    outs: list[tuple[np.ndarray, ...]] = []
-    with use_kernel_mode(mode):
-        for _ in range(steps):
-            loss = one_step()
-            outs.append((np.asarray(loss.data).copy(),)
-                        + tuple(p.grad.copy() for p in params))
-        outs.append(tuple(p.data.copy() for p in params))
-    return outs, executor
-
-
-def bench_step(mode: str | None = None, *, smoke: bool = False,
-               repeats: int | None = None, warmup: int | None = None,
-               identity_steps: int | None = None,
-               seed: int = 0) -> dict[str, Any]:
-    """Benchmark whole training steps under ``mode`` against fused eager.
-
-    For each workload: (1) run a multi-step lockstep training horizon in
-    ``fused`` and in ``mode`` from identical initial parameters and check
-    every step's loss, every parameter gradient, and the final parameters
-    for bit-identity; (2) time the steady-state step (plan cache warm) in
-    both modes.  Returns the ``BENCH_step.json`` payload.
-    """
-    mode = mode or "compiled"
-    if repeats is None:
-        repeats = 8 if smoke else 40
-    if warmup is None:
-        warmup = 3 if smoke else 6
-    if identity_steps is None:
-        identity_steps = 4 if smoke else 6
-
-    workloads: dict[str, Any] = {}
-    for name, factory in _STEP_WORKLOADS.items():
-        reference, _ = _step_outputs(factory, "fused", seed, identity_steps,
-                                     name)
-        candidate, _ = _step_outputs(factory, mode, seed, identity_steps,
-                                     name)
-        identical = len(reference) == len(candidate) and all(
-            _bit_identical(a, b) for a, b in zip(reference, candidate))
-
-        fused_step, _, _ = _step_harness(factory, "fused", seed, name)
-        with use_kernel_mode("fused"):
-            fused_ns = _time_ns(fused_step, repeats, warmup)
-        mode_step, _, executor = _step_harness(factory, mode, seed, name)
-        with use_kernel_mode(mode):
-            mode_ns = _time_ns(mode_step, repeats, warmup)
-        stats = executor.stats()
-        # Every step after a plan's first sighting should hit the cache:
-        # forgive exactly one miss per distinct plan, nothing else.
-        replays = stats["hits"] + stats["misses"] - stats["plans"]
-        hit_rate_after_first = (stats["hits"] / replays if replays > 0
-                                else 1.0)
-        workloads[name] = {
-            "fused_ns_per_step": fused_ns,
-            "ns_per_step": mode_ns,
-            "speedup": fused_ns / mode_ns if mode_ns else float("inf"),
-            "bit_identical": identical,
-            "hit_rate_after_first": hit_rate_after_first,
-            "executor": stats,
-        }
-
-    speedups = {name: w["speedup"] for name, w in workloads.items()}
-    best = max(speedups, key=speedups.get)
-    return {
-        "schema": STEP_BENCH_SCHEMA,
-        "kernel_mode": mode,
-        "smoke": smoke,
-        "repeats": repeats,
-        "warmup": warmup,
-        "identity_steps": identity_steps,
-        "workloads": workloads,
-        "checks": {
-            "bit_identical": all(w["bit_identical"]
-                                 for w in workloads.values()),
-            "best_speedup": speedups[best],
-            "best_speedup_workload": best,
-            "hit_rate_after_first": min(w["hit_rate_after_first"]
-                                        for w in workloads.values()),
-            "fallbacks": sum(w["executor"]["fallbacks"]
-                             for w in workloads.values()),
-        },
-    }
-
-
-def gate_step_failures(payload: dict[str, Any], *,
-                       min_speedup: float | None = 1.15,
-                       min_hit_rate: float = 1.0) -> list[str]:
-    """CI gates for the step-bench smoke job.
-
-    Bit-identity, plan-cache hit rate, and fallback count are correctness/
-    mechanism gates and always enforced; the wall-clock speedup gate
-    (compiled's acceptance bound, best workload >= 1.15x over fused) can
-    be disabled with ``min_speedup=None`` on hosts where timing is
-    meaningless.
-    """
-    failures = []
-    checks = payload["checks"]
-    for name, entry in payload["workloads"].items():
-        if not entry["bit_identical"]:
-            failures.append(
-                f"{name}: {payload['kernel_mode']} training diverges from "
-                "fused eager (loss/grads/params not bit-identical)")
-    hit_rate = checks["hit_rate_after_first"]
-    if hit_rate < min_hit_rate:
-        failures.append(
-            f"plan-cache hit rate after first sighting {hit_rate:.3f} < "
-            f"{min_hit_rate:.2f} (fingerprint instability)")
-    if checks["fallbacks"]:
-        failures.append(
-            f"{checks['fallbacks']} eager fallback(s) on fixed-shape "
-            "workloads (plans should always replay)")
-    if min_speedup is not None and checks["best_speedup"] < min_speedup:
-        failures.append(
-            f"best whole-step speedup {checks['best_speedup']:.2f}x "
-            f"({checks['best_speedup_workload']}) < {min_speedup:.2f}x "
-            "over fused eager")
     return failures

@@ -31,24 +31,6 @@ _INFERENCE_MODE = False
 # telemetry session installs the profiler's tracker only while profiling.
 _ALLOC_TRACKER: Callable[[int], None] | None = None
 
-# Graph-capture tape.  When a list is installed here (by the compiled step
-# executor, see :mod:`repro.framework.compile`), every tensor wired into the
-# autodiff graph is appended in creation order and remembers its position in
-# ``_tape_idx``.  None (the default) keeps ``_make`` at one global check.
-_TAPE: "list[Tensor] | None" = None
-
-
-def _set_tape(tape: "list[Tensor] | None"):
-    """Install (or remove, with None) the graph-capture tape.
-
-    Returns the previous tape so capture extents can nest/restore.  This is
-    framework-internal plumbing for :class:`repro.framework.compile.StepExecutor`.
-    """
-    global _TAPE
-    previous = _TAPE
-    _TAPE = tape
-    return previous
-
 
 def set_alloc_tracker(tracker: Callable[[int], None] | None):
     """Install a ``tracker(nbytes)`` called per tensor construction.
@@ -200,7 +182,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name",
-                 "_grad_hooks", "_vjp", "_tape_idx")
+                 "_grad_hooks")
     __array_priority__ = 100  # make ndarray defer to Tensor in mixed ops
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
@@ -296,13 +278,6 @@ class Tensor:
         if requires and backward is not None:
             out._prev = tuple(parents)
             out._backward = lambda: backward(out)
-            if _TAPE is not None:
-                # ``_vjp`` keeps the *raw* adjoint (``_backward`` may later be
-                # wrapped by the profiler); its ``__code__`` identifies the op
-                # across steps for the compiled executor's registry.
-                out._vjp = backward
-                out._tape_idx = len(_TAPE)
-                _TAPE.append(out)
         return out
 
     def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
@@ -403,7 +378,6 @@ class Tensor:
             for node in topo:
                 if node._backward is not None:
                     node._backward = None
-                    node._vjp = None
                     node._prev = ()
 
     # ------------------------------------------------------------------

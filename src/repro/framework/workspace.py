@@ -39,7 +39,7 @@ Design:
   it when the ambient registry has changed), not once per borrow;
   :func:`record_arena_gauges` snapshots hit rate and pool size as gauges.
 
-The arena is engaged by the ``reuse`` and ``fused`` kernel modes (see
+The arena is engaged by the ``fused`` kernel mode (see
 :mod:`repro.framework.config`); ``naive`` mode never touches it.
 """
 

@@ -66,11 +66,9 @@ class TrainingSession(ABC):
     def step_executor(self):
         """The session's step driver (lazily created, one per session).
 
-        Under ``REPRO_KERNEL_MODE=compiled`` the executor captures the
-        training step's autograd tape and replays a compiled plan on
-        fingerprint-identical steps; under every other kernel mode
-        :meth:`~repro.framework.compile.StepExecutor.step` is exactly the
-        eager ``forward(); pre_backward(); loss.backward()`` sequence.
+        :meth:`~repro.framework.compile.StepExecutor.step` is the eager
+        ``forward(); pre_backward(); loss.backward()`` sequence under both
+        kernel modes, as one call that telemetry can count and time.
         """
         executor = getattr(self, "_step_executor", None)
         if executor is None:

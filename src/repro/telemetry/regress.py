@@ -81,16 +81,6 @@ SCHEMA_METRICS: dict[str, tuple[MetricSpec, ...]] = {
         MetricSpec("checks.bit_identical", "exact"),
         MetricSpec("checks.best_speedup_by_workers.2", "higher", rel_tol=0.5),
     ),
-    # Compiled step executor: bit-identity, zero fallbacks on fixed-shape
-    # workloads, and a perfect plan-cache hit rate after first sighting are
-    # mechanism invariants (exact); the whole-step speedup gets the
-    # standard wide timing band on top of the committed baseline.
-    "repro.bench_step.v1": (
-        MetricSpec("checks.bit_identical", "exact"),
-        MetricSpec("checks.fallbacks", "exact"),
-        MetricSpec("checks.hit_rate_after_first", "exact"),
-        MetricSpec("checks.best_speedup", "higher", rel_tol=0.5),
-    ),
     # Profiler overhead: the sampled-mode ratio is the acceptance gate
     # (documented < 5%; the band absorbs CI-host timing noise on top of
     # the committed baseline's own ratio).

@@ -1,7 +1,7 @@
-"""Bit-identity of the ``reuse``/``fused`` kernel modes vs the naive path.
+"""Bit-identity of the ``fused`` kernel mode vs the naive path.
 
 The kernel modes are the framework's executable version of §2.2.4: the
-arena/fused implementations must be *mathematically identical* to the
+arena and fused implementations must be *mathematically identical* to the
 reference, not merely close — so every assertion here is ``array_equal``
 (bitwise), never ``allclose``.  Shapes are chosen to be awkward on
 purpose: stride 2, asymmetric SAME padding, batches that don't divide the
@@ -18,6 +18,7 @@ from repro.framework import (
     BatchNorm1d,
     BatchNorm2d,
     DataLoader,
+    KERNEL_MODES,
     LSTM,
     LSTMCell,
     LayerNorm,
@@ -39,13 +40,12 @@ from repro.framework import (
     use_kernel_mode,
 )
 from repro.framework import conv as conv_module
-from repro.framework.compile import StepExecutor
 from repro.framework.fused import attention
 from repro.framework.workspace import arena
 
 RNG = np.random.default_rng(0)
 
-MODES = ("reuse", "fused", "compiled")
+MODES = ("fused",)
 
 
 def _conv_case(n=5, c=3, f=4, h=9, w=7, k=3, dtype=np.float32):
@@ -194,7 +194,7 @@ class TestBlockedUnfoldFold:
         assert conv_module._block(64, 16 * 16 * 16 * 9 * 4) == 3
         assert conv_module._block(2, 10 * conv_module._BLOCK_BYTES) == 1
 
-    @pytest.mark.parametrize("mode", ("reuse", "fused"))
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("fn", (conv2d, conv2d_bias_relu), ids=lambda f: f.__name__)
     @pytest.mark.parametrize("case", sorted(_BLOCKED_CASES))
     def test_matches_naive(self, small_blocks, mode, fn, case):
@@ -245,13 +245,11 @@ class TestBlockedUnfoldFold:
         got = _run_conv_seeded("fused", conv2d, x.copy(), wt, b, stride=1, pad=2)
         _assert_identical(ref, got, "blocked conv2d[dirty pad buffer]")
 
-    @pytest.mark.parametrize("ref_mode", ("reuse", "fused"))
-    def test_compiled_horizon(self, small_blocks, ref_mode):
-        # Three optimizer steps of conv -> conv+relu -> mean under the step
-        # executor: capture, then two replays, all through blocked passes.
-        # The reference runs single-block (the default constant) in an arena
-        # mode: naive's conv output is an NHWC-backed view, which moves the
-        # last bit of the mean that follows it whatever the conv does.
+    def test_training_horizon(self, small_blocks):
+        # Three optimizer steps of conv -> conv+relu -> mean, all through
+        # blocked passes, against the reference running single-block (the
+        # default constant).  The mean reads the conv output's memory
+        # order, so this also pins the reference's dense NCHW output.
         x, wt, b = _conv_case()
         wt2 = (RNG.normal(size=(2, 4, 3, 3)) * 0.2).astype(np.float32)
         b2 = RNG.normal(size=2).astype(np.float32)
@@ -261,26 +259,21 @@ class TestBlockedUnfoldFold:
             with use_kernel_mode(mode):
                 params = [Parameter(a.copy()) for a in (wt, b, wt2, b2)]
                 opt = SGD(params, lr=0.05, momentum=0.9)
-                executor = StepExecutor()
                 trace = []
-
-                def zero():
+                for batch in batches:
+                    h = conv2d(Tensor(batch), params[0], params[1], stride=1, pad=1)
+                    y = conv2d_bias_relu(h, params[2], params[3], stride=2, pad=1)
+                    loss = (y * y).mean()
                     for p in params:
                         p.grad = None
-
-                for batch in batches:
-                    def loss_fn(batch=batch):
-                        h = conv2d(Tensor(batch), params[0], params[1], stride=1, pad=1)
-                        y = conv2d_bias_relu(h, params[2], params[3], stride=2, pad=1)
-                        return (y * y).mean()
-                    loss = executor.step(loss_fn, pre_backward=zero)
+                    loss.backward(release_tape=True)
                     trace.append((loss.data.copy(), [p.grad.copy() for p in params]))
                     opt.step()
                 return trace, [p.data.copy() for p in params]
 
-        ref_trace, ref_final = train(ref_mode)
+        ref_trace, ref_final = train("naive")
         small_blocks(x, wt, 1, 1)
-        got_trace, got_final = train("compiled")
+        got_trace, got_final = train("fused")
         for (rl, rg), (gl, gg) in zip(ref_trace, got_trace):
             assert np.array_equal(rl, gl)
             assert all(np.array_equal(a, c) for a, c in zip(rg, gg))
@@ -363,7 +356,7 @@ class TestLinearBitIdentity:
 
 
 def _nhwc_backed(x):
-    """Same values, NHWC memory: the layout ``naive`` conv2d hands batch norm."""
+    """Same values, NHWC memory: what a channels-last producer hands batch norm."""
     return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
@@ -435,9 +428,8 @@ def _assert_norm_identical(ref, got, context):
 class TestNormalizeBitIdentity:
     """The single-node ``normalize`` kernel vs the composed graph.
 
-    ``fused``/``compiled`` run the kernel, ``naive``/``reuse`` the
-    composition; output, all three gradients and the running statistics
-    must agree to the bit.
+    ``fused`` runs the kernel, ``naive`` the composition; output, all three
+    gradients and the running statistics must agree to the bit.
     """
 
     @pytest.mark.parametrize("mode", MODES)
@@ -515,15 +507,11 @@ class TestNormalizeBitIdentity:
             out = layer(leaf)
         assert out._prev == (leaf, layer.gamma, layer.beta)
 
-    @pytest.mark.parametrize("ref_mode", ["reuse", "fused"])
-    def test_compiled_step_executor_horizon(self, ref_mode):
-        """conv → BN → relu → pool → LN → linear, trained for several steps
-        through the step executor: replayed plans with the kernel inside
-        match eager execution of the composed graph (``reuse``; ``naive``
-        conv2d returns an NHWC-backed view, which moves the batch
-        statistics' last bits whatever the normalization code)."""
+    def test_training_horizon(self):
+        """conv → BN → relu → pool → LN → linear, trained for several steps:
+        the kernels match the composed graph, batch statistics taken over a
+        convolution's output included."""
         from repro.framework import Conv2d, Linear
-        from repro.framework.compile import StepExecutor
 
         def train(mode):
             with use_kernel_mode(mode):
@@ -533,30 +521,23 @@ class TestNormalizeBitIdentity:
                 params = [*conv.parameters(), *bn.parameters(), *ln.parameters(),
                           *fc.parameters()]
                 opt = SGD(params, lr=0.05, momentum=0.9)
-                executor = StepExecutor()
                 data = np.random.default_rng(6)
                 trace = []
                 for _ in range(5):
                     batch = data.normal(size=(6, 3, 5, 5)).astype(np.float32)
-
-                    def loss_fn():
-                        h = bn(conv(Tensor(batch))).relu()
-                        y = fc(ln(h.mean(axis=(2, 3))))
-                        return (y * y).mean()
-
-                    def zero():
-                        for p in params:
-                            p.grad = None
-
-                    loss = executor.step(loss_fn, pre_backward=zero)
+                    h = bn(conv(Tensor(batch))).relu()
+                    y = fc(ln(h.mean(axis=(2, 3))))
+                    loss = (y * y).mean()
+                    for p in params:
+                        p.grad = None
+                    loss.backward(release_tape=True)
                     trace.append([loss.data.copy(), *(p.grad.copy() for p in params)])
                     opt.step()
                 trace.append([p.data.copy() for p in params]
                              + [bn.running_mean, bn.running_var])
             return trace
 
-        ref, got = train(ref_mode), train("compiled")
-        for step, (r, g) in enumerate(zip(ref, got)):
+        for step, (r, g) in enumerate(zip(train("naive"), train("fused"))):
             for i, (a, c) in enumerate(zip(r, g)):
                 assert np.array_equal(a, c), f"step {step} item {i} diverged"
 
@@ -660,8 +641,8 @@ def _run_encoder_decoder(mode, dtype=np.float32):
 class TestLstmCellBitIdentity:
     """The ``lstm_cell`` kernel vs the composed graph it replaces.
 
-    ``fused``/``compiled`` run the kernel, ``naive``/``reuse`` the
-    composition; both results and all six gradients must agree to the bit.
+    ``fused`` runs the kernel, ``naive`` the composition; both results and
+    all six gradients must agree to the bit.
     """
 
     @pytest.mark.parametrize("mode", MODES)
@@ -726,39 +707,29 @@ class TestLstmCellBitIdentity:
         for k, (a, c) in enumerate(zip(ref, got)):
             assert np.array_equal(a, c), f"item {k} diverged"
 
-    @pytest.mark.parametrize("ref_mode", ["naive", "fused"])
-    def test_compiled_step_executor_horizon(self, ref_mode):
-        """A padded 2-layer stack trained for several steps through the step
-        executor: replayed plans, with the kernel's nodes on their closure
-        entries, match eager execution of the composed graph."""
+    def test_training_horizon(self):
+        """A padded 2-layer stack trained for several steps: the kernel's
+        nodes match the composed graph under an optimizer."""
         from repro.framework import Adam
-        from repro.framework.compile import StepExecutor
 
         def train(mode):
             with use_kernel_mode(mode):
                 lstm = LSTM(7, 6, 2, np.random.default_rng(5), residual=True)
                 params = lstm.parameters()
                 opt = Adam(params, lr=0.01)
-                executor = StepExecutor()
                 seq, mask, g = _sequence_case()
                 trace = []
                 for step in range(5):
-                    batch = Tensor(seq * (1.0 + 0.1 * step))
-
-                    def loss_fn():
-                        out, states = lstm(batch, mask=mask)
-                        return (out * Tensor(g)).mean() + (states[1][1] * states[0][0]).mean()
-
-                    loss = executor.step(loss_fn, pre_backward=lstm.zero_grad)
+                    out, states = lstm(Tensor(seq * (1.0 + 0.1 * step)), mask=mask)
+                    loss = (out * Tensor(g)).mean() + (states[1][1] * states[0][0]).mean()
+                    lstm.zero_grad()
+                    loss.backward(release_tape=True)
                     trace.append([loss.data.copy(), *(p.grad.copy() for p in params)])
                     opt.step()
                 trace.append([p.data.copy() for p in params])
-                if mode == "compiled":
-                    assert executor.stats()["hits"] == 4
             return trace
 
-        ref, got = train(ref_mode), train("compiled")
-        for step, (r, g) in enumerate(zip(ref, got)):
+        for step, (r, g) in enumerate(zip(train("naive"), train("fused"))):
             for i, (a, c) in enumerate(zip(r, g)):
                 assert np.array_equal(a, c), f"step {step} item {i} diverged"
 
@@ -865,8 +836,8 @@ _ATTENTION_MASKS = [None, "bool-keys", "bool-queries", "add-keys", "add-queries"
 class TestAttentionBitIdentity:
     """The ``attention`` kernel vs the composed graph it replaces.
 
-    ``fused``/``compiled`` run the kernel, ``naive``/``reuse`` the
-    composition; the output and every gradient must agree to the bit.
+    ``fused`` runs the kernel, ``naive`` the composition; the output and
+    every gradient must agree to the bit.
     """
 
     @pytest.mark.parametrize("mode", MODES)
@@ -975,7 +946,7 @@ class TestAttentionBitIdentity:
         from repro.telemetry import Telemetry
 
         ref = _run_attention("naive", mask="add-queries", dropout=0.25)
-        for mode, expected in (("fused", 1.0), ("compiled", 1.0), ("reuse", None)):
+        for mode, expected in (("fused", 1.0), ("naive", None)):
             telemetry = Telemetry()
             with telemetry.activate():
                 got = _run_attention(mode, mask="add-queries", dropout=0.25)
@@ -1043,11 +1014,9 @@ class TestAttentionBitIdentity:
         for mode in MODES:
             _assert_all_identical(ref, step(mode), mode)
 
-    @pytest.mark.parametrize("ref_mode", ["naive", "fused"])
-    def test_compiled_step_executor_horizon(self, ref_mode):
-        """Self- and cross-attention trained for several steps through the
-        step executor: replayed plans run the kernel's node through its
-        closure and match eager execution of the composed graph."""
+    def test_training_horizon(self):
+        """Self- and cross-attention trained for several steps: the kernel's
+        node matches the composed graph under an optimizer."""
         from repro.framework import Adam
 
         def train(mode):
@@ -1056,7 +1025,6 @@ class TestAttentionBitIdentity:
                 self_attn, cross_attn = MultiHeadAttention(16, 4, rng), MultiHeadAttention(16, 4, rng)
                 params = self_attn.parameters() + cross_attn.parameters()
                 opt = Adam(params, lr=0.01)
-                executor = StepExecutor()
                 x0 = rng.normal(size=(3, 5, 16)).astype(np.float32)
                 m0 = rng.normal(size=(3, 7, 16)).astype(np.float32)
                 causal = _attention_mask("add-queries", 3, 5, 5, np.float32)
@@ -1064,25 +1032,18 @@ class TestAttentionBitIdentity:
                 trace = []
                 for step in range(5):
                     x, memory = Tensor(x0 * (1.0 + 0.1 * step)), Tensor(m0)
-
-                    def loss_fn():
-                        h = x + self_attn(x, x, x, mask=causal)
-                        h = h + cross_attn(h, memory, memory, mask=keys)
-                        return (h * h).mean()
-
-                    def zero_grad():
-                        for p in params:
-                            p.zero_grad()
-
-                    loss = executor.step(loss_fn, pre_backward=zero_grad)
+                    h = x + self_attn(x, x, x, mask=causal)
+                    h = h + cross_attn(h, memory, memory, mask=keys)
+                    loss = (h * h).mean()
+                    for p in params:
+                        p.zero_grad()
+                    loss.backward(release_tape=True)
                     trace.append([loss.data.copy(), *(p.grad.copy() for p in params)])
                     opt.step()
                 trace.append([p.data.copy() for p in params])
-                if mode == "compiled":
-                    assert executor.stats()["hits"] == 4
             return trace
 
-        for step, (r, g) in enumerate(zip(train(ref_mode), train("compiled"))):
+        for step, (r, g) in enumerate(zip(train("naive"), train("fused"))):
             _assert_all_identical(r, g, f"step {step}")
 
 
@@ -1167,23 +1128,6 @@ class TestGetitemAdjoint:
         assert not _is_basic_index(index)
         self._check(index)
 
-    def test_adjoint_through_compiled_replay(self):
-        from repro.framework.compile import StepExecutor
-
-        w = Parameter(np.arange(24, dtype=np.float32).reshape(4, 6))
-        results = {}
-        for mode in ("naive", "compiled"):
-            with use_kernel_mode(mode):
-                executor = StepExecutor()
-                grads = []
-                for _ in range(3):
-                    w.grad = None
-                    executor.step(lambda: ((w * 1.0)[1:3, ::-2] * (w * 2.0)[[0, 0, 3]][:, :3].sum(axis=0)).sum())
-                    grads.append(w.grad.copy())
-                results[mode] = grads
-        for a, c in zip(results["naive"], results["compiled"]):
-            assert np.array_equal(a, c)
-
 
 def _mixed_dtype_calls():
     f32 = lambda *shape: Tensor(np.ones(shape, dtype=np.float32))
@@ -1204,7 +1148,7 @@ class TestKernelFallbacksAreCounted:
 
         call = _mixed_dtype_calls()[op]
         name = f"kernel_fallbacks.{op}.mixed_dtype"
-        for mode, expected in (("fused", 1.0), ("compiled", 1.0), ("naive", None), ("reuse", None)):
+        for mode, expected in (("fused", 1.0), ("naive", None)):
             telemetry = Telemetry()
             with use_kernel_mode(mode), telemetry.activate():
                 out = call()
@@ -1288,7 +1232,7 @@ class TestDataLoaderModes:
 
 class TestConfig:
     def test_default_mode_is_valid(self):
-        assert kernel_mode() in ("naive", "reuse", "fused", "compiled")
+        assert kernel_mode() in KERNEL_MODES
 
     def test_set_and_restore(self):
         original = kernel_mode()

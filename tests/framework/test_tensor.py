@@ -357,3 +357,60 @@ class TestGradHooks:
         x.register_grad_hook(lambda t: order.append("b"))
         x.sum().backward()
         assert order == ["a", "b"]
+
+
+def _two_layer_loss(params, batch):
+    w1, b1, w2, b2 = params
+    h = (Tensor(batch) @ w1.T + b1).relu()
+    y = h @ w2.T + b2
+    return h, (y * y).mean()
+
+
+def _two_layer_params():
+    rng = np.random.default_rng(0)
+    return [Tensor(rng.normal(size=shape).astype(np.float32) * 0.2, requires_grad=True)
+            for shape in ((16, 12), (16,), (4, 16), (4,))]
+
+
+class TestHooksAndRelease:
+    """``backward(release_tape=True)``: what every training step runs."""
+
+    def test_grad_hooks_fire_with_final_grads(self):
+        # The comms engine overlaps reduction with backward via grad hooks:
+        # once per leaf per step, in the same leaf order every step, with
+        # the finished gradient bits.
+        params = _two_layer_params()
+        order, seen = [], []
+        for i, p in enumerate(params):
+            def hook(node, i=i):
+                order.append(i)
+                seen.append(node.grad.copy())
+            p.register_grad_hook(hook)
+        rng = np.random.default_rng(3)
+        for step in range(3):
+            for p in params:
+                p.grad = None
+            _, loss = _two_layer_loss(params, rng.normal(size=(8, 12)).astype(np.float32))
+            loss.backward(release_tape=True)
+            fired = order[4 * step:]
+            assert sorted(fired) == [0, 1, 2, 3]
+            for i, g in zip(fired, seen[4 * step:]):
+                assert np.array_equal(g, params[i].grad)
+        assert order[:4] == order[4:8] == order[8:]
+
+    @pytest.mark.parametrize("release", [True, False])
+    def test_release_tape(self, release):
+        batch = np.random.default_rng(3).normal(size=(8, 12)).astype(np.float32)
+        kept_params, params = _two_layer_params(), _two_layer_params()
+        _two_layer_loss(kept_params, batch)[1].backward()
+        hidden, loss = _two_layer_loss(params, batch)
+        loss.backward(release_tape=release)
+        # Leaf gradients are the same bits either way.
+        for p, q in zip(kept_params, params):
+            assert np.array_equal(p.grad, q.grad)
+        if release:
+            # Interior nodes drop closure and parents, so activations free now.
+            for node in (loss, hidden):
+                assert node._backward is None and node._prev == ()
+        else:
+            assert loss._prev != () and hidden._backward is not None

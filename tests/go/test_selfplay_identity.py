@@ -3,16 +3,13 @@
 Self-play is the only place the suite feeds a network's output back into
 its own training data, so a single flipped low bit (a reordered sum in a
 normalisation kernel, a different child order in the search tree) changes
-every later game.  The digests below were recorded on the commit *before*
+every later game.  The digest below was recorded on the commit *before*
 the flat-cell board, the lazy search tree and the single-node ``normalize``
-kernel were written; they cover the examples' planes/policy/value bytes,
+kernel were written; it covers the examples' planes/policy/value bytes,
 the generator's final state and the network's BatchNorm running statistics
 (mutated on every evaluation, because self-play runs before the first
-``eval()`` call and so in training mode).
-
-``naive`` has its own digest: its convolution returns an NHWC-backed view,
-and NumPy's pairwise sums follow memory order, so BatchNorm statistics after
-a convolution differ from the other modes in the last bits.
+``eval()`` call and so in training mode).  Both kernel modes produce it:
+the reference is the reference only if it is bit-identical to ``fused``.
 """
 
 import functools
@@ -22,20 +19,16 @@ import json
 import numpy as np
 import pytest
 
-from repro.framework import no_grad, use_kernel_mode
+from repro.framework import KERNEL_MODES, no_grad, use_kernel_mode
 from repro.go import MCTSConfig, selfplay_batch
 from repro.models import MiniGoNet
 
 SEED = 20240913
 
-GOLDEN = {
-    "naive": "770a44a621307fa2cbc838eaae6ff347dd294dade75cfa8d3e7cbf956b767f4c",
-    "fused": "9ec622bd5657463498787359fd0dbf5e41af705904c2cb0c2901164eb587452a",
-    "compiled": "9ec622bd5657463498787359fd0dbf5e41af705904c2cb0c2901164eb587452a",
-}
+GOLDEN = "9ec622bd5657463498787359fd0dbf5e41af705904c2cb0c2901164eb587452a"
 
-# A reference-mode forward of the same network on fixed input.  The digests
-# are only meaningful where BLAS rounds as it did on the recording host
+# A reference-mode forward of the same network on fixed input.  The digest
+# is only meaningful where BLAS rounds as it did on the recording host
 # (OpenBLAS picks its GEMM kernel by CPU), so a host that fails this probe
 # skips instead of reporting a difference the code did not cause.
 HOST_PROBE = "28f1104c0e7cdbe5153e26e201fcb009e8fefa28d88c5aa83b2352f28cd021b0"
@@ -69,10 +62,10 @@ def _selfplay_digest(mode: str) -> tuple[int, str]:
     return len(examples), digest.hexdigest()
 
 
-@pytest.mark.parametrize("mode", sorted(GOLDEN))
+@pytest.mark.parametrize("mode", KERNEL_MODES)
 def test_selfplay_batch_matches_golden_digest(mode):
     if _host_probe() != HOST_PROBE:
-        pytest.skip("BLAS rounds differently here than on the host that recorded the digests")
+        pytest.skip("BLAS rounds differently here than on the host that recorded the digest")
     count, digest = _selfplay_digest(mode)
     assert count == 107
-    assert digest == GOLDEN[mode]
+    assert digest == GOLDEN

@@ -30,17 +30,20 @@ _EVAL_ENTRY_POINTS = ("greedy_decode", "detect", "score")
 
 
 class _Stop(Exception):
-    """Raised by the wrappers below once the first step / batch has run."""
+    """Raised by the wrappers below once the wanted steps / batches have run."""
 
 
-def _stop_after_first_call(owner, attr):
+def _stop_after_calls(owner, attr, calls=1):
     real = getattr(owner, attr)
 
-    def once(*args, **kwargs):
+    def counted(*args, **kwargs):
+        nonlocal calls
         real(*args, **kwargs)
-        raise _Stop
+        calls -= 1
+        if not calls:
+            raise _Stop
 
-    setattr(owner, attr, once)
+    setattr(owner, attr, counted)
 
 
 @pytest.fixture
@@ -72,10 +75,10 @@ def test_step_and_eval_batch_stay_in_parameter_dtype(name, built_dtypes):
     assert widest == 4, "the suite's models are float32"
     built_dtypes.clear()  # what building the model constructed is not the graph
 
-    _stop_after_first_call(session.step_executor(), "step")
+    _stop_after_calls(session.step_executor(), "step")
     entry = next((a for a in _EVAL_ENTRY_POINTS if hasattr(model, a)), None)
     if entry is not None:
-        _stop_after_first_call(model, entry)
+        _stop_after_calls(model, entry)
     else:
         def stop(*_):
             raise _Stop

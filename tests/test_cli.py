@@ -614,3 +614,26 @@ class TestLoadgenCommand:
         code, text = run_cli("analyze", str(save))
         assert code == 0
         assert "serve:offline" in text or "query" in text
+
+
+class TestKernelModeEnvironment:
+    @pytest.mark.parametrize("value", ["compiled", "reuse", "turbo"])
+    def test_unknown_mode_is_one_line_and_exit_2(self, value):
+        # The variable is read when repro.framework is first imported, so
+        # only a fresh interpreter sees it.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "REPRO_KERNEL_MODE": value,
+               "PYTHONPATH": os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-m", "repro", "table1"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == ("repro: error: REPRO_KERNEL_MODE must be one of "
+                               f"('naive', 'fused'), got {value!r}\n")
