@@ -3,9 +3,12 @@
 §3.2.1 makes time-to-train the headline metric, and §2.2.4 credits much of
 the gap between implementations to math libraries choosing equivalent-but-
 faster algorithms.  This bench measures that effect inside the framework
-itself: each kernel is timed under the ``naive`` reference mode and under
-``fused`` (arena-recycled scratch, ``out=`` GEMMs, fused conv/linear/relu
-nodes), and asserts the two agree bit-for-bit — same math, different speed.
+itself: each kernel that reads the kernel mode (conv at two sizes, the
+fused linear, the LSTM cell, attention) is timed under the ``naive``
+reference mode and under ``fused`` (arena-recycled scratch, ``out=`` GEMMs,
+single-node kernels), and the bench asserts the two agree bit-for-bit —
+same math, different speed.  Code with one path in every mode (pooling,
+the optimizers, the ``DataLoader``) has no row.
 
 The payload also lands in ``benchmarks/reports/BENCH_kernels.json`` (the
 same file ``repro bench-kernels`` writes), recording the per-kernel ns/op,

@@ -2,10 +2,9 @@
 
 The paper's §2.2.4 observation — math libraries win by choosing
 mathematically-equivalent-but-faster algorithms — is made executable here.
-Every hot kernel (convolution, pooling, linear, normalization, the LSTM
-cell, attention, the SGD update, and the ``DataLoader`` batch assembly)
-consults :func:`kernel_mode` and picks one of two bit-identical
-implementations:
+Convolution and the kernels of :mod:`repro.framework.fused` (linear,
+normalization, the LSTM cell, attention) consult :func:`kernel_mode` and
+pick one of two bit-identical implementations; nothing else reads it:
 
 - ``naive`` — the straightforward reference path: every call allocates its
   own scratch and every layer is the composed graph of primitives.  The
@@ -14,8 +13,7 @@ implementations:
   :class:`~repro.framework.workspace.Workspace` arena, GEMMs write into
   reused outputs (``out=``), and fused kernels (``conv2d_bias_relu``,
   ``linear_bias_act``, ``normalize`` behind batch and layer norm,
-  ``lstm_cell``, ``attention``, the in-place SGD/momentum update)
-  collapse many autograd nodes into one or a few.
+  ``lstm_cell``, ``attention``) collapse many autograd nodes into one or a few.
 
 The mode is process-wide (read once from the environment, overridable with
 :func:`set_kernel_mode` / :func:`use_kernel_mode`), not per-tensor: the

@@ -6,12 +6,12 @@ libraries offer many mathematically-equivalent convolution algorithms.  A
 deliberately naive direct convolution is also provided as the gold-standard
 reference (used in tests and the im2col-vs-naive ablation bench).
 
-Every public kernel dispatches on :func:`repro.framework.config.kernel_mode`:
+:func:`conv2d` dispatches on :func:`repro.framework.config.kernel_mode`:
 
-- ``naive`` runs the original allocate-per-call implementations below;
-- ``fused`` runs arena-backed variants that draw all scratch
+- ``naive`` runs the original allocate-per-call implementation below;
+- ``fused`` runs an arena-backed variant that draws all scratch
   (padded images, patch columns, GEMM outputs, gradient scratch) from the
-  per-thread :class:`~repro.framework.workspace.Workspace` and unfold
+  per-thread :class:`~repro.framework.workspace.Workspace` and unfolds
   patches directly into the patch-major layout the GEMM wants — skipping
   the big ``ascontiguousarray`` transpose copies of the naive path.  The
   ``kh*kw`` strided im2col/col2im passes run over blocks of samples whose
@@ -19,11 +19,14 @@ Every public kernel dispatches on :func:`repro.framework.config.kernel_mode`:
   stay whole-batch.  Only data movement is blocked, never arithmetic:
   each padded pixel still receives its terms in ``(i, j)`` order.
 
-The arena variants are **bit-identical** to ``naive``: same element values,
+The arena variant is **bit-identical** to ``naive``: same element values,
 same accumulation order, same dtypes (enforced by tests).  The only
 behavioural difference is that a graph produced in ``fused`` mode
 recycles its scratch when its backward runs, so calling ``backward()``
 twice through the same conv node is unsupported outside ``naive`` mode.
+
+Pooling has one implementation in every mode (DESIGN.md, *Measured and
+removed*).
 """
 
 from __future__ import annotations
@@ -380,39 +383,24 @@ def conv2d_same(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: i
     return conv2d(padded, weight, bias, stride=stride, pad=0)
 
 
-def _pool_unfold(ws, x: Tensor, kernel: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """Arena-backed channel-major unfold for pooling: ``(N*C, k*k, OH*OW)``."""
-    n, c, h, w = x.shape
-    x4 = x.data.reshape(n * c, h, w)
-    col = ws.take((n * c, kernel * kernel, oh * ow), x.dtype)
-    col4 = col.reshape(n * c, kernel, kernel, oh, ow)
-    for i in range(kernel):
-        for j in range(kernel):
-            col4[:, i, j] = x4[:, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return col
-
-
-def _pool_fold(ws, dcol: np.ndarray, n: int, c: int, h: int, w: int,
-               kernel: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """Arena-backed adjoint of :func:`_pool_unfold` (caller releases result)."""
-    img = ws.take((n * c, h, w), dcol.dtype)
-    img[...] = 0
-    d5 = dcol.reshape(n * c, kernel, kernel, oh, ow)
-    for i in range(kernel):
-        for j in range(kernel):
-            img[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += d5[:, i, j]
-    return img
+def _check_pool_args(kernel: int, stride: int | None) -> int:
+    """The effective stride (``None`` means ``kernel``); rejects windows < 1."""
+    if kernel < 1:
+        raise ValueError(f"kernel must be >= 1, got {kernel}")
+    if stride is None:
+        return kernel
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    return stride
 
 
 @profiled_op("max_pool2d")
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """Max pooling with square windows."""
-    stride = stride or kernel
+    stride = _check_pool_args(kernel, stride)
     n, c, h, w = x.shape
     oh = (h - kernel) // stride + 1
     ow = (w - kernel) // stride + 1
-    if kernel_mode() != "naive" and x.dtype.kind == "f":
-        return _max_pool2d_arena(x, kernel, stride, oh, ow)
     col = im2col(x.data.reshape(n * c, 1, h, w), kernel, kernel, stride, 0)
     col = col.reshape(n * c, kernel * kernel, oh * ow)
     arg = col.argmax(axis=1)  # (N*C, OH*OW)
@@ -430,45 +418,13 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     return Tensor._make(out, (x,), backward)
 
 
-def _max_pool2d_arena(x: Tensor, kernel: int, stride: int, oh: int, ow: int) -> Tensor:
-    ws = arena()
-    n, c, h, w = x.shape
-    p = oh * ow
-    kk = kernel * kernel
-    col = _pool_unfold(ws, x, kernel, stride, oh, ow)
-    arg = ws.take((n * c, p), np.intp)
-    np.argmax(col, axis=1, out=arg)
-    out = np.take_along_axis(col, arg.reshape(n * c, 1, p), axis=1).reshape(n, c, oh, ow)
-    ws.release(col)  # backward only needs the argmax indices, not the values
-
-    if not (is_grad_enabled() and x.requires_grad):
-        ws.release(arg)
-        return Tensor(out)
-
-    def backward(result: Tensor) -> None:
-        if x.requires_grad:
-            g = result.grad.reshape(n * c, 1, p)
-            dcol = ws.take((n * c, kk, p), x.dtype)
-            dcol[...] = 0
-            np.put_along_axis(dcol, arg.reshape(n * c, 1, p), g, axis=1)
-            img = _pool_fold(ws, dcol, n, c, h, w, kernel, stride, oh, ow)
-            x._accumulate(img.reshape(n, c, h, w))
-            ws.release(dcol)
-            ws.release(img)
-        ws.release(arg)
-
-    return Tensor._make(out, (x,), backward)
-
-
 @profiled_op("avg_pool2d")
 def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """Average pooling with square windows."""
-    stride = stride or kernel
+    stride = _check_pool_args(kernel, stride)
     n, c, h, w = x.shape
     oh = (h - kernel) // stride + 1
     ow = (w - kernel) // stride + 1
-    if kernel_mode() != "naive" and x.dtype.kind == "f":
-        return _avg_pool2d_arena(x, kernel, stride, oh, ow)
     col = im2col(x.data.reshape(n * c, 1, h, w), kernel, kernel, stride, 0)
     col = col.reshape(n * c, kernel * kernel, oh * ow)
     out = col.mean(axis=1).reshape(n, c, oh, ow)
@@ -481,33 +437,6 @@ def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
         dcol = np.broadcast_to(g * scale, col.shape).astype(col.dtype)
         dx = col2im(dcol, (n * c, 1, h, w), kernel, kernel, stride, 0)
         x._accumulate(dx.reshape(n, c, h, w))
-
-    return Tensor._make(out, (x,), backward)
-
-
-def _avg_pool2d_arena(x: Tensor, kernel: int, stride: int, oh: int, ow: int) -> Tensor:
-    ws = arena()
-    n, c, h, w = x.shape
-    p = oh * ow
-    kk = kernel * kernel
-    col = _pool_unfold(ws, x, kernel, stride, oh, ow)
-    out = col.mean(axis=1).reshape(n, c, oh, ow)
-    ws.release(col)  # the average's adjoint needs only shapes
-    scale = 1.0 / kk
-
-    if not (is_grad_enabled() and x.requires_grad):
-        return Tensor(out)
-
-    def backward(result: Tensor) -> None:
-        if not x.requires_grad:
-            return
-        g = result.grad.reshape(n * c, 1, p)
-        dcol = ws.take((n * c, kk, p), x.dtype)
-        dcol[...] = g * scale
-        img = _pool_fold(ws, dcol, n, c, h, w, kernel, stride, oh, ow)
-        x._accumulate(img.reshape(n, c, h, w))
-        ws.release(dcol)
-        ws.release(img)
 
     return Tensor._make(out, (x,), backward)
 

@@ -12,8 +12,7 @@ data order (one of the paper's named sources of run-to-run variance,
 
 from __future__ import annotations
 
-import queue as queue_mod
-import threading
+import numbers
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -60,37 +59,14 @@ class DataLoader:
     Each epoch reshuffles with a generator derived from ``(seed, epoch)``,
     so traversal order is reproducible per-run yet differs across epochs.
     ``augment(batch_arrays, rng) -> batch_arrays`` runs inside iteration —
-    i.e. inside the timed region, as §3.2.1 requires.
+    i.e. inside the timed region, as §3.2.1 requires.  Every batch is a
+    fresh ``dataset[idx]`` gather, whatever the kernel mode.
 
     **Epoch semantics.** ``self.epoch`` advances only after a *complete*
     pass; abandoning an iterator early (``break``, ``next()`` probing) does
     not burn an epoch seed, so the next full traversal replays the same
     order.  Use :meth:`set_epoch` to position the schedule explicitly
     (e.g. when resuming a run).
-
-    **Fast paths** (active unless ``REPRO_KERNEL_MODE=naive``):
-
-    - with ``shuffle=False`` and no augmentation over an
-      :class:`ArrayDataset`, batches are contiguous zero-copy slices of the
-      underlying arrays — treat them as read-only;
-    - with ``reuse_buffers=True``, full-size batches are gathered into
-      preallocated per-loader buffers instead of fresh fancy-index copies.
-      Each yielded batch is then only valid until the next iteration, so
-      callers must consume batches immediately (as ``run_epoch`` loops do)
-      and must not hold references across steps, e.g. ``list(loader)``.
-
-    **Prefetch.** ``prefetch=1`` (opt-in) assembles and augments batches on
-    a background thread, up to ``prefetch`` ahead of the consumer, so the
-    data pipeline overlaps with compute.  The producer runs the *same*
-    sequential code path — same shuffle permutation, same per-epoch RNG,
-    same augment call order — so batch contents, order, and RNG draws are
-    bit-identical to the non-prefetch loader.  Combined with
-    ``reuse_buffers``, the loader rotates ``prefetch + 2`` buffer sets (one
-    being consumed, ``prefetch`` queued, one being filled), preserving the
-    valid-until-next-iteration contract without copies.  Abandoning the
-    iterator early stops and joins the producer thread; start any
-    fork-based worker pool (e.g. ``ShardedDataParallel``) *before* iterating
-    a prefetching loader so the fork happens while no producer is running.
     """
 
     def __init__(
@@ -102,24 +78,19 @@ class DataLoader:
         seed: int = 0,
         drop_last: bool = False,
         augment: Callable[..., tuple] | None = None,
-        reuse_buffers: bool = False,
-        prefetch: int = 0,
     ):
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        if prefetch < 0:
-            raise ValueError("prefetch cannot be negative")
+        # batch_size may arrive as a hyperparameter override (§4), so a
+        # float must not be truncated into a different batch silently.
+        if (isinstance(batch_size, bool) or not isinstance(batch_size, numbers.Integral)
+                or batch_size <= 0):
+            raise ValueError(f"batch_size must be a positive integer, got {batch_size!r}")
         self.dataset = dataset
         self.batch_size = int(batch_size)
         self.shuffle = shuffle
         self.seed = int(seed)
         self.drop_last = drop_last
         self.augment = augment
-        self.reuse_buffers = reuse_buffers
-        self.prefetch = int(prefetch)
         self.epoch = 0
-        self._buf_ring: list[tuple[np.ndarray, ...]] | None = None
-        self._buf_idx = 0
 
     def __len__(self) -> int:
         n = len(self.dataset)
@@ -131,60 +102,17 @@ class DataLoader:
         """Position the shuffle schedule: the next pass uses this epoch's seed."""
         self.epoch = int(epoch)
 
-    def _fast_mode(self) -> bool:
-        from .config import kernel_mode
-
-        return kernel_mode() != "naive"
-
-    def _gather(self, idx: np.ndarray) -> tuple:
-        """Assemble one batch, reusing per-loader buffers when enabled."""
-        if (
-            self.reuse_buffers
-            and isinstance(self.dataset, ArrayDataset)
-            and len(idx) == self.batch_size
-            and self._fast_mode()
-        ):
-            if self._buf_ring is None:
-                # With prefetch, batches are alive in three places at once
-                # (consumer, queue, producer) — rotate enough buffer sets
-                # that none is overwritten while still referenced.
-                depth = self.prefetch + 2 if self.prefetch > 0 else 1
-                self._buf_ring = [
-                    tuple(
-                        np.empty((self.batch_size,) + a.shape[1:], dtype=a.dtype)
-                        for a in self.dataset.arrays
-                    )
-                    for _ in range(depth)
-                ]
-            bufs = self._buf_ring[self._buf_idx]
-            self._buf_idx = (self._buf_idx + 1) % len(self._buf_ring)
-            for a, buf in zip(self.dataset.arrays, bufs):
-                np.take(a, idx, axis=0, out=buf)
-            return bufs
-        batch = self.dataset[idx]
-        return batch if isinstance(batch, tuple) else (batch,)
-
-    def _produce(self) -> Iterator[tuple]:
+    def __iter__(self) -> Iterator[tuple]:
         n = len(self.dataset)
         rng = np.random.default_rng((self.seed, self.epoch))
-        # Sequential unaugmented traversal of plain arrays needs no index
-        # gather at all: contiguous slices are zero-copy views.
-        zero_copy = (
-            not self.shuffle
-            and self.augment is None
-            and isinstance(self.dataset, ArrayDataset)
-            and self._fast_mode()
-        )
-        order = rng.permutation(n) if self.shuffle else None
+        order = rng.permutation(n) if self.shuffle else np.arange(n)
         for start in range(0, n, self.batch_size):
-            stop = min(start + self.batch_size, n)
-            if self.drop_last and stop - start < self.batch_size:
+            idx = order[start : start + self.batch_size]
+            if self.drop_last and len(idx) < self.batch_size:
                 break
-            if zero_copy:
-                batch = tuple(a[start:stop] for a in self.dataset.arrays)
-            else:
-                idx = order[start:stop] if order is not None else np.arange(start, stop)
-                batch = self._gather(idx)
+            batch = self.dataset[idx]
+            if not isinstance(batch, tuple):
+                batch = (batch,)
             if self.augment is not None:
                 batch = self.augment(*batch, rng=rng)
                 if not isinstance(batch, tuple):
@@ -193,48 +121,3 @@ class DataLoader:
         # Reached only on a completed pass: an abandoned iterator does not
         # advance the schedule (see class docstring).
         self.epoch += 1
-
-    def __iter__(self) -> Iterator[tuple]:
-        if self.prefetch <= 0:
-            yield from self._produce()
-            return
-
-        out: queue_mod.Queue = queue_mod.Queue(maxsize=self.prefetch)
-        stop = threading.Event()
-        done = object()
-
-        def producer() -> None:
-            try:
-                for batch in self._produce():
-                    while not stop.is_set():
-                        try:
-                            out.put(batch, timeout=0.05)
-                            break
-                        except queue_mod.Full:
-                            continue
-                    if stop.is_set():
-                        return
-                out.put(done)
-            except BaseException as exc:  # surfaced on the consumer side
-                out.put(exc)
-
-        thread = threading.Thread(target=producer, daemon=True,
-                                  name="repro-dataloader-prefetch")
-        thread.start()
-        try:
-            while True:
-                item = out.get()
-                if item is done:
-                    break
-                if isinstance(item, BaseException):
-                    raise item
-                yield item
-        finally:
-            stop.set()
-            # Unblock a producer stuck on a full queue, then reap it.
-            try:
-                while True:
-                    out.get_nowait()
-            except queue_mod.Empty:
-                pass
-            thread.join(timeout=5.0)

@@ -3,13 +3,14 @@
 DAWNBench-style timing breakdowns argue that end-to-end numbers need
 per-kernel decompositions to be actionable; this module times the kernels
 the §3.2.1 timed region actually spends its wall clock in — conv2d
-forward+backward, the fused linear, the LSTM cell, multi-head attention,
-pooling, the SGD update, and one ``DataLoader`` epoch — under the active
-kernel mode *and* under ``naive``, so every report carries its own baseline.
+forward+backward at two sizes, the fused linear, the LSTM cell and
+multi-head attention — under the active kernel mode *and* under ``naive``,
+so every report carries its own baseline.  Only code that reads the kernel
+mode has a row: anything else would compare ``naive`` with itself.
 
-Each benchmark is a closure that runs one full forward+backward (or one
-optimizer step / one epoch); timing takes the *minimum* over repeats after
-a warmup, the standard micro-bench estimator for the noise-free cost.
+Each benchmark is a closure that runs one full forward+backward; timing
+takes the *minimum* over repeats after a warmup, the standard micro-bench
+estimator for the noise-free cost.
 Arena statistics are reset after warmup, so the reported hit rate and
 bytes-allocated are steady-state numbers: a healthy arena shows a hit rate
 near 1.0 and zero steady-state allocation.
@@ -29,8 +30,6 @@ import numpy as np
 
 from .attention import attention_bias, causal_mask
 from .config import kernel_mode, use_kernel_mode
-from .conv import avg_pool2d, max_pool2d
-from .data import ArrayDataset, DataLoader
 from .fused import attention, conv2d_bias_relu, linear_bias_act, lstm_cell
 from .module import Parameter
 from .optim import SGD
@@ -147,67 +146,12 @@ def _attention_step(rng: np.random.Generator) -> StepFn:
     return step
 
 
-def _pool_step(rng: np.random.Generator) -> StepFn:
-    x0 = rng.standard_normal((8, 16, 16, 16)).astype(np.float32)
-    g_max = rng.standard_normal((8, 16, 8, 8)).astype(np.float32)
-    g_avg = rng.standard_normal((8, 16, 8, 8)).astype(np.float32)
-
-    def step() -> tuple[np.ndarray, ...]:
-        x = Tensor(x0, requires_grad=True)
-        mx = max_pool2d(x, 2)
-        mx.backward(g_max)
-        y = Tensor(x0, requires_grad=True)
-        av = avg_pool2d(y, 2)
-        av.backward(g_avg)
-        return mx.data, x.grad, av.data, y.grad
-
-    return step
-
-
-def _sgd_step(rng: np.random.Generator) -> StepFn:
-    """K momentum+weight-decay updates from a fixed start (state is local
-    to each call, so repeated timing samples are identical work)."""
-    p0 = rng.standard_normal((256, 256)).astype(np.float32)
-    g0 = (rng.standard_normal((256, 256)) * 0.01).astype(np.float32)
-
-    def step() -> tuple[np.ndarray, ...]:
-        p = Parameter(p0.copy())
-        opt = SGD([p], lr=0.1, momentum=0.9, weight_decay=1e-4)
-        for _ in range(5):
-            p.grad = g0.copy()
-            opt.step()
-        return (p.data,)
-
-    return step
-
-
-def _loader_step(rng: np.random.Generator) -> StepFn:
-    images = rng.standard_normal((512, 3, 8, 8)).astype(np.float32)
-    labels = rng.integers(0, 10, size=512).astype(np.int64)
-    dataset = ArrayDataset(images, labels)
-
-    def step() -> tuple[np.ndarray, ...]:
-        loader = DataLoader(dataset, 64, shuffle=True, seed=7, drop_last=True,
-                            reuse_buffers=True)
-        checksum = np.zeros(3, dtype=np.float64)
-        count = 0
-        for xb, yb in loader:
-            checksum += xb.sum(axis=(0, 2, 3), dtype=np.float64)
-            count += len(yb)
-        return checksum, np.array([count])
-
-    return step
-
-
 _KERNELS: dict[str, Callable[[np.random.Generator], StepFn]] = {
     "conv2d_fwd_bwd": _conv_step,
     "conv2d_resnet_fwd_bwd": _conv_resnet_step,
     "linear_fwd_bwd": _linear_step,
     "lstm_cell_fwd_bwd": _lstm_cell_step,
     "attention_fwd_bwd": _attention_step,
-    "pool2d_fwd_bwd": _pool_step,
-    "sgd_momentum_step": _sgd_step,
-    "dataloader_epoch": _loader_step,
 }
 
 

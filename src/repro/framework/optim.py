@@ -10,16 +10,17 @@ equivalence checker can insist on a specific formulation.
 
 LARS (You et al., 2017) is included because allowing it for large ResNet
 batches was the headline v0.5→v0.6 rule change (§5).
+
+Each update has one implementation and reads no kernel mode (DESIGN.md,
+*Measured and removed*).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import kernel_mode
 from .module import Parameter
 from .prof import profiler
-from .workspace import arena
 
 __all__ = ["Optimizer", "SGD", "Adam", "LARS", "MOMENTUM_STYLES", "clip_grad_norm"]
 
@@ -98,9 +99,6 @@ class SGD(Optimizer):
         self._velocity: dict[int, np.ndarray] = {}
 
     def _update(self, p: Parameter) -> None:
-        if kernel_mode() != "naive" and p.grad.dtype == p.data.dtype:
-            self._update_inplace(p)
-            return
         grad = p.grad
         if self.weight_decay:
             grad = grad + self.weight_decay * p.data
@@ -121,41 +119,6 @@ class SGD(Optimizer):
             v *= self.momentum
             v += grad
             p.data -= self.lr * v
-
-    def _update_inplace(self, p: Parameter) -> None:
-        """The same update written through one reused arena buffer.
-
-        Bit-identical to the naive path: IEEE-754 addition and
-        multiplication commute, so ``wd*w + g`` equals ``g + wd*w`` and
-        ``(g + wd*w) * lr`` equals ``lr * (g + wd*w)`` exactly.
-        """
-        ws = arena()
-        buf = ws.take(p.data.shape, p.data.dtype)
-        if self.weight_decay:
-            np.multiply(p.data, self.weight_decay, out=buf)
-            buf += p.grad
-            grad = buf
-        else:
-            grad = p.grad
-        if self.momentum == 0.0:
-            np.multiply(grad, self.lr, out=buf)
-            p.data -= buf
-            ws.release(buf)
-            return
-        v = self._velocity.get(id(p))
-        if v is None:
-            v = np.zeros_like(p.data)
-            self._velocity[id(p)] = v
-        v *= self.momentum
-        if self.momentum_style == "caffe":
-            np.multiply(grad, self.lr, out=buf)
-            v += buf
-            p.data -= v
-        else:
-            v += grad
-            np.multiply(v, self.lr, out=buf)
-            p.data -= buf
-        ws.release(buf)
 
     def hyperparameters(self) -> dict[str, float | str]:
         return {

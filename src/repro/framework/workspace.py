@@ -40,15 +40,15 @@ Design:
   :func:`record_arena_gauges` snapshots hit rate and pool size as gauges.
 
 The arena is engaged by the ``fused`` kernel mode (see
-:mod:`repro.framework.config`); ``naive`` mode never touches it.
+:mod:`repro.framework.config`); ``naive`` mode never touches it.  Its
+borrowers are the conv kernel and the fused linear.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import weakref
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -148,19 +148,6 @@ class Workspace:
         flat, _ref = entry
         self.live_bytes -= flat.nbytes
         self._pool.setdefault(flat.nbytes, []).append(flat)
-
-    def release_all(self, bufs: Iterable[np.ndarray]) -> None:
-        for buf in bufs:
-            self.release(buf)
-
-    @contextlib.contextmanager
-    def borrow(self, shape, dtype=np.float32):
-        """``with ws.borrow((n, k)) as buf: ...`` — release on exit."""
-        buf = self.take(shape, dtype)
-        try:
-            yield buf
-        finally:
-            self.release(buf)
 
     def _reclaim(self, borrow_id: int, wr) -> None:
         """Weakref callback: a borrowed view died unreleased — repool it."""

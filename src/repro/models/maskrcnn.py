@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..framework import Conv2d, Linear, Module, Tensor, functional as F
+from ..framework import Conv2d, Linear, Module, Tensor, functional as F, no_grad
 from ..metrics.detection import Detection, box_iou, nms
 from .resnet import BasicBlockV15
 from .roi import roi_align
@@ -247,45 +247,47 @@ class MiniMaskRCNN(Module):
     # -- inference -----------------------------------------------------------------
     def detect(self, images: Tensor, score_threshold: float = 0.5,
                image_ids: list[int] | None = None) -> list[Detection]:
-        """Full two-stage inference producing boxes, labels, scores, masks."""
-        feat = self.backbone(images)
-        obj_logits, box_deltas = self.rpn(feat)
-        proposals = self.propose(obj_logits.data, box_deltas.data)
-        n = images.shape[0]
-        ids = image_ids if image_ids is not None else list(range(n))
-        detections: list[Detection] = []
-        boxes_all = [p for p in proposals if len(p)]
-        if not boxes_all:
-            return detections
-        boxes_arr = np.concatenate(boxes_all)
-        batch_arr = np.concatenate([np.full(len(p), i) for i, p in enumerate(proposals) if len(p)])
-        roi_feats = roi_align(feat, boxes_arr, batch_arr, self.ROI_SIZE, 1.0 / self.stride)
-        cls_logits, box_refine = self.box_head(roi_feats)
-        mask_logits = self.mask_head(roi_feats)
-        probs = np.exp(cls_logits.data - cls_logits.data.max(-1, keepdims=True))
-        probs /= probs.sum(-1, keepdims=True)
-        mask_probs = 1.0 / (1.0 + np.exp(-mask_logits.data))
-        for j in range(len(boxes_arr)):
-            cls = int(probs[j, 1:].argmax()) + 1
-            score = float(probs[j, cls])
-            if score < score_threshold:
-                continue
-            refined = decode_boxes(box_refine.data[j : j + 1], boxes_arr[j : j + 1])[0]
-            refined = np.clip(refined, 0, self.image_size)
-            detections.append(
-                Detection(
-                    image_id=ids[int(batch_arr[j])],
-                    box=refined,
-                    label=cls - 1,
-                    score=score,
-                    mask=self._paste_mask(mask_probs[j], refined),
+        """Full two-stage inference producing boxes, labels, scores, masks
+        (no graph)."""
+        with no_grad():
+            feat = self.backbone(images)
+            obj_logits, box_deltas = self.rpn(feat)
+            proposals = self.propose(obj_logits.data, box_deltas.data)
+            n = images.shape[0]
+            ids = image_ids if image_ids is not None else list(range(n))
+            detections: list[Detection] = []
+            boxes_all = [p for p in proposals if len(p)]
+            if not boxes_all:
+                return detections
+            boxes_arr = np.concatenate(boxes_all)
+            batch_arr = np.concatenate([np.full(len(p), i) for i, p in enumerate(proposals) if len(p)])
+            roi_feats = roi_align(feat, boxes_arr, batch_arr, self.ROI_SIZE, 1.0 / self.stride)
+            cls_logits, box_refine = self.box_head(roi_feats)
+            mask_logits = self.mask_head(roi_feats)
+            probs = np.exp(cls_logits.data - cls_logits.data.max(-1, keepdims=True))
+            probs /= probs.sum(-1, keepdims=True)
+            mask_probs = 1.0 / (1.0 + np.exp(-mask_logits.data))
+            for j in range(len(boxes_arr)):
+                cls = int(probs[j, 1:].argmax()) + 1
+                score = float(probs[j, cls])
+                if score < score_threshold:
+                    continue
+                refined = decode_boxes(box_refine.data[j : j + 1], boxes_arr[j : j + 1])[0]
+                refined = np.clip(refined, 0, self.image_size)
+                detections.append(
+                    Detection(
+                        image_id=ids[int(batch_arr[j])],
+                        box=refined,
+                        label=cls - 1,
+                        score=score,
+                        mask=self._paste_mask(mask_probs[j], refined),
+                    )
                 )
-            )
-        # Cross-proposal NMS per image & class.
-        final: list[Detection] = []
-        for img in set(d.image_id for d in detections):
-            for lbl in set(d.label for d in detections if d.image_id == img):
-                group = [d for d in detections if d.image_id == img and d.label == lbl]
-                keep = nms(np.stack([d.box for d in group]), np.array([d.score for d in group]), 0.4)
-                final.extend(group[k] for k in keep)
-        return final
+            # Cross-proposal NMS per image & class.
+            final: list[Detection] = []
+            for img in set(d.image_id for d in detections):
+                for lbl in set(d.label for d in detections if d.image_id == img):
+                    group = [d for d in detections if d.image_id == img and d.label == lbl]
+                    keep = nms(np.stack([d.box for d in group]), np.array([d.score for d in group]), 0.4)
+                    final.extend(group[k] for k in keep)
+            return final

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..framework import Conv2d, Module, Tensor, functional as F
+from ..framework import Conv2d, Module, Tensor, functional as F, no_grad
 from ..metrics.detection import Detection, box_iou, nms
 from .resnet import BasicBlockV15
 
@@ -211,8 +211,9 @@ class MiniSSD(Module):
         image_ids: list[int] | None = None,
         max_detections: int = 8,
     ) -> list[Detection]:
-        """Decode predictions into :class:`Detection` objects."""
-        cls_logits, box_offsets = self.forward(images)
+        """Decode predictions into :class:`Detection` objects (no graph)."""
+        with no_grad():
+            cls_logits, box_offsets = self.forward(images)
         n = cls_logits.shape[0]
         ids = image_ids if image_ids is not None else list(range(n))
         probs = np.exp(cls_logits.data - cls_logits.data.max(-1, keepdims=True))

@@ -86,8 +86,7 @@ class _Session(TrainingSession):
         )
         augment = random_crop_flip if hp["augment"] else None
         self.loader = DataLoader(
-            self.data.train, hp["batch_size"], seed=seed, drop_last=True, augment=augment,
-            reuse_buffers=True
+            self.data.train, hp["batch_size"], seed=seed, drop_last=True, augment=augment
         )
 
     def run_epoch(self, epoch: int) -> None:

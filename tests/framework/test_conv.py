@@ -130,6 +130,16 @@ class TestPooling:
         np.testing.assert_allclose(out.data, x.mean(axis=(2, 3)))
         check_gradient(global_avg_pool2d, x)
 
+    @pytest.mark.parametrize("pool", [max_pool2d, avg_pool2d])
+    def test_bad_window_raises_value_error(self, pool):
+        x = Tensor(np.ones((1, 2, 4, 4)))
+        for kernel in (0, -1):
+            with pytest.raises(ValueError, match=f"kernel must be >= 1, got {kernel}"):
+                pool(x, kernel)
+        for stride in (0, -1):  # only None means "use the kernel"
+            with pytest.raises(ValueError, match=f"stride must be >= 1, got {stride}"):
+                pool(x, 2, stride=stride)
+
 
 class TestSamePadding:
     """§2.2.4: asymmetric-padding conventions differ across frameworks."""

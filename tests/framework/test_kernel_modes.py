@@ -14,10 +14,8 @@ import numpy as np
 import pytest
 
 from repro.framework import (
-    ArrayDataset,
     BatchNorm1d,
     BatchNorm2d,
-    DataLoader,
     KERNEL_MODES,
     LSTM,
     LSTMCell,
@@ -311,6 +309,8 @@ class TestConvArgumentChecks:
 
 
 class TestPoolBitIdentity:
+    """Pooling has one path: the kernel mode must not change its bits."""
+
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("kernel,stride", [(2, None), (3, 1), (2, 2)])
     @pytest.mark.parametrize("pool", [max_pool2d, avg_pool2d])
@@ -1178,6 +1178,8 @@ class TestKernelFallbacksAreCounted:
 
 
 class TestSGDBitIdentity:
+    """The SGD update has one path: the kernel mode must not change its bits."""
+
     @pytest.mark.parametrize("style", ["torch", "caffe"])
     @pytest.mark.parametrize("momentum,wd", [(0.0, 0.0), (0.9, 0.0), (0.9, 1e-3),
                                              (0.0, 1e-3)])
@@ -1195,39 +1197,6 @@ class TestSGDBitIdentity:
                     opt.step()
                 results[mode] = p.data
         assert np.array_equal(results["naive"], results["fused"])
-
-
-class TestDataLoaderModes:
-    def test_reuse_buffers_same_values(self):
-        images = RNG.normal(size=(20, 2, 4, 4)).astype(np.float32)
-        labels = np.arange(20)
-        ds = ArrayDataset(images, labels)
-        with use_kernel_mode("naive"):
-            ref = [(x.copy(), y.copy())
-                   for x, y in DataLoader(ds, 8, seed=3, drop_last=True)]
-        with use_kernel_mode("fused"):
-            got = [(x.copy(), y.copy())
-                   for x, y in DataLoader(ds, 8, seed=3, drop_last=True,
-                                          reuse_buffers=True)]
-        for (rx, ry), (gx, gy) in zip(ref, got):
-            assert np.array_equal(rx, gx) and np.array_equal(ry, gy)
-
-    def test_reuse_buffers_recycles_storage(self):
-        ds = ArrayDataset(np.arange(32, dtype=np.float32))
-        with use_kernel_mode("fused"):
-            loader = DataLoader(ds, 8, seed=0, reuse_buffers=True)
-            batches = list(iter(loader))
-        assert all(b is batches[0] for b in batches)
-
-    def test_zero_copy_views_when_sequential(self):
-        arr = np.arange(12, dtype=np.float32)
-        ds = ArrayDataset(arr)
-        with use_kernel_mode("fused"):
-            batch = next(iter(DataLoader(ds, 4, shuffle=False)))
-        assert np.shares_memory(batch, arr)
-        with use_kernel_mode("naive"):
-            batch = next(iter(DataLoader(ds, 4, shuffle=False)))
-        assert not np.shares_memory(batch, arr)
 
 
 class TestConfig:

@@ -72,15 +72,6 @@ class TestTakeRelease:
         with pytest.raises(ValueError):
             ws.release(np.zeros(4))
 
-    def test_borrow_contextmanager(self):
-        ws = Workspace()
-        with ws.borrow((4, 4)) as buf:
-            assert buf.shape == (4, 4)
-            assert ws.live_count == 1
-        assert ws.live_count == 0
-        ws.take((4, 4))
-        assert ws.hits == 1
-
 
 class TestSizeClasses:
     def test_eight_steps_per_power_of_two_with_floor(self):
