@@ -27,13 +27,11 @@ Commands mirror how the MLPerf artifacts are used in practice:
   regression (CI's perf gate), with per-op attribution when a timing
   gate trips and ``--json`` for machine-readable output;
 - ``profile`` — render the op-level profile a run recorded
-  (``REPRO_PROFILE=sampled|full``) from a result file, submission, or
-  campaign directory;
+  (``REPRO_PROFILE=full``) from a result file, submission, or campaign
+  directory;
 - ``analyze`` — run the trace-analysis engine on a Chrome trace file or
   a campaign directory: critical path, comms/compute overlap, top
   spans/gaps, optional folded-stacks export;
-- ``bench-profile`` — measure profiler overhead per mode against a
-  no-telemetry baseline (the profile-smoke CI gate);
 - ``serve-metrics`` — the live observability server: Prometheus text at
   ``/metrics``, a JSON API (``/api/campaigns``, ``.../jobs``,
   ``/api/runs/.../series``, ``/api/alerts``), and an SSE stream at
@@ -50,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -238,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile",
         help="render the op-level profile recorded by a run "
-             "(set REPRO_PROFILE=sampled|full when running)")
+             "(set REPRO_PROFILE=full when running)")
     profile.add_argument("path",
                          help="a result_*.txt, a submission directory, or a "
                               "campaign directory (profiles merge)")
@@ -260,31 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--folded", metavar="FILE",
                          help="also write folded stacks (flamegraph.pl "
                               "format) to FILE")
-
-    bprof = sub.add_parser(
-        "bench-profile",
-        help="measure op-profiler overhead per mode (off/sampled/full) "
-             "against a no-telemetry baseline on a conv+linear+SGD step loop")
-    bprof.add_argument("--smoke", action="store_true",
-                       help="fast CI variant: fewer steps/repeats, and exit "
-                            "non-zero if sampled-mode overhead exceeds "
-                            "--max-overhead, results diverge, or ops go "
-                            "unrecorded")
-    bprof.add_argument("--max-overhead", type=float, default=0.05,
-                       help="smoke gate on sampled-mode overhead vs the "
-                            "no-telemetry baseline (default 0.05)")
-    bprof.add_argument("--steps", type=int, default=None,
-                       help="training steps per timing sample (default 24; "
-                            "8 with --smoke)")
-    bprof.add_argument("--repeats", type=int, default=None,
-                       help="timing repeats, minimum taken (default 8; 3 "
-                            "with --smoke)")
-    bprof.add_argument("--sample-every", type=int, default=4,
-                       help="sampling window for 'sampled' mode (default 4)")
-    bprof.add_argument("-o", "--out", metavar="FILE",
-                       default="benchmarks/reports/BENCH_profile.json",
-                       help="report path (default %(default)s; '-' to skip "
-                            "writing)")
 
     hp = sub.add_parser("hp-table", help="print the scale->hyperparameters table (§6)")
     hp.add_argument("--chips", type=int, nargs="+", default=[1, 4, 16, 64])
@@ -434,7 +406,9 @@ def _cmd_table1(args, out) -> int:
 def _write_trace_file(path: str, trace_events: list, out, note: str = "") -> None:
     from pathlib import Path
 
-    Path(path).write_text(json.dumps(
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(json.dumps(
         {"traceEvents": trace_events, "displayTimeUnit": "ms"}, sort_keys=True))
     print(f"trace written to {path} ({len(trace_events)} events){note}; "
           f"open in chrome://tracing or https://ui.perfetto.dev", file=out)
@@ -453,9 +427,10 @@ def _cmd_run(args, out) -> int:
         score_runs,
     )
     from .suite import create_benchmark
+    from .telemetry import (Telemetry, merge_op_profiles, profile_mode_from_env,
+                            render_op_profile)
 
-    from .telemetry import Telemetry
-
+    profiling = profile_mode_from_env() != "off"
     benchmark = create_benchmark(args.benchmark)
     overrides = _parse_overrides(args.override) or None
     runner = BenchmarkRunner()
@@ -465,8 +440,10 @@ def _cmd_run(args, out) -> int:
         # One telemetry session per seed (pid=seed) so a multi-run trace
         # file keeps its runs on separate process rows in the viewer.
         # Saved runs also collect telemetry: the metrics snapshot rides
-        # in the artifact header, where `repro stats` reads it back.
-        want_telemetry = args.trace or args.save
+        # in the artifact header, where `repro stats` reads it back.  A
+        # requested op profile needs a session too: the disabled one
+        # never profiles.
+        want_telemetry = args.trace or args.save or profiling
         telemetry = Telemetry(clock=runner.clock, pid=seed) if want_telemetry else None
         try:
             result = runner.run(benchmark, seed=seed,
@@ -486,6 +463,10 @@ def _cmd_run(args, out) -> int:
             if args.trace:
                 _write_trace_file(args.trace, trace_events, out,
                                   note=" (partial: run failed)")
+            if profiling:
+                failed = failure.telemetry.op_profile if failure.telemetry else None
+                print(render_op_profile(merge_op_profiles(
+                    [*(r.telemetry.op_profile for r in runs), failed])), file=out)
             return 1
         status = "reached" if result.reached_target else "FAILED"
         print(f"seed {seed}: {status} quality={result.quality:.4f} "
@@ -502,6 +483,9 @@ def _cmd_run(args, out) -> int:
 
     if args.trace:
         _write_trace_file(args.trace, trace_events, out)
+    if profiling:
+        print(render_op_profile(merge_op_profiles(
+            r.telemetry.op_profile for r in runs)), file=out)
 
     exit_code = 0 if all(r.reached_target for r in runs) else 1
     if args.score:
@@ -607,10 +591,7 @@ def _cmd_campaign(args, out) -> int:
     if campaign_dir:
         print(f"journal at {outcome.journal.path}", file=out)
     if args.trace and outcome.telemetry is not None:
-        Path(args.trace).write_text(json.dumps(
-            outcome.telemetry.to_chrome_trace(), sort_keys=True))
-        print(f"merged trace written to {args.trace} "
-              f"({len(outcome.telemetry.trace_events)} events)", file=out)
+        _write_trace_file(args.trace, outcome.telemetry.trace_events, out)
     if args.bench:
         Path(args.bench).write_text(
             json.dumps(outcome.bench_payload(), indent=2, sort_keys=True) + "\n")
@@ -873,7 +854,7 @@ def _cmd_profile(args, out) -> int:
     profiles = [h["op_profile"] for h in headers]
     if not profiles:
         print(f"no op profiles found under {path} — run with "
-              "REPRO_PROFILE=sampled (or full) to record one", file=out)
+              "REPRO_PROFILE=full to record one", file=out)
         return 1
     merged = merge_op_profiles(profiles)
     if args.json:
@@ -915,41 +896,6 @@ def _cmd_analyze(args, out) -> int:
         Path(args.folded).write_text("\n".join(analysis.folded) + "\n")
         print(f"folded stacks written to {args.folded} "
               f"({len(analysis.folded)} line(s))", file=out)
-    return 0
-
-
-def _cmd_bench_profile(args, out) -> int:
-    from pathlib import Path
-
-    from .framework.microbench import bench_profile, gate_profile_failures
-    from .telemetry import render_op_profile
-
-    payload = bench_profile(steps=args.steps, repeats=args.repeats,
-                            sample_every=args.sample_every, smoke=args.smoke)
-    checks = payload["checks"]
-    base_ms = payload["timings_ns"]["baseline"] / 1e6
-    print(f"baseline (no telemetry): {base_ms:.2f}ms for "
-          f"{payload['steps']} step(s), min of {payload['repeats']}", file=out)
-    for mode in ("off", "sampled", "full"):
-        print(f"  {mode:<8} {payload['timings_ns'][mode] / 1e6:>9.2f}ms  "
-              f"overhead {checks[f'{mode}_overhead']:>6.1%}  "
-              f"[{'ok' if checks['bit_identical_by_mode'][mode] else 'DIVERGED'}]",
-              file=out)
-    print(f"  ops recorded (full mode): {checks['ops_recorded']}", file=out)
-    print(render_op_profile(payload["op_profile"]), file=out)
-
-    if args.out and args.out != "-":
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"report written to {path}", file=out)
-
-    if args.smoke:
-        failures = gate_profile_failures(
-            payload, max_sampled_overhead=args.max_overhead)
-        for failure in failures:
-            print(f"GATE FAILED: {failure}", file=out)
-        return 1 if failures else 0
     return 0
 
 
@@ -1185,7 +1131,6 @@ _COMMANDS = {
     "simulate": _cmd_simulate,
     "bench-kernels": _cmd_bench_kernels,
     "bench-comms": _cmd_bench_comms,
-    "bench-profile": _cmd_bench_profile,
     "loadgen": _cmd_loadgen,
 }
 
@@ -1194,18 +1139,18 @@ def main(argv: list[str] | None = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
+    from .telemetry.opprof import profile_mode_from_env
+
     try:
         from .framework import config  # noqa: F401  (reads REPRO_KERNEL_MODE)
+        profile_mode_from_env()
     except ValueError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
     return _COMMANDS[args.command](args, out)
 
 
-if __name__ == "__main__":  # pragma: no cover
-    try:
-        raise SystemExit(main())
-    except BrokenPipeError:
-        # Reader (e.g. `| head`) closed the pipe; not an error.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise SystemExit(0)
+if __name__ == "__main__":
+    # The entry point is `python -m repro`; fail loudly instead of exiting 0.
+    print("repro: error: run the CLI as `python -m repro`", file=sys.stderr)
+    raise SystemExit(2)

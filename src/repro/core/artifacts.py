@@ -110,7 +110,7 @@ def save_run_result(path: str | Path, run: RunResult) -> Path:
             # Per-run sampled series (throughput, eval quality, arena hit
             # rate, ...) back `repro stats --series` on reloaded runs.
             "series": run.telemetry.series if run.telemetry is not None else None,
-            # The op-level profile (when the run sampled one) backs
+            # The op-level profile (when the run recorded one) backs
             # `repro profile` on saved artifacts.
             "op_profile": (run.telemetry.op_profile
                            if run.telemetry is not None else None),

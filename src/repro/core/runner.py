@@ -267,11 +267,6 @@ class BenchmarkRunner:
                                             self.clock.now() - run_t0,
                                             epoch_dt, eps)
                     epochs_run = epoch
-                    # Sampling-window boundary AFTER the epoch (no-op when
-                    # off): the always-on window 0 then covers the first
-                    # epoch, so sampled mode records ops even on runs
-                    # shorter than one full sampling period.
-                    tele.profiler.step()
                     if epoch % self.eval_every == 0 or epoch == cap:
                         logger.event(Keys.EVAL_START, epoch_num=epoch)
                         eval_t0 = self.clock.now()

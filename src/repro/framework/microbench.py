@@ -32,15 +32,12 @@ from .attention import attention_bias, causal_mask
 from .config import kernel_mode, use_kernel_mode
 from .fused import attention, conv2d_bias_relu, linear_bias_act, lstm_cell
 from .module import Parameter
-from .optim import SGD
 from .tensor import Tensor
 from .workspace import arena
 
-__all__ = ["bench_kernels", "gate_failures", "BENCH_SCHEMA",
-           "bench_profile", "gate_profile_failures", "PROFILE_BENCH_SCHEMA"]
+__all__ = ["bench_kernels", "gate_failures", "BENCH_SCHEMA"]
 
 BENCH_SCHEMA = "repro.bench_kernels.v1"
-PROFILE_BENCH_SCHEMA = "repro.bench_profile.v1"
 
 # A "step" returns the arrays that must be bit-identical across modes.
 StepFn = Callable[[], tuple[np.ndarray, ...]]
@@ -261,198 +258,3 @@ def gate_failures(payload: dict[str, Any], *, min_hit_rate: float = 0.9,
             )
     return failures
 
-
-# -- profiler overhead bench (``repro bench-profile``) -----------------------
-#
-# The op profiler's acceptance criterion is a *cost* bound, not a speed
-# bound: REPRO_PROFILE=off must be free, sampled mode must stay under a
-# few percent of a representative training step.  This harness times the
-# same conv+linear+SGD step loop four ways — no telemetry at all, then
-# under an active Telemetry session in each profiler mode — and reports
-# the overhead ratios, plus the op profile the full-mode run recorded.
-
-
-def _profile_workload(seed: int, steps: int):
-    """A deterministic mini training loop exercising every profiled op.
-
-    Returns ``(loop, params)``: calling ``loop(step_cb)`` runs ``steps``
-    iterations of conv fwd+bwd, linear fwd+bwd, and an SGD update
-    (invoking ``step_cb()`` first each iteration, where the caller hooks
-    the profiler's sampling-window boundary); ``params`` are the live
-    parameters, for bit-identity checks across profiler modes.
-    """
-    rng = np.random.default_rng(seed)
-    x0 = rng.standard_normal((4, 3, 8, 8)).astype(np.float32)
-    g_conv = rng.standard_normal((4, 8, 8, 8)).astype(np.float32)
-    y0 = rng.standard_normal((32, 64)).astype(np.float32)
-    g_lin = rng.standard_normal((32, 64)).astype(np.float32)
-    wc = Parameter((rng.standard_normal((8, 3, 3, 3)) * 0.1).astype(np.float32))
-    bc = Parameter(rng.standard_normal(8).astype(np.float32))
-    wl = Parameter((rng.standard_normal((64, 64)) * 0.05).astype(np.float32))
-    bl = Parameter(rng.standard_normal(64).astype(np.float32))
-    params = [wc, bc, wl, bl]
-    opt = SGD(params, lr=1e-3, momentum=0.9)
-
-    def loop(step_cb=None) -> None:
-        for _ in range(steps):
-            if step_cb is not None:
-                step_cb()
-            opt.zero_grad()
-            x = Tensor(x0, requires_grad=True)
-            out = conv2d_bias_relu(x, wc, bc, stride=1, pad=1)
-            out.backward(g_conv)
-            y = Tensor(y0, requires_grad=True)
-            out2 = linear_bias_act(y, wl, bl, act="relu")
-            out2.backward(g_lin)
-            opt.step()
-
-    return loop, params
-
-
-def _time_profile_once(mode: str | None, steps: int, sample_every: int,
-                       seed: int):
-    """One timed pass of the workload under one profiler mode.
-
-    ``mode=None`` is the true baseline: no telemetry session at all (the
-    ambient disabled context).  The workload is rebuilt from ``seed`` so
-    every sample times identical work.  Returns
-    ``(wall_ns, final_params, op_profile_snapshot)``.
-    """
-    from ..telemetry import Telemetry
-
-    loop, params = _profile_workload(seed, steps)
-    snapshot: dict[str, Any] = {}
-    if mode is None:
-        t0 = time.perf_counter_ns()
-        loop()
-        dt = time.perf_counter_ns() - t0
-    else:
-        tele = Telemetry(profile=mode, profile_every=sample_every)
-        with tele.activate():
-            t0 = time.perf_counter_ns()
-            loop(step_cb=tele.profiler.step)
-            dt = time.perf_counter_ns() - t0
-        snapshot = tele.profiler.snapshot()
-    return float(dt), tuple(p.data.copy() for p in params), snapshot
-
-
-def bench_profile(*, steps: int | None = None, repeats: int | None = None,
-                  sample_every: int = 4, smoke: bool = False,
-                  seed: int = 0) -> dict[str, Any]:
-    """Measure profiler overhead per mode; return the BENCH_profile payload.
-
-    Overheads are reported relative to the no-telemetry baseline and
-    floored at zero (min-over-repeats already strips most scheduler
-    noise; a "negative overhead" is noise, not a speedup).  Repeats are
-    interleaved round-robin across the four configurations — timing each
-    configuration's repeats as a block would let machine drift (thermal
-    ramps, a neighbour process waking up) masquerade as per-mode
-    overhead, since every ratio compares blocks measured at different
-    moments.
-    """
-    # Loops must be long enough to time: at ~0.3ms/step, 8-step loops sit
-    # at scheduler-jitter granularity and min-over-repeats never
-    # converges — overhead ratios then swing tens of percent on a busy
-    # host.  32 steps (~10ms/loop) is the floor for a stable ratio.
-    if steps is None:
-        steps = 32 if smoke else 64
-    if repeats is None:
-        repeats = 10
-
-    # Untimed warmup: the first configuration timed would otherwise absorb
-    # all one-time costs (arena pool fill, BLAS thread spin-up, frequency
-    # ramp) and bias every overhead ratio low.
-    loop, _ = _profile_workload(seed, steps)
-    loop()
-
-    # Rotate the within-round order every round: with a fixed order,
-    # periodic host activity (a poller waking every ~N ms) lands on the
-    # same slot each round and reads as per-mode overhead.
-    configs: tuple[str | None, ...] = (None, "off", "sampled", "full")
-    rounds: list[dict[str | None, float]] = []
-    finals: dict[str | None, Any] = {}
-    snaps: dict[str | None, dict[str, Any]] = {}
-    for r in range(repeats):
-        row: dict[str | None, float] = {}
-        for i in range(len(configs)):
-            cfg = configs[(i + r) % len(configs)]
-            dt, final, snap = _time_profile_once(cfg, steps, sample_every,
-                                                 seed)
-            row[cfg] = dt
-            finals[cfg] = final
-            snaps[cfg] = snap
-        rounds.append(row)
-
-    # Overhead is the lower quartile over rounds of the SAME-round
-    # ratio, not a ratio of independent mins: baseline and mode samples
-    # taken ~ms apart share whatever contention the host had that round,
-    # so each ratio mostly cancels it.  Residual contention bursts land
-    # on single samples and only ever INFLATE a ratio, so a low quantile
-    # discards them; the min is degenerate (some round always has the
-    # mode luckier than its baseline) but Q1 needs a quarter of the
-    # rounds lucky to be fooled.  A real regression shifts the whole
-    # distribution, Q1 included.  (Two separately-minimized times are
-    # worst of all: their quotient swings with whichever config got the
-    # one quiet round.)
-    base_ns = min(row[None] for row in rounds)
-    base_params = finals[None]
-    timings = {"baseline": base_ns}
-    overheads: dict[str, float] = {}
-    profiles: dict[str, dict[str, Any]] = {}
-    identical: dict[str, bool] = {}
-    for mode in ("off", "sampled", "full"):
-        timings[mode] = min(row[mode] for row in rounds)
-        ratios = sorted(row[mode] / row[None] for row in rounds
-                        if row[None] > 0)
-        ratio = ratios[len(ratios) // 4] if ratios else 1.0
-        overheads[mode] = max(ratio - 1.0, 0.0)
-        profiles[mode] = snaps[mode]
-        identical[mode] = _bit_identical(base_params, finals[mode])
-
-    full_ops = profiles["full"].get("ops", {})
-    ops_recorded = sum(len(ops) for ops in full_ops.values())
-    return {
-        "schema": PROFILE_BENCH_SCHEMA,
-        "smoke": smoke,
-        "steps": steps,
-        "repeats": repeats,
-        "sample_every": sample_every,
-        "timings_ns": timings,
-        "checks": {
-            # Distinct (phase, op) rows the full-mode run recorded: conv
-            # and linear forward+backward plus the optimizer step = 5.
-            "ops_recorded": ops_recorded,
-            "off_overhead": overheads["off"],
-            "sampled_overhead": overheads["sampled"],
-            "full_overhead": overheads["full"],
-            "bit_identical": all(identical.values()),
-            "bit_identical_by_mode": identical,
-        },
-        "op_profile": profiles["full"],
-    }
-
-
-def gate_profile_failures(payload: dict[str, Any], *,
-                          max_sampled_overhead: float = 0.05,
-                          min_ops_recorded: int = 5) -> list[str]:
-    """CI gates for the profile-smoke job.
-
-    Sampled-mode overhead is the documented acceptance bound (< 5%);
-    bit-identity and op coverage are correctness, gated unconditionally.
-    Off-mode overhead is gated only via bench-diff's tolerance band — an
-    absolute bound on a near-zero ratio would be all noise.
-    """
-    failures = []
-    checks = payload["checks"]
-    if not checks["bit_identical"]:
-        bad = [m for m, ok in checks["bit_identical_by_mode"].items() if not ok]
-        failures.append(f"profiler modes {bad} changed training results")
-    if checks["ops_recorded"] < min_ops_recorded:
-        failures.append(
-            f"full-mode profile recorded {checks['ops_recorded']} op rows "
-            f"< {min_ops_recorded} (instrumentation hole)")
-    if checks["sampled_overhead"] > max_sampled_overhead:
-        failures.append(
-            f"sampled-mode overhead {checks['sampled_overhead']:.1%} > "
-            f"{max_sampled_overhead:.0%} of the baseline step loop")
-    return failures

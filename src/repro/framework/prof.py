@@ -1,8 +1,7 @@
 """Framework-side hooks into the op-level profiler.
 
-The framework must stay importable without telemetry (and telemetry
-imports the framework at load time), so kernels never import
-:mod:`repro.telemetry` directly.  This shim resolves the ambient
+The framework must stay importable without telemetry, so kernels never
+import :mod:`repro.telemetry` directly.  This shim resolves the ambient
 :class:`~repro.telemetry.opprof.OpProfiler` lazily, and provides the one
 decorator kernels use:
 

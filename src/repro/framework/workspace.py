@@ -231,8 +231,8 @@ _CURRENT_METRICS = None
 
 
 def _current_metrics():
-    """The ambient metrics registry (lazy import, cached resolver: telemetry
-    imports the framework at load time)."""
+    """The ambient metrics registry (lazy import, cached resolver: the
+    framework stays importable without telemetry)."""
     global _CURRENT_METRICS
     if _CURRENT_METRICS is None:
         from ..telemetry.context import current_metrics

@@ -10,8 +10,8 @@ measurement substrate for that decomposition:
   with a context-manager API and Chrome ``trace_event`` JSON export;
 - :mod:`repro.telemetry.metrics` — counters, gauges, and fixed-bucket
   histograms in a :class:`MetricsRegistry` with a text summary renderer;
-- :mod:`repro.telemetry.profile` — the :class:`Instrumented` module
-  wrapper and phase decomposition of structured logs;
+- :mod:`repro.telemetry.profile` — phase decomposition of structured
+  logs and the serializable :class:`RunTelemetry` snapshot;
 - :mod:`repro.telemetry.events` — the live side: an event bus with
   append-only JSONL :class:`EventLog` sinks and per-job heartbeat files,
   crash-tolerant on read;
@@ -23,8 +23,8 @@ measurement substrate for that decomposition:
 - :mod:`repro.telemetry.regress` — schema-aware ``BENCH_*.json``
   comparison with per-metric tolerance bands (``repro bench-diff``),
   with per-op regression attribution when a timing gate trips;
-- :mod:`repro.telemetry.opprof` — the sampled op-level profiler
-  (``REPRO_PROFILE=off|sampled|full``) recording per-op call counts,
+- :mod:`repro.telemetry.opprof` — the op-level profiler
+  (``REPRO_PROFILE=off|full``) recording per-op call counts,
   wall time, and bytes moved for forward/backward/update/comms;
 - :mod:`repro.telemetry.analyze` — the trace-analysis engine
   (``repro analyze``): cross-process merge, critical path, comms/compute
@@ -129,7 +129,6 @@ from .context import (
     current_tracer,
 )
 from .profile import (
-    Instrumented,
     PhaseDecomposition,
     RunTelemetry,
     decompose_log_events,
@@ -153,7 +152,6 @@ __all__ = [
     "HeartbeatCache",
     "HeartbeatWriter",
     "Histogram",
-    "Instrumented",
     "JobView",
     "MetricSpec",
     "MetricsRegistry",

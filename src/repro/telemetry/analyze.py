@@ -29,7 +29,6 @@ the input, so the same trace always produces the same analysis —
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -39,7 +38,7 @@ __all__ = ["TraceSpan", "TraceAnalysis", "TRACE_ANALYSIS_SCHEMA",
            "spans_from_events", "align_span_origins", "critical_path",
            "overlap_stats", "top_spans", "top_gaps", "folded_stacks",
            "analyze_trace", "spans_from_campaign_events",
-           "analyze_campaign_dir", "load_trace_document"]
+           "analyze_campaign_dir"]
 
 TRACE_ANALYSIS_SCHEMA = "repro.trace_analysis.v1"
 
@@ -68,16 +67,6 @@ class TraceSpan:
     @property
     def dur_us(self) -> float:
         return self.end_us - self.start_us
-
-
-def load_trace_document(path: str | Path) -> dict[str, Any]:
-    """Read a Chrome trace JSON document (dict or bare event list)."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(doc, list):
-        doc = {"traceEvents": doc}
-    if not isinstance(doc, dict) or "traceEvents" not in doc:
-        raise ValueError(f"{path}: not a Chrome trace document")
-    return doc
 
 
 def spans_from_events(events: Iterable[dict[str, Any]]) -> list[TraceSpan]:

@@ -39,8 +39,7 @@ class Telemetry:
     def __init__(self, clock=None, enabled: bool = True, pid: int = 0,
                  process_name: str | None = None,
                  thread_name: str | None = None,
-                 events_clock=None, profile: str | None = None,
-                 profile_every: int | None = None):
+                 events_clock=None, profile: str | None = None):
         self.enabled = enabled
         self.tracer = Tracer(clock=clock, enabled=enabled, pid=pid,
                              process_name=process_name,
@@ -49,8 +48,7 @@ class Telemetry:
         self.events = EventBus(clock=events_clock, enabled=enabled, pid=pid)
         # ``profile=None`` defers to REPRO_PROFILE (default "off"), so a
         # session created without opinion stays zero-overhead.
-        self.profiler = OpProfiler(mode=profile, sample_every=profile_every,
-                                   enabled=enabled)
+        self.profiler = OpProfiler(mode=profile, enabled=enabled)
 
     @contextlib.contextmanager
     def activate(self):

@@ -213,37 +213,6 @@ class MetricsRegistry:
         """JSON-serializable view of every instrument."""
         return {name: inst.snapshot() for name, inst in sorted(self._instruments.items())}
 
-    def merge_snapshot(self, snapshot: dict[str, dict[str, Any]]) -> None:
-        """Fold a serialized snapshot into this registry's live instruments.
-
-        Lets a parent process absorb a worker's metrics: counters add,
-        gauges take the snapshot's value, histograms pool (bucket layouts
-        must match).  A no-op on a disabled registry.
-        """
-        if not self.enabled:
-            return
-        for name, inst in snapshot.items():
-            kind = inst.get("type")
-            if kind == "counter":
-                self.counter(name).inc(inst["value"])
-            elif kind == "gauge":
-                self.gauge(name).set(inst["value"])
-            elif kind == "histogram":
-                hist = self.histogram(name, tuple(inst["buckets"]))
-                if list(hist.buckets) != list(inst["buckets"]):
-                    raise ValueError(f"histogram {name!r} has mismatched bucket layouts")
-                hist.counts = [x + y for x, y in zip(hist.counts, inst["counts"])]
-                hist.count += inst["count"]
-                hist.sum += inst["sum"]
-                if inst["min"] is not None:
-                    hist.min = min(hist.min, inst["min"])
-                if inst["max"] is not None:
-                    hist.max = max(hist.max, inst["max"])
-            elif kind == "null":
-                continue
-            else:
-                raise TypeError(f"metric {name!r}: cannot merge kind {kind!r}")
-
     def render(self) -> str:
         """Plain-text summary table (one line per instrument)."""
         if not self._instruments:

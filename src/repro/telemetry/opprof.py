@@ -11,16 +11,13 @@ Three moving parts:
   :class:`~repro.telemetry.context.Telemetry` session; kernels reach it
   through :func:`current_profiler` (via the tiny shim in
   :mod:`repro.framework.prof`, which keeps the framework → telemetry
-  dependency lazy).  Mode comes from ``REPRO_PROFILE``:
+  dependency lazy).  ``REPRO_PROFILE`` is an on/off switch:
 
   - ``off`` (default) — ``active`` is permanently False and every probe
     collapses to one attribute check; numerics are untouched, so runs
     are bit-identical to an unprofiled build.
-  - ``sampled`` — profile one step out of every ``REPRO_PROFILE_EVERY``
-    (default 8).  The runner calls :meth:`OpProfiler.step` at each epoch
-    boundary; benches call it per iteration.  Window 0 (model creation,
-    first step) is always sampled so short runs still produce data.
-  - ``full`` — profile every step.
+  - ``full`` — every op call of the session is recorded, from model
+    creation to the last eval.  Numerics are untouched here too.
 
 - **Self vs. total time.**  Profiled ops nest (a fused linear records a
   GEMM inside itself when fusion is off), so the recorder keeps a span
@@ -47,15 +44,12 @@ import time
 from typing import Any, Callable, Iterable
 
 __all__ = ["OpProfiler", "NULL_OP_SPAN", "OP_PROFILE_SCHEMA", "PROFILE_MODES",
-           "DEFAULT_SAMPLE_EVERY", "profile_mode_from_env",
-           "merge_op_profiles", "render_op_profile"]
+           "profile_mode_from_env", "merge_op_profiles", "render_op_profile"]
 
 OP_PROFILE_SCHEMA = "repro.op_profile.v1"
-PROFILE_MODES = ("off", "sampled", "full")
-DEFAULT_SAMPLE_EVERY = 8
+PROFILE_MODES = ("off", "full")
 
 _ENV_MODE = "REPRO_PROFILE"
-_ENV_EVERY = "REPRO_PROFILE_EVERY"
 
 
 def profile_mode_from_env() -> str:
@@ -63,22 +57,12 @@ def profile_mode_from_env() -> str:
     mode = os.environ.get(_ENV_MODE, "off").strip().lower() or "off"
     if mode not in PROFILE_MODES:
         raise ValueError(
-            f"{_ENV_MODE}={mode!r}: expected one of {PROFILE_MODES}")
+            f"{_ENV_MODE} must be one of {PROFILE_MODES}, got {mode!r}")
     return mode
 
 
-def _sample_every_from_env() -> int:
-    raw = os.environ.get(_ENV_EVERY, "").strip()
-    if not raw:
-        return DEFAULT_SAMPLE_EVERY
-    every = int(raw)
-    if every < 1:
-        raise ValueError(f"{_ENV_EVERY} must be >= 1, got {every}")
-    return every
-
-
 class _NullOpSpan:
-    """Shared no-op stand-in returned when the profiler is not sampling."""
+    """Shared no-op stand-in returned when the profiler is off."""
 
     __slots__ = ()
 
@@ -125,7 +109,7 @@ class _OpSpan:
 
 
 class OpProfiler:
-    """Per-op wall-time/bytes recorder with step sampling.
+    """Per-op wall-time/bytes recorder.
 
     ``active`` is the one flag hot paths check: False collapses every
     probe to a no-op.  ``phase`` is the bucket forward-path records land
@@ -135,11 +119,11 @@ class OpProfiler:
     all-reduce).
     """
 
-    __slots__ = ("mode", "sample_every", "active", "phase", "steps_total",
-                 "steps_sampled", "clock_ns", "_ops", "_mem", "_stack")
+    __slots__ = ("mode", "active", "phase", "clock_ns", "_ops", "_mem",
+                 "_stack")
 
-    def __init__(self, mode: str | None = None, sample_every: int | None = None,
-                 enabled: bool = True, clock_ns: Callable[[], int] | None = None):
+    def __init__(self, mode: str | None = None, enabled: bool = True,
+                 clock_ns: Callable[[], int] | None = None):
         if mode is None:
             mode = profile_mode_from_env() if enabled else "off"
         if mode not in PROFILE_MODES:
@@ -148,33 +132,14 @@ class OpProfiler:
         if not enabled:
             mode = "off"
         self.mode = mode
-        self.sample_every = (sample_every if sample_every is not None
-                             else _sample_every_from_env())
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
         self.clock_ns = clock_ns or time.perf_counter_ns
-        # Window 0 (everything before the first step boundary, plus the
-        # first step) is always sampled, so short runs still profile.
         self.active = mode != "off"
         self.phase = "forward"
-        self.steps_total = 0
-        self.steps_sampled = 1 if self.active else 0
         # (phase, op) -> [calls, total_ns, self_ns, bytes_moved]
         self._ops: dict[tuple[str, str], list[int]] = {}
         # phase -> {"tensor_allocs": n, "tensor_bytes": n}
         self._mem: dict[str, dict[str, int]] = {}
         self._stack: list[int] = []  # child-time accumulators (ns)
-
-    # -- sampling ------------------------------------------------------------
-    def step(self) -> None:
-        """Mark a step/epoch boundary (drives ``sampled`` mode)."""
-        if self.mode == "off":
-            return
-        self.steps_total += 1
-        if self.mode == "sampled":
-            self.active = (self.steps_total % self.sample_every) == 0
-        if self.active:
-            self.steps_sampled += 1
 
     # -- recording -----------------------------------------------------------
     def begin(self) -> None:
@@ -236,9 +201,6 @@ class OpProfiler:
         payload: dict[str, Any] = {
             "schema": OP_PROFILE_SCHEMA,
             "mode": self.mode,
-            "sample_every": self.sample_every,
-            "steps_total": self.steps_total,
-            "steps_sampled": self.steps_sampled,
             "ops": ops,
             "memory": {phase: dict(bucket)
                        for phase, bucket in sorted(self._mem.items())},
@@ -266,26 +228,22 @@ def _arena_snapshot() -> dict[str, float]:
 def merge_op_profiles(payloads: Iterable[dict[str, Any] | None]) -> dict[str, Any]:
     """Sum several ``OpProfile`` payloads (e.g. one per campaign cell).
 
-    Counters and step counts add; ``mode``/``sample_every`` are taken
-    from the first payload; arena gauges take element-wise maxima (peaks)
-    except counters, which add.
+    Counters add; ``mode`` is taken from the first payload; arena gauges
+    take element-wise maxima (peaks) except counters, which add.  Keys
+    this module no longer writes (older artifacts' step counters) are
+    ignored.
     """
     present = [p for p in payloads if p]
     if not present:
         return {}
     out: dict[str, Any] = {
         "schema": OP_PROFILE_SCHEMA,
-        "mode": present[0].get("mode", "sampled"),
-        "sample_every": present[0].get("sample_every", DEFAULT_SAMPLE_EVERY),
-        "steps_total": 0,
-        "steps_sampled": 0,
+        "mode": present[0].get("mode", "full"),
         "ops": {},
         "memory": {},
         "arena": {},
     }
     for payload in present:
-        out["steps_total"] += int(payload.get("steps_total", 0))
-        out["steps_sampled"] += int(payload.get("steps_sampled", 0))
         for phase, ops in (payload.get("ops") or {}).items():
             into = out["ops"].setdefault(phase, {})
             for name, stat in ops.items():
@@ -318,12 +276,7 @@ def render_op_profile(payload: dict[str, Any]) -> str:
     """A per-phase op table: calls, total/self ms, bytes, self-time share."""
     if not payload:
         return "no op profile recorded (REPRO_PROFILE=off)"
-    lines = [
-        f"op profile: mode={payload.get('mode')} "
-        f"sample_every={payload.get('sample_every')} "
-        f"steps={payload.get('steps_total')} "
-        f"sampled={payload.get('steps_sampled')}"
-    ]
+    lines = [f"op profile: mode={payload.get('mode')}"]
     ops = payload.get("ops") or {}
     total_self = sum(stat.get("self_ns", 0)
                      for phase_ops in ops.values()

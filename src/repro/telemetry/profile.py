@@ -1,10 +1,7 @@
-"""Profiling hooks and per-phase decomposition of training sessions.
+"""Per-phase decomposition of training sessions.
 
-Three pieces:
+Two pieces:
 
-- :class:`Instrumented` — an opt-in wrapper that makes any
-  :class:`~repro.framework.module.Module` emit ``forward/<label>`` and
-  ``backward/<label>`` spans to the ambient tracer;
 - :func:`decompose_log_events` — reduce a §4.1 structured log to the
   DAWNBench-style question "where did the wall-clock go": init vs. model
   creation vs. train epochs vs. eval;
@@ -21,14 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
-from ..framework.module import Module
-from .context import current_metrics, current_tracer
 from .trace import chrome_trace_from_intervals
 
 if TYPE_CHECKING:  # the runtime import is lazy: core itself imports telemetry
     from ..core.mllog import LogEvent
 
-__all__ = ["Instrumented", "PhaseDecomposition", "RunTelemetry",
+__all__ = ["PhaseDecomposition", "RunTelemetry",
            "decompose_log_events", "merged_run_telemetry", "trace_from_log_events"]
 
 
@@ -76,39 +71,6 @@ def merged_run_telemetry(snapshots: Iterable[RunTelemetry | None]) -> RunTelemet
         op_profile=merge_op_profiles(
             s.op_profile for s in present if s.op_profile),
     )
-
-
-class Instrumented(Module):
-    """Wrap a module so its forward/backward passes emit trace spans.
-
-    The wrapper is transparent for training (parameters, modes, and state
-    flow through) but parameter names gain an ``inner.`` prefix — use it
-    for profiling sessions, not for checkpoint-compatible runs.  The
-    backward pass of the tape-based autodiff starts from a loss tensor,
-    not from the module, so the wrapper exposes :meth:`backward` to time
-    it under the same label::
-
-        model = Instrumented(MiniResNet(...), label="resnet")
-        loss = F.cross_entropy(model(x), y)
-        model.backward(loss)
-    """
-
-    def __init__(self, inner: Module, label: str | None = None):
-        super().__init__()
-        self.inner = inner
-        self._label = label or type(inner).__name__
-
-    def forward(self, *args, **kwargs):
-        with current_tracer().span(f"forward/{self._label}"):
-            out = self.inner(*args, **kwargs)
-        current_metrics().counter(f"{self._label}.forward_calls").inc()
-        return out
-
-    def backward(self, loss) -> None:
-        """Run ``loss.backward()`` inside a ``backward/<label>`` span."""
-        with current_tracer().span(f"backward/{self._label}"):
-            loss.backward()
-        current_metrics().counter(f"{self._label}.backward_calls").inc()
 
 
 @dataclass(frozen=True)

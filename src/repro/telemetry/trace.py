@@ -229,10 +229,6 @@ class Tracer:
             closed += 1
         return closed
 
-    def reset(self) -> None:
-        self.spans.clear()
-        self._stack.clear()
-
     # -- export --------------------------------------------------------------
     def chrome_events(self, pid: int | None = None) -> list[dict[str, Any]]:
         """The recorded spans as Chrome ``trace_event`` dicts (closed only).

@@ -1,10 +1,9 @@
-"""Op-level profiler: sampling, nesting, memory accounting, overhead bench."""
+"""Op-level profiler: the on/off switch, nesting, memory accounting, merge."""
 
 import numpy as np
 import pytest
 
 from repro.framework.fused import conv2d_bias_relu, linear_bias_act
-from repro.framework.microbench import bench_profile, gate_profile_failures
 from repro.framework.module import Parameter
 from repro.framework.optim import SGD
 from repro.framework.tensor import Tensor
@@ -36,18 +35,18 @@ class TestOpProfilerCore:
     def test_off_mode_records_nothing_and_snapshot_is_empty(self):
         prof = OpProfiler(mode="off")
         assert prof.active is False
-        prof.step()
         with prof.op("gemm"):
             pass
         prof.note_alloc(1024)
         assert prof.snapshot() == {}
 
     def test_env_mode_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "sampled")
-        assert profile_mode_from_env() == "sampled"
-        monkeypatch.setenv("REPRO_PROFILE", "bogus")
-        with pytest.raises(ValueError):
-            profile_mode_from_env()
+        monkeypatch.setenv("REPRO_PROFILE", "full")
+        assert profile_mode_from_env() == "full"
+        for rejected in ("sampled", "bogus"):
+            monkeypatch.setenv("REPRO_PROFILE", rejected)
+            with pytest.raises(ValueError, match=r"\('off', 'full'\)"):
+                profile_mode_from_env()
 
     def test_disabled_session_never_reads_env(self, monkeypatch):
         # Telemetry.disabled() is built at import time in some paths; a
@@ -56,22 +55,13 @@ class TestOpProfilerCore:
         prof = OpProfiler(enabled=False)
         assert prof.mode == "off"
 
-    def test_sampled_mode_windows(self):
-        prof = OpProfiler(mode="sampled", sample_every=4)
-        assert prof.active  # window 0 always sampled
-        states = []
-        for _ in range(8):
-            prof.step()
-            states.append(prof.active)
-        assert states == [False, False, False, True] * 2
-        assert prof.steps_total == 8
-        assert prof.steps_sampled == 3  # window 0 + steps 4 and 8
-
     def test_full_mode_counts_every_step(self):
         prof = OpProfiler(mode="full")
         for _ in range(5):
-            prof.step()
-        assert prof.active and prof.steps_sampled == 6
+            with prof.op("optimizer_step", phase="update"):
+                pass
+        assert prof.active
+        assert prof.snapshot()["ops"]["update"]["optimizer_step"]["calls"] == 5
 
     def test_nested_ops_attribute_self_time(self):
         t = [0]
@@ -174,25 +164,39 @@ class TestFrameworkIntegration:
 
 class TestMergeAndRender:
     def test_merge_sums_counters_and_keeps_peaks(self):
-        a = {"schema": "repro.op_profile.v1", "mode": "full", "sample_every": 8,
-             "steps_total": 2, "steps_sampled": 3,
+        a = {"schema": "repro.op_profile.v1", "mode": "full",
              "ops": {"forward": {"gemm": {"calls": 1, "total_ns": 10,
                                           "self_ns": 10, "bytes_moved": 4}}},
              "memory": {"forward": {"tensor_allocs": 1, "tensor_bytes": 8}},
              "arena": {"peak_live_bytes": 100, "bytes_saved": 50}}
-        b = {"schema": "repro.op_profile.v1", "mode": "full", "sample_every": 8,
-             "steps_total": 3, "steps_sampled": 4,
+        b = {"schema": "repro.op_profile.v1", "mode": "full",
              "ops": {"forward": {"gemm": {"calls": 2, "total_ns": 20,
                                           "self_ns": 20, "bytes_moved": 8}}},
              "memory": {"forward": {"tensor_allocs": 2, "tensor_bytes": 16}},
              "arena": {"peak_live_bytes": 80, "bytes_saved": 70}}
         merged = merge_op_profiles([a, None, b])
-        assert merged["steps_total"] == 5
         assert merged["ops"]["forward"]["gemm"] == {
             "calls": 3, "total_ns": 30, "self_ns": 30, "bytes_moved": 12}
         assert merged["memory"]["forward"]["tensor_allocs"] == 3
         assert merged["arena"]["peak_live_bytes"] == 100  # max, not sum
         assert merged["arena"]["bytes_saved"] == 120  # counter: sum
+
+    def test_old_payload_with_step_counters_merges_and_renders(self):
+        # Artifacts saved before the profiler became an on/off switch carry
+        # sampling-window keys; they merge and render, the keys ignored.
+        old = {"schema": "repro.op_profile.v1", "mode": "sampled",
+               "sample_every": 8, "steps_total": 3, "steps_sampled": 1,
+               "ops": {"forward": {"gemm": {"calls": 1, "total_ns": 10,
+                                            "self_ns": 10, "bytes_moved": 4}}}}
+        tele = Telemetry(profile="full")
+        with tele.activate():
+            _train_step()
+        merged = merge_op_profiles([old, tele.profiler.snapshot()])
+        assert not {"sample_every", "steps_total", "steps_sampled"} & set(merged)
+        assert merged["ops"]["forward"]["gemm"]["calls"] == 1
+        assert "conv2d_bias_relu" in merged["ops"]["forward"]
+        text = render_op_profile(merged)
+        assert "gemm" in text and "conv2d_bias_relu" in text
 
     def test_merge_of_nothing_is_empty(self):
         assert merge_op_profiles([None, {}]) == {}
@@ -206,34 +210,3 @@ class TestMergeAndRender:
         assert "conv2d_bias_relu" in text and "optimizer_step" in text
         assert "Share" in text and "arena:" in text
 
-
-class TestBenchProfile:
-    def test_smoke_bench_payload_and_gate(self):
-        # Shape, op coverage and bit-identity of a live run.  The overhead
-        # ratios are wall-clock and so only range-checked; the gate that
-        # bounds them runs on synthetic payloads below and in the bench job.
-        payload = bench_profile(smoke=True, steps=2, repeats=1)
-        assert payload["schema"] == "repro.bench_profile.v1"
-        checks = payload["checks"]
-        assert checks["ops_recorded"] == 5
-        assert checks["bit_identical"]
-        assert all(checks["bit_identical_by_mode"].values())
-        for mode in ("off", "sampled", "full"):
-            assert checks[f"{mode}_overhead"] >= 0.0
-        assert payload["op_profile"]["ops"]["update"]["optimizer_step"]["calls"] == 2
-
-    def test_gate_passes_clean_payload_at_the_bound(self):
-        payload = {"checks": {"ops_recorded": 5, "sampled_overhead": 0.05,
-                              "bit_identical": True,
-                              "bit_identical_by_mode": {"full": True}}}
-        assert gate_profile_failures(payload) == []
-
-    def test_gate_flags_excess_overhead_and_missing_ops(self):
-        payload = {"checks": {"ops_recorded": 2, "sampled_overhead": 0.5,
-                              "bit_identical": False,
-                              "bit_identical_by_mode": {"full": False}}}
-        failures = gate_profile_failures(payload)
-        assert len(failures) == 3
-        assert any("overhead" in f for f in failures)
-        assert any("changed training results" in f for f in failures)
-        assert any("instrumentation hole" in f for f in failures)

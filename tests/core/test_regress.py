@@ -136,16 +136,6 @@ class TestAttribution:
         current["kernels"]["sgd_momentum_step"]["ns_per_op"] *= 3
         assert attribute_regression(current, baseline) == []
 
-    def test_op_profile_takes_precedence_over_kernels_table(self):
-        def payload(conv_self_ns):
-            return {"op_profile": {"ops": {
-                "forward": {"conv2d": {"self_ns": conv_self_ns,
-                                       "total_ns": conv_self_ns},
-                            "linear": {"self_ns": 1_000}},
-            }}}
-        rows = attribute_regression(payload(9_000), payload(1_000))
-        assert rows[0].op == "forward/conv2d"
-
     def test_passing_report_carries_no_attribution(self):
         baseline = self._kernels_payload(conv_ns=2_000_000)
         report = compare_reports(baseline, baseline)

@@ -207,10 +207,10 @@ class TestAbort:
                   if e.get("args", {}).get("error") == "ArithmeticError"]
         assert tagged  # the unwound spans carry the failure tag
         json.dumps(snap.trace_events)  # serializable as-is
-        # The profiler snapshot flushed too: one sampled window ran
-        # before the blast.
+        # The profiler snapshot flushed too (its op table is empty: the
+        # fake session runs no kernel).
         assert snap.op_profile.get("mode") == "full"
-        assert snap.op_profile.get("steps_sampled", 0) >= 1
+        assert snap.op_profile.get("ops") == {}
 
 
 class TestMLLogParsing:

@@ -12,7 +12,6 @@ from repro.framework.tensor import Tensor
 from repro.telemetry import (
     NULL_METRICS,
     NULL_SPAN,
-    Instrumented,
     MetricsRegistry,
     Telemetry,
     Tracer,
@@ -211,26 +210,7 @@ class _Scale(Module):
         return x * self.w
 
 
-class TestInstrumented:
-    def test_forward_and_backward_spans(self):
-        clock = FakeClock()
-        tele = Telemetry(clock=clock)
-        model = Instrumented(_Scale(), label="scale")
-        with tele.activate():
-            out = model(Tensor(np.array([3.0])))
-            loss = out.sum()
-            model.backward(loss)
-        names = [s.name for s in tele.tracer.spans]
-        assert "forward/scale" in names and "backward/scale" in names
-        assert tele.metrics.counter("scale.forward_calls").value == 1
-        assert model.inner.w.grad is not None  # backward actually ran
-
-    def test_transparent_without_telemetry(self):
-        model = Instrumented(_Scale())
-        out = model(Tensor(np.array([3.0])))
-        assert float(out.data[0]) == 6.0
-        assert len(model.parameters()) == 1
-
+class TestForwardHooks:
     def test_forward_hook_fires_and_removes(self):
         model = _Scale()
         seen = []

@@ -192,6 +192,26 @@ class TestObservabilityCommands:
         log_names = {e["name"] for e in log_doc["traceEvents"]}
         assert "run" in log_names and any(n.startswith("epoch") for n in log_names)
 
+    def test_run_trace_into_the_save_directory(self, tmp_path):
+        # The trace is written before --save creates its directory.
+        save = tmp_path / "profiled-run"
+        code, text = run_cli("run", "recommendation", "--seeds", "1",
+                             "--save", str(save),
+                             "--trace", str(save / "trace.json"))
+        assert code == 0
+        assert (save / "trace.json").is_file()
+        assert "artifacts written" in text
+
+    def test_campaign_trace_creates_parent_directories(self, tmp_path):
+        import json
+
+        trace = tmp_path / "traces" / "campaign.json"
+        code, text = run_cli("campaign", "recommendation", "--seeds", "1",
+                             "--trace", str(trace))
+        assert code == 0
+        assert "trace written" in text
+        assert json.loads(trace.read_text())["traceEvents"]
+
     def test_trace_on_non_log_file(self, tmp_path):
         bogus = tmp_path / "notes.txt"
         bogus.write_text("no structured events here\n")
@@ -401,7 +421,7 @@ class TestProfileCommand:
     def test_profile_lists_kernel_fallbacks(self, tmp_path, monkeypatch):
         import json
 
-        monkeypatch.setenv("REPRO_PROFILE", "sampled")
+        monkeypatch.setenv("REPRO_PROFILE", "full")
         run_cli("run", "recommendation", "--seeds", "2",
                 "--save", str(tmp_path), "--submitter", "prof-test")
         code, text = run_cli("profile", str(tmp_path / "prof-test"))
@@ -423,14 +443,15 @@ class TestProfileCommand:
     def test_profile_json_merges_runs(self, tmp_path, monkeypatch):
         import json
 
-        monkeypatch.setenv("REPRO_PROFILE", "sampled")
+        monkeypatch.setenv("REPRO_PROFILE", "full")
         run_cli("run", "recommendation", "--seeds", "1",
                 "--save", str(tmp_path), "--submitter", "prof-test")
         code, text = run_cli("profile", str(tmp_path / "prof-test"), "--json")
         assert code == 0
         payload = json.loads(text)
         assert payload["schema"] == "repro.op_profile.v1"
-        assert payload["steps_sampled"] >= 1
+        assert payload["mode"] == "full"
+        assert payload["ops"]["backward"]
 
     def test_unprofiled_run_exits_one_with_hint(self, tmp_path):
         run_cli("run", "recommendation", "--seeds", "1",
@@ -443,6 +464,29 @@ class TestProfileCommand:
         code, text = run_cli("profile", str(tmp_path / "nope"))
         assert code == 2
         assert "no such file or directory" in text
+
+    def test_profiled_run_without_save_prints_the_profile(self, monkeypatch):
+        # A requested profile is never silently dropped: with nothing to
+        # save it to, `run` prints it.
+        monkeypatch.setenv("REPRO_PROFILE", "full")
+        code, text = run_cli("run", "recommendation", "--seeds", "1")
+        assert code == 0
+        assert "op profile: mode=full" in text
+        assert any(line.split()[:1] == ["backward"] for line in text.splitlines())
+
+    def test_failed_profiled_run_prints_the_partial_profile(self, monkeypatch):
+        from repro.suite import recommendation
+
+        def explode(self):
+            raise ArithmeticError("injected crash")
+
+        # Epoch 1 trains under the profiler, then the first eval raises.
+        monkeypatch.setattr(recommendation._Session, "evaluate", explode)
+        monkeypatch.setenv("REPRO_PROFILE", "full")
+        code, text = run_cli("run", "recommendation", "--seeds", "1")
+        assert code == 1
+        assert "op profile: mode=full" in text
+        assert any(line.split()[:1] == ["backward"] for line in text.splitlines())
 
 
 class TestAnalyzeCommand:
@@ -490,36 +534,6 @@ class TestAnalyzeCommand:
     def test_analyze_missing_path(self, tmp_path):
         code, _ = run_cli("analyze", str(tmp_path / "nope"))
         assert code == 2
-
-
-class TestBenchProfileCommand:
-    def test_smoke_gate_and_report(self, tmp_path):
-        import json
-
-        report = tmp_path / "BENCH_profile.json"
-        # A 2-step/1-repeat loop is far too noisy to hold the real 5%
-        # overhead bound (CI's profile-smoke job owns that); this test
-        # checks the command plumbing, so no finite wall-clock ratio may
-        # decide it (one 10 ms preemption is a 10x "overhead" here).
-        code, text = run_cli("bench-profile", "--smoke", "--steps", "2",
-                             "--repeats", "1", "--max-overhead", "inf",
-                             "-o", str(report))
-        assert code == 0
-        assert "baseline (no telemetry):" in text
-        assert "ops recorded (full mode): 5" in text
-        payload = json.loads(report.read_text())
-        assert payload["schema"] == "repro.bench_profile.v1"
-        assert payload["checks"]["bit_identical"] is True
-
-    def test_impossible_overhead_bound_fails_gate(self, tmp_path):
-        code, text = run_cli("bench-profile", "--smoke", "--steps", "2",
-                             "--repeats", "1", "--max-overhead", "0.0",
-                             "-o", "-")
-        # Zero tolerance: any measured overhead at all trips the gate.
-        if code == 1:
-            assert "GATE FAILED" in text
-        else:  # a lucky timing run can legitimately measure 0 overhead
-            assert code == 0
 
 
 class TestFailedRunTraceFlush:
@@ -616,24 +630,72 @@ class TestLoadgenCommand:
         assert "serve:offline" in text or "query" in text
 
 
+def _repro_process(env_overrides, *argv, module="repro", **popen_kwargs):
+    """``python -m MODULE ARGV`` in a fresh interpreter with extra env vars."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, **env_overrides,
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.Popen([sys.executable, "-m", module, *argv], env=env,
+                            text=True, **popen_kwargs)
+
+
+def _repro_run(env_overrides, *argv, module="repro"):
+    import subprocess
+
+    with _repro_process(env_overrides, *argv, module=module,
+                        stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        stdout, stderr = proc.communicate(timeout=120)
+    return proc.returncode, stdout, stderr
+
+
 class TestKernelModeEnvironment:
     @pytest.mark.parametrize("value", ["compiled", "reuse", "turbo"])
     def test_unknown_mode_is_one_line_and_exit_2(self, value):
         # The variable is read when repro.framework is first imported, so
         # only a fresh interpreter sees it.
-        import os
+        code, stdout, stderr = _repro_run({"REPRO_KERNEL_MODE": value}, "table1")
+        assert code == 2
+        assert stdout == ""
+        assert stderr == ("repro: error: REPRO_KERNEL_MODE must be one of "
+                          f"('naive', 'fused'), got {value!r}\n")
+
+
+class TestProfileEnvironment:
+    @pytest.mark.parametrize("value", ["turbo", "sampled"])
+    def test_unknown_mode_is_one_line_and_exit_2(self, value):
+        code, stdout, stderr = _repro_run({"REPRO_PROFILE": value}, "table1")
+        assert code == 2
+        assert stdout == ""
+        assert stderr == ("repro: error: REPRO_PROFILE must be one of "
+                          f"('off', 'full'), got {value!r}\n")
+
+
+class TestClosedPipe:
+    # Buffered stdout (the default for a pipe) holds table1's output until
+    # the final flush; unbuffered stdout fails on the first write.
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_reader_closing_early_is_not_an_error(self, unbuffered):
         import subprocess
-        import sys
 
-        import repro
+        with _repro_process({"PYTHONUNBUFFERED": unbuffered}, "table1",
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdout.close()  # the reader goes away before any output
+            stderr = proc.stderr.read()
+            proc.wait(timeout=120)
+        assert stderr == ""
+        assert proc.returncode == 0
 
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = {**os.environ, "REPRO_KERNEL_MODE": value,
-               "PYTHONPATH": os.pathsep.join(
-                   p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        done = subprocess.run([sys.executable, "-m", "repro", "table1"],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 2
-        assert done.stdout == ""
-        assert done.stderr == ("repro: error: REPRO_KERNEL_MODE must be one of "
-                               f"('naive', 'fused'), got {value!r}\n")
+
+class TestRetiredEntryPoint:
+    def test_cli_module_fails_loudly(self):
+        code, stdout, stderr = _repro_run({}, "table1", module="repro.cli")
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "repro: error: run the CLI as `python -m repro`\n"
