@@ -18,7 +18,7 @@ Commands mirror how the MLPerf artifacts are used in practice:
 - ``stats`` — print the per-benchmark time-decomposition table for saved
   submissions (where the wall-clock went: init/create/train/eval);
   ``--series`` adds the per-run sampled trajectories (throughput, eval
-  quality, arena hit rate) with ASCII sparklines;
+  quality, all-reduce traffic) with ASCII sparklines;
 - ``monitor`` — a refreshable terminal view of a campaign directory,
   live or post-mortem, built purely from the journal + heartbeat + event
   files (per-job state, progress, retries, ETA, stall detection);
@@ -38,7 +38,7 @@ Commands mirror how the MLPerf artifacts are used in practice:
   ``/events``, all tailed incrementally from campaign files;
 - ``alerts`` — deterministically replay a campaign's event streams
   through the declarative alert rules (stall, heartbeat loss, quality
-  regression, throughput drop, arena hit-rate drop), writing
+  regression, throughput drop), writing
   ``alerts.jsonl`` and printing the firing/resolved timeline;
 - ``hp-table`` — print the §6 scale → hyperparameters recommendation table;
 - ``simulate`` — print the Figure 4/5 round-simulation summaries.
@@ -149,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="submitter directories (from `run --save`)")
     stats.add_argument("--series", action="store_true",
                        help="also print the per-run sampled series "
-                            "(throughput, eval quality, arena hit rate, "
-                            "all-reduce traffic) with ASCII trend lines")
+                            "(throughput, eval quality, all-reduce "
+                            "traffic) with ASCII trend lines")
 
     monitor = sub.add_parser(
         "monitor",
@@ -266,17 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench-kernels",
         help="micro-benchmark the framework hot-path kernels against the "
-             "naive reference (per-kernel ns/op, arena hit rate, bit-identity)")
+             "naive reference (per-kernel ns/op, bit-identity)")
     bench.add_argument("--mode", choices=["naive", "fused"], default=None,
                        help="kernel mode to benchmark (default: the active "
                             "REPRO_KERNEL_MODE, normally 'fused')")
     bench.add_argument("--smoke", action="store_true",
                        help="fast CI variant: fewer repeats, and exit non-zero "
-                            "if any kernel diverges from the reference or the "
-                            "steady-state arena hit rate is below --min-hit-rate")
-    bench.add_argument("--min-hit-rate", type=float, default=0.9,
-                       help="smoke gate on the steady-state conv-loop arena "
-                            "hit rate (default 0.9)")
+                            "if any kernel diverges from the reference")
     bench.add_argument("--repeats", type=int, default=None,
                        help="timing repeats per kernel (default 30; 5 with --smoke)")
     bench.add_argument("-o", "--out", metavar="FILE",
@@ -942,10 +938,6 @@ def _cmd_bench_kernels(args, out) -> int:
         print(f"  {name:<20} {entry['naive_ns_per_op'] / 1e3:>10.1f}us naive  "
               f"{entry['ns_per_op'] / 1e3:>10.1f}us {payload['kernel_mode']}  "
               f"{entry['speedup']:>5.2f}x  [{flag}]", file=out)
-    stats = payload["arena"]
-    print(f"  arena: hit_rate={stats['hit_rate']:.3f} "
-          f"steady_state_bytes={stats['steady_state_bytes_allocated']} "
-          f"pooled_bytes={stats['pooled_bytes']}", file=out)
 
     if args.out and args.out != "-":
         path = Path(args.out)
@@ -954,7 +946,7 @@ def _cmd_bench_kernels(args, out) -> int:
         print(f"report written to {path}", file=out)
 
     if args.smoke:
-        failures = gate_failures(payload, min_hit_rate=args.min_hit_rate)
+        failures = gate_failures(payload)
         for failure in failures:
             print(f"GATE FAILED: {failure}", file=out)
         return 1 if failures else 0

@@ -107,8 +107,8 @@ def save_run_result(path: str | Path, run: RunResult) -> Path:
             # (e.g. allreduce traffic) on reloaded runs; trace events are
             # reconstructible from the log and stay out of it.
             "metrics": run.telemetry.metrics if run.telemetry is not None else None,
-            # Per-run sampled series (throughput, eval quality, arena hit
-            # rate, ...) back `repro stats --series` on reloaded runs.
+            # Per-run sampled series (throughput, eval quality, ...) back
+            # `repro stats --series` on reloaded runs.
             "series": run.telemetry.series if run.telemetry is not None else None,
             # The op-level profile (when the run recorded one) backs
             # `repro profile` on saved artifacts.

@@ -306,17 +306,13 @@ class BenchmarkRunner:
                        epoch_dt: float, eps: float | None) -> None:
         """One epoch-boundary sample of every standard series.
 
-        Arena and all-reduce instruments exist only when the run exercised
-        those subsystems; sampling is conditional on presence so runs that
-        never touch them carry no empty series.
+        The all-reduce instrument exists only when the run exercised the
+        comms engine; sampling is conditional on presence so runs that
+        never touch it carry no empty series.
         """
         series.record("epoch_seconds", epoch_dt, t_s=t_s, epoch=epoch)
         if eps is not None:
             series.record("examples_per_second", eps, t_s=t_s, epoch=epoch)
-        if "kernel_arena_hit_rate" in metrics:
-            series.record("kernel_arena_hit_rate",
-                          metrics.gauge("kernel_arena_hit_rate").value,
-                          t_s=t_s, epoch=epoch)
         if "allreduce_bytes" in metrics:
             series.record("allreduce_bytes",
                           metrics.counter("allreduce_bytes").value,

@@ -11,7 +11,6 @@ from .module import Module, ModuleList, Parameter, Sequential
 from . import functional
 from . import init
 from .config import KERNEL_MODES, kernel_mode, set_kernel_mode, use_kernel_mode
-from .workspace import Workspace, arena, record_arena_gauges
 from .conv import conv2d, conv2d_naive, conv2d_same, max_pool2d, avg_pool2d, global_avg_pool2d, im2col, col2im
 from .fused import conv2d_bias_relu, linear_bias_act, lstm_cell
 from .layers import (
@@ -68,9 +67,6 @@ __all__ = [
     "kernel_mode",
     "set_kernel_mode",
     "use_kernel_mode",
-    "Workspace",
-    "arena",
-    "record_arena_gauges",
     "conv2d",
     "conv2d_naive",
     "conv2d_same",

@@ -6,14 +6,16 @@ Convolution and the kernels of :mod:`repro.framework.fused` (linear,
 normalization, the LSTM cell, attention) consult :func:`kernel_mode` and
 pick one of two bit-identical implementations; nothing else reads it:
 
-- ``naive`` — the straightforward reference path: every call allocates its
-  own scratch and every layer is the composed graph of primitives.  The
-  gold standard ``fused`` is checked against, to the bit.
-- ``fused`` — scratch buffers are borrowed from the per-thread
-  :class:`~repro.framework.workspace.Workspace` arena, GEMMs write into
-  reused outputs (``out=``), and fused kernels (``conv2d_bias_relu``,
-  ``linear_bias_act``, ``normalize`` behind batch and layer norm,
-  ``lstm_cell``, ``attention``) collapse many autograd nodes into one or a few.
+- ``naive`` — the straightforward reference path: every layer is the
+  composed graph of primitives.  The gold standard ``fused`` is checked
+  against, to the bit.
+- ``fused`` — convolution unfolds straight into the layout its GEMM reads,
+  and fused kernels (``conv2d_bias_relu``, ``linear_bias_act``,
+  ``normalize`` behind batch and layer norm, ``lstm_cell``, ``attention``)
+  collapse many autograd nodes into one or a few, applying bias and masks
+  in place.
+
+Both modes allocate scratch per call and let it go when the call is done.
 
 The mode is process-wide (read once from the environment, overridable with
 :func:`set_kernel_mode` / :func:`use_kernel_mode`), not per-tensor: the

@@ -8,22 +8,21 @@ reference (used in tests and the im2col-vs-naive ablation bench).
 
 :func:`conv2d` dispatches on :func:`repro.framework.config.kernel_mode`:
 
-- ``naive`` runs the original allocate-per-call implementation below;
-- ``fused`` runs an arena-backed variant that draws all scratch
-  (padded images, patch columns, GEMM outputs, gradient scratch) from the
-  per-thread :class:`~repro.framework.workspace.Workspace` and unfolds
-  patches directly into the patch-major layout the GEMM wants — skipping
-  the big ``ascontiguousarray`` transpose copies of the naive path.  The
-  ``kh*kw`` strided im2col/col2im passes run over blocks of samples whose
-  slab of the patch matrix fits in cache (``_BLOCK_BYTES``); the GEMMs
-  stay whole-batch.  Only data movement is blocked, never arithmetic:
-  each padded pixel still receives its terms in ``(i, j)`` order.
+- ``naive`` runs the original im2col implementation below;
+- ``fused`` unfolds patches directly into the patch-major layout the GEMM
+  wants — skipping the big ``ascontiguousarray`` transpose copies of the
+  naive path — pads by writing only the border zeros, and applies bias and
+  ReLU in place on the GEMM output.  The ``kh*kw`` strided im2col/col2im
+  passes run over blocks of samples whose slab of the patch matrix fits in
+  cache (``_BLOCK_BYTES``); the GEMMs stay whole-batch.  Only data movement
+  is blocked, never arithmetic: each padded pixel still receives its terms
+  in ``(i, j)`` order.
 
-The arena variant is **bit-identical** to ``naive``: same element values,
-same accumulation order, same dtypes (enforced by tests).  The only
-behavioural difference is that a graph produced in ``fused`` mode
-recycles its scratch when its backward runs, so calling ``backward()``
-twice through the same conv node is unsupported outside ``naive`` mode.
+Both modes allocate their scratch per call with ``np.empty`` and drop it
+when done (a scratch pool was measured and removed, DESIGN.md).  The
+fused variant is **bit-identical** to ``naive``: same element values, same
+accumulation order, same dtypes (enforced by tests, including with every
+scratch buffer poisoned before the kernel writes it).
 
 Pooling has one implementation in every mode (DESIGN.md, *Measured and
 removed*).
@@ -36,7 +35,6 @@ import numpy as np
 from .config import kernel_mode
 from .prof import profiled_op
 from .tensor import Tensor, is_grad_enabled
-from .workspace import arena
 
 __all__ = [
     "im2col",
@@ -79,14 +77,14 @@ def col2im(
 
 
 # ---------------------------------------------------------------------------
-# Arena-backed helpers (fused mode)
+# Fused-mode helpers
 # ---------------------------------------------------------------------------
 
 def _uniform_float_dtype(x: Tensor, *others):
     """The shared float dtype of the operands, or ``None`` when mixed.
 
     ``others`` are tensors or arrays; a ``None`` among them (an absent bias
-    or mask) is skipped.  The arena kernels add bias in place, which would
+    or mask) is skipped.  The fused kernels add bias in place, which would
     silently demote a mixed-precision promotion the naive path performs;
     mixed-dtype calls therefore fall back to the reference implementation.
     """
@@ -96,10 +94,10 @@ def _uniform_float_dtype(x: Tensor, *others):
     return dt
 
 
-def _pad_into(ws, x: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-padded copy of ``x`` in an arena borrow (caller releases)."""
+def _pad(x: np.ndarray, pad: int) -> np.ndarray:
+    """Zero-padded copy of ``x``."""
     n, c, h, w = x.shape
-    buf = ws.take((n, c, h + 2 * pad, w + 2 * pad), x.dtype)
+    buf = np.empty((n, c, h + 2 * pad, w + 2 * pad), x.dtype)
     # Only the border needs the zeros; the interior is overwritten below.
     buf[:, :, :pad] = 0
     buf[:, :, pad + h :] = 0
@@ -147,15 +145,14 @@ def _unfold_patch_major(img: np.ndarray, kh: int, kw: int, stride: int,
                                             j : j + stride * ow : stride]
 
 
-def _conv2d_arena(x: Tensor, weight: Tensor, bias: Tensor | None,
+def _conv2d_fused(x: Tensor, weight: Tensor, bias: Tensor | None,
                   stride: int, pad: int, dt, relu: bool = False) -> Tensor:
-    """im2col + GEMM convolution with arena scratch and ``out=`` GEMMs.
+    """im2col + GEMM convolution over a patch-major unfold.
 
     With ``relu=True`` this is the fused conv→bias→ReLU kernel: the mask is
     applied to the GEMM output in place and one backward closure handles
     the whole chain (bit-identical to ``relu(conv2d(...))``).
     """
-    ws = arena()
     n, c = x.shape[0], x.shape[1]
     f, _, kh, kw = weight.shape
     h, w = x.shape[2], x.shape[3]
@@ -164,60 +161,42 @@ def _conv2d_arena(x: Tensor, weight: Tensor, bias: Tensor | None,
     p = oh * ow
     ck = c * kh * kw
 
-    if pad:
-        img = _pad_into(ws, x.data, pad)
-    else:
-        img = x.data
-    colT = ws.take((n, oh, ow, c, kh, kw), dt)
-    _unfold_patch_major(img, kh, kw, stride, oh, ow, colT)
-    if pad:
-        ws.release(img)
-
+    colT = np.empty((n, oh, ow, c, kh, kw), dt)
+    _unfold_patch_major(_pad(x.data, pad) if pad else x.data,
+                        kh, kw, stride, oh, ow, colT)
     col_t = colT.reshape(n * p, ck)
     w2 = weight.data.reshape(f, ck)
-    out_flat = ws.take((n * p, f), dt)
-    np.matmul(col_t, w2.T, out=out_flat)
+    out_flat = np.matmul(col_t, w2.T)
     if bias is not None:
         out_flat += bias.data
     mask = None
     if relu:
-        mask = ws.take((n * p, f), np.bool_)
-        np.greater(out_flat, 0, out=mask)
+        mask = np.greater(out_flat, 0)
         out_flat *= mask
     out = np.empty((n, f, oh, ow), dtype=dt)
     out.reshape(n, f, p)[...] = out_flat.reshape(n, p, f).transpose(0, 2, 1)
-    ws.release(out_flat)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     if not (is_grad_enabled() and any(t.requires_grad for t in parents)):
-        ws.release(colT)
-        if mask is not None:
-            ws.release(mask)
         return Tensor(out)
 
     def backward(result: Tensor) -> None:
-        g2 = ws.take((n * p, f), dt)
+        g2 = np.empty((n * p, f), dt)
         g2.reshape(n, p, f)[...] = result.grad.reshape(n, f, p).transpose(0, 2, 1)
         if mask is not None:
             g2 *= mask
-            ws.release(mask)
         if bias is not None:
-            bias._accumulate(g2.sum(axis=0))
+            bias._accumulate(g2.sum(axis=0), owned=True)
         if weight.requires_grad:
-            wg = ws.take((f, ck), dt)
-            np.matmul(g2.T, col_t, out=wg)
-            weight._accumulate(wg.reshape(weight.shape))
-            ws.release(wg)
+            weight._accumulate(np.matmul(g2.T, col_t).reshape(weight.shape), owned=True)
         if x.requires_grad:
-            dcolT = ws.take((n * p, ck), dt)
-            np.matmul(g2, w2, out=dcolT)
-            cT = dcolT.reshape(n, oh, ow, c, kh, kw)
+            cT = np.matmul(g2, w2).reshape(n, oh, ow, c, kh, kw)
             # Fold channels-last (contiguous inner axis), then hand the
             # NCHW transpose view to _accumulate — same per-element add
             # order as col2im, one less transpose copy.  Blocked over
             # samples like the unfold: every padded pixel still receives
             # its terms in (i, j) order, so the sums are the same bits.
-            img_cl = ws.take((n, h + 2 * pad, w + 2 * pad, c), dt)
+            img_cl = np.empty((n, h + 2 * pad, w + 2 * pad, c), dt)
             step = _block(n, cT.strides[0])
             for s in range(0, n, step):
                 dst = img_cl[s : s + step]
@@ -229,10 +208,6 @@ def _conv2d_arena(x: Tensor, weight: Tensor, bias: Tensor | None,
                             j : j + stride * ow : stride, :] += src[:, :, :, :, i, j]
             x._accumulate(
                 img_cl[:, pad : pad + h, pad : pad + w, :].transpose(0, 3, 1, 2))
-            ws.release(dcolT)
-            ws.release(img_cl)
-        ws.release(g2)
-        ws.release(colT)
 
     return Tensor._make(out, parents, backward)
 
@@ -247,6 +222,8 @@ def _check_conv_args(x: Tensor, weight: Tensor, stride: int, pad: int) -> None:
         raise ValueError(f"input channels {x.shape[1]} != weight channels {weight.shape[1]}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    if pad < 0:
+        raise ValueError(f"pad must be >= 0, got {pad}")
     h, w = x.shape[2:]
     kh, kw = weight.shape[2:]
     if (h + 2 * pad - kh) // stride < -1 or (w + 2 * pad - kw) // stride < -1:
@@ -264,12 +241,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     if kernel_mode() != "naive":
         dt = _uniform_float_dtype(x, weight, bias)
         if dt is not None:
-            return _conv2d_arena(x, weight, bias, stride, pad, dt)
+            return _conv2d_fused(x, weight, bias, stride, pad, dt)
     return _conv2d_reference(x, weight, bias, stride, pad)
 
 
 def _conv2d_reference(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int, pad: int) -> Tensor:
-    """The allocate-per-call reference implementation (``naive`` mode)."""
+    """The reference implementation (``naive`` mode)."""
     n = x.shape[0]
     f, c, kh, kw = weight.shape
     oh = (x.shape[2] + 2 * pad - kh) // stride + 1
@@ -286,7 +263,7 @@ def _conv2d_reference(x: Tensor, weight: Tensor, bias: Tensor | None, stride: in
         out_flat = out_flat + bias.data
     # A dense NCHW copy, not the NHWC-backed view: NumPy's pairwise sums
     # follow memory order, so whatever reduces this output next (batch norm,
-    # a mean) would otherwise round differently from the arena path.
+    # a mean) would otherwise round differently from the fused path.
     out = np.ascontiguousarray(
         out_flat.reshape(n, p, f).transpose(0, 2, 1).reshape(n, f, oh, ow))
 
@@ -383,21 +360,29 @@ def conv2d_same(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: i
     return conv2d(padded, weight, bias, stride=stride, pad=0)
 
 
-def _check_pool_args(kernel: int, stride: int | None) -> int:
-    """The effective stride (``None`` means ``kernel``); rejects windows < 1."""
+def _check_pool_args(x: Tensor, kernel: int, stride: int | None) -> int:
+    """The effective stride (``None`` means ``kernel``).
+
+    Rejects windows < 1 and windows that do not fit the input (an empty
+    ``(N, C, 0, 0)`` output is legal, as for conv).
+    """
     if kernel < 1:
         raise ValueError(f"kernel must be >= 1, got {kernel}")
     if stride is None:
-        return kernel
-    if stride < 1:
+        stride = kernel
+    elif stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    h, w = x.shape[2:]
+    if (h - kernel) // stride < -1 or (w - kernel) // stride < -1:
+        raise ValueError(
+            f"window {kernel} with stride {stride} does not fit input {(h, w)}")
     return stride
 
 
 @profiled_op("max_pool2d")
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """Max pooling with square windows."""
-    stride = _check_pool_args(kernel, stride)
+    stride = _check_pool_args(x, kernel, stride)
     n, c, h, w = x.shape
     oh = (h - kernel) // stride + 1
     ow = (w - kernel) // stride + 1
@@ -421,7 +406,7 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
 @profiled_op("avg_pool2d")
 def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     """Average pooling with square windows."""
-    stride = _check_pool_args(kernel, stride)
+    stride = _check_pool_args(x, kernel, stride)
     n, c, h, w = x.shape
     oh = (h - kernel) // stride + 1
     ow = (w - kernel) // stride + 1

@@ -4,8 +4,7 @@
 algorithms applies to graph shape too: ``conv → bias → relu`` as three
 ``Tensor`` nodes materializes two extra full activations and walks three
 closures backward.  The kernels here compute the same values (bit-identical
-— enforced by tests) in one node, with scratch drawn from the workspace
-arena and element masks applied in place.
+— enforced by tests) in one node, with element masks applied in place.
 
 Fusion only engages in the ``fused`` kernel mode (see
 :mod:`repro.framework.config`); in ``naive`` mode these functions run the
@@ -20,11 +19,10 @@ import math
 import numpy as np
 
 from .config import kernel_mode
-from .conv import _check_conv_args, _conv2d_arena, _uniform_float_dtype, conv2d
+from .conv import _check_conv_args, _conv2d_fused, _uniform_float_dtype, conv2d
 from .prof import profiled_op
 from .functional import softmax
 from .tensor import Tensor, _sigmoid, _unbroadcast, is_grad_enabled
-from .workspace import arena
 
 __all__ = ["conv2d_bias_relu", "linear_bias_act", "normalize", "lstm_cell", "attention"]
 
@@ -55,7 +53,7 @@ def conv2d_bias_relu(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if kernel_mode() == "fused":
         dt = _uniform_float_dtype(x, weight, bias)
         if dt is not None:
-            return _conv2d_arena(x, weight, bias, stride, pad, dt, relu=True)
+            return _conv2d_fused(x, weight, bias, stride, pad, dt, relu=True)
         _count_fallback("conv2d_bias_relu", "mixed_dtype")
     return conv2d(x, weight, bias, stride=stride, pad=pad).relu()
 
@@ -83,31 +81,23 @@ def linear_bias_act(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 
 def _linear_fused(x: Tensor, weight: Tensor, bias: Tensor | None, act: str, dt) -> Tensor:
-    ws = arena()
     wd = weight.data
     y = np.matmul(x.data, wd.T)  # escapes as the result tensor's data
     if bias is not None:
         y += bias.data
     mask = None
     if act == "relu":
-        mask = ws.take(y.shape, np.bool_)
-        np.greater(y, 0, out=mask)
+        mask = np.greater(y, 0)
         y *= mask
 
     parents = [x, weight] + ([bias] if bias is not None else [])
     if not (is_grad_enabled() and any(t.requires_grad for t in parents)):
-        if mask is not None:
-            ws.release(mask)
         return Tensor(y)
 
     def backward(result: Tensor) -> None:
         g = result.grad
-        gm = None
         if mask is not None:
-            gm = ws.take(g.shape, g.dtype)
-            np.multiply(g, mask, out=gm)
-            g = gm
-            ws.release(mask)
+            g = g * mask
         if bias is not None:
             bias._accumulate(_unbroadcast(g, bias.shape))
         if weight.requires_grad:
@@ -118,8 +108,6 @@ def _linear_fused(x: Tensor, weight: Tensor, bias: Tensor | None, act: str, dt) 
             weight._accumulate(gw_t.transpose(1, 0))
         if x.requires_grad:
             x._accumulate(_unbroadcast(g @ wd, x.shape))
-        if gm is not None:
-            ws.release(gm)
 
     return Tensor._make(y, parents, backward)
 

@@ -11,14 +11,10 @@ mode has a row: anything else would compare ``naive`` with itself.
 Each benchmark is a closure that runs one full forward+backward; timing
 takes the *minimum* over repeats after a warmup, the standard micro-bench
 estimator for the noise-free cost.
-Arena statistics are reset after warmup, so the reported hit rate and
-bytes-allocated are steady-state numbers: a healthy arena shows a hit rate
-near 1.0 and zero steady-state allocation.
 
 The same closures double as the bit-identity oracle: ``--smoke`` (used in
 CI) re-runs every kernel in ``naive`` vs the active mode and fails if any
-output or gradient differs by even one bit, or if the steady-state conv
-hit rate drops below 90%.
+output or gradient differs by even one bit.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ from .config import kernel_mode, use_kernel_mode
 from .fused import attention, conv2d_bias_relu, linear_bias_act, lstm_cell
 from .module import Parameter
 from .tensor import Tensor
-from .workspace import arena
 
 __all__ = ["bench_kernels", "gate_failures", "BENCH_SCHEMA"]
 
@@ -166,8 +161,7 @@ def bench_kernels(mode: str | None = None, *, smoke: bool = False,
 
     ``mode`` defaults to the active kernel mode.  Each kernel is timed
     under ``naive`` (the baseline) and under ``mode``, and checked for
-    bit-identical outputs/gradients between the two.  Steady-state arena
-    stats come from the conv loop with counters reset after warmup.
+    bit-identical outputs/gradients between the two.
     """
     mode = mode or kernel_mode()
     if repeats is None:
@@ -185,58 +179,37 @@ def bench_kernels(mode: str | None = None, *, smoke: bool = False,
             naive_ns = _time_ns(step, repeats, warmup)
 
         with use_kernel_mode(mode):
-            candidate = step()
-            identical = _bit_identical(reference, candidate)
-            ws = arena()
-            is_conv = name == "conv2d_fwd_bwd"
-            if is_conv:
-                for _ in range(warmup):
-                    step()
-                ws.reset_stats()  # steady state: the pool is warm
-            current_ns = _time_ns(step, repeats, 0 if is_conv else warmup)
-            conv_arena = ws.stats() if is_conv else None
+            identical = _bit_identical(reference, step())
+            current_ns = _time_ns(step, repeats, warmup)
 
-        entry: dict[str, Any] = {
+        kernels[name] = {
             "naive_ns_per_op": naive_ns,
             "ns_per_op": current_ns,
             "speedup": naive_ns / current_ns if current_ns else float("inf"),
             "bit_identical": identical,
         }
-        if conv_arena is not None:
-            entry["arena"] = conv_arena
-        kernels[name] = entry
 
-    conv_stats = kernels["conv2d_fwd_bwd"]["arena"]
-    payload: dict[str, Any] = {
+    return {
         "schema": BENCH_SCHEMA,
         "kernel_mode": mode,
         "smoke": smoke,
         "repeats": repeats,
         "warmup": warmup,
         "kernels": kernels,
-        "arena": {
-            "hit_rate": conv_stats["hit_rate"],
-            "hits": conv_stats["hits"],
-            "misses": conv_stats["misses"],
-            "steady_state_bytes_allocated": conv_stats["bytes_allocated"],
-            "pooled_bytes": conv_stats["pooled_bytes"],
-            "live_borrows": conv_stats["live"],
-        },
         "checks": {
             "bit_identical": all(k["bit_identical"] for k in kernels.values()),
             "conv_speedup": kernels["conv2d_fwd_bwd"]["speedup"],
         },
     }
-    return payload
 
 
-def gate_failures(payload: dict[str, Any], *, min_hit_rate: float = 0.9,
+def gate_failures(payload: dict[str, Any], *,
                   min_conv_speedup: float | None = None) -> list[str]:
     """CI gates over a bench payload; returns human-readable failures.
 
-    The smoke job enforces bit-identity and the steady-state arena hit
-    rate; ``min_conv_speedup`` is optional because wall-clock ratios are
-    machine-dependent in a way correctness checks are not.
+    The smoke job enforces bit-identity; ``min_conv_speedup`` is optional
+    because wall-clock ratios are machine-dependent in a way correctness
+    checks are not.
     """
     failures = []
     for name, entry in payload["kernels"].items():
@@ -244,12 +217,6 @@ def gate_failures(payload: dict[str, Any], *, min_hit_rate: float = 0.9,
             failures.append(
                 f"{name}: {payload['kernel_mode']} mode diverges from the naive reference"
             )
-    hit_rate = payload["arena"]["hit_rate"]
-    if hit_rate < min_hit_rate:
-        failures.append(
-            f"steady-state arena hit rate {hit_rate:.3f} < {min_hit_rate:.2f} "
-            "on the conv loop"
-        )
     if min_conv_speedup is not None:
         speedup = payload["checks"]["conv_speedup"]
         if speedup < min_conv_speedup:

@@ -309,7 +309,7 @@ class Tensor:
 
         ``release_tape=True`` severs the traversed graph afterwards: every
         visited interior node drops its ``_backward`` closure and parent
-        links, so activation arrays (and arena borrows captured in closures)
+        links, so activation arrays (and scratch captured in closures)
         become collectible immediately instead of surviving until the next
         forward rebinds the Python names holding them.  The graph cannot be
         backpropagated again after release; leaf gradients are untouched.

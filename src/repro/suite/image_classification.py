@@ -22,7 +22,6 @@ from ..framework import (
     WarmupStepLR,
     functional as F,
     no_grad,
-    record_arena_gauges,
 )
 from ..metrics import top1_accuracy
 from ..models import MiniResNet
@@ -102,7 +101,6 @@ class _Session(TrainingSession):
                 self.optimizer.step()
                 self.scheduler.step()
             samples.inc(len(images))
-        record_arena_gauges()
 
     def evaluate(self) -> float:
         self.model.eval()

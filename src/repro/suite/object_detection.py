@@ -11,7 +11,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..datasets import SceneConfig, ShapeScenes
-from ..framework import SGD, Tensor, WarmupStepLR, record_arena_gauges
+from ..framework import SGD, Tensor, WarmupStepLR
 from ..metrics import GroundTruth, mean_average_precision
 from ..models import MiniSSD
 from ..telemetry import current_metrics, current_tracer
@@ -84,7 +84,6 @@ class _Session(TrainingSession):
                 self.optimizer.step()
                 self.scheduler.step()
             samples.inc(bs)
-        record_arena_gauges()
 
     def evaluate(self) -> float:
         self.model.eval()

@@ -11,7 +11,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..datasets import InteractionConfig, SyntheticInteractions
-from ..framework import Adam, record_arena_gauges
+from ..framework import Adam
 from ..metrics import leave_one_out_eval
 from ..models import NCF
 from ..telemetry import current_metrics, current_tracer
@@ -101,7 +101,6 @@ class _Session(TrainingSession):
                     )
                     self.optimizer.step()
             samples.inc(len(users))
-        record_arena_gauges()
 
     def close(self) -> None:
         if self._engine is not None:

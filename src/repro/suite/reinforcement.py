@@ -22,7 +22,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..framework import Adam, no_grad, record_arena_gauges
+from ..framework import Adam, no_grad
 from ..go import MCTSConfig, selfplay_batch
 from ..go.pro import DEFAULT_KOMI, pro_reference_games
 from ..metrics import move_match_rate
@@ -111,7 +111,6 @@ class _Session(TrainingSession):
                 )
                 self.optimizer.step()
                 samples.inc(len(idx))
-        record_arena_gauges()
 
     def evaluate(self) -> float:
         self.model.eval()

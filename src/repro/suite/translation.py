@@ -13,7 +13,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..datasets import SyntheticTranslation, TranslationConfig
-from ..framework import Adam, NoamLR, clip_grad_norm, record_arena_gauges
+from ..framework import Adam, NoamLR, clip_grad_norm
 from ..metrics import corpus_bleu
 from ..models import MiniGNMT, MiniTransformer
 from ..telemetry import current_metrics, current_tracer
@@ -65,7 +65,6 @@ class _TranslationSession(TrainingSession):
                 if self.scheduler is not None:
                     self.scheduler.step()
             samples.inc(bs)
-        record_arena_gauges()
 
     def evaluate(self) -> float:
         self.model.eval()

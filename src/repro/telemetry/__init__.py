@@ -16,7 +16,7 @@ measurement substrate for that decomposition:
   append-only JSONL :class:`EventLog` sinks and per-job heartbeat files,
   crash-tolerant on read;
 - :mod:`repro.telemetry.timeseries` — per-run sampled series
-  (throughput, eval quality, arena hit rate, all-reduce bytes) recorded
+  (throughput, eval quality, all-reduce bytes) recorded
   at epoch/eval boundaries and persisted in run artifacts;
 - :mod:`repro.telemetry.monitor` — the ``repro monitor`` view, built
   purely from a campaign directory's journal + heartbeat + event files;

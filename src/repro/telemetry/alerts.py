@@ -7,9 +7,10 @@ surfaces into a firing/resolved lifecycle:
 - An :class:`AlertRule` is data (kind + parameters), parseable from JSON,
   so a campaign can ship its alerting policy next to its spec.
 - :class:`StreamFold` folds a merged event stream into per-run state
-  (last progress instant, latest quality vs. target, rolling throughput,
-  arena hit rate) — one ``O(1)`` update per event, so live tailers pay
-  nothing for history.
+  (last progress instant, latest quality vs. target, rolling throughput)
+  — one ``O(1)`` update per event, so live tailers pay nothing for
+  history.  Events no rule reads, such as those older campaign streams
+  carry for retired rules, are skipped.
 - :class:`AlertEngine` evaluates every rule against a fold snapshot and
   emits ``alert_firing`` / ``alert_resolved`` transitions **as ordinary
   telemetry events**: ``alerts.jsonl`` is just another JSONL stream that
@@ -37,9 +38,7 @@ Rule kinds (each with its parameter defaults):
                        there;
 ``throughput_drop``    latest examples/second under ``drop_ratio`` (0.5)
                        of the rolling mean of the previous ``window``
-                       (4) samples;
-``arena_hit_rate_drop``kernel workspace arena hit rate below
-                       ``min_hit_rate`` (0.8).
+                       (4) samples.
 =====================  ==================================================
 """
 
@@ -64,7 +63,6 @@ RULE_KINDS: dict[str, dict[str, float]] = {
     "heartbeat_loss": {"loss_after_s": 120.0},
     "quality_regression": {"min_fraction": 0.9, "min_evals": 2},
     "throughput_drop": {"drop_ratio": 0.5, "window": 4},
-    "arena_hit_rate_drop": {"min_hit_rate": 0.8},
 }
 
 _SEVERITIES = ("info", "warning", "critical")
@@ -177,7 +175,6 @@ class RunAlertState:
     quality: float | None = None
     evals: int = 0
     throughput: list[float] = field(default_factory=list)
-    arena_hit_rate: float | None = None
 
 
 @dataclass(frozen=True)
@@ -247,7 +244,6 @@ class StreamFold:
                 state.quality = None
                 state.evals = 0
                 state.throughput = []
-                state.arena_hit_rate = None
                 if args.get("target") is not None:
                     state.target = float(args["target"])
             state.last_progress_s = max(state.last_progress_s, event.time_s)
@@ -285,10 +281,6 @@ class StreamFold:
                 state = self._run(f"{args['benchmark']}/{args['seed']}")
                 state.active = bool(args.get("will_retry", False))
                 state.status = str(args.get("status", state.status))
-        elif name == "arena_stats":
-            state = self._resolve(event)
-            if state is not None and "hit_rate" in args:
-                state.arena_hit_rate = float(args["hit_rate"])
 
     def apply_all(self, events: Iterable[Event]) -> None:
         for event in events:
@@ -360,13 +352,6 @@ def _check(rule: AlertRule, state: RunAlertState,
         return (latest < floor, latest,
                 f"{latest:.4g} ex/s vs rolling baseline {baseline:.4g} "
                 f"(floor {floor:.4g})")
-    if rule.kind == "arena_hit_rate_drop":
-        if not state.active or state.arena_hit_rate is None:
-            return None
-        floor = rule.param("min_hit_rate")
-        return (state.arena_hit_rate < floor, state.arena_hit_rate,
-                f"arena hit rate {state.arena_hit_rate:.3f} below "
-                f"{floor:g}")
     raise ValueError(f"unknown alert rule kind {rule.kind!r}")
 
 

@@ -4,8 +4,8 @@ The trace/metrics layer answers *where did the time go* after the fact;
 this module answers *what is happening right now*.  Three pieces:
 
 - :class:`EventBus` — a synchronous publish/subscribe fan-out for
-  lifecycle and progress events.  The runner, campaign engine, comms
-  engine, and kernel arena publish to the ambient bus
+  lifecycle and progress events.  The runner, campaign engine and comms
+  engine publish to the ambient bus
   (:func:`~repro.telemetry.context.current_events`); sinks subscribe.
   A disabled bus (the default when no telemetry session is active)
   collapses every publish to one attribute check.

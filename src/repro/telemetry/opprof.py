@@ -27,9 +27,7 @@ Three moving parts:
 
 - **Memory accounting.**  When profiling is on, the Telemetry session
   installs :meth:`OpProfiler.note_alloc` as the framework's tensor
-  allocation tracker, so each phase reports tensor bytes constructed;
-  :meth:`snapshot` also captures the workspace arena's live/peak/saved
-  bytes, making the arena's reuse savings visible per run.
+  allocation tracker, so each phase reports tensor bytes constructed.
 
 The serializable aggregate (:func:`OpProfiler.snapshot`) is a plain dict
 with ``schema == "repro.op_profile.v1"``; it rides on
@@ -198,40 +196,21 @@ class OpProfiler:
                 "self_ns": self_ns,
                 "bytes_moved": nbytes,
             }
-        payload: dict[str, Any] = {
+        return {
             "schema": OP_PROFILE_SCHEMA,
             "mode": self.mode,
             "ops": ops,
             "memory": {phase: dict(bucket)
                        for phase, bucket in sorted(self._mem.items())},
         }
-        payload["arena"] = _arena_snapshot()
-        return payload
-
-
-def _arena_snapshot() -> dict[str, float]:
-    """The calling thread's workspace-arena memory stats (lazy import)."""
-    from ..framework.workspace import arena
-
-    ws = arena()
-    stats = ws.stats()
-    return {
-        "live_bytes": stats.get("live_bytes", 0),
-        "peak_live_bytes": stats.get("peak_live_bytes", 0),
-        "bytes_allocated": stats.get("bytes_allocated", 0),
-        "bytes_requested": stats.get("bytes_requested", 0),
-        "bytes_saved": stats.get("bytes_saved", 0),
-        "hit_rate": stats.get("hit_rate", 0.0),
-    }
 
 
 def merge_op_profiles(payloads: Iterable[dict[str, Any] | None]) -> dict[str, Any]:
     """Sum several ``OpProfile`` payloads (e.g. one per campaign cell).
 
-    Counters add; ``mode`` is taken from the first payload; arena gauges
-    take element-wise maxima (peaks) except counters, which add.  Keys
-    this module no longer writes (older artifacts' step counters) are
-    ignored.
+    Counters add; ``mode`` is taken from the first payload.  Keys this
+    module no longer writes (older artifacts' step counters and scratch
+    pool stats) are ignored.
     """
     present = [p for p in payloads if p]
     if not present:
@@ -241,7 +220,6 @@ def merge_op_profiles(payloads: Iterable[dict[str, Any] | None]) -> dict[str, An
         "mode": present[0].get("mode", "full"),
         "ops": {},
         "memory": {},
-        "arena": {},
     }
     for payload in present:
         for phase, ops in (payload.get("ops") or {}).items():
@@ -255,11 +233,6 @@ def merge_op_profiles(payloads: Iterable[dict[str, Any] | None]) -> dict[str, An
             into = out["memory"].setdefault(phase, {})
             for field, value in bucket.items():
                 into[field] = into.get(field, 0) + int(value)
-        for field, value in (payload.get("arena") or {}).items():
-            if field in ("bytes_allocated", "bytes_requested", "bytes_saved"):
-                out["arena"][field] = out["arena"].get(field, 0) + value
-            else:
-                out["arena"][field] = max(out["arena"].get(field, 0), value)
     return out
 
 
@@ -304,14 +277,4 @@ def render_op_profile(payload: dict[str, Any]) -> str:
                 f"    {phase:<10}{bucket.get('tensor_allocs', 0):>8} allocs"
                 f"  {_fmt_bytes(bucket.get('tensor_bytes', 0)):>11}"
             )
-    arena = payload.get("arena") or {}
-    if arena:
-        lines.append(
-            "  arena: "
-            f"peak_live={_fmt_bytes(arena.get('peak_live_bytes', 0))} "
-            f"allocated={_fmt_bytes(arena.get('bytes_allocated', 0))} "
-            f"requested={_fmt_bytes(arena.get('bytes_requested', 0))} "
-            f"saved={_fmt_bytes(arena.get('bytes_saved', 0))} "
-            f"hit_rate={arena.get('hit_rate', 0.0):.3f}"
-        )
     return "\n".join(lines)

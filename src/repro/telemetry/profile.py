@@ -33,8 +33,8 @@ class RunTelemetry:
 
     ``series`` is the :class:`~repro.telemetry.timeseries.RunSeries`
     payload — per-run sampled trajectories (throughput, eval quality,
-    arena hit rate, all-reduce traffic) recorded at epoch/eval
-    boundaries, rendered by ``repro stats --series``.
+    all-reduce traffic) recorded at epoch/eval boundaries, rendered by
+    ``repro stats --series``.
     """
 
     trace_events: list[dict[str, Any]] = field(default_factory=list)

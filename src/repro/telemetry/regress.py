@@ -37,7 +37,7 @@ __all__ = ["MetricSpec", "RegressionRow", "RegressionReport",
 class MetricSpec:
     """How one metric in a report is gated against its baseline."""
 
-    path: str  # dotted path into the JSON payload, e.g. "arena.hit_rate"
+    path: str  # dotted path into the JSON payload, e.g. "checks.conv_speedup"
     direction: str  # "exact" | "higher" | "lower"
     rel_tol: float = 0.0
     abs_tol: float = 0.0
@@ -70,8 +70,6 @@ SCHEMA_METRICS: dict[str, tuple[MetricSpec, ...]] = {
     ),
     "repro.bench_kernels.v1": (
         MetricSpec("checks.bit_identical", "exact"),
-        MetricSpec("arena.hit_rate", "higher", abs_tol=0.05),
-        MetricSpec("arena.steady_state_bytes_allocated", "lower"),
         MetricSpec("checks.conv_speedup", "higher", rel_tol=0.5),
         MetricSpec("kernels.conv2d_resnet_fwd_bwd.speedup", "higher", rel_tol=0.5),
         MetricSpec("kernels.lstm_cell_fwd_bwd.speedup", "higher", rel_tol=0.5),

@@ -1,4 +1,4 @@
-"""Per-run sampled time-series (throughput, quality, arena, comms traffic).
+"""Per-run sampled time-series (throughput, quality, comms traffic).
 
 DAWNBench's core lesson is that a time-to-accuracy *number* is only
 trustworthy with the *trajectory* behind it; the paper's §4.1 requires
@@ -23,7 +23,7 @@ __all__ = ["SeriesPoint", "RunSeries", "series_rows", "render_series_table"]
 # The canonical series the runner records (others may appear; the
 # renderer lists whatever a run carries, in this order first).
 STANDARD_SERIES = ("examples_per_second", "eval_quality", "epoch_seconds",
-                   "kernel_arena_hit_rate", "allreduce_bytes")
+                   "allreduce_bytes")
 
 _SPARK_LEVELS = " .:-=+*#%@"
 

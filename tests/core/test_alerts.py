@@ -75,6 +75,11 @@ class TestRuleParsing:
         with pytest.raises(ValueError, match=match):
             parse_rules(doc)
 
+    def test_retired_arena_rule_is_an_unknown_kind(self):
+        with pytest.raises(ValueError,
+                           match="unknown alert rule kind 'arena_hit_rate_drop'"):
+            parse_rules([{"rule": "arena_hit_rate_drop", "min_hit_rate": 0.8}])
+
     def test_load_rules_file(self, tmp_path):
         path = tmp_path / "rules.json"
         path.write_text('[{"rule": "heartbeat_loss", "loss_after_s": 9}]')
@@ -159,17 +164,17 @@ class TestRuleLifecycle:
                    and t.args["rule"] == "throughput_drop"
                    for t in transitions)
 
-    def test_arena_hit_rate_drop(self):
+    def test_old_arena_stats_events_fire_nothing(self):
+        # Streams recorded while kernels pooled their scratch carry these
+        # events; no rule reads them any more.
         specs = [
             (1000.0, "run_start", 1, {"benchmark": "b", "seed": 0}),
             (1001.0, "arena_stats", 1, {"hit_rate": 0.95}),
             (1002.0, "arena_stats", 1, {"hit_rate": 0.4}),
             (1003.0, "arena_stats", 1, {"hit_rate": 0.92}),
         ]
-        _, transitions = replay_alerts(_stream(specs))
-        kinds = [(t.name, t.args["rule"]) for t in transitions]
-        assert kinds.count(("alert_firing", "arena_hit_rate_drop")) == 1
-        assert kinds.count(("alert_resolved", "arena_hit_rate_drop")) == 1
+        engine, transitions = replay_alerts(_stream(specs))
+        assert transitions == [] and engine.active() == []
 
     def test_subject_vanishing_resolves(self):
         """A run that ends while a stall alert fires resolves the alert."""

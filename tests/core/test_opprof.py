@@ -163,23 +163,33 @@ class TestFrameworkIntegration:
 
 
 class TestMergeAndRender:
-    def test_merge_sums_counters_and_keeps_peaks(self):
+    def test_merge_sums_counters(self):
         a = {"schema": "repro.op_profile.v1", "mode": "full",
              "ops": {"forward": {"gemm": {"calls": 1, "total_ns": 10,
                                           "self_ns": 10, "bytes_moved": 4}}},
-             "memory": {"forward": {"tensor_allocs": 1, "tensor_bytes": 8}},
-             "arena": {"peak_live_bytes": 100, "bytes_saved": 50}}
+             "memory": {"forward": {"tensor_allocs": 1, "tensor_bytes": 8}}}
         b = {"schema": "repro.op_profile.v1", "mode": "full",
              "ops": {"forward": {"gemm": {"calls": 2, "total_ns": 20,
                                           "self_ns": 20, "bytes_moved": 8}}},
-             "memory": {"forward": {"tensor_allocs": 2, "tensor_bytes": 16}},
-             "arena": {"peak_live_bytes": 80, "bytes_saved": 70}}
+             "memory": {"forward": {"tensor_allocs": 2, "tensor_bytes": 16}}}
         merged = merge_op_profiles([a, None, b])
         assert merged["ops"]["forward"]["gemm"] == {
             "calls": 3, "total_ns": 30, "self_ns": 30, "bytes_moved": 12}
         assert merged["memory"]["forward"]["tensor_allocs"] == 3
-        assert merged["arena"]["peak_live_bytes"] == 100  # max, not sum
-        assert merged["arena"]["bytes_saved"] == 120  # counter: sum
+
+    def test_old_payload_with_arena_block_merges_and_renders(self):
+        # Artifacts saved while kernels drew scratch from a pool carry its
+        # stats; they merge and render, the block ignored.
+        old = {"schema": "repro.op_profile.v1", "mode": "full",
+               "ops": {"forward": {"gemm": {"calls": 1, "total_ns": 10,
+                                            "self_ns": 10, "bytes_moved": 4}}},
+               "arena": {"peak_live_bytes": 100, "bytes_saved": 50,
+                         "hit_rate": 0.99}}
+        merged = merge_op_profiles([old, old])
+        assert "arena" not in merged
+        assert merged["ops"]["forward"]["gemm"]["calls"] == 2
+        text = render_op_profile(old)
+        assert "gemm" in text and "arena" not in text
 
     def test_old_payload_with_step_counters_merges_and_renders(self):
         # Artifacts saved before the profiler became an on/off switch carry
@@ -208,5 +218,5 @@ class TestMergeAndRender:
             _train_step()
         text = render_op_profile(tele.profiler.snapshot())
         assert "conv2d_bias_relu" in text and "optimizer_step" in text
-        assert "Share" in text and "arena:" in text
+        assert "Share" in text
 

@@ -42,14 +42,13 @@ class TestCompareReports:
 
     def test_injected_kernel_regression_fails(self):
         baseline = load_report(REPORTS_DIR / "BENCH_kernels.json")
-        current = {**baseline, "checks": dict(baseline["checks"]),
-                   "arena": dict(baseline["arena"])}
+        current = {**baseline, "checks": dict(baseline["checks"])}
         current["checks"]["bit_identical"] = False
-        current["arena"]["hit_rate"] = baseline["arena"]["hit_rate"] - 0.5
+        current["checks"]["conv_speedup"] = baseline["checks"]["conv_speedup"] * 0.1
         report = compare_reports(current, baseline)
         assert not report.ok
         regressed = {row.path for row in report.regressions}
-        assert regressed == {"checks.bit_identical", "arena.hit_rate"}
+        assert regressed == {"checks.bit_identical", "checks.conv_speedup"}
         rendered = report.render()
         assert "REGRESSED" in rendered and "2 regression(s)" in rendered
 
@@ -106,7 +105,6 @@ class TestAttribution:
         return {
             "schema": "repro.bench_kernels.v1",
             "checks": {"bit_identical": True, "conv_speedup": 2.0},
-            "arena": {"hit_rate": 0.95, "steady_state_bytes_allocated": 0},
             "kernels": {
                 "conv2d_fwd_bwd": {"ns_per_op": conv_ns},
                 "linear_fwd_bwd": {"ns_per_op": 2_000_000},

@@ -3,12 +3,16 @@
 from repro.core.timing import FakeClock
 from repro.exec import CampaignSpec, RetryPolicy, SequentialExecutor, run_campaign
 from repro.telemetry import (
+    Event,
+    EventLog,
     Heartbeat,
     build_view,
     load_monitor_view,
+    merge_event_streams,
     read_events,
     render_job_table,
     render_monitor_view,
+    replay_alerts,
 )
 
 from ..core.fakes import FAKE_SPEC, FakeBenchmark
@@ -74,6 +78,32 @@ class TestCampaignStreams:
         assert "fake_benchmark/0" in rendered
         assert "reached=3" in rendered
         assert "recent events" in rendered
+
+    def test_old_arena_stats_events_are_read_and_ignored(self, tmp_path):
+        # Campaigns recorded while kernels pooled their scratch published an
+        # arena_stats event per epoch; their streams still load and replay.
+        clock = FakeClock(start=1000.0)
+        _run_campaign(tmp_path, clock, seeds=2)
+        events_dir = tmp_path / "events"
+
+        def replay():
+            merged = merge_event_streams(sorted(events_dir.glob("*.jsonl")))
+            return merged, [e.to_json() for e in replay_alerts(merged)[1]]
+
+        _, before = replay()
+        stream = events_dir / "fake_benchmark_seed1.jsonl"
+        events = read_events(stream)
+        with EventLog(stream, mode="w") as log:
+            for event in events:
+                log.write(event)
+                if event.name == "epoch":
+                    log.write(Event("arena_stats", event.time_s, event.pid,
+                                    {"arena": "thread-1", "hit_rate": 0.1}))
+        merged, after = replay()
+        assert any(e.name == "arena_stats" for e in merged)
+        assert after == before
+        view = load_monitor_view(tmp_path, now_s=clock.now())
+        assert view.counts() == {"reached": 2}
 
     def test_monitor_needs_no_running_campaign(self, tmp_path):
         view = load_monitor_view(tmp_path, now_s=0.0)

@@ -140,6 +140,22 @@ class TestPooling:
             with pytest.raises(ValueError, match=f"stride must be >= 1, got {stride}"):
                 pool(x, 2, stride=stride)
 
+    @pytest.mark.parametrize("pool", [max_pool2d, avg_pool2d])
+    def test_window_larger_than_input_raises_value_error(self, pool):
+        x = Tensor(np.ones((1, 1, 1, 1)))
+        with pytest.raises(ValueError,
+                           match=r"window 3 with stride 1 does not fit input \(1, 1\)"):
+            pool(x, 3, stride=1)
+
+    @pytest.mark.parametrize("pool", [max_pool2d, avg_pool2d])
+    def test_empty_output_stays_legal(self, pool):
+        # One pixel short of the window: (N, C, 0, 0), as for conv.
+        x = Tensor(np.ones((1, 2, 2, 2)), requires_grad=True)
+        out = pool(x, 3, stride=1)
+        assert out.shape == (1, 2, 0, 0)
+        out.backward(np.ones_like(out.data))
+        assert np.array_equal(x.grad, np.zeros_like(x.data))
+
 
 class TestSamePadding:
     """§2.2.4: asymmetric-padding conventions differ across frameworks."""

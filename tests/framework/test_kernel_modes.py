@@ -1,7 +1,7 @@
 """Bit-identity of the ``fused`` kernel mode vs the naive path.
 
 The kernel modes are the framework's executable version of §2.2.4: the
-arena and fused implementations must be *mathematically identical* to the
+fused implementations must be *mathematically identical* to the
 reference, not merely close — so every assertion here is ``array_equal``
 (bitwise), never ``allclose``.  Shapes are chosen to be awkward on
 purpose: stride 2, asymmetric SAME padding, batches that don't divide the
@@ -9,6 +9,8 @@ dataset, inputs that aren't square.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -39,7 +41,6 @@ from repro.framework import (
 )
 from repro.framework import conv as conv_module
 from repro.framework.fused import attention
-from repro.framework.workspace import arena
 
 RNG = np.random.default_rng(0)
 
@@ -61,6 +62,29 @@ def _run_conv(mode, fn, x, wt, b, **kwargs):
         out = fn(xt, wp, bp, **kwargs)
         out.backward(np.ones_like(out.data))
         return out.data, xt.grad, wp.grad, None if bp is None else bp.grad
+
+
+@pytest.fixture
+def poisoned_empty(monkeypatch):
+    """A context in which ``np.empty`` hands out garbage, not fresh pages.
+
+    Every byte is 0xFF: NaN in a float array, -1 in an int one.  A kernel
+    that reads scratch before writing it then differs from ``naive``.
+    """
+    real_empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = real_empty(*args, **kwargs)
+        out.reshape(-1).view(np.uint8)[...] = 0xFF
+        return out
+
+    @contextlib.contextmanager
+    def active():
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "empty", poisoned)
+            yield
+
+    return active
 
 
 def _assert_identical(ref, got, context):
@@ -108,7 +132,7 @@ class TestConvBitIdentity:
 
     def test_mixed_dtype_falls_back(self):
         # float32 input with float64 weights: no uniform dtype, so the
-        # arena path must defer to the reference (values still agree).
+        # fused path must defer to the reference (values still agree).
         x, wt, b = _conv_case()
         ref = _run_conv("naive", conv2d, x, wt.astype(np.float64), b, stride=1, pad=1)
         got = _run_conv("fused", conv2d, x, wt.astype(np.float64), b, stride=1, pad=1)
@@ -125,14 +149,6 @@ class TestConvBitIdentity:
             ref = (out.data, xt.grad, wp.grad, bp.grad)
         got = _run_conv(mode, conv2d_bias_relu, x, wt, b, stride=1, pad=1)
         _assert_identical(ref, got, f"conv2d_bias_relu[{mode}]")
-
-    def test_eval_mode_releases_all_scratch(self):
-        x, wt, b = _conv_case()
-        ws = arena()
-        with use_kernel_mode("fused"), no_grad():
-            before = ws.live_count
-            conv2d_bias_relu(Tensor(x), Parameter(wt), Parameter(b), stride=1, pad=1)
-            assert ws.live_count == before
 
 
 # (conv_case kwargs, conv kwargs): shapes that straddle the unfold/fold block.
@@ -219,29 +235,37 @@ class TestBlockedUnfoldFold:
         got = _run_conv_seeded("fused", conv2d, xs, wt, b, stride=1, pad=1)
         _assert_identical(ref, got, f"blocked conv2d[{layout}]")
 
-    def test_no_grad_output_and_scratch(self, small_blocks):
+    def test_no_grad_output_and_scratch(self, small_blocks, poisoned_empty):
         x, wt, b = _conv_case()
         with use_kernel_mode("naive"), no_grad():
             ref = conv2d_bias_relu(Tensor(x), Tensor(wt), Tensor(b), stride=2, pad=1)
         small_blocks(x, wt, 2, 1)
-        ws = arena()
-        with use_kernel_mode("fused"), no_grad():
-            before = ws.live_count
+        with use_kernel_mode("fused"), no_grad(), poisoned_empty():
             got = conv2d_bias_relu(Tensor(x), Tensor(wt), Tensor(b), stride=2, pad=1)
-            assert ws.live_count == before
         assert np.array_equal(ref.data, got.data)
 
-    def test_padding_border_is_zeroed_in_a_dirty_buffer(self):
-        # _pad_into clears only the border strips: hand it a buffer full of
-        # NaN (the pool is LIFO, so the next borrow of the class gets it).
+    def test_padding_border_is_zeroed_in_a_dirty_buffer(self, poisoned_empty):
+        # _pad writes only the border strips as zeros: the padded image
+        # starts out as NaN everywhere else.  Default block size, unlike
+        # test_poisoned_scratch below.
         x, wt, b = _conv_case()
         ref = _run_conv_seeded("naive", conv2d, x.copy(), wt, b, stride=1, pad=2)
-        ws = arena()
-        dirty = ws.take((5, 3, 13, 11), np.float32)
-        dirty[...] = np.nan
-        ws.release(dirty)
-        got = _run_conv_seeded("fused", conv2d, x.copy(), wt, b, stride=1, pad=2)
+        with poisoned_empty():
+            got = _run_conv_seeded("fused", conv2d, x.copy(), wt, b, stride=1, pad=2)
         _assert_identical(ref, got, "blocked conv2d[dirty pad buffer]")
+
+    @pytest.mark.parametrize("fn", (conv2d, conv2d_bias_relu), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("case", sorted(_BLOCKED_CASES))
+    def test_poisoned_scratch(self, small_blocks, poisoned_empty, fn, case):
+        # Every scratch buffer of the fused call starts out as garbage, so
+        # any element the kernel reads before writing shows in the bits.
+        case_kwargs, conv_kwargs = _BLOCKED_CASES[case]
+        x, wt, b = _conv_case(**case_kwargs)
+        ref = _run_conv_seeded("naive", fn, x.copy(), wt, b, **conv_kwargs)
+        small_blocks(x, wt, **conv_kwargs)
+        with poisoned_empty():
+            got = _run_conv_seeded("fused", fn, x.copy(), wt, b, **conv_kwargs)
+        _assert_identical(ref, got, f"poisoned {fn.__name__}[{case}]")
 
     def test_training_horizon(self, small_blocks):
         # Three optimizer steps of conv -> conv+relu -> mean, all through
@@ -294,6 +318,8 @@ class TestConvArgumentChecks:
                 fn(x, Tensor(np.ones((5, 3, 6, 6), dtype=np.float32)))
             with pytest.raises(ValueError, match="does not fit"):
                 fn(x, Tensor(np.ones((5, 3, 3, 8), dtype=np.float32)), pad=1)
+            with pytest.raises(ValueError, match="pad must be >= 0, got -1"):
+                fn(x, w, pad=-1)
 
     @pytest.mark.parametrize("mode", ("naive", "fused"))
     def test_empty_output_stays_legal(self, mode):
@@ -348,6 +374,25 @@ class TestLinearBitIdentity:
                                  None if bp is None else bp.grad)
         _assert_identical(results["naive"], results["fused"],
                           f"linear[{shape},{act},bias={use_bias}]")
+
+    @pytest.mark.parametrize("shape", [(6, 5), (2, 3, 5)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_with_poisoned_scratch(self, poisoned_empty, shape, dtype):
+        x = RNG.normal(size=shape).astype(dtype)
+        wt = RNG.normal(size=(4, shape[-1])).astype(dtype)
+        b = RNG.normal(size=4).astype(dtype)
+        g = RNG.normal(size=shape[:-1] + (4,)).astype(dtype)
+        results = {}
+        for mode in ("naive", "fused"):
+            with use_kernel_mode(mode), (poisoned_empty() if mode == "fused"
+                                         else contextlib.nullcontext()):
+                xt = Tensor(x.copy(), requires_grad=True)
+                wp, bp = Parameter(wt.copy()), Parameter(b.copy())
+                out = linear_bias_act(xt, wp, bp, act="relu")
+                out.backward(g.copy())
+                results[mode] = (out.data, xt.grad, wp.grad, bp.grad)
+        _assert_identical(results["naive"], results["fused"],
+                          f"poisoned linear[{shape},{np.dtype(dtype)}]")
 
     def test_invalid_act_raises(self):
         with pytest.raises(ValueError):

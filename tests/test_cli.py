@@ -313,6 +313,17 @@ class TestMonitorCommand:
         assert code == 2
         assert "unknown alert rule kind" in text
 
+    def test_alerts_rules_file_naming_the_retired_arena_rule(self, tmp_path):
+        events_dir = tmp_path / "events"
+        events_dir.mkdir(parents=True)
+        (events_dir / "b_seed0.jsonl").write_text("")
+        rules = tmp_path / "rules.json"
+        rules.write_text('[{"rule": "arena_hit_rate_drop", "min_hit_rate": 0.8}]')
+        code, text = run_cli("alerts", str(tmp_path), "--rules", str(rules))
+        assert code == 2
+        [line] = text.strip().splitlines()
+        assert "unknown alert rule kind 'arena_hit_rate_drop'" in line
+
     def test_campaign_prints_the_shared_job_table(self, tmp_path):
         # Satellite: campaign completion output and `repro monitor` render
         # through the same path, so both carry the job-table header.
@@ -340,6 +351,22 @@ class TestStatsSeries:
         assert "eval_quality" in text
         assert "epoch_seconds" in text
         assert "Trend" in text
+
+    def test_saved_arena_hit_rate_series_still_renders(self, tmp_path):
+        # Runs saved while kernels pooled their scratch carry this series.
+        import json
+
+        run_cli("run", "recommendation", "--seeds", "1",
+                "--save", str(tmp_path), "--submitter", "cli-test")
+        [path] = (tmp_path / "cli-test").rglob("result_*.txt")
+        first, _, rest = path.read_text().partition("\n")
+        header = json.loads(first[len("# repro-run "):])
+        header["series"]["kernel_arena_hit_rate"] = [[0.5, 0, 0.9], [1.0, 1, 1.0]]
+        path.write_text("# repro-run " + json.dumps(header) + "\n" + rest)
+        code, text = run_cli("stats", str(tmp_path / "cli-test"), "--series")
+        assert code == 0
+        [row] = [l for l in text.splitlines() if "kernel_arena_hit_rate" in l]
+        assert row.split()[3:5] == ["2", "0.9"]
 
 
 class TestBenchDiffCommand:
