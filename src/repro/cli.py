@@ -20,8 +20,8 @@ Commands mirror how the MLPerf artifacts are used in practice:
   ``--series`` adds the per-run sampled trajectories (throughput, eval
   quality, all-reduce traffic) with ASCII sparklines;
 - ``monitor`` — a refreshable terminal view of a campaign directory,
-  live or post-mortem, built purely from the journal + heartbeat + event
-  files (per-job state, progress, retries, ETA, stall detection);
+  live or post-mortem, built purely from the journal + event streams
+  (per-job state, progress, retries, ETA, stall detection);
 - ``bench-diff`` — gate a fresh ``BENCH_*.json`` report against a
   committed baseline with per-metric tolerance bands; non-zero exit on
   regression (CI's perf gate), with per-op attribution when a timing
@@ -156,13 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
         "monitor",
         help="terminal view of a campaign directory (live or post-mortem): "
              "per-job state, progress, retries, ETA, stall detection — built "
-             "purely from the journal, heartbeat, and event files")
+             "purely from the journal and the event streams")
     monitor.add_argument("campaign_dir",
                          help="a campaign directory (from `campaign --save`)")
     monitor.add_argument("--stall-after", type=float, default=None,
                          metavar="SECONDS",
-                         help="flag running jobs whose heartbeat is older "
-                              "than this as STALLED (default 30)")
+                         help="flag running jobs whose stream is silent "
+                              "longer than this as STALLED (default 30)")
     monitor.add_argument("--watch", type=float, default=None, metavar="SECONDS",
                          help="refresh every SECONDS until the campaign "
                               "settles (default: render once and exit)")
@@ -189,15 +189,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "every kind at documented thresholds)")
     serve.add_argument("--stall-after", type=float, default=None,
                        metavar="SECONDS",
-                       help="stall threshold for the monitor view "
-                            "(default 30)")
+                       help="stall threshold for the monitor view: seconds "
+                            "of event-stream silence (default 30)")
     serve.add_argument("--refresh", type=float, default=0.5,
                        metavar="SECONDS",
                        help="minimum interval between file polls; "
                             "concurrent scrapes coalesce (default 0.5)")
     serve.add_argument("--no-alerts-log", action="store_true",
-                       help="do not append alert transitions to each "
-                            "campaign's alerts.jsonl")
+                       help="do not rewrite each campaign's alerts.jsonl "
+                            "from its event streams on start")
 
     alerts = sub.add_parser(
         "alerts",
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "every kind at documented thresholds)")
     alerts.add_argument("--now", type=float, default=None, metavar="T",
                         help="final evaluation instant in event-stream "
-                             "seconds (default: the last event's time)")
+                             "seconds (default and minimum: the last event's)")
     alerts.add_argument("--json", action="store_true",
                         help="emit transitions + firing alerts as JSON")
     alerts.add_argument("--no-write", action="store_true",
@@ -665,6 +665,12 @@ def _cmd_monitor(args, out) -> int:
     from .telemetry.monitor import (DEFAULT_STALL_AFTER_S, CampaignTailer,
                                     campaign_dir_problem)
 
+    for flag, value in (("--watch", args.watch),
+                        ("--stall-after", args.stall_after)):
+        if value is not None and not value > 0:
+            print(f"monitor: {flag} must be > 0 seconds, got {value:g}",
+                  file=out)
+            return 2
     problem = campaign_dir_problem(args.campaign_dir)
     if problem is not None:
         print(f"monitor: {problem}", file=out)
@@ -696,8 +702,8 @@ def _cmd_alerts(args, out) -> int:
 
     from .telemetry.alerts import (default_rules, load_rules_file,
                                    render_alert_table, replay_alerts)
-    from .telemetry.events import EventLog, merge_event_streams
-    from .telemetry.monitor import campaign_dir_problem
+    from .telemetry.events import EventLog
+    from .telemetry.monitor import CampaignTailer, campaign_dir_problem
     from .telemetry.serve import ALERTS_LOG_NAME
 
     campaign_dir = Path(args.campaign_dir)
@@ -712,11 +718,12 @@ def _cmd_alerts(args, out) -> int:
         print(f"alerts: {exc}", file=out)
         return 2
 
-    events_dir = campaign_dir / "events"
-    streams = sorted(p for p in (events_dir.glob("*.jsonl")
-                                 if events_dir.is_dir() else [])
-                     if p.name != ALERTS_LOG_NAME)
-    events = merge_event_streams(streams)
+    tailer = CampaignTailer(campaign_dir)
+    events = tailer.poll_events()
+    if args.now is not None and events and args.now < events[-1].time_s:
+        print(f"alerts: --now {args.now:.3f} is earlier than the last "
+              f"event, at t={events[-1].time_s:.3f}", file=out)
+        return 2
     engine, transitions = replay_alerts(events, rules, now_s=args.now)
 
     if not args.no_write:
@@ -734,7 +741,7 @@ def _cmd_alerts(args, out) -> int:
             "firing": [a.to_payload() for a in active],
         }, indent=2, sort_keys=True), file=out)
     else:
-        print(f"{len(events)} event(s) from {len(streams)} stream(s), "
+        print(f"{len(events)} event(s) from {len(tailer.streams)} stream(s), "
               f"{len(transitions)} alert transition(s)", file=out)
         print(render_alert_table(transitions, active), file=out)
         if not args.no_write:
@@ -748,6 +755,14 @@ def _cmd_serve_metrics(args, out) -> int:
     from .telemetry.monitor import DEFAULT_STALL_AFTER_S
     from .telemetry.serve import ObservabilityServer, discover_campaign_dirs
 
+    if args.stall_after is not None and not args.stall_after > 0:
+        print(f"serve-metrics: --stall-after must be > 0 seconds, got "
+              f"{args.stall_after:g}", file=out)
+        return 2
+    if not args.refresh >= 0:
+        print(f"serve-metrics: --refresh must be >= 0 seconds, got "
+              f"{args.refresh:g}", file=out)
+        return 2
     try:
         rules = load_rules_file(args.rules) if args.rules else None
     except (OSError, ValueError) as exc:

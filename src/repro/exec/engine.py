@@ -144,7 +144,7 @@ def run_campaign(
     When the journal has a directory, the engine maintains the live
     observability streams: its own lifecycle events append to
     ``<dir>/events/campaign.jsonl`` and every dispatched job carries
-    ``stream_dir`` so workers write per-job event/heartbeat files there —
+    ``stream_dir`` so workers write per-job event streams there —
     the sole inputs of ``repro monitor``.  ``event_clock`` stamps those
     records (epoch seconds by default, a fake clock in tests).
     """
@@ -183,7 +183,7 @@ def run_campaign(
             "backoff_cap_s": policy.backoff_cap_s,
         },
         # The full plan, so the monitor knows about cells that have not
-        # produced a journal record or heartbeat yet (still "pending").
+        # produced a journal record or an event yet (still "pending").
         "planned_cells": [[job.benchmark, job.seed] for job in plan.jobs],
     }
     if resume:

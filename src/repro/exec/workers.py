@@ -9,10 +9,10 @@ deterministic default every test leans on) or in a worker process
 
 When the job carries a ``stream_dir``, the worker also maintains the live
 side of observability: every published event is appended to a per-job
-JSONL stream and folded into a heartbeat file (pid, epoch, step, last
-quality snapshot) that the parent's monitor reads while the job runs.
-Streams are plain files, so they survive the worker being killed — at
-worst the event log ends in one truncated line, which readers tolerate.
+JSONL stream, the job's only live record — the parent's monitor folds
+progress, liveness and stalls out of it while the job runs.  Streams are
+plain files, so they survive the worker being killed — at worst the event
+log ends in one truncated line, which readers tolerate.
 
 Both executors yield :class:`JobOutcome` objects **as jobs finish** so the
 engine can journal after every completion; the multiprocess pool therefore
@@ -37,7 +37,7 @@ from pathlib import Path
 from ..core.runner import BenchmarkRunner, RunFailure, RunResult, RunTimeout
 from ..core.timing import Clock
 from ..suite.base import Benchmark
-from ..telemetry import EventLog, HeartbeatWriter, RunTelemetry, Telemetry
+from ..telemetry import EventLog, RunTelemetry, Telemetry
 from .plan import JobSpec
 
 __all__ = ["JobOutcome", "execute_job", "SequentialExecutor",
@@ -98,19 +98,10 @@ def execute_job(
     )
 
     log: EventLog | None = None
-    heartbeat: HeartbeatWriter | None = None
     if job.stream_dir:
-        stem = f"{job.benchmark}_seed{job.seed}"
-        stream_root = Path(job.stream_dir)
-        log = EventLog(stream_root / "events" / f"{stem}.jsonl")
+        log = EventLog(Path(job.stream_dir) / "events"
+                       / f"{job.benchmark}_seed{job.seed}.jsonl")
         telemetry.events.subscribe(log.write)
-        heartbeat = HeartbeatWriter(
-            stream_root / "heartbeats" / f"{stem}.json",
-            pid=job.ordinal, benchmark=job.benchmark, seed=job.seed,
-            attempt=job.attempt, clock=telemetry.events.clock,
-        )
-        telemetry.events.subscribe(heartbeat.on_event)
-        heartbeat.beat(status="running")
         # First record of every per-job stream: who this stream belongs
         # to, so consumers never have to infer identity from file names.
         telemetry.events.publish(
@@ -129,8 +120,6 @@ def execute_job(
             )
         except RunFailure as failure:
             status = "timeout" if isinstance(failure.cause, RunTimeout) else "fault"
-            if heartbeat is not None:
-                heartbeat.beat(status=status)
             return JobOutcome(
                 job=job,
                 status=status,
@@ -139,8 +128,6 @@ def execute_job(
                 failure_telemetry=failure.telemetry,
             )
         status = "reached" if result.reached_target else "quality_miss"
-        if heartbeat is not None:
-            heartbeat.beat(status=status, quality=result.quality)
         return JobOutcome(job=job, status=status, result=result)
     finally:
         if log is not None:

@@ -13,13 +13,14 @@ measurement substrate for that decomposition:
 - :mod:`repro.telemetry.profile` — phase decomposition of structured
   logs and the serializable :class:`RunTelemetry` snapshot;
 - :mod:`repro.telemetry.events` — the live side: an event bus with
-  append-only JSONL :class:`EventLog` sinks and per-job heartbeat files,
-  crash-tolerant on read;
+  append-only JSONL :class:`EventLog` sinks (one stream per campaign
+  job, the campaign's only live record), crash-tolerant on read;
 - :mod:`repro.telemetry.timeseries` — per-run sampled series
   (throughput, eval quality, all-reduce bytes) recorded
   at epoch/eval boundaries and persisted in run artifacts;
 - :mod:`repro.telemetry.monitor` — the ``repro monitor`` view, built
-  purely from a campaign directory's journal + heartbeat + event files;
+  purely from a campaign directory's journal + event streams, folded
+  once (:class:`StreamFold`) for the monitor, the alerts and the server;
 - :mod:`repro.telemetry.regress` — schema-aware ``BENCH_*.json``
   comparison with per-metric tolerance bands (``repro bench-diff``),
   with per-op regression attribution when a timing gate trips;
@@ -53,13 +54,9 @@ from .events import (
     EventBus,
     EventCursor,
     EventLog,
-    Heartbeat,
-    HeartbeatCache,
-    HeartbeatWriter,
     NULL_EVENTS,
     merge_event_streams,
     read_events,
-    read_heartbeat,
 )
 from .alerts import (
     ActiveAlert,
@@ -148,9 +145,6 @@ __all__ = [
     "EventCursor",
     "EventLog",
     "Gauge",
-    "Heartbeat",
-    "HeartbeatCache",
-    "HeartbeatWriter",
     "Histogram",
     "JobView",
     "MetricSpec",
@@ -199,7 +193,6 @@ __all__ = [
     "render_exposition",
     "render_op_profile",
     "read_events",
-    "read_heartbeat",
     "render_job_table",
     "render_monitor_view",
     "render_series_table",

@@ -1,4 +1,4 @@
-"""Declarative alert rules over the campaign event/heartbeat streams.
+"""Declarative alert rules over a campaign's event streams.
 
 The monitor renders *state*; alerting needs *transitions* — "this job
 just stalled", "quality recovered".  This module turns the same file-only
@@ -8,30 +8,32 @@ surfaces into a firing/resolved lifecycle:
   so a campaign can ship its alerting policy next to its spec.
 - :class:`StreamFold` folds a merged event stream into per-run state
   (last progress instant, latest quality vs. target, rolling throughput)
-  — one ``O(1)`` update per event, so live tailers pay nothing for
-  history.  Events no rule reads, such as those older campaign streams
-  carry for retired rules, are skipped.
-- :class:`AlertEngine` evaluates every rule against a fold snapshot and
-  emits ``alert_firing`` / ``alert_resolved`` transitions **as ordinary
+  and the per-job progress the monitor shows — one ``O(1)`` update per
+  event, so live tailers pay nothing for history.  Events no rule or
+  view reads, such as those older campaign streams carry for retired
+  rules, are skipped.
+- :class:`AlertEngine` evaluates every rule against the fold and emits
+  ``alert_firing`` / ``alert_resolved`` transitions **as ordinary
   telemetry events**: ``alerts.jsonl`` is just another JSONL stream that
   :func:`~repro.telemetry.events.read_events` parses and an
   :class:`~repro.telemetry.events.EventCursor` tails.
 
-Determinism is the design constraint: transitions are stamped with the
-evaluation context's ``now_s`` (never a wall clock read), rules evaluate
-in declaration order and subjects in sorted order, and
-:func:`replay_alerts` schedules evaluations at the event timestamps of
-the stream itself — so identical event streams produce bit-identical
-``alerts.jsonl`` files, on any machine, at any polling cadence, under
+Determinism is the design constraint: transitions are stamped with
+event-stream instants (never a wall clock read), rules evaluate in
+declaration order and subjects in sorted order, and
+:meth:`AlertEngine.advance`, the one schedule :func:`replay_alerts` and
+the server both run, evaluates at the stream's own timestamps — so
+identical event streams produce bit-identical ``alerts.jsonl`` files, on
+any machine, at any polling cadence, under
 :class:`repro.core.timing.FakeClock` or epoch time alike.
 
 Rule kinds (each with its parameter defaults):
 
 =====================  ==================================================
-``job_stall``          no progress event/heartbeat for ``stall_after_s``
-                       (30) — the monitor's stall detection as an alert;
-``heartbeat_loss``     silence past ``loss_after_s`` (120): the job is
-                       presumed dead, not merely slow;
+``job_stall``          no progress event for ``stall_after_s`` (30) — the
+                       monitor's stall detection as an alert;
+``heartbeat_loss``     no progress event for ``loss_after_s`` (120): the
+                       job is presumed dead, not merely slow;
 ``quality_regression`` after ``min_evals`` (2) evaluations the run's
                        quality sits below ``min_fraction`` (0.9) of its
                        §3.2.2 target — and stays firing if the run ends
@@ -50,10 +52,9 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
 from .events import Event
-from .monitor import MonitorView
 
 __all__ = ["AlertRule", "ActiveAlert", "AlertEngine", "StreamFold",
-           "AlertContext", "RULE_KINDS", "default_rules", "parse_rules",
+           "RULE_KINDS", "default_rules", "parse_rules",
            "load_rules_file", "replay_alerts", "render_alert_table"]
 
 # kind -> (parameter name -> default).  A rule may override any subset;
@@ -168,13 +169,28 @@ class RunAlertState:
 
     key: str
     active: bool = False
-    started: bool = False
     status: str = "pending"
     last_progress_s: float = 0.0
     target: float | None = None
     quality: float | None = None
     evals: int = 0
     throughput: list[float] = field(default_factory=list)
+
+
+@dataclass
+class JobState:
+    """One job's latest attempt as its own event stream shows it.
+
+    ``live`` from ``job_start`` (or ``run_start``, on a stream without
+    one) until ``run_stop``; a stall is measured from ``last_event_s``.
+    """
+
+    live: bool = False
+    attempt: int = 0
+    epoch: int = 0
+    step: float = 0.0  # cumulative samples seen (the finest progress unit)
+    quality: float | None = None
+    last_event_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -195,27 +211,30 @@ class ActiveAlert:
                 "value": self.value, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class AlertContext:
-    """A point-in-time evaluation input: the fold state at ``now_s``."""
-
-    now_s: float
-    runs: Mapping[str, RunAlertState]
+# The engine's own stream (events/campaign.jsonl) publishes on pid 0, the
+# pid of job ordinal 0 too; none of its records is an event of that job.
+_CAMPAIGN_EVENTS = frozenset({"campaign_start", "job_finished",
+                              "wave_backoff", "campaign_stop"})
 
 
 class StreamFold:
     """Incrementally fold a time-ordered event stream into run states.
 
-    Events must be applied in timeline order (what
-    :func:`~repro.telemetry.events.merge_event_streams` and the tailers
+    The one fold over a campaign's streams: the alert rules read its
+    :class:`RunAlertState` per run, the monitor its :class:`JobState` per
+    job (keyed apart: a retry's runner reports its reseeded run seed, not
+    the cell's).  Events must be applied in timeline order (what
+    :func:`~repro.telemetry.events.merge_event_streams` and the tailer
     produce).  Worker events carry no benchmark/seed in their args, only
     a ``pid`` (the job ordinal) — ``run_start``/``job_start`` establish
-    the pid→run mapping the progress events resolve through.
+    the pid→run and pid→job mappings the progress events resolve through.
     """
 
     def __init__(self):
         self.runs: dict[str, RunAlertState] = {}
+        self.jobs: dict[str, JobState] = {}
         self._key_by_pid: dict[int, str] = {}
+        self._job_by_pid: dict[int, str] = {}
 
     def _run(self, key: str) -> RunAlertState:
         state = self.runs.get(key)
@@ -223,23 +242,41 @@ class StreamFold:
             state = self.runs[key] = RunAlertState(key=key)
         return state
 
-    def _resolve(self, event: Event) -> RunAlertState | None:
-        key = self._key_by_pid.get(event.pid)
-        return None if key is None else self._run(key)
-
     def apply(self, event: Event) -> None:
         args = event.args
         name = event.name
+        identified = "benchmark" in args and "seed" in args
+        if name in _CAMPAIGN_EVENTS:
+            if name == "job_finished" and identified:
+                # Campaign-stream confirmation; authoritative terminal status.
+                state = self._run(f"{args['benchmark']}/{args['seed']}")
+                state.active = bool(args.get("will_retry", False))
+                state.status = str(args.get("status", state.status))
+            return
         if name in ("run_start", "job_start"):
-            if "benchmark" not in args or "seed" not in args:
+            if not identified:
                 return
             key = f"{args['benchmark']}/{args['seed']}"
             self._key_by_pid[event.pid] = key
-            state = self._run(key)
-            if name == "run_start":
+            if name == "job_start":
+                self._job_by_pid[event.pid] = key
+        key = self._key_by_pid.get(event.pid)
+        if key is None and name == "run_stop" and identified:
+            key = f"{args['benchmark']}/{args['seed']}"
+        if key is None:
+            return
+        state = self._run(key)
+        job = self.jobs.setdefault(self._job_by_pid.get(event.pid, key),
+                                   JobState())
+        job.last_event_s = max(job.last_event_s, event.time_s)
+        if name in ("run_start", "job_start"):
+            job.live = True
+            job.epoch, job.step, job.quality = 0, 0.0, None
+            if name == "job_start":
+                job.attempt = int(args.get("attempt", 0))
+            else:
                 # A (re)started attempt resets the run-scoped signals.
                 state.active = True
-                state.started = True
                 state.status = "running"
                 state.quality = None
                 state.evals = 0
@@ -248,68 +285,33 @@ class StreamFold:
                     state.target = float(args["target"])
             state.last_progress_s = max(state.last_progress_s, event.time_s)
         elif name == "epoch":
-            state = self._resolve(event)
-            if state is None:
-                return
             state.last_progress_s = max(state.last_progress_s, event.time_s)
+            if "epoch" in args:
+                job.epoch = int(args["epoch"])
+            if "samples_total" in args:
+                job.step = float(args["samples_total"])
             seconds = args.get("epoch_seconds")
             samples = args.get("samples")
             if seconds and samples:
                 state.throughput.append(float(samples) / float(seconds))
                 del state.throughput[:-_THROUGHPUT_KEEP]
         elif name == "eval":
-            state = self._resolve(event)
-            if state is None:
-                return
             state.last_progress_s = max(state.last_progress_s, event.time_s)
             if "quality" in args:
-                state.quality = float(args["quality"])
+                state.quality = job.quality = float(args["quality"])
                 state.evals += 1
+                if "epoch" in args:
+                    job.epoch = int(args["epoch"])
         elif name == "run_stop":
-            state = self._resolve(event)
-            if state is None and "benchmark" in args and "seed" in args:
-                state = self._run(f"{args['benchmark']}/{args['seed']}")
-            if state is None:
-                return
+            job.live = False
             state.active = False
             state.status = str(args.get("status", "stopped"))
             if args.get("quality") is not None:
                 state.quality = float(args["quality"])
-        elif name == "job_finished":
-            # Campaign-stream confirmation; authoritative terminal status.
-            if "benchmark" in args and "seed" in args:
-                state = self._run(f"{args['benchmark']}/{args['seed']}")
-                state.active = bool(args.get("will_retry", False))
-                state.status = str(args.get("status", state.status))
 
     def apply_all(self, events: Iterable[Event]) -> None:
         for event in events:
             self.apply(event)
-
-    def absorb_view(self, view: MonitorView) -> None:
-        """Fold live heartbeat knowledge (the monitor's stall inputs) in.
-
-        Heartbeats are latest-state-only, so this is for live evaluation;
-        replay over a finished stream never needs it.  A fresh heartbeat
-        advances the run's progress instant exactly as the monitor's
-        stall detection would observe it.
-        """
-        for job in view.jobs:
-            state = self._run(job.key)
-            if job.status in ("running", "stalled"):
-                state.active = True
-                state.started = True
-            elif job.status != "pending":
-                state.active = False
-                state.status = job.status
-            if job.heartbeat_age_s is not None:
-                beat_s = view.now_s - job.heartbeat_age_s
-                state.last_progress_s = max(state.last_progress_s, beat_s)
-            if job.quality is not None and state.quality is None:
-                state.quality = job.quality
-
-    def context(self, now_s: float) -> AlertContext:
-        return AlertContext(now_s=float(now_s), runs=self.runs)
 
 
 def _check(rule: AlertRule, state: RunAlertState,
@@ -360,67 +362,90 @@ class AlertEngine:
 
     ``sink`` (e.g. ``EventLog.write``) receives every transition as it
     happens — the append-only ``alerts.jsonl`` contract.  The engine
-    never reads a clock: every transition is stamped ``ctx.now_s``.
+    never reads a clock: every transition is stamped with an instant of
+    the schedule :meth:`advance` runs.
     """
 
     def __init__(self, rules: Iterable[AlertRule] | None = None,
                  sink: Callable[[Event], None] | None = None):
         self.rules = list(rules) if rules is not None else default_rules()
         self.sink = sink
+        self._latest_s = float("-inf")
         self._active: dict[tuple[str, str], ActiveAlert] = {}
-        self.transitions = 0
 
     def active(self) -> list[ActiveAlert]:
         """Currently-firing alerts, in deterministic (rule, key) order."""
         return [self._active[k] for k in sorted(self._active)]
 
-    def _emit(self, event: Event) -> Event:
-        self.transitions += 1
+    def advance(self, fold: StreamFold, events: list[Event],
+                now_s: float | None = None) -> list[Event]:
+        """Fold time-ordered ``events`` in on the one schedule.
+
+        At each distinct event instant the rules run *before* folding that
+        instant's events (so a silent gap between two progress events
+        fires the age-based rules, stamped at the moment the silence
+        ended) and again *after* (so recovery resolves at the same instant
+        it happened); then, given ``now_s``, once more at it, which fires
+        age rules for silence at the tail.  An instant earlier than one already
+        evaluated (a stream that lagged behind the last poll) is evaluated
+        at that one instead, so transitions are stamped in order.
+        """
+        out: list[Event] = []
+        i, n = 0, len(events)
+        while i < n:
+            t = events[i].time_s
+            if fold.runs:
+                out.extend(self._evaluate(fold.runs, t))
+            while i < n and events[i].time_s == t:
+                fold.apply(events[i])
+                i += 1
+            out.extend(self._evaluate(fold.runs, t))
+        if now_s is not None:
+            out.extend(self._evaluate(fold.runs, now_s))
+        return out
+
+    def _emit(self, name: str, now_s: float, args: dict[str, Any]) -> Event:
+        event = Event(name=name, time_s=now_s, pid=0, args=args)
         if self.sink is not None:
             self.sink(event)
         return event
 
-    def evaluate(self, ctx: AlertContext) -> list[Event]:
-        """Evaluate every rule at ``ctx.now_s``; return new transitions."""
+    def _evaluate(self, runs: Mapping[str, RunAlertState],
+                  now_s: float) -> list[Event]:
+        """Evaluate every rule at ``now_s``; return new transitions."""
+        now_s = self._latest_s = max(float(now_s), self._latest_s)
         out: list[Event] = []
         for rule in self.rules:
             seen: set[tuple[str, str]] = set()
-            for key in sorted(ctx.runs):
-                state = ctx.runs[key]
-                verdict = _check(rule, state, ctx.now_s)
+            for key in sorted(runs):
+                verdict = _check(rule, runs[key], now_s)
                 if verdict is None:
                     continue
                 firing, value, detail = verdict
                 slot = (rule.name, key)
                 seen.add(slot)
+                args = {"rule": rule.name, "kind": rule.kind, "key": key,
+                        "severity": rule.severity, "value": value,
+                        "detail": detail}
                 if firing and slot not in self._active:
                     self._active[slot] = ActiveAlert(
                         rule=rule.name, kind=rule.kind, key=key,
-                        severity=rule.severity, since_s=ctx.now_s,
+                        severity=rule.severity, since_s=now_s,
                         value=value, detail=detail)
-                    out.append(self._emit(Event(
-                        name="alert_firing", time_s=ctx.now_s, pid=0,
-                        args={"rule": rule.name, "kind": rule.kind,
-                              "key": key, "severity": rule.severity,
-                              "value": value, "detail": detail})))
+                    out.append(self._emit("alert_firing", now_s, args))
                 elif not firing and slot in self._active:
                     del self._active[slot]
-                    out.append(self._emit(Event(
-                        name="alert_resolved", time_s=ctx.now_s, pid=0,
-                        args={"rule": rule.name, "kind": rule.kind,
-                              "key": key, "severity": rule.severity,
-                              "value": value, "detail": detail})))
+                    out.append(self._emit("alert_resolved", now_s, args))
             # Subjects that vanished (rule no longer applicable — e.g. the
             # run ended) resolve rather than firing forever.
             for slot in [s for s in self._active
                          if s[0] == rule.name and s not in seen]:
                 stale = self._active.pop(slot)
-                out.append(self._emit(Event(
-                    name="alert_resolved", time_s=ctx.now_s, pid=0,
-                    args={"rule": stale.rule, "kind": stale.kind,
-                          "key": stale.key, "severity": stale.severity,
-                          "value": stale.value,
-                          "detail": "subject no longer evaluable"})))
+                out.append(self._emit("alert_resolved", now_s, {
+                    "rule": stale.rule, "kind": stale.kind,
+                    "key": stale.key, "severity": stale.severity,
+                    "value": stale.value,
+                    "detail": "subject no longer evaluable"}))
         return out
 
 
@@ -432,32 +457,13 @@ def replay_alerts(events: list[Event],
                   ) -> tuple[AlertEngine, list[Event]]:
     """Deterministically replay a finished (or copied) event stream.
 
-    The evaluation schedule is the stream's own timestamps: at each
-    distinct instant the rules run *before* folding that instant's
-    events (so a silent gap between two progress events fires the
-    age-based rules, stamped at the moment the silence ended) and again
-    *after* (so recovery resolves at the same instant it happened).  A
-    final evaluation at ``now_s`` (default: the last event time) fires
-    age rules for silence at the tail.  No wall clock is consulted
-    anywhere, so two replays of identical streams emit byte-identical
-    transition sequences.
+    A fresh fold and engine run :meth:`AlertEngine.advance` over the whole
+    timeline, with the final evaluation at ``now_s`` (default: the last
+    event time).  No wall clock is consulted anywhere, so two replays of
+    identical streams emit byte-identical transition sequences.
     """
     engine = AlertEngine(rules, sink=sink)
-    fold = StreamFold()
-    transitions: list[Event] = []
-    i, n = 0, len(events)
-    while i < n:
-        t = events[i].time_s
-        if fold.runs:
-            transitions.extend(engine.evaluate(fold.context(t)))
-        while i < n and events[i].time_s == t:
-            fold.apply(events[i])
-            i += 1
-        transitions.extend(engine.evaluate(fold.context(t)))
-    final_now = now_s if now_s is not None else (
-        events[-1].time_s if events else 0.0)
-    transitions.extend(engine.evaluate(fold.context(final_now)))
-    return engine, transitions
+    return engine, engine.advance(StreamFold(), events, now_s)
 
 
 def render_alert_table(transitions: list[Event],

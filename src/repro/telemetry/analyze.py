@@ -525,13 +525,13 @@ def spans_from_campaign_events(events: Iterable[Any]) -> list[TraceSpan]:
 
 def analyze_campaign_dir(campaign_dir: str | Path, *, top: int = 10) -> TraceAnalysis:
     """Analyze a campaign directory from its durable event streams."""
-    from .events import merge_event_streams
+    from .monitor import CampaignTailer
 
-    events_dir = Path(campaign_dir) / "events"
-    streams = sorted(events_dir.glob("*.jsonl")) if events_dir.is_dir() else []
-    if not streams:
+    tailer = CampaignTailer(campaign_dir)
+    events = tailer.poll_events()
+    if not tailer.streams:
         raise FileNotFoundError(
             f"{campaign_dir}: no events/*.jsonl streams to analyze "
             "(was the campaign run with --save?)")
-    spans = spans_from_campaign_events(merge_event_streams(streams))
+    spans = spans_from_campaign_events(events)
     return analyze_trace(spans, top=top, align=False)

@@ -1,4 +1,4 @@
-"""Streaming observability: event bus, JSONL event logs, and heartbeats.
+"""Streaming observability: the event bus and its JSONL event logs.
 
 The trace/metrics layer answers *where did the time go* after the fact;
 this module answers *what is happening right now*.  Three pieces:
@@ -14,11 +14,11 @@ this module answers *what is happening right now*.  Three pieces:
   truncated final line; :func:`read_events` tolerates exactly that
   (crash-tolerant tail parsing) while still rejecting corruption in the
   middle of a file.
-- :class:`HeartbeatWriter` / :func:`read_heartbeat` — a single-record
-  liveness file per job (pid, epoch, step, last metric snapshot),
-  atomically replaced on every beat so readers never see a torn write.
-  The campaign monitor derives per-job progress and stall detection from
-  these files alone.
+- :class:`EventCursor` — an incremental tail reader, so pollers consume
+  each byte of a growing stream once.  A campaign's per-job streams are
+  its whole live record: the monitor, the alerts and the server derive
+  progress, liveness and stalls from them
+  (:class:`~repro.telemetry.monitor.CampaignTailer`).
 
 Timestamps come from an injectable ``clock()`` so the whole layer is
 deterministic under :class:`repro.core.timing.FakeClock`; real sessions
@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -40,13 +40,9 @@ __all__ = [
     "EventBus",
     "EventCursor",
     "EventLog",
-    "Heartbeat",
-    "HeartbeatCache",
-    "HeartbeatWriter",
     "NULL_EVENTS",
     "merge_event_streams",
     "read_events",
-    "read_heartbeat",
 ]
 
 
@@ -259,33 +255,6 @@ class EventCursor:
         return events
 
 
-class HeartbeatCache:
-    """A ``read_heartbeat`` front that skips re-parsing unchanged files.
-
-    Heartbeats are atomically replaced on every beat, so ``(mtime_ns,
-    size, inode)`` changing is exactly "there is a new record".  A poller
-    asking about a quiet job costs one ``stat``, not a parse.
-    """
-
-    def __init__(self):
-        self._entries: dict[Path, tuple[tuple[int, int, int], Heartbeat | None]] = {}
-
-    def read(self, path: str | Path) -> Heartbeat | None:
-        path = Path(path)
-        try:
-            stat = os.stat(path)
-        except OSError:
-            self._entries.pop(path, None)
-            return None
-        signature = (stat.st_mtime_ns, stat.st_size, stat.st_ino)
-        cached = self._entries.get(path)
-        if cached is not None and cached[0] == signature:
-            return cached[1]
-        beat = read_heartbeat(path)
-        self._entries[path] = (signature, beat)
-        return beat
-
-
 def merge_event_streams(paths: Iterable[str | Path]) -> list[Event]:
     """Read several per-job streams and merge them into one timeline.
 
@@ -299,100 +268,8 @@ def merge_event_streams(paths: Iterable[str | Path]) -> list[Event]:
     return merged
 
 
-@dataclass
-class Heartbeat:
-    """The latest liveness record one job wrote."""
-
-    pid: int
-    benchmark: str
-    seed: int
-    time_s: float
-    attempt: int = 0
-    status: str = "running"
-    epoch: int = 0
-    step: float = 0.0  # cumulative samples seen (the finest progress unit)
-    quality: float | None = None
-    metrics: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def key(self) -> str:
-        return f"{self.benchmark}/{self.seed}"
-
-    def age_s(self, now_s: float) -> float:
-        return max(now_s - self.time_s, 0.0)
-
-
 class HeartbeatWriter:
-    """Maintains one job's heartbeat file; usable as an event-bus sink.
+    """Exists only because ``benchmarks/e2e/tracer.py`` patches ``beat``."""
 
-    Every beat rewrites the whole (tiny) file via write-temp-then-rename,
-    so a reader never observes a torn record even if the writer is killed
-    mid-beat.  Subscribed to a bus (``bus.subscribe(writer.on_event)``)
-    it folds progress events into the record: ``epoch`` events advance
-    the epoch/step counters, ``eval`` events update the quality snapshot.
-    """
-
-    def __init__(self, path: str | Path, *, pid: int, benchmark: str,
-                 seed: int, attempt: int = 0,
-                 clock: Callable[[], float] | None = None):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.clock = clock or time.time
-        self.record = Heartbeat(pid=pid, benchmark=benchmark, seed=seed,
-                                attempt=attempt, time_s=float(self.clock()))
-
-    def beat(self, **updates: Any) -> Heartbeat:
-        """Apply field updates, stamp now, and atomically rewrite the file."""
-        for name, value in updates.items():
-            if not hasattr(self.record, name):
-                raise AttributeError(f"heartbeat has no field {name!r}")
-            setattr(self.record, name, value)
-        self.record.time_s = float(self.clock())
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        tmp.write_text(json.dumps(asdict(self.record), sort_keys=True,
-                                  default=_jsonify))
-        os.replace(tmp, self.path)
-        return self.record
-
-    def on_event(self, event: Event) -> None:
-        """Fold one progress event into the record and beat."""
-        updates: dict[str, Any] = {}
-        if event.name == "epoch":
-            if "epoch" in event.args:
-                updates["epoch"] = int(event.args["epoch"])
-            if "samples_total" in event.args:
-                updates["step"] = float(event.args["samples_total"])
-        elif event.name == "eval" and "quality" in event.args:
-            updates["quality"] = float(event.args["quality"])
-            if "epoch" in event.args:
-                updates["epoch"] = int(event.args["epoch"])
-        self.beat(**updates)
-
-
-def read_heartbeat(path: str | Path) -> Heartbeat | None:
-    """Load a heartbeat file; absent or unreadable files are ``None``.
-
-    Beats are atomic replaces, so a torn record should be impossible —
-    but the monitor must never crash on a half-provisioned campaign
-    directory, so any parse failure degrades to "no heartbeat".
-    """
-    path = Path(path)
-    if not path.is_file():
-        return None
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        return Heartbeat(
-            pid=int(payload["pid"]),
-            benchmark=str(payload["benchmark"]),
-            seed=int(payload["seed"]),
-            time_s=float(payload["time_s"]),
-            attempt=int(payload.get("attempt", 0)),
-            status=str(payload.get("status", "running")),
-            epoch=int(payload.get("epoch", 0)),
-            step=float(payload.get("step", 0.0)),
-            quality=(None if payload.get("quality") is None
-                     else float(payload["quality"])),
-            metrics=dict(payload.get("metrics", {})),
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-        return None
+    def beat(self, **updates: Any) -> None:
+        """Writes nothing: a job's event stream is its only live record."""

@@ -6,20 +6,21 @@ only the durable observability surface:
 
 - ``campaign_journal.json`` — terminal per-cell results and the planned
   cell list (:mod:`repro.exec.journal` writes it atomically);
-- ``heartbeats/*.json`` — each job's latest liveness record
-  (:class:`~repro.telemetry.events.HeartbeatWriter`);
-- ``events/*.jsonl`` — the merged lifecycle/progress timeline
-  (:func:`~repro.telemetry.events.read_events`, truncation-tolerant).
+- ``events/*.jsonl`` — the campaign's only live record: the engine's
+  stream and one per job (truncation-tolerant), read by
+  :class:`CampaignTailer` alone and folded once by
+  :class:`~repro.telemetry.alerts.StreamFold`.
 
 No sockets, no shared state, no imports of the execution engine: the
 monitor cannot crash a campaign and works on a copied directory.  ``now``
 is an explicit parameter everywhere, so views are deterministic under
 :class:`repro.core.timing.FakeClock` in tests.
 
-Job states: ``pending`` (planned, no record or heartbeat yet),
-``running`` (fresh running heartbeat), ``stalled`` (running heartbeat
-older than the stall threshold), plus the journal's terminal/attempted
-states ``reached`` / ``quality_miss`` / ``fault`` / ``timeout``.
+Job states: ``pending`` (planned, no record or stream yet), ``running``
+(an attempt started and has not stopped), ``stalled`` (running, its
+stream silent past the stall threshold), plus the journal's
+terminal/attempted states ``reached`` / ``quality_miss`` / ``fault`` /
+``timeout``.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
-from .events import (Event, EventCursor, Heartbeat, HeartbeatCache,
-                     merge_event_streams, read_heartbeat)
+from .alerts import JobState, StreamFold
+from .events import Event, EventCursor
 
 __all__ = ["JobView", "MonitorView", "CampaignTailer", "DEFAULT_STALL_AFTER_S",
            "load_monitor_view", "build_view", "campaign_dir_problem",
@@ -133,53 +134,38 @@ class MonitorView:
         return self.remaining * (sum(durations) / len(durations))
 
 
-def _load_journal_doc(campaign_dir: Path) -> dict[str, Any]:
-    """Read the journal JSON directly (no exec-engine import: files only)."""
-    path = campaign_dir / "campaign_journal.json"
-    if not path.is_file():
-        return {}
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
-        # A journal mid-replace can't be half-written (atomic rename), but
-        # a foreign/corrupt file should degrade to "no journal", not crash
-        # a monitor attached to a live run.
-        return {}
-
-
 def build_view(
     *,
     job_records: dict[str, dict[str, Any]],
     planned_cells: list[tuple[str, int]] | None = None,
-    heartbeats: dict[str, Heartbeat] | None = None,
+    progress: Mapping[str, JobState] | None = None,
     campaign: dict[str, Any] | None = None,
     events: list[Event] | None = None,
     now_s: float,
     stall_after_s: float = DEFAULT_STALL_AFTER_S,
 ) -> MonitorView:
-    """Fuse journal records, heartbeats, and the plan into one view.
+    """Fuse journal records, the job streams' progress, and the plan.
 
     ``job_records`` maps ``benchmark/seed`` to journal-record dicts (the
-    exact shape :class:`~repro.exec.journal.JobRecord` serializes to).
-    This is the single state-derivation path — ``repro monitor`` feeds it
-    from files and ``repro campaign`` feeds it from the in-memory journal,
-    so both render identical tables.
+    exact shape :class:`~repro.exec.journal.JobRecord` serializes to);
+    ``progress`` is a :class:`~repro.telemetry.alerts.StreamFold`'s
+    ``jobs``.  This is the single state-derivation path — ``repro
+    monitor`` feeds it from files and ``repro campaign`` feeds it from the
+    in-memory journal, so both render identical tables.
     """
-    heartbeats = heartbeats or {}
+    progress = progress or {}
     cells: dict[tuple[str, int], None] = {}
     for benchmark, seed in planned_cells or []:
         cells[(benchmark, int(seed))] = None
-    for key in job_records:
+    for key in (*job_records, *progress):
         benchmark, _, seed = key.rpartition("/")
         cells[(benchmark, int(seed))] = None
-    for beat in heartbeats.values():
-        cells[(beat.benchmark, beat.seed)] = None
 
     jobs: list[JobView] = []
     for benchmark, seed in sorted(cells):
         key = f"{benchmark}/{seed}"
         record = job_records.get(key)
-        beat = heartbeats.get(key)
+        stream = progress.get(key)
         status = record["status"] if record else "pending"
         attempts = int(record["attempts"]) if record else 0
         quality = record.get("quality") if record else None
@@ -189,18 +175,18 @@ def build_view(
         step = 0.0
         age = None
         stalled = False
-        if beat is not None:
-            age = beat.age_s(now_s)
-            live = beat.status == "running"
-            # A running heartbeat newer than the journal's last word means
-            # a retry (or the first attempt) is in flight right now.
-            if live and (record is None or status not in ("reached",)):
+        if stream is not None:
+            age = max(now_s - stream.last_event_s, 0.0)
+            # A live attempt newer than the journal's last word means a
+            # retry (or the first attempt) is in flight right now.
+            if stream.live and status != "reached":
                 stalled = age > stall_after_s
                 status = "stalled" if stalled else "running"
-                attempts = max(attempts, beat.attempt + 1)
-                epoch = beat.epoch
-                step = beat.step
-                quality = beat.quality if beat.quality is not None else quality
+                attempts = max(attempts, stream.attempt + 1)
+                epoch = stream.epoch
+                step = stream.step
+                if stream.quality is not None:
+                    quality = stream.quality
         jobs.append(JobView(
             benchmark=benchmark, seed=seed, status=status, attempts=attempts,
             epoch=epoch, step=step, quality=quality,
@@ -218,30 +204,8 @@ def load_monitor_view(
     now_s: float | None = None,
     stall_after_s: float = DEFAULT_STALL_AFTER_S,
 ) -> MonitorView:
-    """Build a view from a campaign directory's files alone."""
-    campaign_dir = Path(campaign_dir)
-    now_s = time.time() if now_s is None else float(now_s)
-
-    doc = _load_journal_doc(campaign_dir)
-    campaign = dict(doc.get("campaign", {}))
-    job_records = {key: dict(rec) for key, rec in doc.get("jobs", {}).items()}
-    planned = [(str(b), int(s)) for b, s in campaign.get("planned_cells", [])]
-
-    heartbeats: dict[str, Heartbeat] = {}
-    hb_dir = campaign_dir / "heartbeats"
-    if hb_dir.is_dir():
-        for path in sorted(hb_dir.glob("*.json")):
-            beat = read_heartbeat(path)
-            if beat is not None:
-                heartbeats[beat.key] = beat
-
-    events_dir = campaign_dir / "events"
-    events = (merge_event_streams(sorted(events_dir.glob("*.jsonl")))
-              if events_dir.is_dir() else [])
-
-    return build_view(job_records=job_records, planned_cells=planned,
-                      heartbeats=heartbeats, campaign=campaign, events=events,
-                      now_s=now_s, stall_after_s=stall_after_s)
+    """A view from a campaign directory's files alone: one tailer refresh."""
+    return CampaignTailer(campaign_dir, stall_after_s).refresh(now_s)
 
 
 def campaign_dir_problem(campaign_dir: str | Path) -> str | None:
@@ -249,8 +213,8 @@ def campaign_dir_problem(campaign_dir: str | Path) -> str | None:
 
     ``repro monitor`` / ``repro alerts`` pointed at a typo'd or not-yet-
     provisioned path should say so in one line and exit nonzero, not
-    unwind a traceback.  A directory counts as a campaign once any of its
-    observability surfaces exists (journal, events, heartbeats).
+    unwind a traceback.  A directory counts as a campaign once its
+    journal or an event stream exists.
     """
     campaign_dir = Path(campaign_dir)
     if not campaign_dir.exists():
@@ -260,27 +224,25 @@ def campaign_dir_problem(campaign_dir: str | Path) -> str | None:
     has_journal = (campaign_dir / "campaign_journal.json").is_file()
     has_events = any((campaign_dir / "events").glob("*.jsonl")) \
         if (campaign_dir / "events").is_dir() else False
-    has_beats = any((campaign_dir / "heartbeats").glob("*.json")) \
-        if (campaign_dir / "heartbeats").is_dir() else False
-    if not (has_journal or has_events or has_beats):
+    if not (has_journal or has_events):
         return (f"{campaign_dir}: not a campaign directory (no "
-                f"campaign_journal.json, events/, or heartbeats/)")
+                f"campaign_journal.json or events/)")
     return None
 
 
 class CampaignTailer:
-    """Incremental :func:`load_monitor_view` for pollers.
+    """The one reader of a campaign directory, and its one fold.
 
-    ``load_monitor_view`` re-reads every file on every call — correct for
-    one-shot ``repro monitor``, quadratic for ``--watch`` and the
-    observability server.  The tailer keeps an
+    ``repro monitor``, ``repro alerts``, ``repro analyze`` and the server
+    all read through it.  It keeps an
     :class:`~repro.telemetry.events.EventCursor` per stream (new streams
-    are discovered each refresh), a
-    :class:`~repro.telemetry.events.HeartbeatCache`, and a signature-
-    checked journal parse, so a refresh over a quiet campaign costs only
-    ``stat`` calls and already-consumed JSONL bytes are never re-read.
-
-    The accumulated timeline (``self.events``) matches what
+    are discovered each poll) and a signature-checked journal parse, so a
+    refresh over a quiet campaign costs only ``stat`` calls and
+    already-consumed JSONL bytes are never re-read.  :meth:`poll_events`
+    leaves folding to its caller: :meth:`refresh` applies the events to
+    ``fold``, the server runs them through
+    :meth:`~repro.telemetry.alerts.AlertEngine.advance`.  The accumulated
+    timeline (``self.events``) matches what
     :func:`~repro.telemetry.events.merge_event_streams` would return for
     the same files, in the same ``(time_s, pid)`` order.
     """
@@ -290,8 +252,8 @@ class CampaignTailer:
         self.campaign_dir = Path(campaign_dir)
         self.stall_after_s = float(stall_after_s)
         self.events: list[Event] = []
+        self.fold = StreamFold()
         self._cursors: dict[Path, EventCursor] = {}
-        self._beats = HeartbeatCache()
         self._journal_sig: tuple[int, int, int] | None = None
         self._journal_doc: dict[str, Any] = {}
 
@@ -299,6 +261,11 @@ class CampaignTailer:
     def consumed_bytes(self) -> int:
         """Total event-stream bytes ever handed to the parser."""
         return sum(c.consumed_bytes for c in self._cursors.values())
+
+    @property
+    def streams(self) -> list[Path]:
+        """Every stream discovered so far, in merge order."""
+        return sorted(self._cursors)
 
     def poll_events(self) -> list[Event]:
         """Consume newly-completed events from every stream (sorted)."""
@@ -322,6 +289,7 @@ class CampaignTailer:
         return fresh
 
     def _journal(self) -> dict[str, Any]:
+        """The journal JSON, read directly (no exec-engine import)."""
         path = self.campaign_dir / "campaign_journal.json"
         try:
             stat = os.stat(path)
@@ -330,29 +298,32 @@ class CampaignTailer:
             return self._journal_doc
         signature = (stat.st_mtime_ns, stat.st_size, stat.st_ino)
         if signature != self._journal_sig:
-            self._journal_doc = _load_journal_doc(self.campaign_dir)
-            self._journal_sig = signature
+            try:
+                doc = json.loads(path.read_text(encoding="utf-8"))
+            except (OSError, json.JSONDecodeError):
+                # A journal mid-replace can't be half-written (atomic
+                # rename), but a foreign/corrupt file should degrade to "no
+                # journal", not crash a monitor attached to a live run.
+                doc = {}
+            self._journal_doc, self._journal_sig = doc, signature
         return self._journal_doc
 
     def refresh(self, now_s: float | None = None) -> MonitorView:
-        """One poll: absorb new data, return the current view."""
+        """One poll: fold new events in, return the current view."""
+        self.fold.apply_all(self.poll_events())
+        return self.view(now_s)
+
+    def view(self, now_s: float | None = None) -> MonitorView:
+        """The view of everything folded so far, at ``now_s``."""
         now_s = time.time() if now_s is None else float(now_s)
-        self.poll_events()
         doc = self._journal()
         campaign = dict(doc.get("campaign", {}))
         job_records = {key: dict(rec)
                        for key, rec in doc.get("jobs", {}).items()}
         planned = [(str(b), int(s))
                    for b, s in campaign.get("planned_cells", [])]
-        heartbeats: dict[str, Heartbeat] = {}
-        hb_dir = self.campaign_dir / "heartbeats"
-        if hb_dir.is_dir():
-            for path in sorted(hb_dir.glob("*.json")):
-                beat = self._beats.read(path)
-                if beat is not None:
-                    heartbeats[beat.key] = beat
         return build_view(job_records=job_records, planned_cells=planned,
-                          heartbeats=heartbeats, campaign=campaign,
+                          progress=self.fold.jobs, campaign=campaign,
                           events=self.events, now_s=now_s,
                           stall_after_s=self.stall_after_s)
 

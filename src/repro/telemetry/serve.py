@@ -1,11 +1,10 @@
 """The live observability server: HTTP over the telemetry file streams.
 
 ``repro serve-metrics <root>`` turns the pull-only campaign surfaces
-(journal, ``events/*.jsonl``, ``heartbeats/*.json``, result files) into a
-service without adding a single runtime dependency — everything is
-``http.server`` + the same file-only views the monitor uses, so the
-server can watch campaigns run by *other* processes and cannot crash
-them.
+(journal, ``events/*.jsonl``, result files) into a service without adding
+a single runtime dependency — everything is ``http.server`` + the same
+file-only views the monitor uses, so the server can watch campaigns run
+by *other* processes and cannot crash them.
 
 Endpoints:
 
@@ -26,9 +25,12 @@ Endpoints:
 
 Incrementality is structural: each campaign is tailed by a
 :class:`~repro.telemetry.monitor.CampaignTailer` (offset-tracking
-:class:`~repro.telemetry.events.EventCursor` per stream), folded once
-into alert state, and shared by every endpoint.  A refresh of a quiet
-campaign costs ``stat`` calls only.
+:class:`~repro.telemetry.events.EventCursor` per stream) whose one fold
+every endpoint shares.  Each poll's fresh events, from byte 0 on the
+first, go through the schedule ``repro alerts`` replays
+(:meth:`~repro.telemetry.alerts.AlertEngine.advance`), so a finished
+campaign's rewritten ``alerts.jsonl`` equals the replay's byte for byte.
+A refresh of a quiet campaign costs ``stat`` calls only.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .alerts import AlertEngine, AlertRule, StreamFold
+from .alerts import AlertEngine, AlertRule
 from .events import Event, EventLog
 from .export import (EXPOSITION_CONTENT_TYPE, alert_lines, render_exposition,
                      snapshot_lines, view_lines)
@@ -78,7 +80,7 @@ def discover_campaign_dirs(root: str | Path) -> dict[str, Path]:
 
 
 class _CampaignState:
-    """One tailed campaign: cursors, alert fold, latest view, run cache."""
+    """One tailed campaign: tailer, alert engine, latest view, run cache."""
 
     def __init__(self, campaign_id: str, directory: Path, *,
                  rules: Iterable[AlertRule] | None,
@@ -86,10 +88,11 @@ class _CampaignState:
         self.id = campaign_id
         self.directory = directory
         self.tailer = CampaignTailer(directory, stall_after_s=stall_after_s)
-        self.fold = StreamFold()
         sink = None
         if write_alerts:
-            self._alerts_log = EventLog(directory / ALERTS_LOG_NAME)
+            # mode="w": the engine replays every stream from byte 0, so a
+            # restarted server rewrites the log instead of appending to it.
+            self._alerts_log = EventLog(directory / ALERTS_LOG_NAME, mode="w")
             sink = self._alerts_log.write
         else:
             self._alerts_log = None
@@ -101,10 +104,8 @@ class _CampaignState:
     def refresh(self, now_s: float) -> list[Event]:
         """Tail, fold, evaluate; return fresh events + alert transitions."""
         fresh = self.tailer.poll_events()
-        self.view = self.tailer.refresh(now_s)
-        self.fold.apply_all(fresh)
-        self.fold.absorb_view(self.view)
-        new = self.engine.evaluate(self.fold.context(now_s))
+        new = self.engine.advance(self.tailer.fold, fresh, now_s)
+        self.view = self.tailer.view(now_s)
         self.transitions.extend(new)
         return fresh + new
 

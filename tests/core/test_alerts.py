@@ -182,14 +182,13 @@ class TestRuleLifecycle:
         _, _ = replay_alerts(events)  # sanity: replay works
         engine = AlertEngine()
         fold = StreamFold()
-        fold.apply_all(events)
-        engine.evaluate(fold.context(events[-1].time_s + 500))
+        engine.advance(fold, events, events[-1].time_s + 500)
         assert engine.active()  # stall + loss firing
-        fold.apply(Event("run_stop", events[-1].time_s + 501, 1,
-                         {"benchmark": "b", "seed": 0, "status": "fault"}))
-        out = engine.evaluate(fold.context(events[-1].time_s + 501))
+        out = engine.advance(fold, [Event(
+            "run_stop", events[-1].time_s + 501, 1,
+            {"benchmark": "b", "seed": 0, "status": "fault"})])
         assert engine.active() == []
-        assert all(t.name == "alert_resolved" for t in out)
+        assert out and all(t.name == "alert_resolved" for t in out)
 
 
 class TestDeterminism:
@@ -220,7 +219,67 @@ class TestDeterminism:
         bus.subscribe(captured.append)
         bus.publish("run_start", benchmark="b", seed=0)
         engine = AlertEngine()
-        fold = StreamFold()
-        fold.apply_all(captured)
-        out = engine.evaluate(fold.context(clock.now() + 1000.0))
+        out = engine.advance(StreamFold(), captured, clock.now() + 1000.0)
         assert out and all(t.time_s == 1123.0 for t in out)
+
+    def test_lagging_events_never_stamp_earlier_transitions(self):
+        # A poll at t=200 fires the stall; a stream that lagged behind it
+        # then delivers progress from t=190.  The recovery is stamped at
+        # the latest instant already evaluated, not back in time.
+        engine, fold = AlertEngine(), StreamFold()
+        start = _stream([(100.0, "run_start", 1,
+                          {"benchmark": "b", "seed": 0})])
+        fired = engine.advance(fold, start, 200.0)
+        assert [(t.name, t.args["rule"], t.time_s) for t in fired] == [
+            ("alert_firing", "job_stall", 200.0)]
+        late = _stream([(190.0, "epoch", 1, {"epoch": 1})])
+        resolved = engine.advance(fold, late, 205.0)
+        assert [(t.name, t.args["rule"], t.time_s) for t in resolved] == [
+            ("alert_resolved", "job_stall", 200.0)]
+
+
+class TestStreamFold:
+    def test_job_progress_folds_epoch_and_eval(self):
+        clock = FakeClock(start=0.0)
+        bus = EventBus(clock=clock.now, pid=3)
+        fold = StreamFold()
+        bus.subscribe(fold.apply)
+        bus.publish("job_start", benchmark="fake", seed=0, attempt=1)
+        bus.publish("epoch", epoch=1, samples_total=32)
+        clock.advance(2.0)
+        bus.publish("epoch", epoch=2, samples_total=64)
+        bus.publish("eval", epoch=2, quality=0.5)
+        job = fold.jobs["fake/0"]
+        assert (job.epoch, job.step, job.quality) == (2, 64.0, 0.5)
+        assert (job.live, job.attempt, job.last_event_s) == (True, 1, 2.0)
+        bus.publish("run_stop", benchmark="fake", seed=0, status="success")
+        assert not fold.jobs["fake/0"].live
+
+    def test_retry_is_one_job_and_a_run_per_run_seed(self):
+        # A retry's runner reports its reseeded run seed: the rules follow
+        # that run, the monitor keeps following the cell's job.
+        fold = StreamFold()
+        fold.apply_all(_stream([
+            (10.0, "job_start", 2,
+             {"benchmark": "b", "seed": 1, "attempt": 1}),
+            (11.0, "run_start", 2, {"benchmark": "b", "seed": 7920}),
+            (12.0, "epoch", 2, {"epoch": 1, "samples_total": 32}),
+        ]))
+        assert list(fold.jobs) == ["b/1"]
+        job = fold.jobs["b/1"]
+        assert (job.live, job.attempt, job.step, job.last_event_s) == (
+            True, 1, 32.0, 12.0)
+        assert fold.runs["b/7920"].active
+
+    def test_engine_stream_records_are_not_job_events(self):
+        # The engine's stream shares pid 0 with job ordinal 0.
+        fold = StreamFold()
+        fold.apply_all(_stream([
+            (10.0, "job_start", 0, {"benchmark": "b", "seed": 0}),
+            (12.0, "run_stop", 0, {"benchmark": "b", "seed": 0}),
+            (20.0, "job_finished", 0, {"benchmark": "b", "seed": 1,
+                                       "status": "reached"}),
+            (30.0, "campaign_stop", 0, {"executed": 2}),
+        ]))
+        assert fold.jobs["b/0"].last_event_s == 12.0
+        assert fold.runs["b/1"].status == "reached"

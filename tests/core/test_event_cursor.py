@@ -1,4 +1,4 @@
-"""EventCursor / HeartbeatCache: incremental tailing without re-reads.
+"""EventCursor: incremental tailing without re-reads.
 
 The tentpole property pinned here: a poller (monitor --watch, the
 observability server) never re-reads already-consumed JSONL bytes, never
@@ -6,20 +6,11 @@ drops or duplicates an event across truncated tails, rotations, and
 atomic replaces — the crash shapes real campaign writers produce.
 """
 
-import json
 import os
 
 import pytest
 
-from repro.core.timing import FakeClock
-from repro.telemetry import (
-    Event,
-    EventCursor,
-    EventLog,
-    HeartbeatCache,
-    HeartbeatWriter,
-    read_events,
-)
+from repro.telemetry import Event, EventCursor, EventLog, read_events
 
 
 def _event(i, t=0.0):
@@ -168,33 +159,3 @@ class TestConcurrentWriterAndReader:
         seen.extend(cursor.poll())
         assert [e.args["epoch"] for e in seen] == list(range(40))
         assert cursor.consumed_bytes == len(raw)
-
-
-class TestHeartbeatCache:
-    def test_reparses_only_on_change(self, tmp_path):
-        clock = FakeClock(start=100.0)
-        path = tmp_path / "beat.json"
-        writer = HeartbeatWriter(path, pid=1, benchmark="b", seed=0,
-                                 clock=clock.now)
-        writer.beat(status="running")
-        cache = HeartbeatCache()
-        first = cache.read(path)
-        assert first is not None and first.time_s == 100.0
-        # Unchanged file: the same parsed object comes back (no re-parse).
-        assert cache.read(path) is first
-
-        clock.advance(5.0)
-        writer.beat(epoch=2)
-        second = cache.read(path)
-        assert second is not first and second.epoch == 2
-
-    def test_missing_file_is_none_and_evicts(self, tmp_path):
-        path = tmp_path / "beat.json"
-        cache = HeartbeatCache()
-        assert cache.read(path) is None
-        path.write_text(json.dumps({"pid": 1, "benchmark": "b", "seed": 0,
-                                    "time_s": 1.0}))
-        beat = cache.read(path)
-        assert beat is not None and beat.key == "b/0"
-        path.unlink()
-        assert cache.read(path) is None

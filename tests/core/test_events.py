@@ -1,6 +1,4 @@
-"""The streaming layer: event bus, JSONL logs, crash tolerance, heartbeats."""
-
-import json
+"""The streaming layer: event bus, JSONL logs, crash tolerance."""
 
 import pytest
 
@@ -9,13 +7,11 @@ from repro.telemetry import (
     Event,
     EventBus,
     EventLog,
-    HeartbeatWriter,
     NULL_EVENTS,
     Telemetry,
     current_events,
     merge_event_streams,
     read_events,
-    read_heartbeat,
 )
 
 
@@ -121,54 +117,3 @@ class TestEventLog:
         merged = merge_event_streams([a, b])
         assert [(e.name, e.pid) for e in merged] == [
             ("a1", 1), ("b1", 0), ("b2", 0), ("a2", 1)]
-
-
-class TestHeartbeat:
-    def test_beat_round_trip(self, tmp_path):
-        clock = FakeClock(start=50.0)
-        path = tmp_path / "hb" / "job.json"
-        writer = HeartbeatWriter(path, pid=2, benchmark="fake", seed=1,
-                                 attempt=1, clock=clock.now)
-        clock.advance(3.0)
-        writer.beat(status="running", epoch=4, step=128.0)
-        beat = read_heartbeat(path)
-        assert beat is not None
-        assert (beat.pid, beat.benchmark, beat.seed, beat.attempt) == (2, "fake", 1, 1)
-        assert beat.status == "running"
-        assert (beat.epoch, beat.step) == (4, 128.0)
-        assert beat.time_s == 53.0
-        assert beat.age_s(60.0) == 7.0
-        assert beat.key == "fake/1"
-
-    def test_beat_rejects_unknown_field(self, tmp_path):
-        writer = HeartbeatWriter(tmp_path / "job.json", pid=0,
-                                 benchmark="fake", seed=0, clock=lambda: 0.0)
-        with pytest.raises(AttributeError):
-            writer.beat(not_a_field=1)
-
-    def test_on_event_folds_progress(self, tmp_path):
-        clock = FakeClock(start=0.0)
-        bus = EventBus(clock=clock.now)
-        path = tmp_path / "job.json"
-        writer = HeartbeatWriter(path, pid=0, benchmark="fake", seed=0,
-                                 clock=clock.now)
-        bus.subscribe(writer.on_event)
-        bus.publish("epoch", epoch=1, samples_total=32)
-        bus.publish("epoch", epoch=2, samples_total=64)
-        bus.publish("eval", epoch=2, quality=0.5)
-        beat = read_heartbeat(path)
-        assert (beat.epoch, beat.step, beat.quality) == (2, 64.0, 0.5)
-
-    def test_missing_or_corrupt_file_reads_as_none(self, tmp_path):
-        assert read_heartbeat(tmp_path / "absent.json") is None
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert read_heartbeat(bad) is None
-
-    def test_beat_leaves_no_temp_file(self, tmp_path):
-        writer = HeartbeatWriter(tmp_path / "job.json", pid=0,
-                                 benchmark="fake", seed=0, clock=lambda: 1.0)
-        writer.beat(epoch=1)
-        assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
-        payload = json.loads((tmp_path / "job.json").read_text())
-        assert payload["epoch"] == 1

@@ -1,11 +1,13 @@
 """The campaign monitor: file-built views, deterministic under FakeClock."""
 
+import json
+
 from repro.core.timing import FakeClock
 from repro.exec import CampaignSpec, RetryPolicy, SequentialExecutor, run_campaign
 from repro.telemetry import (
     Event,
     EventLog,
-    Heartbeat,
+    StreamFold,
     build_view,
     load_monitor_view,
     merge_event_streams,
@@ -59,8 +61,8 @@ class TestCampaignStreams:
         # Worker events are stamped with the job ordinal and the fake clock.
         assert {e.pid for e in job_events} == {1}
         assert all(e.time_s >= 1000.0 for e in job_events)
-        beats = sorted(p.name for p in (tmp_path / "heartbeats").glob("*.json"))
-        assert beats == [f"fake_benchmark_seed{s}.json" for s in range(3)]
+        # The streams are the whole live record: no heartbeat files.
+        assert not (tmp_path / "heartbeats").exists()
 
     def test_view_of_finished_campaign_is_deterministic(self, tmp_path):
         clock = FakeClock(start=1000.0)
@@ -109,6 +111,48 @@ class TestCampaignStreams:
         view = load_monitor_view(tmp_path, now_s=0.0)
         assert view.jobs == [] and view.settled
 
+    def test_event_only_directory_shows_its_run(self, tmp_path):
+        # No journal: one run that started and went silent.  The monitor
+        # lists it running, then stalled, as the alert rules see it.
+        with EventLog(tmp_path / "events" / "b_seed0.jsonl") as log:
+            log.write(Event("run_start", 100.0, 1,
+                            {"benchmark": "b", "seed": 0}))
+        job, = load_monitor_view(tmp_path, now_s=110.0).jobs
+        assert (job.key, job.status) == ("b/0", "running")
+        assert job.heartbeat_age_s == 10.0
+        job, = load_monitor_view(tmp_path, now_s=200.0).jobs
+        assert job.status == "stalled" and job.stalled
+
+    def test_old_heartbeat_files_are_ignored(self, tmp_path):
+        # Campaigns recorded while workers wrote heartbeats/ next to their
+        # streams render and replay exactly as without those files.
+        clock = FakeClock(start=1000.0)
+        _run_campaign(tmp_path, clock, seeds=2)
+        events_dir = tmp_path / "events"
+
+        def render_and_replay():
+            view = load_monitor_view(tmp_path, now_s=clock.now() + 5.0)
+            merged = merge_event_streams(sorted(events_dir.glob("*.jsonl")))
+            return (render_monitor_view(view),
+                    [e.to_json() for e in replay_alerts(merged)[1]])
+
+        before = render_and_replay()
+        beats = tmp_path / "heartbeats"
+        beats.mkdir()
+        (beats / "fake_benchmark_seed0.json").write_text(json.dumps(
+            {"pid": 0, "benchmark": "fake_benchmark", "seed": 0,
+             "time_s": clock.now() + 4.0, "attempt": 0, "status": "running",
+             "epoch": 3, "step": 96.0, "quality": 0.1, "metrics": {}}))
+        assert render_and_replay() == before
+
+
+def _progress(*specs):
+    """Drive (t, name, pid, args) job events through the fold."""
+    fold = StreamFold()
+    fold.apply_all(Event(name, float(t), pid, args)
+                   for t, name, pid, args in specs)
+    return fold.jobs
+
 
 class TestBuildView:
     def test_pending_cells_come_from_the_plan(self):
@@ -126,21 +170,26 @@ class TestBuildView:
         assert not view.settled
 
     def test_fresh_running_heartbeat_marks_running(self):
-        beat = Heartbeat(pid=1, benchmark="fake", seed=1, time_s=95.0,
-                         epoch=3, step=96.0, quality=0.4)
+        cell = {"benchmark": "fake", "seed": 1}
+        progress = _progress(
+            (80.0, "job_start", 1, dict(cell, attempt=0)),
+            (81.0, "run_start", 1, dict(cell, target=0.8)),
+            (90.0, "epoch", 1, {"epoch": 3, "samples_total": 96}),
+            (95.0, "eval", 1, {"epoch": 3, "quality": 0.4}))
         view = build_view(job_records={}, planned_cells=[("fake", 1)],
-                          heartbeats={"fake/1": beat}, now_s=100.0,
+                          progress=progress, now_s=100.0,
                           stall_after_s=30.0)
         job = view.jobs[0]
         assert job.status == "running" and not job.stalled
         assert (job.epoch, job.step, job.quality) == (3, 96.0, 0.4)
         assert job.heartbeat_age_s == 5.0
-        assert job.attempts == 1  # beat.attempt 0 -> one attempt in flight
+        assert job.attempts == 1  # attempt 0 -> one attempt in flight
 
     def test_stale_heartbeat_marks_stalled(self):
-        beat = Heartbeat(pid=0, benchmark="fake", seed=0, time_s=10.0)
+        progress = _progress(
+            (10.0, "job_start", 0, {"benchmark": "fake", "seed": 0}))
         view = build_view(job_records={}, planned_cells=[("fake", 0)],
-                          heartbeats={"fake/0": beat}, now_s=100.0,
+                          progress=progress, now_s=100.0,
                           stall_after_s=30.0)
         job = view.jobs[0]
         assert job.status == "stalled" and job.stalled
@@ -149,28 +198,39 @@ class TestBuildView:
         assert "STALL" in rendered and "STALLED" in render_job_table(view.jobs)
 
     def test_terminal_heartbeat_defers_to_journal(self):
-        # The final beat a worker writes carries the outcome status, so a
-        # finished job must not read as running however fresh the file is.
-        beat = Heartbeat(pid=0, benchmark="fake", seed=0, time_s=99.0,
-                         status="reached", quality=0.9)
+        # A stream that ends in run_stop is a finished attempt, so the job
+        # must not read as running however fresh its last event is.
+        cell = {"benchmark": "fake", "seed": 0}
+        progress = _progress(
+            (95.0, "job_start", 0, cell),
+            (95.0, "run_start", 0, cell),
+            (99.0, "eval", 0, {"epoch": 4, "quality": 0.9}),
+            (99.0, "run_stop", 0, dict(cell, status="success", quality=0.9)))
         view = build_view(
             job_records={"fake/0": {"status": "reached", "attempts": 1,
                                     "quality": 0.9, "epochs": 4,
                                     "time_to_train_s": 4.0}},
-            heartbeats={"fake/0": beat}, now_s=100.0)
+            progress=progress, now_s=100.0)
         assert view.jobs[0].status == "reached"
         assert view.settled
 
     def test_retry_in_flight_overrides_faulted_record(self):
-        # Journal says fault, but a fresh running heartbeat with a higher
-        # attempt means the retry is live right now.
-        beat = Heartbeat(pid=0, benchmark="fake", seed=0, time_s=99.0,
-                         attempt=1, epoch=2)
+        # Journal says fault, but a fresh job_start with a higher attempt
+        # means the retry is live right now; its runner reports the
+        # reseeded run seed, and the cell is still the job.
+        cell = {"benchmark": "fake", "seed": 0}
+        progress = _progress(
+            (90.0, "job_start", 0, dict(cell, attempt=0)),
+            (91.0, "run_start", 0, cell),
+            (92.0, "run_stop", 0, dict(cell, status="error")),
+            (98.0, "job_start", 0, dict(cell, attempt=1)),
+            (98.0, "run_start", 0, {"benchmark": "fake", "seed": 7920}),
+            (99.0, "epoch", 0, {"epoch": 2, "samples_total": 64}))
         view = build_view(
             job_records={"fake/0": {"status": "fault", "attempts": 1,
                                     "error": "ValueError: boom"}},
-            heartbeats={"fake/0": beat}, now_s=100.0)
-        job = view.jobs[0]
+            progress=progress, now_s=100.0)
+        job, = view.jobs  # the reseeded run is not a cell of its own
         assert job.status == "running"
         assert job.attempts == 2
 

@@ -6,11 +6,14 @@ tentpole property — consumed bytes never re-read — is asserted against
 the tailer's own byte accounting across repeated scrapes.
 """
 
+import io
 import json
 import threading
 import urllib.request
 
+from repro.cli import main
 from repro.core.timing import FakeClock
+from repro.telemetry import Event, EventLog
 from repro.telemetry.serve import ObservabilityServer, discover_campaign_dirs
 
 from .test_monitor import _run_campaign
@@ -152,6 +155,41 @@ class TestEndpoints:
             data = json.loads(first[2][len("data: "):])
             assert data["campaign"] == tmp_path.name
             assert "name" in data and "time_s" in data
+
+
+class TestAlertLog:
+    """The server's alerts.jsonl comes from the schedule replay runs."""
+
+    @staticmethod
+    def _serve_once(root, now_s):
+        srv = ObservabilityServer(root, clock=lambda: now_s,
+                                  min_refresh_s=0.0)
+        try:
+            srv.refresh(force=True)
+        finally:
+            srv.close()
+        return (root / "alerts.jsonl").read_bytes()
+
+    def test_server_log_equals_replay_at_the_same_instant(self, tmp_path):
+        # The 2-seed campaign regresses mid-run on both cells: a server
+        # attached after the fact must log those transitions, not only
+        # what is firing at its own clock.
+        clock = FakeClock(start=1000.0)
+        _run_campaign(tmp_path, clock, seeds=2)
+        served = self._serve_once(tmp_path, clock.now())
+        assert b"quality_regression" in served
+        code = main(["alerts", str(tmp_path), "--now", str(clock.now())],
+                    out=io.StringIO())
+        assert code == 0
+        assert (tmp_path / "alerts.jsonl").read_bytes() == served
+
+    def test_restarted_server_rewrites_its_log(self, tmp_path):
+        with EventLog(tmp_path / "events" / "b_seed0.jsonl") as log:
+            log.write(Event("run_start", 100.0, 1,
+                            {"benchmark": "b", "seed": 0}))
+        first = self._serve_once(tmp_path, 1000.0)
+        assert len(first.splitlines()) == 2  # job_stall + heartbeat_loss
+        assert self._serve_once(tmp_path, 1000.0) == first
 
 
 class TestZeroReread:

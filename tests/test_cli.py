@@ -303,6 +303,54 @@ class TestMonitorCommand:
         assert {"job_stall", "heartbeat_loss"} <= rules
         assert not (tmp_path / "alerts.jsonl").exists()  # --no-write
 
+    def test_alerts_now_before_the_last_event_is_rejected(self, tmp_path):
+        # One stream silent after t=101, one running to t=300: evaluating
+        # at t=50 would stamp transitions before the events that caused them.
+        from repro.telemetry import Event, EventLog
+
+        with EventLog(tmp_path / "events" / "a_seed0.jsonl") as log:
+            log.write(Event("run_start", 100.0, 1,
+                            {"benchmark": "a", "seed": 0}))
+            log.write(Event("epoch", 101.0, 1, {"epoch": 1}))
+        with EventLog(tmp_path / "events" / "b_seed0.jsonl") as log:
+            log.write(Event("run_start", 100.0, 2,
+                            {"benchmark": "b", "seed": 0}))
+            for t in range(110, 301, 10):
+                log.write(Event("epoch", float(t), 2, {"epoch": t}))
+        code, text = run_cli("alerts", str(tmp_path), "--now", "50")
+        assert code == 2
+        [line] = text.strip().splitlines()
+        assert "50.000" in line and "300.000" in line
+        assert not (tmp_path / "alerts.jsonl").exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--watch", "0"), ("--watch", "-1"), ("--stall-after", "0"),
+        ("--stall-after", "-1")])
+    def test_monitor_rejects_non_positive_seconds(self, tmp_path, flag,
+                                                  value):
+        (tmp_path / "campaign_journal.json").write_text("{}")
+        code, text = run_cli("monitor", str(tmp_path), flag, value)
+        assert code == 2
+        [line] = text.strip().splitlines()
+        assert flag in line
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--stall-after", "0"), ("--stall-after", "-1"), ("--refresh", "-1")])
+    def test_serve_metrics_rejects_bad_seconds(self, tmp_path, monkeypatch,
+                                               flag, value):
+        from repro.telemetry.serve import ObservabilityServer
+
+        def serve_forever(self):
+            raise AssertionError("the server started")
+
+        monkeypatch.setattr(ObservabilityServer, "serve_forever",
+                            serve_forever)
+        code, text = run_cli("serve-metrics", str(tmp_path), "--port", "0",
+                             flag, value)
+        assert code == 2
+        [line] = text.strip().splitlines()
+        assert flag in line
+
     def test_alerts_bad_rules_file(self, tmp_path):
         events_dir = tmp_path / "events"
         events_dir.mkdir(parents=True)
