@@ -4,7 +4,7 @@
 the gap between implementations to math libraries choosing equivalent-but-
 faster algorithms.  This bench measures that effect inside the framework
 itself: each kernel that reads the kernel mode (conv at two sizes, the
-fused linear, the LSTM cell, attention) is timed under the ``naive``
+fused linear, the LSTM cell, attention, batch norm → (+ skip) → ReLU) is timed under the ``naive``
 reference mode and under ``fused`` (patch-major unfold, in-place bias and
 masks, single-node kernels), and the bench asserts the two agree bit-for-bit —
 same math, different speed.  Code with one path in every mode (pooling,
@@ -48,7 +48,7 @@ def test_kernel_micro(benchmark, report):
     report.table(
         ["kernel", "naive (us)", "fused (us)", "speedup", "bit-identical"],
         rows,
-        widths=[22, 14, 14, 10, 15],
+        widths=[32, 14, 14, 10, 15],
     )
 
     REPORT_PATH.parent.mkdir(exist_ok=True)

@@ -950,7 +950,7 @@ def _cmd_bench_kernels(args, out) -> int:
           f"(repeats={payload['repeats']}, warmup={payload['warmup']})", file=out)
     for name, entry in payload["kernels"].items():
         flag = "ok" if entry["bit_identical"] else "DIVERGED"
-        print(f"  {name:<20} {entry['naive_ns_per_op'] / 1e3:>10.1f}us naive  "
+        print(f"  {name:<31} {entry['naive_ns_per_op'] / 1e3:>10.1f}us naive  "
               f"{entry['ns_per_op'] / 1e3:>10.1f}us {payload['kernel_mode']}  "
               f"{entry['speedup']:>5.2f}x  [{flag}]", file=out)
 

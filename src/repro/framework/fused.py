@@ -116,8 +116,9 @@ def _linear_fused(x: Tensor, weight: Tensor, bias: Tensor | None, act: str, dt) 
 def normalize(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
               shape: tuple[int, ...] | None = None,
               moments: tuple[np.ndarray, np.ndarray] | None = None,
-              observe=None) -> Tensor:
-    """Fused ``(x - mean) / sqrt(var + eps) * gamma + beta`` — one graph node.
+              observe=None, *, residual: Tensor | None = None,
+              act: str = "none") -> Tensor:
+    """Fused ``act((x - mean) / sqrt(var + eps) * gamma + beta + residual)``.
 
     The one kernel behind ``BatchNorm1d/2d`` and ``LayerNorm``.  ``mean`` and
     ``var`` are the statistics of ``x`` over ``axes`` (kept as size-1 axes),
@@ -125,16 +126,26 @@ def normalize(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
     running averages).  ``moments=(mean, var)`` normalizes with those
     constants instead (eval-mode batch norm).  ``gamma`` and ``beta`` are
     viewed as ``shape`` before broadcasting when ``shape`` is given.
+    ``residual`` (a tensor of ``x``'s shape) is added after the affine map
+    and ``act`` (``none`` | ``relu``) applied last: ResNet v1.5's block end.
 
     The composed graph is 18 nodes that compute the mean and ``x - mean``
-    twice; the kernel runs its arithmetic sequence once on raw arrays and
-    its backward replays that graph's adjoints in that graph's order, so the
-    result, every gradient and the observed moments are bit-identical to it.
+    twice, plus one for the residual add and one for the ReLU; the kernel is
+    one node that runs that arithmetic sequence once on raw arrays, adds and
+    masks in place, and keeps only the operands, the result and per-feature
+    moments: its backward recomputes ``x - mean`` and ``xhat`` from them.
+    The adjoints replay the composed graph's in its order, so the result,
+    every gradient and the observed moments are bit-identical to it.
     Operands of mixed dtype use the composition, as in the other kernels.
     """
+    if act not in _ACTS:
+        raise ValueError(f"act must be one of {_ACTS}, got {act!r}")
+    if residual is not None and residual.shape != x.shape:
+        raise ValueError(f"residual shape {residual.shape} != input shape {x.shape}")
     if kernel_mode() == "fused":
-        if _uniform_float_dtype(x, gamma, beta, *(moments or ())) is not None:
-            return _normalize_fused(x, axes, gamma, beta, eps, shape, moments, observe)
+        if _uniform_float_dtype(x, gamma, beta, residual, *(moments or ())) is not None:
+            return _normalize_fused(x, axes, gamma, beta, eps, shape, moments, observe,
+                                    residual, act)
         _count_fallback("normalize", "mixed_dtype")
     if moments is None:
         mean = x.mean(axis=axes, keepdims=True)
@@ -145,12 +156,16 @@ def normalize(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
         mean, var = Tensor(moments[0]), Tensor(moments[1])
     xhat = (x - mean) / (var + eps).sqrt()
     if shape is None:
-        return xhat * gamma + beta
-    return xhat * gamma.reshape(shape) + beta.reshape(shape)
+        out = xhat * gamma + beta
+    else:
+        out = xhat * gamma.reshape(shape) + beta.reshape(shape)
+    if residual is not None:
+        out = out + residual
+    return out.relu() if act == "relu" else out
 
 
 def _normalize_fused(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
-                     shape, moments, observe) -> Tensor:
+                     shape, moments, observe, residual, act) -> Tensor:
     xd = x.data
     batch_stats = moments is None
     if batch_stats:
@@ -167,14 +182,30 @@ def _normalize_fused(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
     std = np.sqrt(var + eps)
     gd = gamma.data if shape is None else gamma.data.reshape(shape)
     bd = beta.data if shape is None else beta.data.reshape(shape)
-    parents = (x, gamma, beta)
-    if not (is_grad_enabled() and any(t.requires_grad for t in parents)):
-        # Nothing will read the intermediates again: as temporaries each is
-        # freed when the next exists, which keeps a serving batch's peak at
-        # the composition's three activation-sized arrays instead of four.
-        return Tensor(centered / std * gd + bd)
+    # Each intermediate is dropped once the next exists.  ``xhat`` stays a
+    # named array while it is read, here and in the backward: NumPy may
+    # write a product into an unnamed operand's buffer, whose layout need
+    # not be the one the composition gives the product, and layout decides
+    # the order of every later reduction over it.
     xhat = centered / std
+    del centered
     y = xhat * gd + bd
+    del xhat
+    if residual is not None:
+        rd = residual.data
+        # The composed add's result takes its operands' layout when they
+        # share one; otherwise NumPy picks, so let it.
+        if y.strides == rd.strides:
+            y += rd
+        else:
+            y = y + rd
+    if act == "relu":
+        # The composed mask is ``z > 0``; it is ``y > 0`` after masking too
+        # (a masked element is ±0 or NaN), so the backward recomputes it.
+        y *= np.greater(y, 0)
+    parents = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
+    if not (is_grad_enabled() and any(t.requires_grad for t in parents)):
+        return Tensor(y)
 
     def backward(result: Tensor) -> None:
         # Each line is one adjoint of the composed graph, named after the
@@ -182,10 +213,24 @@ def _normalize_fused(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
         # (``x - mean`` and the sum inside ``mean``, once for ``xhat`` and
         # once inside ``var``); float addition does not associate, so they
         # accumulate into ``x.grad`` in the order that graph's reverse
-        # topological walk reaches them.
+        # topological walk reaches them.  ``x - mean`` and ``xhat`` are
+        # recomputed with the forward's operations on the forward's
+        # operands, so they are its bits, in its layouts.
         g = result.grad
+        if act == "relu":
+            g = g * np.greater(result.data, 0)
+        if residual is not None:
+            # The add node's term reaches ``residual`` before any of the
+            # affine map's reach ``gamma``, ``beta`` or ``x``.  The masked
+            # ``g`` is fresh, so ``residual`` may adopt it: the lines below
+            # only read it, unless they accumulate into ``residual`` too.
+            residual._accumulate(g, owned=act == "relu" and all(
+                residual is not t for t in (x, gamma, beta)))
         g_xhat = g * gd
+        centered = xd + (-mean)
+        xhat = centered / std
         gamma._accumulate(_unbroadcast(g * xhat, gd.shape).reshape(gamma.shape))
+        del xhat
         beta._accumulate(_unbroadcast(g, bd.shape).reshape(beta.shape))
         if not x.requires_grad:
             return

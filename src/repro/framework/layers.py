@@ -118,24 +118,48 @@ class Conv2d(Module):
         return conv2d(x, self.weight, self.bias, stride=self.stride, pad=self.padding)
 
 
-class _BatchNorm(Module):
-    """Shared batch-norm machinery (axes differ between 1d/2d)."""
+def _check_features(layer: str, x: Tensor, axis: int, expected: int,
+                    ndim: int | None = None) -> None:
+    """Raise before any statistic is taken when ``x`` does not fit the layer."""
+    if ndim is not None and x.ndim != ndim:
+        raise ValueError(f"{layer} expects {ndim}-D input with {expected} features, "
+                         f"got shape {x.shape}")
+    if x.ndim == 0 or x.shape[axis] != expected:
+        raise ValueError(f"{layer} expects {expected} features, got shape {x.shape}")
 
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
+
+class _BatchNorm(Module):
+    """Shared batch-norm machinery (axes differ between 1d/2d).
+
+    ``activation="relu"`` and ``forward(x, residual=...)`` fold ResNet's
+    block end, ``relu(bn(x) + residual)``, into the layer's one kernel node.
+    """
+
+    _NDIM = 2
+
+    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5,
+                 activation: str = "none"):
         super().__init__()
+        self.num_features = num_features
         self.eps = eps
         self.momentum = momentum
+        self.activation = _validated_act(activation)
         self.gamma = Parameter(init.ones(num_features))
         self.beta = Parameter(init.zeros(num_features))
         self.running_mean = np.zeros(num_features, dtype=np.float32)
         self.running_var = np.ones(num_features, dtype=np.float32)
 
-    def _normalize(self, x: Tensor, axes: tuple[int, ...], shape: tuple[int, ...]) -> Tensor:
+    def forward(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
+        _check_features(type(self).__name__, x, 1, self.num_features, self._NDIM)
+        axes = (0, *range(2, x.ndim))
+        shape = (1, self.num_features) + (1,) * (x.ndim - 2)
+        kwargs = dict(residual=residual, act=self.activation)
         if self.training:
             return normalize(x, axes, self.gamma, self.beta, self.eps, shape,
-                             observe=self._update_running)
+                             observe=self._update_running, **kwargs)
         moments = (self.running_mean.reshape(shape), self.running_var.reshape(shape))
-        return normalize(x, axes, self.gamma, self.beta, self.eps, shape, moments=moments)
+        return normalize(x, axes, self.gamma, self.beta, self.eps, shape, moments=moments,
+                         **kwargs)
 
     def _update_running(self, mean: np.ndarray, var: np.ndarray) -> None:
         # The moving-average decay here is itself a hyperparameter the
@@ -151,17 +175,11 @@ class _BatchNorm(Module):
 class BatchNorm2d(_BatchNorm):
     """Batch normalization over (N, H, W) for each channel of NCHW input."""
 
-    def forward(self, x: Tensor) -> Tensor:
-        c = x.shape[1]
-        return self._normalize(x, axes=(0, 2, 3), shape=(1, c, 1, 1))
+    _NDIM = 4
 
 
 class BatchNorm1d(_BatchNorm):
     """Batch normalization over the batch axis of (N, C) input."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        c = x.shape[1]
-        return self._normalize(x, axes=(0,), shape=(1, c))
 
 
 class LayerNorm(Module):
@@ -169,11 +187,13 @@ class LayerNorm(Module):
 
     def __init__(self, num_features: int, eps: float = 1e-5):
         super().__init__()
+        self.num_features = num_features
         self.eps = eps
         self.gamma = Parameter(init.ones(num_features))
         self.beta = Parameter(init.zeros(num_features))
 
     def forward(self, x: Tensor) -> Tensor:
+        _check_features("LayerNorm", x, -1, self.num_features)
         return normalize(x, -1, self.gamma, self.beta, self.eps)
 
 

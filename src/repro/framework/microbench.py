@@ -3,10 +3,11 @@
 DAWNBench-style timing breakdowns argue that end-to-end numbers need
 per-kernel decompositions to be actionable; this module times the kernels
 the §3.2.1 timed region actually spends its wall clock in — conv2d
-forward+backward at two sizes, the fused linear, the LSTM cell and
-multi-head attention — under the active kernel mode *and* under ``naive``,
-so every report carries its own baseline.  Only code that reads the kernel
-mode has a row: anything else would compare ``naive`` with itself.
+forward+backward at two sizes, the fused linear, the LSTM cell,
+multi-head attention and batch norm closing a residual block — under the
+active kernel mode *and* under ``naive``, so every report carries its own
+baseline.  Only code that reads the kernel mode has a row: anything else
+would compare ``naive`` with itself.
 
 Each benchmark is a closure that runs one full forward+backward; timing
 takes the *minimum* over repeats after a warmup, the standard micro-bench
@@ -26,7 +27,7 @@ import numpy as np
 
 from .attention import attention_bias, causal_mask
 from .config import kernel_mode, use_kernel_mode
-from .fused import attention, conv2d_bias_relu, linear_bias_act, lstm_cell
+from .fused import attention, conv2d_bias_relu, linear_bias_act, lstm_cell, normalize
 from .module import Parameter
 from .tensor import Tensor
 
@@ -138,12 +139,35 @@ def _attention_step(rng: np.random.Generator) -> StepFn:
     return step
 
 
+def _normalize_step(rng: np.random.Generator, residual: bool) -> StepFn:
+    """Training-mode batch norm → (+ skip) → ReLU at ResNet stage 1's shape,
+    where the suite spends its batch-norm time."""
+    shape = (64, 16, 16, 16)
+    x0, s0, g0 = (rng.standard_normal(shape).astype(np.float32) for _ in range(3))
+    gamma0 = rng.normal(1.0, 0.2, 16).astype(np.float32)
+    beta0 = rng.normal(0.0, 0.2, 16).astype(np.float32)
+
+    def step() -> tuple[np.ndarray, ...]:
+        x = Tensor(x0, requires_grad=True)
+        skip = Tensor(s0, requires_grad=True) if residual else None
+        gamma, beta = Parameter(gamma0), Parameter(beta0)
+        out = normalize(x, (0, 2, 3), gamma, beta, 1e-5, (1, 16, 1, 1),
+                        residual=skip, act="relu")
+        out.backward(g0)
+        grads = (x.grad, gamma.grad, beta.grad) + ((skip.grad,) if residual else ())
+        return (out.data, *grads)
+
+    return step
+
+
 _KERNELS: dict[str, Callable[[np.random.Generator], StepFn]] = {
     "conv2d_fwd_bwd": _conv_step,
     "conv2d_resnet_fwd_bwd": _conv_resnet_step,
     "linear_fwd_bwd": _linear_step,
     "lstm_cell_fwd_bwd": _lstm_cell_step,
     "attention_fwd_bwd": _attention_step,
+    "normalize_relu_fwd_bwd": lambda rng: _normalize_step(rng, residual=False),
+    "normalize_residual_relu_fwd_bwd": lambda rng: _normalize_step(rng, residual=True),
 }
 
 

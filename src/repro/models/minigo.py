@@ -23,32 +23,33 @@ class MiniGoNet(Module):
         self.board_size = board_size
         self.num_moves = board_size * board_size + 1
         self.stem = Conv2d(3, width, 3, rng, padding=1, bias=False)
-        self.stem_bn = BatchNorm2d(width)
+        self.stem_bn = BatchNorm2d(width, activation="relu")
         self.tower = [
-            (Conv2d(width, width, 3, rng, padding=1, bias=False), BatchNorm2d(width))
+            (Conv2d(width, width, 3, rng, padding=1, bias=False),
+             BatchNorm2d(width, activation="relu"))
             for _ in range(blocks)
         ]
         # Register tower modules for parameter discovery.
         for i, (conv, bn) in enumerate(self.tower):
             setattr(self, f"tower_conv{i}", conv)
             setattr(self, f"tower_bn{i}", bn)
-        self.policy_conv = Conv2d(width, 2, 1, rng)
+        self.policy_conv = Conv2d(width, 2, 1, rng, activation="relu")
         self.policy_fc = Linear(2 * board_size * board_size, self.num_moves, rng)
-        self.value_conv = Conv2d(width, 1, 1, rng)
-        self.value_fc1 = Linear(board_size * board_size, 32, rng)
+        self.value_conv = Conv2d(width, 1, 1, rng, activation="relu")
+        self.value_fc1 = Linear(board_size * board_size, 32, rng, activation="relu")
         self.value_fc2 = Linear(32, 1, rng)
 
     def forward(self, planes: np.ndarray | Tensor) -> tuple[Tensor, Tensor]:
         """Return ``(policy_logits (N, moves), value (N,))``."""
         x = planes if isinstance(planes, Tensor) else Tensor(planes.astype(np.float32))
-        h = self.stem_bn(self.stem(x)).relu()
+        h = self.stem_bn(self.stem(x))
         for conv, bn in self.tower:
-            h = (bn(conv(h)) + h).relu()  # residual tower
+            h = bn(conv(h), residual=h)  # residual tower: relu(bn(conv(h)) + h)
         n = x.shape[0]
-        p = self.policy_conv(h).relu().reshape(n, -1)
+        p = self.policy_conv(h).reshape(n, -1)
         policy_logits = self.policy_fc(p)
-        v = self.value_conv(h).relu().reshape(n, -1)
-        value = self.value_fc2(self.value_fc1(v).relu()).tanh().reshape(-1)
+        v = self.value_conv(h).reshape(n, -1)
+        value = self.value_fc2(self.value_fc1(v)).tanh().reshape(-1)
         return policy_logits, value
 
     def evaluate(self, board) -> tuple[np.ndarray, float]:

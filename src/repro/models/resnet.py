@@ -40,9 +40,10 @@ class BasicBlockV15(Module):
         super().__init__()
         # v1.5: downsampling stride sits on the 3x3 conv.
         self.conv1 = Conv2d(in_channels, out_channels, 3, rng, stride=stride, padding=1, bias=False)
-        self.bn1 = BatchNorm2d(out_channels)
+        self.bn1 = BatchNorm2d(out_channels, activation="relu")
         self.conv2 = Conv2d(out_channels, out_channels, 3, rng, stride=1, padding=1, bias=False)
-        self.bn2 = BatchNorm2d(out_channels)
+        # v1.5: the residual is added after this BN, then the ReLU.
+        self.bn2 = BatchNorm2d(out_channels, activation="relu")
         if stride != 1 or in_channels != out_channels:
             # Projection shortcut (1x1, stride matching the main path).
             self.shortcut = Conv2d(in_channels, out_channels, 1, rng, stride=stride, bias=False)
@@ -53,10 +54,9 @@ class BasicBlockV15(Module):
             self.shortcut_bn = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self.bn1(self.conv1(x)).relu()
-        out = self.bn2(self.conv2(out))  # addition after BN
+        out = self.conv2(self.bn1(self.conv1(x)))
         skip = x if self.shortcut is None else self.shortcut_bn(self.shortcut(x))
-        return (out + skip).relu()
+        return self.bn2(out, residual=skip)  # relu(bn2(out) + skip): addition after BN
 
 
 class MiniResNet(Module):
@@ -77,7 +77,7 @@ class MiniResNet(Module):
     ):
         super().__init__()
         self.stem = Conv2d(in_channels, widths[0], 3, rng, stride=1, padding=1, bias=False)
-        self.stem_bn = BatchNorm2d(widths[0])
+        self.stem_bn = BatchNorm2d(widths[0], activation="relu")
         stages: list[Module] = []
         channels = widths[0]
         for stage_idx, width in enumerate(widths):
@@ -90,14 +90,11 @@ class MiniResNet(Module):
         self.fc = Linear(channels, num_classes, rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self.stem_bn(self.stem(x)).relu()
-        for block in self.blocks:
-            out = block(out)
-        return self.fc(self.pool(out))
+        return self.fc(self.pool(self.features(x)))
 
     def features(self, x: Tensor) -> Tensor:
         """Backbone feature map before pooling (used by detection models)."""
-        out = self.stem_bn(self.stem(x)).relu()
+        out = self.stem_bn(self.stem(x))
         for block in self.blocks:
             out = block(out)
         return out

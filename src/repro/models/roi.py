@@ -3,9 +3,11 @@
 §3.1.2 lists "ROIalign" among the layer types that distinguish detection
 and segmentation workloads from classification.  This is the bilinear-
 sampling RoIAlign of He et al. (2017): each output bin samples the feature
-map at its center with bilinear interpolation.  The implementation is
-expressed entirely with fancy-indexing ``Tensor`` primitives, so gradients
-flow to the feature map without bespoke adjoint code.
+map at its center with bilinear interpolation.  It is one graph node: the
+forward gathers the four corners with fancy indexing and blends them, and
+the adjoint scatters each corner's share back with ``np.add.at`` over a flat
+index -- the four-gather composition's arithmetic, in its order, so
+``features.grad`` is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -63,18 +65,42 @@ def roi_align(
     fy = np.clip(sample_y - y0, 0.0, 1.0).astype(np.float32)
 
     b = np.broadcast_to(batch_indices[:, None, None], (k, s, s))
+    corners = ((y0, x0), (y0, x1i), (y1i, x0), (y1i, x1i))
+    weights = (((1 - fy) * (1 - fx))[..., None], ((1 - fy) * fx)[..., None],
+               (fy * (1 - fx))[..., None], (fy * fx)[..., None])
 
     # Gather the four corners: advanced indexing puts (K,S,S) first,
-    # channel axis last -> (K, S, S, C).
-    v00 = features[b, :, y0, x0]
-    v01 = features[b, :, y0, x1i]
-    v10 = features[b, :, y1i, x0]
-    v11 = features[b, :, y1i, x1i]
+    # channel axis last -> (K, S, S, C); blend them in the order the
+    # composed ``v00*w00 + v01*w01 + v10*w10 + v11*w11`` adds them.
+    fd = features.data
+    out = None
+    for (yy, xx), wt in zip(corners, weights):
+        term = fd[b, :, yy, xx] * wt
+        out = term if out is None else out + term
 
-    w00 = Tensor(((1 - fy) * (1 - fx))[..., None])
-    w01 = Tensor(((1 - fy) * fx)[..., None])
-    w10 = Tensor((fy * (1 - fx))[..., None])
-    w11 = Tensor((fy * fx)[..., None])
+    def backward(result: Tensor) -> None:
+        g = result.grad.transpose(0, 2, 3, 1)
+        # One zeroed buffer and one scatter per corner, accumulated in the
+        # order the four gathers' adjoints reach ``features`` through the
+        # composed graph.  The index is flat, into the buffer's memory (the
+        # layout ``np.zeros_like`` gives it), and in (K, S, S, C) order, so
+        # each element collects its terms in the order the 4-D scatter does.
+        for (yy, xx), wt in zip(corners, weights):
+            grad = np.zeros_like(fd)
+            flat, (sn, sc, sh, sw) = _flat_view(grad)
+            cells = b * sn + yy * sh + xx * sw
+            index = cells[..., None] + np.arange(c) * sc
+            np.add.at(flat, index.reshape(-1), (g * wt).reshape(-1))
+            features._accumulate(grad, owned=True)
 
-    out = v00 * w00 + v01 * w01 + v10 * w10 + v11 * w11  # (K, S, S, C)
-    return out.transpose(0, 3, 1, 2)
+    return Tensor._make(out.transpose(0, 3, 1, 2), (features,), backward)
+
+
+def _flat_view(a: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """A dense array's memory as a 1-D view, and its strides in elements.
+
+    ``a`` is fresh from ``np.zeros_like``: dense, positive strides, so its
+    axes sorted by decreasing stride are C-contiguous and ``reshape`` views.
+    """
+    order = np.argsort(a.strides, kind="stable")[::-1]
+    return a.transpose(order).reshape(-1), tuple(st // a.itemsize for st in a.strides)

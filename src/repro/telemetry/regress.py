@@ -74,6 +74,8 @@ SCHEMA_METRICS: dict[str, tuple[MetricSpec, ...]] = {
         MetricSpec("kernels.conv2d_resnet_fwd_bwd.speedup", "higher", rel_tol=0.5),
         MetricSpec("kernels.lstm_cell_fwd_bwd.speedup", "higher", rel_tol=0.5),
         MetricSpec("kernels.attention_fwd_bwd.speedup", "higher", rel_tol=0.5),
+        MetricSpec("kernels.normalize_relu_fwd_bwd.speedup", "higher", rel_tol=0.5),
+        MetricSpec("kernels.normalize_residual_relu_fwd_bwd.speedup", "higher", rel_tol=0.5),
     ),
     "repro.bench_comms.v1": (
         MetricSpec("checks.bit_identical", "exact"),
@@ -150,7 +152,7 @@ class RegressionReport:
 
     def render(self) -> str:
         header = (
-            f"{'Metric':<40}{'Dir':<8}{'Baseline':>12}{'Current':>12}"
+            f"{'Metric':<48}{'Dir':<8}{'Baseline':>12}{'Current':>12}"
             f"{'Bound':>12}  Verdict"
         )
         lines = [f"schema: {self.schema}", header, "-" * len(header)]
@@ -159,7 +161,7 @@ class RegressionReport:
             if row.note:
                 verdict += f" ({row.note})"
             lines.append(
-                f"{row.path:<40}{row.direction:<8}{_fmt(row.baseline):>12}"
+                f"{row.path:<48}{row.direction:<8}{_fmt(row.baseline):>12}"
                 f"{_fmt(row.current):>12}{_fmt(row.bound):>12}  {verdict}"
             )
         lines.append(

@@ -470,6 +470,91 @@ def _assert_norm_identical(ref, got, context):
         assert np.array_equal(a, c), f"{context}: {name} diverged"
 
 
+_BN_CASES = [case for case in sorted(_NORM_CASES) if case.startswith("bn")]
+# The suite's ResNet stage-1 shape: large enough for NumPy to reuse
+# temporaries' buffers, which small shapes never trigger.
+_BLOCK_SHAPES = {"bn2d-large": (BatchNorm2d, 16, (64, 16, 16, 16))}
+
+
+def _run_block_end(mode, case, *, act, residual, training=True, layout=None,
+                   residual_layout=None):
+    """``act(bn(x) + residual)`` forward + backward under ``mode``.
+
+    ``residual`` is ``None``, ``"other"`` (an interior tensor of its own) or
+    ``"input"``: the tensor ``x`` was computed from, as in MiniGo's tower
+    ``bn(conv(h), residual=h)``, so that tensor's gradient collects the block
+    end's term and the producer's, in the order the composed graph adds them.
+    Returns the output, every gradient and the running statistics.
+    """
+    cls, features, shape = {**_NORM_CASES, **_BLOCK_SHAPES}[case]
+    conv = len(shape) == 4  # else a linear map produces ``x``
+    rng = np.random.default_rng(17)
+    draw = lambda *s: rng.normal(0.2, 1.5, size=s).astype(np.float32)
+    gamma, beta = rng.normal(1.0, 0.3, size=features), rng.normal(0.0, 0.3, size=features)
+    x0, s0, g = draw(*shape), draw(*shape), draw(*shape)
+    w0 = draw(features, features, *((3, 3) if conv else ())) * 0.3
+    if layout is not None:
+        x0, g = layout(x0), layout(g)
+    if residual_layout is not None:
+        s0 = residual_layout(s0)
+    with use_kernel_mode(mode):
+        layer = cls(features, activation=act).train(training)
+        layer.gamma.data, layer.beta.data = gamma.astype(np.float32), beta.astype(np.float32)
+        leaf = Tensor(x0, requires_grad=True)
+        other = Tensor(s0, requires_grad=True)
+        w = Parameter(w0)
+        h = leaf * 1.5
+        if residual == "input":
+            x = conv2d(h, w, pad=1) if conv else linear_bias_act(h, w)
+            out = layer(x, residual=h)
+        elif residual == "other":
+            out = layer(h, residual=other * 0.5)
+        else:
+            out = layer(h)
+        out.backward(g)
+        grads = [leaf.grad, layer.gamma.grad, layer.beta.grad]
+        if residual is not None:
+            grads.append(w.grad if residual == "input" else other.grad)
+        return (out.data, *grads, *_running_stats(layer))
+
+
+def _assert_all_identical(ref, got, context):
+    assert len(ref) == len(got), context
+    for i, (a, c) in enumerate(zip(ref, got)):
+        assert a.dtype == c.dtype, f"{context}: item {i} dtype {c.dtype} != {a.dtype}"
+        assert np.array_equal(a, c), f"{context}: item {i} diverged"
+        assert np.array_equal(np.signbit(a), np.signbit(c)), f"{context}: item {i} zero signs"
+
+
+def _reachable_from_closure(fn):
+    """Arrays and tensors a backward closure holds, without walking into a
+    tensor (whose graph links lead everywhere) or a function's globals."""
+    arrays, tensors, seen, stack = [], [], set(), [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            tensors.append(obj)
+        elif isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            if obj.base is not None:
+                stack.append(obj.base)
+        elif callable(obj) and hasattr(obj, "__closure__"):
+            for cell in obj.__closure__ or ():
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # an unassigned cell
+                    pass
+            stack.extend(obj.__defaults__ or ())
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+    return arrays, tensors
+
+
 class TestNormalizeBitIdentity:
     """The single-node ``normalize`` kernel vs the composed graph.
 
@@ -551,6 +636,90 @@ class TestNormalizeBitIdentity:
             leaf = Tensor(x, requires_grad=True)
             out = layer(leaf)
         assert out._prev == (leaf, layer.gamma, layer.beta)
+
+    def test_block_end_is_one_node(self):
+        with use_kernel_mode("fused"):
+            _, x, _ = _norm_layer("bn2d", np.float32)
+            layer = BatchNorm2d(3, activation="relu")
+            leaf, skip = Tensor(x, requires_grad=True), Tensor(x + 1, requires_grad=True)
+            out = layer(leaf, residual=skip)
+        assert out._prev == (leaf, layer.gamma, layer.beta, skip)
+
+    # --- the block end: act(bn(x) + residual) ----------------------------
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("residual", [None, "other", "input"])
+    @pytest.mark.parametrize("act", ["none", "relu"])
+    @pytest.mark.parametrize("case", _BN_CASES)
+    def test_block_end_matches_naive(self, case, act, residual, training):
+        kwargs = dict(act=act, residual=residual, training=training)
+        _assert_all_identical(_run_block_end("naive", case, **kwargs),
+                              _run_block_end("fused", case, **kwargs),
+                              f"{case}[{act},{residual},train={training}]")
+
+    @pytest.mark.parametrize("residual_layout", ["same", "dense"])
+    @pytest.mark.parametrize("residual", ["other", "input"])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("case", ["bn2d", "bn2d-n1", "bn2d-large"])
+    def test_block_end_nhwc_backed(self, case, training, residual, residual_layout):
+        """NHWC-backed input and gradient, with a residual of the input's
+        layout (added in place) or a dense one (``y + residual``)."""
+        kwargs = dict(act="relu", residual=residual, training=training, layout=_nhwc_backed,
+                      residual_layout=_nhwc_backed if residual_layout == "same" else None)
+        _assert_all_identical(_run_block_end("naive", case, **kwargs),
+                              _run_block_end("fused", case, **kwargs),
+                              f"{case}-nhwc[{residual},{residual_layout},train={training}]")
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("case", ["bn2d", "bn2d-large"])
+    def test_block_end_poisoned_scratch(self, poisoned_empty, case, training):
+        kwargs = dict(act="relu", residual="input", training=training)
+        ref = _run_block_end("naive", case, **kwargs)
+        with poisoned_empty():
+            got = _run_block_end("fused", case, **kwargs)
+        _assert_all_identical(ref, got, f"{case}-poisoned[train={training}]")
+
+    @pytest.mark.parametrize("context", [no_grad, inference_mode])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("residual", [None, "other"])
+    @pytest.mark.parametrize("case", _BN_CASES)
+    def test_block_end_forward_only(self, case, residual, training, context):
+        results = {}
+        for mode in ("naive", "fused"):
+            cls, features, shape = _NORM_CASES[case]
+            rng = np.random.default_rng(23)
+            x = rng.normal(size=shape).astype(np.float32)
+            skip = Tensor(rng.normal(size=shape).astype(np.float32)) if residual else None
+            with use_kernel_mode(mode):
+                layer = cls(features, activation="relu").train(training)
+                with context():
+                    first = layer(Tensor(x), residual=skip)
+                    second = layer(Tensor(x), residual=skip)
+                assert not second.requires_grad and second._backward is None
+                results[mode] = (first.data, second.data, *_running_stats(layer))
+        _assert_all_identical(results["naive"], results["fused"], f"{case}-forward-only")
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("act,residual", [("none", False), ("relu", False), ("relu", True)])
+    def test_node_keeps_no_activation_but_operands_and_result(self, act, residual, training):
+        """The kernel recomputes ``x - mean`` and ``xhat`` (and the ReLU mask)
+        in its backward: nothing of the input's size is reachable from its
+        closure except the operands' arrays and the result's own."""
+        with use_kernel_mode("fused"):
+            layer, x, _ = _norm_layer("bn2d", np.float32)
+            if act != "none" or residual:
+                layer = BatchNorm2d(3, activation=act)
+            layer.train(training)
+            leaf = Tensor(x, requires_grad=True)
+            skip = Tensor(x * 0.5, requires_grad=True) if residual else None
+            out = layer(leaf, residual=skip) if residual else layer(leaf)
+        arrays, tensors = _reachable_from_closure(out._backward)
+        owners = {id(t) for t in (leaf, skip, out, layer.gamma, layer.beta)}
+        assert all(id(t) in owners for t in tensors)
+        allowed = [t.data for t in (leaf, skip, out) if t is not None]
+        big = [a for a in arrays if a.size >= x.size]
+        strays = [a for a in big if not any(np.shares_memory(a, d) for d in allowed)]
+        assert strays == [], [(a.shape, a.dtype) for a in strays]
 
     def test_training_horizon(self):
         """conv → BN → relu → pool → LN → linear, trained for several steps:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.framework import (
+    KERNEL_MODES,
     BatchNorm1d,
     BatchNorm2d,
     Conv2d,
@@ -17,7 +18,10 @@ from repro.framework import (
     ReLU,
     Sequential,
     Tensor,
+    use_kernel_mode,
 )
+from repro.framework.fused import normalize
+from repro.framework.layers import recorded_moments
 from tests.helpers import check_gradient
 
 RNG = np.random.default_rng(11)
@@ -86,6 +90,51 @@ class TestBatchNorm:
         bn(x).sum().backward()
         assert bn.gamma.grad is not None
         assert bn.beta.grad is not None
+
+
+class TestNormalizationInputChecks:
+    """A misfit input raises one ``ValueError`` naming the expected and the
+    actual shape before any statistic, running average or
+    ``recorded_moments`` entry is touched, in both kernel modes."""
+
+    @pytest.mark.parametrize("mode", KERNEL_MODES)
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("layer,shape,match", [
+        (lambda: BatchNorm2d(16), (2, 32, 3, 3), r"16 features, got shape \(2, 32, 3, 3\)"),
+        (lambda: BatchNorm2d(4), (2, 4, 3), r"4-D input with 4 features, got shape \(2, 4, 3\)"),
+        (lambda: BatchNorm2d(4), (4,), r"4-D input"),
+        (lambda: BatchNorm1d(4), (8, 5), r"4 features, got shape \(8, 5\)"),
+        (lambda: BatchNorm1d(4), (8, 4, 2), r"2-D input with 4 features"),
+        (lambda: LayerNorm(6), (3, 5), r"6 features, got shape \(3, 5\)"),
+        (lambda: LayerNorm(6), (), r"6 features, got shape \(\)"),
+    ])
+    def test_feature_mismatch(self, mode, training, layer, shape, match):
+        norm = layer().train(training)
+        state = {name: getattr(norm, name).copy()
+                 for name in ("running_mean", "running_var") if hasattr(norm, name)}
+        with use_kernel_mode(mode), recorded_moments() as log:
+            with pytest.raises(ValueError, match=match):
+                norm(Tensor(np.ones(shape, dtype=np.float32)))
+        assert log == []
+        for name, before in state.items():
+            assert np.array_equal(getattr(norm, name), before)
+
+    @pytest.mark.parametrize("mode", KERNEL_MODES)
+    def test_residual_of_another_shape(self, mode):
+        bn = BatchNorm2d(3, activation="relu")
+        x = Tensor(np.ones((2, 3, 4, 4), dtype=np.float32))
+        with use_kernel_mode(mode), recorded_moments() as log:
+            with pytest.raises(ValueError, match=r"residual shape \(2, 3, 4, 1\)"):
+                bn(x, residual=Tensor(np.ones((2, 3, 4, 1), dtype=np.float32)))
+        assert log == [] and not bn.running_mean.any()
+
+    def test_unknown_activation(self):
+        with pytest.raises(ValueError, match="gelu"):
+            BatchNorm2d(3, activation="gelu")
+        x = Tensor(np.ones((2, 3), dtype=np.float32))
+        bn = BatchNorm1d(3)
+        with pytest.raises(ValueError, match="gelu"):
+            normalize(x, (0,), bn.gamma, bn.beta, 1e-5, (1, 3), act="gelu")
 
 
 class TestLayerNorm:
