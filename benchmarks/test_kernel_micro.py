@@ -22,16 +22,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.framework.microbench import bench_kernels, gate_failures
+from repro.framework.microbench import bench_kernels
 
 REPORT_PATH = Path(__file__).parent / "reports" / "BENCH_kernels.json"
 
 
 @pytest.mark.benchmark(group="kernels")
 def test_kernel_micro(benchmark, report):
-    payload = benchmark.pedantic(
-        lambda: bench_kernels(mode="fused"), rounds=1, iterations=1
-    )
+    payload = benchmark.pedantic(bench_kernels, rounds=1, iterations=1)
 
     report.line("Kernel micro-benchmarks: fused mode vs naive reference")
     report.line()
@@ -56,4 +54,4 @@ def test_kernel_micro(benchmark, report):
 
     # Equivalence is machine-independent, so it hard-fails here (speed
     # ratios are only reported).
-    assert gate_failures(payload) == []
+    assert payload["checks"]["bit_identical"]

@@ -4,7 +4,7 @@ The real-hardware counterpart of the in-process simulation in
 :mod:`repro.systems.dataparallel`: a persistent forked worker pool over
 ``multiprocessing.shared_memory`` (:mod:`repro.comms.shm`), gradients
 coalesced into flat buckets (:mod:`repro.comms.bucketing`), reduced by
-selectable ``flat``/``ring``/``tree`` algorithms that share one canonical
+selectable ``flat``/``ring`` algorithms that share one canonical
 arithmetic order (:mod:`repro.comms.reducers`) so every topology and
 worker count is bit-identical to ``SynchronousDataParallel`` — the
 §2.2.4 mathematical-equivalence requirement.  ``ShardedDataParallel``
@@ -27,7 +27,6 @@ from .reducers import (
     FlatReducer,
     Reducer,
     RingReducer,
-    TreeReducer,
     make_reducer,
     reduce_chunk,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "FlatReducer",
     "Reducer",
     "RingReducer",
-    "TreeReducer",
     "make_reducer",
     "reduce_chunk",
     "BatchBoard",

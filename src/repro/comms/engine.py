@@ -20,7 +20,7 @@ passes run on W cores:
 Gradients flow through :class:`~repro.comms.bucketing.BucketWriter`
 hooks into per-worker shared flat buckets; the moment a bucket's last
 gradient lands, its reduction starts — by the parent (``flat``) or by the
-owning workers (``ring``/``tree``) — while later buckets are still being
+owning workers (``ring``) — while later buckets are still being
 computed.  That compute/comm overlap is measured and exported through the
 ambient telemetry as ``comms_*`` metrics:
 
@@ -36,7 +36,7 @@ ambient telemetry as ``comms_*`` metrics:
 Determinism: every reduction algorithm uses the canonical ascending-rank
 arithmetic order (see :mod:`repro.comms.reducers`), worker shards are the
 same slices ``shard_batch`` produces, and the parent sums worker losses in
-rank order — so ``flat``/``ring``/``tree`` at any worker count reproduce
+rank order — so ``flat`` and ``ring`` at any worker count reproduce
 ``SynchronousDataParallel`` exactly.  Models must be deterministic
 functions of (parameters, batch): replicas never sync non-parameter state
 (e.g. BatchNorm running statistics), the standard data-parallel caveat.
@@ -353,7 +353,7 @@ class ShardedDataParallel:
             self._ctrl["missing"][rank, slot.index] = 1
         self._ctrl["t_bwd_end"][rank] = time.monotonic()
 
-        # Reduction duties for ring/tree: reduce owned chunks as their
+        # Reduction duties for ring: reduce owned chunks as their
         # buckets become ready (peers may still be in backward).
         contribs_cache: dict[int, list[np.ndarray]] = {}
         for b, chunk in my_chunks:

@@ -1,9 +1,11 @@
 """All-reduce algorithms over flat gradient buckets.
 
-Three classic topologies are implemented behind one :class:`Reducer`
-interface — ``flat`` (a single root gathers everything), ``ring`` (each
-rank owns one contiguous chunk of every bucket), and ``tree`` (chunk
-ownership assigned by an interleaved binary-tree gather order).
+Two classic topologies are implemented behind one :class:`Reducer`
+interface — ``flat`` (a single root gathers everything) and ``ring``
+(each rank owns one contiguous chunk of every bucket).  In shared memory
+any other owner order over the same equal chunks gives each worker the
+same work, so other schedules (e.g. a binary-tree owner order) would only
+permute ``ring``'s owners.
 
 **The determinism contract (§2.2.4).**  Floating-point addition is not
 associative, and the paper's mathematical-equivalence requirement means a
@@ -15,9 +17,9 @@ canonical order — worker contributions chained in ascending rank order,
 shards in.  Algorithms differ only in their *schedule*: which rank reduces
 which chunk, and in what round structure the results are gathered.  That
 is how deterministic all-reduce is done in practice (topology-aware
-scheduling around a fixed combining order), and it is what makes ``flat``,
-``ring`` and ``tree`` bit-identical to each other and to the single-process
-engine for every worker count — a property the test suite enforces.
+scheduling around a fixed combining order), and it is what makes ``flat``
+and ``ring`` bit-identical to each other and to the single-process engine
+for every worker count — a property the test suite enforces.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Chunk", "Reducer", "FlatReducer", "RingReducer", "TreeReducer",
-           "REDUCERS", "make_reducer", "reduce_chunk"]
+__all__ = ["Chunk", "Reducer", "FlatReducer", "RingReducer", "REDUCERS",
+           "make_reducer", "reduce_chunk"]
 
 # The parent process (rank -1) rather than a pool worker owns a chunk.
 PARENT = -1
@@ -120,52 +122,13 @@ class RingReducer(Reducer):
         ]
 
 
-class TreeReducer(Reducer):
-    """Binary-tree gather order: chunk ownership interleaves the two halves.
-
-    The schedule visits ranks in the order a balanced binary tree gathers
-    its leaves (0, W/2, W/4, 3W/4, ...), the log-depth structure tree
-    all-reduce exploits for latency.  Arithmetic order per element is still
-    canonical — only the chunk→owner mapping and gather order differ from
-    ``ring``.
-    """
-
-    name = "tree"
-
-    @staticmethod
-    def _tree_order(num_workers: int) -> list[int]:
-        """Ranks in balanced-binary-tree traversal order."""
-        order: list[int] = []
-
-        def visit(lo: int, hi: int) -> None:
-            if lo >= hi:
-                return
-            order.append(lo)
-            mid = (lo + hi + 1) // 2
-            # Right subtree first mirrors a top-down broadcast tree: the
-            # midpoint is reached at depth 1, quarters at depth 2, ...
-            if mid < hi:
-                visit(mid, hi)
-            visit(lo + 1, mid)
-
-        visit(0, num_workers)
-        return order
-
-    def chunks(self, n_elements: int, num_workers: int) -> list[Chunk]:
-        spans = _even_chunks(n_elements, num_workers)
-        return [
-            Chunk(start, stop, owner)
-            for (start, stop), owner in zip(spans, self._tree_order(num_workers))
-        ]
-
-
 REDUCERS: dict[str, type[Reducer]] = {
-    cls.name: cls for cls in (FlatReducer, RingReducer, TreeReducer)
+    cls.name: cls for cls in (FlatReducer, RingReducer)
 }
 
 
 def make_reducer(name: str) -> Reducer:
-    """Instantiate a reducer by algorithm name (``flat``/``ring``/``tree``)."""
+    """Instantiate a reducer by algorithm name (``flat``/``ring``)."""
     try:
         return REDUCERS[name]()
     except KeyError:

@@ -27,7 +27,6 @@ from .harness import QueryRecord, ScenarioResult, find_max_qps, run_scenario
 from .report import (
     LOADGEN_SCHEMA,
     build_loadgen_payload,
-    gate_failures,
     render_loadgen_report,
 )
 
@@ -50,6 +49,5 @@ __all__ = [
     "run_scenario",
     "LOADGEN_SCHEMA",
     "build_loadgen_payload",
-    "gate_failures",
     "render_loadgen_report",
 ]

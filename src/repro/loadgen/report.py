@@ -10,11 +10,13 @@ determinism proof) into a ``repro.bench_loadgen.v1`` JSON document.  The
   (verdicts and bit-identity have zero legitimate variance — in virtual
   timing they are machine-independent);
 - ``min_server_max_qps`` gates higher-is-better with a wide band, the
-  serving analog of the campaign speedup gate.
+  serving analog of the campaign speedup gate; against a committed
+  baseline above zero, a search that found no sustainable rate fails it.
 
-CI runs ``repro loadgen --smoke -o fresh.json`` and diffs it against the
-committed ``benchmarks/reports/BENCH_loadgen.json`` via ``repro
-bench-diff``, the same path every other bench report takes.
+This module computes no verdict of its own: ``repro loadgen --smoke -o
+fresh.json`` writes the payload, and ``repro bench-diff fresh.json
+benchmarks/reports/BENCH_loadgen.json`` judges it, the same path every
+other bench report takes.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from typing import Iterable, Mapping
 
 from .harness import ScenarioResult
 
-__all__ = ["LOADGEN_SCHEMA", "build_loadgen_payload", "gate_failures",
-           "render_loadgen_report"]
+__all__ = ["LOADGEN_SCHEMA", "build_loadgen_payload", "render_loadgen_report"]
 
 LOADGEN_SCHEMA = "repro.bench_loadgen.v1"
 
@@ -88,25 +89,6 @@ def build_loadgen_payload(
                                    if server_max_qps else 0.0),
         },
     }
-
-
-def gate_failures(payload: dict) -> list[str]:
-    """Smoke-gate verdicts: human-readable failures, empty when clean."""
-    failures: list[str] = []
-    checks = payload.get("checks", {})
-    if not checks.get("all_valid"):
-        for name, scenarios in payload.get("benchmarks", {}).items():
-            for scenario, res in scenarios.items():
-                for violation in res.get("violations", []):
-                    failures.append(f"{name}/{scenario}: {violation}")
-        if not failures:
-            failures.append("all_valid is false")
-    if checks.get("deterministic") is False:
-        failures.append(
-            "same-seed rerun diverged (percentiles or prediction checksum)")
-    if checks.get("min_server_max_qps", 0.0) <= 0.0:
-        failures.append("server max-QPS search found no sustainable rate")
-    return failures
 
 
 def render_loadgen_report(payload: dict) -> str:

@@ -15,16 +15,23 @@ with what tolerance band:
 
 Timing-derived metrics default to generous relative bands because CI
 hosts differ from the machines baselines were recorded on: the gate is
-for *regressions a PR causes*, not for machine-to-machine noise.  CI runs
-the ``bench-* --smoke`` harnesses and diffs their fresh reports against
-the committed ``benchmarks/reports/`` baselines; a non-zero exit fails
-the build.
+for *regressions a PR causes*, not for machine-to-machine noise.
+
+This table is the only place a bench verdict is declared, and
+:func:`compare_reports` the only place one is computed: the ``bench-*``
+verbs, ``repro loadgen --smoke`` and ``repro campaign --bench`` write
+reports without judging them, and CI
+diffs each fresh report against its committed ``benchmarks/reports/``
+baseline with ``repro bench-diff``; a non-zero exit fails the build.
+An ``exact`` row compares against the baseline, so the committed
+baselines are themselves the oracle: every boolean under their
+``checks`` must be true (a tier-1 test pins that).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -37,7 +44,7 @@ __all__ = ["MetricSpec", "RegressionRow", "RegressionReport",
 class MetricSpec:
     """How one metric in a report is gated against its baseline."""
 
-    path: str  # dotted path into the JSON payload, e.g. "checks.conv_speedup"
+    path: str  # dotted path into the JSON payload, e.g. "checks.bit_identical"
     direction: str  # "exact" | "higher" | "lower"
     rel_tol: float = 0.0
     abs_tol: float = 0.0
@@ -70,16 +77,18 @@ SCHEMA_METRICS: dict[str, tuple[MetricSpec, ...]] = {
     ),
     "repro.bench_kernels.v1": (
         MetricSpec("checks.bit_identical", "exact"),
-        MetricSpec("checks.conv_speedup", "higher", rel_tol=0.5),
+        MetricSpec("kernels.conv2d_fwd_bwd.speedup", "higher", rel_tol=0.5),
         MetricSpec("kernels.conv2d_resnet_fwd_bwd.speedup", "higher", rel_tol=0.5),
         MetricSpec("kernels.lstm_cell_fwd_bwd.speedup", "higher", rel_tol=0.5),
         MetricSpec("kernels.attention_fwd_bwd.speedup", "higher", rel_tol=0.5),
         MetricSpec("kernels.normalize_relu_fwd_bwd.speedup", "higher", rel_tol=0.5),
         MetricSpec("kernels.normalize_residual_relu_fwd_bwd.speedup", "higher", rel_tol=0.5),
     ),
+    # Comms speedups are recorded, not gated: a one-sample wall-clock
+    # ratio of a sub-millisecond step says more about the host than the
+    # engine.
     "repro.bench_comms.v1": (
         MetricSpec("checks.bit_identical", "exact"),
-        MetricSpec("checks.best_speedup_by_workers.2", "higher", rel_tol=0.5),
     ),
     # Serving harness: verdicts and same-seed determinism are exact (the
     # smoke runs in virtual timing, so they are machine-independent); the
@@ -256,18 +265,12 @@ def load_report(path: str | Path) -> dict[str, Any]:
     return payload
 
 
-def compare_reports(
-    current: dict[str, Any],
-    baseline: dict[str, Any],
-    *,
-    tolerance_overrides: dict[str, float] | None = None,
-) -> RegressionReport:
+def compare_reports(current: dict[str, Any],
+                    baseline: dict[str, Any]) -> RegressionReport:
     """Gate a fresh report against its committed baseline.
 
     Both payloads must carry the same ``schema`` (comparing a kernels
     report against a comms baseline is a usage error, not a regression).
-    ``tolerance_overrides`` maps metric path → relative tolerance,
-    replacing the declared band for that metric.
     """
     schema = current.get("schema")
     if schema != baseline.get("schema"):
@@ -279,16 +282,8 @@ def compare_reports(
     if specs is None:
         raise ValueError(f"no regression gates declared for schema {schema!r}")
 
-    overrides = tolerance_overrides or {}
-    unknown = set(overrides) - {spec.path for spec in specs}
-    if unknown:
-        raise ValueError(f"tolerance override(s) for ungated metric(s): "
-                         f"{sorted(unknown)}")
-
     report = RegressionReport(schema=schema)
     for spec in specs:
-        if spec.path in overrides:
-            spec = replace(spec, rel_tol=float(overrides[spec.path]))
         base_value = _lookup(baseline, spec.path)
         cur_value = _lookup(current, spec.path)
         if base_value is None:

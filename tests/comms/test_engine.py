@@ -19,7 +19,7 @@ from repro.framework.tensor import Tensor
 from repro.systems.dataparallel import SynchronousDataParallel
 from repro.telemetry import Telemetry
 
-ALGORITHMS = ["flat", "ring", "tree"]
+ALGORITHMS = ["flat", "ring"]
 BACKENDS = ["inline"] + (["process"] if process_backend_available() else [])
 
 

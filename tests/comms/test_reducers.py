@@ -7,7 +7,6 @@ from repro.comms.reducers import (
     PARENT,
     FlatReducer,
     RingReducer,
-    TreeReducer,
     make_reducer,
     reduce_chunk,
 )
@@ -21,7 +20,7 @@ def _chain_reference(contribs):
     return out
 
 
-ALGORITHMS = ["flat", "ring", "tree"]
+ALGORITHMS = ["flat", "ring"]
 
 
 class TestSchedules:
@@ -43,15 +42,6 @@ class TestSchedules:
     def test_ring_assigns_one_chunk_per_rank(self):
         chunks = RingReducer().chunks(64, 4)
         assert [c.owner for c in chunks] == [0, 1, 2, 3]
-
-    def test_tree_order_is_a_rank_permutation(self):
-        for workers in range(1, 9):
-            order = TreeReducer._tree_order(workers)
-            assert sorted(order) == list(range(workers))
-
-    def test_tree_order_interleaves_halves(self):
-        # Depth-1 node (the midpoint) comes right after the root.
-        assert TreeReducer._tree_order(4) == [0, 2, 3, 1]
 
     def test_unknown_algorithm_raises(self):
         with pytest.raises(ValueError, match="unknown reduction algorithm"):
@@ -80,7 +70,6 @@ class TestCanonicalOrder:
             make_reducer(algo).reduce(out, contribs)
             outs.append(out)
         assert np.array_equal(outs[0], outs[1])
-        assert np.array_equal(outs[0], outs[2])
 
     def test_reduce_chunk_may_alias_rank_zero(self):
         rng = np.random.default_rng(1)

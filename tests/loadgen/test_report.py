@@ -1,12 +1,12 @@
-"""Payload assembly, determinism accounting, and the smoke-gate verdicts."""
+"""Payload assembly, determinism accounting, and bench-diff's verdicts."""
 
 from repro.loadgen import (
     LOADGEN_SCHEMA,
     ScenarioResult,
     build_loadgen_payload,
-    gate_failures,
     render_loadgen_report,
 )
+from repro.telemetry import compare_reports
 
 
 def _result(scenario="server", benchmark="rec", *, valid=True, checksum=111,
@@ -75,25 +75,35 @@ class TestBuildPayload:
 
 
 class TestGateFailures:
+    """bench-diff fails a payload on each check against a clean baseline."""
+
+    BASELINE = build_loadgen_payload(
+        {"rec": [_result("server")]}, {"rec": [_result("server")]})
+
+    def _regressions(self, payload):
+        return [row.path for row in compare_reports(payload, self.BASELINE).regressions]
+
     def test_clean_payload_passes(self):
         payload = build_loadgen_payload(
             {"rec": [_result("server")]}, {"rec": [_result("server")]})
-        assert gate_failures(payload) == []
+        assert self._regressions(payload) == []
 
     def test_violations_surface_with_location(self):
         payload = build_loadgen_payload(
+            {"rec": [_result(valid=False, violations=["p99 too slow"])]},
             {"rec": [_result(valid=False, violations=["p99 too slow"])]})
-        failures = gate_failures(payload)
-        assert any("rec/server: p99 too slow" in f for f in failures)
+        assert payload["benchmarks"]["rec"]["server"]["violations"] == ["p99 too slow"]
+        assert self._regressions(payload) == ["checks.all_valid"]
 
     def test_nondeterminism_fails_gate(self):
         payload = build_loadgen_payload(
-            {"rec": [_result(checksum=1)]}, {"rec": [_result(checksum=2)]})
-        assert any("rerun diverged" in f for f in gate_failures(payload))
+            {"rec": [_result()]}, {"rec": [_result(checksum=2)]})
+        assert self._regressions(payload) == ["checks.deterministic"]
 
     def test_zero_max_qps_fails_gate(self):
-        payload = build_loadgen_payload({"rec": [_result(max_qps=0.0)]})
-        assert any("no sustainable rate" in f for f in gate_failures(payload))
+        payload = build_loadgen_payload(
+            {"rec": [_result(max_qps=0.0)]}, {"rec": [_result(max_qps=0.0)]})
+        assert self._regressions(payload) == ["checks.min_server_max_qps"]
 
 
 class TestRender:

@@ -442,11 +442,23 @@ class TestBenchDiffCommand:
         assert code == 2
         assert "schema mismatch" in text
 
-    def test_bad_tolerance_flag(self):
-        code, text = run_cli("bench-diff", self.BASELINE, self.BASELINE,
-                             "--tolerance", "nonsense")
-        assert code == 2
-        assert "expected METRIC=REL_TOL" in text
+    @pytest.mark.parametrize("name,flag", [
+        ("comms", "bit_identical"),
+        ("loadgen", "all_valid"),
+        ("loadgen", "deterministic"),
+    ])
+    def test_flipped_check_fails(self, tmp_path, name, flag):
+        import json as _json
+
+        baseline = f"benchmarks/reports/BENCH_{name}.json"
+        payload = _json.loads(open(baseline).read())
+        payload["checks"][flag] = False
+        report = tmp_path / "fresh.json"
+        report.write_text(_json.dumps(payload))
+        code, text = run_cli("bench-diff", str(report), baseline)
+        assert code == 1
+        [row] = [l for l in text.splitlines() if l.startswith(f"checks.{flag} ")]
+        assert row.endswith("REGRESSED")
 
 
 class TestBenchDiffJson:
