@@ -22,7 +22,7 @@ Commands mirror how the MLPerf artifacts are used in practice:
 - ``monitor`` — a refreshable terminal view of a campaign directory,
   live or post-mortem, built purely from the journal + event streams
   (per-job state, progress, retries, ETA, stall detection);
-- ``bench-kernels``, ``bench-comms``, ``loadgen`` — write a
+- ``bench-kernels``, ``loadgen`` — write a
   ``BENCH_*.json`` report (``--smoke`` picks CI's sizes); they judge
   nothing, so a report that holds a divergence still exits 0 (``loadgen``
   exits 1 for an invalid scenario, as ``run`` does for a missed target);
@@ -101,10 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--jobs", type=int, default=1,
                           help="worker processes (1 = in-process sequential "
                                "executor, the deterministic default)")
-    campaign.add_argument("--processes-per-job", type=int, default=1,
-                          help="cores each job occupies (set to dp_workers "
-                               "when overriding it >1 so the outer pool "
-                               "shrinks instead of oversubscribing)")
     campaign.add_argument("--retries", type=int, default=2,
                           help="per-cell retry cap for faulted runs")
     campaign.add_argument("--backoff", type=float, default=0.05,
@@ -274,32 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="timing repeats per kernel (default 30; 5 with --smoke)")
     bench.add_argument("-o", "--out", metavar="FILE",
                        default="benchmarks/reports/BENCH_kernels.json",
-                       help="report path (default %(default)s; '-' to skip writing)")
-
-    comms = sub.add_parser(
-        "bench-comms",
-        help="benchmark the sharded data-parallel engine: workers x "
-             "reduction algorithm x bucket size vs the in-process baseline, "
-             "with bit-identity checked on every configuration")
-    comms.add_argument("--smoke", action="store_true",
-                       help="fast CI variant: 2 workers, fewer steps (gate "
-                            "the report with bench-diff)")
-    comms.add_argument("--workers", type=int, nargs="+", default=None,
-                       help="worker counts to sweep (default 2 3 4; 2 with --smoke)")
-    comms.add_argument("--algorithms", nargs="+", default=None,
-                       choices=["flat", "ring"],
-                       help="reduction algorithms to sweep (default: all)")
-    comms.add_argument("--bucket-bytes", type=int, nargs="+", default=None,
-                       help="bucket capacities to sweep (default 32KiB+256KiB; "
-                            "256KiB with --smoke)")
-    comms.add_argument("--backend", choices=["process", "inline"], default=None,
-                       help="engine backend (default: process where fork is "
-                            "available, else inline)")
-    comms.add_argument("--steps", type=int, default=None,
-                       help="timed steps per configuration (default 8; 2 with "
-                            "--smoke)")
-    comms.add_argument("-o", "--out", metavar="FILE",
-                       default="benchmarks/reports/BENCH_comms.json",
                        help="report path (default %(default)s; '-' to skip writing)")
 
     loadgen = sub.add_parser(
@@ -544,12 +514,8 @@ def _cmd_campaign(args, out) -> int:
         overrides=_parse_overrides(args.override) or None,
         timeout_s=args.timeout,
     )
-    if args.processes_per_job < 1:
-        print("--processes-per-job must be >= 1", file=out)
-        return 2
     executor = (SequentialExecutor() if args.jobs == 1
-                else MultiprocessExecutor(
-                    args.jobs, processes_per_job=args.processes_per_job))
+                else MultiprocessExecutor(args.jobs))
     campaign_dir = args.resume or args.save
 
     outcome = run_campaign(
@@ -939,30 +905,6 @@ def _cmd_bench_kernels(args, out) -> int:
     return 0
 
 
-def _cmd_bench_comms(args, out) -> int:
-    from .comms.bench import bench_comms
-
-    payload = bench_comms(smoke=args.smoke, workers=args.workers,
-                          algorithms=args.algorithms,
-                          bucket_sizes=args.bucket_bytes,
-                          steps=args.steps, backend=args.backend)
-    print(f"backend: {payload['backend']}  cpu_count: {payload['cpu_count']}  "
-          f"workload: dims={payload['workload']['dims']} "
-          f"batch={payload['workload']['batch']}", file=out)
-    for entry in payload["results"]:
-        flag = "ok" if entry["bit_identical_vs_sync"] else "DIVERGED"
-        print(f"  W={entry['workers']} {entry['algorithm']:<5} "
-              f"bucket={entry['bucket_bytes'] // 1024:>4}KiB  "
-              f"{entry['baseline_step_seconds'] * 1e3:>8.2f}ms sync  "
-              f"{entry['step_seconds'] * 1e3:>8.2f}ms sharded  "
-              f"{entry['speedup']:>5.2f}x  [{flag}]", file=out)
-    best = payload["checks"]["best_speedup_by_workers"]
-    summary = "  ".join(f"W={w}: {s:.2f}x" for w, s in sorted(best.items()))
-    print(f"  best speedup by workers: {summary}", file=out)
-    _write_report(payload, args.out, out)
-    return 0
-
-
 def _cmd_loadgen(args, out) -> int:
     import tempfile
     from pathlib import Path
@@ -1082,7 +1024,6 @@ _COMMANDS = {
     "hp-table": _cmd_hp_table,
     "simulate": _cmd_simulate,
     "bench-kernels": _cmd_bench_kernels,
-    "bench-comms": _cmd_bench_comms,
     "loadgen": _cmd_loadgen,
 }
 

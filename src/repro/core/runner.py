@@ -230,8 +230,8 @@ class BenchmarkRunner:
             quality = float("-inf")
             history: list[float] = []
             epochs_run = 0
-            # The session may hold external resources (worker pools, shared
-            # memory); release them however the run ends.
+            # The session may hold external resources; release them however
+            # the run ends.
             try:
                 for epoch in range(1, cap + 1):
                     if deadline is not None and self.clock.now() >= deadline:
@@ -306,9 +306,9 @@ class BenchmarkRunner:
                        epoch_dt: float, eps: float | None) -> None:
         """One epoch-boundary sample of every standard series.
 
-        The all-reduce instrument exists only when the run exercised the
-        comms engine; sampling is conditional on presence so runs that
-        never touch it carry no empty series.
+        The all-reduce instrument exists only when the run trained data
+        parallel (``dp_workers > 1``); sampling is conditional on presence
+        so runs that never touch it carry no empty series.
         """
         series.record("epoch_seconds", epoch_dt, t_s=t_s, epoch=epoch)
         if eps is not None:

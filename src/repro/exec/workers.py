@@ -167,22 +167,11 @@ class MultiprocessExecutor:
 
     kind = "multiprocess"
 
-    def __init__(self, max_workers: int, mp_context: str = "spawn",
-                 processes_per_job: int = 1):
+    def __init__(self, max_workers: int, mp_context: str = "spawn"):
         if max_workers < 1:
             raise ValueError("need at least one worker")
-        if processes_per_job < 1:
-            raise ValueError("processes_per_job must be at least 1")
         self.max_workers = max_workers
         self.mp_context = mp_context
-        # Jobs that fork their own data-parallel pool (dp_workers > 1)
-        # occupy several cores each; shrinking the outer pool accordingly
-        # keeps campaign parallelism from oversubscribing the machine.
-        self.processes_per_job = processes_per_job
-
-    @property
-    def effective_workers(self) -> int:
-        return max(1, self.max_workers // self.processes_per_job)
 
     def run(self, jobs: Iterable[JobSpec]) -> Iterator[JobOutcome]:
         jobs = list(jobs)
@@ -190,7 +179,7 @@ class MultiprocessExecutor:
             return
         ctx = multiprocessing.get_context(self.mp_context)
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(self.effective_workers, len(jobs)), mp_context=ctx
+            max_workers=min(self.max_workers, len(jobs)), mp_context=ctx
         ) as pool:
             futures = [pool.submit(execute_job, job) for job in jobs]
             for future in concurrent.futures.as_completed(futures):

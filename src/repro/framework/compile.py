@@ -1,8 +1,9 @@
 """The training-step seam: one call per forward + backward.
 
-Every session and both comms executors run their step through
-:meth:`StepExecutor.step`, so "a training step" is one named call that
-telemetry can count and time.  The module keeps the name of the graph
+Every session runs its step through :meth:`StepExecutor.step` (a
+recommendation step with ``dp_workers > 1`` is
+:class:`~repro.systems.dataparallel.SynchronousDataParallel`'s instead),
+so "a training step" is one named call that telemetry can count and time.  The module keeps the name of the graph
 compiler that used to live here (measured and removed, see DESIGN.md)
 because the end-to-end benchmark's tracer patches ``StepExecutor.step`` by
 identity: ``framework.steps`` and ``framework.forward_s`` in the ledger are

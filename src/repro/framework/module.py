@@ -32,10 +32,6 @@ class Parameter(Tensor):
 class Module:
     """Base class for all network components."""
 
-    # Class-level empty default so the per-call hook check is one truthiness
-    # test and modules that never register hooks pay nothing.
-    _forward_hooks: tuple = ()
-
     def __init__(self) -> None:
         self.training = True
 
@@ -98,36 +94,12 @@ class Module:
                 raise ValueError(f"shape mismatch for {name}: {p.data.shape} vs {state[name].shape}")
             p.data = state[name].astype(p.data.dtype).copy()
 
-    # -- hooks -----------------------------------------------------------------
-    def register_forward_hook(self, hook) -> "callable":
-        """Call ``hook(module, args, output)`` after every forward pass.
-
-        The profiling/observability attachment point: telemetry wrappers
-        register here instead of subclassing.  Returns a zero-argument
-        remover.  Hooks may replace the output by returning non-None.
-        """
-        if not isinstance(self._forward_hooks, list):
-            self._forward_hooks = []
-        self._forward_hooks.append(hook)
-
-        def remove() -> None:
-            if hook in self._forward_hooks:
-                self._forward_hooks.remove(hook)
-
-        return remove
-
     # -- call protocol ---------------------------------------------------------
     def forward(self, *args, **kwargs):
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        out = self.forward(*args, **kwargs)
-        if self._forward_hooks:
-            for hook in tuple(self._forward_hooks):
-                replacement = hook(self, args, out)
-                if replacement is not None:
-                    out = replacement
-        return out
+        return self.forward(*args, **kwargs)
 
 
 class Sequential(Module):

@@ -181,8 +181,7 @@ class Tensor:
         Whether gradients should be accumulated into this tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name",
-                 "_grad_hooks")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name")
     __array_priority__ = 100  # make ndarray defer to Tensor in mixed ops
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
@@ -194,7 +193,6 @@ class Tensor:
         self._backward: Callable[[], None] | None = None
         self._prev: tuple[Tensor, ...] = ()
         self.name = name
-        self._grad_hooks: list[Callable[["Tensor"], None]] | None = None
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -239,29 +237,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def register_grad_hook(self, hook: Callable[["Tensor"], None]) -> Callable[[], None]:
-        """Call ``hook(tensor)`` when this tensor's gradient is final.
-
-        "Final" means: during a :meth:`backward` pass in which this tensor
-        participates, every consumer of the tensor has propagated its
-        contribution — no further accumulation into ``self.grad`` will
-        happen for that pass.  This is the attachment point for gradient
-        bucketing: a data-parallel engine can start reducing a parameter's
-        gradient while the rest of the backward pass is still running
-        (compute/communication overlap).  Hooks fire once per backward pass
-        that reaches the tensor; a tensor outside the traversed graph never
-        fires.  Returns a zero-argument remover.
-        """
-        if self._grad_hooks is None:
-            self._grad_hooks = []
-        self._grad_hooks.append(hook)
-
-        def remove() -> None:
-            if self._grad_hooks and hook in self._grad_hooks:
-                self._grad_hooks.remove(hook)
-
-        return remove
 
     # ------------------------------------------------------------------
     # Graph construction
@@ -362,16 +337,10 @@ class Tensor:
             prof.phase = "backward"
         try:
             # Reverse topological order guarantees every consumer of ``node``
-            # has already propagated when ``node`` is visited — so at that
-            # point ``node.grad`` is final for this pass and its grad hooks
-            # may fire (leaf parameters fire roughly in reverse forward
-            # order, which is what gradient bucketing relies on for overlap).
+            # has already propagated when ``node`` is visited.
             for node in reversed(topo):
                 if node._backward is not None and node.grad is not None:
                     node._backward()
-                if node._grad_hooks and node.grad is not None:
-                    for hook in tuple(node._grad_hooks):
-                        hook(node)
         finally:
             prof.phase = prev_phase
         if release_tape:

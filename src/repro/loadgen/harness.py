@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..telemetry import current_events, current_metrics
-from ..telemetry.metrics import COMMS_LATENCY_BUCKETS
+from ..telemetry.metrics import FINE_LATENCY_BUCKETS
 from .scenarios import Query, ScenarioSpec, make_queries, percentile
 from .sut import SUT, virtual_service_times
 
@@ -188,7 +188,7 @@ def run_scenario(sut: SUT, spec: ScenarioSpec, *, seed: int = 0,
     # its interpolated p50/p90/p99) can render without replaying events.
     metrics = current_metrics()
     latency_hist = metrics.histogram(
-        f"loadgen_latency_seconds_{spec.scenario}", COMMS_LATENCY_BUCKETS)
+        f"loadgen_latency_seconds_{spec.scenario}", FINE_LATENCY_BUCKETS)
     query_count = metrics.counter(f"loadgen_queries_{spec.scenario}")
     for rec in measured:
         events.publish("query", scenario=spec.scenario, index=rec.index,

@@ -10,11 +10,11 @@ anywhere — loads the weights, and exposes a single
 query pool (validation images for image classification, (user, held-out
 item) pairs for recommendation, ...).
 
-Multi-process serving reuses the comms engine's pattern: a persistent
-pool of forked workers (:class:`ServingPool`), each holding a replica
-inherited copy-on-write, with per-worker request/response slots in
-shared memory — per-query IPC is one ``("predict", count)`` command and
-one ack; indices and predictions never travel through pickle.
+Multi-process serving uses a persistent pool of forked workers
+(:class:`ServingPool`), each holding a replica inherited copy-on-write,
+with per-worker request/response slots in shared memory
+(:mod:`~repro.loadgen.shm`) — per-query IPC is one ``("predict", count)``
+command and one ack; indices and predictions never travel through pickle.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from ..comms.shm import Segment, aligned_offsets
 from ..framework import Tensor, inference_mode
 from ..telemetry import current_events
+from .shm import Segment, aligned_offsets
 
 __all__ = ["SUT", "SUTInfo", "ServingPool", "InferenceAdapter", "ADAPTERS",
            "register_adapter", "load_sut", "train_and_save",
@@ -131,7 +131,7 @@ class _RecommendationAdapter(InferenceAdapter):
 
 
 # ---------------------------------------------------------------------------
-# Multi-process serving pool (comms-engine fork/shm pattern)
+# Multi-process serving pool (fork + shared-memory slots)
 # ---------------------------------------------------------------------------
 
 def _release_pool(segments, processes, cmd_queues, timeout: float = 5.0) -> None:
@@ -320,19 +320,6 @@ class SUT:
         self.close()
 
 
-def _sanitize_hyperparameters(hp: Mapping[str, Any]) -> dict[str, Any]:
-    """Serving-safe copy of a run's resolved hyperparameters.
-
-    Training-only scale-out knobs are neutralized: a serving session must
-    not fork a data-parallel gradient pool just because the training run
-    used one.
-    """
-    clean = dict(hp)
-    if "dp_workers" in clean:
-        clean["dp_workers"] = 1
-    return clean
-
-
 def load_sut(artifact: str | Path, benchmark: str | None = None,
              workers: int = 1) -> SUT:
     """Build a SUT from a saved ``result_*.txt`` training artifact.
@@ -359,9 +346,8 @@ def load_sut(artifact: str | Path, benchmark: str | None = None,
             f"available: {sorted(ADAPTERS)}")
     bench = create_benchmark(result.benchmark)
     bench.prepare_data()
-    hp = _sanitize_hyperparameters(result.hyperparameters)
     with inference_mode():
-        session = bench.create_session(result.seed, hp)
+        session = bench.create_session(result.seed, result.hyperparameters)
     model = session.model
     model.load_state_dict(result.model_state)
     model.eval()

@@ -86,7 +86,7 @@ class TrainingSession(ABC):
         return {}
 
     def close(self) -> None:
-        """Release session resources (worker pools, shared memory).
+        """Release session resources.
 
         Called by the runner when the run ends, success or failure; the
         default is a no-op for sessions with no external resources.

@@ -35,13 +35,11 @@ _SPEC = BenchmarkSpec(
         "gmf_dim": 8,
         "mlp_dim": 16,
         "mlp_hidden": (32, 16),
-        # §2.2.2 scale-out: >1 runs each step through ShardedDataParallel
-        # (bit-identical to dp_workers' in-process synchronous semantics).
+        # §2.2.2 scale-out: >1 runs each step through SynchronousDataParallel.
         "dp_workers": 1,
-        "dp_algorithm": "flat",
     },
     modifiable_hyperparameters=frozenset(
-        {"batch_size", "base_lr", "num_negatives", "dp_workers", "dp_algorithm"}
+        {"batch_size", "base_lr", "num_negatives", "dp_workers"}
     ),
 )
 
@@ -72,12 +70,10 @@ class _Session(TrainingSession):
                     f"batch_size {hp['batch_size']} not divisible by "
                     f"dp_workers {workers}"
                 )
-            from ..comms import ShardedDataParallel
+            from ..systems.dataparallel import SynchronousDataParallel
 
-            self._engine = ShardedDataParallel(
-                self.model, self.optimizer, workers, _dp_loss,
-                algorithm=hp.get("dp_algorithm", "flat"),
-            )
+            self._engine = SynchronousDataParallel(
+                self.model, self.optimizer, workers, _dp_loss)
 
     def run_epoch(self, epoch: int) -> None:
         """One pass over the positive interactions with fresh negatives."""
@@ -101,11 +97,6 @@ class _Session(TrainingSession):
                     )
                     self.optimizer.step()
             samples.inc(len(users))
-
-    def close(self) -> None:
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
 
     def evaluate(self) -> float:
         self.model.eval()

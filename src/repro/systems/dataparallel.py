@@ -9,8 +9,9 @@ schemes against the real framework so those claims are testable:
 
 - :class:`SynchronousDataParallel` splits each global batch across worker
   shards, averages per-worker gradients (a software all-reduce), and
-  applies one optimizer step — bit-for-bit equivalent (up to float
-  summation order) to single-worker large-batch training.
+  applies one optimizer step — equivalent (up to float summation order)
+  to single-worker large-batch training.  It is what the recommendation
+  benchmark's ``dp_workers > 1`` runs.
 - :class:`AsynchronousDataParallel` lets each worker compute its gradient
   against a stale snapshot of the weights and applies updates in arrival
   order — reproducing the non-determinism the paper names as a source of
@@ -26,7 +27,7 @@ import numpy as np
 from ..framework.module import Module
 from ..framework.optim import Optimizer
 from ..framework.tensor import Tensor
-from ..telemetry import current_metrics, current_tracer
+from ..telemetry import current_metrics, current_profiler, current_tracer
 
 __all__ = ["SynchronousDataParallel", "AsynchronousDataParallel", "shard_batch"]
 
@@ -65,6 +66,17 @@ class SynchronousDataParallel:
     Gradients are computed shard by shard and averaged — mathematically an
     all-reduce.  Loss scaling uses the shard count so that the averaged
     gradient equals the gradient of the mean loss over the global batch.
+
+    §2.2.4 mathematical equivalence rests on one canonical arithmetic
+    order: shards are the slices :func:`shard_batch` produces, each
+    parameter's gradient is summed in ascending shard order (shard 0 is
+    copied, later shards are added in place) and then divided by the shard
+    count once, and the losses are summed in the same order.  Two runs with
+    the same seed and worker count therefore produce the same weights bit
+    for bit.  A parameter no shard reaches keeps ``grad = None`` and is
+    neither reduced nor counted.  Each step adds the reduced elements and
+    bytes to the ``allreduce_elements`` / ``allreduce_bytes`` counters and
+    times the averaging as the profiler's ``comms``/``all_reduce`` op.
     """
 
     def __init__(self, model: Module, optimizer: Optimizer, num_workers: int, loss_fn: LossFn):
@@ -96,18 +108,17 @@ class SynchronousDataParallel:
                     else:
                         accumulated[id(p)] = p.grad.copy()
             # All-reduce: average and install the global gradient.
-            with tracer.span("all_reduce", num_workers=self.num_workers):
-                reduced_elements = 0
-                reduced_bytes = 0
+            reduced_bytes = sum(g.nbytes for g in accumulated.values())
+            with tracer.span("all_reduce", num_workers=self.num_workers), \
+                    current_profiler().op("all_reduce", phase="comms",
+                                          nbytes=reduced_bytes * self.num_workers):
                 for p in self.model.parameters():
                     grad = accumulated.get(id(p))
-                    if grad is not None:
-                        reduced_elements += grad.size
-                        reduced_bytes += grad.nbytes
                     p.grad = None if grad is None else grad / self.num_workers
-                metrics = current_metrics()
-                metrics.counter("allreduce_elements").inc(reduced_elements)
-                metrics.counter("allreduce_bytes").inc(reduced_bytes)
+            metrics = current_metrics()
+            metrics.counter("allreduce_elements").inc(
+                sum(g.size for g in accumulated.values()))
+            metrics.counter("allreduce_bytes").inc(reduced_bytes)
             self.optimizer.step()
         self.model.zero_grad()
         return total_loss / self.num_workers

@@ -17,7 +17,7 @@ export, a saved ``--trace`` file, and a campaign directory:
   "where did the wall-clock go" has a single deterministic answer.
 - **Comms/compute overlap.**  The fraction of all-reduce time hidden
   under compute, measured from the ``all_reduce`` / ``worker_grad``
-  spans the PR 4 :class:`~repro.comms.engine.ShardedDataParallel` engine
+  spans :class:`~repro.systems.dataparallel.SynchronousDataParallel`
   emits — the paper's scale-efficiency question, per trace.
 - **Top-k span and gap tables** and a **folded-stacks export**
   (``pid0;run;epoch 12345`` lines) that feeds any flamegraph renderer.
@@ -43,8 +43,8 @@ __all__ = ["TraceSpan", "TraceAnalysis", "TRACE_ANALYSIS_SCHEMA",
 TRACE_ANALYSIS_SCHEMA = "repro.trace_analysis.v1"
 
 # Span names that are communication vs. computation for overlap purposes.
-# Compute is deliberately restricted to *leaf* compute spans (the comms
-# engine's per-worker gradient work, module-level forward/backward): an
+# Compute is deliberately restricted to *leaf* compute spans (the
+# data-parallel per-worker gradient work, module-level forward/backward): an
 # enclosing phase span like ``epoch`` contains the all-reduce itself, so
 # counting it would make every reduction look perfectly hidden.
 COMMS_SPAN_NAMES = frozenset({"all_reduce"})

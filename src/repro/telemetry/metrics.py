@@ -17,16 +17,16 @@ import bisect
 from typing import Any, Iterable, Sequence
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "NULL_METRICS",
-           "COMMS_LATENCY_BUCKETS", "merge_snapshots"]
+           "FINE_LATENCY_BUCKETS", "merge_snapshots"]
 
 # Geometric-ish default buckets (seconds-flavored): spans µs-scale steps to
 # minute-scale epochs without per-metric tuning.
 DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0)
 
-# Finer layout for sub-millisecond comms events (bucket ready→reduced
-# latency in shared memory sits well below DEFAULT_BUCKETS' first bound).
-COMMS_LATENCY_BUCKETS = (1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.05,
-                         0.1, 0.5, 1.0)
+# Finer layout for sub-millisecond events (a served query's latency sits
+# well below DEFAULT_BUCKETS' first bound).
+FINE_LATENCY_BUCKETS = (1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.05,
+                        0.1, 0.5, 1.0)
 
 
 class Counter:

@@ -84,12 +84,6 @@ SCHEMA_METRICS: dict[str, tuple[MetricSpec, ...]] = {
         MetricSpec("kernels.normalize_relu_fwd_bwd.speedup", "higher", rel_tol=0.5),
         MetricSpec("kernels.normalize_residual_relu_fwd_bwd.speedup", "higher", rel_tol=0.5),
     ),
-    # Comms speedups are recorded, not gated: a one-sample wall-clock
-    # ratio of a sub-millisecond step says more about the host than the
-    # engine.
-    "repro.bench_comms.v1": (
-        MetricSpec("checks.bit_identical", "exact"),
-    ),
     # Serving harness: verdicts and same-seed determinism are exact (the
     # smoke runs in virtual timing, so they are machine-independent); the
     # searched max-QPS floor gets the standard wide timing band.
@@ -270,7 +264,7 @@ def compare_reports(current: dict[str, Any],
     """Gate a fresh report against its committed baseline.
 
     Both payloads must carry the same ``schema`` (comparing a kernels
-    report against a comms baseline is a usage error, not a regression).
+    report against a loadgen baseline is a usage error, not a regression).
     """
     schema = current.get("schema")
     if schema != baseline.get("schema"):

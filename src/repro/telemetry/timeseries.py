@@ -1,4 +1,4 @@
-"""Per-run sampled time-series (throughput, quality, comms traffic).
+"""Per-run sampled time-series (throughput, quality, all-reduce traffic).
 
 DAWNBench's core lesson is that a time-to-accuracy *number* is only
 trustworthy with the *trajectory* behind it; the paper's §4.1 requires

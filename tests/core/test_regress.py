@@ -72,9 +72,9 @@ class TestCompareReports:
 
     def test_schema_mismatch_raises(self):
         kernels = load_report(REPORTS_DIR / "BENCH_kernels.json")
-        comms = load_report(REPORTS_DIR / "BENCH_comms.json")
+        loadgen = load_report(REPORTS_DIR / "BENCH_loadgen.json")
         with pytest.raises(ValueError, match="schema mismatch"):
-            compare_reports(kernels, comms)
+            compare_reports(kernels, loadgen)
 
     def test_unknown_schema_raises(self):
         payload = {"schema": "nobody/0"}

@@ -2,13 +2,10 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.core import FakeClock
 from repro.core.mllog import Keys, LogEvent
-from repro.framework.module import Module, Parameter
-from repro.framework.tensor import Tensor
 from repro.telemetry import (
     NULL_METRICS,
     NULL_SPAN,
@@ -199,27 +196,6 @@ class TestAmbientContext:
     def test_disabled_singleton_shared(self):
         assert Telemetry.disabled() is Telemetry.disabled()
         assert not Telemetry.disabled().enabled
-
-
-class _Scale(Module):
-    def __init__(self):
-        super().__init__()
-        self.w = Parameter(np.array([2.0]))
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x * self.w
-
-
-class TestForwardHooks:
-    def test_forward_hook_fires_and_removes(self):
-        model = _Scale()
-        seen = []
-        remove = model.register_forward_hook(lambda m, args, out: seen.append(out))
-        model(Tensor(np.array([1.0])))
-        assert len(seen) == 1
-        remove()
-        model(Tensor(np.array([1.0])))
-        assert len(seen) == 1
 
 
 def _interval_log(pairs):

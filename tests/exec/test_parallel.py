@@ -67,22 +67,3 @@ class TestParallelIdentity:
     def test_worker_cap_validated(self):
         with pytest.raises(ValueError):
             MultiprocessExecutor(max_workers=0)
-
-
-class TestProcessesPerJob:
-    """Campaign jobs that fork their own worker pools shrink the job slots."""
-
-    def test_effective_workers_divides_budget(self):
-        ex = MultiprocessExecutor(max_workers=4, processes_per_job=2)
-        assert ex.effective_workers == 2
-
-    def test_floor_is_one(self):
-        ex = MultiprocessExecutor(max_workers=2, processes_per_job=8)
-        assert ex.effective_workers == 1
-
-    def test_default_is_one_process_per_job(self):
-        assert MultiprocessExecutor(max_workers=3).effective_workers == 3
-
-    def test_processes_per_job_validated(self):
-        with pytest.raises(ValueError, match="processes_per_job"):
-            MultiprocessExecutor(max_workers=2, processes_per_job=0)

@@ -312,53 +312,6 @@ class TestHypothesisProperties:
         np.testing.assert_allclose(t.sum(axis=0).data, data.sum(axis=0))
 
 
-class TestGradHooks:
-    """register_grad_hook: the attachment point for gradient bucketing."""
-
-    def test_hook_fires_once_with_final_grad(self):
-        x = Tensor(np.arange(3.0), requires_grad=True)
-        seen = []
-        x.register_grad_hook(lambda t: seen.append(t.grad.copy()))
-        # x is consumed twice; the hook must see the *accumulated* grad.
-        ((x * 2.0) + x).sum().backward()
-        assert len(seen) == 1
-        np.testing.assert_array_equal(seen[0], np.full(3, 3.0))
-
-    def test_remover_detaches_hook(self):
-        x = Tensor(np.arange(3.0), requires_grad=True)
-        seen = []
-        remove = x.register_grad_hook(lambda t: seen.append(t))
-        remove()
-        x.sum().backward()
-        assert seen == []
-
-    def test_untraversed_tensor_never_fires(self):
-        x = Tensor(np.arange(3.0), requires_grad=True)
-        other = Tensor(np.arange(3.0), requires_grad=True)
-        seen = []
-        other.register_grad_hook(lambda t: seen.append(t))
-        x.sum().backward()
-        assert seen == []
-        assert other.grad is None
-
-    def test_fires_every_backward_pass(self):
-        x = Tensor(np.arange(3.0), requires_grad=True)
-        count = []
-        x.register_grad_hook(lambda t: count.append(1))
-        for _ in range(3):
-            x.zero_grad()
-            x.sum().backward()
-        assert len(count) == 3
-
-    def test_multiple_hooks_fire_in_registration_order(self):
-        x = Tensor(np.arange(3.0), requires_grad=True)
-        order = []
-        x.register_grad_hook(lambda t: order.append("a"))
-        x.register_grad_hook(lambda t: order.append("b"))
-        x.sum().backward()
-        assert order == ["a", "b"]
-
-
 def _two_layer_loss(params, batch):
     w1, b1, w2, b2 = params
     h = (Tensor(batch) @ w1.T + b1).relu()
@@ -374,29 +327,6 @@ def _two_layer_params():
 
 class TestHooksAndRelease:
     """``backward(release_tape=True)``: what every training step runs."""
-
-    def test_grad_hooks_fire_with_final_grads(self):
-        # The comms engine overlaps reduction with backward via grad hooks:
-        # once per leaf per step, in the same leaf order every step, with
-        # the finished gradient bits.
-        params = _two_layer_params()
-        order, seen = [], []
-        for i, p in enumerate(params):
-            def hook(node, i=i):
-                order.append(i)
-                seen.append(node.grad.copy())
-            p.register_grad_hook(hook)
-        rng = np.random.default_rng(3)
-        for step in range(3):
-            for p in params:
-                p.grad = None
-            _, loss = _two_layer_loss(params, rng.normal(size=(8, 12)).astype(np.float32))
-            loss.backward(release_tape=True)
-            fired = order[4 * step:]
-            assert sorted(fired) == [0, 1, 2, 3]
-            for i, g in zip(fired, seen[4 * step:]):
-                assert np.array_equal(g, params[i].grad)
-        assert order[:4] == order[4:8] == order[8:]
 
     @pytest.mark.parametrize("release", [True, False])
     def test_release_tape(self, release):

@@ -76,19 +76,15 @@ def test_step_and_eval_batch_stay_in_parameter_dtype(name, built_dtypes):
     built_dtypes.clear()  # what building the model constructed is not the graph
 
     _stop_after_calls(session.step_executor(), "step")
-    entry = next((a for a in _EVAL_ENTRY_POINTS if hasattr(model, a)), None)
-    if entry is not None:
-        _stop_after_calls(model, entry)
-    else:
-        def stop(*_):
-            raise _Stop
-        model.register_forward_hook(stop)
-
     telemetry = Telemetry()
     try:
         with use_kernel_mode("fused"), telemetry.activate():
             with pytest.raises(_Stop):
                 session.run_epoch(0)
+            # Installed after the step: a model without an eval entry point
+            # stops at its first top-level forward, which training also calls.
+            entry = next((a for a in _EVAL_ENTRY_POINTS if hasattr(model, a)), "forward")
+            _stop_after_calls(model, entry)
             with pytest.raises(_Stop):
                 session.evaluate()
     finally:

@@ -5,6 +5,8 @@ is exercised for structure — data prep, session creation, a short training
 step, and a quality evaluation that returns a sane value.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.suite import (
     create_benchmark,
     table1,
 )
+from repro.telemetry import Telemetry
 
 
 class TestRegistry:
@@ -231,22 +234,49 @@ class TestSpecInvariants:
 
 
 class TestRecommendationDataParallel:
-    """The dp_workers hyperparameter routes training through ShardedDataParallel."""
+    """dp_workers > 1 routes training through SynchronousDataParallel."""
 
-    def test_dp_session_trains_and_algorithms_agree(self):
+    def test_dp_session_trains_deterministically(self):
         states = []
-        for algo in ("flat", "ring"):
-            bench, sess = _short_session(
-                "recommendation", dp_workers=2, dp_algorithm=algo)
-            try:
-                sess.run_epoch(0)
-                assert sess.evaluate() >= 0.0
-                states.append({k: v.copy()
-                               for k, v in sess.model.state_dict().items()})
-            finally:
-                sess.close()
+        for _ in range(2):
+            bench, sess = _short_session("recommendation", dp_workers=2)
+            sess.run_epoch(0)
+            assert sess.evaluate() >= 0.0
+            states.append(sess.model.state_dict())
         for name in states[0]:
             np.testing.assert_array_equal(states[0][name], states[1][name])
+
+    def test_dp_session_starts_no_processes(self):
+        before = multiprocessing.active_children()
+        bench, sess = _short_session("recommendation", dp_workers=2)
+        assert multiprocessing.active_children() == before
+        sess.run_epoch(0)
+        assert multiprocessing.active_children() == before
+
+    def test_dp_workers_is_the_only_data_parallel_knob(self):
+        spec = create_benchmark("recommendation").spec
+        assert spec.modifiable_hyperparameters == {
+            "batch_size", "base_lr", "num_negatives", "dp_workers"}
+        knobs = [k for k in spec.default_hyperparameters if k.startswith("dp_")]
+        assert knobs == ["dp_workers"]
+        # Any other dp_* override is unknown, so resolving it raises.
+        with pytest.raises(KeyError, match="unknown hyperparameters"):
+            spec.resolve_hyperparameters({"dp_backend": "process"})
+
+    def test_profiled_dp_epoch_has_all_reduce_row(self):
+        bench, sess = _short_session("recommendation", dp_workers=2)
+        telemetry = Telemetry(profile="full")
+        with telemetry.activate():
+            sess.run_epoch(0)
+        steps = len(bench.data.train_users) // sess.hp["batch_size"]
+        param_bytes = sum(p.data.nbytes for p in sess.model.parameters())
+        ops = telemetry.profiler.snapshot()["ops"]
+        # Every shard's forward and backward run in this process, so the
+        # profile accounts the compute beside the reduction.
+        assert {"forward", "backward", "update", "comms"} <= set(ops)
+        row = ops["comms"]["all_reduce"]
+        assert row["calls"] == steps
+        assert row["bytes_moved"] == steps * 2 * param_bytes
 
     def test_indivisible_batch_rejected(self):
         with pytest.raises(ValueError, match="not divisible"):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.framework import Linear, SGD, Sequential, ReLU, Tensor, functional as F
+from repro.framework import (Linear, Module, Parameter, ReLU, SGD, Sequential, Tensor,
+                             functional as F)
 from repro.models import MiniResNet
 from repro.systems.dataparallel import (
     AsynchronousDataParallel,
@@ -15,6 +16,18 @@ from repro.systems.dataparallel import (
 def loss_fn(model, shard):
     x, y = shard
     return F.cross_entropy(model(Tensor(x)), y)
+
+
+class _DeadHead(Module):
+    """One parameter no loss reaches: its gradient never materialises."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.live = Linear(8, 4, rng)
+        self.dead = Parameter(np.ones(3, dtype=np.float32))
+
+    def forward(self, x):
+        return self.live(x)
 
 
 def make_model(seed=0):
@@ -121,6 +134,48 @@ class TestSynchronous:
         model = make_model()
         with pytest.raises(ValueError):
             SynchronousDataParallel(model, SGD(model.parameters(), lr=0.1), 0, loss_fn)
+
+    def test_matches_canonical_order_reference(self):
+        """§2.2.4: shard grads summed in ascending order, divided once, bit for bit."""
+        batch = make_batch(24)
+        ref_model, dp_model = make_model(7), make_model(7)
+        ref_opt = SGD(ref_model.parameters(), lr=0.1, momentum=0.9)
+        dp = SynchronousDataParallel(
+            dp_model, SGD(dp_model.parameters(), lr=0.1, momentum=0.9), 3, loss_fn)
+        for _ in range(3):
+            losses, sums = [], None
+            for shard in shard_batch(batch, 3):
+                ref_model.zero_grad()
+                loss = loss_fn(ref_model, shard)
+                loss.backward()
+                losses.append(float(loss.data))
+                grads = [p.grad for p in ref_model.parameters()]
+                sums = [g.copy() for g in grads] if sums is None else \
+                    [acc + g for acc, g in zip(sums, grads)]
+            for p, total in zip(ref_model.parameters(), sums):
+                p.grad = total / 3
+            ref_opt.step()
+            ref_model.zero_grad()
+            assert dp.step(batch) == (losses[0] + losses[1] + losses[2]) / 3
+        for p_ref, p_dp in zip(ref_model.parameters(), dp_model.parameters()):
+            assert np.array_equal(p_ref.data, p_dp.data)
+
+    def test_unreached_parameter_keeps_no_grad(self):
+        from repro.telemetry import Telemetry
+
+        model = _DeadHead(np.random.default_rng(0))
+        dead = model.dead.data.copy()
+        dp = SynchronousDataParallel(
+            model, SGD(model.parameters(), lr=0.1, momentum=0.9), 2, loss_fn)
+        telemetry = Telemetry()
+        with telemetry.activate():
+            dp.step(make_batch(8))
+        assert model.dead.grad is None and model.live.weight.grad is None
+        assert np.array_equal(model.dead.data, dead)
+        live = [model.live.weight, model.live.bias]
+        snap = telemetry.metrics.snapshot()
+        assert snap["allreduce_elements"]["value"] == sum(p.data.size for p in live)
+        assert snap["allreduce_bytes"]["value"] == sum(p.data.nbytes for p in live)
 
 
 class TestAsynchronous:

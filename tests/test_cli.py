@@ -438,12 +438,12 @@ class TestBenchDiffCommand:
 
     def test_schema_mismatch_is_usage_error(self):
         code, text = run_cli("bench-diff", self.BASELINE,
-                             "benchmarks/reports/BENCH_comms.json")
+                             "benchmarks/reports/BENCH_loadgen.json")
         assert code == 2
         assert "schema mismatch" in text
 
     @pytest.mark.parametrize("name,flag", [
-        ("comms", "bit_identical"),
+        ("kernels", "bit_identical"),
         ("loadgen", "all_valid"),
         ("loadgen", "deterministic"),
     ])
