@@ -1,54 +1,12 @@
-"""Multi-core data-parallel communication engine.
+"""Collective communication for data-parallel training.
 
-The real-hardware counterpart of the in-process simulation in
-:mod:`repro.systems.dataparallel`: a persistent forked worker pool over
-``multiprocessing.shared_memory`` (:mod:`repro.comms.shm`), gradients
-coalesced into flat buckets (:mod:`repro.comms.bucketing`), reduced by
-selectable ``flat``/``ring`` algorithms that share one canonical
-arithmetic order (:mod:`repro.comms.reducers`) so every topology and
-worker count is bit-identical to ``SynchronousDataParallel`` — the
-§2.2.4 mathematical-equivalence requirement.  ``ShardedDataParallel``
-(:mod:`repro.comms.engine`) ties it together; :mod:`repro.comms.bench`
-measures it (``repro bench-comms``).
+The one collective the suite runs is the gradient all-reduce of
+synchronous data parallelism (``allreduce.py``), driven by
+:class:`~repro.systems.dataparallel.SynchronousDataParallel`.  It runs in
+process: the worker shards' gradients are summed in one canonical order,
+which is what §2.2.4's mathematical-equivalence rule needs.
 """
 
-from .bucketing import (
-    DEFAULT_BUCKET_BYTES,
-    Bucket,
-    BucketLayout,
-    BucketWriter,
-    ParamSlot,
-    assign_buckets,
-)
-from .engine import ShardedDataParallel, process_backend_available
-from .reducers import (
-    REDUCERS,
-    Chunk,
-    FlatReducer,
-    Reducer,
-    RingReducer,
-    make_reducer,
-    reduce_chunk,
-)
-from .shm import BatchBoard, Segment, aligned_offsets
+from .allreduce import accumulate_grads, all_reduce_mean
 
-__all__ = [
-    "DEFAULT_BUCKET_BYTES",
-    "Bucket",
-    "BucketLayout",
-    "BucketWriter",
-    "ParamSlot",
-    "assign_buckets",
-    "ShardedDataParallel",
-    "process_backend_available",
-    "REDUCERS",
-    "Chunk",
-    "FlatReducer",
-    "Reducer",
-    "RingReducer",
-    "make_reducer",
-    "reduce_chunk",
-    "BatchBoard",
-    "Segment",
-    "aligned_offsets",
-]
+__all__ = ["accumulate_grads", "all_reduce_mean"]

@@ -230,68 +230,61 @@ class BenchmarkRunner:
             quality = float("-inf")
             history: list[float] = []
             epochs_run = 0
-            # The session may hold external resources; release them however
-            # the run ends.
-            try:
-                for epoch in range(1, cap + 1):
-                    if deadline is not None and self.clock.now() >= deadline:
-                        raise RunTimeout(
-                            f"{spec.name} (seed {seed}) exceeded its per-job "
-                            f"deadline after {epochs_run} epochs"
-                        )
-                    logger.event(Keys.EPOCH_START, epoch, epoch_num=epoch)
-                    epoch_t0 = self.clock.now()
-                    samples_before = samples.value
-                    with tracer.span("epoch", epoch_num=epoch):
-                        session.run_epoch(epoch - 1)
-                    epoch_dt = self.clock.now() - epoch_t0
-                    epoch_samples = samples.value - samples_before
-                    logger.event(Keys.EPOCH_STOP, epoch, epoch_num=epoch)
-                    metrics.histogram("epoch_seconds").observe(epoch_dt)
-                    metrics.counter("epochs").inc()
-                    stats = {"epoch_seconds": epoch_dt}
-                    if epoch_samples:
-                        stats["samples"] = epoch_samples
-                    logger.event(Keys.TRACKED_STATS, stats, epoch_num=epoch)
-                    eps = None
-                    if epoch_dt > 0 and epoch_samples > 0:
-                        eps = epoch_samples / epoch_dt
-                        metrics.gauge("examples_per_second").set(eps)
-                        logger.event(Keys.THROUGHPUT, eps, epoch_num=epoch)
-                    events.publish("epoch", epoch=epoch,
-                                   epoch_seconds=epoch_dt,
-                                   samples=epoch_samples,
-                                   samples_total=samples.value)
+            for epoch in range(1, cap + 1):
+                if deadline is not None and self.clock.now() >= deadline:
+                    raise RunTimeout(
+                        f"{spec.name} (seed {seed}) exceeded its per-job "
+                        f"deadline after {epochs_run} epochs"
+                    )
+                logger.event(Keys.EPOCH_START, epoch, epoch_num=epoch)
+                epoch_t0 = self.clock.now()
+                samples_before = samples.value
+                with tracer.span("epoch", epoch_num=epoch):
+                    session.run_epoch(epoch - 1)
+                epoch_dt = self.clock.now() - epoch_t0
+                epoch_samples = samples.value - samples_before
+                logger.event(Keys.EPOCH_STOP, epoch, epoch_num=epoch)
+                metrics.histogram("epoch_seconds").observe(epoch_dt)
+                metrics.counter("epochs").inc()
+                stats = {"epoch_seconds": epoch_dt}
+                if epoch_samples:
+                    stats["samples"] = epoch_samples
+                logger.event(Keys.TRACKED_STATS, stats, epoch_num=epoch)
+                eps = None
+                if epoch_dt > 0 and epoch_samples > 0:
+                    eps = epoch_samples / epoch_dt
+                    metrics.gauge("examples_per_second").set(eps)
+                    logger.event(Keys.THROUGHPUT, eps, epoch_num=epoch)
+                events.publish("epoch", epoch=epoch,
+                               epoch_seconds=epoch_dt,
+                               samples=epoch_samples,
+                               samples_total=samples.value)
+                if series is not None:
+                    self._sample_series(series, metrics, epoch,
+                                        self.clock.now() - run_t0,
+                                        epoch_dt, eps)
+                epochs_run = epoch
+                if epoch % self.eval_every == 0 or epoch == cap:
+                    logger.event(Keys.EVAL_START, epoch_num=epoch)
+                    eval_t0 = self.clock.now()
+                    with tracer.span("eval", epoch_num=epoch):
+                        quality = float(session.evaluate())
+                    metrics.histogram("eval_seconds").observe(self.clock.now() - eval_t0)
+                    history.append(quality)
+                    logger.event(
+                        Keys.EVAL_ACCURACY, quality, epoch_num=epoch,
+                        **session.eval_details()
+                    )
+                    logger.event(Keys.EVAL_STOP, epoch_num=epoch)
+                    events.publish("eval", epoch=epoch, quality=quality)
                     if series is not None:
-                        self._sample_series(series, metrics, epoch,
-                                            self.clock.now() - run_t0,
-                                            epoch_dt, eps)
-                    epochs_run = epoch
-                    if epoch % self.eval_every == 0 or epoch == cap:
-                        logger.event(Keys.EVAL_START, epoch_num=epoch)
-                        eval_t0 = self.clock.now()
-                        with tracer.span("eval", epoch_num=epoch):
-                            quality = float(session.evaluate())
-                        metrics.histogram("eval_seconds").observe(self.clock.now() - eval_t0)
-                        history.append(quality)
-                        logger.event(
-                            Keys.EVAL_ACCURACY, quality, epoch_num=epoch,
-                            **session.eval_details()
-                        )
-                        logger.event(Keys.EVAL_STOP, epoch_num=epoch)
-                        events.publish("eval", epoch=epoch, quality=quality)
-                        if series is not None:
-                            series.record("eval_quality", quality,
-                                          t_s=self.clock.now() - run_t0,
-                                          epoch=epoch)
-                        if quality >= spec.quality_threshold:
-                            reached = True
-                            break
-                # Export the trained parameters before the session releases
-                # its resources — failed runs skip this (nothing servable).
-                model_state = session.export_state()
-            finally:
-                session.close()
+                        series.record("eval_quality", quality,
+                                      t_s=self.clock.now() - run_t0,
+                                      epoch=epoch)
+                    if quality >= spec.quality_threshold:
+                        reached = True
+                        break
+            model_state = session.export_state()
 
             timer.run_stop()
             logger.event(Keys.RUN_STOP, status="success" if reached else "aborted")

@@ -288,10 +288,8 @@ class SUTInfo:
 class SUT:
     """Forward-only serving over one rehydrated trained model."""
 
-    def __init__(self, info: SUTInfo, session, adapter: InferenceAdapter,
-                 workers: int = 1):
+    def __init__(self, info: SUTInfo, adapter: InferenceAdapter, workers: int = 1):
         self.info = info
-        self._session = session
         self.adapter = adapter
         self._pool = (ServingPool(adapter, workers) if workers > 1 else None)
         self.workers = workers
@@ -311,7 +309,6 @@ class SUT:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        self._session.close()
 
     def __enter__(self) -> "SUT":
         return self
@@ -358,7 +355,7 @@ def load_sut(artifact: str | Path, benchmark: str | None = None,
     current_events().publish("sut_load", benchmark=result.benchmark,
                              seed=result.seed, source=str(artifact),
                              pool_size=adapter.pool_size, workers=workers)
-    return SUT(info, session, adapter, workers=workers)
+    return SUT(info, adapter, workers=workers)
 
 
 def train_and_save(benchmark_name: str, artifact: str | Path, *, seed: int = 0,

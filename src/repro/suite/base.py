@@ -85,13 +85,6 @@ class TrainingSession(ABC):
         """Optional extra metrics recorded alongside the primary quality."""
         return {}
 
-    def close(self) -> None:
-        """Release session resources.
-
-        Called by the runner when the run ends, success or failure; the
-        default is a no-op for sessions with no external resources.
-        """
-
     def export_state(self) -> "dict | None":
         """The trained model's parameters, keyed by name (or ``None``).
 

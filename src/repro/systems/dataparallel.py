@@ -24,10 +24,11 @@ from typing import Callable
 
 import numpy as np
 
+from ..comms import accumulate_grads, all_reduce_mean
 from ..framework.module import Module
 from ..framework.optim import Optimizer
 from ..framework.tensor import Tensor
-from ..telemetry import current_metrics, current_profiler, current_tracer
+from ..telemetry import current_tracer
 
 __all__ = ["SynchronousDataParallel", "AsynchronousDataParallel", "shard_batch"]
 
@@ -74,9 +75,10 @@ class SynchronousDataParallel:
     count once, and the losses are summed in the same order.  Two runs with
     the same seed and worker count therefore produce the same weights bit
     for bit.  A parameter no shard reaches keeps ``grad = None`` and is
-    neither reduced nor counted.  Each step adds the reduced elements and
-    bytes to the ``allreduce_elements`` / ``allreduce_bytes`` counters and
-    times the averaging as the profiler's ``comms``/``all_reduce`` op.
+    neither reduced nor counted.  The summing and averaging are the
+    ``comms`` package's all-reduce, which counts ``allreduce_elements`` /
+    ``allreduce_bytes`` and times itself as the profiler's
+    ``comms``/``all_reduce`` op.
     """
 
     def __init__(self, model: Module, optimizer: Optimizer, num_workers: int, loss_fn: LossFn):
@@ -100,25 +102,8 @@ class SynchronousDataParallel:
                     loss = self.loss_fn(self.model, shard)
                     loss.backward()
                 total_loss += float(loss.data)
-                for p in self.model.parameters():
-                    if p.grad is None:
-                        continue
-                    if id(p) in accumulated:
-                        accumulated[id(p)] += p.grad
-                    else:
-                        accumulated[id(p)] = p.grad.copy()
-            # All-reduce: average and install the global gradient.
-            reduced_bytes = sum(g.nbytes for g in accumulated.values())
-            with tracer.span("all_reduce", num_workers=self.num_workers), \
-                    current_profiler().op("all_reduce", phase="comms",
-                                          nbytes=reduced_bytes * self.num_workers):
-                for p in self.model.parameters():
-                    grad = accumulated.get(id(p))
-                    p.grad = None if grad is None else grad / self.num_workers
-            metrics = current_metrics()
-            metrics.counter("allreduce_elements").inc(
-                sum(g.size for g in accumulated.values()))
-            metrics.counter("allreduce_bytes").inc(reduced_bytes)
+                accumulate_grads(accumulated, self.model.parameters())
+            all_reduce_mean(accumulated, self.model.parameters(), self.num_workers)
             self.optimizer.step()
         self.model.zero_grad()
         return total_loss / self.num_workers

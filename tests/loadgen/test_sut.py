@@ -57,7 +57,7 @@ class TestLoadSut:
 
     def test_serving_params_carry_no_grad(self, rec_artifact):
         with load_sut(rec_artifact) as sut:
-            model = sut._session.model
+            model = sut.adapter.model
             assert all(not p.requires_grad for p in model.parameters())
 
     def test_artifact_without_params_rejected(self, rec_artifact, tmp_path):

@@ -77,18 +77,15 @@ def test_step_and_eval_batch_stay_in_parameter_dtype(name, built_dtypes):
 
     _stop_after_calls(session.step_executor(), "step")
     telemetry = Telemetry()
-    try:
-        with use_kernel_mode("fused"), telemetry.activate():
-            with pytest.raises(_Stop):
-                session.run_epoch(0)
-            # Installed after the step: a model without an eval entry point
-            # stops at its first top-level forward, which training also calls.
-            entry = next((a for a in _EVAL_ENTRY_POINTS if hasattr(model, a)), "forward")
-            _stop_after_calls(model, entry)
-            with pytest.raises(_Stop):
-                session.evaluate()
-    finally:
-        session.close()
+    with use_kernel_mode("fused"), telemetry.activate():
+        with pytest.raises(_Stop):
+            session.run_epoch(0)
+        # Installed after the step: a model without an eval entry point
+        # stops at its first top-level forward, which training also calls.
+        entry = next((a for a in _EVAL_ENTRY_POINTS if hasattr(model, a)), "forward")
+        _stop_after_calls(model, entry)
+        with pytest.raises(_Stop):
+            session.evaluate()
 
     assert built_dtypes, "the hook saw no tensor"
     wide = sorted(str(dt) for dt in built_dtypes if dt.kind != "f" or dt.itemsize > widest)

@@ -25,16 +25,13 @@ from .test_dtype_closure import _Stop, _session
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_evaluate_leaves_no_cyclic_garbage(name):
     session = _session(name)
+    gc.collect()
+    gc.disable()
     try:
-        gc.collect()
-        gc.disable()
-        try:
-            session.evaluate()
-            found = gc.collect()
-        finally:
-            gc.enable()
+        session.evaluate()
+        found = gc.collect()
     finally:
-        session.close()
+        gc.enable()
     assert found == 0, f"{name}: evaluate() left {found} cyclic objects"
 
 
@@ -56,9 +53,6 @@ def test_step_leaves_no_cyclic_garbage(name):
         raise _Stop
 
     executor.step = one_step
-    try:
-        with pytest.raises(_Stop):
-            session.run_epoch(0)
-    finally:
-        session.close()
+    with pytest.raises(_Stop):
+        session.run_epoch(0)
     assert found == [0], f"{name}: a training step left {found} cyclic objects"

@@ -20,14 +20,11 @@ from .test_dtype_closure import _Stop, _session, _stop_after_calls
 def _state_after_two_steps(name, mode):
     with use_kernel_mode(mode):
         session = _session(name)
-        try:
-            _stop_after_calls(session.step_executor(), "step", calls=2)
-            with pytest.raises(_Stop):
-                session.run_epoch(0)
-            return {key: (value.dtype, value.shape, value.tobytes())
-                    for key, value in session.export_state().items()}
-        finally:
-            session.close()
+        _stop_after_calls(session.step_executor(), "step", calls=2)
+        with pytest.raises(_Stop):
+            session.run_epoch(0)
+        return {key: (value.dtype, value.shape, value.tobytes())
+                for key, value in session.export_state().items()}
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
