@@ -50,7 +50,7 @@ class GradientAccumulator:
 
     def backward(self, loss: Tensor) -> bool:
         """Accumulate one micro-batch; returns True if a step was applied."""
-        (loss * (1.0 / self.accumulation_steps)).backward()
+        (loss * (1.0 / self.accumulation_steps)).backward(release_tape=True)
         self._micro_step += 1
         if self._micro_step < self.accumulation_steps:
             return False

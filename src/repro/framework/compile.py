@@ -32,9 +32,8 @@ class StepExecutor:
                              pre_backward=model.zero_grad)
     """
 
-    def __init__(self, name: str = "step", *, release_tape: bool = True):
+    def __init__(self, name: str = "step"):
         self.name = name
-        self.release_tape = release_tape
 
     def step(self, forward: Callable[[], Tensor],
              seed: np.ndarray | None = None, *,
@@ -42,10 +41,11 @@ class StepExecutor:
         """Run ``forward()`` then backpropagate from its result.
 
         ``pre_backward`` (e.g. ``model.zero_grad``) runs between the forward
-        and the backward, exactly as in the eager training-loop idiom.
+        and the backward, exactly as in the eager training-loop idiom.  The
+        backward releases the tape as it walks (:meth:`Tensor.backward`).
         """
         loss = forward()
         if pre_backward is not None:
             pre_backward()
-        loss.backward(seed, release_tape=self.release_tape)
+        loss.backward(seed, release_tape=True)
         return loss

@@ -19,7 +19,10 @@ reference (used in tests and the im2col-vs-naive ablation bench).
   in ``(i, j)`` order.
 
 Both modes allocate their scratch per call with ``np.empty`` and drop it
-when done (a scratch pool was measured and removed, DESIGN.md).  The
+when done (a scratch pool was measured and removed, DESIGN.md).  The fused
+backward closure keeps ``x``, ``w2`` and the ReLU mask, not the patch
+matrix (9x the input for a 3x3 kernel): the weight gradient re-unfolds
+``x`` with the same copies, so a training graph holds no patch matrix.  The
 fused variant is **bit-identical** to ``naive``: same element values, same
 accumulation order, same dtypes (enforced by tests, including with every
 scratch buffer poisoned before the kernel writes it).
@@ -161,12 +164,15 @@ def _conv2d_fused(x: Tensor, weight: Tensor, bias: Tensor | None,
     p = oh * ow
     ck = c * kh * kw
 
-    colT = np.empty((n, oh, ow, c, kh, kw), dt)
-    _unfold_patch_major(_pad(x.data, pad) if pad else x.data,
-                        kh, kw, stride, oh, ow, colT)
-    col_t = colT.reshape(n * p, ck)
+    xd = x.data
+
+    def unfold() -> np.ndarray:
+        colT = np.empty((n, oh, ow, c, kh, kw), dt)
+        _unfold_patch_major(_pad(xd, pad) if pad else xd, kh, kw, stride, oh, ow, colT)
+        return colT.reshape(n * p, ck)
+
     w2 = weight.data.reshape(f, ck)
-    out_flat = np.matmul(col_t, w2.T)
+    out_flat = np.matmul(unfold(), w2.T)
     if bias is not None:
         out_flat += bias.data
     mask = None
@@ -188,7 +194,9 @@ def _conv2d_fused(x: Tensor, weight: Tensor, bias: Tensor | None,
         if bias is not None:
             bias._accumulate(g2.sum(axis=0), owned=True)
         if weight.requires_grad:
-            weight._accumulate(np.matmul(g2.T, col_t).reshape(weight.shape), owned=True)
+            # Re-unfold the forward's operand: the same copies of the same
+            # bits, alive only for this GEMM instead of the whole step.
+            weight._accumulate(np.matmul(g2.T, unfold()).reshape(weight.shape), owned=True)
         if x.requires_grad:
             cT = np.matmul(g2, w2).reshape(n, oh, ow, c, kh, kw)
             # Fold channels-last (contiguous inner axis), then hand the

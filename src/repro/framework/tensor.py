@@ -282,12 +282,14 @@ class Tensor:
         ``grad`` defaults to ones (i.e. the tensor is treated as a sum of its
         elements); for scalar losses this is the conventional seed of 1.0.
 
-        ``release_tape=True`` severs the traversed graph afterwards: every
-        visited interior node drops its ``_backward`` closure and parent
-        links, so activation arrays (and scratch captured in closures)
-        become collectible immediately instead of surviving until the next
-        forward rebinds the Python names holding them.  The graph cannot be
-        backpropagated again after release; leaf gradients are untouched.
+        ``release_tape=True`` frees the graph as the walk passes it: once an
+        interior node has propagated, it drops its ``_backward`` closure,
+        its parent links and its ``.grad``, so its activations, the scratch
+        its closure captured and its gradient are collectible before the
+        walk reaches the inputs.  The contract is PyTorch's default: after
+        a released walk every interior ``.grad`` is ``None``, the root keeps
+        its ``.grad``, leaf gradients are untouched, and the graph cannot be
+        backpropagated again.
         """
         if _INFERENCE_MODE:
             raise RuntimeError(
@@ -337,17 +339,21 @@ class Tensor:
             prof.phase = "backward"
         try:
             # Reverse topological order guarantees every consumer of ``node``
-            # has already propagated when ``node`` is visited.
-            for node in reversed(topo):
-                if node._backward is not None and node.grad is not None:
+            # has already propagated when ``node`` is visited.  Popping lets
+            # a released node go as soon as the walk has passed it.
+            while topo:
+                node = topo.pop()
+                if node._backward is None:
+                    continue
+                if node.grad is not None:
                     node._backward()
-        finally:
-            prof.phase = prev_phase
-        if release_tape:
-            for node in topo:
-                if node._backward is not None:
+                if release_tape:
                     node._backward = None
                     node._prev = ()
+                    if node is not self:
+                        node.grad = None
+        finally:
+            prof.phase = prev_phase
 
     # ------------------------------------------------------------------
     # Arithmetic

@@ -83,7 +83,7 @@ def train_pro_network(config: ProConfig = ProConfig()):
             value = np.array([replay[i].value for i in idx])
             loss = net.loss(planes, policy, value)
             net.zero_grad()
-            loss.backward()
+            loss.backward(release_tape=True)
             optimizer.step()
     net.eval()
     return net

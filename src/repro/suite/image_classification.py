@@ -105,10 +105,11 @@ class _Session(TrainingSession):
     def evaluate(self) -> float:
         self.model.eval()
         images, labels = self.data.val.arrays
+        batch = self.hp["batch_size"]
         scores = []
         with no_grad():
-            for start in range(0, len(images), 256):
-                scores.append(self.model(Tensor(images[start : start + 256])).data)
+            for start in range(0, len(images), batch):
+                scores.append(self.model(Tensor(images[start : start + batch])).data)
         return top1_accuracy(np.concatenate(scores), labels)
 
 

@@ -100,7 +100,7 @@ class SynchronousDataParallel:
                 with tracer.span("worker_grad", worker=w):
                     self.model.zero_grad()
                     loss = self.loss_fn(self.model, shard)
-                    loss.backward()
+                    loss.backward(release_tape=True)
                 total_loss += float(loss.data)
                 accumulate_grads(accumulated, self.model.parameters())
             all_reduce_mean(accumulated, self.model.parameters(), self.num_workers)
@@ -185,7 +185,7 @@ class AsynchronousDataParallel:
             self._load_stale(live_state, stale)
             self.model.zero_grad()
             loss = self.loss_fn(self.model, shards[worker])
-            loss.backward()
+            loss.backward(release_tape=True)
             total_loss += float(loss.data)
             # Server applies the (stale) gradient to the *live* weights.
             for name, p in live_state.items():

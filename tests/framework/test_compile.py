@@ -15,9 +15,8 @@ def _params():
             for shape in ((6, 5), (6,))]
 
 
-@pytest.mark.parametrize("release", [True, False])
 @pytest.mark.parametrize("seeded", [False, True])
-def test_step_is_forward_pre_backward_backward(release, seeded, monkeypatch):
+def test_step_is_forward_pre_backward_backward(seeded, monkeypatch):
     rng = np.random.default_rng(1)
     batch = rng.normal(size=(4, 5)).astype(np.float32)
     seed = rng.normal(size=(4, 6)).astype(np.float32) if seeded else None
@@ -51,15 +50,15 @@ def test_step_is_forward_pre_backward_backward(release, seeded, monkeypatch):
     def eager(forward, pre_backward):
         out = forward()
         pre_backward()
-        out.backward(seed, release_tape=release)
+        out.backward(seed, release_tape=True)
         return out
 
-    executor = StepExecutor(release_tape=release)
+    executor = StepExecutor()
     ref_calls, ref_out, ref_grads = run(eager)
     calls, out, grads = run(
         lambda forward, pre: executor.step(forward, seed, pre_backward=pre))
     assert calls == ref_calls == ["forward", "pre_backward", "backward"]
     assert np.array_equal(out.data, ref_out.data)
     assert all(np.array_equal(a, c) for a, c in zip(ref_grads, grads))
-    assert (out._prev == ()) == (ref_out._prev == ()) == release
+    assert out._prev == () == ref_out._prev
 

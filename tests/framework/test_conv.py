@@ -1,9 +1,13 @@
 """Convolution/pooling: im2col vs naive equivalence, gradients, shapes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.framework import Tensor, conv2d, conv2d_naive, max_pool2d, avg_pool2d, global_avg_pool2d
+from repro.framework import (
+    Tensor, avg_pool2d, conv2d, conv2d_naive, global_avg_pool2d, max_pool2d, use_kernel_mode,
+)
 from repro.framework.conv import col2im, im2col
 from repro.framework.module import Parameter
 from tests.helpers import check_gradient
@@ -81,6 +85,24 @@ class TestConv2d:
         w = _weights(2, 4, 3)
         with pytest.raises(ValueError):
             conv2d(x, w)
+
+    def test_fused_forward_keeps_no_patch_matrix(self):
+        """The fused conv's backward re-unfolds its input, so a grad-enabled
+        forward leaves less behind than one patch matrix."""
+        n, c, f, hw = 8, 16, 16, 16
+        x = Tensor(RNG.normal(size=(n, c, hw, hw)).astype(np.float32), requires_grad=True)
+        w = Parameter(RNG.normal(size=(f, c, 3, 3)).astype(np.float32))
+        patch_bytes = n * (hw * hw) * (c * 9) * x.dtype.itemsize
+        with use_kernel_mode("fused"):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = conv2d(x, w, None, stride=1, pad=1)
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert out._backward is not None
+        assert grown < patch_bytes
 
     def test_naive_gradient_matches_fast(self):
         x1 = Tensor(RNG.normal(size=(1, 2, 5, 5)), requires_grad=True)

@@ -1,5 +1,7 @@
 """Autograd correctness: every primitive against finite differences."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -339,8 +341,39 @@ class TestHooksAndRelease:
         for p, q in zip(kept_params, params):
             assert np.array_equal(p.grad, q.grad)
         if release:
-            # Interior nodes drop closure and parents, so activations free now.
+            # Interior nodes drop closure, parents and gradient; the root
+            # keeps its gradient (PyTorch's contract).
             for node in (loss, hidden):
                 assert node._backward is None and node._prev == ()
+            assert hidden.grad is None and loss.grad is not None
         else:
             assert loss._prev != () and hidden._backward is not None
+            assert hidden.grad is not None
+
+    @pytest.mark.parametrize("release", [True, False])
+    def test_released_walk_frees_what_it_has_passed(self, release):
+        """Activations near the root are freed before the walk reaches the
+        inputs: the peak live graph falls during a released walk."""
+        x = Tensor(np.linspace(-1.0, 1.0, 8), requires_grad=True)
+        seen = []
+
+        def probe(t, refs):
+            # An identity op whose backward (walked last) looks at what the
+            # walk has already passed.
+            def backward(out):
+                seen.append([ref() is None for ref in refs])
+                t._accumulate(out.grad)
+
+            return Tensor._make(t.data.copy(), (t,), backward)
+
+        def build():
+            refs = []
+            first = probe(x, refs)
+            mid = first * 3.0
+            last = mid.tanh()
+            refs += [weakref.ref(mid.data), weakref.ref(last.data)]
+            return last.sum()
+
+        build().backward(release_tape=release)
+        assert seen == [[release, release]]
+        np.testing.assert_allclose(x.grad, 3.0 * (1.0 - np.tanh(3.0 * x.data) ** 2))

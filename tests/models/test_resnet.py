@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.framework import SGD, Tensor, functional as F
+from repro.framework import SGD, Tensor, functional as F, no_grad
 from repro.models import BasicBlockV15, MiniResNet
+from tests.go.test_selfplay_identity import HOST_PROBE, _host_probe
 
 
 RNG = np.random.default_rng(0)
@@ -71,6 +72,33 @@ class TestMiniResNet:
         net = MiniResNet(5, RNG).eval()
         x = Tensor(RNG.normal(size=(2, 3, 16, 16)).astype(np.float32))
         np.testing.assert_array_equal(net(x).data, net(x).data)
+
+    def test_eval_chunk_size_keeps_features_and_predictions(self):
+        """Evaluation chunks by the training batch (64) instead of 256.
+
+        Every conv and norm layer gives the same bits at either chunk size.
+        The 10-way head does not: OpenBLAS runs the 64-row GEMM through its
+        small-matrix kernel, which rounds differently from the 256-row one
+        (last bits of float32).  Top-1 predictions, which are what
+        evaluation scores, are the same.
+        """
+        if _host_probe() != HOST_PROBE:
+            pytest.skip("BLAS rounds differently here than on the host that recorded the probe")
+        rng = np.random.default_rng(2)
+        net = MiniResNet(10, rng, blocks_per_stage=1).eval()
+        images = rng.normal(size=(256, 3, 16, 16)).astype(np.float32)
+
+        def forward(x):
+            features = net.pool(net.features(Tensor(x)))
+            return features.data, net.fc(features).data
+
+        with no_grad():
+            whole = forward(images)
+            chunks = [forward(images[s : s + 64]) for s in range(0, 256, 64)]
+        features, logits = (np.concatenate(part) for part in zip(*chunks))
+        assert np.array_equal(features, whole[0])
+        np.testing.assert_allclose(logits, whole[1], rtol=1e-5, atol=1e-5)
+        assert np.array_equal(logits.argmax(axis=1), whole[1].argmax(axis=1))
 
     def test_can_overfit_tiny_batch(self):
         """Sanity: the model + optimizer can drive loss to ~0 on 8 images."""
