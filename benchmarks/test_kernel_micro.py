@@ -3,10 +3,11 @@
 §3.2.1 makes time-to-train the headline metric, and §2.2.4 credits much of
 the gap between implementations to math libraries choosing equivalent-but-
 faster algorithms.  This bench measures that effect inside the framework
-itself: each kernel that reads the kernel mode (conv at two sizes, the
-fused linear, the LSTM cell, attention, batch norm → (+ skip) → ReLU) is timed under the ``naive``
-reference mode and under ``fused`` (patch-major unfold, in-place bias and
-masks, single-node kernels), and the bench asserts the two agree bit-for-bit —
+itself: each kernel that reads the kernel mode (conv at two sizes and on
+one Go board, the fused linear, the LSTM cell, attention, batch norm →
+(+ skip) → ReLU) is timed under the ``naive`` reference mode and under
+``fused`` (patch-major gather unfold, in-place bias and masks,
+single-node kernels), and the bench asserts the two agree bit-for-bit —
 same math, different speed.  Code with one path in every mode (pooling,
 the optimizers, the ``DataLoader``) has no row.
 

@@ -9,11 +9,12 @@ reference (used in tests and the im2col-vs-naive ablation bench).
 :func:`conv2d` dispatches on :func:`repro.framework.config.kernel_mode`:
 
 - ``naive`` runs the original im2col implementation below;
-- ``fused`` unfolds patches directly into the patch-major layout the GEMM
-  wants — skipping the big ``ascontiguousarray`` transpose copies of the
-  naive path — pads by writing only the border zeros, and applies bias and
-  ReLU in place on the GEMM output.  The ``kh*kw`` strided im2col/col2im
-  passes run over blocks of samples whose slab of the patch matrix fits in
+- ``fused`` unfolds patches with one gather straight into the patch-major
+  layout the GEMM wants — no padded copy, none of the naive path's
+  ``ascontiguousarray`` transpose copies — through an index cached per
+  geometry (:func:`_patch_index`), and applies bias and ReLU in place on
+  the GEMM output.  The ``kh*kw`` strided col2im passes of the fold run
+  over blocks of samples whose slab of the patch-gradient matrix fits in
   cache (``_BLOCK_BYTES``); the GEMMs stay whole-batch.  Only data movement
   is blocked, never arithmetic: each padded pixel still receives its terms
   in ``(i, j)`` order.
@@ -22,7 +23,7 @@ Both modes allocate their scratch per call with ``np.empty`` and drop it
 when done (a scratch pool was measured and removed, DESIGN.md).  The fused
 backward closure keeps ``x``, ``w2`` and the ReLU mask, not the patch
 matrix (9x the input for a 3x3 kernel): the weight gradient re-unfolds
-``x`` with the same copies, so a training graph holds no patch matrix.  The
+``x`` with the same gather, so a training graph holds no patch matrix.  The
 fused variant is **bit-identical** to ``naive``: same element values, same
 accumulation order, same dtypes (enforced by tests, including with every
 scratch buffer poisoned before the kernel writes it).
@@ -32,6 +33,8 @@ removed*).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -97,55 +100,53 @@ def _uniform_float_dtype(x: Tensor, *others):
     return dt
 
 
-def _pad(x: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-padded copy of ``x``."""
+@functools.lru_cache
+def _patch_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """Flat offsets of one sample's patch-major ``(OH, OW, C, kh, kw)`` unfold.
+
+    Entry ``(oy, ox, ci, i, j)`` reads pixel ``(ci, oy*stride+i-pad,
+    ox*stride+j-pad)``; a padding tap reads slot ``C*H*W``, the zero
+    :func:`_unfold` appends.  Keyed on geometry alone: one entry per shape.
+    """
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    rows = (np.arange(oh)[:, None] * stride + np.arange(kh) - pad)[:, None, None, :, None]
+    cols = (np.arange(ow)[:, None] * stride + np.arange(kw) - pad)[None, :, None, None, :]
+    chans = np.arange(c)[:, None, None] * (h * w)
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    idx = np.where(inside, chans + rows * w + cols, c * h * w).astype(np.intp).reshape(-1)
+    idx.flags.writeable = False
+    return idx
+
+
+def _unfold(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """``(N, OH*OW*C*kh*kw)`` patch-major unfold of ``x``, by one gather.
+
+    As ``(N*OH*OW, C*kh*kw)`` it is the naive path's
+    ``ascontiguousarray(transpose(im2col))``, copied element for element.
+    """
     n, c, h, w = x.shape
-    buf = np.empty((n, c, h + 2 * pad, w + 2 * pad), x.dtype)
-    # Only the border needs the zeros; the interior is overwritten below.
-    buf[:, :, :pad] = 0
-    buf[:, :, pad + h :] = 0
-    buf[:, :, pad : pad + h, :pad] = 0
-    buf[:, :, pad : pad + h, pad + w :] = 0
-    buf[:, :, pad : pad + h, pad : pad + w] = x
-    return buf
+    src = np.empty((n, c * h * w + 1), x.dtype)
+    src[:, :-1].reshape(n, c, h, w)[...] = x
+    src[:, -1] = 0
+    # Every offset is in range, so "wrap" never wraps; its per-element
+    # range test is just cheaper than the default "raise"'s (~25 %).
+    return np.take(src, _patch_index(c, h, w, kh, kw, stride, pad), axis=1, mode="wrap")
 
 
-# The patch matrix of a suite-sized conv is several times the L2 cache, and
-# each of the kh*kw unfold/fold passes writes (reads) one element in every
-# kh*kw of it, so an unblocked pass streams the whole matrix through the
-# cache once per kernel tap.  Running all the taps over a slab of samples
-# this big keeps the slab resident between taps.  A constant, not a knob:
-# 256 KiB / 512 KiB / 1 MiB time within 4 % of each other (DESIGN.md,
-# *Kernel modes*), and the result is the same bits at any value.
+# Each of the kh*kw fold passes reads one element in every kh*kw of a
+# patch-gradient matrix several times the L2 cache; running all the taps
+# over a slab of samples this big keeps the slab resident between taps.  A
+# constant, not a knob: 256 KiB / 512 KiB / 1 MiB time within 4 % of each
+# other (DESIGN.md, *Kernel modes*), and the bits are the same at any value.
 _BLOCK_BYTES = 512 * 1024
 
 
 def _block(n: int, per_sample_bytes: int) -> int:
-    """Samples per unfold/fold block: all ``n`` whenever ``n`` samples fit."""
+    """Samples per fold block: all ``n`` whenever ``n`` samples fit."""
     if n * per_sample_bytes > _BLOCK_BYTES:
         n = _BLOCK_BYTES // per_sample_bytes
     return max(1, n)
-
-
-def _unfold_patch_major(img: np.ndarray, kh: int, kw: int, stride: int,
-                        oh: int, ow: int, colT: np.ndarray) -> None:
-    """Unfold ``img`` directly into patch-major ``(N, OH, OW, C, kh, kw)``.
-
-    Flattening ``colT`` to ``(N*OH*OW, C*kh*kw)`` yields *exactly* the
-    array the naive path builds with ``ascontiguousarray(transpose(...))``
-    — same values, no transpose copy.  The ``kh*kw`` strided passes run per
-    block of samples (:func:`_block`); they are copies, so the blocking is
-    invisible in the result.
-    """
-    n = colT.shape[0]
-    step = _block(n, colT.strides[0])
-    for s in range(0, n, step):
-        src = img[s : s + step].transpose(0, 2, 3, 1)
-        dst = colT[s : s + step]
-        for i in range(kh):
-            for j in range(kw):
-                dst[:, :, :, :, i, j] = src[:, i : i + stride * oh : stride,
-                                            j : j + stride * ow : stride]
 
 
 def _conv2d_fused(x: Tensor, weight: Tensor, bias: Tensor | None,
@@ -167,9 +168,7 @@ def _conv2d_fused(x: Tensor, weight: Tensor, bias: Tensor | None,
     xd = x.data
 
     def unfold() -> np.ndarray:
-        colT = np.empty((n, oh, ow, c, kh, kw), dt)
-        _unfold_patch_major(_pad(xd, pad) if pad else xd, kh, kw, stride, oh, ow, colT)
-        return colT.reshape(n * p, ck)
+        return _unfold(xd, kh, kw, stride, pad).reshape(n * p, ck)
 
     w2 = weight.data.reshape(f, ck)
     out_flat = np.matmul(unfold(), w2.T)
@@ -194,7 +193,7 @@ def _conv2d_fused(x: Tensor, weight: Tensor, bias: Tensor | None,
         if bias is not None:
             bias._accumulate(g2.sum(axis=0), owned=True)
         if weight.requires_grad:
-            # Re-unfold the forward's operand: the same copies of the same
+            # Re-unfold the forward's operand: the same gather of the same
             # bits, alive only for this GEMM instead of the whole step.
             weight._accumulate(np.matmul(g2.T, unfold()).reshape(weight.shape), owned=True)
         if x.requires_grad:
@@ -202,8 +201,8 @@ def _conv2d_fused(x: Tensor, weight: Tensor, bias: Tensor | None,
             # Fold channels-last (contiguous inner axis), then hand the
             # NCHW transpose view to _accumulate — same per-element add
             # order as col2im, one less transpose copy.  Blocked over
-            # samples like the unfold: every padded pixel still receives
-            # its terms in (i, j) order, so the sums are the same bits.
+            # samples (_block): every padded pixel still receives its
+            # terms in (i, j) order, so the sums are the same bits.
             img_cl = np.empty((n, h + 2 * pad, w + 2 * pad, c), dt)
             step = _block(n, cT.strides[0])
             for s in range(0, n, step):

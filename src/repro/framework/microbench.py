@@ -3,13 +3,14 @@
 DAWNBench-style timing breakdowns argue that end-to-end numbers need
 per-kernel decompositions to be actionable; this module times the kernels
 the §3.2.1 timed region actually spends its wall clock in — conv2d
-forward+backward at two sizes, the fused linear, the LSTM cell,
-multi-head attention and batch norm closing a residual block — under
-``fused`` *and* under ``naive``, so every report carries its own baseline.
+forward+backward at two sizes and forward on one Go board, the fused
+linear, the LSTM cell, multi-head attention and batch norm closing a
+residual block — under ``fused`` *and* under ``naive``, so every report
+carries its own baseline.
 Only code that reads the kernel mode has a row: anything else would
 compare ``naive`` with itself.
 
-Each benchmark is a closure that runs one full forward+backward; timing
+Each benchmark is a closure that runs one forward (+backward); timing
 takes the *minimum* over repeats after a warmup, the standard micro-bench
 estimator for the noise-free cost.
 
@@ -31,9 +32,10 @@ import numpy as np
 
 from .attention import attention_bias, causal_mask
 from .config import use_kernel_mode
+from .conv import conv2d
 from .fused import attention, conv2d_bias_relu, linear_bias_act, lstm_cell, normalize
 from .module import Parameter
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 __all__ = ["bench_kernels", "BENCH_SCHEMA"]
 
@@ -83,6 +85,22 @@ def _conv_resnet_step(rng: np.random.Generator) -> StepFn:
     one times the data movement the end-to-end ledger is bound by.
     """
     return _conv_step(rng, shape=(64, 16, 16, 16))
+
+
+def _conv_board_step(rng: np.random.Generator) -> StepFn:
+    """A MiniGo tower conv on one board, forward only under ``no_grad``.
+
+    Self-play evaluates one position per call, so this row times the
+    per-call cost of the unfold, not arithmetic.
+    """
+    x0 = rng.standard_normal((1, 24, 5, 5)).astype(np.float32)
+    w0 = (rng.standard_normal((24, 24, 3, 3)) * 0.1).astype(np.float32)
+
+    def step() -> tuple[np.ndarray, ...]:
+        with no_grad():
+            return (conv2d(Tensor(x0), Tensor(w0), stride=1, pad=1).data,)
+
+    return step
 
 
 def _linear_step(rng: np.random.Generator) -> StepFn:
@@ -167,6 +185,7 @@ def _normalize_step(rng: np.random.Generator, residual: bool) -> StepFn:
 _KERNELS: dict[str, Callable[[np.random.Generator], StepFn]] = {
     "conv2d_fwd_bwd": _conv_step,
     "conv2d_resnet_fwd_bwd": _conv_resnet_step,
+    "conv2d_board_fwd": _conv_board_step,
     "linear_fwd_bwd": _linear_step,
     "lstm_cell_fwd_bwd": _lstm_cell_step,
     "attention_fwd_bwd": _attention_step,

@@ -79,6 +79,7 @@ SCHEMA_METRICS: dict[str, tuple[MetricSpec, ...]] = {
         MetricSpec("checks.bit_identical", "exact"),
         MetricSpec("kernels.conv2d_fwd_bwd.speedup", "higher", rel_tol=0.5),
         MetricSpec("kernels.conv2d_resnet_fwd_bwd.speedup", "higher", rel_tol=0.5),
+        MetricSpec("kernels.conv2d_board_fwd.speedup", "higher", rel_tol=0.5),
         MetricSpec("kernels.lstm_cell_fwd_bwd.speedup", "higher", rel_tol=0.5),
         MetricSpec("kernels.attention_fwd_bwd.speedup", "higher", rel_tol=0.5),
         MetricSpec("kernels.normalize_relu_fwd_bwd.speedup", "higher", rel_tol=0.5),

@@ -151,7 +151,7 @@ class TestConvBitIdentity:
         _assert_identical(ref, got, f"conv2d_bias_relu[{mode}]")
 
 
-# (conv_case kwargs, conv kwargs): shapes that straddle the unfold/fold block.
+# (conv_case kwargs, conv kwargs): shapes that straddle the fold block.
 _BLOCKED_CASES = {
     "3x3-s1-p1": (dict(), dict(stride=1, pad=1)),
     "3x3-s2-p1": (dict(), dict(stride=2, pad=1)),
@@ -178,12 +178,15 @@ def _run_conv_seeded(mode, fn, x, wt, b, **kwargs):
 
 
 class TestBlockedUnfoldFold:
-    """The sample-blocked im2col/col2im passes are invisible in the bits.
+    """The sample-blocked col2im passes of the fold are invisible in the bits.
 
-    ``_BLOCK_BYTES`` is patched down so that these small tensors take the
-    multi-block path the suite's 9 MB patch matrices take: ``1`` makes
-    every block one sample (a per-sample slab larger than the block), the
-    two-sample setting leaves a short last block (5 = 2 + 2 + 1).
+    Only the fold is blocked: the unfold is one gather (``TestGatherUnfold``)
+    and ignores ``_BLOCK_BYTES``, so these cases pin the fold and the whole
+    conv around it.  ``_BLOCK_BYTES`` is patched down so that these small
+    tensors take the multi-block path the suite's 9 MB patch-gradient
+    matrices take: ``1`` makes every block one sample (a per-sample slab
+    larger than the block), the two-sample setting leaves a short last
+    block (5 = 2 + 2 + 1).
     """
 
     @pytest.fixture(params=["one-sample", "two-samples"])
@@ -200,7 +203,7 @@ class TestBlockedUnfoldFold:
         return patch
 
     def test_block_is_whole_batch_when_it_fits(self):
-        # Go boards and single serving queries: one block, today's nine calls.
+        # Go boards and single serving queries: one block of kh*kw folds.
         assert conv_module._block(1, 32 * 81 * 9 * 4) == 1
         assert conv_module._block(8, 9 * 9 * 17 * 9 * 4) == 8
         assert conv_module._block(0, 0) == 1  # empty batch: range() needs a step
@@ -245,13 +248,18 @@ class TestBlockedUnfoldFold:
         assert np.array_equal(ref.data, got.data)
 
     def test_padding_border_is_zeroed_in_a_dirty_buffer(self, poisoned_empty):
-        # _pad writes only the border strips as zeros: the padded image
-        # starts out as NaN everywhere else.  Default block size, unlike
+        # Every padding tap of the gather copies the zero slot the unfold
+        # writes after each sample; its source buffer starts out as NaN, so
+        # a slot left unwritten (or a tap pointed elsewhere) shows in the
+        # patch matrix and in the conv.  Default block size, unlike
         # test_poisoned_scratch below.
         x, wt, b = _conv_case()
         ref = _run_conv_seeded("naive", conv2d, x.copy(), wt, b, stride=1, pad=2)
         with poisoned_empty():
+            cols = conv_module._unfold(x, 3, 3, 1, 2)
             got = _run_conv_seeded("fused", conv2d, x.copy(), wt, b, stride=1, pad=2)
+        ref_cols = _im2col_rows(x, 3, 1, 2)
+        assert np.array_equal(cols.reshape(ref_cols.shape), ref_cols)
         _assert_identical(ref, got, "blocked conv2d[dirty pad buffer]")
 
     @pytest.mark.parametrize("fn", (conv2d, conv2d_bias_relu), ids=lambda f: f.__name__)
@@ -300,6 +308,76 @@ class TestBlockedUnfoldFold:
             assert np.array_equal(rl, gl)
             assert all(np.array_equal(a, c) for a, c in zip(rg, gg))
         assert all(np.array_equal(a, c) for a, c in zip(ref_final, got_final))
+
+
+def _im2col_rows(x, k, stride, pad):
+    """The naive path's GEMM operand: im2col's patch columns as rows."""
+    col = conv_module.im2col(x, k, k, stride, pad)
+    return np.ascontiguousarray(col.transpose(0, 2, 1)).reshape(-1, col.shape[1])
+
+
+def _special_values(x):
+    """``x`` with -0.0, +-inf and two NaNs with distinct payloads planted."""
+    x = x.copy()
+    bits = np.uint64 if x.dtype == np.float64 else np.uint32
+    flat = x.reshape(-1)
+    flat[:3] = (-0.0, np.inf, -np.inf)
+    flat[3:5].view(bits)[...] = np.array([np.nan] * 2, x.dtype).view(bits) | bits([5, 3 << 8])
+    return x
+
+
+# (n, c, h, w, k, stride, pad): geometries of the gather cases.
+_GATHER_CASES = {
+    "3x3-s1-p1": (5, 3, 9, 7, 3, 1, 1),
+    "3x3-s2-p1": (5, 3, 9, 7, 3, 2, 1),
+    "3x3-s1-p0": (5, 3, 9, 7, 3, 1, 0),
+    "3x3-s2-p2": (3, 4, 8, 8, 3, 2, 2),
+    "1x1": (5, 3, 9, 7, 1, 1, 0),
+    "1x1-s2": (5, 3, 9, 7, 1, 2, 0),
+    "5x5-p2": (4, 2, 6, 5, 5, 1, 2),
+    "n0": (0, 3, 9, 7, 3, 1, 1),
+    "empty-output": (2, 3, 2, 2, 5, 1, 1),
+}
+
+
+class TestGatherUnfold:
+    """The fused unfold is a copy: the im2col patch matrix, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.float64), ids=("f32", "f64"))
+    @pytest.mark.parametrize("layout", ("dense", "nhwc", "sliced"))
+    @pytest.mark.parametrize("case", sorted(_GATHER_CASES))
+    def test_is_the_im2col_patch_matrix(self, dtype, layout, case):
+        n, c, h, w, k, stride, pad = _GATHER_CASES[case]
+        x = RNG.normal(size=(n, c, h, w)).astype(dtype)
+        if x.size:
+            x = _special_values(x)
+        if layout == "nhwc":
+            x = _nhwc_backed(x)
+        elif layout == "sliced":
+            wide = np.zeros((n, 2 * c, h, w), dtype)
+            wide[:, ::2] = x
+            x = wide[:, ::2]
+        ref = _im2col_rows(x, k, stride, pad)
+        got = conv_module._unfold(x, k, k, stride, pad)
+        assert got.dtype == ref.dtype and got.size == ref.size
+        bits = np.uint64 if dtype == np.float64 else np.uint32
+        assert np.array_equal(got.reshape(ref.shape).view(bits), ref.view(bits))
+
+    def test_index_is_read_only_and_shared_across_batch_sizes(self):
+        geometry = (7, 6, 5, 3, 3, 1, 1)
+        conv_module._patch_index.cache_clear()
+        wt = RNG.normal(size=(2, 7, 3, 3)).astype(np.float32)
+        for n in (1, 64):
+            x = RNG.normal(size=(n, 7, 6, 5)).astype(np.float32)
+            with use_kernel_mode("fused"), no_grad():
+                conv2d(Tensor(x), Tensor(wt), stride=1, pad=1)
+        info = conv_module._patch_index.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        idx = conv_module._patch_index(*geometry)
+        assert idx is conv_module._patch_index(*geometry)
+        assert idx.dtype == np.intp and not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0] = 0
 
 
 class TestConvArgumentChecks:
