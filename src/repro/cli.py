@@ -34,8 +34,8 @@ Commands mirror how the MLPerf artifacts are used in practice:
   (``REPRO_PROFILE=full``) from a result file, submission, or campaign
   directory;
 - ``analyze`` — run the trace-analysis engine on a Chrome trace file or
-  a campaign directory: critical path, comms/compute overlap, top
-  spans/gaps, optional folded-stacks export;
+  a campaign directory: critical path, top spans/gaps, optional
+  folded-stacks export;
 - ``serve-metrics`` — the live observability server: Prometheus text at
   ``/metrics``, a JSON API (``/api/campaigns``, ``.../jobs``,
   ``/api/runs/.../series``, ``/api/alerts``), and an SSE stream at
@@ -240,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="trace-analysis engine: critical path, comms/compute overlap, "
-             "top spans and gaps — over a Chrome trace file or a campaign "
-             "directory's event streams")
+        help="trace-analysis engine: critical path, top spans and gaps — "
+             "over a Chrome trace file or a campaign directory's event "
+             "streams")
     analyze.add_argument("path",
                          help="a trace_event JSON file (from run/campaign "
                               "--trace) or a campaign directory")
@@ -313,9 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default wall; virtual with --smoke)")
     loadgen.add_argument("--seed", type=int, default=0,
                          help="query-stream seed (default 0)")
-    loadgen.add_argument("--workers", type=int, default=1,
-                         help="serving worker processes (>1 forks a "
-                              "shared-memory serving pool; requires fork)")
     loadgen.add_argument("--train-epochs", type=int, default=1,
                          help="epoch cap for the inline training run when no "
                               "--artifact is given (default 1)")
@@ -937,10 +934,30 @@ def _cmd_loadgen(args, out) -> int:
         return 2
 
     timing = args.timing or ("virtual" if args.smoke else "wall")
-    queries = args.queries or (48 if args.smoke else 128)
+    queries = (args.queries if args.queries is not None
+               else (48 if args.smoke else 128))
     warmup = args.warmup if args.warmup is not None else max(queries // 16, 1)
     latency_bound = (args.latency_bound if args.latency_bound is not None
                      else (0.025 if args.smoke else 0.1))
+    # The numeric flags are checked before any training run can start.
+    problem = None
+    if queries < 1:
+        problem = f"--queries must be >= 1, got {queries}"
+    elif warmup < 0:
+        problem = f"--warmup must be >= 0, got {warmup}"
+    elif warmup >= queries:
+        problem = (f"--warmup {warmup} leaves none of --queries {queries} "
+                   "to measure")
+    elif not args.target_qps > 0:
+        problem = f"--target-qps must be > 0, got {args.target_qps:g}"
+    elif not latency_bound > 0:
+        problem = f"--latency-bound must be > 0 seconds, got {latency_bound:g}"
+    if problem is not None:
+        print(f"loadgen: {problem}", file=out)
+        return 2
+    specs = default_scenarios(query_count=queries, warmup_queries=warmup,
+                              target_qps=args.target_qps,
+                              latency_bound_s=latency_bound)
     selected = (SCENARIO_NAMES if args.scenario == "all"
                 else (args.scenario,))
 
@@ -971,27 +988,20 @@ def _cmd_loadgen(args, out) -> int:
             reruns: dict[str, list] = {}
             passes = ((results, reruns) if args.rerun else (results,))
             for name in benchmarks:
-                specs = default_scenarios(
-                    query_count=queries, warmup_queries=warmup,
-                    target_qps=args.target_qps,
-                    latency_bound_s=latency_bound)
                 for bucket in passes:
                     # Each pass rebuilds the SUT from the artifact — the
                     # determinism check covers the full load-and-serve path.
-                    sut = load_sut(artifacts[name], workers=args.workers)
-                    try:
-                        bench_results = []
-                        for scenario in selected:
-                            res = run_scenario(sut, specs[scenario],
-                                               seed=args.seed, timing=timing)
-                            if scenario == "server":
-                                res.max_qps = find_max_qps(
-                                    sut, specs["server"], seed=args.seed,
-                                    timing=timing)
-                            bench_results.append(res)
-                        bucket[name] = bench_results
-                    finally:
-                        sut.close()
+                    sut = load_sut(artifacts[name])
+                    bench_results = []
+                    for scenario in selected:
+                        res = run_scenario(sut, specs[scenario],
+                                           seed=args.seed, timing=timing)
+                        if scenario == "server":
+                            res.max_qps = find_max_qps(
+                                sut, specs["server"], seed=args.seed,
+                                timing=timing)
+                        bench_results.append(res)
+                    bucket[name] = bench_results
     finally:
         if log is not None:
             log.close()

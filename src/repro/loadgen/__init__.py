@@ -22,7 +22,7 @@ from .scenarios import (
     make_queries,
     percentile,
 )
-from .sut import SUT, ServingPool, load_sut, train_and_save, virtual_service_times
+from .sut import SUT, load_sut, train_and_save, virtual_service_times
 from .harness import QueryRecord, ScenarioResult, find_max_qps, run_scenario
 from .report import (
     LOADGEN_SCHEMA,
@@ -39,7 +39,6 @@ __all__ = [
     "make_queries",
     "percentile",
     "SUT",
-    "ServingPool",
     "load_sut",
     "train_and_save",
     "virtual_service_times",

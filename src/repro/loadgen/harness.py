@@ -3,19 +3,18 @@
 One scenario run has three parts:
 
 1. **Serve.**  Every generated query's prediction is actually computed
-   (offline in one parallel batch through the SUT — the multi-worker
-   pool's path — serial scenarios per query), and the predictions are
-   checksummed so reruns can prove they served identical answers.
+   in one batch through the SUT, and the predictions are checksummed so
+   reruns can prove they served identical answers.
 2. **Service times.**  ``timing="wall"`` measures each query's forward
    pass on the monotonic clock; ``timing="virtual"`` draws per-query
    service times from the SUT's seeded service model instead
    (:func:`~repro.loadgen.sut.virtual_service_times`), which makes every
    derived statistic bit-identical across reruns and machines — the mode
    CI's smoke gate and the determinism tests run in.
-3. **Replay.**  Latency is computed by a deterministic queueing replay
-   over (arrival, service) pairs: single_stream arrivals chain on the
-   previous completion, server arrivals follow the generated Poisson
-   schedule, offline arrivals are all zero.  Replay, not sleeping, is
+3. **Replay.**  Latency is computed by a deterministic single-server
+   queueing replay over (arrival, service) pairs: single_stream arrivals
+   chain on the previous completion, server arrivals follow the
+   generated Poisson schedule, offline arrivals are all zero.  Replay, not sleeping, is
    what lets the Server constraint be probed at any target QPS without
    real-time waiting — the binary search in :func:`find_max_qps` runs
    hundreds of virtual seconds of traffic in microseconds.
@@ -87,28 +86,31 @@ class ScenarioResult:
         }
 
 
-def _replay(queries: list[Query], service_s: np.ndarray, scenario: str,
-            servers: int = 1) -> list[QueryRecord]:
-    """Deterministic multi-server queueing replay over (arrival, service).
+def _replay(queries: list[Query], service_s: np.ndarray,
+            scenario: str) -> list[QueryRecord]:
+    """Deterministic single-server queueing replay over (arrival, service).
 
-    Each query runs on the earliest-free server, starting at
-    ``max(arrival, server_free)``; latency is completion minus arrival.
-    With one server and chained arrivals (single_stream) latency equals
-    service time exactly, which is what the scenario means.
+    Each query starts at ``max(arrival, previous completion)``; latency is
+    completion minus arrival.  With chained arrivals (single_stream)
+    latency equals service time exactly, which is what the scenario means.
     """
-    free = np.zeros(max(int(servers), 1))
     records = []
-    prev_done = 0.0
+    done = 0.0
     for q, s in zip(queries, service_s):
-        arrival = prev_done if scenario == "single_stream" else q.issue_s
-        w = int(np.argmin(free))
-        start = max(arrival, free[w])
-        done = start + float(s)
-        free[w] = done
-        prev_done = done
+        arrival = done if scenario == "single_stream" else q.issue_s
+        done = max(arrival, done) + float(s)
         records.append(QueryRecord(index=q.index, arrival_s=arrival,
                                    latency_s=done - arrival, warmup=False))
     return records
+
+
+def _achieved_qps(measured: list[QueryRecord]) -> float:
+    """Measured queries over the span from first arrival to last completion."""
+    if not measured:
+        return 0.0
+    span = (max(r.arrival_s + r.latency_s for r in measured)
+            - min(r.arrival_s for r in measured))
+    return len(measured) / span if span > 0 else float(len(measured))
 
 
 def _verdict(spec: ScenarioSpec, latencies: list[float],
@@ -170,8 +172,7 @@ def run_scenario(sut: SUT, spec: ScenarioSpec, *, seed: int = 0,
                    benchmark=sut.info.benchmark, queries=len(queries),
                    timing=timing, target_qps=spec.target_qps)
 
-    # Serve every query for real: offline goes through the SUT in one
-    # parallel batch (the multi-worker path); the checksum proves reruns
+    # Serve every query for real in one batch; the checksum proves reruns
     # answer identically.
     indices = np.array([q.index for q in queries], dtype=np.int64)
     predictions = sut.predict(indices)
@@ -179,8 +180,7 @@ def run_scenario(sut: SUT, spec: ScenarioSpec, *, seed: int = 0,
 
     service_s = _measure_service_times(sut, queries, timing, seed,
                                        spec.scenario)
-    records = _replay(queries, service_s, spec.scenario,
-                      servers=max(sut.workers, 1))
+    records = _replay(queries, service_s, spec.scenario)
     warm = spec.warmup_queries
     measured = records[warm:]
     # Per-query latency also lands in the ambient metrics registry, so a
@@ -197,12 +197,7 @@ def run_scenario(sut: SUT, spec: ScenarioSpec, *, seed: int = 0,
         query_count.inc()
 
     latencies = [r.latency_s for r in measured]
-    if measured:
-        span = (max(r.arrival_s + r.latency_s for r in measured)
-                - min(r.arrival_s for r in measured))
-        achieved_qps = len(measured) / span if span > 0 else float(len(measured))
-    else:
-        achieved_qps = 0.0
+    achieved_qps = _achieved_qps(measured)
     valid, violations, pcts = _verdict(spec, latencies, achieved_qps)
 
     result = ScenarioResult(
@@ -238,18 +233,9 @@ def find_max_qps(sut: SUT, server_spec: ScenarioSpec, *, seed: int = 0,
     def probe(qps: float) -> bool:
         spec = server_spec.at_qps(qps)
         queries = make_queries(spec, sut.pool_size, seed)
-        records = _replay(queries, service_s, "server",
-                          servers=max(sut.workers, 1))
-        measured = records[spec.warmup_queries:]
-        latencies = [r.latency_s for r in measured]
-        if measured:
-            span = (max(r.arrival_s + r.latency_s for r in measured)
-                    - min(r.arrival_s for r in measured))
-            qps_achieved = (len(measured) / span if span > 0
-                            else float(len(measured)))
-        else:
-            qps_achieved = 0.0
-        valid, _, _ = _verdict(spec, latencies, qps_achieved)
+        measured = _replay(queries, service_s, "server")[spec.warmup_queries:]
+        valid, _, _ = _verdict(spec, [r.latency_s for r in measured],
+                               _achieved_qps(measured))
         return valid
 
     lo = 0.0

@@ -10,21 +10,13 @@ anywhere — loads the weights, and exposes a single
 query pool (validation images for image classification, (user, held-out
 item) pairs for recommendation, ...).
 
-Multi-process serving uses a persistent pool of forked workers
-(:class:`ServingPool`), each holding a replica inherited copy-on-write,
-with per-worker request/response slots in shared memory
-(:mod:`~repro.loadgen.shm`) — per-query IPC is one ``("predict", count)``
-command and one ack; indices and predictions never travel through pickle.
+Serving runs in the calling process: every latency ``repro loadgen``
+reports is a one-query forward, which a process pool could only slow
+down by its queue round trips (DESIGN.md, *Measured and removed*).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import sys
-import time
-import traceback
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -33,16 +25,10 @@ import numpy as np
 
 from ..framework import Tensor, inference_mode
 from ..telemetry import current_events
-from .shm import Segment, aligned_offsets
 
-__all__ = ["SUT", "SUTInfo", "ServingPool", "InferenceAdapter", "ADAPTERS",
+__all__ = ["SUT", "SUTInfo", "InferenceAdapter", "ADAPTERS",
            "register_adapter", "load_sut", "train_and_save",
-           "virtual_service_times", "serving_pool_available"]
-
-
-def serving_pool_available() -> bool:
-    """True when fork-based serving pools can run on this platform."""
-    return "fork" in multiprocessing.get_all_start_methods()
+           "virtual_service_times"]
 
 
 def virtual_service_times(n: int, seed: int, *, base_s: float = 2e-3,
@@ -131,146 +117,6 @@ class _RecommendationAdapter(InferenceAdapter):
 
 
 # ---------------------------------------------------------------------------
-# Multi-process serving pool (fork + shared-memory slots)
-# ---------------------------------------------------------------------------
-
-def _release_pool(segments, processes, cmd_queues, timeout: float = 5.0) -> None:
-    """Tear down pool resources (also runs via weakref.finalize on GC)."""
-    for q in cmd_queues:
-        try:
-            q.put(("stop",))
-        except Exception:
-            pass
-    deadline = time.monotonic() + timeout
-    for proc in processes:
-        proc.join(max(0.0, deadline - time.monotonic()))
-    for proc in processes:
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(1.0)
-    for seg in segments:
-        seg.destroy()
-
-
-class ServingPool:
-    """Persistent forked replicas with shared-memory request/response slots.
-
-    Each worker owns one request slot (int64 query indices) and one
-    response slot (float64 predictions) in shared memory, sized to
-    ``capacity`` queries.  ``predict`` partitions a batch of indices
-    across workers, writes each worker's slice into its slot, wakes it
-    with a tiny command, and reassembles the responses in rank order —
-    deterministic output, zero per-query pickling.
-    """
-
-    def __init__(self, adapter: InferenceAdapter, num_workers: int,
-                 capacity: int = 4096, timeout: float = 60.0):
-        if num_workers < 1:
-            raise ValueError("need at least one worker")
-        if not serving_pool_available():
-            raise RuntimeError("serving pool requires the fork start method")
-        self.adapter = adapter
-        self.num_workers = num_workers
-        self.capacity = int(capacity)
-        self.timeout = float(timeout)
-        self._closed = False
-
-        ctx = multiprocessing.get_context("fork")
-        specs = [((self.capacity,), np.dtype(np.int64)),
-                 ((self.capacity,), np.dtype(np.float64))]
-        offsets, total = aligned_offsets(specs)
-        self._segments = [Segment(total) for _ in range(num_workers)]
-        self._req_views = [seg.view((self.capacity,), np.int64, offsets[0])
-                           for seg in self._segments]
-        self._resp_views = [seg.view((self.capacity,), np.float64, offsets[1])
-                            for seg in self._segments]
-        self._cmd_queues = [ctx.SimpleQueue() for _ in range(num_workers)]
-        self._result_q = ctx.Queue()
-        self._processes = [
-            ctx.Process(target=self._worker_main, args=(rank,), daemon=True,
-                        name=f"repro-serve-{rank}")
-            for rank in range(num_workers)
-        ]
-        for proc in self._processes:
-            proc.start()
-        self._finalizer = weakref.finalize(
-            self, _release_pool, self._segments, self._processes,
-            self._cmd_queues)
-
-    # -- worker side (runs in forked children only) -------------------------
-
-    def _worker_main(self, rank: int) -> None:
-        status = 0
-        try:
-            self._worker_loop(rank)
-        except BaseException:
-            try:
-                self._result_q.put(("error", rank, traceback.format_exc()))
-            except Exception:
-                pass
-            status = 1
-        finally:
-            try:
-                sys.stdout.flush()
-                sys.stderr.flush()
-            except Exception:
-                pass
-            # Skip atexit/interpreter teardown: the child inherited the
-            # parent's runtime state and must not flush or finalize it.
-            os._exit(status)
-
-    def _worker_loop(self, rank: int) -> None:
-        req, resp = self._req_views[rank], self._resp_views[rank]
-        while True:
-            msg = self._cmd_queues[rank].get()
-            if msg[0] == "stop":
-                return
-            n = int(msg[1])
-            try:
-                with inference_mode():
-                    resp[:n] = self.adapter.predict(req[:n])
-            except Exception:
-                self._result_q.put(("error", rank, traceback.format_exc()))
-                continue
-            self._result_q.put(("ok", rank, n))
-
-    # -- parent side --------------------------------------------------------
-
-    def predict(self, indices: np.ndarray) -> np.ndarray:
-        if self._closed:
-            raise RuntimeError("predict() on a closed ServingPool")
-        idx = np.asarray(indices, dtype=np.int64)
-        if len(idx) > self.capacity * self.num_workers:
-            raise ValueError(
-                f"batch of {len(idx)} exceeds pool capacity "
-                f"{self.capacity} x {self.num_workers} workers")
-        # Contiguous per-rank slices keep reassembly a simple concatenation.
-        splits = np.array_split(idx, self.num_workers)
-        active = []
-        for rank, part in enumerate(splits):
-            if len(part) == 0:
-                continue
-            self._req_views[rank][:len(part)] = part
-            self._cmd_queues[rank].put(("predict", len(part)))
-            active.append(rank)
-        counts: dict[int, int] = {}
-        for _ in active:
-            kind, rank, payload = self._result_q.get(timeout=self.timeout)
-            if kind == "error":
-                self.close()
-                raise RuntimeError(f"serving worker {rank} failed:\n{payload}")
-            counts[rank] = payload
-        return np.concatenate([
-            self._resp_views[rank][:counts[rank]].copy() for rank in active
-        ]) if active else np.zeros(0, dtype=np.float64)
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._finalizer()
-
-
-# ---------------------------------------------------------------------------
 # The SUT itself
 # ---------------------------------------------------------------------------
 
@@ -288,11 +134,9 @@ class SUTInfo:
 class SUT:
     """Forward-only serving over one rehydrated trained model."""
 
-    def __init__(self, info: SUTInfo, adapter: InferenceAdapter, workers: int = 1):
+    def __init__(self, info: SUTInfo, adapter: InferenceAdapter):
         self.info = info
         self.adapter = adapter
-        self._pool = (ServingPool(adapter, workers) if workers > 1 else None)
-        self.workers = workers
 
     @property
     def pool_size(self) -> int:
@@ -301,24 +145,16 @@ class SUT:
     def predict(self, indices: np.ndarray) -> np.ndarray:
         """Serve one batch of query indices (forward-only, no tape)."""
         with inference_mode():
-            if self._pool is not None:
-                return self._pool.predict(indices)
             return self.adapter.predict(indices)
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """A no-op: the SUT holds no resource.
 
-    def __enter__(self) -> "SUT":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        Kept because the ``benchmarks/e2e`` serving workload calls it.
+        """
 
 
-def load_sut(artifact: str | Path, benchmark: str | None = None,
-             workers: int = 1) -> SUT:
+def load_sut(artifact: str | Path, benchmark: str | None = None) -> SUT:
     """Build a SUT from a saved ``result_*.txt`` training artifact.
 
     The artifact header names the benchmark (older files need it passed
@@ -354,8 +190,8 @@ def load_sut(artifact: str | Path, benchmark: str | None = None,
                    source=str(artifact))
     current_events().publish("sut_load", benchmark=result.benchmark,
                              seed=result.seed, source=str(artifact),
-                             pool_size=adapter.pool_size, workers=workers)
-    return SUT(info, adapter, workers=workers)
+                             pool_size=adapter.pool_size)
+    return SUT(info, adapter)
 
 
 def train_and_save(benchmark_name: str, artifact: str | Path, *, seed: int = 0,

@@ -28,8 +28,8 @@ measurement substrate for that decomposition:
   (``REPRO_PROFILE=off|full``) recording per-op call counts,
   wall time, and bytes moved for forward/backward/update/comms;
 - :mod:`repro.telemetry.analyze` — the trace-analysis engine
-  (``repro analyze``): cross-process merge, critical path, comms/compute
-  overlap, top-k spans and gaps, folded-stacks export.
+  (``repro analyze``): cross-process merge, critical path, top-k spans
+  and gaps, folded-stacks export.
 
 Telemetry is **zero-overhead by default**: the ambient tracer and
 registry are disabled no-ops until a :class:`Telemetry` session is

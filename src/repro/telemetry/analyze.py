@@ -1,4 +1,4 @@
-"""Trace analysis: critical path, overlap, gaps, and flamegraph export.
+"""Trace analysis: critical path, gaps, and flamegraph export.
 
 PR 5 made runs *emit* Chrome traces and per-worker event streams; this
 module makes them *answer questions*.  Everything operates on plain
@@ -15,10 +15,6 @@ export, a saved ``--trace`` file, and a campaign directory:
   span ends latest — the one that *set* time-to-train), the span forest
   is decomposed into the deepest-active segment at every instant, so
   "where did the wall-clock go" has a single deterministic answer.
-- **Comms/compute overlap.**  The fraction of all-reduce time hidden
-  under compute, measured from the ``all_reduce`` / ``worker_grad``
-  spans :class:`~repro.systems.dataparallel.SynchronousDataParallel`
-  emits — the paper's scale-efficiency question, per trace.
 - **Top-k span and gap tables** and a **folded-stacks export**
   (``pid0;run;epoch 12345`` lines) that feeds any flamegraph renderer.
 
@@ -34,21 +30,12 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 __all__ = ["TraceSpan", "TraceAnalysis", "TRACE_ANALYSIS_SCHEMA",
-           "COMMS_SPAN_NAMES", "COMPUTE_SPAN_NAMES",
            "spans_from_events", "align_span_origins", "critical_path",
-           "overlap_stats", "top_spans", "top_gaps", "folded_stacks",
+           "top_spans", "top_gaps", "folded_stacks",
            "analyze_trace", "spans_from_campaign_events",
            "analyze_campaign_dir"]
 
 TRACE_ANALYSIS_SCHEMA = "repro.trace_analysis.v1"
-
-# Span names that are communication vs. computation for overlap purposes.
-# Compute is deliberately restricted to *leaf* compute spans (the
-# data-parallel per-worker gradient work, module-level forward/backward): an
-# enclosing phase span like ``epoch`` contains the all-reduce itself, so
-# counting it would make every reduction look perfectly hidden.
-COMMS_SPAN_NAMES = frozenset({"all_reduce"})
-COMPUTE_SPAN_NAMES = frozenset({"worker_grad", "forward", "backward"})
 
 _GAP = "(gap)"
 
@@ -217,61 +204,8 @@ def critical_path_shares(segments: Sequence[dict[str, Any]]) -> dict[str, float]
 
 
 # ---------------------------------------------------------------------------
-# Overlap, aggregates, gaps, folded stacks
+# Aggregates, gaps, folded stacks
 # ---------------------------------------------------------------------------
-
-def _interval_union(intervals: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
-    merged: list[tuple[float, float]] = []
-    for lo, hi in sorted(intervals):
-        if hi <= lo:
-            continue
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
-def _union_length(union: Sequence[tuple[float, float]]) -> float:
-    return sum(hi - lo for lo, hi in union)
-
-
-def _union_intersection(a: Sequence[tuple[float, float]],
-                        b: Sequence[tuple[float, float]]) -> float:
-    total = 0.0
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if hi > lo:
-            total += hi - lo
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return total
-
-
-def overlap_stats(spans: Sequence[TraceSpan]) -> dict[str, Any]:
-    """How much all-reduce time was hidden under concurrent compute.
-
-    The intersection of the comms-span union with the leaf-compute-span
-    union, over the comms union — span rows don't matter, only time.
-    ``fraction`` is None when the trace has no comms spans at all.
-    """
-    comms = _interval_union((s.start_us, s.end_us) for s in spans
-                            if s.name in COMMS_SPAN_NAMES)
-    compute = _interval_union((s.start_us, s.end_us) for s in spans
-                              if s.name in COMPUTE_SPAN_NAMES)
-    comms_us = _union_length(comms)
-    overlap_us = _union_intersection(comms, compute)
-    return {
-        "comms_us": comms_us,
-        "compute_us": _union_length(compute),
-        "overlap_us": overlap_us,
-        "fraction": (overlap_us / comms_us) if comms_us > 0 else None,
-    }
-
 
 def top_spans(spans: Sequence[TraceSpan], k: int = 10) -> list[dict[str, Any]]:
     """Per-name aggregate table, ranked by total time."""
@@ -352,7 +286,6 @@ class TraceAnalysis:
     wall_us: float
     critical_path: list[dict[str, Any]]
     shares: dict[str, float]
-    overlap: dict[str, Any]
     spans_table: list[dict[str, Any]]
     gaps_table: list[dict[str, Any]]
     folded: list[str]
@@ -366,7 +299,6 @@ class TraceAnalysis:
             "wall_us": self.wall_us,
             "critical_path": self.critical_path,
             "critical_path_shares": self.shares,
-            "overlap": self.overlap,
             "top_spans": self.spans_table,
             "top_gaps": self.gaps_table,
         }
@@ -385,14 +317,6 @@ class TraceAnalysis:
                                       key=lambda kv: (-kv[1], kv[0])):
                 dur_ms = share * sum(s["dur_us"] for s in self.critical_path) / 1e3
                 lines.append(f"  {name:<28}{100 * share:>7.1f}%  {dur_ms:>10.3f} ms")
-        frac = self.overlap.get("fraction")
-        lines.append(
-            "comms/compute overlap: "
-            + (f"{frac:.3f} "
-               f"({self.overlap['overlap_us'] / 1e3:.3f} of "
-               f"{self.overlap['comms_us'] / 1e3:.3f} ms comms hidden)"
-               if frac is not None else "-- (no comms spans)")
-        )
         if self.spans_table:
             header = (f"  {'Span':<28}{'Calls':>7}{'Total ms':>11}"
                       f"{'Mean ms':>10}{'Max ms':>10}{'Wall%':>7}")
@@ -440,7 +364,6 @@ def analyze_trace(source: dict[str, Any] | Sequence[dict[str, Any]] | Sequence[T
         wall_us=wall,
         critical_path=path,
         shares=critical_path_shares(path),
-        overlap=overlap_stats(spans),
         spans_table=top_spans(spans, k=top),
         gaps_table=top_gaps(spans, k=top),
         folded=folded_stacks(spans),

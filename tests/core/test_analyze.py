@@ -1,4 +1,4 @@
-"""Trace-analysis engine: critical path, overlap, gaps, folded stacks."""
+"""Trace-analysis engine: critical path, gaps, folded stacks."""
 
 import json
 
@@ -19,7 +19,6 @@ from repro.telemetry.analyze import (
     critical_path,
     critical_path_shares,
     folded_stacks,
-    overlap_stats,
     spans_from_campaign_events,
     top_gaps,
     top_spans,
@@ -81,28 +80,6 @@ class TestCriticalPath:
         assert critical_path(spans) == critical_path(list(reversed(spans)))
 
 
-class TestOverlap:
-    def test_fraction_measures_hidden_comms(self):
-        spans = [
-            _span("worker_grad", 0, 30, pid=0),
-            # 10 of the 30us of all_reduce overlap compute.
-            _span("all_reduce", 20, 50, pid=0),
-        ]
-        stats = overlap_stats(spans)
-        assert stats["comms_us"] == pytest.approx(30.0)
-        assert stats["overlap_us"] == pytest.approx(10.0)
-        assert stats["fraction"] == pytest.approx(1 / 3)
-
-    def test_enclosing_phases_do_not_count_as_compute(self):
-        # An epoch span always contains its all_reduce; only leaf compute
-        # (worker_grad/forward/backward) may claim the overlap.
-        spans = [_span("epoch", 0, 100), _span("all_reduce", 10, 20)]
-        assert overlap_stats(spans)["fraction"] == 0.0
-
-    def test_no_comms_means_no_fraction(self):
-        assert overlap_stats([_span("forward", 0, 5)])["fraction"] is None
-
-
 class TestAggregates:
     def test_top_spans_ranked_by_total(self):
         spans = [_span("epoch", 0, 50), _span("epoch", 50, 90),
@@ -154,7 +131,6 @@ class TestAnalyzeTrace:
     def test_render_mentions_key_sections(self):
         text = analyze_trace(self._doc()).render()
         assert "critical path" in text and "top spans" in text
-        assert "comms/compute overlap" in text
 
 
 class TestCampaignAnalysis:

@@ -21,11 +21,10 @@ from repro.loadgen.sut import SUTInfo
 class StubSUT:
     """Just enough SUT surface for the harness: pool, predict, provenance."""
 
-    def __init__(self, benchmark="stub", pool_size=64, workers=1):
+    def __init__(self, benchmark="stub", pool_size=64):
         self.info = SUTInfo(benchmark=benchmark, seed=0, quality=1.0,
                             epochs=1, source="<memory>")
         self.pool_size = pool_size
-        self.workers = workers
 
     def predict(self, indices):
         return np.asarray(indices, dtype=np.float64) * 2.0

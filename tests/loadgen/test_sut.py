@@ -1,4 +1,4 @@
-"""SUT rehydration from artifacts, the serving pool, and end-to-end serving."""
+"""SUT rehydration from artifacts and end-to-end serving."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,11 @@ from repro.core import BenchmarkRunner, FakeClock
 from repro.core.artifacts import save_run_result
 from repro.loadgen import (
     ScenarioSpec,
-    ServingPool,
     load_sut,
     run_scenario,
     train_and_save,
     virtual_service_times,
 )
-from repro.loadgen.sut import InferenceAdapter, serving_pool_available
 from tests.core.fakes import FakeBenchmark
 
 
@@ -43,22 +41,21 @@ class TestVirtualServiceTimes:
 
 class TestLoadSut:
     def test_rehydrated_model_serves(self, rec_artifact):
-        with load_sut(rec_artifact) as sut:
-            assert sut.info.benchmark == "recommendation"
-            assert sut.pool_size > 0
-            out = sut.predict(np.arange(8))
-            assert out.shape == (8,)
-            assert out.dtype == np.float64
+        sut = load_sut(rec_artifact)
+        assert sut.info.benchmark == "recommendation"
+        assert sut.pool_size > 0
+        out = sut.predict(np.arange(8))
+        assert out.shape == (8,)
+        assert out.dtype == np.float64
 
     def test_predictions_reproduce_across_loads(self, rec_artifact):
-        with load_sut(rec_artifact) as a, load_sut(rec_artifact) as b:
-            idx = np.arange(16)
-            np.testing.assert_array_equal(a.predict(idx), b.predict(idx))
+        a, b = load_sut(rec_artifact), load_sut(rec_artifact)
+        idx = np.arange(16)
+        np.testing.assert_array_equal(a.predict(idx), b.predict(idx))
 
     def test_serving_params_carry_no_grad(self, rec_artifact):
-        with load_sut(rec_artifact) as sut:
-            model = sut.adapter.model
-            assert all(not p.requires_grad for p in model.parameters())
+        model = load_sut(rec_artifact).adapter.model
+        assert all(not p.requires_grad for p in model.parameters())
 
     def test_artifact_without_params_rejected(self, rec_artifact, tmp_path):
         from repro.core.artifacts import load_run_result
@@ -85,76 +82,17 @@ class TestEndToEndServing:
                             warmup_queries=4, target_qps=100.0)
         payloads = []
         for _ in range(2):  # fresh SUT each pass: covers load+serve
-            with load_sut(rec_artifact) as sut:
-                payloads.append(
-                    run_scenario(sut, spec, seed=0,
-                                 timing="virtual").to_payload())
+            payloads.append(
+                run_scenario(load_sut(rec_artifact), spec, seed=0,
+                             timing="virtual").to_payload())
         assert payloads[0] == payloads[1]
 
     def test_all_scenarios_produce_percentiles(self, rec_artifact):
-        with load_sut(rec_artifact) as sut:
-            for scenario in ("single_stream", "server", "offline"):
-                spec = ScenarioSpec(
-                    scenario=scenario, query_count=16,
-                    target_qps=100.0 if scenario == "server" else None)
-                result = run_scenario(sut, spec, timing="virtual")
-                assert {"p50", "p90", "p99"} <= set(result.percentiles)
-                assert result.prediction_checksum != 0
-
-
-class _DoublingAdapter(InferenceAdapter):
-    def __init__(self, pool_size=100):
-        self.pool_size = pool_size
-
-    def predict(self, indices):
-        return np.asarray(indices, dtype=np.float64) * 2.0
-
-
-class _FailingAdapter(InferenceAdapter):
-    pool_size = 10
-
-    def predict(self, indices):
-        raise RuntimeError("adapter exploded")
-
-
-needs_fork = pytest.mark.skipif(not serving_pool_available(),
-                                reason="requires the fork start method")
-
-
-@needs_fork
-class TestServingPool:
-    def test_matches_inline_adapter(self):
-        adapter = _DoublingAdapter()
-        pool = ServingPool(adapter, num_workers=2, capacity=64)
-        try:
-            idx = np.arange(11, dtype=np.int64)
-            np.testing.assert_array_equal(pool.predict(idx),
-                                          adapter.predict(idx))
-        finally:
-            pool.close()
-
-    def test_empty_batch(self):
-        pool = ServingPool(_DoublingAdapter(), num_workers=2, capacity=8)
-        try:
-            assert pool.predict(np.zeros(0, dtype=np.int64)).shape == (0,)
-        finally:
-            pool.close()
-
-    def test_oversized_batch_rejected(self):
-        pool = ServingPool(_DoublingAdapter(), num_workers=2, capacity=4)
-        try:
-            with pytest.raises(ValueError, match="exceeds pool capacity"):
-                pool.predict(np.zeros(9, dtype=np.int64))
-        finally:
-            pool.close()
-
-    def test_worker_error_surfaces_in_parent(self):
-        pool = ServingPool(_FailingAdapter(), num_workers=1, capacity=8)
-        with pytest.raises(RuntimeError, match="adapter exploded"):
-            pool.predict(np.arange(4, dtype=np.int64))
-
-    def test_predict_after_close_rejected(self):
-        pool = ServingPool(_DoublingAdapter(), num_workers=1, capacity=8)
-        pool.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.predict(np.arange(2, dtype=np.int64))
+        sut = load_sut(rec_artifact)
+        for scenario in ("single_stream", "server", "offline"):
+            spec = ScenarioSpec(
+                scenario=scenario, query_count=16,
+                target_qps=100.0 if scenario == "server" else None)
+            result = run_scenario(sut, spec, timing="virtual")
+            assert {"p50", "p90", "p99"} <= set(result.percentiles)
+            assert result.prediction_checksum != 0

@@ -684,6 +684,19 @@ class TestLoadgenCommand:
         assert code == 2
         assert "unknown benchmark" in text
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--queries", "0", "--queries must be >= 1, got 0"),
+        ("--queries", "1", "--warmup 1 leaves none of --queries 1 to measure"),
+        ("--target-qps", "0", "--target-qps must be > 0, got 0"),
+        ("--latency-bound", "0", "--latency-bound must be > 0 seconds, got 0"),
+    ], ids=["queries-0", "queries-1", "target-qps-0", "latency-bound-0"])
+    def test_bad_numeric_flag_exits_before_training(self, flag, value,
+                                                    message):
+        code, text = run_cli("loadgen", "--benchmark", "recommendation",
+                             flag, value, "-o", "-")
+        assert code == 2
+        assert text == f"loadgen: {message}\n"
+
     def test_serves_all_scenarios_from_fresh_training(self, tmp_path):
         import json
 
