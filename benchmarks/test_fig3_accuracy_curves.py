@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.metrics import curve_spread
 from repro.suite import create_benchmark
 
 NUM_SEEDS = 5
@@ -36,6 +37,7 @@ def accuracy_curves() -> list[list[float]]:
 def test_fig3_accuracy_curves(benchmark, report):
     curves = benchmark.pedantic(accuracy_curves, rounds=1, iterations=1)
     arr = np.array(curves)  # (seeds, epochs)
+    spread = curve_spread(arr)
 
     report.line("Figure 3 (reproduced): top-1 accuracy over epochs, 5 seeds")
     report.line(f"(image_classification, identical HPs except the seed; "
@@ -44,12 +46,11 @@ def test_fig3_accuracy_curves(benchmark, report):
     header = ["epoch"] + [f"seed{s}" for s in range(NUM_SEEDS)] + ["spread"]
     rows = []
     for e in range(EPOCHS):
-        spread = arr[:, e].max() - arr[:, e].min()
-        rows.append([e + 1] + [arr[s, e] for s in range(NUM_SEEDS)] + [spread])
+        rows.append([e + 1] + [arr[s, e] for s in range(NUM_SEEDS)] + [spread[e]])
     report.table(header, rows, widths=[7] + [9] * NUM_SEEDS + [9])
 
-    early_spread = float((arr[:, :EPOCHS // 2].max(0) - arr[:, :EPOCHS // 2].min(0)).mean())
-    late_spread = float((arr[:, EPOCHS // 2 :].max(0) - arr[:, EPOCHS // 2 :].min(0)).mean())
+    early_spread = float(spread[:EPOCHS // 2].mean())
+    late_spread = float(spread[EPOCHS // 2 :].mean())
     report.line()
     report.line(f"mean seed-spread: early epochs {early_spread:.3f}, late epochs {late_spread:.3f}")
 

@@ -394,6 +394,9 @@ def _cmd_run(args, out) -> int:
     from .telemetry import (Telemetry, merge_op_profiles, profile_mode_from_env,
                             render_op_profile)
 
+    if args.seeds < 1:
+        print("--seeds must be >= 1", file=out)
+        return 2
     profiling = profile_mode_from_env() != "off"
     benchmark = create_benchmark(args.benchmark)
     overrides = _parse_overrides(args.override) or None
@@ -495,6 +498,9 @@ def _cmd_campaign(args, out) -> int:
     if args.jobs < 1:
         print("--jobs must be >= 1", file=out)
         return 2
+    if args.seeds is not None and args.seeds < 1:
+        print("--seeds must be >= 1", file=out)
+        return 2
     if args.resume and args.save and args.resume != args.save:
         print("--resume DIR already implies --save DIR; pass one of them", file=out)
         return 2
@@ -555,21 +561,46 @@ def _cmd_campaign(args, out) -> int:
     return 0 if outcome.ok else 1
 
 
+def _load_submissions(directories, out) -> list | None:
+    """Each directory's submission, or None after one line naming one that fails."""
+    from .core import load_submission
+
+    submissions = []
+    for directory in directories:
+        try:
+            submissions.append(load_submission(directory))
+        except FileNotFoundError as exc:
+            print(f"cannot load submission {directory}: {exc}", file=out)
+            return None
+    return submissions
+
+
 def _cmd_review(args, out) -> int:
     from .core import review_directory
     from .suite import REGISTRY, create_benchmark
 
     specs = {name: create_benchmark(name).spec for name in REGISTRY}
-    report = review_directory(args.submission_dir, specs)
+    try:
+        report = review_directory(args.submission_dir, specs)
+    except FileNotFoundError as exc:
+        print(f"cannot load submission {args.submission_dir}: {exc}", file=out)
+        return 1
     print(report, file=out)
     return 0 if report.compliant else 1
 
 
 def _cmd_report(args, out) -> int:
-    from .core import build_report, load_submission
+    from .core import build_report
 
-    submissions = [load_submission(d) for d in args.submission_dirs]
-    print(build_report(submissions).render(), file=out)
+    submissions = _load_submissions(args.submission_dirs, out)
+    if submissions is None:
+        return 1
+    try:
+        report = build_report(submissions)
+    except ValueError as exc:
+        print(exc, file=out)
+        return 1
+    print(report.render(), file=out)
     return 0
 
 
@@ -596,15 +627,13 @@ def _cmd_trace(args, out) -> int:
 
 
 def _cmd_stats(args, out) -> int:
-    from .core import build_phase_table, load_submission, render_phase_table
+    from .core import build_phase_table, render_phase_table
 
+    submissions = _load_submissions(args.submission_dirs, out)
+    if submissions is None:
+        return 1
     runs_by_benchmark: dict[str, list] = {}
-    for directory in args.submission_dirs:
-        try:
-            submission = load_submission(directory)
-        except FileNotFoundError as exc:
-            print(f"cannot load submission {directory}: {exc}", file=out)
-            return 1
+    for submission in submissions:
         for benchmark, runs in submission.runs.items():
             runs_by_benchmark.setdefault(benchmark, []).extend(runs)
     rows = build_phase_table(runs_by_benchmark)

@@ -44,7 +44,6 @@ from .reporting import (
     summary_score,
 )
 from .rcp import ReferenceConvergencePoints, check_convergence, collect_reference_points
-from .versioning import SpecChange, SuiteVersion, V06_CHANGES, apply_version
 from .artifacts import (
     check_log_text,
     load_run_result,
@@ -65,10 +64,6 @@ __all__ = [
     "ReferenceConvergencePoints",
     "check_convergence",
     "collect_reference_points",
-    "SpecChange",
-    "SuiteVersion",
-    "V06_CHANGES",
-    "apply_version",
     "check_log_text",
     "load_run_result",
     "load_submission",

@@ -271,7 +271,8 @@ def build_report(submissions: list[Submission]) -> ResultsReport:
     """Score every submission's runs and assemble the results table.
 
     Run-count compliance is review's job (:mod:`repro.core.review`); here
-    the olympic mean just needs enough runs to be defined.  Scale is
+    the olympic mean just needs enough runs to be defined.  A benchmark
+    that cannot be scored raises one ``ValueError`` naming it.  Scale is
     reported alongside scores (§4.2.3): processor/accelerator counts
     always, cloud scale for cloud systems.
     """
@@ -287,7 +288,11 @@ def build_report(submissions: list[Submission]) -> ResultsReport:
             ),
         )
         for benchmark, runs in sorted(sub.runs.items()):
-            score: BenchmarkScore = score_runs(runs)
+            try:
+                score: BenchmarkScore = score_runs(runs)
+            except ValueError as exc:
+                raise ValueError(f"cannot score {benchmark} of {sub.system.submitter}: "
+                                 f"{exc}") from exc
             report.rows.append(
                 ResultsRow(
                     submitter=sub.system.submitter,

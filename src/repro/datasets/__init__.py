@@ -8,7 +8,6 @@ from .synthetic_images import ImageNetConfig, SyntheticImageNet, random_crop_fli
 from .shapes import SHAPE_CLASSES, Scene, SceneConfig, SceneObject, ShapeScenes
 from .translation import SyntheticTranslation, TranslationConfig, Vocabulary
 from .interactions import InteractionConfig, SyntheticInteractions
-from .fractal import FractalExpansion, expand_interactions
 
 __all__ = [
     "ImageNetConfig",
@@ -24,6 +23,4 @@ __all__ = [
     "Vocabulary",
     "InteractionConfig",
     "SyntheticInteractions",
-    "FractalExpansion",
-    "expand_interactions",
 ]

@@ -11,10 +11,9 @@ from .module import Module, ModuleList, Parameter, Sequential
 from . import functional
 from . import init
 from .config import KERNEL_MODES, kernel_mode, set_kernel_mode, use_kernel_mode
-from .conv import conv2d, conv2d_naive, conv2d_same, max_pool2d, avg_pool2d, global_avg_pool2d, im2col, col2im
+from .conv import conv2d, conv2d_naive, conv2d_same, global_avg_pool2d, im2col, col2im
 from .fused import conv2d_bias_relu, linear_bias_act, lstm_cell
 from .layers import (
-    AvgPool2d,
     BatchNorm1d,
     BatchNorm2d,
     Conv2d,
@@ -24,7 +23,6 @@ from .layers import (
     GlobalAvgPool2d,
     LayerNorm,
     Linear,
-    MaxPool2d,
     ReLU,
 )
 from .rnn import LSTM, LSTMCell
@@ -48,8 +46,6 @@ from .schedules import (
     linear_scaled_lr,
 )
 from .data import ArrayDataset, DataLoader, train_val_split
-from .checkpoint import load_checkpoint, save_checkpoint
-from .accumulate import GradientAccumulator
 
 __all__ = [
     "Tensor",
@@ -73,12 +69,9 @@ __all__ = [
     "conv2d_bias_relu",
     "linear_bias_act",
     "lstm_cell",
-    "max_pool2d",
-    "avg_pool2d",
     "global_avg_pool2d",
     "im2col",
     "col2im",
-    "AvgPool2d",
     "BatchNorm1d",
     "BatchNorm2d",
     "Conv2d",
@@ -88,7 +81,6 @@ __all__ = [
     "GlobalAvgPool2d",
     "LayerNorm",
     "Linear",
-    "MaxPool2d",
     "ReLU",
     "LSTM",
     "LSTMCell",
@@ -115,7 +107,4 @@ __all__ = [
     "ArrayDataset",
     "DataLoader",
     "train_val_split",
-    "load_checkpoint",
-    "save_checkpoint",
-    "GradientAccumulator",
 ]

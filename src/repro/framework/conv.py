@@ -1,4 +1,4 @@
-"""Convolution and pooling primitives (NCHW layout).
+"""Convolution primitives and global average pooling (NCHW layout).
 
 The production path implements convolution with im2col + GEMM — the same
 "algorithmic choice" the paper discusses in §2.2.4 when noting that math
@@ -28,8 +28,8 @@ fused variant is **bit-identical** to ``naive``: same element values, same
 accumulation order, same dtypes (enforced by tests, including with every
 scratch buffer poisoned before the kernel writes it).
 
-Pooling has one implementation in every mode (DESIGN.md, *Measured and
-removed*).
+Global average pooling, the only pooling a suite model uses, is a mean
+with one implementation in every mode (DESIGN.md, *Measured and removed*).
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ __all__ = [
     "conv2d",
     "conv2d_naive",
     "conv2d_same",
-    "max_pool2d",
-    "avg_pool2d",
     "global_avg_pool2d",
 ]
 
@@ -365,72 +363,6 @@ def conv2d_same(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: i
                 (pad_w - pad_w // 2, pad_w // 2))
     padded = x.pad(pads)
     return conv2d(padded, weight, bias, stride=stride, pad=0)
-
-
-def _check_pool_args(x: Tensor, kernel: int, stride: int | None) -> int:
-    """The effective stride (``None`` means ``kernel``).
-
-    Rejects windows < 1 and windows that do not fit the input (an empty
-    ``(N, C, 0, 0)`` output is legal, as for conv).
-    """
-    if kernel < 1:
-        raise ValueError(f"kernel must be >= 1, got {kernel}")
-    if stride is None:
-        stride = kernel
-    elif stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    h, w = x.shape[2:]
-    if (h - kernel) // stride < -1 or (w - kernel) // stride < -1:
-        raise ValueError(
-            f"window {kernel} with stride {stride} does not fit input {(h, w)}")
-    return stride
-
-
-@profiled_op("max_pool2d")
-def max_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Max pooling with square windows."""
-    stride = _check_pool_args(x, kernel, stride)
-    n, c, h, w = x.shape
-    oh = (h - kernel) // stride + 1
-    ow = (w - kernel) // stride + 1
-    col = im2col(x.data.reshape(n * c, 1, h, w), kernel, kernel, stride, 0)
-    col = col.reshape(n * c, kernel * kernel, oh * ow)
-    arg = col.argmax(axis=1)  # (N*C, OH*OW)
-    out = np.take_along_axis(col, arg[:, None, :], axis=1).reshape(n, c, oh, ow)
-
-    def backward(result: Tensor) -> None:
-        if not x.requires_grad:
-            return
-        g = result.grad.reshape(n * c, 1, oh * ow)
-        dcol = np.zeros_like(col)
-        np.put_along_axis(dcol, arg[:, None, :], g, axis=1)
-        dx = col2im(dcol, (n * c, 1, h, w), kernel, kernel, stride, 0)
-        x._accumulate(dx.reshape(n, c, h, w))
-
-    return Tensor._make(out, (x,), backward)
-
-
-@profiled_op("avg_pool2d")
-def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
-    """Average pooling with square windows."""
-    stride = _check_pool_args(x, kernel, stride)
-    n, c, h, w = x.shape
-    oh = (h - kernel) // stride + 1
-    ow = (w - kernel) // stride + 1
-    col = im2col(x.data.reshape(n * c, 1, h, w), kernel, kernel, stride, 0)
-    col = col.reshape(n * c, kernel * kernel, oh * ow)
-    out = col.mean(axis=1).reshape(n, c, oh, ow)
-    scale = 1.0 / (kernel * kernel)
-
-    def backward(result: Tensor) -> None:
-        if not x.requires_grad:
-            return
-        g = result.grad.reshape(n * c, 1, oh * ow)
-        dcol = np.broadcast_to(g * scale, col.shape).astype(col.dtype)
-        dx = col2im(dcol, (n * c, 1, h, w), kernel, kernel, stride, 0)
-        x._accumulate(dx.reshape(n, c, h, w))
-
-    return Tensor._make(out, (x,), backward)
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:

@@ -14,7 +14,7 @@ from contextvars import ContextVar
 import numpy as np
 
 from . import init
-from .conv import avg_pool2d, conv2d, global_avg_pool2d, max_pool2d
+from .conv import conv2d, global_avg_pool2d
 from .functional import dropout
 from .fused import conv2d_bias_relu, linear_bias_act, normalize
 from .module import Module, Parameter
@@ -37,8 +37,6 @@ __all__ = [
     "Embedding",
     "Dropout",
     "ReLU",
-    "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool2d",
     "Flatten",
     "recorded_moments",
@@ -232,26 +230,6 @@ class Dropout(Module):
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
-
-
-class MaxPool2d(Module):
-    def __init__(self, kernel: int, stride: int | None = None):
-        super().__init__()
-        self.kernel = kernel
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return max_pool2d(x, self.kernel, self.stride)
-
-
-class AvgPool2d(Module):
-    def __init__(self, kernel: int, stride: int | None = None):
-        super().__init__()
-        self.kernel = kernel
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return avg_pool2d(x, self.kernel, self.stride)
 
 
 class GlobalAvgPool2d(Module):

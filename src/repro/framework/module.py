@@ -3,8 +3,8 @@
 A :class:`Module` registers :class:`Parameter` and sub-``Module`` attributes
 automatically, exposes ``parameters()`` / ``named_parameters()`` for
 optimizers, ``train()`` / ``eval()`` mode switching, and a flat
-``state_dict`` for checkpointing and the equivalence checks the Closed
-division requires.
+``state_dict``: a run result carries it to the serving harness, and tests
+compare it for the equivalence the Closed division requires.
 """
 
 from __future__ import annotations

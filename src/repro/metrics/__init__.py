@@ -19,7 +19,7 @@ from .detection import (
 )
 from .ranking import hit_rate_at_k, leave_one_out_eval, ndcg_at_k
 from .stats import RunDispersion, dispersion, epochs_to_target_histogram, fraction_within
-from .curves import area_under_curve, curve_spread, epochs_to_reach, interpolated_time_to_quality
+from .curves import curve_spread
 
 __all__ = [
     "move_match_rate",
@@ -43,8 +43,5 @@ __all__ = [
     "dispersion",
     "epochs_to_target_histogram",
     "fraction_within",
-    "area_under_curve",
     "curve_spread",
-    "epochs_to_reach",
-    "interpolated_time_to_quality",
 ]

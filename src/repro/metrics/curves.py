@@ -1,70 +1,16 @@
-"""Learning-curve analysis (the DAWNBench-analysis toolkit).
+"""Learning-curve dispersion: the Figure 3 statistic.
 
-The paper builds on DAWNBench and cites its retrospective analysis
-(Coleman et al., 2019) when motivating the time-to-train metric and the
-variance rules.  These helpers operate on per-epoch quality curves — the
-data Figures 2/3 are made of:
-
-- :func:`epochs_to_reach` — first epoch at/above a threshold;
-- :func:`interpolated_time_to_quality` — fractional-epoch crossing time
-  (linear interpolation inside the crossing epoch);
-- :func:`area_under_curve` — a threshold-free progress summary;
-- :func:`curve_spread` — cross-seed dispersion per epoch (the Figure 3
-  statistic).
+The paper cites DAWNBench's retrospective analysis (Coleman et al., 2019)
+when motivating the variance rules.  :func:`curve_spread` takes per-epoch
+quality curves from several seeds and returns the per-epoch max - min
+across them, which ``benchmarks/test_fig3_accuracy_curves.py`` reports.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "epochs_to_reach",
-    "interpolated_time_to_quality",
-    "area_under_curve",
-    "curve_spread",
-]
-
-
-def epochs_to_reach(curve: list[float] | np.ndarray, threshold: float) -> int | None:
-    """First 1-based epoch whose quality meets ``threshold`` (None if never)."""
-    for epoch, quality in enumerate(np.asarray(curve, dtype=np.float64), start=1):
-        if quality >= threshold:
-            return epoch
-    return None
-
-
-def interpolated_time_to_quality(
-    curve: list[float] | np.ndarray,
-    threshold: float,
-    seconds_per_epoch: float = 1.0,
-) -> float | None:
-    """Fractional time of the threshold crossing.
-
-    Quality is treated as piecewise-linear between epoch-end evaluations
-    (epoch k's value is observed at time ``k * seconds_per_epoch``); the
-    crossing inside the first passing epoch is interpolated from the
-    previous evaluation.  Returns None if the curve never crosses.
-    """
-    arr = np.asarray(curve, dtype=np.float64)
-    if seconds_per_epoch <= 0:
-        raise ValueError("seconds_per_epoch must be positive")
-    previous = -np.inf
-    for epoch, quality in enumerate(arr, start=1):
-        if quality >= threshold:
-            if epoch == 1 or not np.isfinite(previous):
-                return float(epoch * seconds_per_epoch)
-            frac = (threshold - previous) / (quality - previous) if quality > previous else 1.0
-            return float(((epoch - 1) + frac) * seconds_per_epoch)
-        previous = quality
-    return None
-
-
-def area_under_curve(curve: list[float] | np.ndarray) -> float:
-    """Mean quality over epochs (normalized AUC); higher = faster learner."""
-    arr = np.asarray(curve, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("empty curve")
-    return float(arr.mean())
+__all__ = ["curve_spread"]
 
 
 def curve_spread(curves: list[list[float]] | np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ from .gnmt import MiniGNMT
 from .transformer import MiniTransformer
 from .ncf import NCF
 from .minigo import MiniGoNet
-from .beam import BeamHypothesis, beam_search_gnmt, beam_search_transformer
 
 __all__ = [
     "BasicBlockV15",
@@ -25,7 +24,4 @@ __all__ = [
     "MiniTransformer",
     "NCF",
     "MiniGoNet",
-    "BeamHypothesis",
-    "beam_search_gnmt",
-    "beam_search_transformer",
 ]

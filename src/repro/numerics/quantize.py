@@ -65,5 +65,5 @@ class QuantizedWeights:
         self._requantize()
 
     def master_state(self) -> dict[int, np.ndarray]:
-        """Expose master weights (for tests / checkpointing)."""
+        """Expose master weights (for tests)."""
         return {k: v.copy() for k, v in self._master.items()}

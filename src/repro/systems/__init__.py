@@ -1,13 +1,9 @@
 """Data-parallel training-system simulator (the §5 scaling-study substrate)."""
 
 from .hardware import ChipSpec, Interconnect, SystemConfig
-from .convergence import CriticalBatchModel, MeasuredConvergence, fit_critical_batch
+from .convergence import CriticalBatchModel, fit_critical_batch
 from .simulator import WorkloadProfile, optimal_batch_search, simulate_time_to_train, step_time
-from .dataparallel import (
-    AsynchronousDataParallel,
-    SynchronousDataParallel,
-    shard_batch,
-)
+from .dataparallel import SynchronousDataParallel, shard_batch
 from .rounds import (
     Entry,
     REFERENCE_CHIP,
@@ -24,14 +20,12 @@ from .rounds import (
 )
 
 __all__ = [
-    "AsynchronousDataParallel",
     "SynchronousDataParallel",
     "shard_batch",
     "ChipSpec",
     "Interconnect",
     "SystemConfig",
     "CriticalBatchModel",
-    "MeasuredConvergence",
     "fit_critical_batch",
     "WorkloadProfile",
     "optimal_batch_search",

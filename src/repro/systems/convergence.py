@@ -4,15 +4,11 @@
 accuracy ... at a minibatch size of 4K, while a minibatch size of 16K can
 require over 80 epochs ... resulting in a 30% increase in computation."
 
-Two models:
-
-- :class:`MeasuredConvergence` interpolates epochs-to-target measured by
-  actually training the mini-benchmarks at several batch sizes (the
-  §2.2.2 bench produces these measurements);
-- :class:`CriticalBatchModel` is the analytic gradient-noise model
-  ``epochs(B) = e_min * (1 + B / B_crit)`` (McCandlish et al.'s critical
-  batch size), fit from measured points and used by the round simulator to
-  extrapolate to datacenter-scale batches.
+:class:`CriticalBatchModel` is the analytic gradient-noise model
+``epochs(B) = e_min * (1 + B / B_crit)`` (McCandlish et al.'s critical batch
+size).  :func:`fit_critical_batch` fits it to epochs-to-target measured by
+training the mini-benchmarks at several batch sizes (the §2.2.2 bench), and
+the round simulator uses it to extrapolate to datacenter-scale batches.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CriticalBatchModel", "MeasuredConvergence", "fit_critical_batch"]
+__all__ = ["CriticalBatchModel", "fit_critical_batch"]
 
 
 @dataclass(frozen=True)
@@ -44,29 +40,6 @@ class CriticalBatchModel:
     def computation_overhead(self, batch_size: float, reference_batch: float) -> float:
         """Relative increase in total computation vs the reference batch."""
         return self.epochs_to_target(batch_size) / self.epochs_to_target(reference_batch) - 1.0
-
-
-class MeasuredConvergence:
-    """Piecewise-linear interpolation of measured (batch, epochs) points."""
-
-    def __init__(self, measurements: dict[int, float]):
-        if len(measurements) < 1:
-            raise ValueError("need at least one measurement")
-        items = sorted(measurements.items())
-        self.batches = np.array([b for b, _ in items], dtype=np.float64)
-        self.epochs = np.array([e for _, e in items], dtype=np.float64)
-
-    def epochs_to_target(self, batch_size: float) -> float:
-        if batch_size <= 0:
-            raise ValueError("batch size must be positive")
-        # Linear interpolation inside the measured range, linear
-        # extrapolation from the last two points beyond it.
-        if len(self.batches) == 1 or batch_size <= self.batches[-1]:
-            return float(np.interp(batch_size, self.batches, self.epochs))
-        b0, b1 = self.batches[-2], self.batches[-1]
-        e0, e1 = self.epochs[-2], self.epochs[-1]
-        slope = (e1 - e0) / (b1 - b0)
-        return float(e1 + slope * (batch_size - b1))
 
 
 def fit_critical_batch(measurements: dict[int, float]) -> CriticalBatchModel:

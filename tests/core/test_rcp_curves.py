@@ -1,4 +1,4 @@
-"""RCP convergence-plausibility checks and learning-curve utilities."""
+"""RCP convergence-plausibility checks and the learning-curve spread."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,7 @@ from repro.core.rcp import (
     check_convergence,
     collect_reference_points,
 )
-from repro.metrics.curves import (
-    area_under_curve,
-    curve_spread,
-    epochs_to_reach,
-    interpolated_time_to_quality,
-)
+from repro.metrics.curves import curve_spread
 from tests.core.fakes import FakeBenchmark
 
 
@@ -78,31 +73,6 @@ class TestRCP:
 
 
 class TestCurves:
-    def test_epochs_to_reach(self):
-        assert epochs_to_reach([0.1, 0.5, 0.9], 0.8) == 3
-        assert epochs_to_reach([0.1, 0.9, 0.5], 0.8) == 2
-        assert epochs_to_reach([0.1, 0.2], 0.8) is None
-
-    def test_interpolated_crossing(self):
-        # quality 0.4 at epoch 1, 0.8 at epoch 2: 0.6 crossed halfway.
-        t = interpolated_time_to_quality([0.4, 0.8], 0.6, seconds_per_epoch=10.0)
-        assert t == pytest.approx(15.0)
-
-    def test_interpolated_first_epoch(self):
-        assert interpolated_time_to_quality([0.9], 0.5) == pytest.approx(1.0)
-
-    def test_interpolated_never(self):
-        assert interpolated_time_to_quality([0.1, 0.2], 0.9) is None
-
-    def test_interpolated_validation(self):
-        with pytest.raises(ValueError):
-            interpolated_time_to_quality([0.5], 0.4, seconds_per_epoch=0.0)
-
-    def test_auc(self):
-        assert area_under_curve([0.0, 1.0]) == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            area_under_curve([])
-
     def test_spread(self):
         curves = [[0.1, 0.5, 0.9], [0.3, 0.4, 0.9]]
         np.testing.assert_allclose(curve_spread(curves), [0.2, 0.1, 0.0])

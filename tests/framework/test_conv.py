@@ -1,4 +1,4 @@
-"""Convolution/pooling: im2col vs naive equivalence, gradients, shapes."""
+"""Convolution and global pooling: im2col vs naive equivalence, gradients, shapes."""
 
 import tracemalloc
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.framework import (
-    Tensor, avg_pool2d, conv2d, conv2d_naive, global_avg_pool2d, max_pool2d, use_kernel_mode,
+    Tensor, conv2d, conv2d_naive, global_avg_pool2d, use_kernel_mode,
 )
 from repro.framework.conv import col2im, im2col
 from repro.framework.module import Parameter
@@ -116,67 +116,11 @@ class TestConv2d:
 
 
 class TestPooling:
-    def test_max_pool_forward(self):
-        x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        out = max_pool2d(Tensor(x), 2)
-        np.testing.assert_allclose(out.data[0, 0], [[5, 7], [13, 15]])
-
-    def test_max_pool_gradient_routes_to_max(self):
-        x = Tensor(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4), requires_grad=True)
-        max_pool2d(x, 2).sum().backward()
-        expected = np.zeros((4, 4))
-        expected[1, 1] = expected[1, 3] = expected[3, 1] = expected[3, 3] = 1.0
-        np.testing.assert_allclose(x.grad[0, 0], expected)
-
-    def test_max_pool_fd_gradient(self):
-        data = RNG.normal(size=(1, 2, 6, 6))
-        check_gradient(lambda x: max_pool2d(x, 2), data)
-
-    def test_max_pool_overlapping_stride(self):
-        data = RNG.normal(size=(1, 1, 5, 5))
-        out = max_pool2d(Tensor(data), 3, stride=1)
-        assert out.shape == (1, 1, 3, 3)
-        check_gradient(lambda x: max_pool2d(x, 3, stride=1), data)
-
-    def test_avg_pool_forward(self):
-        x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        out = avg_pool2d(Tensor(x), 2)
-        np.testing.assert_allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avg_pool_gradient(self):
-        check_gradient(lambda x: avg_pool2d(x, 2), RNG.normal(size=(1, 2, 4, 4)))
-
     def test_global_avg_pool(self):
         x = RNG.normal(size=(2, 3, 4, 4))
         out = global_avg_pool2d(Tensor(x))
         np.testing.assert_allclose(out.data, x.mean(axis=(2, 3)))
         check_gradient(global_avg_pool2d, x)
-
-    @pytest.mark.parametrize("pool", [max_pool2d, avg_pool2d])
-    def test_bad_window_raises_value_error(self, pool):
-        x = Tensor(np.ones((1, 2, 4, 4)))
-        for kernel in (0, -1):
-            with pytest.raises(ValueError, match=f"kernel must be >= 1, got {kernel}"):
-                pool(x, kernel)
-        for stride in (0, -1):  # only None means "use the kernel"
-            with pytest.raises(ValueError, match=f"stride must be >= 1, got {stride}"):
-                pool(x, 2, stride=stride)
-
-    @pytest.mark.parametrize("pool", [max_pool2d, avg_pool2d])
-    def test_window_larger_than_input_raises_value_error(self, pool):
-        x = Tensor(np.ones((1, 1, 1, 1)))
-        with pytest.raises(ValueError,
-                           match=r"window 3 with stride 1 does not fit input \(1, 1\)"):
-            pool(x, 3, stride=1)
-
-    @pytest.mark.parametrize("pool", [max_pool2d, avg_pool2d])
-    def test_empty_output_stays_legal(self, pool):
-        # One pixel short of the window: (N, C, 0, 0), as for conv.
-        x = Tensor(np.ones((1, 2, 2, 2)), requires_grad=True)
-        out = pool(x, 3, stride=1)
-        assert out.shape == (1, 2, 0, 0)
-        out.backward(np.ones_like(out.data))
-        assert np.array_equal(x.grad, np.zeros_like(x.data))
 
 
 class TestSamePadding:

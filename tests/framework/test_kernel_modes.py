@@ -26,7 +26,6 @@ from repro.framework import (
     Parameter,
     SGD,
     Tensor,
-    avg_pool2d,
     conv2d,
     conv2d_bias_relu,
     conv2d_same,
@@ -34,7 +33,6 @@ from repro.framework import (
     kernel_mode,
     linear_bias_act,
     lstm_cell,
-    max_pool2d,
     no_grad,
     set_kernel_mode,
     use_kernel_mode,
@@ -410,25 +408,6 @@ class TestConvArgumentChecks:
             out.backward(np.ones_like(out.data))
         assert np.array_equal(x.grad, np.zeros_like(x.data))
         assert np.array_equal(w.grad, np.zeros_like(w.data))
-
-
-class TestPoolBitIdentity:
-    """Pooling has one path: the kernel mode must not change its bits."""
-
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("kernel,stride", [(2, None), (3, 1), (2, 2)])
-    @pytest.mark.parametrize("pool", [max_pool2d, avg_pool2d])
-    def test_pool_matches_naive(self, mode, kernel, stride, pool):
-        x = RNG.normal(size=(4, 3, 8, 6)).astype(np.float32)
-        results = {}
-        for m in ("naive", mode):
-            with use_kernel_mode(m):
-                xt = Tensor(x.copy(), requires_grad=True)
-                out = pool(xt, kernel, stride)
-                out.backward(np.ones_like(out.data))
-                results[m] = (out.data, xt.grad)
-        for a, c in zip(results["naive"], results[mode]):
-            assert np.array_equal(a, c)
 
 
 class TestLinearBitIdentity:

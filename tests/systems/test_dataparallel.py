@@ -1,4 +1,4 @@
-"""Executable data-parallel semantics: sync equivalence, async variance."""
+"""Executable data-parallel semantics: synchronous equivalence and determinism."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,7 @@ import pytest
 from repro.framework import (Linear, Module, Parameter, ReLU, SGD, Sequential, Tensor,
                              functional as F)
 from repro.models import MiniResNet
-from repro.systems.dataparallel import (
-    AsynchronousDataParallel,
-    SynchronousDataParallel,
-    shard_batch,
-)
+from repro.systems.dataparallel import SynchronousDataParallel, shard_batch
 
 
 def loss_fn(model, shard):
@@ -178,118 +174,6 @@ class TestSynchronous:
         assert snap["allreduce_bytes"]["value"] == sum(p.data.nbytes for p in live)
 
 
-class TestAsynchronous:
-    def test_seed_changes_trajectory(self):
-        """§2.2.3: async accumulation order is a genuine variance source."""
-        batch = make_batch(32)
-        states = []
-        for seed in (0, 1):
-            model = make_model(5)
-            dp = AsynchronousDataParallel(
-                model, SGD(model.parameters(), lr=0.1), 4, loss_fn,
-                rng=np.random.default_rng(seed), max_staleness=2,
-            )
-            for _ in range(4):
-                dp.step(batch)
-            states.append(np.concatenate([p.data.reshape(-1) for p in model.parameters()]))
-        assert not np.allclose(states[0], states[1])
-
-    def test_zero_staleness_same_data_still_trains(self):
-        batch = make_batch(32)
-        model = make_model(6)
-        dp = AsynchronousDataParallel(
-            model, SGD(model.parameters(), lr=0.2), 4, loss_fn,
-            rng=np.random.default_rng(0), max_staleness=0,
-        )
-        first = dp.step(batch)
-        for _ in range(30):
-            last = dp.step(batch)
-        assert last < first
-
-    def test_async_differs_from_sync(self):
-        batch = make_batch(32)
-        sync_model = make_model(7)
-        sync = SynchronousDataParallel(sync_model, SGD(sync_model.parameters(), lr=0.1),
-                                       4, loss_fn)
-        async_model = make_model(7)
-        asyn = AsynchronousDataParallel(
-            async_model, SGD(async_model.parameters(), lr=0.1), 4, loss_fn,
-            rng=np.random.default_rng(0), max_staleness=2,
-        )
-        for _ in range(3):
-            sync.step(batch)
-            asyn.step(batch)
-        a = np.concatenate([p.data.reshape(-1) for p in sync_model.parameters()])
-        b = np.concatenate([p.data.reshape(-1) for p in async_model.parameters()])
-        assert not np.allclose(a, b)
-
-    def test_validation(self):
-        model = make_model()
-        with pytest.raises(ValueError):
-            AsynchronousDataParallel(model, SGD(model.parameters(), lr=0.1), 2, loss_fn,
-                                     rng=np.random.default_rng(0), max_staleness=-1)
-
-
-class TestAsynchronousStalenessBookkeeping:
-    """The snapshot window is the staleness bound — it must never grow past it."""
-
-    def _make(self, max_staleness, num_workers=4, seed=8):
-        model = make_model(seed)
-        return model, AsynchronousDataParallel(
-            model, SGD(model.parameters(), lr=0.1), num_workers, loss_fn,
-            rng=np.random.default_rng(0), max_staleness=max_staleness,
-        )
-
-    @pytest.mark.parametrize("max_staleness", [0, 1, 3])
-    def test_snapshot_window_bounded(self, max_staleness):
-        batch = make_batch(32)
-        _, dp = self._make(max_staleness)
-        assert dp._snapshots == []
-        for _ in range(5):
-            dp.step(batch)
-            assert len(dp._snapshots) <= max_staleness + 1
-
-    def test_snapshot_window_holds_latest_state(self):
-        """After a step the newest snapshot is the live post-update weights."""
-        batch = make_batch(32)
-        model, dp = self._make(max_staleness=2)
-        dp.step(batch)
-        live = model.state_dict()
-        newest = dp._snapshots[-1]
-        assert set(newest) == set(live)
-        for name in live:
-            np.testing.assert_array_equal(newest[name], live[name])
-
-    def test_zero_staleness_single_worker_equals_plain_sgd(self):
-        """With a window of one snapshot, 'stale' is always the live state:
-        async with one worker degenerates to plain sequential SGD."""
-        batch = make_batch(16)
-        ref_model = make_model(9)
-        ref_opt = SGD(ref_model.parameters(), lr=0.1)
-        model, dp = self._make(max_staleness=0, num_workers=1, seed=9)
-        for _ in range(5):
-            ref_model.zero_grad()
-            loss = loss_fn(ref_model, batch)
-            loss.backward()
-            ref_opt.step()
-            ref_model.zero_grad()
-            dp.step(batch)
-        for p_ref, p_async in zip(ref_model.parameters(), model.parameters()):
-            np.testing.assert_allclose(p_ref.data, p_async.data, rtol=1e-6, atol=1e-7)
-
-    def test_higher_staleness_diverges_from_fresh(self):
-        """The staleness knob is live: window size changes the trajectory."""
-        batch = make_batch(32)
-        states = []
-        for max_staleness in (0, 3):
-            model, dp = self._make(max_staleness)
-            for _ in range(4):
-                dp.step(batch)
-            states.append(np.concatenate(
-                [p.data.reshape(-1) for p in model.parameters()]))
-        assert not np.allclose(states[0], states[1])
-
-
 class TestAllReduceAccounting:
     def test_counters_track_elements_and_bytes(self):
         from repro.telemetry import Telemetry
@@ -306,54 +190,3 @@ class TestAllReduceAccounting:
         n_bytes = sum(p.data.size * p.data.itemsize for p in model.parameters())
         assert snap["allreduce_elements"]["value"] == 2 * n_elements
         assert snap["allreduce_bytes"]["value"] == 2 * n_bytes
-
-
-class TestAsynchronousSnapshotReuse:
-    """Evicted snapshot dicts are recycled, not re-allocated each step."""
-
-    def _run(self, steps, seed=8):
-        model = make_model(seed)
-        dp = AsynchronousDataParallel(
-            model, SGD(model.parameters(), lr=0.1), 4, loss_fn,
-            rng=np.random.default_rng(0), max_staleness=1,
-        )
-        batch = make_batch(32)
-        losses = [dp.step(batch) for _ in range(steps)]
-        return model, dp, losses
-
-    def test_buffers_are_recycled_after_window_fills(self):
-        _, dp, _ = self._run(steps=4)
-        # Window = 2 snapshots; evictions land on the free list and steady
-        # state keeps one spare in rotation.
-        assert len(dp._snapshots) == 2
-        assert len(dp._retired) >= 1
-        pool = {id(d) for d in dp._snapshots} | {id(d) for d in dp._retired}
-        dp.step(make_batch(32))
-        # Every snapshot in play came from the existing pool: a step in
-        # steady state allocates no new snapshot dicts.
-        after = {id(d) for d in dp._snapshots} | {id(d) for d in dp._retired}
-        assert after <= pool
-
-    def test_snapshots_do_not_alias_each_other(self):
-        _, dp, _ = self._run(steps=5)
-        a, b = dp._snapshots[-2], dp._snapshots[-1]
-        for name in a:
-            assert a[name] is not b[name]
-
-    def test_trajectory_matches_fresh_copy_semantics(self):
-        """Recycling is an allocation optimisation only: the training
-        trajectory must be identical to snapshotting via state_dict()."""
-        model, dp, losses = self._run(steps=6)
-
-        ref_model = make_model(8)
-        ref = AsynchronousDataParallel(
-            ref_model, SGD(ref_model.parameters(), lr=0.1), 4, loss_fn,
-            rng=np.random.default_rng(0), max_staleness=1,
-        )
-        ref._snapshot = ref_model.state_dict  # bypass buffer recycling
-        batch = make_batch(32)
-        ref_losses = [ref.step(batch) for _ in range(6)]
-
-        assert losses == ref_losses
-        for p, p_ref in zip(model.parameters(), ref_model.parameters()):
-            np.testing.assert_array_equal(p.data, p_ref.data)

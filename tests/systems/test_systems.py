@@ -9,7 +9,6 @@ from repro.systems import (
     ChipSpec,
     CriticalBatchModel,
     Interconnect,
-    MeasuredConvergence,
     ROUND_V05,
     ROUND_V06,
     SCALING_BENCHMARKS,
@@ -95,17 +94,6 @@ class TestConvergenceModels:
     def test_invalid_batch(self):
         with pytest.raises(ValueError):
             CriticalBatchModel(10, 100).epochs_to_target(0)
-
-    def test_measured_interpolation(self):
-        m = MeasuredConvergence({64: 5.0, 256: 6.0, 1024: 10.0})
-        assert m.epochs_to_target(64) == 5.0
-        assert m.epochs_to_target(160) == pytest.approx(5.5)
-        assert m.epochs_to_target(1024) == 10.0
-
-    def test_measured_extrapolation_linear(self):
-        m = MeasuredConvergence({256: 6.0, 1024: 10.0})
-        # slope (10-6)/768 per sample
-        assert m.epochs_to_target(2048) == pytest.approx(10 + 4 / 768 * 1024)
 
     def test_fit_recovers_model(self):
         truth = CriticalBatchModel(e_min=12.0, b_crit=2000.0)

@@ -83,6 +83,34 @@ class TestCommands:
         assert "reached" in text
 
 
+class TestUsageErrors:
+    """Bad arguments and missing inputs: one line and a non-zero exit, no traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "campaign"])
+    def test_seeds_below_one_exits_2_before_any_work(self, command, tmp_path):
+        code, text = run_cli(command, "recommendation", "--seeds", "0",
+                             "--save", str(tmp_path / "out"))
+        assert code == 2
+        assert text == "--seeds must be >= 1\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["review", "report"])
+    def test_missing_submission_is_one_line_and_exit_1(self, command, tmp_path):
+        code, text = run_cli(command, str(tmp_path / "nope"))
+        assert code == 1
+        assert text.startswith(f"cannot load submission {tmp_path / 'nope'}: ")
+        assert text.count("\n") == 1
+
+    def test_report_names_the_benchmark_short_of_three_runs(self, tmp_path):
+        code, _ = run_cli("run", "recommendation", "--seeds", "2", "--save", str(tmp_path),
+                          "--submitter", "two-runs")
+        assert code == 0
+        code, text = run_cli("report", str(tmp_path / "two-runs"))
+        assert code == 1
+        assert text == ("cannot score recommendation of two-runs: "
+                        "need at least 3 runs to drop min and max, got 2\n")
+
+
 class TestCampaignCommand:
     def test_unknown_benchmark(self):
         code, text = run_cli("campaign", "frobnicate")
