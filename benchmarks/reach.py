@@ -15,7 +15,10 @@ are:
 - every CLI command CI runs, every other verb, and the ``serve-metrics``
   endpoints;
 - every ``examples/*.py``;
-- the paper benches, ``pytest benchmarks --ignore=benchmarks/e2e``.
+- the paper benches, ``pytest benchmarks --ignore=benchmarks/e2e
+  --benchmark-disable``.  pytest-benchmark switches ``sys.settrace`` off
+  around a timed call, which would hide everything a bench runs inside
+  ``benchmark(...)``; disabled, it calls the target once with the hook on.
 
 Tier-1 (``pytest tests``) runs last, on its own, for the contrast.
 
@@ -171,8 +174,8 @@ def run_drivers(tree: Path, env: dict, log: Path) -> list[dict]:
         name = f"examples/{script.name}"
         done.append(_run(name, [py, name], tree, env, log))
     done.append(_run("paper benches", [py, "-m", "pytest", "benchmarks",
-                                       "--ignore=benchmarks/e2e", "-q",
-                                       "-p", "no:cacheprovider"], tree, env, log))
+                                       "--ignore=benchmarks/e2e", "--benchmark-disable",
+                                       "-q", "-p", "no:cacheprovider"], tree, env, log))
     return done
 
 

@@ -17,8 +17,9 @@ Commands mirror how the MLPerf artifacts are used in practice:
   down to individual training steps);
 - ``stats`` — print the per-benchmark time-decomposition table for saved
   submissions (where the wall-clock went: init/create/train/eval);
-  ``--series`` adds the per-run sampled trajectories (throughput, eval
-  quality, all-reduce traffic) with ASCII sparklines;
+  ``--series`` adds each run's per-epoch trajectories (throughput, eval
+  quality, all-reduce traffic), read back out of its log, with ASCII
+  sparklines;
 - ``monitor`` — a refreshable terminal view of a campaign directory,
   live or post-mortem, built purely from the journal + event streams
   (per-job state, progress, retries, ETA, stall detection);
@@ -148,9 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("submission_dirs", nargs="+",
                        help="submitter directories (from `run --save`)")
     stats.add_argument("--series", action="store_true",
-                       help="also print the per-run sampled series "
+                       help="also print each run's per-epoch series "
                             "(throughput, eval quality, all-reduce "
-                            "traffic) with ASCII trend lines")
+                            "traffic) from its log, with ASCII trend lines")
 
     monitor = sub.add_parser(
         "monitor",
@@ -569,7 +570,7 @@ def _load_submissions(directories, out) -> list | None:
     for directory in directories:
         try:
             submissions.append(load_submission(directory))
-        except FileNotFoundError as exc:
+        except (FileNotFoundError, ValueError) as exc:
             print(f"cannot load submission {directory}: {exc}", file=out)
             return None
     return submissions
@@ -582,7 +583,7 @@ def _cmd_review(args, out) -> int:
     specs = {name: create_benchmark(name).spec for name in REGISTRY}
     try:
         report = review_directory(args.submission_dir, specs)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"cannot load submission {args.submission_dir}: {exc}", file=out)
         return 1
     print(report, file=out)
@@ -614,7 +615,11 @@ def _cmd_trace(args, out) -> int:
     if not path.is_file():
         print(f"no such log file: {path}", file=out)
         return 1
-    events = parse_log_lines(path.read_text())
+    try:
+        events = parse_log_lines(path.read_text().splitlines())
+    except ValueError as exc:
+        print(f"cannot parse {path}: corrupt log record: {exc}", file=out)
+        return 1
     if not events:
         print(f"no :::MLLOG events found in {path}", file=out)
         return 1
@@ -627,7 +632,7 @@ def _cmd_trace(args, out) -> int:
 
 
 def _cmd_stats(args, out) -> int:
-    from .core import build_phase_table, render_phase_table
+    from .core import build_phase_table, render_phase_table, render_series_table
 
     submissions = _load_submissions(args.submission_dirs, out)
     if submissions is None:
@@ -642,8 +647,6 @@ def _cmd_stats(args, out) -> int:
         return 1
     print(render_phase_table(rows), file=out)
     if args.series:
-        from .telemetry import render_series_table
-
         print(file=out)
         print(render_series_table(runs_by_benchmark), file=out)
     return 0
@@ -798,17 +801,6 @@ def _cmd_bench_diff(args, out) -> int:
     return 0 if report.ok else 1
 
 
-def _result_file_header(path) -> dict:
-    """The ``# repro-run`` header of one result_*.txt (or {})."""
-    first = path.read_text().partition("\n")[0]
-    if not first.startswith("# repro-run "):
-        return {}
-    try:
-        return json.loads(first[len("# repro-run "):])
-    except json.JSONDecodeError:
-        return {}
-
-
 def _render_kernel_fallbacks(headers) -> str:
     """One line: calls where a fused kernel ran its composed reference."""
     from .core.reporting import kernel_fallback_counts
@@ -826,6 +818,7 @@ def _render_kernel_fallbacks(headers) -> str:
 def _cmd_profile(args, out) -> int:
     from pathlib import Path
 
+    from .core.artifacts import read_run_header
     from .telemetry import merge_op_profiles, render_op_profile
 
     path = Path(args.path)
@@ -838,7 +831,11 @@ def _cmd_profile(args, out) -> int:
     else:
         print(f"no such file or directory: {path}", file=out)
         return 2
-    headers = [h for h in map(_result_file_header, sources) if h.get("op_profile")]
+    try:
+        headers = [h for h in map(read_run_header, sources) if h.get("op_profile")]
+    except ValueError as exc:
+        print(f"cannot read {exc}", file=out)
+        return 1
     profiles = [h["op_profile"] for h in headers]
     if not profiles:
         print(f"no op profiles found under {path} — run with "

@@ -4,6 +4,11 @@ Structured logging (§4.1), timing rules (§3.2.1), run orchestration,
 result aggregation (§3.2.2), hyperparameter rules and divisions (§4.2.1),
 system categories (§4.2.2), submissions and peer review (§4.1), results
 reporting and the cloud scale metric (§4.2.3-4).
+
+A saved run has one reader: :func:`parse_log_lines` for its MLLOG lines
+and :func:`~repro.core.artifacts.read_run_header` for its ``# repro-run``
+header.  Review, reporting, ``repro stats``/``trace``/``profile`` and the
+loader all go through them.
 """
 
 from .mllog import Keys, LogEvent, MLLogger, parse_log_lines
@@ -41,11 +46,11 @@ from .reporting import (
     build_report,
     render_campaign_summary,
     render_phase_table,
+    render_series_table,
     summary_score,
 )
 from .rcp import ReferenceConvergencePoints, check_convergence, collect_reference_points
 from .artifacts import (
-    check_log_text,
     load_run_result,
     load_submission,
     review_directory,
@@ -64,7 +69,6 @@ __all__ = [
     "ReferenceConvergencePoints",
     "check_convergence",
     "collect_reference_points",
-    "check_log_text",
     "load_run_result",
     "load_submission",
     "review_directory",
@@ -108,6 +112,7 @@ __all__ = [
     "build_report",
     "render_campaign_summary",
     "render_phase_table",
+    "render_series_table",
     "summary_score",
     "ACCELERATOR_WEIGHTS",
     "ScaleReport",

@@ -6,9 +6,10 @@ sessions. All of these are made publicly available in MLPERF GitHub
 simultaneously with publication of MLPERF results."
 
 This module serializes a :class:`~repro.core.submission.Submission` to the
-directory layout real MLPerf results repositories use, loads it back, and
-offers a text-level compliance entry point so logs can be audited exactly
-as published files:
+directory layout real MLPerf results repositories use and loads it back,
+so review audits the published files themselves.  A result file is one
+``# repro-run`` JSON header line (:func:`read_run_header`) followed by the
+run's MLLOG lines:
 
     <root>/<submitter>/
       systems/<system_name>.json
@@ -26,14 +27,16 @@ import numpy as np
 
 from ..suite.base import BenchmarkSpec
 from ..telemetry import RunTelemetry
-from .mllog import Keys, MLLogger, iter_log_lines, parse_log_lines
+from .mllog import Keys, parse_log_lines
 from .review import ReviewReport, review_submission
 from .runner import RunResult
 from .submission import Category, Division, Submission, SystemDescription, SystemType
 from .timing import TimingBreakdown
 
-__all__ = ["save_submission", "load_submission", "review_directory", "check_log_text",
-           "save_run_result", "load_run_result"]
+__all__ = ["save_submission", "load_submission", "review_directory",
+           "save_run_result", "load_run_result", "read_run_header"]
+
+_HEADER = "# repro-run "
 
 
 def save_submission(submission: Submission, root: str | Path) -> Path:
@@ -78,7 +81,9 @@ def save_run_result(path: str | Path, run: RunResult) -> Path:
 
     This is the unit the submission layout is built from; the campaign
     journal reuses it so per-job results stay auditable with the same
-    tooling (``repro trace``, :func:`check_log_text`) as published files.
+    tooling (``repro trace``, ``repro review``) as published files.  What
+    can be rebuilt from the log (the trace, the per-epoch series) stays
+    out of the header.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -104,12 +109,8 @@ def save_run_result(path: str | Path, run: RunResult) -> Path:
                 asdict(run.breakdown) if run.breakdown is not None else None
             ),
             # Metrics ride in the header so `repro stats` sees counters
-            # (e.g. allreduce traffic) on reloaded runs; trace events are
-            # reconstructible from the log and stay out of it.
+            # (e.g. allreduce traffic) on reloaded runs.
             "metrics": run.telemetry.metrics if run.telemetry is not None else None,
-            # Per-run sampled series (throughput, eval quality, ...) back
-            # `repro stats --series` on reloaded runs.
-            "series": run.telemetry.series if run.telemetry is not None else None,
             # The op-level profile (when the run recorded one) backs
             # `repro profile` on saved artifacts.
             "op_profile": (run.telemetry.op_profile
@@ -117,7 +118,7 @@ def save_run_result(path: str | Path, run: RunResult) -> Path:
         },
         sort_keys=True,
     )
-    path.write_text(f"# repro-run {header}\n" + "\n".join(run.log_lines) + "\n")
+    path.write_text(f"{_HEADER}{header}\n" + "\n".join(run.log_lines) + "\n")
     return path
 
 
@@ -165,19 +166,41 @@ def load_submission(submitter_dir: str | Path) -> Submission:
     return submission
 
 
-def _parse_result_file(benchmark: str | None, path: Path) -> RunResult:
-    text = path.read_text()
-    first, _, rest = text.partition("\n")
-    if not first.startswith("# repro-run "):
+def read_run_header(path: str | Path) -> dict:
+    """The ``# repro-run`` header of one result file, read from its first line.
+
+    Raises one ``ValueError`` naming the file when the header is missing
+    or does not parse.
+    """
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        first = fh.readline()
+    if not first.startswith(_HEADER):
         raise ValueError(f"{path}: missing run header")
-    header = json.loads(first[len("# repro-run "):])
+    try:
+        header = json.loads(first[len(_HEADER):])
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: corrupt run header: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: corrupt run header: not a JSON object")
+    return header
+
+
+def _parse_result_file(benchmark: str | None, path: Path) -> RunResult:
+    header = read_run_header(path)
     if benchmark is None:
         benchmark = header.get("benchmark")
         if not benchmark:
             raise ValueError(
                 f"{path}: header records no benchmark name; pass it explicitly"
             )
-    log_lines = [line for line in rest.splitlines() if line.strip()]
+    log_lines = [line for line in path.read_text().splitlines()[1:] if line.strip()]
+    try:
+        # A truncated final log line (a killed writer's) parses away, so
+        # such a result file still reviews and reloads.
+        history = [float(e.value) for e in parse_log_lines(log_lines)
+                   if e.key == Keys.EVAL_ACCURACY]
+    except ValueError as exc:
+        raise ValueError(f"{path}: corrupt log record: {exc}") from None
     # Rehydrate the trained parameters when the sidecar is present; a run
     # copied without its .params.npz still loads (it just isn't servable).
     model_state = None
@@ -187,32 +210,29 @@ def _parse_result_file(benchmark: str | None, path: Path) -> RunResult:
         if sidecar.exists():
             with np.load(sidecar) as npz:
                 model_state = {key: npz[key].copy() for key in npz.files}
-    # Streaming parse tolerates a truncated final log line, so a result
-    # file from a killed worker still reviews/reloads cleanly.
-    history = [float(e.value) for e in iter_log_lines(rest.splitlines())
-               if e.key == Keys.EVAL_ACCURACY]
     raw_breakdown = header.get("breakdown")
     raw_metrics = header.get("metrics")
-    raw_series = header.get("series")
     raw_profile = header.get("op_profile")
-    return RunResult(
-        benchmark=benchmark,
-        seed=int(header["seed"]),
-        hyperparameters=dict(header["hyperparameters"]),
-        reached_target=bool(header["reached_target"]),
-        quality=float(header["quality"]),
-        epochs=int(header["epochs"]),
-        time_to_train_s=float(header["time_to_train_s"]),
-        quality_history=history,
-        log_lines=log_lines,
-        breakdown=TimingBreakdown(**raw_breakdown) if raw_breakdown else None,
-        telemetry=(
-            RunTelemetry(metrics=raw_metrics or {}, series=raw_series or {},
-                         op_profile=raw_profile or {})
-            if raw_metrics or raw_series or raw_profile else None
-        ),
-        model_state=model_state,
-    )
+    try:
+        return RunResult(
+            benchmark=benchmark,
+            seed=int(header["seed"]),
+            hyperparameters=dict(header["hyperparameters"]),
+            reached_target=bool(header["reached_target"]),
+            quality=float(header["quality"]),
+            epochs=int(header["epochs"]),
+            time_to_train_s=float(header["time_to_train_s"]),
+            quality_history=history,
+            log_lines=log_lines,
+            breakdown=TimingBreakdown(**raw_breakdown) if raw_breakdown else None,
+            telemetry=(
+                RunTelemetry(metrics=raw_metrics or {}, op_profile=raw_profile or {})
+                if raw_metrics or raw_profile else None
+            ),
+            model_state=model_state,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: corrupt run header: {exc!r}") from None
 
 
 def review_directory(submitter_dir: str | Path,
@@ -220,35 +240,3 @@ def review_directory(submitter_dir: str | Path,
     """Load artifacts from disk and run the full compliance review —
     auditing the *published files*, exactly as real review does."""
     return review_submission(load_submission(submitter_dir), specs)
-
-
-def check_log_text(text: str, spec: BenchmarkSpec) -> list[str]:
-    """Lightweight text-level log audit; returns human-readable problems.
-
-    Useful as a pre-submission lint: structure and quality checks without
-    building a full Submission.
-    """
-    problems: list[str] = []
-    events = parse_log_lines(text)
-    if not events:
-        return ["no MLLOG events found"]
-    log = MLLogger(clock=lambda: 0.0)
-    log.events = events
-    for key in (Keys.RUN_START, Keys.RUN_STOP, Keys.EVAL_ACCURACY):
-        if log.first(key) is None:
-            problems.append(f"missing required event: {key}")
-    bench = log.first(Keys.SUBMISSION_BENCHMARK)
-    if bench is None:
-        problems.append("missing submission_benchmark event")
-    elif bench.value != spec.name:
-        problems.append(f"benchmark mismatch: log says {bench.value!r}, expected {spec.name!r}")
-    evals = log.find(Keys.EVAL_ACCURACY)
-    if evals and float(evals[-1].value) < spec.quality_threshold:
-        problems.append(
-            f"final quality {float(evals[-1].value):.4f} below target "
-            f"{spec.quality_threshold}"
-        )
-    times = [e.time_ms for e in events]
-    if any(b < a for a, b in zip(times, times[1:])):
-        problems.append("event timestamps are not monotonically non-decreasing")
-    return problems

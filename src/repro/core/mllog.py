@@ -7,19 +7,18 @@ These logs form the foundation for subsequent result analysis."
 
 The format follows the real mlperf-logging package: one line per event,
 ``:::MLLOG { json }``, with ``key``, ``value``, ``time_ms``, and
-``metadata``.  Logs round-trip through text, and the compliance checker
-(:mod:`repro.core.review`) operates on parsed events.
+``metadata``.  Logs round-trip through text, and every reader of a saved
+log — review (:mod:`repro.core.review`), reporting, ``repro trace`` and the
+artifact loader — parses it with the one loop, :func:`parse_log_lines`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
-__all__ = ["LogEvent", "MLLogger", "Keys", "parse_log_lines",
-           "iter_log_lines", "iter_log_file"]
+__all__ = ["LogEvent", "MLLogger", "Keys", "parse_log_lines"]
 
 _PREFIX = ":::MLLOG "
 
@@ -74,15 +73,19 @@ class LogEvent:
 
     @staticmethod
     def from_line(line: str) -> "LogEvent":
+        """Parse one record; a malformed one raises ``ValueError``."""
         if not line.startswith(_PREFIX):
             raise ValueError(f"not an MLLOG line: {line[:40]!r}")
         payload = json.loads(line[len(_PREFIX):])
-        return LogEvent(
-            key=payload["key"],
-            value=payload.get("value"),
-            time_ms=float(payload["time_ms"]),
-            metadata=payload.get("metadata", {}),
-        )
+        try:
+            return LogEvent(
+                key=payload["key"],
+                value=payload.get("value"),
+                time_ms=float(payload["time_ms"]),
+                metadata=payload.get("metadata", {}),
+            )
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed MLLOG record: {exc!r}") from None
 
 
 def _jsonify(obj: Any):
@@ -140,15 +143,10 @@ class MLLogger:
         return [e.to_line() for e in self.events]
 
     @staticmethod
-    def from_lines(lines: list[str]) -> "MLLogger":
-        """Parse log lines, skipping non-MLLOG lines like :func:`parse_log_lines`.
-
-        Real result files interleave ``:::MLLOG`` records with free-text
-        output (headers, stack traces, launcher chatter); both parsing
-        entry points skip that uniformly.
-        """
+    def from_lines(lines: Iterable[str]) -> "MLLogger":
+        """A logger holding the events :func:`parse_log_lines` finds in ``lines``."""
         logger = MLLogger(clock=lambda: 0.0)
-        logger.events = [LogEvent.from_line(line) for line in _mllog_lines(lines)]
+        logger.events = parse_log_lines(lines)
         return logger
 
 
@@ -161,50 +159,20 @@ def _scrub(value: Any) -> Any:
     return value
 
 
-def _mllog_lines(lines) -> list[str]:
-    """The subset of ``lines`` that are MLLOG records (whitespace-tolerant)."""
-    return [line.strip() for line in lines if line.strip().startswith(_PREFIX)]
+def parse_log_lines(lines: Iterable[str]) -> list[LogEvent]:
+    """Parse the MLLOG records among ``lines`` (an iterable, not one string).
 
-
-def parse_log_lines(text: str) -> list[LogEvent]:
-    """Parse a whole log file's text into events, skipping non-MLLOG lines."""
-    return [LogEvent.from_line(line) for line in _mllog_lines(text.splitlines())]
-
-
-def iter_log_lines(lines: Iterable[str]) -> Iterator[LogEvent]:
-    """Stream-parse MLLOG records from an iterable of lines.
-
-    The streaming counterpart of :func:`parse_log_lines`, built for logs
-    that are still being written (or whose writer was killed): non-MLLOG
-    lines are skipped as usual, and a *final* line that starts like a
-    record but does not parse — the one artifact a crashed writer can
-    leave — is dropped instead of raising.  A malformed MLLOG line in the
-    middle of the stream is genuine corruption and still raises.
+    Real result files interleave ``:::MLLOG`` records with free-text output
+    (headers, stack traces, launcher chatter); those lines are skipped.  A
+    *final* record that does not parse — the one artifact a killed writer
+    can leave — is dropped; a malformed record before it is corruption and
+    raises ``ValueError``.
     """
-    pending: str | None = None
-    for line in lines:
-        stripped = line.strip()
-        if not stripped.startswith(_PREFIX):
-            continue
-        if pending is not None:
-            # It had a successor, so it was a complete line: parse strictly.
-            yield LogEvent.from_line(pending)
-        pending = stripped
-    if pending is not None:
+    records = [s for s in (line.strip() for line in lines) if s.startswith(_PREFIX)]
+    events = [LogEvent.from_line(record) for record in records[:-1]]
+    if records:
         try:
-            yield LogEvent.from_line(pending)
-        except (json.JSONDecodeError, KeyError, ValueError):
-            pass  # truncated tail from a killed writer; tolerated
-
-
-def iter_log_file(path: str | Path) -> Iterator[LogEvent]:
-    """Stream events from a log file on disk, tolerating a truncated tail.
-
-    A missing file is an empty stream — the run may simply not have
-    started writing yet.
-    """
-    path = Path(path)
-    if not path.is_file():
-        return
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        yield from iter_log_lines(fh)
+            events.append(LogEvent.from_line(records[-1]))
+        except ValueError:
+            pass  # truncated tail from a killed writer
+    return events

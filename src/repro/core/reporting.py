@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..telemetry import decompose_log_events
+from ..telemetry import decompose_log_events, series_from_log_events
 from .mllog import parse_log_lines
 from .results import BenchmarkScore, score_runs
 from .runner import RunResult
@@ -23,7 +23,8 @@ from .submission import Submission, SystemType
 
 __all__ = ["ResultsRow", "ResultsReport", "build_report", "summary_score",
            "SummaryScoreRefused", "PhaseRow", "build_phase_table",
-           "render_phase_table", "CampaignSummary", "render_campaign_summary"]
+           "render_phase_table", "render_series_table", "CampaignSummary",
+           "render_campaign_summary"]
 
 
 class SummaryScoreRefused(RuntimeError):
@@ -118,7 +119,7 @@ class PhaseRow:
 
 
 def _decompose_run(run: RunResult):
-    phases = decompose_log_events(parse_log_lines("\n".join(run.log_lines)))
+    phases = decompose_log_events(parse_log_lines(run.log_lines))
     if run.breakdown is not None:
         init = run.breakdown.init_seconds
         creation = run.breakdown.model_creation_seconds
@@ -204,6 +205,54 @@ def render_phase_table(rows: list[PhaseRow]) -> str:
             f"{_human_count(row.mcts_memo_hits):>11}"
             f"{_human_count(row.kernel_fallbacks):>11}"
         )
+    return "\n".join(lines)
+
+
+# The order `repro stats --series` lists a run's series in.
+_SERIES_ORDER = ("examples_per_second", "eval_quality", "epoch_seconds",
+                 "allreduce_bytes")
+_SPARK_LEVELS = " .:-=+*#%@"
+
+
+def _sparkline(values: list[float], width: int = 16) -> str:
+    """A pure-ASCII sparkline of the series shape (terminal-safe)."""
+    if not values:
+        return ""
+    if len(values) > width:  # downsample by striding, keeping the endpoints
+        idx = [round(i * (len(values) - 1) / (width - 1)) for i in range(width)]
+        values = [values[i] for i in idx]
+    lo, hi = min(values), max(values)
+    if hi <= lo:
+        return _SPARK_LEVELS[len(_SPARK_LEVELS) // 2] * len(values)
+    top = len(_SPARK_LEVELS) - 1
+    return "".join(
+        _SPARK_LEVELS[round((v - lo) / (hi - lo) * top)] for v in values
+    )
+
+
+def render_series_table(runs_by_benchmark: dict[str, list[RunResult]]) -> str:
+    """The ``repro stats --series`` table: one row per (run, series).
+
+    Each run's series are read back out of its log
+    (:func:`~repro.telemetry.series_from_log_events`).
+    """
+    header = (
+        f"{'Benchmark':<26}{'Seed':>5}  {'Series':<24}{'N':>4}"
+        f"{'First':>11}{'Last':>11}{'Min':>11}{'Max':>11}  Trend"
+    )
+    lines = [header, "-" * len(header)]
+    for benchmark, runs in sorted(runs_by_benchmark.items()):
+        for run in runs:
+            series = series_from_log_events(parse_log_lines(run.log_lines))
+            for name in (n for n in _SERIES_ORDER if n in series):
+                values = [value for _, _, value in series[name]]
+                lines.append(
+                    f"{benchmark:<26}{run.seed:>5}  {name:<24}{len(values):>4}"
+                    f"{values[0]:>11.4g}{values[-1]:>11.4g}"
+                    f"{min(values):>11.4g}{max(values):>11.4g}  {_sparkline(values)}"
+                )
+    if len(lines) == 2:
+        return "(no per-run series recorded in these submissions)"
     return "\n".join(lines)
 
 

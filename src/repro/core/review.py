@@ -70,7 +70,7 @@ def _check_log_structure(spec: BenchmarkSpec, run: RunResult) -> list[RuleViolat
                           f"{spec.quality_threshold}")
         )
 
-    # Ordering: run_start after init_stop; run_stop last.
+    # Ordering: run_start after init_stop; run_stop last; time never runs back.
     run_start = log.first(Keys.RUN_START)
     init_stop = log.first(Keys.INIT_STOP)
     run_stop = log.last(Keys.RUN_STOP)
@@ -81,6 +81,11 @@ def _check_log_structure(spec: BenchmarkSpec, run: RunResult) -> list[RuleViolat
     if run_start and run_stop and run_stop.time_ms < run_start.time_ms:
         violations.append(
             RuleViolation(spec.name, "timing_order", "run_stop precedes run_start")
+        )
+    times = [e.time_ms for e in log.events]
+    if any(b < a for a, b in zip(times, times[1:])):
+        violations.append(
+            RuleViolation(spec.name, "timing_order", "event timestamps decrease")
         )
 
     # Quality: the last eval must meet the target for a scored run.

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..suite.base import Benchmark
-from ..telemetry import RunSeries, RunTelemetry, Telemetry
+from ..telemetry import RunTelemetry, Telemetry
 from .mllog import Keys, MLLogger
 from .timing import Clock, TimingBreakdown, TrainingTimer, WallClock, \
     MODEL_CREATION_EXCLUSION_CAP_S
@@ -157,12 +157,11 @@ class BenchmarkRunner:
         logger.event(Keys.SEED, seed)
         logger.hyperparameters(hp)
 
-        series = RunSeries() if tele.enabled else None
         with tele.activate():
             try:
                 reached, quality, history, epochs_run, model_state = self._execute(
                     benchmark, spec, seed, hp, max_epochs, logger, timer, tele,
-                    deadline, series,
+                    deadline,
                 )
             except Exception as exc:
                 if timer.state not in ("stopped", "aborted"):
@@ -178,7 +177,7 @@ class BenchmarkRunner:
                     spec.name, seed, exc,
                     log_lines=logger.to_lines(),
                     breakdown=timer.breakdown(),
-                    telemetry=self._snapshot(tele, series),
+                    telemetry=self._snapshot(tele),
                 ) from exc
 
         return RunResult(
@@ -192,12 +191,12 @@ class BenchmarkRunner:
             quality_history=history,
             log_lines=logger.to_lines(),
             breakdown=timer.breakdown(),
-            telemetry=self._snapshot(tele, series),
+            telemetry=self._snapshot(tele),
             model_state=model_state,
         )
 
     def _execute(self, benchmark, spec, seed, hp, max_epochs, logger, timer, tele,
-                 deadline=None, series=None):
+                 deadline=None):
         """The §3.2.1 phase sequence, instrumented with spans and metrics."""
         tracer = tele.tracer
         metrics = tele.metrics
@@ -223,7 +222,6 @@ class BenchmarkRunner:
             logger.event(Keys.RUN_START)
             events.publish("run_start", benchmark=spec.name, seed=seed,
                            target=spec.quality_threshold)
-            run_t0 = self.clock.now()
 
             cap = max_epochs if max_epochs is not None else spec.max_epochs
             reached = False
@@ -249,8 +247,11 @@ class BenchmarkRunner:
                 stats = {"epoch_seconds": epoch_dt}
                 if epoch_samples:
                     stats["samples"] = epoch_samples
+                # The all-reduce counter exists only when the run trained
+                # data parallel (dp_workers > 1).
+                if "allreduce_bytes" in metrics:
+                    stats["allreduce_bytes"] = metrics.counter("allreduce_bytes").value
                 logger.event(Keys.TRACKED_STATS, stats, epoch_num=epoch)
-                eps = None
                 if epoch_dt > 0 and epoch_samples > 0:
                     eps = epoch_samples / epoch_dt
                     metrics.gauge("examples_per_second").set(eps)
@@ -259,10 +260,6 @@ class BenchmarkRunner:
                                epoch_seconds=epoch_dt,
                                samples=epoch_samples,
                                samples_total=samples.value)
-                if series is not None:
-                    self._sample_series(series, metrics, epoch,
-                                        self.clock.now() - run_t0,
-                                        epoch_dt, eps)
                 epochs_run = epoch
                 if epoch % self.eval_every == 0 or epoch == cap:
                     logger.event(Keys.EVAL_START, epoch_num=epoch)
@@ -277,10 +274,6 @@ class BenchmarkRunner:
                     )
                     logger.event(Keys.EVAL_STOP, epoch_num=epoch)
                     events.publish("eval", epoch=epoch, quality=quality)
-                    if series is not None:
-                        series.record("eval_quality", quality,
-                                      t_s=self.clock.now() - run_t0,
-                                      epoch=epoch)
                     if quality >= spec.quality_threshold:
                         reached = True
                         break
@@ -295,29 +288,11 @@ class BenchmarkRunner:
         return reached, quality, history, epochs_run, model_state
 
     @staticmethod
-    def _sample_series(series, metrics, epoch: int, t_s: float,
-                       epoch_dt: float, eps: float | None) -> None:
-        """One epoch-boundary sample of every standard series.
-
-        The all-reduce instrument exists only when the run trained data
-        parallel (``dp_workers > 1``); sampling is conditional on presence
-        so runs that never touch it carry no empty series.
-        """
-        series.record("epoch_seconds", epoch_dt, t_s=t_s, epoch=epoch)
-        if eps is not None:
-            series.record("examples_per_second", eps, t_s=t_s, epoch=epoch)
-        if "allreduce_bytes" in metrics:
-            series.record("allreduce_bytes",
-                          metrics.counter("allreduce_bytes").value,
-                          t_s=t_s, epoch=epoch)
-
-    @staticmethod
-    def _snapshot(tele: Telemetry, series=None) -> RunTelemetry | None:
+    def _snapshot(tele: Telemetry) -> RunTelemetry | None:
         if not tele.enabled:
             return None
         return RunTelemetry(
             trace_events=tele.tracer.chrome_events(),
             metrics=tele.metrics.snapshot(),
-            series=series.to_payload() if series else {},
             op_profile=tele.profiler.snapshot(),
         )

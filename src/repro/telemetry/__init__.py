@@ -10,14 +10,12 @@ measurement substrate for that decomposition:
   with a context-manager API and Chrome ``trace_event`` JSON export;
 - :mod:`repro.telemetry.metrics` — counters, gauges, and fixed-bucket
   histograms in a :class:`MetricsRegistry` with a text summary renderer;
-- :mod:`repro.telemetry.profile` — phase decomposition of structured
-  logs and the serializable :class:`RunTelemetry` snapshot;
+- :mod:`repro.telemetry.profile` — the readers of a saved structured
+  log (phase decomposition, Chrome trace, per-epoch series) and the
+  serializable :class:`RunTelemetry` snapshot;
 - :mod:`repro.telemetry.events` — the live side: an event bus with
   append-only JSONL :class:`EventLog` sinks (one stream per campaign
   job, the campaign's only live record), crash-tolerant on read;
-- :mod:`repro.telemetry.timeseries` — per-run sampled series
-  (throughput, eval quality, all-reduce bytes) recorded
-  at epoch/eval boundaries and persisted in run artifacts;
 - :mod:`repro.telemetry.monitor` — the ``repro monitor`` view, built
   purely from a campaign directory's journal + event streams, folded
   once (:class:`StreamFold`) for the monitor, the alerts and the server;
@@ -67,11 +65,6 @@ from .alerts import (
     load_rules_file,
     parse_rules,
     replay_alerts,
-)
-from .timeseries import (
-    RunSeries,
-    SeriesPoint,
-    render_series_table,
 )
 from .monitor import (
     CampaignTailer,
@@ -130,6 +123,7 @@ from .profile import (
     RunTelemetry,
     decompose_log_events,
     merged_run_telemetry,
+    series_from_log_events,
     trace_from_log_events,
 )
 
@@ -156,9 +150,7 @@ __all__ = [
     "OpProfiler",
     "PhaseDecomposition",
     "RegressionReport",
-    "RunSeries",
     "RunTelemetry",
-    "SeriesPoint",
     "Span",
     "StreamFold",
     "Telemetry",
@@ -195,9 +187,9 @@ __all__ = [
     "read_events",
     "render_job_table",
     "render_monitor_view",
-    "render_series_table",
     "replay_alerts",
     "sanitize_metric_name",
+    "series_from_log_events",
     "snapshot_lines",
     "spans_from_events",
     "trace_from_log_events",

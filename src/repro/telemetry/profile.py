@@ -1,13 +1,16 @@
-"""Per-phase decomposition of training sessions.
+"""What a training session's structured log says once it is read back.
 
-Two pieces:
+Three readers of a parsed log:
 
 - :func:`decompose_log_events` — reduce a §4.1 structured log to the
   DAWNBench-style question "where did the wall-clock go": init vs. model
   creation vs. train epochs vs. eval;
 - :func:`trace_from_log_events` — reconstruct a Chrome-loadable trace
   from the paired ``*_start``/``*_stop`` events of a saved log, so
-  ``repro trace`` works on published artifacts, not just live runs.
+  ``repro trace`` works on published artifacts, not just live runs;
+- :func:`series_from_log_events` — the run's per-epoch trajectory
+  (throughput, eval quality, epoch seconds, all-reduce bytes), behind
+  ``repro stats --series`` and the server's series endpoint.
 
 :class:`RunTelemetry` is the serializable snapshot a finished run carries
 in :class:`~repro.core.runner.RunResult.telemetry`.
@@ -23,23 +26,16 @@ from .trace import chrome_trace_from_intervals
 if TYPE_CHECKING:  # the runtime import is lazy: core itself imports telemetry
     from ..core.mllog import LogEvent
 
-__all__ = ["PhaseDecomposition", "RunTelemetry",
-           "decompose_log_events", "merged_run_telemetry", "trace_from_log_events"]
+__all__ = ["PhaseDecomposition", "RunTelemetry", "decompose_log_events",
+           "merged_run_telemetry", "series_from_log_events", "trace_from_log_events"]
 
 
 @dataclass
 class RunTelemetry:
-    """Serializable telemetry snapshot attached to a finished run.
-
-    ``series`` is the :class:`~repro.telemetry.timeseries.RunSeries`
-    payload — per-run sampled trajectories (throughput, eval quality,
-    all-reduce traffic) recorded at epoch/eval boundaries, rendered by
-    ``repro stats --series``.
-    """
+    """Serializable telemetry snapshot attached to a finished run."""
 
     trace_events: list[dict[str, Any]] = field(default_factory=list)
     metrics: dict[str, dict[str, Any]] = field(default_factory=dict)
-    series: dict[str, Any] = field(default_factory=dict)
     op_profile: dict[str, Any] = field(default_factory=dict)
 
     def to_chrome_trace(self) -> dict[str, Any]:
@@ -56,8 +52,6 @@ def merged_run_telemetry(snapshots: Iterable[RunTelemetry | None]) -> RunTelemet
     cell's pid and would otherwise fight over the row label.  Metrics
     merge via :func:`~repro.telemetry.metrics.merge_snapshots`, op
     profiles via :func:`~repro.telemetry.opprof.merge_op_profiles`.
-    Series stay per-run (a merged trajectory has no meaning) and are
-    dropped from the campaign-level view.
     """
     from .metrics import merge_snapshots
     from .opprof import merge_op_profiles
@@ -162,3 +156,38 @@ def trace_from_log_events(events: Iterable["LogEvent"], pid: int = 0) -> dict[st
                 "args": {"value": event.value, **event.metadata},
             })
     return doc
+
+
+def series_from_log_events(events: Iterable["LogEvent"]) -> dict[str, list[list[float]]]:
+    """The run's per-epoch trajectory, ``{name: [[t_s, epoch, value], ...]}``.
+
+    DAWNBench's lesson is that a time-to-accuracy number needs the
+    trajectory behind it, and the §4.1 log already holds it:
+    ``epoch_seconds`` and ``allreduce_bytes`` (data-parallel runs only)
+    come from ``tracked_stats``, ``examples_per_second`` from
+    ``throughput`` and ``eval_quality`` from ``eval_accuracy``.  ``t_s``
+    is seconds since ``run_start``, so series from different processes
+    compare directly.
+    """
+    from ..core.mllog import Keys  # lazy: core imports telemetry at load time
+
+    series: dict[str, list[list[float]]] = {}
+    t0_ms = None
+
+    def add(name: str, event: "LogEvent", value) -> None:
+        series.setdefault(name, []).append([
+            (event.time_ms - (t0_ms or 0.0)) / 1000.0,
+            int(event.metadata.get("epoch_num", 0)), float(value)])
+
+    for event in events:
+        if event.key == Keys.RUN_START and t0_ms is None:
+            t0_ms = event.time_ms
+        elif event.key == Keys.TRACKED_STATS and isinstance(event.value, dict):
+            for name in ("epoch_seconds", "allreduce_bytes"):
+                if name in event.value:
+                    add(name, event, event.value[name])
+        elif event.key == Keys.THROUGHPUT:
+            add("examples_per_second", event, event.value)
+        elif event.key == Keys.EVAL_ACCURACY:
+            add("eval_quality", event, event.value)
+    return dict(sorted(series.items()))

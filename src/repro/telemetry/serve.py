@@ -15,7 +15,8 @@ Endpoints:
 ``/api/campaigns``, ``/api/campaigns/<id>``, ``/api/campaigns/<id>/jobs``
     JSON monitor views (the ``repro monitor`` table as data).
 ``/api/runs/<campaign>/<benchmark>/<seed>/series``
-    The run's sampled :class:`RunSeries` columns from its result file.
+    The run's per-epoch series, read back out of its result file's log
+    (:func:`~repro.telemetry.profile.series_from_log_events`).
 ``/api/alerts``
     Currently-firing alerts plus the recent transition log.
 ``/events``
@@ -43,6 +44,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from ..core.artifacts import read_run_header
+from ..core.mllog import parse_log_lines
 from .alerts import AlertEngine, AlertRule
 from .events import Event, EventLog
 from .export import (EXPOSITION_CONTENT_TYPE, alert_lines, render_exposition,
@@ -50,6 +53,7 @@ from .export import (EXPOSITION_CONTENT_TYPE, alert_lines, render_exposition,
 from .metrics import MetricsRegistry, merge_snapshots
 from .monitor import (DEFAULT_STALL_AFTER_S, CampaignTailer, MonitorView,
                       campaign_dir_problem)
+from .profile import series_from_log_events
 
 __all__ = ["ObservabilityServer", "discover_campaign_dirs", "ALERTS_LOG_NAME"]
 
@@ -99,7 +103,7 @@ class _CampaignState:
         self.engine = AlertEngine(rules, sink=sink)
         self.view: MonitorView | None = None
         self.transitions: deque[Event] = deque(maxlen=_RING_DEPTH)
-        self._series_cache: dict[str, tuple[float, dict[str, Any]]] = {}
+        self._header_cache: dict[str, tuple[float, dict[str, Any]]] = {}
 
     def refresh(self, now_s: float) -> list[Event]:
         """Tail, fold, evaluate; return fresh events + alert transitions."""
@@ -113,29 +117,34 @@ class _CampaignState:
         if self._alerts_log is not None:
             self._alerts_log.close()
 
-    # -- result-file access (mtime-cached; headers only, no ndarray load) --
+    # -- result-file access (headers mtime-cached, no ndarray load) --------
+    def _result_path(self, benchmark: str, seed: str) -> Path:
+        return self.directory / "jobs" / benchmark / f"seed_{seed}.txt"
+
     def run_header(self, benchmark: str, seed: str) -> dict[str, Any] | None:
-        rel = f"jobs/{benchmark}/seed_{seed}.txt"
-        path = self.directory / rel
+        """The result file's header; None while it is absent or unreadable
+        (a job still writing it, a damaged file)."""
+        path = self._result_path(benchmark, seed)
         try:
             mtime = path.stat().st_mtime_ns
-        except OSError:
-            self._series_cache.pop(rel, None)
+            cached = self._header_cache.get(str(path))
+            if cached is not None and cached[0] == mtime:
+                return cached[1]
+            header = read_run_header(path)
+        except (OSError, ValueError):
+            self._header_cache.pop(str(path), None)
             return None
-        cached = self._series_cache.get(rel)
-        if cached is not None and cached[0] == mtime:
-            return cached[1]
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            first = fh.readline()
-        prefix = "# repro-run "
-        if not first.startswith(prefix):
-            return None
-        try:
-            header = json.loads(first[len(prefix):])
-        except json.JSONDecodeError:
-            return None
-        self._series_cache[rel] = (mtime, header)
+        self._header_cache[str(path)] = (mtime, header)
         return header
+
+    def run_series(self, benchmark: str, seed: str) -> dict[str, Any] | None:
+        """The run's per-epoch series from its log; None if unreadable."""
+        try:
+            with open(self._result_path(benchmark, seed), encoding="utf-8",
+                      errors="replace") as fh:
+                return series_from_log_events(parse_log_lines(fh))
+        except (OSError, ValueError):
+            return None
 
     def metric_snapshots(self) -> list[dict[str, Any]]:
         """Every completed job's metrics snapshot (for /metrics merging)."""
@@ -284,13 +293,14 @@ class ObservabilityServer:
             if state is None:
                 return None
             header = state.run_header(benchmark, seed)
-            if header is None:
+            series = state.run_series(benchmark, seed)
+            if header is None or series is None:
                 return None
             return {"run": f"{cid}/{benchmark}/{seed}",
                     "quality": header.get("quality"),
                     "epochs": header.get("epochs"),
                     "time_to_train_s": header.get("time_to_train_s"),
-                    "series": header.get("series")}
+                    "series": series}
 
     def alerts_payload(self) -> dict[str, Any]:
         self.refresh()

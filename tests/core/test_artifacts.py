@@ -1,4 +1,4 @@
-"""Submission artifacts: save/load roundtrip, directory review, log lint."""
+"""Submission artifacts: save/load roundtrip, directory review, the log checker."""
 
 import json
 
@@ -16,11 +16,15 @@ from repro.core import (
     SystemType,
 )
 from repro.core.artifacts import (
-    check_log_text,
+    load_run_result,
     load_submission,
+    read_run_header,
     review_directory,
+    save_run_result,
     save_submission,
 )
+from repro.core.mllog import LogEvent, parse_log_lines
+from repro.core.review import _check_log_structure
 from tests.core.fakes import FAKE_SPEC, FakeBenchmark
 
 
@@ -158,36 +162,59 @@ class TestSaveLoad:
 
 
 class TestCheckLogText:
+    """Review's one log checker, fed nothing but a run's log lines."""
+
     def good_log(self):
         clock = FakeClock()
         bench = FakeBenchmark(clock=clock)
         run = BenchmarkRunner(clock=clock).run(bench, seed=0)
-        return "\n".join(run.log_lines)
+        return run.log_lines
+
+    def violations(self, lines, spec=FAKE_SPEC):
+        clock = FakeClock()
+        run = BenchmarkRunner(clock=clock).run(FakeBenchmark(clock=clock), seed=0)
+        run.log_lines = list(lines)
+        return _check_log_structure(spec, run)
+
+    def rules(self, lines, spec=FAKE_SPEC):
+        return {v.rule for v in self.violations(lines, spec)}
 
     def test_clean_log_passes(self):
-        assert check_log_text(self.good_log(), FAKE_SPEC) == []
+        assert self.violations(self.good_log()) == []
 
     def test_empty_text(self):
-        assert check_log_text("nothing here", FAKE_SPEC) == ["no MLLOG events found"]
+        assert self.rules(["nothing here"]) == {"missing_log_event", "missing_evals"}
 
     def test_missing_run_stop_reported(self):
-        text = "\n".join(l for l in self.good_log().splitlines() if "run_stop" not in l)
-        problems = check_log_text(text, FAKE_SPEC)
-        assert any("run_stop" in p for p in problems)
+        lines = [l for l in self.good_log() if "run_stop" not in l]
+        assert any("run_stop" in v.message for v in self.violations(lines))
 
     def test_wrong_benchmark_reported(self):
         from repro.suite import create_benchmark
 
         other = create_benchmark("recommendation").spec
-        problems = check_log_text(self.good_log(), other)
-        assert any("mismatch" in p for p in problems)
+        assert "benchmark_mismatch" in self.rules(self.good_log(), other)
 
     def test_low_quality_reported(self):
         import dataclasses
 
         strict = dataclasses.replace(FAKE_SPEC, quality_threshold=2.0)
-        problems = check_log_text(self.good_log(), strict)
-        assert any("below target" in p for p in problems)
+        assert "quality_not_reached" in self.rules(self.good_log(), strict)
+
+    def test_decreasing_timestamps_reported(self):
+        # Swap the stamps of epoch 1's start and stop: run_start/run_stop
+        # stay in order, but time runs backwards inside the run.
+        events = parse_log_lines(self.good_log())
+        i = next(k for k, e in enumerate(events) if e.key == Keys.EPOCH_START)
+        assert events[i + 1].key == Keys.EPOCH_STOP
+        early, late = events[i].time_ms, events[i + 1].time_ms
+        assert early < late
+        events[i] = LogEvent(events[i].key, events[i].value, late, events[i].metadata)
+        events[i + 1] = LogEvent(events[i + 1].key, events[i + 1].value, early,
+                                 events[i + 1].metadata)
+        found = [v for v in self.violations([e.to_line() for e in events])
+                 if v.rule == "timing_order"]
+        assert [v.message for v in found] == ["event timestamps decrease"]
 
 
 class TestRunResultMetricsRoundtrip:
@@ -282,7 +309,7 @@ class TestRunResultMetricsRoundtrip:
 
 
 class TestRunResultSeriesRoundtrip:
-    """Per-run sampled series persist in the header for `stats --series`."""
+    """The per-epoch series live in the log; the header no longer copies them."""
 
     def _run_with_telemetry(self):
         from repro.telemetry import Telemetry
@@ -294,19 +321,17 @@ class TestRunResultSeriesRoundtrip:
         return runner.run(bench, seed=0, telemetry=telemetry)
 
     def test_series_survive_save_load(self, tmp_path):
-        from repro.core.artifacts import load_run_result, save_run_result
+        from repro.telemetry import series_from_log_events
 
         run = self._run_with_telemetry()
-        assert run.telemetry is not None and run.telemetry.series
-        assert "eval_quality" in run.telemetry.series
-        assert "epoch_seconds" in run.telemetry.series
+        series = series_from_log_events(parse_log_lines(run.log_lines))
+        assert {"eval_quality", "epoch_seconds", "examples_per_second"} <= set(series)
         path = save_run_result(tmp_path / "result_0.txt", run)
+        assert "series" not in read_run_header(path)
         loaded = load_run_result(run.benchmark, path)
-        assert loaded.telemetry.series == run.telemetry.series
+        assert series_from_log_events(parse_log_lines(loaded.log_lines)) == series
 
     def test_truncated_final_log_line_tolerated(self, tmp_path):
-        from repro.core.artifacts import load_run_result, save_run_result
-
         run = self._run_with_telemetry()
         path = save_run_result(tmp_path / "result_0.txt", run)
         # Simulate the writer dying mid-line on the last record.
@@ -315,3 +340,45 @@ class TestRunResultSeriesRoundtrip:
         loaded = load_run_result(run.benchmark, path)
         assert loaded.quality == run.quality
         assert loaded.quality_history  # earlier evals still parsed
+
+
+class TestDamagedResultFile:
+    """One ValueError naming the file, whatever part of it is damaged."""
+
+    def _saved(self, tmp_path):
+        clock = FakeClock()
+        run = BenchmarkRunner(clock=clock).run(FakeBenchmark(clock=clock), seed=0)
+        return save_run_result(tmp_path / "result_0.txt", run)
+
+    @pytest.mark.parametrize("first_line,reason", [
+        ("# repro-run {\"seed\": 0", "corrupt run header"),
+        ("# repro-run [1, 2]", "corrupt run header"),
+        ("# some other header", "missing run header"),
+    ])
+    def test_damaged_header_names_the_file(self, tmp_path, first_line, reason):
+        path = self._saved(tmp_path)
+        rest = path.read_text().partition("\n")[2]
+        path.write_text(first_line + "\n" + rest)
+        for read in (read_run_header, load_run_result):
+            with pytest.raises(ValueError, match=reason) as info:
+                read(path)
+            assert str(info.value).startswith(f"{path}: ")
+
+    def test_header_missing_a_field_names_the_file(self, tmp_path):
+        path = self._saved(tmp_path)
+        first, _, rest = path.read_text().partition("\n")
+        header = json.loads(first[len("# repro-run "):])
+        del header["seed"]
+        path.write_text("# repro-run " + json.dumps(header) + "\n" + rest)
+        with pytest.raises(ValueError) as info:
+            load_run_result(path)
+        assert str(info.value).startswith(f"{path}: corrupt run header")
+
+    def test_corrupt_record_before_the_tail_names_the_file(self, tmp_path):
+        path = self._saved(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3][:20]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_run_result(path)
+        assert str(info.value).startswith(f"{path}: corrupt log record")

@@ -63,7 +63,7 @@ class TestMLLogger:
         logger = MLLogger(FakeClock())
         logger.event(Keys.RUN_START)
         text = "random stderr\n" + logger.to_lines()[0] + "\nmore noise"
-        events = parse_log_lines(text)
+        events = parse_log_lines(text.splitlines())
         assert len(events) == 1
         assert events[0].key == Keys.RUN_START
 
@@ -136,7 +136,7 @@ class TestTrainingTimer:
 
 
 class TestStreamingParse:
-    """iter_log_lines / iter_log_file: tolerant of exactly one truncated tail."""
+    """parse_log_lines: tolerant of exactly one truncated tail."""
 
     def _lines(self):
         clock = FakeClock()
@@ -147,34 +147,26 @@ class TestStreamingParse:
         return logger.to_lines()
 
     def test_matches_batch_parser_on_clean_input(self):
-        from repro.core.mllog import iter_log_lines
-
         lines = self._lines() + ["free-text launcher chatter", ""]
-        streamed = list(iter_log_lines(lines))
-        assert streamed == parse_log_lines("\n".join(lines))
+        assert parse_log_lines(lines) == [LogEvent.from_line(l) for l in self._lines()]
 
     def test_truncated_final_line_is_dropped(self):
-        from repro.core.mllog import iter_log_lines
-
         lines = self._lines()
         lines.append(lines[-1][: len(lines[-1]) // 2])  # killed mid-write
-        events = list(iter_log_lines(lines))
+        events = parse_log_lines(lines)
         assert [e.key for e in events] == [Keys.RUN_START, Keys.EVAL_ACCURACY]
 
     def test_mid_stream_corruption_raises(self):
-        from repro.core.mllog import iter_log_lines
-
         lines = self._lines()
         lines.insert(1, ":::MLLOG {broken json")
-        with pytest.raises(Exception):
-            list(iter_log_lines(lines))
+        with pytest.raises(ValueError):
+            parse_log_lines(lines)
 
     def test_iter_log_file(self, tmp_path):
-        from repro.core.mllog import iter_log_file
-
-        assert list(iter_log_file(tmp_path / "absent.log")) == []
+        # An open file is an iterable of lines: the parser reads it as is.
         path = tmp_path / "run.log"
         lines = self._lines()
         path.write_text("\n".join(lines) + "\n" + lines[-1][:20])
-        events = list(iter_log_file(path))
+        with open(path) as fh:
+            events = parse_log_lines(fh)
         assert [e.key for e in events] == [Keys.RUN_START, Keys.EVAL_ACCURACY]

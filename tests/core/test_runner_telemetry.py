@@ -89,7 +89,7 @@ class TestRunTrace:
 class TestThroughputLogKeys:
     def test_tracked_stats_and_throughput_round_trip(self):
         result, _ = run_with_telemetry(epoch_cost=2.0)
-        events = parse_log_lines("\n".join(result.log_lines))
+        events = parse_log_lines(result.log_lines)
         tracked = [e for e in events if e.key == Keys.TRACKED_STATS]
         assert len(tracked) == result.epochs
         assert tracked[0].value == {"epoch_seconds": 2.0, "samples": 32}
@@ -104,7 +104,7 @@ class TestThroughputLogKeys:
         clock = FakeClock()
         runner = BenchmarkRunner(clock=clock)
         result = runner.run(FakeBenchmark(clock=clock, epoch_cost_s=1.0), seed=0)
-        events = parse_log_lines("\n".join(result.log_lines))
+        events = parse_log_lines(result.log_lines)
         tracked = [e for e in events if e.key == Keys.TRACKED_STATS]
         assert tracked and tracked[0].value == {"epoch_seconds": 1.0}
 
@@ -227,8 +227,7 @@ class TestMLLogParsing:
         assert [e.key for e in log.events] == ["seed", "run_start"]
 
     def test_parse_log_lines_matches_from_lines(self):
-        text = "\n".join(self.JUNK)
-        assert ([e.key for e in parse_log_lines(text)]
+        assert ([e.key for e in parse_log_lines(self.JUNK)]
                 == [e.key for e in MLLogger.from_lines(self.JUNK).events])
 
     def test_jsonify_numpy_array(self):

@@ -102,7 +102,7 @@ class TestEndpoints:
                 == [("fake_benchmark", s, "reached") for s in range(3)]
             assert all(j["quality"] is not None for j in jobs)
 
-            # /api/runs/<id>/<benchmark>/<seed>/series: header-backed.
+            # /api/runs/<id>/<benchmark>/<seed>/series: read from the log.
             status, doc = _get_json(
                 f"{srv.url}/api/runs/{cid}/fake_benchmark/1/series")
             assert status == 200
@@ -125,6 +125,34 @@ class TestEndpoints:
             except urllib.error.HTTPError as err:
                 assert err.code == 404
                 assert "error" in json.loads(err.read().decode())
+
+    def test_series_payload_equals_the_log(self, tmp_path):
+        from repro.core import Keys, parse_log_lines
+
+        clock = FakeClock(start=1000.0)
+        _run_campaign(tmp_path, clock)
+        path = tmp_path / "jobs" / "fake_benchmark" / "seed_1.txt"
+        # A header from before the series left it: the log still wins.
+        first, _, rest = path.read_text().partition("\n")
+        header = json.loads(first[len("# repro-run "):])
+        header["series"] = {"epoch_seconds": [[0.0, 1, 999.0]]}
+        path.write_text("# repro-run " + json.dumps(header) + "\n" + rest)
+        events = parse_log_lines(rest.splitlines())
+        with _Server(tmp_path, clock) as srv:
+            status, doc = _get_json(
+                f"{srv.url}/api/runs/{tmp_path.name}/fake_benchmark/1/series")
+        assert status == 200
+        series = {name: [(epoch, value) for _, epoch, value in points]
+                  for name, points in doc["series"].items()}
+        assert series == {
+            "epoch_seconds": [(e.metadata["epoch_num"], e.value["epoch_seconds"])
+                              for e in events if e.key == Keys.TRACKED_STATS],
+            "examples_per_second": [(e.metadata["epoch_num"], e.value)
+                                    for e in events if e.key == Keys.THROUGHPUT],
+            "eval_quality": [(e.metadata["epoch_num"], e.value)
+                             for e in events if e.key == Keys.EVAL_ACCURACY],
+        }
+        assert doc["quality"] == header["quality"]
 
     def test_unknown_campaign_and_run_404(self, tmp_path):
         clock = FakeClock(start=1000.0)

@@ -428,21 +428,144 @@ class TestStatsSeries:
         assert "epoch_seconds" in text
         assert "Trend" in text
 
-    def test_saved_arena_hit_rate_series_still_renders(self, tmp_path):
-        # Runs saved while kernels pooled their scratch carry this series.
+    @staticmethod
+    def _fake_submission(tmp_path, telemetry=None):
+        """A one-run submission of the fake benchmark, saved to disk."""
+        from repro.core import (BenchmarkRunner, Category, Division, FakeClock,
+                                Submission, SystemDescription, SystemType,
+                                save_submission)
+        from tests.core.fakes import FAKE_SPEC, FakeBenchmark
+
+        clock = FakeClock()
+        run = BenchmarkRunner(clock=clock).run(
+            FakeBenchmark(clock=clock, epoch_cost_s=2.0), seed=0,
+            telemetry=telemetry(clock) if telemetry else None)
+        system = SystemDescription(
+            submitter="fake-org", system_name="fake-sys",
+            system_type=SystemType.ON_PREMISE, num_nodes=1, processors_per_node=1,
+            processor_type="cpu", accelerators_per_node=0, accelerator_type="none",
+            host_memory_gb=1.0, interconnect="none", software_stack={})
+        sub = Submission(system, Division.CLOSED, Category.AVAILABLE)
+        sub.add_runs(FAKE_SPEC.name, [run])
+        return run, save_submission(sub, tmp_path)
+
+    @staticmethod
+    def _rows(text):
+        """``{series: [N, First, ...]}`` from the ``--series`` table's rows."""
+        series_table = text.partition("\n\n")[2]
+        return {line.split()[2]: line.split()[3:]
+                for line in series_table.splitlines() if line.startswith("fake_benchmark")}
+
+    def test_run_without_telemetry_renders_rows_from_its_log(self, tmp_path):
+        run, base = self._fake_submission(tmp_path)
+        assert run.telemetry is None
+        code, text = run_cli("stats", str(base), "--series")
+        assert code == 0
+        assert "no per-run series" not in text
+        rows = self._rows(text)
+        assert sorted(rows) == ["epoch_seconds", "eval_quality"]
+        assert rows["epoch_seconds"][:2] == [str(run.epochs), "2"]
+
+    def test_stale_header_series_is_ignored_for_the_log(self, tmp_path):
+        # Result files written before the series left the header still
+        # carry one; the rows come from the log all the same.
         import json
 
-        run_cli("run", "recommendation", "--seeds", "1",
-                "--save", str(tmp_path), "--submitter", "cli-test")
-        [path] = (tmp_path / "cli-test").rglob("result_*.txt")
+        from repro.telemetry import Telemetry
+
+        _, base = self._fake_submission(tmp_path, lambda clock: Telemetry(clock=clock))
+        code, fresh = run_cli("stats", str(base), "--series")
+        [path] = base.rglob("result_*.txt")
         first, _, rest = path.read_text().partition("\n")
         header = json.loads(first[len("# repro-run "):])
-        header["series"]["kernel_arena_hit_rate"] = [[0.5, 0, 0.9], [1.0, 1, 1.0]]
+        header["series"] = {"epoch_seconds": [[0.5, 1, 999.0]],
+                            "kernel_arena_hit_rate": [[0.5, 0, 0.9]]}
         path.write_text("# repro-run " + json.dumps(header) + "\n" + rest)
-        code, text = run_cli("stats", str(tmp_path / "cli-test"), "--series")
+        code, text = run_cli("stats", str(base), "--series")
         assert code == 0
-        [row] = [l for l in text.splitlines() if "kernel_arena_hit_rate" in l]
-        assert row.split()[3:5] == ["2", "0.9"]
+        assert text == fresh
+        assert "kernel_arena_hit_rate" not in text and "999" not in text
+        assert sorted(self._rows(text)) == [
+            "epoch_seconds", "eval_quality", "examples_per_second"]
+
+
+class TestDamagedResultFiles:
+    """A killed writer's tail parses away; any other damage is one line, exit 1."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("saved")
+        code, _ = run_cli("run", "recommendation", "--seeds", "1",
+                          "--save", str(base), "--submitter", "cli-test")
+        assert code == 0
+        return base / "cli-test"
+
+    @staticmethod
+    def _copy(saved, tmp_path, name, edit):
+        import shutil
+
+        submission = tmp_path / name / "cli-test"
+        shutil.copytree(saved, submission)
+        [path] = submission.rglob("result_0.txt")
+        lines = path.read_text().splitlines()
+        path.write_text(edit(lines))
+        return submission, path
+
+    def _answers(self, submission, path, tmp_path):
+        import json
+
+        from repro.core.artifacts import load_run_result
+
+        out = tmp_path / f"{submission.parent.name}.trace.json"
+        trace = run_cli("trace", str(path), "-o", str(out))
+        run = load_run_result(path)
+        return {
+            "review": run_cli("review", str(submission)),
+            "stats": run_cli("stats", str(submission), "--series"),
+            "trace": (trace[0], json.loads(out.read_text())),
+            "load": (run.quality, run.epochs, run.quality_history,
+                     run.time_to_train_s),
+        }
+
+    def test_truncated_last_record_reads_as_the_file_without_it(self, saved, tmp_path):
+        cut, cut_path = self._copy(
+            saved, tmp_path, "cut",
+            lambda lines: "\n".join(lines[:-1] + [lines[-1][:25]]))
+        dropped, dropped_path = self._copy(
+            saved, tmp_path, "dropped", lambda lines: "\n".join(lines[:-1]) + "\n")
+        assert self._answers(cut, cut_path, tmp_path) \
+            == self._answers(dropped, dropped_path, tmp_path)
+
+    @pytest.mark.parametrize("command", ["review", "report", "stats"])
+    @pytest.mark.parametrize("damage", ["corrupt header", "no header", "corrupt record"])
+    def test_damaged_file_is_one_line_and_exit_1(self, saved, tmp_path, command, damage):
+        edits = {
+            "corrupt header": lambda lines: "\n".join(
+                [lines[0][:40]] + lines[1:]) + "\n",
+            "no header": lambda lines: "\n".join(lines[1:]) + "\n",
+            "corrupt record": lambda lines: "\n".join(
+                lines[:3] + [lines[3][:30]] + lines[4:]) + "\n",
+        }
+        submission, path = self._copy(saved, tmp_path, "damaged", edits[damage])
+        code, text = run_cli(command, str(submission))
+        assert code == 1
+        assert text.startswith(f"cannot load submission {submission}: {path}: ")
+        assert text.count("\n") == 1
+
+    def test_trace_of_a_file_with_no_parseable_record(self, tmp_path):
+        path = tmp_path / "result_0.txt"
+        path.write_text('# repro-run {}\n:::MLLOG {"key": "run_st')
+        code, text = run_cli("trace", str(path))
+        assert code == 1
+        assert text == f"no :::MLLOG events found in {path}\n"
+
+    def test_trace_of_a_corrupt_record_is_one_line(self, saved, tmp_path):
+        _, path = self._copy(saved, tmp_path, "damaged", lambda lines: "\n".join(
+            lines[:3] + [lines[3][:30]] + lines[4:]) + "\n")
+        code, text = run_cli("trace", str(path))
+        assert code == 1
+        assert text.startswith(f"cannot parse {path}: corrupt log record: ")
+        assert text.count("\n") == 1
 
 
 class TestBenchDiffCommand:
