@@ -22,7 +22,8 @@ Commands mirror how the MLPerf artifacts are used in practice:
   sparklines;
 - ``monitor`` — a refreshable terminal view of a campaign directory,
   live or post-mortem, built purely from the journal + event streams
-  (per-job state, progress, retries, ETA, stall detection);
+  (per-job state, progress, retries, ETA, and stall detection at the
+  ``job_stall`` alert's threshold);
 - ``bench-kernels``, ``loadgen`` — write a
   ``BENCH_*.json`` report (``--smoke`` picks CI's sizes); they judge
   nothing, so a report that holds a divergence still exits 0 (``loadgen``
@@ -42,7 +43,7 @@ Commands mirror how the MLPerf artifacts are used in practice:
   ``/api/runs/.../series``, ``/api/alerts``), and an SSE stream at
   ``/events``, all tailed incrementally from campaign files;
 - ``alerts`` — deterministically replay a campaign's event streams
-  through the declarative alert rules (stall, heartbeat loss, quality
+  through the fixed alert policy (stall, heartbeat loss, quality
   regression, throughput drop), writing
   ``alerts.jsonl`` and printing the firing/resolved timeline;
 - ``hp-table`` — print the §6 scale → hyperparameters recommendation table;
@@ -160,10 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
              "purely from the journal and the event streams")
     monitor.add_argument("campaign_dir",
                          help="a campaign directory (from `campaign --save`)")
-    monitor.add_argument("--stall-after", type=float, default=None,
-                         metavar="SECONDS",
-                         help="flag running jobs whose stream is silent "
-                              "longer than this as STALLED (default 30)")
     monitor.add_argument("--watch", type=float, default=None, metavar="SECONDS",
                          help="refresh every SECONDS until the campaign "
                               "settles (default: render once and exit)")
@@ -185,13 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080,
                        help="bind port (default %(default)s; 0 picks an "
                             "ephemeral port)")
-    serve.add_argument("--rules", metavar="FILE",
-                       help="JSON alert-rules file (default: one rule of "
-                            "every kind at documented thresholds)")
-    serve.add_argument("--stall-after", type=float, default=None,
-                       metavar="SECONDS",
-                       help="stall threshold for the monitor view: seconds "
-                            "of event-stream silence (default 30)")
     serve.add_argument("--refresh", type=float, default=0.5,
                        metavar="SECONDS",
                        help="minimum interval between file polls; "
@@ -202,14 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     alerts = sub.add_parser(
         "alerts",
-        help="replay a campaign's event streams through the alert rules: "
+        help="replay a campaign's event streams through the alert policy: "
              "print the firing/resolved timeline and write alerts.jsonl "
              "(deterministic: identical streams give identical files)")
     alerts.add_argument("campaign_dir",
                         help="a campaign directory (from `campaign --save`)")
-    alerts.add_argument("--rules", metavar="FILE",
-                        help="JSON alert-rules file (default: one rule of "
-                             "every kind at documented thresholds)")
     alerts.add_argument("--now", type=float, default=None, metavar="T",
                         help="final evaluation instant in event-stream "
                              "seconds (default and minimum: the last event's)")
@@ -386,8 +373,6 @@ def _cmd_run(args, out) -> int:
         Division,
         RunFailure,
         Submission,
-        SystemDescription,
-        SystemType,
         save_submission,
         score_runs,
     )
@@ -465,19 +450,10 @@ def _cmd_run(args, out) -> int:
               file=out)
 
     if args.save:
-        system = SystemDescription(
-            submitter=args.submitter,
-            system_name=f"{args.submitter}-system",
-            system_type=SystemType.ON_PREMISE,
-            num_nodes=1,
-            processors_per_node=1,
-            processor_type="host-cpu",
-            accelerators_per_node=0,
-            accelerator_type="none",
-            host_memory_gb=8.0,
-            interconnect="none",
-        )
-        submission = Submission(system, Division.CLOSED, Category.RESEARCH)
+        from .exec import default_system
+
+        submission = Submission(default_system(args.submitter),
+                                Division.CLOSED, Category.RESEARCH)
         submission.add_runs(benchmark.spec.name, runs)
         base = save_submission(submission, args.save)
         print(f"artifacts written to {base}", file=out)
@@ -654,24 +630,19 @@ def _cmd_stats(args, out) -> int:
 
 def _cmd_monitor(args, out) -> int:
     from .telemetry import render_monitor_view
-    from .telemetry.monitor import (DEFAULT_STALL_AFTER_S, CampaignTailer,
-                                    campaign_dir_problem)
+    from .telemetry.monitor import CampaignTailer, campaign_dir_problem
 
-    for flag, value in (("--watch", args.watch),
-                        ("--stall-after", args.stall_after)):
-        if value is not None and not value > 0:
-            print(f"monitor: {flag} must be > 0 seconds, got {value:g}",
-                  file=out)
-            return 2
+    if args.watch is not None and not args.watch > 0:
+        print(f"monitor: --watch must be > 0 seconds, got {args.watch:g}",
+              file=out)
+        return 2
     problem = campaign_dir_problem(args.campaign_dir)
     if problem is not None:
         print(f"monitor: {problem}", file=out)
         return 1
-    stall_after = (DEFAULT_STALL_AFTER_S if args.stall_after is None
-                   else args.stall_after)
     # A tailer instead of load_monitor_view so --watch re-reads nothing:
     # each refresh consumes only bytes appended since the previous one.
-    tailer = CampaignTailer(args.campaign_dir, stall_after_s=stall_after)
+    tailer = CampaignTailer(args.campaign_dir)
 
     def refresh():
         view = tailer.refresh()
@@ -692,8 +663,7 @@ def _cmd_monitor(args, out) -> int:
 def _cmd_alerts(args, out) -> int:
     from pathlib import Path
 
-    from .telemetry.alerts import (default_rules, load_rules_file,
-                                   render_alert_table, replay_alerts)
+    from .telemetry.alerts import render_alert_table, replay_alerts
     from .telemetry.events import EventLog
     from .telemetry.monitor import CampaignTailer, campaign_dir_problem
     from .telemetry.serve import ALERTS_LOG_NAME
@@ -703,12 +673,6 @@ def _cmd_alerts(args, out) -> int:
     if problem is not None:
         print(f"alerts: {problem}", file=out)
         return 1
-    try:
-        rules = (load_rules_file(args.rules) if args.rules
-                 else default_rules())
-    except (OSError, ValueError) as exc:
-        print(f"alerts: {exc}", file=out)
-        return 2
 
     tailer = CampaignTailer(campaign_dir)
     events = tailer.poll_events()
@@ -716,11 +680,11 @@ def _cmd_alerts(args, out) -> int:
         print(f"alerts: --now {args.now:.3f} is earlier than the last "
               f"event, at t={events[-1].time_s:.3f}", file=out)
         return 2
-    engine, transitions = replay_alerts(events, rules, now_s=args.now)
+    engine, transitions = replay_alerts(events, now_s=args.now)
 
     if not args.no_write:
-        # mode="w": the file is a pure function of the event streams (and
-        # rules), so a re-run reproduces it byte for byte.
+        # mode="w": the file is a pure function of the event streams, so
+        # a re-run reproduces it byte for byte.
         with EventLog(campaign_dir / ALERTS_LOG_NAME, mode="w") as log:
             for transition in transitions:
                 log.write(transition)
@@ -743,31 +707,18 @@ def _cmd_alerts(args, out) -> int:
 
 
 def _cmd_serve_metrics(args, out) -> int:
-    from .telemetry.alerts import load_rules_file
-    from .telemetry.monitor import DEFAULT_STALL_AFTER_S
     from .telemetry.serve import ObservabilityServer, discover_campaign_dirs
 
-    if args.stall_after is not None and not args.stall_after > 0:
-        print(f"serve-metrics: --stall-after must be > 0 seconds, got "
-              f"{args.stall_after:g}", file=out)
-        return 2
     if not args.refresh >= 0:
         print(f"serve-metrics: --refresh must be >= 0 seconds, got "
               f"{args.refresh:g}", file=out)
-        return 2
-    try:
-        rules = load_rules_file(args.rules) if args.rules else None
-    except (OSError, ValueError) as exc:
-        print(f"serve-metrics: {exc}", file=out)
         return 2
     found = discover_campaign_dirs(args.root)
     if not found:
         print(f"serve-metrics: no campaigns under {args.root} yet — "
               f"serving anyway, will pick them up as they appear", file=out)
     server = ObservabilityServer(
-        args.root, host=args.host, port=args.port, rules=rules,
-        stall_after_s=(DEFAULT_STALL_AFTER_S if args.stall_after is None
-                       else args.stall_after),
+        args.root, host=args.host, port=args.port,
         min_refresh_s=args.refresh,
         write_alerts=not args.no_alerts_log,
     ).bind()

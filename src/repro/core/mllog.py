@@ -18,6 +18,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from ..telemetry.events import _jsonify
+
 __all__ = ["LogEvent", "MLLogger", "Keys", "parse_log_lines"]
 
 _PREFIX = ":::MLLOG "
@@ -86,17 +88,6 @@ class LogEvent:
             )
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed MLLOG record: {exc!r}") from None
-
-
-def _jsonify(obj: Any):
-    """JSON fallback for numpy scalars, numpy arrays, and sets."""
-    if hasattr(obj, "tolist"):  # ndarray and numpy scalars alike
-        return obj.tolist()
-    if hasattr(obj, "item"):
-        return obj.item()
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
-    raise TypeError(f"unserializable log value of type {type(obj).__name__}")
 
 
 class MLLogger:

@@ -15,9 +15,10 @@ One call, :func:`run_campaign`, owns a campaign end to end:
    mean; everything is folded into a :class:`~repro.core.submission.Submission`
    plus a :class:`~repro.core.reporting.CampaignSummary`.
 
-Every scheduler decision increments a counter in the engine's metrics
-registry (``campaign_*``), and per-run telemetry snapshots merge
-parent-side with ``pid = seed`` so one Chrome trace shows all workers.
+Scheduler decisions are counted once, in the
+:class:`~repro.core.reporting.CampaignSummary` (and each cell's journal
+record), and per-run telemetry snapshots merge parent-side with
+``pid = seed`` so one Chrome trace shows all workers.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from ..core.submission import (
 from ..telemetry import (
     EventBus,
     EventLog,
-    MetricsRegistry,
     RunTelemetry,
     merged_run_telemetry,
 )
@@ -81,7 +81,6 @@ class CampaignOutcome:
     runs_by_benchmark: dict[str, list[RunResult]] = field(default_factory=dict)
     submission: Submission | None = None
     telemetry: RunTelemetry | None = None
-    scheduler_metrics: dict[str, dict[str, Any]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -155,7 +154,6 @@ def run_campaign(
                            for name in REGISTRY if name in spec.benchmarks}
     executor = executor or SequentialExecutor()
     policy = policy or RetryPolicy()
-    metrics = MetricsRegistry()
     started = wall_clock()
 
     plan = plan_campaign(spec, benchmark_specs)
@@ -207,7 +205,6 @@ def run_campaign(
         if prior is not None:
             results_by_cell[job.cell] = prior
             resumed_cells += 1
-            metrics.counter("campaign_cells_resumed").inc()
         else:
             wave.append(job)
 
@@ -234,7 +231,6 @@ def run_campaign(
                                 else job.stream_dir))
             for job in wave]
     while wave:
-        metrics.counter("campaign_jobs_scheduled").inc(len(wave))
         next_wave: list = []
         wave_delays: list[float] = []
         for outcome in executor.run(wave):
@@ -244,26 +240,20 @@ def run_campaign(
             will_retry = policy.should_retry(outcome)
             if outcome.status == "reached":
                 reached += 1
-                metrics.counter("campaign_jobs_reached").inc()
             elif outcome.status == "quality_miss":
                 quality_misses += 1
-                metrics.counter("campaign_quality_misses").inc()
             elif outcome.status == "timeout":
                 timeouts += 1
-                metrics.counter("campaign_timeouts").inc()
+            elif will_retry:
+                retries += 1
+                retry_job = outcome.job.retry()
+                delay = policy.delay_s(retry_job.attempt)
+                backoffs_by_cell.setdefault(outcome.job.cell, []).append(delay)
+                record.backoffs_s = list(backoffs_by_cell[outcome.job.cell])
+                next_wave.append(retry_job)
+                wave_delays.append(delay)
             else:
-                metrics.counter("campaign_faults").inc()
-                if will_retry:
-                    retries += 1
-                    metrics.counter("campaign_retries").inc()
-                    retry_job = outcome.job.retry()
-                    delay = policy.delay_s(retry_job.attempt)
-                    backoffs_by_cell.setdefault(outcome.job.cell, []).append(delay)
-                    record.backoffs_s = list(backoffs_by_cell[outcome.job.cell])
-                    next_wave.append(retry_job)
-                    wave_delays.append(delay)
-                else:
-                    faults += 1
+                faults += 1
             journal.record(record, outcome.result)
             events.publish("job_finished",
                            campaign=campaign_id,
@@ -279,7 +269,6 @@ def run_campaign(
             # One parallel backoff pause per wave: every retry in it has
             # waited at least its own delay.
             pause = max(wave_delays)
-            metrics.counter("campaign_backoff_seconds").inc(pause)
             events.publish("wave_backoff", pause_s=pause, retries=len(next_wave))
             sleeper(pause)
         wave = next_wave
@@ -350,7 +339,6 @@ def run_campaign(
         runs_by_benchmark=runs_by_benchmark,
         submission=submission if submission.runs else None,
         telemetry=merged_run_telemetry(outcome_telemetry),
-        scheduler_metrics=metrics.snapshot(),
     )
 
 

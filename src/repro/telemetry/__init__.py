@@ -19,6 +19,8 @@ measurement substrate for that decomposition:
 - :mod:`repro.telemetry.monitor` — the ``repro monitor`` view, built
   purely from a campaign directory's journal + event streams, folded
   once (:class:`StreamFold`) for the monitor, the alerts and the server;
+- :mod:`repro.telemetry.alerts` — the fixed alert policy (one row per
+  rule) and the engine that replays it into ``alerts.jsonl``;
 - :mod:`repro.telemetry.regress` — schema-aware ``BENCH_*.json``
   comparison with per-metric tolerance bands (``repro bench-diff``),
   with per-op regression attribution when a timing gate trips;
@@ -59,11 +61,7 @@ from .events import (
 from .alerts import (
     ActiveAlert,
     AlertEngine,
-    AlertRule,
     StreamFold,
-    default_rules,
-    load_rules_file,
-    parse_rules,
     replay_alerts,
 )
 from .monitor import (
@@ -130,7 +128,6 @@ from .profile import (
 __all__ = [
     "ActiveAlert",
     "AlertEngine",
-    "AlertRule",
     "AttributionRow",
     "CampaignTailer",
     "Counter",
@@ -171,16 +168,13 @@ __all__ = [
     "current_tracer",
     "decompose_log_events",
     "dedupe_metadata_events",
-    "default_rules",
     "load_monitor_view",
     "load_report",
-    "load_rules_file",
     "merge_event_streams",
     "merge_op_profiles",
     "merge_snapshots",
     "merged_run_telemetry",
     "metadata_events",
-    "parse_rules",
     "profile_mode_from_env",
     "render_exposition",
     "render_op_profile",

@@ -1,11 +1,14 @@
-"""Declarative alert rules over a campaign's event streams.
+"""The alert policy over a campaign's event streams.
 
 The monitor renders *state*; alerting needs *transitions* — "this job
 just stalled", "quality recovered".  This module turns the same file-only
 surfaces into a firing/resolved lifecycle:
 
-- An :class:`AlertRule` is data (kind + parameters), parseable from JSON,
-  so a campaign can ship its alerting policy next to its spec.
+- :data:`RULES` is the policy: one row per alert kind with its severity
+  and thresholds.  They are constants, not settings — the MLPerf rules
+  fix the §3.2.1 forward-progress assumption and the §3.2.2 quality
+  targets they check — and the monitor's stalled state reads the
+  ``job_stall`` row, so the two never disagree.
 - :class:`StreamFold` folds a merged event stream into per-run state
   (last progress instant, latest quality vs. target, rolling throughput)
   and the per-job progress the monitor shows — one ``O(1)`` update per
@@ -20,147 +23,60 @@ surfaces into a firing/resolved lifecycle:
 
 Determinism is the design constraint: transitions are stamped with
 event-stream instants (never a wall clock read), rules evaluate in
-declaration order and subjects in sorted order, and
+table order and subjects in sorted order, and
 :meth:`AlertEngine.advance`, the one schedule :func:`replay_alerts` and
 the server both run, evaluates at the stream's own timestamps — so
 identical event streams produce bit-identical ``alerts.jsonl`` files, on
 any machine, at any polling cadence, under
 :class:`repro.core.timing.FakeClock` or epoch time alike.
 
-Rule kinds (each with its parameter defaults):
+The rules, in evaluation order:
 
 =====================  ==================================================
-``job_stall``          no progress event for ``stall_after_s`` (30) — the
-                       monitor's stall detection as an alert;
-``heartbeat_loss``     no progress event for ``loss_after_s`` (120): the
-                       job is presumed dead, not merely slow;
-``quality_regression`` after ``min_evals`` (2) evaluations the run's
-                       quality sits below ``min_fraction`` (0.9) of its
-                       §3.2.2 target — and stays firing if the run ends
-                       there;
-``throughput_drop``    latest examples/second under ``drop_ratio`` (0.5)
-                       of the rolling mean of the previous ``window``
-                       (4) samples.
+``job_stall``          (warning) no progress event for 30 s — the
+                       monitor's stalled state as an alert;
+``heartbeat_loss``     (critical) no progress event for 120 s: the job
+                       is presumed dead, not merely slow;
+``quality_regression`` (warning) after 2 evaluations the run's quality
+                       sits below 0.9 of its §3.2.2 target — and stays
+                       firing if the run ends there;
+``throughput_drop``    (warning) latest examples/second under 0.5 of the
+                       rolling mean of the previous 4 samples.
 =====================  ==================================================
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
 from .events import Event
 
-__all__ = ["AlertRule", "ActiveAlert", "AlertEngine", "StreamFold",
-           "RULE_KINDS", "default_rules", "parse_rules",
-           "load_rules_file", "replay_alerts", "render_alert_table"]
-
-# kind -> (parameter name -> default).  A rule may override any subset;
-# unknown parameters are a configuration error, caught at parse time.
-RULE_KINDS: dict[str, dict[str, float]] = {
-    "job_stall": {"stall_after_s": 30.0},
-    "heartbeat_loss": {"loss_after_s": 120.0},
-    "quality_regression": {"min_fraction": 0.9, "min_evals": 2},
-    "throughput_drop": {"drop_ratio": 0.5, "window": 4},
-}
-
-_SEVERITIES = ("info", "warning", "critical")
-
-# Rolling-throughput memory per run; bounds fold state on long runs.
-_THROUGHPUT_KEEP = 32
+__all__ = ["AlertRule", "ActiveAlert", "AlertEngine", "StreamFold", "RULES",
+           "replay_alerts", "render_alert_table"]
 
 
 @dataclass(frozen=True)
 class AlertRule:
-    """One declarative rule: a kind, tuned parameters, and a severity."""
+    """One row of the alert policy: a severity and the kind's thresholds."""
 
-    kind: str
-    name: str
-    severity: str = "warning"
-    params: tuple[tuple[str, float], ...] = ()
-
-    def param(self, key: str) -> float:
-        for name, value in self.params:
-            if name == key:
-                return value
-        return RULE_KINDS[self.kind][key]
-
-    def to_payload(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {"rule": self.kind, "severity": self.severity}
-        if self.name != self.kind:
-            payload["name"] = self.name
-        payload.update(dict(self.params))
-        return payload
+    severity: str
+    silence_s: float | None = None  # fires after this long without progress
+    fraction: float = 0.0  # of the quality target / the throughput baseline
+    samples: int = 0  # evaluations before quality counts / baseline window
 
 
-def _make_rule(kind: str, name: str | None, severity: str,
-               params: Mapping[str, Any]) -> AlertRule:
-    if kind not in RULE_KINDS:
-        raise ValueError(
-            f"unknown alert rule kind {kind!r}; known: {sorted(RULE_KINDS)}")
-    if severity not in _SEVERITIES:
-        raise ValueError(
-            f"rule {kind!r}: unknown severity {severity!r}; "
-            f"choose from {_SEVERITIES}")
-    unknown = sorted(set(params) - set(RULE_KINDS[kind]))
-    if unknown:
-        raise ValueError(
-            f"rule {kind!r}: unknown parameter(s) {unknown}; "
-            f"accepts {sorted(RULE_KINDS[kind])}")
-    resolved = tuple(sorted(
-        (key, float(params[key])) for key in params))
-    return AlertRule(kind=kind, name=name or kind, severity=severity,
-                     params=resolved)
+# The alert policy, in evaluation order.  The monitor's stalled state is
+# the job_stall condition: it reads that row's ``silence_s``.
+RULES: dict[str, AlertRule] = {
+    "job_stall": AlertRule("warning", silence_s=30.0),
+    "heartbeat_loss": AlertRule("critical", silence_s=120.0),
+    "quality_regression": AlertRule("warning", fraction=0.9, samples=2),
+    "throughput_drop": AlertRule("warning", fraction=0.5, samples=4),
+}
 
-
-def default_rules() -> list[AlertRule]:
-    """One rule of every kind at its documented defaults."""
-    return [_make_rule(kind, None,
-                       "critical" if kind == "heartbeat_loss" else "warning",
-                       {})
-            for kind in RULE_KINDS]
-
-
-def parse_rules(payload: Any) -> list[AlertRule]:
-    """Parse the declarative rules document: a JSON list of objects.
-
-    Each object needs ``"rule": <kind>`` and may carry ``"name"``,
-    ``"severity"``, and the kind's parameters, e.g.::
-
-        [{"rule": "job_stall", "stall_after_s": 45},
-         {"rule": "quality_regression", "min_fraction": 0.95,
-          "severity": "critical"}]
-    """
-    if not isinstance(payload, list):
-        raise ValueError("alert rules document must be a JSON list of objects")
-    rules: list[AlertRule] = []
-    seen: set[str] = set()
-    for i, entry in enumerate(payload):
-        if not isinstance(entry, dict) or "rule" not in entry:
-            raise ValueError(f"alert rule #{i}: expected an object with a "
-                             f"'rule' key, got {entry!r}")
-        entry = dict(entry)
-        kind = str(entry.pop("rule"))
-        name = entry.pop("name", None)
-        severity = str(entry.pop("severity", "warning"))
-        rule = _make_rule(kind, None if name is None else str(name),
-                          severity, entry)
-        if rule.name in seen:
-            raise ValueError(f"alert rule #{i}: duplicate rule name "
-                             f"{rule.name!r}")
-        seen.add(rule.name)
-        rules.append(rule)
-    return rules
-
-
-def load_rules_file(path: str | Path) -> list[AlertRule]:
-    path = Path(path)
-    try:
-        return parse_rules(json.loads(path.read_text(encoding="utf-8")))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+# Rolling-throughput memory per run; bounds fold state on long runs.
+_THROUGHPUT_KEEP = 32
 
 
 @dataclass
@@ -314,51 +230,42 @@ class StreamFold:
             self.apply(event)
 
 
-def _check(rule: AlertRule, state: RunAlertState,
+def _check(kind: str, rule: AlertRule, state: RunAlertState,
            now_s: float) -> tuple[bool, float, str] | None:
     """One (rule, run) condition: (firing, value, detail), or None = N/A."""
-    if rule.kind == "job_stall":
+    if rule.silence_s is not None:
         if not state.active:
             return None
         age = now_s - state.last_progress_s
-        limit = rule.param("stall_after_s")
-        return (age > limit, age,
-                f"no progress for {age:.1f}s (stall threshold {limit:g}s)")
-    if rule.kind == "heartbeat_loss":
-        if not state.active:
-            return None
-        age = now_s - state.last_progress_s
-        limit = rule.param("loss_after_s")
-        return (age > limit, age,
-                f"silent for {age:.1f}s (loss threshold {limit:g}s)")
-    if rule.kind == "quality_regression":
+        detail = (f"no progress for {age:.1f}s (stall" if kind == "job_stall"
+                  else f"silent for {age:.1f}s (loss")
+        return (age > rule.silence_s, age,
+                f"{detail} threshold {rule.silence_s:g}s)")
+    if kind == "quality_regression":
         if (state.target is None or state.quality is None
-                or state.evals < rule.param("min_evals")):
+                or state.evals < rule.samples):
             return None
         if not state.active and state.status == "reached":
             return (False, state.quality, "run reached its target")
-        floor = rule.param("min_fraction") * state.target
+        floor = rule.fraction * state.target
         return (state.quality < floor, state.quality,
                 f"quality {state.quality:.4f} vs floor {floor:.4f} "
-                f"({rule.param('min_fraction'):g} x target {state.target:g})")
-    if rule.kind == "throughput_drop":
-        window = int(rule.param("window"))
-        if not state.active or len(state.throughput) < 2:
-            return None
-        latest = state.throughput[-1]
-        baseline_window = state.throughput[:-1][-window:]
-        baseline = sum(baseline_window) / len(baseline_window)
-        if baseline <= 0:
-            return None
-        floor = rule.param("drop_ratio") * baseline
-        return (latest < floor, latest,
-                f"{latest:.4g} ex/s vs rolling baseline {baseline:.4g} "
-                f"(floor {floor:.4g})")
-    raise ValueError(f"unknown alert rule kind {rule.kind!r}")
+                f"({rule.fraction:g} x target {state.target:g})")
+    if not state.active or len(state.throughput) < 2:  # throughput_drop
+        return None
+    latest = state.throughput[-1]
+    baseline_window = state.throughput[:-1][-rule.samples:]
+    baseline = sum(baseline_window) / len(baseline_window)
+    if baseline <= 0:
+        return None
+    floor = rule.fraction * baseline
+    return (latest < floor, latest,
+            f"{latest:.4g} ex/s vs rolling baseline {baseline:.4g} "
+            f"(floor {floor:.4g})")
 
 
 class AlertEngine:
-    """Stateful firing/resolved lifecycle over rule evaluations.
+    """Stateful firing/resolved lifecycle over the :data:`RULES`.
 
     ``sink`` (e.g. ``EventLog.write``) receives every transition as it
     happens — the append-only ``alerts.jsonl`` contract.  The engine
@@ -366,9 +273,7 @@ class AlertEngine:
     the schedule :meth:`advance` runs.
     """
 
-    def __init__(self, rules: Iterable[AlertRule] | None = None,
-                 sink: Callable[[Event], None] | None = None):
-        self.rules = list(rules) if rules is not None else default_rules()
+    def __init__(self, sink: Callable[[Event], None] | None = None):
         self.sink = sink
         self._latest_s = float("-inf")
         self._active: dict[tuple[str, str], ActiveAlert] = {}
@@ -415,21 +320,21 @@ class AlertEngine:
         """Evaluate every rule at ``now_s``; return new transitions."""
         now_s = self._latest_s = max(float(now_s), self._latest_s)
         out: list[Event] = []
-        for rule in self.rules:
+        for kind, rule in RULES.items():
             seen: set[tuple[str, str]] = set()
             for key in sorted(runs):
-                verdict = _check(rule, runs[key], now_s)
+                verdict = _check(kind, rule, runs[key], now_s)
                 if verdict is None:
                     continue
                 firing, value, detail = verdict
-                slot = (rule.name, key)
+                slot = (kind, key)
                 seen.add(slot)
-                args = {"rule": rule.name, "kind": rule.kind, "key": key,
+                args = {"rule": kind, "kind": kind, "key": key,
                         "severity": rule.severity, "value": value,
                         "detail": detail}
                 if firing and slot not in self._active:
                     self._active[slot] = ActiveAlert(
-                        rule=rule.name, kind=rule.kind, key=key,
+                        rule=kind, kind=kind, key=key,
                         severity=rule.severity, since_s=now_s,
                         value=value, detail=detail)
                     out.append(self._emit("alert_firing", now_s, args))
@@ -439,7 +344,7 @@ class AlertEngine:
             # Subjects that vanished (rule no longer applicable — e.g. the
             # run ended) resolve rather than firing forever.
             for slot in [s for s in self._active
-                         if s[0] == rule.name and s not in seen]:
+                         if s[0] == kind and s not in seen]:
                 stale = self._active.pop(slot)
                 out.append(self._emit("alert_resolved", now_s, {
                     "rule": stale.rule, "kind": stale.kind,
@@ -449,9 +354,7 @@ class AlertEngine:
         return out
 
 
-def replay_alerts(events: list[Event],
-                  rules: Iterable[AlertRule] | None = None,
-                  *,
+def replay_alerts(events: list[Event], *,
                   now_s: float | None = None,
                   sink: Callable[[Event], None] | None = None,
                   ) -> tuple[AlertEngine, list[Event]]:
@@ -462,7 +365,7 @@ def replay_alerts(events: list[Event],
     event time).  No wall clock is consulted anywhere, so two replays of
     identical streams emit byte-identical transition sequences.
     """
-    engine = AlertEngine(rules, sink=sink)
+    engine = AlertEngine(sink=sink)
     return engine, engine.advance(StreamFold(), events, now_s)
 
 

@@ -73,13 +73,15 @@ class Event:
 
 
 def _jsonify(obj: Any):
-    if hasattr(obj, "tolist"):  # numpy arrays and scalars
+    """JSON fallback for numpy scalars, numpy arrays, and sets (shared
+    with the MLLog writer)."""
+    if hasattr(obj, "tolist"):  # ndarray and numpy scalars alike
         return obj.tolist()
     if hasattr(obj, "item"):
         return obj.item()
     if isinstance(obj, (set, frozenset)):
         return sorted(obj)
-    raise TypeError(f"unserializable event value of type {type(obj).__name__}")
+    raise TypeError(f"unserializable value of type {type(obj).__name__}")
 
 
 class EventBus:

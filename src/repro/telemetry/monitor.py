@@ -18,7 +18,8 @@ is an explicit parameter everywhere, so views are deterministic under
 
 Job states: ``pending`` (planned, no record or stream yet), ``running``
 (an attempt started and has not stopped), ``stalled`` (running, its
-stream silent past the stall threshold), plus the journal's
+stream silent past the ``job_stall`` alert's threshold, so the view and
+the alert agree), plus the journal's
 terminal/attempted states ``reached`` / ``quality_miss`` / ``fault`` /
 ``timeout``.
 """
@@ -32,14 +33,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from .alerts import JobState, StreamFold
+from .alerts import RULES, JobState, StreamFold
 from .events import Event, EventCursor
 
-__all__ = ["JobView", "MonitorView", "CampaignTailer", "DEFAULT_STALL_AFTER_S",
-           "load_monitor_view", "build_view", "campaign_dir_problem",
-           "render_monitor_view", "render_job_table"]
-
-DEFAULT_STALL_AFTER_S = 30.0
+__all__ = ["JobView", "MonitorView", "CampaignTailer", "load_monitor_view",
+           "build_view", "campaign_dir_problem", "render_monitor_view",
+           "render_job_table"]
 
 # Journal states that cannot change without another scheduling decision.
 _SETTLED = frozenset({"reached", "quality_miss", "fault", "timeout"})
@@ -78,7 +77,6 @@ class MonitorView:
     campaign: dict[str, Any] = field(default_factory=dict)
     events: list[Event] = field(default_factory=list)
     now_s: float = 0.0
-    stall_after_s: float = DEFAULT_STALL_AFTER_S
 
     def counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -142,7 +140,6 @@ def build_view(
     campaign: dict[str, Any] | None = None,
     events: list[Event] | None = None,
     now_s: float,
-    stall_after_s: float = DEFAULT_STALL_AFTER_S,
 ) -> MonitorView:
     """Fuse journal records, the job streams' progress, and the plan.
 
@@ -180,7 +177,7 @@ def build_view(
             # A live attempt newer than the journal's last word means a
             # retry (or the first attempt) is in flight right now.
             if stream.live and status != "reached":
-                stalled = age > stall_after_s
+                stalled = age > RULES["job_stall"].silence_s
                 status = "stalled" if stalled else "running"
                 attempts = max(attempts, stream.attempt + 1)
                 epoch = stream.epoch
@@ -194,18 +191,16 @@ def build_view(
             error=error,
         ))
     return MonitorView(jobs=jobs, campaign=dict(campaign or {}),
-                       events=list(events or []), now_s=now_s,
-                       stall_after_s=stall_after_s)
+                       events=list(events or []), now_s=now_s)
 
 
 def load_monitor_view(
     campaign_dir: str | Path,
     *,
     now_s: float | None = None,
-    stall_after_s: float = DEFAULT_STALL_AFTER_S,
 ) -> MonitorView:
     """A view from a campaign directory's files alone: one tailer refresh."""
-    return CampaignTailer(campaign_dir, stall_after_s).refresh(now_s)
+    return CampaignTailer(campaign_dir).refresh(now_s)
 
 
 def campaign_dir_problem(campaign_dir: str | Path) -> str | None:
@@ -247,10 +242,8 @@ class CampaignTailer:
     the same files, in the same ``(time_s, pid)`` order.
     """
 
-    def __init__(self, campaign_dir: str | Path,
-                 stall_after_s: float = DEFAULT_STALL_AFTER_S):
+    def __init__(self, campaign_dir: str | Path):
         self.campaign_dir = Path(campaign_dir)
-        self.stall_after_s = float(stall_after_s)
         self.events: list[Event] = []
         self.fold = StreamFold()
         self._cursors: dict[Path, EventCursor] = {}
@@ -324,8 +317,7 @@ class CampaignTailer:
                    for b, s in campaign.get("planned_cells", [])]
         return build_view(job_records=job_records, planned_cells=planned,
                           progress=self.fold.jobs, campaign=campaign,
-                          events=self.events, now_s=now_s,
-                          stall_after_s=self.stall_after_s)
+                          events=self.events, now_s=now_s)
 
 
 def _fmt(value: float | None, spec: str, empty: str = "-") -> str:
@@ -377,7 +369,7 @@ def render_monitor_view(view: MonitorView, *, recent_events: int = 6) -> str:
     if view.stalled_jobs:
         lines.append(
             f"  STALL: {len(view.stalled_jobs)} job(s) without a heartbeat "
-            f"for > {view.stall_after_s:.0f}s"
+            f"for > {RULES['job_stall'].silence_s:.0f}s"
         )
     lines.append("")
     lines.append(render_job_table(view.jobs))

@@ -31,7 +31,10 @@ every endpoint shares.  Each poll's fresh events, from byte 0 on the
 first, go through the schedule ``repro alerts`` replays
 (:meth:`~repro.telemetry.alerts.AlertEngine.advance`), so a finished
 campaign's rewritten ``alerts.jsonl`` equals the replay's byte for byte.
-A refresh of a quiet campaign costs ``stat`` calls only.
+A refresh of a quiet campaign costs ``stat`` calls only.  The alert
+policy, and with it the stall threshold ``stalled_jobs`` counts by, is
+the fixed :data:`~repro.telemetry.alerts.RULES` table, so the server
+takes no rules or thresholds of its own.
 """
 
 from __future__ import annotations
@@ -41,18 +44,17 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..core.artifacts import read_run_header
 from ..core.mllog import parse_log_lines
-from .alerts import AlertEngine, AlertRule
+from .alerts import AlertEngine
 from .events import Event, EventLog
 from .export import (EXPOSITION_CONTENT_TYPE, alert_lines, render_exposition,
                      snapshot_lines, view_lines)
 from .metrics import MetricsRegistry, merge_snapshots
-from .monitor import (DEFAULT_STALL_AFTER_S, CampaignTailer, MonitorView,
-                      campaign_dir_problem)
+from .monitor import CampaignTailer, MonitorView, campaign_dir_problem
 from .profile import series_from_log_events
 
 __all__ = ["ObservabilityServer", "discover_campaign_dirs", "ALERTS_LOG_NAME"]
@@ -87,11 +89,10 @@ class _CampaignState:
     """One tailed campaign: tailer, alert engine, latest view, run cache."""
 
     def __init__(self, campaign_id: str, directory: Path, *,
-                 rules: Iterable[AlertRule] | None,
-                 stall_after_s: float, write_alerts: bool):
+                 write_alerts: bool):
         self.id = campaign_id
         self.directory = directory
-        self.tailer = CampaignTailer(directory, stall_after_s=stall_after_s)
+        self.tailer = CampaignTailer(directory)
         sink = None
         if write_alerts:
             # mode="w": the engine replays every stream from byte 0, so a
@@ -100,7 +101,7 @@ class _CampaignState:
             sink = self._alerts_log.write
         else:
             self._alerts_log = None
-        self.engine = AlertEngine(rules, sink=sink)
+        self.engine = AlertEngine(sink=sink)
         self.view: MonitorView | None = None
         self.transitions: deque[Event] = deque(maxlen=_RING_DEPTH)
         self._header_cache: dict[str, tuple[float, dict[str, Any]]] = {}
@@ -170,16 +171,12 @@ class ObservabilityServer:
 
     def __init__(self, root: str | Path, *,
                  host: str = "127.0.0.1", port: int = 0,
-                 rules: Iterable[AlertRule] | None = None,
-                 stall_after_s: float = DEFAULT_STALL_AFTER_S,
                  clock: Callable[[], float] | None = None,
                  min_refresh_s: float = 0.5,
                  poll_interval_s: float = 1.0,
                  write_alerts: bool = True):
         self.root = Path(root)
         self.host, self.port = host, port
-        self.rules = list(rules) if rules is not None else None
-        self.stall_after_s = float(stall_after_s)
         self.clock = clock or time.time
         self.min_refresh_s = float(min_refresh_s)
         self.poll_interval_s = float(poll_interval_s)
@@ -200,9 +197,7 @@ class ObservabilityServer:
         for cid, directory in discover_campaign_dirs(self.root).items():
             if cid not in self.campaigns:
                 self.campaigns[cid] = _CampaignState(
-                    cid, directory, rules=self.rules,
-                    stall_after_s=self.stall_after_s,
-                    write_alerts=self.write_alerts)
+                    cid, directory, write_alerts=self.write_alerts)
 
     def refresh(self, force: bool = False) -> None:
         """Poll every campaign once (coalesced under ``min_refresh_s``)."""

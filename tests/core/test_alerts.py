@@ -1,12 +1,9 @@
-"""The alert-rules engine: declarative rules, lifecycle, determinism.
+"""The alert engine: the fixed policy, lifecycle, determinism.
 
 The acceptance bar: identical event streams produce bit-identical
-``alerts.jsonl`` files under FakeClock, every rule kind fires and
-resolves on the conditions its name promises, and configuration errors
-surface at parse time.
+``alerts.jsonl`` files under FakeClock, and every rule kind fires and
+resolves on the conditions its name promises.
 """
-
-import pytest
 
 from repro.core.timing import FakeClock
 from repro.telemetry import (
@@ -14,11 +11,9 @@ from repro.telemetry import (
     Event,
     EventBus,
     StreamFold,
-    default_rules,
-    parse_rules,
     replay_alerts,
 )
-from repro.telemetry.alerts import RULE_KINDS, load_rules_file
+from repro.telemetry.alerts import RULES
 
 
 def _stream(specs):
@@ -49,45 +44,12 @@ def _run_events(*, start=1000.0, epoch_gap=1.0, epochs=4, quality=0.9,
 
 class TestRuleParsing:
     def test_defaults_cover_every_kind(self):
-        rules = default_rules()
-        assert sorted(r.kind for r in rules) == sorted(RULE_KINDS)
-
-    def test_parse_overrides_and_names(self):
-        rules = parse_rules([
-            {"rule": "job_stall", "stall_after_s": 45, "name": "slow",
-             "severity": "critical"},
-            {"rule": "quality_regression", "min_fraction": 0.95},
-        ])
-        assert rules[0].name == "slow" and rules[0].severity == "critical"
-        assert rules[0].param("stall_after_s") == 45.0
-        assert rules[1].param("min_fraction") == 0.95
-        assert rules[1].param("min_evals") == 2  # untouched default
-
-    @pytest.mark.parametrize("doc,match", [
-        ([{"rule": "nope"}], "unknown alert rule kind"),
-        ([{"rule": "job_stall", "bogus": 1}], "unknown parameter"),
-        ([{"rule": "job_stall", "severity": "mild"}], "unknown severity"),
-        ([{"no_rule": 1}], "expected an object"),
-        ({"rule": "job_stall"}, "JSON list"),
-        ([{"rule": "job_stall"}, {"rule": "job_stall"}], "duplicate rule"),
-    ])
-    def test_parse_errors(self, doc, match):
-        with pytest.raises(ValueError, match=match):
-            parse_rules(doc)
-
-    def test_retired_arena_rule_is_an_unknown_kind(self):
-        with pytest.raises(ValueError,
-                           match="unknown alert rule kind 'arena_hit_rate_drop'"):
-            parse_rules([{"rule": "arena_hit_rate_drop", "min_hit_rate": 0.8}])
-
-    def test_load_rules_file(self, tmp_path):
-        path = tmp_path / "rules.json"
-        path.write_text('[{"rule": "heartbeat_loss", "loss_after_s": 9}]')
-        rules = load_rules_file(path)
-        assert rules[0].param("loss_after_s") == 9.0
-        path.write_text("{broken")
-        with pytest.raises(ValueError, match="not valid JSON"):
-            load_rules_file(path)
+        assert {kind: rule.severity for kind, rule in RULES.items()} == {
+            "job_stall": "warning", "heartbeat_loss": "critical",
+            "quality_regression": "warning", "throughput_drop": "warning"}
+        assert list(RULES)[:2] == ["job_stall", "heartbeat_loss"]
+        assert (RULES["job_stall"].silence_s,
+                RULES["heartbeat_loss"].silence_s) == (30.0, 120.0)
 
 
 class TestRuleLifecycle:

@@ -177,8 +177,7 @@ class TestBuildView:
             (90.0, "epoch", 1, {"epoch": 3, "samples_total": 96}),
             (95.0, "eval", 1, {"epoch": 3, "quality": 0.4}))
         view = build_view(job_records={}, planned_cells=[("fake", 1)],
-                          progress=progress, now_s=100.0,
-                          stall_after_s=30.0)
+                          progress=progress, now_s=100.0)
         job = view.jobs[0]
         assert job.status == "running" and not job.stalled
         assert (job.epoch, job.step, job.quality) == (3, 96.0, 0.4)
@@ -189,8 +188,7 @@ class TestBuildView:
         progress = _progress(
             (10.0, "job_start", 0, {"benchmark": "fake", "seed": 0}))
         view = build_view(job_records={}, planned_cells=[("fake", 0)],
-                          progress=progress, now_s=100.0,
-                          stall_after_s=30.0)
+                          progress=progress, now_s=100.0)
         job = view.jobs[0]
         assert job.status == "stalled" and job.stalled
         assert view.stalled_jobs == [job]

@@ -220,6 +220,38 @@ class TestAlertLog:
         assert self._serve_once(tmp_path, 1000.0) == first
 
 
+class TestOneStallDefinition:
+    """The monitor's stalled state and the job_stall alert are one rule."""
+
+    def test_view_and_alerts_cross_the_thresholds_together(self, tmp_path):
+        cell = {"benchmark": "b", "seed": 0}
+        with EventLog(tmp_path / "events" / "b_seed0.jsonl") as log:
+            log.write(Event("job_start", 100.0, 0, dict(cell, attempt=0)))
+            log.write(Event("run_start", 100.0, 0, dict(cell, target=0.8)))
+            log.write(Event("epoch", 105.0, 0,
+                            {"epoch": 1, "samples_total": 32}))
+        clock = FakeClock(start=105.0)  # the job's last event
+
+        def observe(srv):
+            _, doc = _get_json(srv.url + "/api/campaigns")
+            (campaign,) = doc["campaigns"]
+            _, jobs = _get_json(srv.url + f"/api/campaigns/{tmp_path.name}"
+                                          "/jobs")
+            _, alerts = _get_json(srv.url + "/api/alerts")
+            return (campaign["stalled_jobs"],
+                    [job["status"] for job in jobs["jobs"]],
+                    {a["rule"]: a["severity"] for a in alerts["firing"]})
+
+        with _Server(tmp_path, clock) as srv:
+            clock.advance(29.9)
+            assert observe(srv) == (0, ["running"], {})
+            clock.advance(0.2)
+            assert observe(srv) == (1, ["stalled"], {"job_stall": "warning"})
+            clock.advance(90.0)
+            assert observe(srv) == (1, ["stalled"], {
+                "job_stall": "warning", "heartbeat_loss": "critical"})
+
+
 class TestZeroReread:
     def test_scrapes_never_reread_consumed_bytes(self, tmp_path):
         clock = FakeClock(start=1000.0)
