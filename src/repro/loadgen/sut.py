@@ -23,7 +23,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from ..framework import Tensor, inference_mode
+from ..framework import inference_mode
 from ..telemetry import current_events
 
 __all__ = ["SUT", "SUTInfo", "InferenceAdapter", "ADAPTERS",
@@ -81,22 +81,20 @@ def register_adapter(name: str):
 
 @register_adapter("image_classification")
 class _ImageClassificationAdapter(InferenceAdapter):
-    """Serve top-1 class ids over the validation images."""
+    """Serve top-1 class ids over the validation images.
+
+    The forward is the session's ``logits``, the one ``evaluate`` runs: a
+    batch of any size goes through in chunks of the training batch.
+    """
 
     def __init__(self, session, benchmark):
         self.images, _ = benchmark.data.val.arrays
-        self.model = session.model
+        self.session = session
         self.pool_size = len(self.images)
 
     def predict(self, indices: np.ndarray) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
-        out = []
-        for start in range(0, len(idx), 256):
-            batch = self.images[idx[start:start + 256]]
-            logits = self.model(Tensor(batch)).data
-            out.append(np.argmax(logits, axis=1))
-        return (np.concatenate(out).astype(np.float64) if out
-                else np.zeros(0, dtype=np.float64))
+        logits = self.session.logits(self.images[indices])
+        return np.argmax(logits, axis=1).astype(np.float64)
 
 
 @register_adapter("recommendation")
@@ -143,9 +141,16 @@ class SUT:
         return self.adapter.pool_size
 
     def predict(self, indices: np.ndarray) -> np.ndarray:
-        """Serve one batch of query indices (forward-only, no tape)."""
+        """Serve 1-D integer indices in ``[0, pool_size)`` (forward-only, no tape)."""
+        idx = np.asarray(indices)
+        if idx.ndim == 1 and idx.size == 0:
+            return np.zeros(0)
+        if (idx.ndim != 1 or idx.dtype.kind not in "iu"
+                or idx.min() < 0 or idx.max() >= self.pool_size):
+            raise ValueError(f"indices must be 1-D integers in [0, {self.pool_size}), "
+                             f"got {idx.dtype} {idx.shape}")
         with inference_mode():
-            return self.adapter.predict(indices)
+            return self.adapter.predict(idx)
 
     def close(self) -> None:
         """A no-op: the SUT holds no resource.

@@ -102,15 +102,17 @@ class _Session(TrainingSession):
                 self.scheduler.step()
             samples.inc(len(images))
 
+    def logits(self, images: np.ndarray) -> np.ndarray:
+        """The inference forward, one training batch at a time (evaluate and serving)."""
+        batch = self.hp["batch_size"]
+        with no_grad():
+            return np.concatenate([self.model(Tensor(images[start : start + batch])).data
+                                   for start in range(0, len(images), batch)])
+
     def evaluate(self) -> float:
         self.model.eval()
         images, labels = self.data.val.arrays
-        batch = self.hp["batch_size"]
-        scores = []
-        with no_grad():
-            for start in range(0, len(images), batch):
-                scores.append(self.model(Tensor(images[start : start + batch])).data)
-        return top1_accuracy(np.concatenate(scores), labels)
+        return top1_accuracy(self.logits(images), labels)
 
 
 class ImageClassificationBenchmark(Benchmark):

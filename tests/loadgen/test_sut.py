@@ -6,12 +6,15 @@ import pytest
 from repro.core import BenchmarkRunner, FakeClock
 from repro.core.artifacts import save_run_result
 from repro.loadgen import (
+    SUT,
     ScenarioSpec,
     load_sut,
     run_scenario,
     train_and_save,
     virtual_service_times,
 )
+from repro.loadgen.sut import ADAPTERS, SUTInfo
+from repro.suite import create_benchmark
 from tests.core.fakes import FakeBenchmark
 
 
@@ -74,6 +77,56 @@ class TestLoadSut:
         path = save_run_result(tmp_path / "result_fake.txt", run)
         with pytest.raises(ValueError, match="no serving adapter"):
             load_sut(path)
+
+
+class TestPredictValidatesIndices:
+    @pytest.mark.parametrize("bad", [
+        [-1],                  # would wrap to the pool's last item
+        "pool_size",           # one past the end
+        [1.7],                 # would truncate to 1
+        [[0, 1]],
+        np.zeros((2, 0), dtype=np.int64),
+        [True, False],
+        ["0"],
+        3,
+    ], ids=["negative", "pool_size", "float", "2-D", "2-D empty", "bool", "str", "0-D"])
+    def test_bad_indices_raise_before_any_forward(self, rec_artifact, bad):
+        sut = load_sut(rec_artifact)
+        if isinstance(bad, str):
+            bad = [sut.pool_size]
+        sut.adapter.predict = None  # a forward would fail with a TypeError
+        with pytest.raises(ValueError, match="1-D integers"):
+            sut.predict(bad)
+
+    def test_empty_and_unsigned_indices_are_legal(self, rec_artifact):
+        sut = load_sut(rec_artifact)
+        assert sut.predict([]).shape == (0,)
+        assert sut.predict(np.array([], dtype=np.int64)).shape == (0,)
+        np.testing.assert_array_equal(
+            sut.predict(np.array([0, sut.pool_size - 1], dtype=np.uint32)),
+            sut.predict(np.array([0, sut.pool_size - 1])))
+
+
+class TestImageClassificationServing:
+    def test_predict_forwards_at_most_one_training_batch(self, monkeypatch):
+        # An untrained session: the bound does not depend on the weights.
+        bench = create_benchmark("image_classification")
+        bench.prepare_data()
+        session = bench.create_session(0, bench.spec.default_hyperparameters)
+        session.model.eval()
+        sut = SUT(SUTInfo("image_classification", 0, 0.0, 0, "untrained"),
+                  ADAPTERS["image_classification"](session, bench))
+        model = session.model
+        rows, forward = [], model.forward
+        monkeypatch.setattr(model, "forward",
+                            lambda x: rows.append(len(x.data)) or forward(x))
+        idx = np.random.default_rng(0).integers(0, sut.pool_size, size=300)
+        ids = sut.predict(idx)
+        assert sum(rows) == 300
+        assert max(rows) <= session.hp["batch_size"] < 300
+        images, _ = bench.data.val.arrays
+        np.testing.assert_array_equal(ids, np.argmax(session.logits(images[idx]), axis=1))
+        assert sut.predict([]).shape == (0,)
 
 
 class TestEndToEndServing:
