@@ -968,7 +968,11 @@ def _cmd_loadgen(args, out) -> int:
                 for bucket in passes:
                     # Each pass rebuilds the SUT from the artifact — the
                     # determinism check covers the full load-and-serve path.
-                    sut = load_sut(artifacts[name])
+                    try:
+                        sut = load_sut(artifacts[name])
+                    except (OSError, ValueError) as exc:
+                        print(f"loadgen: {exc}", file=out)
+                        return 1
                     bench_results = []
                     for scenario in selected:
                         res = run_scenario(sut, specs[scenario],

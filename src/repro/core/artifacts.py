@@ -20,6 +20,7 @@ run's MLLOG lines:
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -208,8 +209,11 @@ def _parse_result_file(benchmark: str | None, path: Path) -> RunResult:
     if params_name:
         sidecar = path.with_name(params_name)
         if sidecar.exists():
-            with np.load(sidecar) as npz:
-                model_state = {key: npz[key].copy() for key in npz.files}
+            try:
+                with np.load(sidecar) as npz:
+                    model_state = {key: npz[key].copy() for key in npz.files}
+            except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+                raise ValueError(f"{sidecar}: unreadable parameters: {exc}") from None
     raw_breakdown = header.get("breakdown")
     raw_metrics = header.get("metrics")
     raw_profile = header.get("op_profile")

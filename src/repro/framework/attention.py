@@ -135,12 +135,12 @@ class FeedForward(Module):
 
     def __init__(self, d_model: int, d_ff: int, rng: np.random.Generator, dropout: float = 0.0):
         super().__init__()
-        self.fc1 = Linear(d_model, d_ff, rng, init_fn=init.xavier_uniform)
+        self.fc1 = Linear(d_model, d_ff, rng, init_fn=init.xavier_uniform, activation="relu")
         self.fc2 = Linear(d_ff, d_model, rng, init_fn=init.xavier_uniform)
         self.drop = Dropout(dropout, rng) if dropout > 0 else None
 
     def forward(self, x: Tensor) -> Tensor:
-        h = self.fc1(x).relu()
+        h = self.fc1(x)
         if self.drop is not None:
             h = self.drop(h)
         return self.fc2(h)

@@ -93,8 +93,11 @@ def _uniform_float_dtype(x: Tensor, *others):
     mixed-dtype calls therefore fall back to the reference implementation.
     """
     dt = x.dtype
-    if dt.kind != "f" or any(t is not None and t.dtype != dt for t in others):
+    if dt.kind != "f":
         return None
+    for t in others:
+        if t is not None and t.dtype != dt:
+            return None
     return dt
 
 
@@ -179,8 +182,10 @@ def _conv2d_fused(x: Tensor, weight: Tensor, bias: Tensor | None,
     out = np.empty((n, f, oh, ow), dtype=dt)
     out.reshape(n, f, p)[...] = out_flat.reshape(n, p, f).transpose(0, 2, 1)
 
+    if not is_grad_enabled():
+        return Tensor(out)
     parents = (x, weight) if bias is None else (x, weight, bias)
-    if not (is_grad_enabled() and any(t.requires_grad for t in parents)):
+    if not any(t.requires_grad for t in parents):
         return Tensor(out)
 
     def backward(result: Tensor) -> None:

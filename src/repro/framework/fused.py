@@ -90,8 +90,10 @@ def _linear_fused(x: Tensor, weight: Tensor, bias: Tensor | None, act: str, dt) 
         mask = np.greater(y, 0)
         y *= mask
 
-    parents = [x, weight] + ([bias] if bias is not None else [])
-    if not (is_grad_enabled() and any(t.requires_grad for t in parents)):
+    if not is_grad_enabled():
+        return Tensor(y)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    if not any(t.requires_grad for t in parents):
         return Tensor(y)
 
     def backward(result: Tensor) -> None:
@@ -203,8 +205,10 @@ def _normalize_fused(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
         # The composed mask is ``z > 0``; it is ``y > 0`` after masking too
         # (a masked element is ±0 or NaN), so the backward recomputes it.
         y *= np.greater(y, 0)
+    if not is_grad_enabled():
+        return Tensor(y)
     parents = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
-    if not (is_grad_enabled() and any(t.requires_grad for t in parents)):
+    if not any(t.requires_grad for t in parents):
         return Tensor(y)
 
     def backward(result: Tensor) -> None:

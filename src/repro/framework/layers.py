@@ -92,7 +92,7 @@ class Linear(Module):
         self.activation = _validated_act(activation)
 
     def forward(self, x: Tensor) -> Tensor:
-        return linear_bias_act(x, self.weight, self.bias, act=self.activation)
+        return linear_bias_act(x, self.weight, self.bias, self.activation)
 
 
 class Conv2d(Module):
@@ -210,7 +210,8 @@ class Embedding(Module):
 
     def forward(self, ids: np.ndarray) -> Tensor:
         ids = np.asarray(ids)
-        if ids.min(initial=0) < 0 or (ids.size and ids.max() >= self.num_embeddings):
+        # One reduction: as uint64 a negative id is a huge one.
+        if ids.astype(np.uint64).max(initial=0) >= self.num_embeddings:
             raise IndexError(f"embedding ids out of range [0, {self.num_embeddings})")
         return self.weight.take_rows(ids)
 

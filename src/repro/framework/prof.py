@@ -8,13 +8,13 @@ decorator kernels use:
     @profiled_op("conv2d")
     def conv2d(x, weight, ...): ...
 
-When the profiler is inactive (the default), the wrapper is a cached
-global lookup, one function call, and one attribute check — cheap enough
-to leave on every kernel.  When active, it times the forward call,
-estimates bytes moved from the tensor operands, and wraps the backward
-closure of each graph node the op built so the same op's backward cost is
-charged to the ``backward`` phase.  The wrapped closure calls the
-original unchanged, so profiled runs stay bit-identical.
+While no profiling session is active (the default), the wrapper is one
+global check and the call — cheap enough to leave on every kernel.  When
+active, it times the forward call, estimates bytes moved from the tensor
+operands, and wraps the backward closure of each graph node the op built so
+the same op's backward cost is charged to the ``backward`` phase.  The
+wrapped closure calls the original unchanged, so profiled runs stay
+bit-identical.
 """
 
 from __future__ import annotations
@@ -22,9 +22,13 @@ from __future__ import annotations
 import functools
 from time import perf_counter_ns
 
-__all__ = ["profiled_op", "profiler"]
+__all__ = ["profiled_op", "profiler", "SESSIONS"]
 
 _CURRENT_PROFILER = None
+# One entry per profiling session active in this process: ``Telemetry.activate``
+# appends and pops (each atomic, so threads cannot lose one).  While it is
+# empty no op can record, so a kernel skips the profiler lookup.
+SESSIONS: list = []
 
 
 def profiler():
@@ -73,8 +77,7 @@ def profiled_op(name: str):
     def decorate(fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            prof = profiler()
-            if not prof.active:
+            if not (SESSIONS and (prof := profiler()).active):
                 return fn(*args, **kwargs)
             prof.begin()
             t0 = perf_counter_ns()

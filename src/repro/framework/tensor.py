@@ -644,14 +644,14 @@ class Tensor:
     @staticmethod
     def concat(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [Tensor._coerce(t) for t in tensors]
-        sizes = [t.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
 
         def backward(out: Tensor) -> None:
-            for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+            start = 0
+            for t in tensors:
                 index = [slice(None)] * out.ndim
-                index[axis] = slice(start, stop)
+                index[axis] = slice(start, start + t.shape[axis])
                 t._accumulate(out.grad[tuple(index)])
+                start += t.shape[axis]
 
         return Tensor._make(
             np.concatenate([t.data for t in tensors], axis=axis), tensors, backward

@@ -146,7 +146,7 @@ class SUT:
         if idx.ndim == 1 and idx.size == 0:
             return np.zeros(0)
         if (idx.ndim != 1 or idx.dtype.kind not in "iu"
-                or idx.min() < 0 or idx.max() >= self.pool_size):
+                or idx.astype(np.uint64).max() >= self.adapter.pool_size):
             raise ValueError(f"indices must be 1-D integers in [0, {self.pool_size}), "
                              f"got {idx.dtype} {idx.shape}")
         with inference_mode():

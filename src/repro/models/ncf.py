@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..framework import Embedding, Linear, Module, Tensor, functional as F
+from ..framework import Embedding, Linear, Module, Tensor, functional as F, no_grad
 
 __all__ = ["NCF"]
 
@@ -51,7 +51,5 @@ class NCF(Module):
 
     def score(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Inference scores (no graph) for ranking evaluation."""
-        from ..framework import no_grad
-
         with no_grad():
             return self.forward(users, items).data

@@ -58,9 +58,9 @@ class _TranslationSession(TrainingSession):
                 dec_in, dec_out = self.corpus.decoder_io([t for _, t in chunk])
                 loss = self.step_executor().step(
                     lambda: self._loss(src, dec_in, dec_out),
-                    pre_backward=self.model.zero_grad,
+                    pre_backward=self.optimizer.zero_grad,
                 )
-                clip_grad_norm(self.model.parameters(), self.hp["grad_clip"])
+                clip_grad_norm(self.optimizer.params, self.hp["grad_clip"])
                 self.optimizer.step()
                 if self.scheduler is not None:
                     self.scheduler.step()

@@ -24,8 +24,6 @@ from .trace import Tracer
 __all__ = ["Telemetry", "activate", "current_telemetry", "current_tracer",
            "current_metrics", "current_events", "current_profiler"]
 
-_UNSET = object()
-
 
 class Telemetry:
     """One observability session: tracer, metrics registry, and event bus.
@@ -55,22 +53,23 @@ class Telemetry:
         """Make this session the ambient one for the enclosed extent.
 
         When profiling is on, the framework's tensor-allocation tracker is
-        installed for the same extent so per-phase memory accounting works
-        without the framework importing telemetry at load time.
+        installed and the session listed in ``prof.SESSIONS`` for the same
+        extent, without the framework importing telemetry at load time.
         """
         token = _ACTIVE.set(self)
-        prev_tracker = _UNSET
-        if self.profiler.mode != "off":
+        profiling = self.profiler.active
+        if profiling:
+            from ..framework.prof import SESSIONS
             from ..framework.tensor import set_alloc_tracker
 
             prev_tracker = set_alloc_tracker(self.profiler.note_alloc)
+            SESSIONS.append(self)
         try:
             yield self
         finally:
-            if prev_tracker is not _UNSET:
-                from ..framework.tensor import set_alloc_tracker
-
+            if profiling:
                 set_alloc_tracker(prev_tracker)
+                SESSIONS.pop()
             _ACTIVE.reset(token)
 
     @staticmethod

@@ -94,6 +94,17 @@ class TestModelStateSidecar:
         (tmp_path / "result_0.params.npz").unlink()
         assert load_run_result(path).model_state is None
 
+    @pytest.mark.parametrize("damage", ["truncated", "not-a-zip"])
+    def test_unreadable_sidecar_names_the_sidecar(self, tmp_path, damage):
+        from repro.core.artifacts import load_run_result, save_run_result
+
+        path = save_run_result(tmp_path / "result_0.txt", self._run_with_state())
+        sidecar = tmp_path / "result_0.params.npz"
+        blob = sidecar.read_bytes()
+        sidecar.write_bytes(blob[: len(blob) // 2] if damage == "truncated" else b"garbage")
+        with pytest.raises(ValueError, match=f"^{sidecar}: unreadable parameters: "):
+            load_run_result(path)
+
     def test_headerless_benchmark_requires_explicit_name(self, tmp_path):
         from repro.core.artifacts import load_run_result, save_run_result
 

@@ -147,6 +147,38 @@ class TestFrameworkIntegration:
 
         assert run() == run()
 
+    def test_ncf_step_table_is_pinned(self):
+        # Ops, calls, bytes and tensor allocations of one NCF training step:
+        # a change to the no-grad fast paths must leave the graph path as is.
+        from repro.models.ncf import NCF
+
+        rng = np.random.default_rng(0)
+        model = NCF(12, 9, rng)
+        users, items = rng.integers(0, 12, size=16), rng.integers(0, 9, size=16)
+        labels = (rng.random(16) < 0.5).astype(np.float32)
+        opt = SGD(model.parameters(), lr=0.1)
+        tele = Telemetry(profile="full")
+        with tele.activate():
+            model.loss(users, items, labels).backward()
+            opt.step()
+        snap = tele.profiler.snapshot()
+        assert {phase: {name: (s["calls"], s["bytes_moved"]) for name, s in ops.items()}
+                for phase, ops in snap["ops"].items()} == {
+            "forward": {"linear": (3, 15204)},
+            "backward": {"linear": (3, 15204)},
+            "update": {"optimizer_step": (1, 16904)},
+        }
+        assert snap["memory"] == {"forward": {"tensor_allocs": 12, "tensor_bytes": 10372}}
+
+    def test_nothing_recorded_outside_a_session(self):
+        tele = Telemetry(profile="full")
+        _train_step()  # not activated: nothing reaches its profiler
+        with tele.activate():
+            pass
+        _train_step()  # after the extent closed
+        assert tele.profiler.snapshot()["ops"] == {}
+        assert tele.profiler.snapshot()["memory"] == {}
+
     def test_alloc_tracker_uninstalled_after_activate(self):
         from repro.framework.tensor import set_alloc_tracker
 

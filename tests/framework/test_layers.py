@@ -184,6 +184,26 @@ class TestEmbedding:
         with pytest.raises(IndexError):
             emb(np.array([5]))
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.int64])
+    def test_every_row_and_no_row_at_any_integer_width(self, dtype):
+        emb = Embedding(5, 3, RNG)
+        np.testing.assert_array_equal(emb(np.arange(5, dtype=dtype)).data, emb.weight.data)
+        assert emb(np.array([], dtype=dtype)).shape == (0, 3)
+
+    @pytest.mark.parametrize("rows, ids", [
+        (5, np.array([0, -1], dtype=np.int32)),
+        (5, np.array([-1], dtype=np.int64)),
+        (5, np.array([5], dtype=np.uint8)),
+        (5, np.array([2, 5], dtype=np.int32)),
+        (5, np.array([[5]], dtype=np.int64)),
+        (200, np.array([-128], dtype=np.int8)),  # 128 as a same-width unsigned
+    ], ids=["neg-int32", "neg-int64", "n-uint8", "n-int32", "n-2d", "neg-int8"])
+    def test_negative_or_n_raises_naming_the_range(self, rows, ids):
+        emb = Embedding(rows, 3, RNG)
+        with pytest.raises(IndexError) as info:
+            emb(ids)
+        assert str(info.value) == f"embedding ids out of range [0, {rows})"
+
 
 class TestDropoutLayer:
     def test_train_vs_eval(self):

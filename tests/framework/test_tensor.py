@@ -203,6 +203,23 @@ class TestShapes:
         b = Tensor(randn(3, 2))
         check_gradient(lambda x: Tensor.concat([b, x], axis=1), randn(3, 4))
 
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_concat_gradients_are_the_upstream_slices(self, axis):
+        # Bit-exact: each input's gradient is its slice of the upstream one,
+        # and a tensor passed twice gets its two slices added, first + second.
+        rng = np.random.default_rng(7)
+        a = Tensor(rng.standard_normal((3, 4)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 4) if axis == 0 else (3, 2)).astype(np.float32),
+                   requires_grad=True)
+        out = Tensor.concat([a, b, a], axis=axis)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        out.backward(g)
+        cut = np.cumsum([a.shape[axis], b.shape[axis]])
+        first, middle, last = np.split(g, cut, axis=axis)
+        np.testing.assert_array_equal(a.grad, first + last)
+        np.testing.assert_array_equal(b.grad, middle)
+        assert a.grad.dtype == b.grad.dtype == np.float32
+
     def test_stack(self):
         b = Tensor(randn(3, 4))
         check_gradient(lambda x: Tensor.stack([x, b], axis=1), randn(3, 4))

@@ -98,6 +98,30 @@ class TestPredictValidatesIndices:
         with pytest.raises(ValueError, match="1-D integers"):
             sut.predict(bad)
 
+    @pytest.mark.parametrize("bad, dtype, shape", [
+        ([-1], np.int32, "(1,)"),
+        ([3, -128], np.int8, "(2,)"),  # 128 as a same-width unsigned
+        ("pool_size", np.uint8, "(1,)"),
+        ("pool_size", np.int64, "(1,)"),
+        ([[0, 1]], np.int64, "(1, 2)"),
+        ([1.0], np.float64, "(1,)"),
+    ], ids=["neg-int32", "neg-int8", "n-uint8", "n-int64", "2-D", "float"])
+    def test_rejection_names_dtype_and_shape(self, rec_artifact, bad, dtype, shape):
+        sut = load_sut(rec_artifact)
+        if isinstance(bad, str):
+            bad = [sut.pool_size]
+        with pytest.raises(ValueError) as info:
+            sut.predict(np.array(bad, dtype=dtype))
+        assert str(info.value) == (f"indices must be 1-D integers in [0, {sut.pool_size}), "
+                                   f"got {np.dtype(dtype)} {shape}")
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.int64])
+    def test_every_integer_width_serves_and_empties(self, rec_artifact, dtype):
+        sut = load_sut(rec_artifact)
+        idx = np.arange(min(sut.pool_size, np.iinfo(dtype).max + 1))
+        np.testing.assert_array_equal(sut.predict(idx.astype(dtype)), sut.predict(idx))
+        assert sut.predict(np.array([], dtype=dtype)).shape == (0,)
+
     def test_empty_and_unsigned_indices_are_legal(self, rec_artifact):
         sut = load_sut(rec_artifact)
         assert sut.predict([]).shape == (0,)

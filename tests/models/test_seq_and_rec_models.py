@@ -5,7 +5,7 @@ import pytest
 
 from repro.datasets import SyntheticTranslation, TranslationConfig
 from repro.datasets.translation import PAD
-from repro.framework import Adam, SGD, Tensor
+from repro.framework import Adam, SGD, Tensor, no_grad
 from repro.go import GoBoard
 from repro.models import NCF, MiniGNMT, MiniGoNet, MiniTransformer
 
@@ -142,6 +142,15 @@ class TestNCF:
         model = NCF(10, 20, np.random.default_rng(3))
         s = model.score(np.array([0]), np.array([0]))
         assert isinstance(s, np.ndarray)
+
+    def test_no_grad_forward_builds_no_graph(self):
+        # The parameters require grad; the kernels must still return bare
+        # tensors when no_grad is on (the serving path).
+        model = NCF(10, 20, np.random.default_rng(3))
+        with no_grad():
+            out = model(np.array([0, 4]), np.array([7, 19]))
+        assert out._prev == () and out._backward is None
+        assert not out.requires_grad
 
     def test_learns_simple_preference(self):
         """Can memorize a deterministic user-item rule."""

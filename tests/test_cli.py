@@ -824,6 +824,38 @@ class TestLoadgenCommand:
         assert code == 2
         assert text == f"loadgen: {message}\n"
 
+    @pytest.fixture(scope="class")
+    def rec_artifact(self, tmp_path_factory):
+        from repro.loadgen import train_and_save
+
+        path = tmp_path_factory.mktemp("artifact") / "result_0.txt"
+        return train_and_save("recommendation", path, seed=0, max_epochs=1)
+
+    @pytest.mark.parametrize("damage, message", [
+        ("no-result", "No such file or directory"),
+        ("no-sidecar", "no trained parameters"),
+        ("truncated-sidecar", "unreadable parameters"),
+    ])
+    def test_unloadable_artifact_is_one_line_and_exit_1(self, rec_artifact, tmp_path,
+                                                         damage, message):
+        import shutil
+
+        copy = tmp_path / "result_0.txt"
+        sidecar = tmp_path / "result_0.params.npz"
+        shutil.copy(rec_artifact, copy)
+        shutil.copy(rec_artifact.with_name(sidecar.name), sidecar)
+        if damage == "no-result":
+            copy.unlink()
+        elif damage == "no-sidecar":
+            sidecar.unlink()
+        else:
+            sidecar.write_bytes(sidecar.read_bytes()[:100])
+        code, text = run_cli("loadgen", "--benchmark", "recommendation",
+                             "--artifact", str(copy), "--smoke", "-o", "-")
+        assert code == 1
+        assert text.startswith("loadgen: ") and text.count("\n") == 1
+        assert message in text
+
     def test_serves_all_scenarios_from_fresh_training(self, tmp_path):
         import json
 
