@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.framework.microbench import bench_kernels
+from repro.telemetry.regress import provenance
 
 REPORT_PATH = Path(__file__).parent / "reports" / "BENCH_kernels.json"
 
@@ -51,7 +52,8 @@ def test_kernel_micro(benchmark, report):
     )
 
     REPORT_PATH.parent.mkdir(exist_ok=True)
-    REPORT_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    REPORT_PATH.write_text(json.dumps({**payload, "provenance": provenance()}, indent=2,
+                                      sort_keys=True) + "\n")
 
     # Equivalence is machine-independent, so it hard-fails here (speed
     # ratios are only reported).

@@ -356,13 +356,16 @@ def _write_trace_file(path: str, trace_events: list, out, note: str = "") -> Non
 
 
 def _write_report(payload: dict, dest: str | None, out) -> None:
-    """Write a bench payload to ``dest`` (``-`` or empty: don't)."""
+    """Write a bench payload, stamped with its provenance, to ``dest`` (``-`` or empty: don't)."""
     from pathlib import Path
+
+    from .telemetry.regress import provenance
 
     if dest and dest != "-":
         path = Path(dest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps({**payload, "provenance": provenance()}, indent=2,
+                                   sort_keys=True) + "\n")
         print(f"report written to {path}", file=out)
 
 

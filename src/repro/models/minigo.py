@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..framework import BatchNorm2d, Conv2d, Linear, Module, Tensor, functional as F
+from ..framework import BatchNorm2d, Conv2d, Linear, Module, Tensor, functional as F, no_grad
 
 __all__ = ["MiniGoNet"]
 
@@ -54,8 +54,6 @@ class MiniGoNet(Module):
 
     def evaluate(self, board) -> tuple[np.ndarray, float]:
         """Single-position evaluation for MCTS: (policy probs, value)."""
-        from ..framework import no_grad
-
         with no_grad():
             logits, value = self.forward(board.feature_planes()[None])
         p = logits.data[0]

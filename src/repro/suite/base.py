@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
-__all__ = ["BenchmarkSpec", "Benchmark", "TrainingSession"]
+__all__ = ["BenchmarkSpec", "Benchmark", "TrainingSession", "chunked_forward"]
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,16 @@ class TrainingSession(ABC):
         if isinstance(model, Module):
             return model.state_dict()
         return None
+
+
+def chunked_forward(forward: Callable, inputs, batch: int):
+    """``forward`` under ``no_grad``, ``batch`` rows of ``inputs`` at a time, concatenated."""
+    # Lazy, as above: at module level these imports doubled vision_ttt's page faults.
+    import numpy as np
+    from ..framework import no_grad
+
+    with no_grad():
+        return np.concatenate([forward(inputs[i:i + batch]) for i in range(0, len(inputs), batch)])
 
 
 class Benchmark(ABC):

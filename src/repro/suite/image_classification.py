@@ -21,12 +21,11 @@ from ..framework import (
     Tensor,
     WarmupStepLR,
     functional as F,
-    no_grad,
 )
 from ..metrics import top1_accuracy
 from ..models import MiniResNet
 from ..telemetry import current_metrics, current_tracer
-from .base import Benchmark, BenchmarkSpec, TrainingSession
+from .base import Benchmark, BenchmarkSpec, TrainingSession, chunked_forward
 
 __all__ = ["ImageClassificationBenchmark"]
 
@@ -104,10 +103,7 @@ class _Session(TrainingSession):
 
     def logits(self, images: np.ndarray) -> np.ndarray:
         """The inference forward, one training batch at a time (evaluate and serving)."""
-        batch = self.hp["batch_size"]
-        with no_grad():
-            return np.concatenate([self.model(Tensor(images[start : start + batch])).data
-                                   for start in range(0, len(images), batch)])
+        return chunked_forward(lambda x: self.model(Tensor(x)).data, images, self.hp["batch_size"])
 
     def evaluate(self) -> float:
         self.model.eval()

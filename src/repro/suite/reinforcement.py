@@ -22,13 +22,13 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ..framework import Adam, no_grad
+from ..framework import Adam
 from ..go import MCTSConfig, selfplay_batch
 from ..go.pro import DEFAULT_KOMI, pro_reference_games
 from ..metrics import move_match_rate
 from ..models import MiniGoNet
 from ..telemetry import current_metrics, current_tracer
-from .base import Benchmark, BenchmarkSpec, TrainingSession
+from .base import Benchmark, BenchmarkSpec, TrainingSession, chunked_forward
 
 __all__ = ["ReinforcementBenchmark"]
 
@@ -114,10 +114,9 @@ class _Session(TrainingSession):
 
     def evaluate(self) -> float:
         self.model.eval()
-        with no_grad():
-            logits, _ = self.model(self.ref_planes)
-        masked = np.where(self.ref_legal_masks, logits.data, -np.inf)
-        predicted = masked.argmax(axis=1)
+        logits = chunked_forward(lambda x: self.model(x)[0].data, self.ref_planes,
+                                 self.hp["batch_size"])
+        predicted = np.where(self.ref_legal_masks, logits, -np.inf).argmax(axis=1)
         return move_match_rate(predicted, self.ref_moves)
 
 

@@ -26,6 +26,11 @@ baseline with ``repro bench-diff``; a non-zero exit fails the build.
 An ``exact`` row compares against the baseline, so the committed
 baselines are themselves the oracle: every boolean under their
 ``checks`` must be true (a tier-1 test pins that).
+
+Every written report carries a :func:`provenance` stamp: the host and
+package versions that produced it.  ``bench-diff`` says in one line when
+the baseline was recorded elsewhere (or carries no stamp); that line is
+information, never a verdict.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from typing import Any
 
 __all__ = ["MetricSpec", "RegressionRow", "RegressionReport",
            "AttributionRow", "SCHEMA_METRICS", "compare_reports",
-           "load_report", "attribute_regression"]
+           "load_report", "attribute_regression", "provenance"]
 
 
 @dataclass(frozen=True)
@@ -135,6 +140,7 @@ class RegressionReport:
     schema: str
     rows: list[RegressionRow] = field(default_factory=list)
     attribution: list[AttributionRow] = field(default_factory=list)
+    host: str = ""  # one line when the two reports' hosts differ
 
     @property
     def ok(self) -> bool:
@@ -152,6 +158,7 @@ class RegressionReport:
             "rows": [asdict(row) for row in self.rows],
             "regressions": [row.path for row in self.regressions],
             "attribution": [asdict(row) for row in self.attribution],
+            "host": self.host,
         }
 
     def render(self) -> str:
@@ -159,7 +166,8 @@ class RegressionReport:
             f"{'Metric':<48}{'Dir':<8}{'Baseline':>12}{'Current':>12}"
             f"{'Bound':>12}  Verdict"
         )
-        lines = [f"schema: {self.schema}", header, "-" * len(header)]
+        lines = [f"schema: {self.schema}", *([self.host] if self.host else []),
+                 header, "-" * len(header)]
         for row in self.rows:
             verdict = "ok" if row.ok else "REGRESSED"
             if row.note:
@@ -252,6 +260,47 @@ def attribute_regression(
     return rows[:top]
 
 
+def provenance() -> dict[str, Any]:
+    """The host and packages behind a report, named as in the e2e ledger's
+    ``provenance`` (SNIPPETS.md snippet 1), plus the ``MALLOC_*`` settings."""
+    import os
+    import platform
+    import subprocess  # only here: importing `repro` must not load it
+
+    import numpy as np
+
+    from ..framework.config import kernel_mode
+
+    try:
+        done = subprocess.run(["git", "-C", str(Path(__file__).parent), "rev-parse", "HEAD"],
+                              capture_output=True, text=True, timeout=10)
+        git = done.stdout.strip() if done.returncode == 0 else "unknown"
+    except (OSError, subprocess.TimeoutExpired):
+        git = "unknown"
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # an older NumPy only prints its config
+        blas = {}
+    return {
+        "git": git, "cpu_count": os.cpu_count(), "platform": platform.platform(),
+        "python": platform.python_version(), "numpy": np.__version__,
+        "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
+        "kernel_mode": kernel_mode(),
+        "malloc": {k: v for k, v in sorted(os.environ.items()) if k.startswith("MALLOC_")},
+    }
+
+
+def _host_note(current: dict[str, Any], baseline: dict[str, Any]) -> str:
+    """One line when the baseline's host is not the report's, else ``""``."""
+    cur, base = current.get("provenance"), baseline.get("provenance")
+    if not isinstance(base, dict) or not isinstance(cur, dict):
+        side = "baseline" if not isinstance(base, dict) else "report"
+        return f"host: the {side} carries no provenance stamp; hosts may differ"
+    differ = [f"{key} {base.get(key)!r} -> {cur.get(key)!r}" for key in sorted(set(cur) | set(base))
+              if key != "git" and cur.get(key) != base.get(key)]
+    return f"host: the baseline was recorded elsewhere: {'; '.join(differ)}" if differ else ""
+
+
 def load_report(path: str | Path) -> dict[str, Any]:
     """Read a BENCH_*.json payload; the schema field is mandatory."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -277,7 +326,7 @@ def compare_reports(current: dict[str, Any],
     if specs is None:
         raise ValueError(f"no regression gates declared for schema {schema!r}")
 
-    report = RegressionReport(schema=schema)
+    report = RegressionReport(schema=schema, host=_host_note(current, baseline))
     for spec in specs:
         base_value = _lookup(baseline, spec.path)
         cur_value = _lookup(current, spec.path)

@@ -155,3 +155,49 @@ class TestAttribution:
 
     def test_attribution_unavailable_without_op_tables(self):
         assert attribute_regression({"schema": "x"}, {"schema": "x"}) == []
+
+
+class TestProvenance:
+    FIELDS = {"git", "cpu_count", "platform", "python", "numpy", "blas", "kernel_mode",
+              "malloc"}
+
+    def test_stamp_names_the_host_and_the_malloc_settings(self, monkeypatch):
+        import os
+
+        from repro.telemetry.regress import provenance
+
+        monkeypatch.setenv("MALLOC_ARENA_MAX", "2")
+        stamp = provenance()
+        assert set(stamp) == self.FIELDS
+        assert stamp["cpu_count"] == os.cpu_count()
+        assert stamp["malloc"]["MALLOC_ARENA_MAX"] == "2"
+        assert all(key.startswith("MALLOC_") for key in stamp["malloc"])
+
+    def _stamped(self, **host):
+        from repro.telemetry.regress import provenance
+
+        payload = load_report(REPORTS_DIR / "BENCH_campaign.json")
+        return {**payload, "provenance": {**provenance(), **host}}
+
+    def test_same_host_says_nothing(self):
+        current = self._stamped()
+        baseline = self._stamped(git="0" * 40)  # another commit is not another host
+        report = compare_reports(current, baseline)
+        assert report.host == "" and "host:" not in report.render()
+
+    def test_other_host_is_one_line_and_gates_nothing(self):
+        current = self._stamped(cpu_count=2)
+        report = compare_reports(current, self._stamped(cpu_count=64))
+        assert report.ok
+        assert report.host == "host: the baseline was recorded elsewhere: cpu_count 64 -> 2"
+        assert report.render().splitlines()[1] == report.host
+        assert report.to_payload()["host"] == report.host
+
+    def test_unstamped_side_is_named(self):
+        stamped = self._stamped()
+        unstamped = load_report(REPORTS_DIR / "BENCH_campaign.json")
+        assert compare_reports(stamped, unstamped).host == (
+            "host: the baseline carries no provenance stamp; hosts may differ")
+        assert compare_reports(unstamped, stamped).host == (
+            "host: the report carries no provenance stamp; hosts may differ")
+        assert compare_reports(stamped, unstamped).ok

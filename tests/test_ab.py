@@ -28,6 +28,7 @@ def _row(text: str, workload: str, metric: str) -> str:
 @pytest.mark.parametrize("report, workload, metric, medians, wins", [
     ("ab_gather_unfold.json", "vision_ttt", "time_to_train_s", ("17.82", "16.04"), "11/12"),
     ("ab_free_as_walk.json", "vision_ttt", "peak_rss_mb", ("120.94", "78.46"), "14/14"),
+    ("ab_eval_batch.json", "smallstep_campaign", "peak_rss_mb", ("58.64", "50.36"), "10/10"),
 ])
 def test_verdict_rerenders_committed_claims(report, workload, metric, medians, wins):
     done = subprocess.run([sys.executable, str(AB), "--verdict", str(REPORTS / report)],

@@ -588,6 +588,39 @@ class TestBenchDiffCommand:
         assert row.endswith("REGRESSED")
 
 
+class TestBenchProvenance:
+    """Every written bench report is stamped; bench-diff only reports a host change."""
+
+    def test_campaign_bench_is_stamped_and_diffs_against_an_unstamped_baseline(self, tmp_path):
+        import json
+
+        fresh = tmp_path / "BENCH_campaign.json"
+        code, _ = run_cli("campaign", "recommendation", "--seeds", "2", "--bench", str(fresh))
+        assert code == 0
+        payload = json.loads(fresh.read_text())
+        stamp = payload.pop("provenance")
+        assert {"git", "cpu_count", "python", "numpy", "blas", "kernel_mode",
+                "malloc"} <= set(stamp)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(payload))
+        code, text = run_cli("bench-diff", str(fresh), str(old))
+        assert code == 0 and "0 regression(s)" in text
+        assert [line for line in text.splitlines() if line.startswith("host:")] == [
+            "host: the baseline carries no provenance stamp; hosts may differ"]
+        code, text = run_cli("bench-diff", str(fresh), str(fresh))
+        assert code == 0 and "host:" not in text
+
+    def test_bench_kernels_report_is_stamped(self, tmp_path):
+        import json
+
+        from repro.framework import kernel_mode
+
+        out = tmp_path / "BENCH_kernels.json"
+        code, _ = run_cli("bench-kernels", "--smoke", "--repeats", "1", "-o", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["provenance"]["kernel_mode"] == kernel_mode()
+
+
 class TestBenchDiffJson:
     BASELINE = "benchmarks/reports/BENCH_kernels.json"
 
