@@ -134,6 +134,7 @@ class _BatchNorm(Module):
     """
 
     _NDIM = 2
+    _buffers = ("running_mean", "running_var")
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5,
                  activation: str = "none"):

@@ -3,8 +3,10 @@
 A :class:`Module` registers :class:`Parameter` and sub-``Module`` attributes
 automatically, exposes ``parameters()`` / ``named_parameters()`` for
 optimizers, ``train()`` / ``eval()`` mode switching, and a flat
-``state_dict``: a run result carries it to the serving harness, and tests
-compare it for the equivalence the Closed division requires.
+``state_dict`` of parameters and buffers (state a forward needs but no
+optimizer updates, such as batch norm's running statistics): a run result
+carries it to the serving harness, and tests compare it for the
+equivalence the Closed division requires.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ class Parameter(Tensor):
 class Module:
     """Base class for all network components."""
 
+    #: Attribute names of this module's buffers.  They are read by name at
+    #: call time, since an update may rebind the array.
+    _buffers: tuple[str, ...] = ()
+
     def __init__(self) -> None:
         self.training = True
 
@@ -52,6 +58,18 @@ class Module:
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
+
+    def _buffer_slots(self, prefix: str = "") -> Iterator[tuple[str, "Module", str]]:
+        """``(qualified name, owning module, attribute)`` for every buffer."""
+        for attr in self._buffers:
+            yield f"{prefix}{attr}", self, attr
+        for key, value in vars(self).items():
+            if isinstance(value, Module):
+                yield from value._buffer_slots(f"{prefix}{key}.")
+            elif isinstance(value, (list, tuple)):
+                for i, item in enumerate(value):
+                    if isinstance(item, Module):
+                        yield from item._buffer_slots(f"{prefix}{key}.{i}.")
 
     def modules(self) -> Iterator["Module"]:
         yield self
@@ -80,19 +98,26 @@ class Module:
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
+    def _state_slots(self) -> Iterator[tuple[str, object, str]]:
+        """``(name, owner, attribute)`` of every parameter's data, then every buffer."""
+        for name, p in self.named_parameters():
+            yield name, p, "data"
+        yield from self._buffer_slots()
+
     def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.named_parameters()}
+        return {name: getattr(owner, attr).copy() for name, owner, attr in self._state_slots()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        own = dict(self.named_parameters())
+        own = {name: (owner, attr) for name, owner, attr in self._state_slots()}
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
         if missing or unexpected:
             raise KeyError(f"state mismatch: missing={sorted(missing)} unexpected={sorted(unexpected)}")
-        for name, p in own.items():
-            if p.data.shape != state[name].shape:
-                raise ValueError(f"shape mismatch for {name}: {p.data.shape} vs {state[name].shape}")
-            p.data = state[name].astype(p.data.dtype).copy()
+        for name, (owner, attr) in own.items():
+            old = getattr(owner, attr)
+            if old.shape != state[name].shape:
+                raise ValueError(f"shape mismatch for {name}: {old.shape} vs {state[name].shape}")
+            setattr(owner, attr, state[name].astype(old.dtype).copy())
 
     # -- call protocol ---------------------------------------------------------
     def forward(self, *args, **kwargs):

@@ -166,9 +166,12 @@ def load_sut(artifact: str | Path, benchmark: str | None = None) -> SUT:
     explicitly) and the ``.params.npz`` sidecar carries the weights.  The
     session is rebuilt under :func:`~repro.framework.inference_mode`, so
     every parameter comes up with ``requires_grad=False`` and the serving
-    forward path records nothing.
+    forward path records nothing.  A sidecar that does not hold exactly
+    the model's parameters and buffers (batch norm's running statistics,
+    without which a model answers at chance) raises one ``ValueError``
+    naming the sidecar and the missing or unexpected names.
     """
-    from ..core.artifacts import load_run_result
+    from ..core.artifacts import load_run_result, read_run_header
     from ..suite import create_benchmark
 
     artifact = Path(artifact)
@@ -187,7 +190,11 @@ def load_sut(artifact: str | Path, benchmark: str | None = None) -> SUT:
     with inference_mode():
         session = bench.create_session(result.seed, result.hyperparameters)
     model = session.model
-    model.load_state_dict(result.model_state)
+    try:
+        model.load_state_dict(result.model_state)
+    except (KeyError, ValueError) as exc:
+        sidecar = artifact.with_name(read_run_header(artifact)["model_params"])
+        raise ValueError(f"{sidecar}: {exc.args[0]}") from None
     model.eval()
     adapter = ADAPTERS[result.benchmark](session, bench)
     info = SUTInfo(benchmark=result.benchmark, seed=result.seed,

@@ -254,6 +254,48 @@ class TestModuleSystem:
         with pytest.raises(ValueError):
             net.load_state_dict(state)
 
+    def _bn_net(self):
+        rng = np.random.default_rng(0)
+        return Sequential(Linear(4, 3, rng), BatchNorm1d(3), ReLU(), Linear(3, 2, rng))
+
+    def test_state_dict_carries_batch_norm_buffers(self):
+        net = self._bn_net()
+        net(Tensor(RNG.normal(loc=4.0, size=(16, 4)).astype(np.float32)))
+        bn = net.layers[1]
+        state = net.state_dict()
+        assert list(state)[-2:] == ["layers.1.running_mean", "layers.1.running_var"]
+        # Read at call time: the training forward rebound both arrays.
+        assert state["layers.1.running_mean"].tobytes() == bn.running_mean.tobytes()
+        assert state["layers.1.running_var"].tobytes() == bn.running_var.tobytes()
+        assert state["layers.1.running_mean"] is not bn.running_mean
+
+    def test_buffers_round_trip_into_the_eval_forward(self):
+        trained, fresh = self._bn_net(), self._bn_net()
+        for _ in range(3):
+            trained(Tensor(RNG.normal(loc=4.0, size=(16, 4)).astype(np.float32)))
+        fresh.load_state_dict(trained.state_dict())
+        assert fresh.layers[1].running_mean.tobytes() == trained.layers[1].running_mean.tobytes()
+        assert fresh.layers[1].running_var.dtype == np.float32
+        x = Tensor(RNG.normal(size=(5, 4)).astype(np.float32))
+        assert fresh.eval()(x).data.tobytes() == trained.eval()(x).data.tobytes()
+
+    @pytest.mark.parametrize("buffer", ["layers.1.running_mean", "layers.1.running_var"])
+    def test_missing_buffer_raises_naming_it(self, buffer):
+        net = self._bn_net()
+        state = net.state_dict()
+        del state[buffer]
+        before = net.layers[1].running_var
+        with pytest.raises(KeyError, match=buffer):
+            net.load_state_dict(state)
+        assert net.layers[1].running_var is before
+
+    def test_buffer_shape_mismatch_raises(self):
+        net = self._bn_net()
+        state = net.state_dict()
+        state["layers.1.running_var"] = np.ones(4, dtype=np.float32)
+        with pytest.raises(ValueError, match="layers.1.running_var"):
+            net.load_state_dict(state)
+
     def test_train_eval_propagates(self):
         rng = np.random.default_rng(0)
         net = Sequential(Linear(2, 2, rng), Dropout(0.5, rng))

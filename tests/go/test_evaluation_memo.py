@@ -113,6 +113,21 @@ def test_training_mode_hit_updates_each_batch_norm_once_in_forward_order(monkeyp
         assert layer.running_var.tobytes() == twin_layer.running_var.tobytes()
 
 
+def test_state_dict_reads_the_statistics_a_hit_replays():
+    net, rng, forwards = _recording_net(0, training=True)
+    oracle_net, oracle_rng, requests = _recording_net(0, training=True)
+    play_selfplay_game(net, SIZE, rng, CONFIG)
+    _unmemoised_game(oracle_net, SIZE, oracle_rng, CONFIG)
+    assert len(forwards) < len(requests)  # hits replayed updates
+    state, oracle = net.state_dict(), oracle_net.state_dict()
+    assert state.keys() == oracle.keys()
+    for name in ("stem_bn", "tower_bn0", "tower_bn1"):
+        for stat in ("running_mean", "running_var"):
+            key = f"{name}.{stat}"
+            assert state[key].tobytes() == getattr(getattr(net, name), stat).tobytes()
+            assert state[key].tobytes() == oracle[key].tobytes()
+
+
 def test_eval_mode_records_nothing_and_a_hit_changes_nothing():
     net = MiniGoNet(SIZE, np.random.default_rng(0)).eval()
     before = [(m.running_mean, m.running_var) for m in _bn_layers(net)]

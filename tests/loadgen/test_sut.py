@@ -1,5 +1,7 @@
 """SUT rehydration from artifacts and end-to-end serving."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,26 @@ def rec_artifact(tmp_path_factory):
     """One short trained recommendation run, shared across this module."""
     path = tmp_path_factory.mktemp("serve") / "result_0.txt"
     return train_and_save("recommendation", path, seed=0, max_epochs=1)
+
+
+@pytest.fixture(scope="module")
+def resnet_artifact(tmp_path_factory):
+    """Two epochs of image classification: well above chance, short of target."""
+    path = tmp_path_factory.mktemp("serve") / "result_1.txt"
+    return train_and_save("image_classification", path, seed=1, max_epochs=2)
+
+
+def _without_buffers(artifact, directory):
+    """A copy of ``artifact`` whose sidecar keeps the parameters only."""
+    import shutil
+
+    copy = shutil.copy(artifact, directory / artifact.name)
+    sidecar = artifact.with_name(artifact.stem + ".params.npz")
+    with np.load(sidecar) as npz:
+        kept = {k: npz[k] for k in npz.files if not k.endswith(("running_mean", "running_var"))}
+        assert len(kept) < len(npz.files)
+    np.savez(directory / sidecar.name, **kept)
+    return Path(copy), directory / sidecar.name
 
 
 class TestVirtualServiceTimes:
@@ -151,6 +173,41 @@ class TestImageClassificationServing:
         images, _ = bench.data.val.arrays
         np.testing.assert_array_equal(ids, np.argmax(session.logits(images[idx]), axis=1))
         assert sut.predict([]).shape == (0,)
+
+
+class TestServedQuality:
+    """A served model answers at the quality its training run logged."""
+
+    def test_top1_over_the_pool_equals_the_logged_quality(self, resnet_artifact):
+        sut = load_sut(resnet_artifact)
+        bench = create_benchmark("image_classification")
+        bench.prepare_data()
+        _, labels = bench.data.val.arrays
+        ids = sut.predict(np.arange(sut.pool_size))
+        assert sut.info.quality > 0.2  # chance is 0.1: the statistics matter
+        assert float(np.mean(ids == labels)) == sut.info.quality
+
+    def test_sidecar_without_buffers_is_refused(self, resnet_artifact, tmp_path):
+        artifact, sidecar = _without_buffers(resnet_artifact, tmp_path)
+        with pytest.raises(ValueError) as info:
+            load_sut(artifact)
+        message = str(info.value)
+        assert message.startswith(f"{sidecar}: ")
+        assert "stem_bn.running_mean" in message and "unexpected=[]" in message
+
+    def test_loadgen_on_a_sidecar_without_buffers_is_one_line_and_exit_1(
+            self, resnet_artifact, tmp_path):
+        import io
+
+        from repro.cli import main
+
+        artifact, sidecar = _without_buffers(resnet_artifact, tmp_path)
+        out = io.StringIO()
+        code = main(["loadgen", "--benchmark", "image_classification",
+                     "--artifact", str(artifact), "--smoke", "-o", "-"], out=out)
+        assert code == 1
+        [line] = out.getvalue().splitlines()
+        assert line.startswith(f"loadgen: {sidecar}: state mismatch: missing=[")
 
 
 class TestEndToEndServing:
