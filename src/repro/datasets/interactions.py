@@ -88,9 +88,12 @@ class SyntheticInteractions:
             for item in chosen[:-1]:
                 users.append(u)
                 items.append(int(item))
-            # Eval negatives: uniform over unseen items.
-            unseen = np.setdiff1d(np.arange(config.num_items), chosen)
-            negatives[u] = rng.choice(unseen, size=config.num_eval_negatives, replace=False)
+            # Eval negatives: uniform over unseen items (in increasing order;
+            # np.setdiff1d would give the same array but import numpy.ma).
+            unseen = np.ones(config.num_items, dtype=bool)
+            unseen[chosen] = False
+            negatives[u] = rng.choice(np.flatnonzero(unseen), size=config.num_eval_negatives,
+                                      replace=False)
 
         self.train_users = np.array(users, dtype=np.int64)
         self.train_items = np.array(items, dtype=np.int64)

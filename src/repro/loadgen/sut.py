@@ -8,7 +8,9 @@ so the serving model carries no tape nodes and no ``requires_grad``
 anywhere — loads the weights, and exposes a single
 ``predict(indices) -> float64[n]`` surface over a benchmark-specific
 query pool (validation images for image classification, (user, held-out
-item) pairs for recommendation, ...).
+item) pairs for recommendation, ...).  It keeps the model and the pool,
+and nothing of training: the session, its optimizer and data loader, and
+the training split are garbage once :func:`load_sut` returns.
 
 Serving runs in the calling process: every latency ``repro loadgen``
 reports is a one-query forward, which a process pool could only slow
@@ -24,6 +26,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from ..framework import inference_mode
+from ..suite.image_classification import classify_logits
 from ..telemetry import current_events
 
 __all__ = ["SUT", "SUTInfo", "InferenceAdapter", "ADAPTERS",
@@ -60,7 +63,9 @@ class InferenceAdapter:
     batch of indices with one float64 per query — a class id, a ranking
     score, whatever the benchmark's serving output is.  Predictions must
     be a deterministic function of (weights, indices): the harness
-    checksums them to prove reruns serve identical answers.
+    checksums them to prove reruns serve identical answers.  An adapter
+    takes what it serves from the session and the benchmark it is built
+    from, and keeps a reference to neither.
     """
 
     pool_size: int = 0
@@ -83,17 +88,18 @@ def register_adapter(name: str):
 class _ImageClassificationAdapter(InferenceAdapter):
     """Serve top-1 class ids over the validation images.
 
-    The forward is the session's ``logits``, the one ``evaluate`` runs: a
-    batch of any size goes through in chunks of the training batch.
+    The forward is the one ``evaluate`` runs, ``classify_logits``: a batch
+    of any size goes through in chunks of the training batch.
     """
 
     def __init__(self, session, benchmark):
         self.images, _ = benchmark.data.val.arrays
-        self.session = session
+        self.model = session.model
+        self.batch = session.hp["batch_size"]
         self.pool_size = len(self.images)
 
     def predict(self, indices: np.ndarray) -> np.ndarray:
-        logits = self.session.logits(self.images[indices])
+        logits = classify_logits(self.model, self.images[indices], self.batch)
         return np.argmax(logits, axis=1).astype(np.float64)
 
 

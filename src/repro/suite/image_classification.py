@@ -27,7 +27,7 @@ from ..models import MiniResNet
 from ..telemetry import current_metrics, current_tracer
 from .base import Benchmark, BenchmarkSpec, TrainingSession, chunked_forward
 
-__all__ = ["ImageClassificationBenchmark"]
+__all__ = ["ImageClassificationBenchmark", "classify_logits"]
 
 _SPEC = BenchmarkSpec(
     name="image_classification",
@@ -54,6 +54,11 @@ _SPEC = BenchmarkSpec(
         {"batch_size", "base_lr", "warmup_epochs", "decay_epochs", "optimizer", "lars_trust"}
     ),
 )
+
+
+def classify_logits(model, images: np.ndarray, batch: int) -> np.ndarray:
+    """The inference forward, ``batch`` images at a time (evaluate and serving)."""
+    return chunked_forward(lambda x: model(Tensor(x)).data, images, batch)
 
 
 class _Session(TrainingSession):
@@ -102,8 +107,7 @@ class _Session(TrainingSession):
             samples.inc(len(images))
 
     def logits(self, images: np.ndarray) -> np.ndarray:
-        """The inference forward, one training batch at a time (evaluate and serving)."""
-        return chunked_forward(lambda x: self.model(Tensor(x)).data, images, self.hp["batch_size"])
+        return classify_logits(self.model, images, self.hp["batch_size"])
 
     def evaluate(self) -> float:
         self.model.eval()

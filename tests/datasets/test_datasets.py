@@ -34,6 +34,33 @@ def corpus():
     return SyntheticTranslation(TranslationConfig(train_size=50, test_size=20))
 
 
+def _setdiff1d_interactions(config):
+    """The generator as it was written with ``np.setdiff1d``: the oracle for
+    (train_users, train_items, eval_positives, eval_negatives)."""
+    rng = np.random.default_rng(config.seed)
+    user_factors = rng.normal(0, 1.0, size=(config.num_users, config.latent_dim))
+    item_factors = rng.normal(0, 1.0, size=(config.num_items, config.latent_dim))
+    popularity = (np.arange(1, config.num_items + 1, dtype=np.float64)
+                  ** -config.popularity_exponent)
+    rng.shuffle(popularity)
+    affinity = user_factors @ item_factors.T + 2.0 * np.log(popularity)[None, :]
+    users, items = [], []
+    positives = np.empty(config.num_users, dtype=np.int64)
+    negatives = np.empty((config.num_users, config.num_eval_negatives), dtype=np.int64)
+    for u in range(config.num_users):
+        probs = np.exp(affinity[u] - affinity[u].max())
+        probs /= probs.sum()
+        chosen = rng.choice(config.num_items, size=config.interactions_per_user,
+                            replace=False, p=probs)
+        positives[u] = chosen[-1]
+        users += [u] * (len(chosen) - 1)
+        items += [int(i) for i in chosen[:-1]]
+        unseen = np.setdiff1d(np.arange(config.num_items), chosen)
+        negatives[u] = rng.choice(unseen, size=config.num_eval_negatives, replace=False)
+    return (np.array(users, dtype=np.int64), np.array(items, dtype=np.int64),
+            positives, negatives)
+
+
 @pytest.fixture(scope="module")
 def interactions():
     return SyntheticInteractions(InteractionConfig(num_users=30, num_items=120, num_eval_negatives=30))
@@ -239,6 +266,35 @@ class TestSyntheticInteractions:
         a, b = SyntheticInteractions(cfg), SyntheticInteractions(cfg)
         np.testing.assert_array_equal(a.train_items, b.train_items)
         np.testing.assert_array_equal(a.eval_negatives, b.eval_negatives)
+
+    @pytest.mark.parametrize("cfg", [
+        InteractionConfig(),
+        InteractionConfig(num_users=30, num_items=120, num_eval_negatives=30),
+        InteractionConfig(num_users=12, num_items=75, interactions_per_user=25,
+                          num_eval_negatives=50, seed=7),
+    ], ids=["default", "small", "tight"])
+    def test_arrays_equal_the_setdiff1d_generator(self, cfg):
+        data = SyntheticInteractions(cfg)
+        for name, expected in zip(
+                ("train_users", "train_items", "eval_positives", "eval_negatives"),
+                _setdiff1d_interactions(cfg), strict=True):
+            actual = getattr(data, name)
+            assert actual.dtype == expected.dtype and np.array_equal(actual, expected), name
+
+    def test_generation_does_not_import_numpy_ma(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = ("import sys; from repro.suite import create_benchmark; "
+                "create_benchmark('recommendation').prepare_data(); "
+                "print('numpy.ma' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.strip() == "False"
 
     def test_infeasible_config_rejected(self):
         with pytest.raises(ValueError):

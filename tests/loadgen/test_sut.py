@@ -210,6 +210,78 @@ class TestServedQuality:
         assert line.startswith(f"loadgen: {sidecar}: state mismatch: missing=[")
 
 
+def _spy_on_training(monkeypatch, train_array):
+    """Weak references to what ``load_sut`` builds for training: the
+    benchmark, its session and ``train_array(benchmark.data)``."""
+    import weakref
+
+    import repro.suite as suite
+
+    refs = {}
+    create_benchmark_ = suite.create_benchmark
+
+    def create(name):
+        bench = create_benchmark_(name)
+        create_session = bench.create_session
+
+        def spied(seed, hp):
+            session = create_session(seed, hp)
+            refs.update(benchmark=weakref.ref(bench), session=weakref.ref(session),
+                        train=weakref.ref(train_array(bench.data)))
+            return session
+
+        bench.create_session = spied
+        return bench
+
+    monkeypatch.setattr(suite, "create_benchmark", create)
+    return refs
+
+
+class TestSutKeepsModelAndPool:
+    """After load, a SUT holds its model and its query pool, nothing of training."""
+
+    CASES = {
+        "image_classification": ("resnet_artifact", lambda data: data.train.arrays[0]),
+        "recommendation": ("rec_artifact", lambda data: data.train_users),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_session_and_training_split_are_garbage(self, name, request, monkeypatch):
+        import gc
+
+        fixture, train_array = self.CASES[name]
+        artifact = request.getfixturevalue(fixture)
+        refs = _spy_on_training(monkeypatch, train_array)
+        sut = load_sut(artifact)
+        gc.collect()
+        assert sorted(refs) == ["benchmark", "session", "train"]
+        assert {key: ref() is None for key, ref in refs.items()} == dict.fromkeys(refs, True)
+        assert sut.predict(np.arange(4)).shape == (4,)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_no_adapter_attribute_is_a_session_or_a_benchmark(self, name, request):
+        from repro.suite import Benchmark, TrainingSession
+
+        sut = load_sut(request.getfixturevalue(self.CASES[name][0]))
+        kept = vars(sut.adapter).values()
+        assert not [v for v in kept if isinstance(v, (TrainingSession, Benchmark))]
+
+    def test_every_pool_id_is_the_argmax_of_the_session_logits(self, resnet_artifact):
+        from repro.core.artifacts import load_run_result
+
+        sut = load_sut(resnet_artifact)
+        result = load_run_result(resnet_artifact)
+        bench = create_benchmark("image_classification")
+        bench.prepare_data()
+        session = bench.create_session(result.seed, result.hyperparameters)
+        session.model.load_state_dict(result.model_state)
+        session.model.eval()
+        images, _ = bench.data.val.arrays
+        assert sut.pool_size == len(images) == 400
+        np.testing.assert_array_equal(sut.predict(np.arange(400)),
+                                      np.argmax(session.logits(images), axis=1))
+
+
 class TestEndToEndServing:
     def test_same_seed_serving_runs_bit_identical(self, rec_artifact):
         spec = ScenarioSpec(scenario="server", query_count=32,
