@@ -86,7 +86,7 @@ class TrainingSession(ABC):
         return {}
 
     def export_state(self) -> "dict | None":
-        """The trained model's parameters, keyed by name (or ``None``).
+        """The trained model's parameters and buffers, keyed by name (or ``None``).
 
         The runner captures this right after the training loop (before
         :meth:`close`) and persists it in the run artifact, so a serving
