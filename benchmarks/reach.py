@@ -119,7 +119,7 @@ CLI_COMMANDS = [
       "--bench", "fresh/BENCH_campaign.json"], {}),
     *((["bench-diff", f"fresh/BENCH_{b}.json", f"../tree/benchmarks/reports/BENCH_{b}.json"], {})
       for b in ("kernels", "loadgen", "campaign")),
-    (["run", "recommendation", "--seeds", "1", "--save", "prof",
+    (["campaign", "recommendation", "--seeds", "1", "--save", "prof",
       "--trace", "prof/trace.json"], {"REPRO_PROFILE": "full"}),
     (["profile", "prof"], {}),
     (["analyze", "prof/trace.json", "--folded", "prof/folded.txt"], {}),

@@ -3,18 +3,19 @@
 Commands mirror how the MLPerf artifacts are used in practice:
 
 - ``table1`` — print the benchmark suite;
-- ``run`` — execute timed runs of a benchmark (optionally scoring them and
-  saving submission artifacts);
-- ``campaign`` — run every (benchmark, seed) cell a submission needs
-  through the execution engine: parallel workers (``--jobs``), per-cell
-  retry with backoff, and a journal that makes ``--resume DIR`` skip
-  completed cells;
+- ``campaign`` — the one way to run a benchmark's seeds: every
+  (benchmark, seed) cell a submission needs goes through the execution
+  engine, with parallel workers (``--jobs``), per-cell retry with
+  backoff, and a journal that makes ``--resume DIR`` skip completed
+  cells.  It scores every benchmark with >= 3 converged runs, names the
+  error of each failed cell, and prints the merged op profile under
+  ``REPRO_PROFILE=full``;
 - ``review`` — compliance-review a saved submission directory;
 - ``report`` — build the published per-benchmark results table from saved
   submissions;
 - ``trace`` — convert a saved training-session log into a Chrome-loadable
-  ``trace_event`` file (``run --trace FILE`` records one live, with spans
-  down to individual training steps);
+  ``trace_event`` file (``campaign --trace FILE`` records one live, with
+  spans down to individual training steps);
 - ``stats`` — print the per-benchmark time-decomposition table for saved
   submissions (where the wall-clock went: init/create/train/eval);
   ``--series`` adds each run's per-epoch trajectories (throughput, eval
@@ -27,7 +28,8 @@ Commands mirror how the MLPerf artifacts are used in practice:
 - ``bench-kernels``, ``loadgen`` — write a
   ``BENCH_*.json`` report (``--smoke`` picks CI's sizes); they judge
   nothing, so a report that holds a divergence still exits 0 (``loadgen``
-  exits 1 for an invalid scenario, as ``run`` does for a missed target);
+  exits 1 for an invalid scenario, as ``campaign`` does for a missed
+  target);
 - ``bench-diff`` — the one bench verdict: gate a fresh ``BENCH_*.json``
   report against a committed baseline with per-metric tolerance bands;
   non-zero exit on regression (CI's perf gate), with per-op attribution
@@ -73,23 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit the suite as JSON (name, dataset, model, "
                              "thresholds, hyperparameters) for external drivers")
 
-    run = sub.add_parser("run", help="run timed training sessions of a benchmark")
-    run.add_argument("benchmark", help="benchmark name (see `repro table1`)")
-    run.add_argument("--seeds", type=int, default=1,
-                     help="number of seeded runs (default 1; use the spec's "
-                          "required count for a scoreable set)")
-    run.add_argument("--score", action="store_true",
-                     help="apply the §3.2.2 scoring rule (needs >= 3 runs)")
-    run.add_argument("--override", action="append", default=[],
-                     metavar="KEY=VALUE", help="hyperparameter override (JSON value)")
-    run.add_argument("--save", metavar="DIR",
-                     help="save submission artifacts under DIR")
-    run.add_argument("--submitter", default="cli-user",
-                     help="submitter name for saved artifacts")
-    run.add_argument("--trace", metavar="FILE",
-                     help="record trace spans and write a Chrome trace_event "
-                          "JSON file (open in chrome://tracing or Perfetto)")
-
     campaign = sub.add_parser(
         "campaign",
         help="run a full multi-benchmark, multi-seed campaign through the "
@@ -132,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "(BENCH_campaign.json format)")
 
     review = sub.add_parser("review", help="compliance-review a saved submission")
-    review.add_argument("submission_dir", help="submitter directory (from `run --save`)")
+    review.add_argument("submission_dir",
+                        help="submitter directory (from `campaign --save`)")
 
     report = sub.add_parser("report", help="render the results table from submissions")
     report.add_argument("submission_dirs", nargs="+", help="submitter directories")
@@ -140,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace", help="convert a saved run log into a Chrome trace_event file")
     trace.add_argument("log_file",
-                       help="a result_*.txt from `run --save` (or any file "
+                       help="a result_*.txt from `campaign --save` (or any file "
                             "containing :::MLLOG lines)")
     trace.add_argument("-o", "--out", metavar="FILE",
                        help="output path (default: <log_file>.trace.json)")
@@ -148,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser(
         "stats", help="per-benchmark time decomposition for saved submissions")
     stats.add_argument("submission_dirs", nargs="+",
-                       help="submitter directories (from `run --save`)")
+                       help="submitter directories (from `campaign --save`)")
     stats.add_argument("--series", action="store_true",
                        help="also print each run's per-epoch series "
                             "(throughput, eval quality, all-reduce "
@@ -344,17 +330,6 @@ def _cmd_table1(args, out) -> int:
     return 0
 
 
-def _write_trace_file(path: str, trace_events: list, out, note: str = "") -> None:
-    from pathlib import Path
-
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(
-        {"traceEvents": trace_events, "displayTimeUnit": "ms"}, sort_keys=True))
-    print(f"trace written to {path} ({len(trace_events)} events){note}; "
-          f"open in chrome://tracing or https://ui.perfetto.dev", file=out)
-
-
 def _write_report(payload: dict, dest: str | None, out) -> None:
     """Write a bench payload, stamped with its provenance, to ``dest`` (``-`` or empty: don't)."""
     from pathlib import Path
@@ -367,100 +342,6 @@ def _write_report(payload: dict, dest: str | None, out) -> None:
         path.write_text(json.dumps({**payload, "provenance": provenance()}, indent=2,
                                    sort_keys=True) + "\n")
         print(f"report written to {path}", file=out)
-
-
-def _cmd_run(args, out) -> int:
-    from .core import (
-        BenchmarkRunner,
-        Category,
-        Division,
-        RunFailure,
-        Submission,
-        save_submission,
-        score_runs,
-    )
-    from .suite import create_benchmark
-    from .telemetry import (Telemetry, merge_op_profiles, profile_mode_from_env,
-                            render_op_profile)
-
-    if args.seeds < 1:
-        print("--seeds must be >= 1", file=out)
-        return 2
-    profiling = profile_mode_from_env() != "off"
-    benchmark = create_benchmark(args.benchmark)
-    overrides = _parse_overrides(args.override) or None
-    runner = BenchmarkRunner()
-    runs = []
-    trace_events = []
-    for seed in range(args.seeds):
-        # One telemetry session per seed (pid=seed) so a multi-run trace
-        # file keeps its runs on separate process rows in the viewer.
-        # Saved runs also collect telemetry: the metrics snapshot rides
-        # in the artifact header, where `repro stats` reads it back.  A
-        # requested op profile needs a session too: the disabled one
-        # never profiles.
-        want_telemetry = args.trace or args.save or profiling
-        telemetry = Telemetry(clock=runner.clock, pid=seed) if want_telemetry else None
-        try:
-            result = runner.run(benchmark, seed=seed,
-                                hyperparameter_overrides=overrides,
-                                telemetry=telemetry)
-        except RunFailure as failure:
-            # A crashed run is a failed session, not a CLI crash — and
-            # never a success: summarize it and exit non-zero.  The
-            # partial trace still gets written below: a failed run is
-            # exactly when the trace is wanted (the runner aborted the
-            # open spans, so they export).
-            print(failure.summary(), file=out)
-            if failure.telemetry is not None:
-                trace_events.extend(failure.telemetry.trace_events)
-            elif telemetry is not None:
-                trace_events.extend(telemetry.tracer.chrome_events())
-            if args.trace:
-                _write_trace_file(args.trace, trace_events, out,
-                                  note=" (partial: run failed)")
-            if profiling:
-                failed = failure.telemetry.op_profile if failure.telemetry else None
-                print(render_op_profile(merge_op_profiles(
-                    [*(r.telemetry.op_profile for r in runs), failed])), file=out)
-            return 1
-        status = "reached" if result.reached_target else "FAILED"
-        print(f"seed {seed}: {status} quality={result.quality:.4f} "
-              f"epochs={result.epochs} ttt={result.time_to_train_s:.3f}s", file=out)
-        if result.breakdown is not None:
-            b = result.breakdown
-            print(f"  breakdown: init={b.init_seconds:.3f}s "
-                  f"create={b.model_creation_seconds:.3f}s "
-                  f"(excluded {b.excluded_model_creation_seconds:.3f}s) "
-                  f"run={b.run_seconds:.3f}s", file=out)
-        if telemetry is not None:
-            trace_events.extend(telemetry.tracer.chrome_events())
-        runs.append(result)
-
-    if args.trace:
-        _write_trace_file(args.trace, trace_events, out)
-    if profiling:
-        print(render_op_profile(merge_op_profiles(
-            r.telemetry.op_profile for r in runs)), file=out)
-
-    exit_code = 0 if all(r.reached_target for r in runs) else 1
-    if args.score:
-        if len(runs) < 3:
-            print("scoring requires at least 3 runs (--seeds 3+)", file=out)
-            return 2
-        score = score_runs(runs)
-        print(f"scored time-to-train (olympic mean): {score.time_to_train_s:.3f}s",
-              file=out)
-
-    if args.save:
-        from .exec import default_system
-
-        submission = Submission(default_system(args.submitter),
-                                Division.CLOSED, Category.RESEARCH)
-        submission.add_runs(benchmark.spec.name, runs)
-        base = save_submission(submission, args.save)
-        print(f"artifacts written to {base}", file=out)
-    return exit_code
 
 
 def _cmd_campaign(args, out) -> int:
@@ -519,7 +400,8 @@ def _cmd_campaign(args, out) -> int:
     # in-memory journal instead of files — one rendering path for both.
     from dataclasses import asdict
 
-    from .telemetry import build_view, render_job_table
+    from .telemetry import (build_view, profile_mode_from_env, render_job_table,
+                            render_op_profile)
 
     view = build_view(
         job_records={key: asdict(rec) for key, rec in outcome.journal.jobs.items()},
@@ -528,14 +410,26 @@ def _cmd_campaign(args, out) -> int:
     )
     print(file=out)
     print(render_job_table(view.jobs), file=out)
+    for job in outcome.plan.jobs:
+        record = outcome.journal.jobs[job.key]
+        if record.status in ("fault", "timeout"):
+            print(f"{job.key} {record.status}: {record.error}", file=out)
 
     if campaign_dir and outcome.submission is not None:
         base = save_submission(outcome.submission, campaign_dir)
         print(f"artifacts written to {base}", file=out)
     if campaign_dir:
         print(f"journal at {outcome.journal.path}", file=out)
-    if args.trace and outcome.telemetry is not None:
-        _write_trace_file(args.trace, outcome.telemetry.trace_events, out)
+    if args.trace:
+        from pathlib import Path
+
+        trace = Path(args.trace)
+        trace.parent.mkdir(parents=True, exist_ok=True)
+        trace.write_text(json.dumps(outcome.telemetry.to_chrome_trace(), sort_keys=True))
+        print(f"trace written to {args.trace} ({len(outcome.telemetry.trace_events)} "
+              "events); open in chrome://tracing or https://ui.perfetto.dev", file=out)
+    if profile_mode_from_env() != "off":
+        print(render_op_profile(outcome.telemetry.op_profile), file=out)
     if args.bench:
         _write_report(outcome.bench_payload(), args.bench, out)
     return 0 if outcome.ok else 1
@@ -779,9 +673,11 @@ def _cmd_profile(args, out) -> int:
     if path.is_file():
         sources = [path]
     elif path.is_dir():
-        # Works on a submission directory, a campaign directory (per-job
-        # results live under jobs/), or anything containing result files.
-        sources = sorted(path.rglob("result_*.txt"))
+        # A campaign directory holds each run once under jobs/ (its
+        # submission copies only the converged runs); a submission
+        # directory, or anything else, is read for its result files.
+        sources = (sorted(path.glob("jobs/*/seed_*.txt"))
+                   or sorted(path.rglob("result_*.txt")))
     else:
         print(f"no such file or directory: {path}", file=out)
         return 2
@@ -1003,7 +899,6 @@ def _cmd_loadgen(args, out) -> int:
 
 _COMMANDS = {
     "table1": _cmd_table1,
-    "run": _cmd_run,
     "campaign": _cmd_campaign,
     "review": _cmd_review,
     "report": _cmd_report,

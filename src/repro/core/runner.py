@@ -85,21 +85,6 @@ class RunFailure(RuntimeError):
         self.breakdown = breakdown
         self.telemetry = telemetry
 
-    def summary(self) -> str:
-        """Multi-line human-readable failure report (cause + phase breakdown)."""
-        lines = [
-            f"run FAILED: benchmark={self.benchmark} seed={self.seed}",
-            f"  cause: {type(self.cause).__name__}: {self.cause}",
-        ]
-        if self.breakdown is not None:
-            b = self.breakdown
-            lines.append(
-                f"  phases: init={b.init_seconds:.3f}s "
-                f"create={b.model_creation_seconds:.3f}s "
-                f"run={b.run_seconds:.3f}s (aborted={b.aborted})"
-            )
-        return "\n".join(lines)
-
 
 class BenchmarkRunner:
     """Execute benchmark runs under the timing rules.

@@ -39,8 +39,8 @@ class JobSpec:
     # Stable position in the plan — workers use it as the trace/event pid
     # so merged campaign traces keep one process row per cell.
     ordinal: int = 0
-    # Campaign journal directory for live event streams; None
-    # (e.g. plain `repro run`) disables stream files entirely.
+    # Campaign journal directory for live event streams; None (a
+    # campaign kept in memory) disables stream files entirely.
     stream_dir: str | None = None
     # The owning campaign's id, stamped into the job's event stream
     # (``job_start``) so observability consumers can attribute per-job

@@ -260,29 +260,42 @@ def attribute_regression(
     return rows[:top]
 
 
+def _git_commit(directory: Path) -> str:
+    """HEAD of the checkout holding ``directory``, ``<sha>-dirty`` when a
+    tracked file differs from it, or ``"unknown"`` outside a checkout."""
+    import subprocess  # only here: importing `repro` must not load it
+
+    def git(*argv):
+        return subprocess.run(["git", "-C", str(directory), *argv],
+                              capture_output=True, text=True, timeout=10)
+
+    try:
+        head = git("rev-parse", "HEAD")
+        if head.returncode != 0:
+            return "unknown"
+        clean = git("diff", "--quiet", "HEAD", "--").returncode == 0
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return head.stdout.strip() + ("" if clean else "-dirty")
+
+
 def provenance() -> dict[str, Any]:
     """The host and packages behind a report, named as in the e2e ledger's
     ``provenance`` (SNIPPETS.md snippet 1), plus the ``MALLOC_*`` settings."""
     import os
     import platform
-    import subprocess  # only here: importing `repro` must not load it
 
     import numpy as np
 
     from ..framework.config import kernel_mode
 
     try:
-        done = subprocess.run(["git", "-C", str(Path(__file__).parent), "rev-parse", "HEAD"],
-                              capture_output=True, text=True, timeout=10)
-        git = done.stdout.strip() if done.returncode == 0 else "unknown"
-    except (OSError, subprocess.TimeoutExpired):
-        git = "unknown"
-    try:
         blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     except TypeError:  # an older NumPy only prints its config
         blas = {}
     return {
-        "git": git, "cpu_count": os.cpu_count(), "platform": platform.platform(),
+        "git": _git_commit(Path(__file__).parent), "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
         "python": platform.python_version(), "numpy": np.__version__,
         "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
         "kernel_mode": kernel_mode(),

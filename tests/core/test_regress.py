@@ -173,6 +173,28 @@ class TestProvenance:
         assert stamp["malloc"]["MALLOC_ARENA_MAX"] == "2"
         assert all(key.startswith("MALLOC_") for key in stamp["malloc"])
 
+    def test_a_changed_tracked_file_marks_the_commit_dirty(self, tmp_path):
+        import subprocess
+
+        from repro.telemetry.regress import _git_commit
+
+        def git(*argv):
+            return subprocess.run(
+                ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                 "-c", "commit.gpgsign=false", *argv],
+                check=True, capture_output=True, text=True).stdout.strip()
+
+        assert _git_commit(tmp_path) == "unknown"
+        git("init", "-q")
+        (tmp_path / "tracked.txt").write_text("a\n")
+        git("add", "tracked.txt")
+        git("commit", "-q", "-m", "one file")
+        sha = git("rev-parse", "HEAD")
+        (tmp_path / "untracked.txt").write_text("not in HEAD\n")
+        assert _git_commit(tmp_path) == sha
+        (tmp_path / "tracked.txt").write_text("b\n")
+        assert _git_commit(tmp_path) == f"{sha}-dirty"
+
     def _stamped(self, **host):
         from repro.telemetry.regress import provenance
 

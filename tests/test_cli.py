@@ -51,11 +51,11 @@ class TestCommands:
     def test_run_score_save_review_report(self, tmp_path):
         """The full CLI workflow on the fastest benchmark."""
         code, text = run_cli(
-            "run", "recommendation", "--seeds", "3", "--score",
+            "campaign", "recommendation", "--seeds", "3",
             "--save", str(tmp_path), "--submitter", "cli-test",
         )
         assert code == 0
-        assert "scored time-to-train" in text
+        assert "scores (olympic mean):" in text
         assert "artifacts written" in text
 
         # Review: the saved submission has 3 runs but the rule demands 10 —
@@ -69,26 +69,25 @@ class TestCommands:
         assert code == 0
         assert "recommendation" in text
 
-    def test_run_score_needs_three(self):
-        code, text = run_cli("run", "recommendation", "--seeds", "1", "--score")
-        assert code == 2
-        assert "at least 3" in text
-
-    def test_run_with_override(self):
+    def test_run_with_override(self, tmp_path):
         code, text = run_cli(
-            "run", "recommendation", "--seeds", "1",
-            "--override", "base_lr=0.003",
+            "campaign", "recommendation", "--seeds", "1",
+            "--override", "base_lr=0.003", "--save", str(tmp_path),
         )
         assert code == 0
         assert "reached" in text
+        from repro.core.artifacts import load_run_result
+
+        run = load_run_result("recommendation",
+                              tmp_path / "jobs" / "recommendation" / "seed_0.txt")
+        assert run.hyperparameters["base_lr"] == 0.003
 
 
 class TestUsageErrors:
     """Bad arguments and missing inputs: one line and a non-zero exit, no traceback."""
 
-    @pytest.mark.parametrize("command", ["run", "campaign"])
-    def test_seeds_below_one_exits_2_before_any_work(self, command, tmp_path):
-        code, text = run_cli(command, "recommendation", "--seeds", "0",
+    def test_seeds_below_one_exits_2_before_any_work(self, tmp_path):
+        code, text = run_cli("campaign", "recommendation", "--seeds", "0",
                              "--save", str(tmp_path / "out"))
         assert code == 2
         assert text == "--seeds must be >= 1\n"
@@ -102,8 +101,8 @@ class TestUsageErrors:
         assert text.count("\n") == 1
 
     def test_report_names_the_benchmark_short_of_three_runs(self, tmp_path):
-        code, _ = run_cli("run", "recommendation", "--seeds", "2", "--save", str(tmp_path),
-                          "--submitter", "two-runs")
+        code, _ = run_cli("campaign", "recommendation", "--seeds", "2",
+                          "--save", str(tmp_path), "--submitter", "two-runs")
         assert code == 0
         code, text = run_cli("report", str(tmp_path / "two-runs"))
         assert code == 1
@@ -158,6 +157,35 @@ class TestCampaignCommand:
         # Scores are rebuilt from the journaled per-job result files.
         assert "scores (olympic mean):" in text
 
+    def test_saved_runs_equal_the_library_runs(self, tmp_path):
+        """`campaign B --seeds N` runs seeds 0..N-1 exactly as the library does."""
+        from repro.core import BenchmarkRunner
+        from repro.core.artifacts import load_run_result
+        from repro.core.mllog import parse_log_lines
+        from repro.suite import create_benchmark
+        from repro.telemetry import Telemetry
+
+        def records(run):
+            # Time stamps, throughput and tracked_stats (epoch seconds) are
+            # wall-clock measurements; every other value is an outcome.
+            return [(e.key, e.metadata) if e.key in ("throughput", "tracked_stats")
+                    else (e.key, e.value, e.metadata)
+                    for e in parse_log_lines(run.log_lines)]
+
+        code, _ = run_cli("campaign", "recommendation", "--seeds", "2",
+                          "--save", str(tmp_path))
+        assert code == 0
+        for seed in (0, 1):
+            runner = BenchmarkRunner()
+            library = runner.run(create_benchmark("recommendation"), seed=seed,
+                                 telemetry=Telemetry(clock=runner.clock, pid=seed))
+            [saved] = tmp_path.rglob(f"result_{seed}.txt")
+            for path in (saved, tmp_path / "jobs" / "recommendation" / f"seed_{seed}.txt"):
+                cli = load_run_result("recommendation", path)
+                assert (cli.seed, cli.epochs, cli.quality, cli.quality_history) == (
+                    seed, library.epochs, library.quality, library.quality_history)
+                assert records(cli) == records(library)
+
     def test_default_benchmarks_is_whole_suite(self):
         """No positional args plans the full Table 1 suite (parse only)."""
         args = build_parser().parse_args(["campaign"])
@@ -167,7 +195,7 @@ class TestCampaignCommand:
 
 class TestRunFailureExit:
     def test_run_failure_exits_nonzero_with_summary(self, monkeypatch):
-        """Satellite: a crashed session must not exit 0."""
+        """A crashed session never exits 0, and each failed cell names its error."""
         from repro.core import runner as runner_mod
 
         def explode(self, benchmark, *, seed=0, **kwargs):
@@ -176,25 +204,33 @@ class TestRunFailureExit:
                 cause=ValueError("injected crash"), log_lines=[])
 
         monkeypatch.setattr(runner_mod.BenchmarkRunner, "run", explode)
-        code, text = run_cli("run", "recommendation", "--seeds", "2")
+        code, text = run_cli("campaign", "recommendation", "--seeds", "2",
+                             "--retries", "0")
         assert code == 1
-        assert "run FAILED: benchmark=recommendation seed=0" in text
-        assert "cause: ValueError: injected crash" in text
+        assert "faults=2" in text
+        assert "recommendation/0 fault: ValueError: injected crash\n" in text
+        assert "recommendation/1 fault: ValueError: injected crash\n" in text
+
+    def test_timed_out_cell_names_its_deadline(self):
+        code, text = run_cli("campaign", "recommendation", "--seeds", "1",
+                             "--timeout", "0")
+        assert code == 1
+        assert ("recommendation/0 timeout: RunTimeout: recommendation (seed 0) "
+                "exceeded its per-job deadline after 0 epochs\n") in text
 
 
 class TestObservabilityCommands:
     def test_run_trace_stats_trace_file(self, tmp_path):
-        """run --trace emits a Chrome trace; stats and trace work on artifacts."""
+        """campaign --trace emits a Chrome trace; stats and trace work on artifacts."""
         import json
 
         trace_path = tmp_path / "out.json"
         code, text = run_cli(
-            "run", "recommendation", "--seeds", "1",
+            "campaign", "recommendation", "--seeds", "1",
             "--trace", str(trace_path), "--save", str(tmp_path / "subs"),
             "--submitter", "obs-test",
         )
         assert code == 0
-        assert "breakdown:" in text
         assert "trace written" in text
 
         doc = json.loads(trace_path.read_text())
@@ -202,7 +238,10 @@ class TestObservabilityCommands:
         names = {e["name"] for e in doc["traceEvents"]}
         assert {"init", "model_creation", "epoch", "eval",
                 "train_step", "run:recommendation"} <= names
-        assert all(e["ph"] in ("X", "i") for e in doc["traceEvents"])
+        # Spans and instants, plus the campaign's process/thread name rows.
+        assert all(e["ph"] in ("X", "i") or (e["ph"], e["name"]) in
+                   {("M", "process_name"), ("M", "thread_name")}
+                   for e in doc["traceEvents"])
 
         # stats: the per-phase decomposition table over the saved round.
         code, text = run_cli("stats", str(tmp_path / "subs" / "obs-test"))
@@ -223,7 +262,7 @@ class TestObservabilityCommands:
     def test_run_trace_into_the_save_directory(self, tmp_path):
         # The trace is written before --save creates its directory.
         save = tmp_path / "profiled-run"
-        code, text = run_cli("run", "recommendation", "--seeds", "1",
+        code, text = run_cli("campaign", "recommendation", "--seeds", "1",
                              "--save", str(save),
                              "--trace", str(save / "trace.json"))
         assert code == 0
@@ -249,7 +288,7 @@ class TestObservabilityCommands:
 
     def test_stats_empty_submission(self, tmp_path):
         code, _ = run_cli(
-            "run", "recommendation", "--seeds", "1", "--save", str(tmp_path),
+            "campaign", "recommendation", "--seeds", "1", "--save", str(tmp_path),
             "--submitter", "empty-check",
         )
         assert code == 0
@@ -396,7 +435,7 @@ class TestMonitorCommand:
 
 class TestStatsSeries:
     def test_series_table_renders(self, tmp_path):
-        run_cli("run", "recommendation", "--seeds", "1",
+        run_cli("campaign", "recommendation", "--seeds", "1",
                 "--save", str(tmp_path), "--submitter", "cli-test")
         code, text = run_cli("stats", str(tmp_path / "cli-test"), "--series")
         assert code == 0
@@ -471,7 +510,7 @@ class TestDamagedResultFiles:
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
         base = tmp_path_factory.mktemp("saved")
-        code, _ = run_cli("run", "recommendation", "--seeds", "1",
+        code, _ = run_cli("campaign", "recommendation", "--seeds", "1",
                           "--save", str(base), "--submitter", "cli-test")
         assert code == 0
         return base / "cli-test"
@@ -657,19 +696,36 @@ class TestBenchDiffJson:
 class TestProfileCommand:
     def test_profile_of_instrumented_run(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "full")
-        code, _ = run_cli("run", "recommendation", "--seeds", "2",
+        code, _ = run_cli("campaign", "recommendation", "--seeds", "2",
                           "--save", str(tmp_path), "--submitter", "prof-test")
         assert code == 0
         code, text = run_cli("profile", str(tmp_path / "prof-test"))
         assert code == 0
         assert "2 profiled run(s)" in text
         assert "forward" in text and "Share" in text
+        # The campaign directory holds each run twice (jobs/ and the
+        # submission); the profile counts it once.
+        code, text = run_cli("profile", str(tmp_path))
+        assert code == 0
+        assert "2 profiled run(s)" in text
+
+    def test_profile_of_a_campaign_that_missed_its_target(self, tmp_path, monkeypatch):
+        # A missed run has no submission copy; its profile is in jobs/.
+        monkeypatch.setenv("REPRO_PROFILE", "full")
+        code, text = run_cli("campaign", "recommendation", "--seeds", "1",
+                             "--save", str(tmp_path), "--override", "base_lr=0.0")
+        assert code == 1
+        assert "quality_miss=1" in text
+        code, text = run_cli("profile", str(tmp_path))
+        assert code == 0
+        assert "1 profiled run(s)" in text
+        assert any(line.split()[:1] == ["backward"] for line in text.splitlines())
 
     def test_profile_lists_kernel_fallbacks(self, tmp_path, monkeypatch):
         import json
 
         monkeypatch.setenv("REPRO_PROFILE", "full")
-        run_cli("run", "recommendation", "--seeds", "2",
+        run_cli("campaign", "recommendation", "--seeds", "2",
                 "--save", str(tmp_path), "--submitter", "prof-test")
         code, text = run_cli("profile", str(tmp_path / "prof-test"))
         assert code == 0
@@ -691,7 +747,7 @@ class TestProfileCommand:
         import json
 
         monkeypatch.setenv("REPRO_PROFILE", "full")
-        run_cli("run", "recommendation", "--seeds", "1",
+        run_cli("campaign", "recommendation", "--seeds", "1",
                 "--save", str(tmp_path), "--submitter", "prof-test")
         code, text = run_cli("profile", str(tmp_path / "prof-test"), "--json")
         assert code == 0
@@ -701,7 +757,7 @@ class TestProfileCommand:
         assert payload["ops"]["backward"]
 
     def test_unprofiled_run_exits_one_with_hint(self, tmp_path):
-        run_cli("run", "recommendation", "--seeds", "1",
+        run_cli("campaign", "recommendation", "--seeds", "1",
                 "--save", str(tmp_path), "--submitter", "plain")
         code, text = run_cli("profile", str(tmp_path / "plain"))
         assert code == 1
@@ -714,9 +770,9 @@ class TestProfileCommand:
 
     def test_profiled_run_without_save_prints_the_profile(self, monkeypatch):
         # A requested profile is never silently dropped: with nothing to
-        # save it to, `run` prints it.
+        # save it to, `campaign` prints it.
         monkeypatch.setenv("REPRO_PROFILE", "full")
-        code, text = run_cli("run", "recommendation", "--seeds", "1")
+        code, text = run_cli("campaign", "recommendation", "--seeds", "1")
         assert code == 0
         assert "op profile: mode=full" in text
         assert any(line.split()[:1] == ["backward"] for line in text.splitlines())
@@ -730,8 +786,10 @@ class TestProfileCommand:
         # Epoch 1 trains under the profiler, then the first eval raises.
         monkeypatch.setattr(recommendation._Session, "evaluate", explode)
         monkeypatch.setenv("REPRO_PROFILE", "full")
-        code, text = run_cli("run", "recommendation", "--seeds", "1")
+        code, text = run_cli("campaign", "recommendation", "--seeds", "1",
+                             "--retries", "0")
         assert code == 1
+        assert "recommendation/0 fault: ArithmeticError: injected crash\n" in text
         assert "op profile: mode=full" in text
         assert any(line.split()[:1] == ["backward"] for line in text.splitlines())
 
@@ -739,7 +797,7 @@ class TestProfileCommand:
 class TestAnalyzeCommand:
     def test_analyze_trace_file_and_folded_export(self, tmp_path):
         trace = tmp_path / "trace.json"
-        code, _ = run_cli("run", "recommendation", "--seeds", "1",
+        code, _ = run_cli("campaign", "recommendation", "--seeds", "1",
                           "--trace", str(trace))
         assert code == 0
         folded = tmp_path / "folded.txt"
@@ -764,7 +822,7 @@ class TestAnalyzeCommand:
         import json
 
         trace = tmp_path / "trace.json"
-        run_cli("run", "recommendation", "--seeds", "1", "--trace", str(trace))
+        run_cli("campaign", "recommendation", "--seeds", "1", "--trace", str(trace))
         code, a = run_cli("analyze", str(trace), "--json")
         assert code == 0
         _, b = run_cli("analyze", str(trace), "--json")
@@ -785,7 +843,7 @@ class TestAnalyzeCommand:
 
 class TestFailedRunTraceFlush:
     def test_failed_run_writes_partial_trace(self, tmp_path, monkeypatch):
-        """Satellite: a crashed run still leaves a loadable trace file."""
+        """A crashed run still leaves a loadable trace file."""
         import json
 
         from repro.core import runner as runner_mod
@@ -805,10 +863,11 @@ class TestFailedRunTraceFlush:
 
         monkeypatch.setattr(runner_mod.BenchmarkRunner, "run", explode)
         trace = tmp_path / "trace.json"
-        code, text = run_cli("run", "recommendation", "--seeds", "1",
-                             "--trace", str(trace))
+        code, text = run_cli("campaign", "recommendation", "--seeds", "1",
+                             "--retries", "0", "--trace", str(trace))
         assert code == 1
-        assert "partial: run failed" in text
+        assert "recommendation/0 fault: ValueError: injected crash\n" in text
+        assert "trace written" in text
         doc = json.loads(trace.read_text())
         names = {e["name"] for e in doc["traceEvents"]}
         assert {"run", "epoch"} <= names
@@ -991,3 +1050,10 @@ class TestRetiredEntryPoint:
         assert code == 2
         assert stdout == ""
         assert stderr == "repro: error: run the CLI as `python -m repro`\n"
+
+    def test_run_verb_is_unknown(self):
+        # `campaign` is the one verb that runs a benchmark's seeds.
+        code, stdout, stderr = _repro_run({}, "run", "recommendation")
+        assert code == 2
+        assert stdout == ""
+        assert "invalid choice: 'run'" in stderr
