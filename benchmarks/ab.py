@@ -17,15 +17,19 @@ so the training fingerprint (epochs, quality; for ``serve_forward`` also the
 answers' checksum) is kept.  Even pairs run the parent first, odd pairs the
 change.  After every pair it writes ``benchmarks/reports/ab_NAME.json``
 (default name: the workload) with ``what``, ``command``, ``host``,
-``revisions``, ``runs`` (per workload, within a seed in the order they ran)
-and ``fingerprints_equal`` (per workload: every pair's two sides agree).  A
+``revisions``, ``runs`` (per workload, within a seed in the order they ran;
+each run also records its process's ``minor_faults`` and ``sys_cpu_s``, read
+with ``getrusage(RUSAGE_CHILDREN)`` around it) and ``fingerprints_equal``
+(per workload: every pair's two sides agree).  A
 report that exists for the same two trees gains the new workload's pairs,
 its seeds continuing after the last one; for other trees it is refused.
 
 ``--verdict`` reads any ``ab_*.json`` of that schema and prints, per workload
 and end-to-end metric of ``BENCHMARK.json``, each side's median and
 quartiles, the pairs the change wins, the difference of the medians, and that
-difference in multiples of the parent's interquartile range.  A metric reads
+difference in multiples of the parent's interquartile range, then each side's
+median minor faults and system CPU seconds where the runs record them.  A
+metric reads
 ``better`` (or ``worse``) when the change wins (loses) at least nine pairs in
 ten over at least ten pairs and the medians differ by more than the parent's
 IQR, ``same`` when every pair is equal, and ``unresolved`` otherwise.  It
@@ -38,6 +42,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -87,21 +92,31 @@ def build(commit: str, into: Path) -> Path:
     return into
 
 
+# Read around one child: RUSAGE_CHILDREN sums this process's waited-for children only.
+RUSAGE = (("minor_faults", "ru_minflt"), ("sys_cpu_s", "ru_stime"))
+
+
 def run_side(tree: Path, workload: str, seed: int) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     done = subprocess.run([sys.executable, "-c", MEASURE, workload, str(seed), str(SECONDS)],
                           cwd=tree, env=env, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if done.returncode != 0:
         raise RuntimeError(f"{workload} seed {seed} in {tree} exited {done.returncode}:\n"
                            + done.stderr[-2000:])
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    out = json.loads(done.stdout.strip().splitlines()[-1])
+    out["rusage"] = {key: getattr(after, field) - getattr(before, field)
+                     for key, field in RUSAGE}
+    return out
 
 
 def record(seed: int, side: str, out: dict) -> dict:
     metrics = {name: round(m["value"], 4) for name, m in out["metrics"].items()}
+    rusage = {key: round(value, 4) for key, value in out["rusage"].items()}
     return {"seed": seed, "side": side, "correct": out["correct"],
             "attempted": out["attempted"], "failed": out["failed"], **metrics,
-            "fingerprint": out["fingerprint"]}
+            **rusage, "fingerprint": out["fingerprint"]}
 
 
 def host(provenance: dict) -> str:
@@ -221,6 +236,12 @@ def verdict(paths: list[Path]) -> int:
                 print(f"  {m['name']:<17}{cells[0]:>26}{cells[1]:>26}"
                       f"{j['wins']:>5}/{j['n']:<2}{j['delta']:>+10.2f}{j['in_iqr']:>+11.2f}"
                       f"  {j['verdict']}")
+            for key, _ in RUSAGE:
+                if all(key in r for pair in pairs for r in pair):
+                    medians = [statistics.median(pair[side][key] for pair in pairs)
+                               for side in (0, 1)]
+                    print(f"  {key:<17}{medians[0]:>26.2f}{medians[1]:>26.2f}"
+                          "  (median; the run's process)")
     return status
 
 

@@ -235,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench-kernels",
-        help="micro-benchmark the fused hot-path kernels against the "
-             "naive reference (per-kernel ns/op, bit-identity)")
+        help="micro-benchmark the fused hot-path kernels against their "
+             "reference compositions (per-kernel ns/op, bit-identity)")
     bench.add_argument("--smoke", action="store_true",
                        help="fast CI variant: fewer repeats (gate the report "
                             "with bench-diff)")
@@ -767,12 +767,12 @@ def _cmd_bench_kernels(args, out) -> int:
     from .framework.microbench import bench_kernels
 
     payload = bench_kernels(smoke=args.smoke, repeats=args.repeats)
-    print(f"kernel mode: {payload['kernel_mode']} "
+    print(f"kernels against their references "
           f"(repeats={payload['repeats']}, warmup={payload['warmup']})", file=out)
     for name, entry in payload["kernels"].items():
         flag = "ok" if entry["bit_identical"] else "DIVERGED"
-        print(f"  {name:<31} {entry['naive_ns_per_op'] / 1e3:>10.1f}us naive  "
-              f"{entry['ns_per_op'] / 1e3:>10.1f}us {payload['kernel_mode']}  "
+        print(f"  {name:<31} {entry['naive_ns_per_op'] / 1e3:>10.1f}us reference  "
+              f"{entry['ns_per_op'] / 1e3:>10.1f}us kernel  "
               f"{entry['speedup']:>5.2f}x  [{flag}]", file=out)
     _write_report(payload, args.out, out)
     return 0
@@ -924,7 +924,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
     from .telemetry.opprof import profile_mode_from_env
 
     try:
-        from .framework import config  # noqa: F401  (reads REPRO_KERNEL_MODE)
         profile_mode_from_env()
     except ValueError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)

@@ -221,11 +221,10 @@ class BenchmarkRunner:
                     )
                 logger.event(Keys.EPOCH_START, epoch, epoch_num=epoch)
                 epoch_t0 = self.clock.now()
-                samples_before = samples.value
                 with tracer.span("epoch", epoch_num=epoch):
-                    session.run_epoch(epoch - 1)
+                    epoch_samples = session.run_epoch(epoch - 1) or 0
                 epoch_dt = self.clock.now() - epoch_t0
-                epoch_samples = samples.value - samples_before
+                samples.inc(epoch_samples)
                 logger.event(Keys.EPOCH_STOP, epoch, epoch_num=epoch)
                 metrics.histogram("epoch_seconds").observe(epoch_dt)
                 metrics.counter("epochs").inc()

@@ -10,7 +10,7 @@ from .tensor import Tensor, inference_mode, is_grad_enabled, is_inference_mode, 
 from .module import Module, ModuleList, Parameter, Sequential
 from . import functional
 from . import init
-from .config import KERNEL_MODES, kernel_mode, set_kernel_mode, use_kernel_mode
+from .config import kernel_mode
 from .conv import conv2d, conv2d_naive, conv2d_same, global_avg_pool2d, im2col, col2im
 from .fused import conv2d_bias_relu, linear_bias_act, lstm_cell
 from .layers import (
@@ -59,10 +59,7 @@ __all__ = [
     "Sequential",
     "functional",
     "init",
-    "KERNEL_MODES",
     "kernel_mode",
-    "set_kernel_mode",
-    "use_kernel_mode",
     "conv2d",
     "conv2d_naive",
     "conv2d_same",

@@ -6,30 +6,32 @@ libraries offer many mathematically-equivalent convolution algorithms.  A
 deliberately naive direct convolution is also provided as the gold-standard
 reference (used in tests and the im2col-vs-naive ablation bench).
 
-:func:`conv2d` dispatches on :func:`repro.framework.config.kernel_mode`:
+:func:`conv2d` runs one of two bit-identical implementations, chosen by
+its operands alone:
 
-- ``naive`` runs the original im2col implementation below;
-- ``fused`` unfolds patches with one gather straight into the patch-major
-  layout the GEMM wants — no padded copy, none of the naive path's
-  ``ascontiguousarray`` transpose copies — through an index cached per
-  geometry (:func:`_patch_index`), and applies bias and ReLU in place on
-  the GEMM output.  The ``kh*kw`` strided col2im passes of the fold run
-  over blocks of samples whose slab of the patch-gradient matrix fits in
-  cache (``_BLOCK_BYTES``); the GEMMs stay whole-batch.  Only data movement
-  is blocked, never arithmetic: each padded pixel still receives its terms
-  in ``(i, j)`` order.
+- operands of one float dtype take the fused path, which unfolds patches
+  with one gather straight into the patch-major layout the GEMM wants — no
+  padded copy, none of the reference's ``ascontiguousarray`` transpose
+  copies — through an index cached per geometry (:func:`_patch_index`),
+  and applies bias and ReLU in place on the GEMM output.  The ``kh*kw``
+  strided col2im passes of the fold run over blocks of samples whose slab
+  of the patch-gradient matrix fits in cache (``_BLOCK_BYTES``); the GEMMs
+  stay whole-batch.  Only data movement is blocked, never arithmetic: each
+  padded pixel still receives its terms in ``(i, j)`` order;
+- mixed dtypes run :func:`_conv2d_reference`, the im2col composition the
+  fused path is checked against.
 
-Both modes allocate their scratch per call with ``np.empty`` and drop it
-when done (a scratch pool was measured and removed, DESIGN.md).  The fused
+Both allocate their scratch per call with ``np.empty`` and drop it when
+done (a scratch pool was measured and removed, DESIGN.md).  The fused
 backward closure keeps ``x``, ``w2`` and the ReLU mask, not the patch
 matrix (9x the input for a 3x3 kernel): the weight gradient re-unfolds
 ``x`` with the same gather, so a training graph holds no patch matrix.  The
-fused variant is **bit-identical** to ``naive``: same element values, same
+fused path is **bit-identical** to the reference: same element values, same
 accumulation order, same dtypes (enforced by tests, including with every
 scratch buffer poisoned before the kernel writes it).
 
 Global average pooling, the only pooling a suite model uses, is a mean
-with one implementation in every mode (DESIGN.md, *Measured and removed*).
+with one implementation (DESIGN.md, *Measured and removed*).
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import functools
 
 import numpy as np
 
-from .config import kernel_mode
 from .prof import profiled_op
 from .tensor import Tensor, is_grad_enabled
 
@@ -81,7 +82,7 @@ def col2im(
 
 
 # ---------------------------------------------------------------------------
-# Fused-mode helpers
+# Fused-path helpers
 # ---------------------------------------------------------------------------
 
 def _uniform_float_dtype(x: Tensor, *others):
@@ -89,7 +90,7 @@ def _uniform_float_dtype(x: Tensor, *others):
 
     ``others`` are tensors or arrays; a ``None`` among them (an absent bias
     or mask) is skipped.  The fused kernels add bias in place, which would
-    silently demote a mixed-precision promotion the naive path performs;
+    silently demote a mixed-precision promotion the reference performs;
     mixed-dtype calls therefore fall back to the reference implementation.
     """
     dt = x.dtype
@@ -123,7 +124,7 @@ def _patch_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, pad: int
 def _unfold(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
     """``(N, OH*OW*C*kh*kw)`` patch-major unfold of ``x``, by one gather.
 
-    As ``(N*OH*OW, C*kh*kw)`` it is the naive path's
+    As ``(N*OH*OW, C*kh*kw)`` it is the reference's
     ``ascontiguousarray(transpose(im2col))``, copied element for element.
     """
     n, c, h, w = x.shape
@@ -139,7 +140,8 @@ def _unfold(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarra
 # patch-gradient matrix several times the L2 cache; running all the taps
 # over a slab of samples this big keeps the slab resident between taps.  A
 # constant, not a knob: 256 KiB / 512 KiB / 1 MiB time within 4 % of each
-# other (DESIGN.md, *Kernel modes*), and the bits are the same at any value.
+# other (DESIGN.md, *Kernels and their references*), and the bits are the
+# same at any value.
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -248,15 +250,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     ``x``: ``(N, C, H, W)``; ``weight``: ``(F, C, kh, kw)``; ``bias``: ``(F,)``.
     """
     _check_conv_args(x, weight, stride, pad)
-    if kernel_mode() != "naive":
-        dt = _uniform_float_dtype(x, weight, bias)
-        if dt is not None:
-            return _conv2d_fused(x, weight, bias, stride, pad, dt)
+    dt = _uniform_float_dtype(x, weight, bias)
+    if dt is not None:
+        return _conv2d_fused(x, weight, bias, stride, pad, dt)
     return _conv2d_reference(x, weight, bias, stride, pad)
 
 
 def _conv2d_reference(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int, pad: int) -> Tensor:
-    """The reference implementation (``naive`` mode)."""
+    """The im2col composition: :func:`conv2d`'s fallback and its oracle."""
     n = x.shape[0]
     f, c, kh, kw = weight.shape
     oh = (x.shape[2] + 2 * pad - kh) // stride + 1

@@ -60,7 +60,7 @@ class DataLoader:
     so traversal order is reproducible per-run yet differs across epochs.
     ``augment(batch_arrays, rng) -> batch_arrays`` runs inside iteration —
     i.e. inside the timed region, as §3.2.1 requires.  Every batch is a
-    fresh ``dataset[idx]`` gather, whatever the kernel mode.
+    fresh ``dataset[idx]`` gather.
 
     **Epoch semantics.** ``self.epoch`` advances only after a *complete*
     pass; abandoning an iterator early (``break``, ``next()`` probing) does

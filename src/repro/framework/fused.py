@@ -6,10 +6,10 @@ algorithms applies to graph shape too: ``conv → bias → relu`` as three
 closures backward.  The kernels here compute the same values (bit-identical
 — enforced by tests) in one node, with element masks applied in place.
 
-Fusion only engages in the ``fused`` kernel mode (see
-:mod:`repro.framework.config`); in ``naive`` mode these functions run the
-equivalent composition of primitives, so call sites can use them
-unconditionally.
+Each kernel takes its fused path when its operands allow it (one float
+dtype, plus the shape or dropout its own check names) and otherwise runs
+``_<op>_reference``, the composition of primitives it is checked against,
+counting the fallback; call sites use the kernels unconditionally.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import math
 
 import numpy as np
 
-from .config import kernel_mode
-from .conv import _check_conv_args, _conv2d_fused, _uniform_float_dtype, conv2d
+from .conv import _check_conv_args, _conv2d_fused, _conv2d_reference, _uniform_float_dtype
 from .prof import profiled_op
 from .functional import softmax
 from .tensor import Tensor, _sigmoid, _unbroadcast, is_grad_enabled
@@ -30,7 +29,7 @@ _ACTS = ("none", "relu")
 
 
 def _count_fallback(op: str, reason: str) -> None:
-    """A kernel mode is active but ``op`` ran its composed reference: say so.
+    """``op`` ran its reference composition instead of its kernel: say so.
 
     Called on that branch only, so the kernel path pays nothing.  The count
     lands in the ambient metrics registry as ``kernel_fallbacks.<op>.<reason>``
@@ -46,16 +45,20 @@ def conv2d_bias_relu(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                      stride: int = 1, pad: int = 0) -> Tensor:
     """Fused ``relu(conv2d(x, w, b))`` — one graph node, in-place mask.
 
-    Bit-identical to the composition in every mode; the fused single-node
-    kernel runs only in ``fused`` mode (with uniform float dtypes).
+    Bit-identical to the composition; the single-node kernel runs when the
+    operands share one float dtype.
     """
     _check_conv_args(x, weight, stride, pad)
-    if kernel_mode() == "fused":
-        dt = _uniform_float_dtype(x, weight, bias)
-        if dt is not None:
-            return _conv2d_fused(x, weight, bias, stride, pad, dt, relu=True)
-        _count_fallback("conv2d_bias_relu", "mixed_dtype")
-    return conv2d(x, weight, bias, stride=stride, pad=pad).relu()
+    dt = _uniform_float_dtype(x, weight, bias)
+    if dt is not None:
+        return _conv2d_fused(x, weight, bias, stride, pad, dt, relu=True)
+    _count_fallback("conv2d_bias_relu", "mixed_dtype")
+    return _conv2d_bias_relu_reference(x, weight, bias, stride, pad)
+
+
+def _conv2d_bias_relu_reference(x: Tensor, weight: Tensor, bias: Tensor | None,
+                                stride: int, pad: int) -> Tensor:
+    return _conv2d_reference(x, weight, bias, stride, pad).relu()
 
 
 @profiled_op("linear")
@@ -69,11 +72,14 @@ def linear_bias_act(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     """
     if act not in _ACTS:
         raise ValueError(f"act must be one of {_ACTS}, got {act!r}")
-    if kernel_mode() == "fused":
-        dt = _uniform_float_dtype(x, weight, bias) if x.ndim >= 2 else None
-        if dt is not None:
-            return _linear_fused(x, weight, bias, act, dt)
-        _count_fallback("linear", "ndim" if x.ndim < 2 else "mixed_dtype")
+    dt = _uniform_float_dtype(x, weight, bias) if x.ndim >= 2 else None
+    if dt is not None:
+        return _linear_fused(x, weight, bias, act, dt)
+    _count_fallback("linear", "ndim" if x.ndim < 2 else "mixed_dtype")
+    return _linear_reference(x, weight, bias, act)
+
+
+def _linear_reference(x: Tensor, weight: Tensor, bias: Tensor | None, act: str) -> Tensor:
     out = x @ weight.T
     if bias is not None:
         out = out + bias
@@ -144,11 +150,16 @@ def normalize(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
         raise ValueError(f"act must be one of {_ACTS}, got {act!r}")
     if residual is not None and residual.shape != x.shape:
         raise ValueError(f"residual shape {residual.shape} != input shape {x.shape}")
-    if kernel_mode() == "fused":
-        if _uniform_float_dtype(x, gamma, beta, residual, *(moments or ())) is not None:
-            return _normalize_fused(x, axes, gamma, beta, eps, shape, moments, observe,
-                                    residual, act)
-        _count_fallback("normalize", "mixed_dtype")
+    if _uniform_float_dtype(x, gamma, beta, residual, *(moments or ())) is not None:
+        return _normalize_fused(x, axes, gamma, beta, eps, shape, moments, observe,
+                                residual, act)
+    _count_fallback("normalize", "mixed_dtype")
+    return _normalize_reference(x, axes, gamma, beta, eps, shape, moments, observe,
+                                residual, act)
+
+
+def _normalize_reference(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
+                         shape, moments, observe, residual, act) -> Tensor:
     if moments is None:
         mean = x.mean(axis=axes, keepdims=True)
         var = x.var(axis=axes, keepdims=True)
@@ -278,11 +289,15 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w_x: Tensor, w_h: Tenso
     buffer, so ``h``, ``c`` and every gradient are bit-identical to it.
     Operands of mixed dtype use the composition, as in the other kernels.
     """
-    if kernel_mode() == "fused":
-        if x.ndim == 2 and _uniform_float_dtype(
-                x, h_prev, c_prev, w_x, w_h, bias, mask) is not None:
-            return _lstm_cell_fused(x, h_prev, c_prev, w_x, w_h, bias, mask)
-        _count_fallback("lstm_cell", "ndim" if x.ndim != 2 else "mixed_dtype")
+    if x.ndim == 2 and _uniform_float_dtype(
+            x, h_prev, c_prev, w_x, w_h, bias, mask) is not None:
+        return _lstm_cell_fused(x, h_prev, c_prev, w_x, w_h, bias, mask)
+    _count_fallback("lstm_cell", "ndim" if x.ndim != 2 else "mixed_dtype")
+    return _lstm_cell_reference(x, h_prev, c_prev, w_x, w_h, bias, mask)
+
+
+def _lstm_cell_reference(x: Tensor, h_prev: Tensor, c_prev: Tensor, w_x: Tensor,
+                         w_h: Tensor, bias: Tensor, mask) -> tuple[Tensor, Tensor]:
     hs = w_h.shape[1]
     gates = x @ w_x.T + h_prev @ w_h.T + bias
     i = gates[:, 0 * hs : 1 * hs].sigmoid()
@@ -416,13 +431,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None, scale: f
     ``dropout`` (which draws from its generator between two of the fused
     steps) use the composition.
     """
-    if kernel_mode() == "fused":
-        if dropout is not None:
-            _count_fallback("attention", "dropout")
-        elif _uniform_float_dtype(q, k, v, bias) is None:
-            _count_fallback("attention", "mixed_dtype")
-        else:
-            return _attention_fused(q, k, v, bias, scale, num_heads)
+    if dropout is not None:
+        _count_fallback("attention", "dropout")
+    elif _uniform_float_dtype(q, k, v, bias) is None:
+        _count_fallback("attention", "mixed_dtype")
+    else:
+        return _attention_fused(q, k, v, bias, scale, num_heads)
+    return _attention_reference(q, k, v, bias, scale, num_heads, dropout)
+
+
+def _attention_reference(q: Tensor, k: Tensor, v: Tensor, bias, scale: float,
+                         num_heads: int, dropout) -> Tensor:
     n, tq, d = q.shape
     qh, kh, vh = (_split_heads(t, num_heads) for t in (q, k, v))
     scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale

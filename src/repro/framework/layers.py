@@ -78,8 +78,8 @@ class Linear(Module):
     """Affine map ``y = act(x W^T + b)``.
 
     ``activation="relu"`` folds the nonlinearity into the layer so the
-    ``fused`` kernel mode can run the whole map as one graph node
-    (bit-identical to the unfused composition in every mode).
+    linear kernel can run the whole map as one graph node (bit-identical to
+    the unfused composition).
     """
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, bias: bool = True,

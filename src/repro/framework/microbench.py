@@ -5,18 +5,17 @@ per-kernel decompositions to be actionable; this module times the kernels
 the §3.2.1 timed region actually spends its wall clock in — conv2d
 forward+backward at two sizes and forward on one Go board, the fused
 linear, the LSTM cell, multi-head attention and batch norm closing a
-residual block — under ``fused`` *and* under ``naive``, so every report
-carries its own baseline.
-Only code that reads the kernel mode has a row: anything else would
-compare ``naive`` with itself.
+residual block — and, as each row's baseline, the ``_<op>_reference``
+composition that kernel falls back to, so every report carries its own
+baseline.  Every reference has a row (enforced by tests).
 
 Each benchmark is a closure that runs one forward (+backward); timing
 takes the *minimum* over repeats after a warmup, the standard micro-bench
 estimator for the noise-free cost.
 
 The same closures double as the bit-identity oracle: every kernel's
-outputs and gradients under ``fused`` are compared bit for bit with
-``naive``'s, and ``checks.bit_identical`` records the verdict.  The
+outputs and gradients are compared bit for bit with its reference's, and
+``checks.bit_identical`` records the verdict.  The
 report states facts and returns no verdict: ``repro bench-diff`` gates it
 against the committed baseline (:mod:`repro.telemetry.regress`), where
 ``checks.bit_identical`` must match exactly and each speedup row keeps a
@@ -31,9 +30,10 @@ from typing import Any, Callable
 import numpy as np
 
 from .attention import attention_bias, causal_mask
-from .config import use_kernel_mode
-from .conv import conv2d
-from .fused import attention, conv2d_bias_relu, linear_bias_act, lstm_cell, normalize
+from .conv import _conv2d_reference, conv2d
+from .fused import (_attention_reference, _conv2d_bias_relu_reference, _linear_reference,
+                    _lstm_cell_reference, _normalize_reference, attention, conv2d_bias_relu,
+                    linear_bias_act, lstm_cell, normalize)
 from .module import Parameter
 from .tensor import Tensor, no_grad
 
@@ -41,7 +41,7 @@ __all__ = ["bench_kernels", "BENCH_SCHEMA"]
 
 BENCH_SCHEMA = "repro.bench_kernels.v1"
 
-# A "step" returns the arrays that must be bit-identical across modes.
+# A "step" returns the arrays in which a kernel must equal its reference.
 StepFn = Callable[[], tuple[np.ndarray, ...]]
 
 
@@ -57,7 +57,7 @@ def _time_ns(step: StepFn, repeats: int, warmup: int) -> float:
     return best
 
 
-def _conv_step(rng: np.random.Generator,
+def _conv_step(rng: np.random.Generator, op: Callable,
                shape: tuple[int, int, int, int] = (8, 8, 16, 16)) -> StepFn:
     x0 = rng.standard_normal(shape).astype(np.float32)
     w0 = (rng.standard_normal((16, shape[1], 3, 3)) * 0.1).astype(np.float32)
@@ -69,7 +69,7 @@ def _conv_step(rng: np.random.Generator,
         x = Tensor(x0, requires_grad=True)
         w = Parameter(w0)
         b = Parameter(b0)
-        out = conv2d_bias_relu(x, w, b, stride=1, pad=1)
+        out = op(x, w, b, 1, 1)
         if g0 is None:
             g0 = rng.standard_normal(out.shape).astype(np.float32)
         out.backward(g0)
@@ -78,16 +78,16 @@ def _conv_step(rng: np.random.Generator,
     return step
 
 
-def _conv_resnet_step(rng: np.random.Generator) -> StepFn:
+def _conv_resnet_step(rng: np.random.Generator, op: Callable) -> StepFn:
     """The suite's dominant conv (ResNet stage 1): a 9.4 MB patch matrix.
 
     ``_conv_step``'s 590 KB one fits in L2, so it times arithmetic; this
     one times the data movement the end-to-end ledger is bound by.
     """
-    return _conv_step(rng, shape=(64, 16, 16, 16))
+    return _conv_step(rng, op, shape=(64, 16, 16, 16))
 
 
-def _conv_board_step(rng: np.random.Generator) -> StepFn:
+def _conv_board_step(rng: np.random.Generator, op: Callable) -> StepFn:
     """A MiniGo tower conv on one board, forward only under ``no_grad``.
 
     Self-play evaluates one position per call, so this row times the
@@ -98,12 +98,12 @@ def _conv_board_step(rng: np.random.Generator) -> StepFn:
 
     def step() -> tuple[np.ndarray, ...]:
         with no_grad():
-            return (conv2d(Tensor(x0), Tensor(w0), stride=1, pad=1).data,)
+            return (op(Tensor(x0), Tensor(w0), None, 1, 1).data,)
 
     return step
 
 
-def _linear_step(rng: np.random.Generator) -> StepFn:
+def _linear_step(rng: np.random.Generator, op: Callable) -> StepFn:
     x0 = rng.standard_normal((128, 256)).astype(np.float32)
     w0 = (rng.standard_normal((256, 256)) * 0.05).astype(np.float32)
     b0 = rng.standard_normal(256).astype(np.float32)
@@ -113,14 +113,14 @@ def _linear_step(rng: np.random.Generator) -> StepFn:
         x = Tensor(x0, requires_grad=True)
         w = Parameter(w0)
         b = Parameter(b0)
-        out = linear_bias_act(x, w, b, act="relu")
+        out = op(x, w, b, "relu")
         out.backward(g0)
         return out.data, x.grad, w.grad, b.grad
 
     return step
 
 
-def _lstm_cell_step(rng: np.random.Generator) -> StepFn:
+def _lstm_cell_step(rng: np.random.Generator, op: Callable) -> StepFn:
     """Two chained LSTM steps at GNMT's width, the second over a padded batch."""
     n, e, hs = 32, 48, 64
     xs = rng.standard_normal((2, n, e)).astype(np.float32)
@@ -136,15 +136,15 @@ def _lstm_cell_step(rng: np.random.Generator) -> StepFn:
         x = Tensor(xs, requires_grad=True)
         h, c = Tensor(h0, requires_grad=True), Tensor(c0)
         w_x, w_h, b = Parameter(wx0), Parameter(wh0), Parameter(b0)
-        state = lstm_cell(x[0], h, c, w_x, w_h, b)
-        out, cell = lstm_cell(x[1], *state, w_x, w_h, b, mask)
+        state = op(x[0], h, c, w_x, w_h, b, None)
+        out, cell = op(x[1], *state, w_x, w_h, b, mask)
         (out + cell).backward(g0)
         return out.data, cell.data, x.grad, h.grad, w_x.grad, w_h.grad, b.grad
 
     return step
 
 
-def _attention_step(rng: np.random.Generator) -> StepFn:
+def _attention_step(rng: np.random.Generator, op: Callable) -> StepFn:
     """Causal self-attention at the Transformer's training shape: a batch of
     32 sentences of 16 tokens, ``d_model`` 64 in 4 heads, additive mask."""
     n, t, d, heads = 32, 16, 64, 4
@@ -154,14 +154,14 @@ def _attention_step(rng: np.random.Generator) -> StepFn:
 
     def step() -> tuple[np.ndarray, ...]:
         q, k, v = (Tensor(a, requires_grad=True) for a in (q0, k0, v0))
-        out = attention(q, k, v, bias, scale, heads)
+        out = op(q, k, v, bias, scale, heads, None)
         out.backward(g0)
         return out.data, q.grad, k.grad, v.grad
 
     return step
 
 
-def _normalize_step(rng: np.random.Generator, residual: bool) -> StepFn:
+def _normalize_step(rng: np.random.Generator, op: Callable, residual: bool) -> StepFn:
     """Training-mode batch norm → (+ skip) → ReLU at ResNet stage 1's shape,
     where the suite spends its batch-norm time."""
     shape = (64, 16, 16, 16)
@@ -173,8 +173,8 @@ def _normalize_step(rng: np.random.Generator, residual: bool) -> StepFn:
         x = Tensor(x0, requires_grad=True)
         skip = Tensor(s0, requires_grad=True) if residual else None
         gamma, beta = Parameter(gamma0), Parameter(beta0)
-        out = normalize(x, (0, 2, 3), gamma, beta, 1e-5, (1, 16, 1, 1),
-                        residual=skip, act="relu")
+        out = op(x, (0, 2, 3), gamma, beta, 1e-5, (1, 16, 1, 1), None, None,
+                 residual=skip, act="relu")
         out.backward(g0)
         grads = (x.grad, gamma.grad, beta.grad) + ((skip.grad,) if residual else ())
         return (out.data, *grads)
@@ -182,15 +182,20 @@ def _normalize_step(rng: np.random.Generator, residual: bool) -> StepFn:
     return step
 
 
-_KERNELS: dict[str, Callable[[np.random.Generator], StepFn]] = {
-    "conv2d_fwd_bwd": _conv_step,
-    "conv2d_resnet_fwd_bwd": _conv_resnet_step,
-    "conv2d_board_fwd": _conv_board_step,
-    "linear_fwd_bwd": _linear_step,
-    "lstm_cell_fwd_bwd": _lstm_cell_step,
-    "attention_fwd_bwd": _attention_step,
-    "normalize_relu_fwd_bwd": lambda rng: _normalize_step(rng, residual=False),
-    "normalize_residual_relu_fwd_bwd": lambda rng: _normalize_step(rng, residual=True),
+# Per row: the step factory, the kernel it times and the kernel's reference.
+_KERNELS: dict[str, tuple[Callable[..., StepFn], Callable, Callable]] = {
+    "conv2d_fwd_bwd": (_conv_step, conv2d_bias_relu, _conv2d_bias_relu_reference),
+    "conv2d_resnet_fwd_bwd": (_conv_resnet_step, conv2d_bias_relu,
+                              _conv2d_bias_relu_reference),
+    "conv2d_board_fwd": (_conv_board_step, conv2d, _conv2d_reference),
+    "linear_fwd_bwd": (_linear_step, linear_bias_act, _linear_reference),
+    "lstm_cell_fwd_bwd": (_lstm_cell_step, lstm_cell, _lstm_cell_reference),
+    "attention_fwd_bwd": (_attention_step, attention, _attention_reference),
+    "normalize_relu_fwd_bwd": (lambda rng, op: _normalize_step(rng, op, residual=False),
+                               normalize, _normalize_reference),
+    "normalize_residual_relu_fwd_bwd": (
+        lambda rng, op: _normalize_step(rng, op, residual=True),
+        normalize, _normalize_reference),
 }
 
 
@@ -205,9 +210,9 @@ def bench_kernels(*, smoke: bool = False, repeats: int | None = None,
                   warmup: int | None = None, seed: int = 0) -> dict[str, Any]:
     """Run every kernel micro-benchmark; return the BENCH_kernels payload.
 
-    Each kernel is timed under ``naive`` (the baseline) and under
-    ``fused``, and checked for bit-identical outputs/gradients between
-    the two.
+    Each kernel is timed beside its reference (the baseline, reported as
+    ``naive_ns_per_op``) and checked for bit-identical outputs/gradients
+    against it.
     """
     if repeats is None:
         repeats = 5 if smoke else 30
@@ -215,17 +220,14 @@ def bench_kernels(*, smoke: bool = False, repeats: int | None = None,
         warmup = 2 if smoke else 5
 
     kernels: dict[str, Any] = {}
-    for name, factory in _KERNELS.items():
-        rng = np.random.default_rng(seed)
-        step = factory(rng)
+    for name, (factory, kernel, reference) in _KERNELS.items():
+        baseline = factory(np.random.default_rng(seed), reference)
+        step = factory(np.random.default_rng(seed), kernel)
 
-        with use_kernel_mode("naive"):
-            reference = step()
-            naive_ns = _time_ns(step, repeats, warmup)
-
-        with use_kernel_mode("fused"):
-            identical = _bit_identical(reference, step())
-            current_ns = _time_ns(step, repeats, warmup)
+        expected = baseline()
+        naive_ns = _time_ns(baseline, repeats, warmup)
+        identical = _bit_identical(expected, step())
+        current_ns = _time_ns(step, repeats, warmup)
 
         kernels[name] = {
             "naive_ns_per_op": naive_ns,

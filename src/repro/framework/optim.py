@@ -11,8 +11,7 @@ equivalence checker can insist on a specific formulation.
 LARS (You et al., 2017) is included because allowing it for large ResNet
 batches was the headline v0.5→v0.6 rule change (§5).
 
-Each update has one implementation and reads no kernel mode (DESIGN.md,
-*Measured and removed*).
+Each update has one implementation (DESIGN.md, *Measured and removed*).
 """
 
 from __future__ import annotations

@@ -60,15 +60,20 @@ class TrainingSession(ABC):
     """One training run: stateful model + optimizer + data order."""
 
     @abstractmethod
-    def run_epoch(self, epoch: int) -> None:
-        """Train for one epoch (or one RL iteration)."""
+    def run_epoch(self, epoch: int) -> int | None:
+        """Train for one epoch (or one RL iteration); return the samples trained on.
+
+        The runner is the one writer of sample counts: it logs them and
+        feeds the ``samples_seen`` counter, whatever telemetry is attached.
+        ``None`` means the session does not count them.
+        """
 
     def step_executor(self):
         """The session's step driver (lazily created, one per session).
 
         :meth:`~repro.framework.compile.StepExecutor.step` is the eager
-        ``forward(); pre_backward(); loss.backward()`` sequence under both
-        kernel modes, as one call that telemetry can count and time.
+        ``forward(); pre_backward(); loss.backward()`` sequence, as one call
+        that telemetry can count and time.
         """
         executor = getattr(self, "_step_executor", None)
         if executor is None:

@@ -24,7 +24,7 @@ from ..framework import (
 )
 from ..metrics import top1_accuracy
 from ..models import MiniResNet
-from ..telemetry import current_metrics, current_tracer
+from ..telemetry import current_tracer
 from .base import Benchmark, BenchmarkSpec, TrainingSession, chunked_forward
 
 __all__ = ["ImageClassificationBenchmark", "classify_logits"]
@@ -92,10 +92,10 @@ class _Session(TrainingSession):
             self.data.train, hp["batch_size"], seed=seed, drop_last=True, augment=augment
         )
 
-    def run_epoch(self, epoch: int) -> None:
+    def run_epoch(self, epoch: int) -> int:
         self.model.train()
         tracer = current_tracer()
-        samples = current_metrics().counter("samples_seen")
+        seen = 0
         for images, labels in self.loader:
             with tracer.span("train_step", batch=len(images)):
                 loss = self.step_executor().step(
@@ -104,7 +104,8 @@ class _Session(TrainingSession):
                 )
                 self.optimizer.step()
                 self.scheduler.step()
-            samples.inc(len(images))
+            seen += len(images)
+        return seen
 
     def logits(self, images: np.ndarray) -> np.ndarray:
         return classify_logits(self.model, images, self.hp["batch_size"])

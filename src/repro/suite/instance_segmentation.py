@@ -18,7 +18,7 @@ from ..datasets import SceneConfig, ShapeScenes
 from ..framework import SGD, Tensor, WarmupStepLR
 from ..metrics import GroundTruth, mean_average_precision
 from ..models import MiniMaskRCNN
-from ..telemetry import current_metrics, current_tracer
+from ..telemetry import current_tracer
 from .base import Benchmark, BenchmarkSpec, TrainingSession
 
 __all__ = ["InstanceSegmentationBenchmark"]
@@ -70,13 +70,13 @@ class _Session(TrainingSession):
         self.seed = seed
         self._details: dict[str, float] = {}
 
-    def run_epoch(self, epoch: int) -> None:
+    def run_epoch(self, epoch: int) -> int:
         self.model.train()
         rng = np.random.default_rng((self.seed, epoch))
         order = rng.permutation(len(self.scenes.train))
         bs = self.hp["batch_size"]
         tracer = current_tracer()
-        samples = current_metrics().counter("samples_seen")
+        seen = 0
         for start in range(0, len(order) - bs + 1, bs):
             batch = [self.scenes.train[i] for i in order[start : start + bs]]
             with tracer.span("train_step", batch=bs):
@@ -90,7 +90,8 @@ class _Session(TrainingSession):
                 )
                 self.optimizer.step()
                 self.scheduler.step()
-            samples.inc(bs)
+            seen += bs
+        return seen
 
     def evaluate(self) -> float:
         self.model.eval()

@@ -14,7 +14,7 @@ from ..datasets import SceneConfig, ShapeScenes
 from ..framework import SGD, Tensor, WarmupStepLR
 from ..metrics import GroundTruth, mean_average_precision
 from ..models import MiniSSD
-from ..telemetry import current_metrics, current_tracer
+from ..telemetry import current_tracer
 from .base import Benchmark, BenchmarkSpec, TrainingSession
 
 __all__ = ["ObjectDetectionBenchmark"]
@@ -63,13 +63,13 @@ class _Session(TrainingSession):
         )
         self.seed = seed
 
-    def run_epoch(self, epoch: int) -> None:
+    def run_epoch(self, epoch: int) -> int:
         self.model.train()
         rng = np.random.default_rng((self.seed, epoch))
         order = rng.permutation(len(self.scenes.train))
         bs = self.hp["batch_size"]
         tracer = current_tracer()
-        samples = current_metrics().counter("samples_seen")
+        seen = 0
         for start in range(0, len(order) - bs + 1, bs):
             batch = [self.scenes.train[i] for i in order[start : start + bs]]
             with tracer.span("train_step", batch=bs):
@@ -83,7 +83,8 @@ class _Session(TrainingSession):
                 )
                 self.optimizer.step()
                 self.scheduler.step()
-            samples.inc(bs)
+            seen += bs
+        return seen
 
     def evaluate(self) -> float:
         self.model.eval()

@@ -14,7 +14,7 @@ from ..datasets import InteractionConfig, SyntheticInteractions
 from ..framework import Adam
 from ..metrics import leave_one_out_eval
 from ..models import NCF
-from ..telemetry import current_metrics, current_tracer
+from ..telemetry import current_tracer
 from .base import Benchmark, BenchmarkSpec, TrainingSession
 
 __all__ = ["RecommendationBenchmark"]
@@ -75,14 +75,14 @@ class _Session(TrainingSession):
             self._engine = SynchronousDataParallel(
                 self.model, self.optimizer, workers, _dp_loss)
 
-    def run_epoch(self, epoch: int) -> None:
+    def run_epoch(self, epoch: int) -> int:
         """One pass over the positive interactions with fresh negatives."""
         self.model.train()
         rng = np.random.default_rng((self.seed, epoch))
         n_pos = len(self.data.train_users)
         bs = self.hp["batch_size"]
         tracer = current_tracer()
-        samples = current_metrics().counter("samples_seen")
+        seen = 0
         for _ in range(max(n_pos // bs, 1)):
             with tracer.span("train_step", batch=bs):
                 users, items, labels = self.data.sample_training_batch(
@@ -96,7 +96,8 @@ class _Session(TrainingSession):
                         pre_backward=self.model.zero_grad,
                     )
                     self.optimizer.step()
-            samples.inc(len(users))
+            seen += len(users)
+        return seen
 
     def evaluate(self) -> float:
         self.model.eval()

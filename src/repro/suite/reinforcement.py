@@ -74,7 +74,7 @@ class _Session(TrainingSession):
         self.ref_moves = benchmark.ref_moves
         self.ref_legal_masks = benchmark.ref_legal_masks
 
-    def run_epoch(self, epoch: int) -> None:
+    def run_epoch(self, epoch: int) -> int:
         tracer = current_tracer()
         metrics = current_metrics()
         # 1. Self-play data generation (the expensive exploration phase).
@@ -97,7 +97,7 @@ class _Session(TrainingSession):
         metrics.gauge("replay_buffer_size").set(len(self.replay))
         # 2. Gradient steps on the replay buffer.
         self.model.train()
-        samples = metrics.counter("samples_seen")
+        seen = 0
         with tracer.span("train_steps", steps=self.hp["train_steps_per_iteration"]):
             for _ in range(self.hp["train_steps_per_iteration"]):
                 idx = self.rng.integers(0, len(self.replay), size=min(self.hp["batch_size"],
@@ -110,7 +110,8 @@ class _Session(TrainingSession):
                     pre_backward=self.model.zero_grad,
                 )
                 self.optimizer.step()
-                samples.inc(len(idx))
+                seen += len(idx)
+        return seen
 
     def evaluate(self) -> float:
         self.model.eval()

@@ -16,7 +16,7 @@ from ..datasets import SyntheticTranslation, TranslationConfig
 from ..framework import Adam, NoamLR, clip_grad_norm
 from ..metrics import corpus_bleu
 from ..models import MiniGNMT, MiniTransformer
-from ..telemetry import current_metrics, current_tracer
+from ..telemetry import current_tracer
 from .base import Benchmark, BenchmarkSpec, TrainingSession
 
 __all__ = ["TranslationRecurrentBenchmark", "TranslationTransformerBenchmark"]
@@ -41,14 +41,14 @@ class _TranslationSession(TrainingSession):
     def _loss(self, src, dec_in, dec_out):
         return self.model.loss(src, dec_in, dec_out)
 
-    def run_epoch(self, epoch: int) -> None:
+    def run_epoch(self, epoch: int) -> int:
         self.model.train()
         rng = np.random.default_rng((self.seed, epoch))
         pairs = self.corpus.train_pairs
         order = rng.permutation(len(pairs))
         bs = self.hp["batch_size"]
         tracer = current_tracer()
-        samples = current_metrics().counter("samples_seen")
+        seen = 0
         # Bucket by length to limit padding waste: sort each shuffled window.
         for start in range(0, len(order) - bs + 1, bs):
             chunk = [pairs[i] for i in order[start : start + bs]]
@@ -64,7 +64,8 @@ class _TranslationSession(TrainingSession):
                 self.optimizer.step()
                 if self.scheduler is not None:
                     self.scheduler.step()
-            samples.inc(bs)
+            seen += bs
+        return seen
 
     def evaluate(self) -> float:
         self.model.eval()

@@ -266,12 +266,12 @@ class TestRunResultMetricsRoundtrip:
         """Every ``kernel_fallbacks.<op>.<reason>`` counter lands in one column."""
         from repro.core import build_phase_table, render_phase_table
         from repro.core.artifacts import load_run_result, save_run_result
-        from repro.framework import Tensor, linear_bias_act, use_kernel_mode
+        from repro.framework import Tensor, linear_bias_act
         from repro.telemetry import Telemetry
 
         clock = FakeClock()
         telemetry = Telemetry(clock=clock)
-        with telemetry.activate(), use_kernel_mode("fused"):
+        with telemetry.activate():
             wide = Tensor(np.ones((2, 3), dtype=np.float64))
             narrow = Tensor(np.ones((4, 3), dtype=np.float32))
             linear_bias_act(wide, narrow)

@@ -99,14 +99,22 @@ class TestThroughputLogKeys:
         assert throughput[0].value == pytest.approx(16.0)
 
     def test_tracked_stats_without_samples_counter(self):
-        # Telemetry disabled: the null counter never moves, but epoch
-        # seconds still land in the log.
+        # Telemetry disabled: its counters are no-ops, but the samples the
+        # session reports still land in the log beside the epoch seconds.
         clock = FakeClock()
         runner = BenchmarkRunner(clock=clock)
         result = runner.run(FakeBenchmark(clock=clock, epoch_cost_s=1.0), seed=0)
         events = parse_log_lines(result.log_lines)
         tracked = [e for e in events if e.key == Keys.TRACKED_STATS]
-        assert tracked and tracked[0].value == {"epoch_seconds": 1.0}
+        assert tracked and tracked[0].value == {"epoch_seconds": 1.0, "samples": 32}
+
+    def test_log_does_not_depend_on_an_attached_session(self):
+        """A library run writes the records a run with telemetry writes (§4.1)."""
+        with_session, _ = run_with_telemetry(epoch_cost=2.0)
+        clock = FakeClock()
+        library = BenchmarkRunner(clock=clock).run(
+            FakeBenchmark(clock=clock, epoch_cost_s=2.0), seed=0)
+        assert library.log_lines == with_session.log_lines
 
 
 class _ExplodingSession(FakeSession):
@@ -117,7 +125,7 @@ class _ExplodingSession(FakeSession):
     def run_epoch(self, epoch: int) -> None:
         if epoch + 1 == self.fail_at_epoch:
             raise ArithmeticError("loss is NaN")
-        super().run_epoch(epoch)
+        return super().run_epoch(epoch)
 
 
 class _ExplodingBenchmark(FakeBenchmark):

@@ -53,8 +53,9 @@ class TestRunSeries:
             parse_log_lines(plain.log_lines))
 
     def test_disabled_telemetry_still_has_a_series(self):
+        # Sample counts come from the session, so throughput is logged too.
         series = series_from_log_events(parse_log_lines(_run().log_lines))
-        assert sorted(series) == ["epoch_seconds", "eval_quality"]
+        assert sorted(series) == ["epoch_seconds", "eval_quality", "examples_per_second"]
 
     def test_sparkline_shape(self):
         assert _sparkline([]) == ""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.framework import (
-    Tensor, conv2d, conv2d_naive, global_avg_pool2d, use_kernel_mode,
+    Tensor, conv2d, conv2d_naive, global_avg_pool2d,
 )
 from repro.framework.conv import col2im, im2col
 from repro.framework.module import Parameter
@@ -93,14 +93,13 @@ class TestConv2d:
         x = Tensor(RNG.normal(size=(n, c, hw, hw)).astype(np.float32), requires_grad=True)
         w = Parameter(RNG.normal(size=(f, c, 3, 3)).astype(np.float32))
         patch_bytes = n * (hw * hw) * (c * 9) * x.dtype.itemsize
-        with use_kernel_mode("fused"):
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                out = conv2d(x, w, None, stride=1, pad=1)
-                grown = tracemalloc.get_traced_memory()[0] - before
-            finally:
-                tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, w, None, stride=1, pad=1)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
         assert out._backward is not None
         assert grown < patch_bytes
 

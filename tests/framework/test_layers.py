@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.framework import (
-    KERNEL_MODES,
     BatchNorm1d,
     BatchNorm2d,
     Conv2d,
@@ -18,7 +17,6 @@ from repro.framework import (
     ReLU,
     Sequential,
     Tensor,
-    use_kernel_mode,
 )
 from repro.framework.fused import normalize
 from repro.framework.layers import recorded_moments
@@ -95,9 +93,9 @@ class TestBatchNorm:
 class TestNormalizationInputChecks:
     """A misfit input raises one ``ValueError`` naming the expected and the
     actual shape before any statistic, running average or
-    ``recorded_moments`` entry is touched, in both kernel modes."""
+    ``recorded_moments`` entry is touched, on the kernel and on its reference."""
 
-    @pytest.mark.parametrize("mode", KERNEL_MODES)
+    @pytest.mark.parametrize("mode", ("naive", "fused"))
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("layer,shape,match", [
         (lambda: BatchNorm2d(16), (2, 32, 3, 3), r"16 features, got shape \(2, 32, 3, 3\)"),
@@ -108,22 +106,22 @@ class TestNormalizationInputChecks:
         (lambda: LayerNorm(6), (3, 5), r"6 features, got shape \(3, 5\)"),
         (lambda: LayerNorm(6), (), r"6 features, got shape \(\)"),
     ])
-    def test_feature_mismatch(self, mode, training, layer, shape, match):
+    def test_feature_mismatch(self, reference_kernels, mode, training, layer, shape, match):
         norm = layer().train(training)
         state = {name: getattr(norm, name).copy()
                  for name in ("running_mean", "running_var") if hasattr(norm, name)}
-        with use_kernel_mode(mode), recorded_moments() as log:
+        with reference_kernels(mode == "naive"), recorded_moments() as log:
             with pytest.raises(ValueError, match=match):
                 norm(Tensor(np.ones(shape, dtype=np.float32)))
         assert log == []
         for name, before in state.items():
             assert np.array_equal(getattr(norm, name), before)
 
-    @pytest.mark.parametrize("mode", KERNEL_MODES)
-    def test_residual_of_another_shape(self, mode):
+    @pytest.mark.parametrize("mode", ("naive", "fused"))
+    def test_residual_of_another_shape(self, reference_kernels, mode):
         bn = BatchNorm2d(3, activation="relu")
         x = Tensor(np.ones((2, 3, 4, 4), dtype=np.float32))
-        with use_kernel_mode(mode), recorded_moments() as log:
+        with reference_kernels(mode == "naive"), recorded_moments() as log:
             with pytest.raises(ValueError, match=r"residual shape \(2, 3, 4, 1\)"):
                 bn(x, residual=Tensor(np.ones((2, 3, 4, 1), dtype=np.float32)))
         assert log == [] and not bn.running_mean.any()

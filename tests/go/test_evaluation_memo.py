@@ -10,7 +10,7 @@ the oracle's first occurrence of each position, in its order.
 import numpy as np
 import pytest
 
-from repro.framework import Adam, use_kernel_mode
+from repro.framework import Adam
 from repro.framework.layers import _BatchNorm, recorded_moments, replay_moments
 from repro.go import GoBoard, MCTS, MCTSConfig, play_selfplay_game
 from repro.go.selfplay import EvaluationMemo
@@ -66,8 +66,8 @@ def _first_occurrences(keys):
 @pytest.mark.parametrize("mode", ["naive", "fused"])
 @pytest.mark.parametrize("training", [True, False], ids=["training", "eval"])
 @pytest.mark.parametrize("seed", range(5))
-def test_memoised_game_equals_the_unmemoised_one(seed, training, mode):
-    with use_kernel_mode(mode):
+def test_memoised_game_equals_the_unmemoised_one(reference_kernels, seed, training, mode):
+    with reference_kernels(mode == "naive"):
         net, rng, forwards = _recording_net(seed, training)
         examples = play_selfplay_game(net, SIZE, rng, CONFIG)
         oracle_net, oracle_rng, requests = _recording_net(seed, training)
@@ -231,9 +231,9 @@ class TestRecordedMoments:
         assert after == []
 
 
-def test_seed0_reinforcement_cell_work_counts():
+def test_seed0_reinforcement_cell_work_counts(reference_kernels):
     """Requests, memo hits and searches of the ledger's seed-0 cell, exactly."""
-    if _host_probe() != HOST_PROBE:
+    if _host_probe(reference_kernels) != HOST_PROBE:
         pytest.skip("BLAS rounds differently here than on the host that recorded the counts")
     from repro.core import BenchmarkRunner
     from repro.suite import create_benchmark

@@ -14,7 +14,7 @@ import pytest
 
 from repro.datasets import SyntheticTranslation, TranslationConfig
 from repro.datasets.translation import BOS, EOS, PAD
-from repro.framework import Adam, TransformerDecoderLayer, causal_mask, no_grad, use_kernel_mode
+from repro.framework import Adam, TransformerDecoderLayer, causal_mask, no_grad
 from repro.models import MiniGNMT, MiniTransformer
 
 MAX_LEN = 14
@@ -101,11 +101,11 @@ _ORACLES = {MiniGNMT: _gnmt_step_by_step, MiniTransformer: _transformer_step_by_
 
 @pytest.mark.parametrize("cls", [MiniGNMT, MiniTransformer], ids=lambda c: c.__name__)
 @pytest.mark.parametrize("mode", ["naive", "fused"])
-def test_matches_step_by_step_loop(cls, mode, corpus, models):
+def test_matches_step_by_step_loop(reference_kernels, cls, mode, corpus, models):
     model = models[cls]
     sources = [s for s, _ in corpus.test_pairs]
     lengths = set()
-    with use_kernel_mode(mode):
+    with reference_kernels(mode == "naive"):
         for start in range(0, len(sources), 16):
             src = corpus.encoder_inputs(sources[start : start + 16])
             got = model.greedy_decode(src, max_len=MAX_LEN)
@@ -120,8 +120,8 @@ def test_matches_step_by_step_loop(cls, mode, corpus, models):
 
 @pytest.mark.parametrize("cls", [MiniGNMT, MiniTransformer], ids=lambda c: c.__name__)
 @pytest.mark.parametrize("mode", ["naive", "fused"])
-def test_batch_of_one(cls, mode, corpus, models):
-    with use_kernel_mode(mode):
+def test_batch_of_one(reference_kernels, cls, mode, corpus, models):
+    with reference_kernels(mode == "naive"):
         for source, _ in corpus.test_pairs[:6]:
             src = corpus.encoder_inputs([source])
             assert models[cls].greedy_decode(src, max_len=MAX_LEN) == \
@@ -136,9 +136,9 @@ def test_zero_length_budget(cls, corpus, models):
 
 @pytest.mark.parametrize("cls", [MiniGNMT, MiniTransformer], ids=lambda c: c.__name__)
 @pytest.mark.parametrize("mode", ["naive", "fused"])
-def test_budget_of_one(cls, mode, corpus, models):
+def test_budget_of_one(reference_kernels, cls, mode, corpus, models):
     src = corpus.encoder_inputs([s for s, _ in corpus.test_pairs[:3]])
-    with use_kernel_mode(mode):
+    with reference_kernels(mode == "naive"):
         one = models[cls].greedy_decode(src, max_len=1)
     assert one == _ORACLES[cls](models[cls], src, 1)
     assert all(len(seq) <= 1 for seq in one)

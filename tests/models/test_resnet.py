@@ -73,7 +73,7 @@ class TestMiniResNet:
         x = Tensor(RNG.normal(size=(2, 3, 16, 16)).astype(np.float32))
         np.testing.assert_array_equal(net(x).data, net(x).data)
 
-    def test_eval_chunk_size_keeps_features_and_predictions(self):
+    def test_eval_chunk_size_keeps_features_and_predictions(self, reference_kernels):
         """Evaluation chunks by the training batch (64) instead of 256.
 
         Every conv and norm layer gives the same bits at either chunk size.
@@ -82,7 +82,7 @@ class TestMiniResNet:
         (last bits of float32).  Top-1 predictions, which are what
         evaluation scores, are the same.
         """
-        if _host_probe() != HOST_PROBE:
+        if _host_probe(reference_kernels) != HOST_PROBE:
             pytest.skip("BLAS rounds differently here than on the host that recorded the probe")
         rng = np.random.default_rng(2)
         net = MiniResNet(10, rng, blocks_per_stage=1).eval()

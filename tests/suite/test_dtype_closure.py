@@ -3,8 +3,8 @@
 One strongly typed NumPy scalar in a layer's arithmetic widens every tensor
 downstream of it, and every kernel the wide tensors then reach sees mixed
 dtypes and quietly runs its composed reference instead.  Nothing fails and
-nothing differs across kernel modes, so only a test that looks at the
-tensors themselves can see it.  For each of the seven benchmarks this runs
+no output differs, so only a test that looks at the tensors themselves can
+see it.  For each of the seven benchmarks this runs
 one training step and one evaluation batch and checks every tensor built
 and every kernel fallback counted on the way.
 """
@@ -18,7 +18,6 @@ from repro.framework import (
     MultiHeadAttention,
     Tensor,
     TransformerDecoderLayer,
-    use_kernel_mode,
 )
 from repro.suite import REGISTRY, create_benchmark
 from repro.telemetry import Telemetry
@@ -77,7 +76,7 @@ def test_step_and_eval_batch_stay_in_parameter_dtype(name, built_dtypes):
 
     _stop_after_calls(session.step_executor(), "step")
     telemetry = Telemetry()
-    with use_kernel_mode("fused"), telemetry.activate():
+    with telemetry.activate():
         with pytest.raises(_Stop):
             session.run_epoch(0)
         # Installed after the step: a model without an eval entry point
@@ -107,8 +106,8 @@ def test_attention_keeps_float32():
 
 
 def test_decoder_layer_step_uses_the_layer_norm_kernel(built_dtypes):
-    """In ``fused`` mode a composed LayerNorm shows as its ``sqrt`` node; the
-    kernel builds none.  (At the parent commit the float64 scores reached
+    """A composed LayerNorm shows as its ``sqrt`` node; the kernel builds
+    none.  (At the parent commit the float64 scores reached
     two of the three norms with mixed dtypes.)"""
     rng = np.random.default_rng(1)
     layer = TransformerDecoderLayer(16, 4, 32, rng)
@@ -122,7 +121,7 @@ def test_decoder_layer_step_uses_the_layer_norm_kernel(built_dtypes):
         return real_sqrt(self)
 
     telemetry = Telemetry()
-    with use_kernel_mode("fused"), telemetry.activate():
+    with telemetry.activate():
         Tensor.sqrt = counting_sqrt
         try:
             out = layer(x, memory, tgt_mask=np.tril(np.ones((5, 5), dtype=bool))[None, None])

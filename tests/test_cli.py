@@ -163,7 +163,6 @@ class TestCampaignCommand:
         from repro.core.artifacts import load_run_result
         from repro.core.mllog import parse_log_lines
         from repro.suite import create_benchmark
-        from repro.telemetry import Telemetry
 
         def records(run):
             # Time stamps, throughput and tracked_stats (epoch seconds) are
@@ -176,9 +175,7 @@ class TestCampaignCommand:
                           "--save", str(tmp_path))
         assert code == 0
         for seed in (0, 1):
-            runner = BenchmarkRunner()
-            library = runner.run(create_benchmark("recommendation"), seed=seed,
-                                 telemetry=Telemetry(clock=runner.clock, pid=seed))
+            library = BenchmarkRunner().run(create_benchmark("recommendation"), seed=seed)
             [saved] = tmp_path.rglob(f"result_{seed}.txt")
             for path in (saved, tmp_path / "jobs" / "recommendation" / f"seed_{seed}.txt"):
                 cli = load_run_result("recommendation", path)
@@ -478,7 +475,7 @@ class TestStatsSeries:
         assert code == 0
         assert "no per-run series" not in text
         rows = self._rows(text)
-        assert sorted(rows) == ["epoch_seconds", "eval_quality"]
+        assert sorted(rows) == ["epoch_seconds", "eval_quality", "examples_per_second"]
         assert rows["epoch_seconds"][:2] == [str(run.epochs), "2"]
 
     def test_stale_header_series_is_ignored_for_the_log(self, tmp_path):
@@ -1004,18 +1001,6 @@ def _repro_run(env_overrides, *argv, module="repro"):
                         stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         stdout, stderr = proc.communicate(timeout=120)
     return proc.returncode, stdout, stderr
-
-
-class TestKernelModeEnvironment:
-    @pytest.mark.parametrize("value", ["compiled", "reuse", "turbo"])
-    def test_unknown_mode_is_one_line_and_exit_2(self, value):
-        # The variable is read when repro.framework is first imported, so
-        # only a fresh interpreter sees it.
-        code, stdout, stderr = _repro_run({"REPRO_KERNEL_MODE": value}, "table1")
-        assert code == 2
-        assert stdout == ""
-        assert stderr == ("repro: error: REPRO_KERNEL_MODE must be one of "
-                          f"('naive', 'fused'), got {value!r}\n")
 
 
 class TestProfileEnvironment:
