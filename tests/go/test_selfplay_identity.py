@@ -34,19 +34,14 @@ GOLDEN = "9ec622bd5657463498787359fd0dbf5e41af705904c2cb0c2901164eb587452a"
 # did not cause.
 HOST_PROBE = "28f1104c0e7cdbe5153e26e201fcb009e8fefa28d88c5aa83b2352f28cd021b0"
 
-_probed: list[str] = []
-
-
 def _host_probe(reference_kernels) -> str:
-    """The probe's digest, computed once (pass the ``reference_kernels`` fixture)."""
-    if not _probed:
-        with reference_kernels(), no_grad():
-            net = MiniGoNet(5, np.random.default_rng(SEED))
-            net.eval()
-            x = np.random.default_rng(1).normal(size=(4, 3, 5, 5)).astype(np.float32)
-            logits, value = net(x)
-        _probed.append(hashlib.sha256(logits.data.tobytes() + value.data.tobytes()).hexdigest())
-    return _probed[0]
+    """The probe's digest (pass the ``reference_kernels`` fixture)."""
+    with reference_kernels(), no_grad():
+        net = MiniGoNet(5, np.random.default_rng(SEED))
+        net.eval()
+        x = np.random.default_rng(1).normal(size=(4, 3, 5, 5)).astype(np.float32)
+        logits, value = net(x)
+    return hashlib.sha256(logits.data.tobytes() + value.data.tobytes()).hexdigest()
 
 
 def _selfplay_digest() -> tuple[int, str]:
