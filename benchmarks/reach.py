@@ -106,13 +106,13 @@ CLI_COMMANDS = [
       "--save", "camp", "--submitter", "ci-smoke"], {}),
     (["campaign", "recommendation", "reinforcement", "--seeds", "3",
       "--resume", "camp", "--submitter", "ci-smoke"], {}),
-    (["stats", "camp/ci-smoke", "--series"], {}),
+    (["profile", "camp/ci-smoke", "--series"], {}),
     (["report", "camp/ci-smoke"], {}),
     (["review", "camp/ci-smoke"], {}),
     (["trace", "camp/ci-smoke/results/ci-smoke-system/recommendation/result_0.txt"], {}),
     (["monitor", "camp"], {}),
     (["alerts", "camp"], {}),
-    (["analyze", "camp"], {}),
+    (["profile", "camp"], {}),
     (["bench-kernels", "--smoke", "-o", "fresh/BENCH_kernels.json"], {}),
     (["loadgen", "--smoke", "-o", "fresh/BENCH_loadgen.json"], {}),
     (["campaign", "recommendation", "reinforcement", "--seeds", "3", "--jobs", "2",
@@ -122,7 +122,7 @@ CLI_COMMANDS = [
     (["campaign", "recommendation", "--seeds", "1", "--save", "prof",
       "--trace", "prof/trace.json"], {"REPRO_PROFILE": "full"}),
     (["profile", "prof"], {}),
-    (["analyze", "prof/trace.json", "--folded", "prof/folded.txt"], {}),
+    (["profile", "prof/jobs/recommendation/seed_0.txt", "--json"], {}),
     (["campaign", "recommendation", "--seeds", "2", "--save", "smoke-campaign",
       "--submitter", "serve-smoke"], {}),
     (["alerts", "smoke-campaign"], {}),

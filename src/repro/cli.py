@@ -16,11 +16,6 @@ Commands mirror how the MLPerf artifacts are used in practice:
 - ``trace`` — convert a saved training-session log into a Chrome-loadable
   ``trace_event`` file (``campaign --trace FILE`` records one live, with
   spans down to individual training steps);
-- ``stats`` — print the per-benchmark time-decomposition table for saved
-  submissions (where the wall-clock went: init/create/train/eval);
-  ``--series`` adds each run's per-epoch trajectories (throughput, eval
-  quality, all-reduce traffic), read back out of its log, with ASCII
-  sparklines;
 - ``monitor`` — a refreshable terminal view of a campaign directory,
   live or post-mortem, built purely from the journal + event streams
   (per-job state, progress, retries, ETA, and stall detection at the
@@ -29,17 +24,17 @@ Commands mirror how the MLPerf artifacts are used in practice:
   ``BENCH_*.json`` report (``--smoke`` picks CI's sizes); they judge
   nothing, so a report that holds a divergence still exits 0 (``loadgen``
   exits 1 for an invalid scenario, as ``campaign`` does for a missed
-  target);
+  target).  ``loadgen --artifact`` serves a result ``campaign --save``
+  wrote;
 - ``bench-diff`` — the one bench verdict: gate a fresh ``BENCH_*.json``
   report against a committed baseline with per-metric tolerance bands;
   non-zero exit on regression (CI's perf gate), with per-op attribution
   when a timing gate trips and ``--json`` for machine-readable output;
-- ``profile`` — render the op-level profile a run recorded
-  (``REPRO_PROFILE=full``) from a result file, submission, or campaign
-  directory;
-- ``analyze`` — run the trace-analysis engine on a Chrome trace file or
-  a campaign directory: critical path, top spans/gaps, optional
-  folded-stacks export;
+- ``profile`` — where the time went, for a result file, a submission
+  or a campaign directory (whose ``jobs/`` holds missed runs too): the
+  per-benchmark phase table (init/create/train/eval), each run's
+  per-epoch series with ``--series``, the kernel fallbacks, and the
+  merged op profile when the runs recorded one (``REPRO_PROFILE=full``);
 - ``serve-metrics`` — the live observability server: Prometheus text at
   ``/metrics``, a JSON API (``/api/campaigns``, ``.../jobs``,
   ``/api/runs/.../series``, ``/api/alerts``), and an SSE stream at
@@ -131,15 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("-o", "--out", metavar="FILE",
                        help="output path (default: <log_file>.trace.json)")
 
-    stats = sub.add_parser(
-        "stats", help="per-benchmark time decomposition for saved submissions")
-    stats.add_argument("submission_dirs", nargs="+",
-                       help="submitter directories (from `campaign --save`)")
-    stats.add_argument("--series", action="store_true",
-                       help="also print each run's per-epoch series "
-                            "(throughput, eval quality, all-reduce "
-                            "traffic) from its log, with ASCII trend lines")
-
     monitor = sub.add_parser(
         "monitor",
         help="terminal view of a campaign directory (live or post-mortem): "
@@ -204,29 +190,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="render the op-level profile recorded by a run "
-             "(set REPRO_PROFILE=full when running)")
+        help="where the time went: per-benchmark phase table, kernel "
+             "fallbacks, and the op profile when recorded "
+             "(REPRO_PROFILE=full)")
     profile.add_argument("path",
                          help="a result_*.txt, a submission directory, or a "
-                              "campaign directory (profiles merge)")
+                              "campaign directory (runs merge)")
+    profile.add_argument("--series", action="store_true",
+                         help="also print each run's per-epoch series "
+                              "(throughput, eval quality, all-reduce "
+                              "traffic) from its log, with ASCII trend lines")
     profile.add_argument("--json", action="store_true",
-                         help="emit the (merged) op-profile payload as JSON")
-
-    analyze = sub.add_parser(
-        "analyze",
-        help="trace-analysis engine: critical path, top spans and gaps — "
-             "over a Chrome trace file or a campaign directory's event "
-             "streams")
-    analyze.add_argument("path",
-                         help="a trace_event JSON file (from run/campaign "
-                              "--trace) or a campaign directory")
-    analyze.add_argument("--top", type=int, default=10,
-                         help="rows in the top-spans/gaps tables (default 10)")
-    analyze.add_argument("--json", action="store_true",
-                         help="emit the analysis payload as JSON")
-    analyze.add_argument("--folded", metavar="FILE",
-                         help="also write folded stacks (flamegraph.pl "
-                              "format) to FILE")
+                         help="emit only the (merged) op-profile payload as JSON")
 
     hp = sub.add_parser("hp-table", help="print the scale->hyperparameters table (§6)")
     hp.add_argument("--chips", type=int, nargs="+", default=[1, 4, 16, 64])
@@ -292,10 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "--artifact is given (default 1)")
     loadgen.add_argument("--no-rerun", dest="rerun", action="store_false",
                          help="skip the same-seed determinism rerun")
-    loadgen.add_argument("--save", metavar="DIR",
-                         help="write the serving event stream (and any "
-                              "inline-trained artifacts) under DIR; `repro "
-                              "analyze DIR` then renders the serving run")
     loadgen.add_argument("--smoke", action="store_true",
                          help="fast CI variant: two workloads, virtual "
                               "timing, small query counts (gate the report "
@@ -504,27 +475,6 @@ def _cmd_trace(args, out) -> int:
     return 0
 
 
-def _cmd_stats(args, out) -> int:
-    from .core import build_phase_table, render_phase_table, render_series_table
-
-    submissions = _load_submissions(args.submission_dirs, out)
-    if submissions is None:
-        return 1
-    runs_by_benchmark: dict[str, list] = {}
-    for submission in submissions:
-        for benchmark, runs in submission.runs.items():
-            runs_by_benchmark.setdefault(benchmark, []).extend(runs)
-    rows = build_phase_table(runs_by_benchmark)
-    if not rows:
-        print("no runs found in the given submissions", file=out)
-        return 1
-    print(render_phase_table(rows), file=out)
-    if args.series:
-        print(file=out)
-        print(render_series_table(runs_by_benchmark), file=out)
-    return 0
-
-
 def _cmd_monitor(args, out) -> int:
     from .telemetry import render_monitor_view
     from .telemetry.monitor import CampaignTailer, campaign_dir_problem
@@ -649,32 +599,20 @@ def _cmd_bench_diff(args, out) -> int:
     return 0 if report.ok else 1
 
 
-def _render_kernel_fallbacks(headers) -> str:
-    """One line: calls where a fused kernel ran its composed reference."""
-    from .core.reporting import kernel_fallback_counts
-
-    totals: dict[str, float] = {}
-    for header in headers:
-        for key, value in kernel_fallback_counts(header.get("metrics")).items():
-            totals[key] = totals.get(key, 0.0) + value
-    if not totals:
-        return "  kernel fallbacks: none"
-    return "  kernel fallbacks: " + "  ".join(
-        f"{key}={value:g}" for key, value in sorted(totals.items()))
-
-
 def _cmd_profile(args, out) -> int:
     from pathlib import Path
 
-    from .core.artifacts import read_run_header
+    from .core import (build_phase_table, load_run_result, render_phase_table,
+                       render_series_table)
+    from .core.reporting import render_kernel_fallbacks
     from .telemetry import merge_op_profiles, render_op_profile
 
     path = Path(args.path)
     if path.is_file():
         sources = [path]
     elif path.is_dir():
-        # A campaign directory holds each run once under jobs/ (its
-        # submission copies only the converged runs); a submission
+        # A campaign directory holds each run once under jobs/, missed runs
+        # too (its submission copies only the converged runs); a submission
         # directory, or anything else, is read for its result files.
         sources = (sorted(path.glob("jobs/*/seed_*.txt"))
                    or sorted(path.rglob("result_*.txt")))
@@ -682,55 +620,40 @@ def _cmd_profile(args, out) -> int:
         print(f"no such file or directory: {path}", file=out)
         return 2
     try:
-        headers = [h for h in map(read_run_header, sources) if h.get("op_profile")]
-    except ValueError as exc:
-        print(f"cannot read {exc}", file=out)
+        runs = [load_run_result(source) for source in sources]
+    except (OSError, ValueError) as exc:
+        print(f"cannot load submission {path}: {exc}", file=out)
         return 1
-    profiles = [h["op_profile"] for h in headers]
-    if not profiles:
-        print(f"no op profiles found under {path} — run with "
-              "REPRO_PROFILE=full to record one", file=out)
+    if not runs:
+        print(f"no runs found under {path}", file=out)
         return 1
-    merged = merge_op_profiles(profiles)
+    profiles = [run.telemetry.op_profile for run in runs
+                if run.telemetry is not None and run.telemetry.op_profile]
+    hint = "no op profile recorded: run with REPRO_PROFILE=full to record one"
     if args.json:
-        print(json.dumps(merged, indent=2, sort_keys=True), file=out)
-    else:
-        print(f"{len(profiles)} profiled run(s) under {path}", file=out)
-        print(render_op_profile(merged), file=out)
-        print(_render_kernel_fallbacks(headers), file=out)
-    return 0
-
-
-def _cmd_analyze(args, out) -> int:
-    from pathlib import Path
-
-    from .telemetry import analyze_campaign_dir, analyze_trace
-
-    path = Path(args.path)
-    try:
-        if path.is_dir():
-            analysis = analyze_campaign_dir(path, top=args.top)
-        elif path.is_file():
-            doc = json.loads(path.read_text())
-            analysis = analyze_trace(doc, top=args.top)
-        else:
-            print(f"no such file or directory: {path}", file=out)
-            return 2
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"analyze: {exc}", file=out)
-        return 2
-    if analysis.span_count == 0:
-        print(f"no spans found in {path}", file=out)
-        return 1
-    if args.json:
-        print(json.dumps(analysis.to_payload(), indent=2, sort_keys=True),
+        if not profiles:
+            print(hint, file=out)
+            return 1
+        print(json.dumps(merge_op_profiles(profiles), indent=2, sort_keys=True),
               file=out)
-    else:
-        print(analysis.render(), file=out)
-    if args.folded:
-        Path(args.folded).write_text("\n".join(analysis.folded) + "\n")
-        print(f"folded stacks written to {args.folded} "
-              f"({len(analysis.folded)} line(s))", file=out)
+        return 0
+
+    runs_by_benchmark: dict[str, list] = {}
+    for run in runs:
+        runs_by_benchmark.setdefault(run.benchmark, []).append(run)
+    print(f"{len(runs)} run(s), {sum(run.reached_target for run in runs)} "
+          "reached the target", file=out)
+    print(render_phase_table(build_phase_table(runs_by_benchmark)), file=out)
+    print(render_kernel_fallbacks(runs), file=out)
+    if args.series:
+        print(file=out)
+        print(render_series_table(runs_by_benchmark), file=out)
+    print(file=out)
+    if not profiles:
+        print(hint, file=out)
+        return 0
+    print(f"{len(profiles)} profiled run(s)", file=out)
+    print(render_op_profile(merge_op_profiles(profiles)), file=out)
     return 0
 
 
@@ -793,7 +716,6 @@ def _cmd_loadgen(args, out) -> int:
         train_and_save,
     )
     from .suite import REGISTRY
-    from .telemetry import EventLog, Telemetry
 
     benchmarks = list(args.benchmark) or (
         ["image_classification", "recommendation"] if args.smoke else [])
@@ -837,63 +759,46 @@ def _cmd_loadgen(args, out) -> int:
     selected = (SCENARIO_NAMES if args.scenario == "all"
                 else (args.scenario,))
 
-    telemetry = Telemetry()
-    log = None
-    if args.save:
-        log = EventLog(Path(args.save) / "events" / "loadgen.jsonl", mode="w")
-        telemetry.events.subscribe(log.write)
+    with tempfile.TemporaryDirectory(prefix="repro-loadgen-") as tmp:
+        artifacts: dict[str, Path] = {}
+        for i, name in enumerate(benchmarks):
+            if i < len(args.artifact):
+                artifacts[name] = Path(args.artifact[i])
+            else:
+                path = Path(tmp) / f"result_{name}.txt"
+                print(f"{name}: no --artifact; training "
+                      f"{args.train_epochs} epoch(s) -> {path}", file=out)
+                train_and_save(name, path, seed=args.seed,
+                               max_epochs=args.train_epochs)
+                artifacts[name] = path
 
-    tmp = tempfile.TemporaryDirectory(prefix="repro-loadgen-")
-    artifact_dir = (Path(args.save) / "artifacts" if args.save
-                    else Path(tmp.name))
-    try:
-        with telemetry.activate():
-            artifacts: dict[str, Path] = {}
-            for i, name in enumerate(benchmarks):
-                if i < len(args.artifact):
-                    artifacts[name] = Path(args.artifact[i])
-                else:
-                    path = artifact_dir / f"result_{name}.txt"
-                    print(f"{name}: no --artifact; training "
-                          f"{args.train_epochs} epoch(s) -> {path}", file=out)
-                    train_and_save(name, path, seed=args.seed,
-                                   max_epochs=args.train_epochs)
-                    artifacts[name] = path
-
-            results: dict[str, list] = {}
-            reruns: dict[str, list] = {}
-            passes = ((results, reruns) if args.rerun else (results,))
-            for name in benchmarks:
-                for bucket in passes:
-                    # Each pass rebuilds the SUT from the artifact — the
-                    # determinism check covers the full load-and-serve path.
-                    try:
-                        sut = load_sut(artifacts[name])
-                    except (OSError, ValueError) as exc:
-                        print(f"loadgen: {exc}", file=out)
-                        return 1
-                    bench_results = []
-                    for scenario in selected:
-                        res = run_scenario(sut, specs[scenario],
-                                           seed=args.seed, timing=timing)
-                        if scenario == "server":
-                            res.max_qps = find_max_qps(
-                                sut, specs["server"], seed=args.seed,
-                                timing=timing)
-                        bench_results.append(res)
-                    bucket[name] = bench_results
-    finally:
-        if log is not None:
-            log.close()
-        tmp.cleanup()
+        results: dict[str, list] = {}
+        reruns: dict[str, list] = {}
+        passes = ((results, reruns) if args.rerun else (results,))
+        for name in benchmarks:
+            for bucket in passes:
+                # Each pass rebuilds the SUT from the artifact — the
+                # determinism check covers the full load-and-serve path.
+                try:
+                    sut = load_sut(artifacts[name])
+                except (OSError, ValueError) as exc:
+                    print(f"loadgen: {exc}", file=out)
+                    return 1
+                bench_results = []
+                for scenario in selected:
+                    res = run_scenario(sut, specs[scenario],
+                                       seed=args.seed, timing=timing)
+                    if scenario == "server":
+                        res.max_qps = find_max_qps(
+                            sut, specs["server"], seed=args.seed,
+                            timing=timing)
+                    bench_results.append(res)
+                bucket[name] = bench_results
 
     payload = build_loadgen_payload(results, reruns if args.rerun else None,
                                     timing=timing, seed=args.seed)
     print(render_loadgen_report(payload), file=out)
     _write_report(payload, args.out, out)
-    if args.save:
-        print(f"serving events written under {args.save} "
-              f"(render with `repro analyze {args.save}`)", file=out)
     return 0 if payload["checks"]["all_valid"] else 1
 
 
@@ -903,13 +808,11 @@ _COMMANDS = {
     "review": _cmd_review,
     "report": _cmd_report,
     "trace": _cmd_trace,
-    "stats": _cmd_stats,
     "monitor": _cmd_monitor,
     "alerts": _cmd_alerts,
     "serve-metrics": _cmd_serve_metrics,
     "bench-diff": _cmd_bench_diff,
     "profile": _cmd_profile,
-    "analyze": _cmd_analyze,
     "hp-table": _cmd_hp_table,
     "simulate": _cmd_simulate,
     "bench-kernels": _cmd_bench_kernels,

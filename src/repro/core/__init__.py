@@ -7,7 +7,7 @@ reporting and the cloud scale metric (§4.2.3-4).
 
 A saved run has one reader: :func:`parse_log_lines` for its MLLOG lines
 and :func:`~repro.core.artifacts.read_run_header` for its ``# repro-run``
-header.  Review, reporting, ``repro stats``/``trace``/``profile`` and the
+header.  Review, reporting, ``repro trace``/``profile`` and the
 loader all go through them.
 """
 

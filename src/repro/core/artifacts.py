@@ -109,7 +109,7 @@ def save_run_result(path: str | Path, run: RunResult) -> Path:
             "breakdown": (
                 asdict(run.breakdown) if run.breakdown is not None else None
             ),
-            # Metrics ride in the header so `repro stats` sees counters
+            # Metrics ride in the header so `repro profile` sees counters
             # (e.g. allreduce traffic) on reloaded runs.
             "metrics": run.telemetry.metrics if run.telemetry is not None else None,
             # The op-level profile (when the run recorded one) backs

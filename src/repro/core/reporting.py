@@ -113,9 +113,6 @@ class PhaseRow:
     mcts_searches: float = 0.0
     mcts_evaluations: float = 0.0
     mcts_memo_hits: float = 0.0
-    # Mean calls per run in which a fused kernel ran its composed reference
-    # (mixed operand dtypes, unsupported rank), all ops and reasons together.
-    kernel_fallbacks: float = 0.0
 
 
 def _decompose_run(run: RunResult):
@@ -148,9 +145,19 @@ def kernel_fallback_counts(metrics: dict | None) -> dict[str, float]:
             for name, inst in (metrics or {}).items() if name.startswith(prefix)}
 
 
-def _run_kernel_fallbacks(run: RunResult) -> float:
-    metrics = run.telemetry.metrics if run.telemetry is not None else None
-    return sum(kernel_fallback_counts(metrics).values())
+def render_kernel_fallbacks(runs: list[RunResult]) -> str:
+    """One line: calls, summed over ``runs``, in which a fused kernel ran its
+    composed reference (mixed operand dtypes, unsupported rank), by op and
+    reason."""
+    totals: dict[str, float] = {}
+    for run in runs:
+        metrics = run.telemetry.metrics if run.telemetry is not None else None
+        for key, value in kernel_fallback_counts(metrics).items():
+            totals[key] = totals.get(key, 0.0) + value
+    if not totals:
+        return "  kernel fallbacks: none"
+    return "  kernel fallbacks: " + "  ".join(
+        f"{key}={value:g}" for key, value in sorted(totals.items()))
 
 
 def build_phase_table(runs_by_benchmark: dict[str, list[RunResult]]) -> list[PhaseRow]:
@@ -166,7 +173,6 @@ def build_phase_table(runs_by_benchmark: dict[str, list[RunResult]]) -> list[Pha
             for name in ("allreduce_elements", "allreduce_bytes",
                          "mcts_searches", "mcts_evaluations", "mcts_memo_hits")
         }
-        counters["kernel_fallbacks"] = sum(map(_run_kernel_fallbacks, runs)) / len(runs)
         rows.append(PhaseRow(benchmark, len(runs), *means, **counters))
     return rows
 
@@ -182,13 +188,13 @@ def _human_count(value: float) -> str:
 
 
 def render_phase_table(rows: list[PhaseRow]) -> str:
-    """The ``repro stats`` table: where each benchmark's wall-clock goes."""
+    """The ``repro profile`` phase table: where each benchmark's wall-clock
+    goes, one row per benchmark, means over its runs."""
     header = (
         f"{'Benchmark':<26}{'Runs':>6}{'Init':>9}{'Create':>9}{'Train':>9}"
         f"{'Eval':>9}{'Other':>9}{'TTT (s)':>10}{'Train%':>8}"
         f"{'AllRed el':>11}{'AllRed B':>10}{'Searches':>10}{'NN evals':>10}"
         f"{'Memo hits':>11}"
-        f"{'Fallbacks':>11}"
     )
     lines = [header, "-" * len(header)]
     for row in rows:
@@ -203,12 +209,11 @@ def render_phase_table(rows: list[PhaseRow]) -> str:
             f"{_human_count(row.mcts_searches):>10}"
             f"{_human_count(row.mcts_evaluations):>10}"
             f"{_human_count(row.mcts_memo_hits):>11}"
-            f"{_human_count(row.kernel_fallbacks):>11}"
         )
     return "\n".join(lines)
 
 
-# The order `repro stats --series` lists a run's series in.
+# The order `repro profile --series` lists a run's series in.
 _SERIES_ORDER = ("examples_per_second", "eval_quality", "epoch_seconds",
                  "allreduce_bytes")
 _SPARK_LEVELS = " .:-=+*#%@"
@@ -231,7 +236,7 @@ def _sparkline(values: list[float], width: int = 16) -> str:
 
 
 def render_series_table(runs_by_benchmark: dict[str, list[RunResult]]) -> str:
-    """The ``repro stats --series`` table: one row per (run, series).
+    """The ``repro profile --series`` table: one row per (run, series).
 
     Each run's series are read back out of its log
     (:func:`~repro.telemetry.series_from_log_events`).

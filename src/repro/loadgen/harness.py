@@ -21,6 +21,10 @@ One scenario run has three parts:
 
 Warmup queries are served and timed but discarded from the measured
 window, mirroring the Inference rules' burn-in.
+
+A scenario run records nothing beside the :class:`ScenarioResult` it
+returns: the ``repro loadgen`` payload (:mod:`~repro.loadgen.report`)
+is a serving session's one record.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..telemetry import current_events, current_metrics
-from ..telemetry.metrics import FINE_LATENCY_BUCKETS
 from .scenarios import Query, ScenarioSpec, make_queries, percentile
 from .sut import SUT, virtual_service_times
 
@@ -160,17 +162,8 @@ def _measure_service_times(sut: SUT, queries: list[Query], timing: str,
 
 def run_scenario(sut: SUT, spec: ScenarioSpec, *, seed: int = 0,
                  timing: str = "virtual") -> ScenarioResult:
-    """Run one scenario against a SUT and return its measured result.
-
-    Publishes ``scenario_start`` / per-query ``query`` / ``scenario_stop``
-    on the ambient telemetry event bus, so a serving run saved with
-    ``--save`` renders in ``repro analyze`` exactly like a training run.
-    """
-    events = current_events()
+    """Run one scenario against a SUT and return its measured result."""
     queries = make_queries(spec, sut.pool_size, seed)
-    events.publish("scenario_start", scenario=spec.scenario,
-                   benchmark=sut.info.benchmark, queries=len(queries),
-                   timing=timing, target_qps=spec.target_qps)
 
     # Serve every query for real in one batch; the checksum proves reruns
     # answer identically.
@@ -183,34 +176,16 @@ def run_scenario(sut: SUT, spec: ScenarioSpec, *, seed: int = 0,
     records = _replay(queries, service_s, spec.scenario)
     warm = spec.warmup_queries
     measured = records[warm:]
-    # Per-query latency also lands in the ambient metrics registry, so a
-    # saved serving run carries a histogram the /metrics exposition (and
-    # its interpolated p50/p90/p99) can render without replaying events.
-    metrics = current_metrics()
-    latency_hist = metrics.histogram(
-        f"loadgen_latency_seconds_{spec.scenario}", FINE_LATENCY_BUCKETS)
-    query_count = metrics.counter(f"loadgen_queries_{spec.scenario}")
-    for rec in measured:
-        events.publish("query", scenario=spec.scenario, index=rec.index,
-                       latency_s=rec.latency_s, arrival_s=rec.arrival_s)
-        latency_hist.observe(rec.latency_s)
-        query_count.inc()
-
     latencies = [r.latency_s for r in measured]
     achieved_qps = _achieved_qps(measured)
     valid, violations, pcts = _verdict(spec, latencies, achieved_qps)
 
-    result = ScenarioResult(
+    return ScenarioResult(
         scenario=spec.scenario, benchmark=sut.info.benchmark, seed=seed,
         timing=timing, query_count=len(queries), measured_count=len(measured),
         percentiles=pcts, achieved_qps=achieved_qps, valid=valid,
         violations=violations, prediction_checksum=checksum,
     )
-    events.publish("scenario_stop", scenario=spec.scenario,
-                   benchmark=sut.info.benchmark, valid=valid,
-                   achieved_qps=achieved_qps,
-                   p99=pcts.get("p99"), measured=len(measured))
-    return result
 
 
 def find_max_qps(sut: SUT, server_spec: ScenarioSpec, *, seed: int = 0,
@@ -257,6 +232,4 @@ def find_max_qps(sut: SUT, server_spec: ScenarioSpec, *, seed: int = 0,
             lo = mid
         else:
             hi = mid
-    current_events().publish("max_qps", benchmark=sut.info.benchmark,
-                             scenario="server", max_qps=lo, timing=timing)
     return lo

@@ -27,7 +27,6 @@ import numpy as np
 
 from ..framework import inference_mode
 from ..suite.image_classification import classify_logits
-from ..telemetry import current_events
 
 __all__ = ["SUT", "SUTInfo", "InferenceAdapter", "ADAPTERS",
            "register_adapter", "load_sut", "train_and_save",
@@ -206,9 +205,6 @@ def load_sut(artifact: str | Path, benchmark: str | None = None) -> SUT:
     info = SUTInfo(benchmark=result.benchmark, seed=result.seed,
                    quality=result.quality, epochs=result.epochs,
                    source=str(artifact))
-    current_events().publish("sut_load", benchmark=result.benchmark,
-                             seed=result.seed, source=str(artifact),
-                             pool_size=adapter.pool_size)
     return SUT(info, adapter)
 
 

@@ -26,10 +26,13 @@ measurement substrate for that decomposition:
   with per-op regression attribution when a timing gate trips;
 - :mod:`repro.telemetry.opprof` — the op-level profiler
   (``REPRO_PROFILE=off|full``) recording per-op call counts,
-  wall time, and bytes moved for forward/backward/update/comms;
-- :mod:`repro.telemetry.analyze` — the trace-analysis engine
-  (``repro analyze``): cross-process merge, critical path, top-k spans
-  and gaps, folded-stacks export.
+  wall time, and bytes moved for forward/backward/update/comms.
+
+``repro profile`` is the one reader of where a run's time went: the
+phase table and series (:mod:`~repro.telemetry.profile`, rendered by
+:mod:`repro.core.reporting`) and the merged op profile.  Chrome traces
+(``campaign --trace``, ``repro trace``) are rendered by chrome://tracing
+or Perfetto, not here.
 
 Telemetry is **zero-overhead by default**: the ambient tracer and
 registry are disabled no-ops until a :class:`Telemetry` session is
@@ -93,12 +96,6 @@ from .opprof import (
     profile_mode_from_env,
     render_op_profile,
 )
-from .analyze import (
-    TraceAnalysis,
-    analyze_campaign_dir,
-    analyze_trace,
-    spans_from_events,
-)
 from .metrics import (
     Counter,
     Gauge,
@@ -151,11 +148,8 @@ __all__ = [
     "Span",
     "StreamFold",
     "Telemetry",
-    "TraceAnalysis",
     "Tracer",
     "activate",
-    "analyze_campaign_dir",
-    "analyze_trace",
     "attribute_regression",
     "build_view",
     "campaign_dir_problem",
@@ -185,6 +179,5 @@ __all__ = [
     "sanitize_metric_name",
     "series_from_log_events",
     "snapshot_lines",
-    "spans_from_events",
     "trace_from_log_events",
 ]

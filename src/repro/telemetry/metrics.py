@@ -5,7 +5,7 @@ A :class:`MetricsRegistry` is the per-session home for instruments:
 ambiently reaches) the registry.  Snapshots are plain JSON-serializable
 dicts so they travel inside :class:`~repro.core.runner.RunResult` and
 submission artifacts; :meth:`MetricsRegistry.render` gives the plain-text
-summary the ``repro stats`` command prints.
+summary of a session's instruments.
 
 The null registry (:data:`NULL_METRICS`) hands out shared no-op
 instruments — the zero-overhead default when telemetry is not active.
@@ -17,16 +17,11 @@ import bisect
 from typing import Any, Iterable, Sequence
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "NULL_METRICS",
-           "FINE_LATENCY_BUCKETS", "merge_snapshots"]
+           "merge_snapshots"]
 
 # Geometric-ish default buckets (seconds-flavored): spans µs-scale steps to
 # minute-scale epochs without per-metric tuning.
 DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0)
-
-# Finer layout for sub-millisecond events (a served query's latency sits
-# well below DEFAULT_BUCKETS' first bound).
-FINE_LATENCY_BUCKETS = (1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.05,
-                        0.1, 0.5, 1.0)
 
 
 class Counter:

@@ -228,7 +228,7 @@ def campaign_dir_problem(campaign_dir: str | Path) -> str | None:
 class CampaignTailer:
     """The one reader of a campaign directory, and its one fold.
 
-    ``repro monitor``, ``repro alerts``, ``repro analyze`` and the server
+    ``repro monitor``, ``repro alerts`` and the server
     all read through it.  It keeps an
     :class:`~repro.telemetry.events.EventCursor` per stream (new streams
     are discovered each poll) and a signature-checked journal parse, so a

@@ -10,7 +10,7 @@ Three readers of a parsed log:
   ``repro trace`` works on published artifacts, not just live runs;
 - :func:`series_from_log_events` — the run's per-epoch trajectory
   (throughput, eval quality, epoch seconds, all-reduce bytes), behind
-  ``repro stats --series`` and the server's series endpoint.
+  ``repro profile --series`` and the server's series endpoint.
 
 :class:`RunTelemetry` is the serializable snapshot a finished run carries
 in :class:`~repro.core.runner.RunResult.telemetry`.

@@ -229,7 +229,7 @@ class TestCheckLogText:
 
 
 class TestRunResultMetricsRoundtrip:
-    """The metrics snapshot rides in the result header for `repro stats`."""
+    """The metrics snapshot rides in the result header for `repro profile`."""
 
     def _run_with_metrics(self):
         from repro.telemetry import Telemetry
@@ -262,10 +262,12 @@ class TestRunResultMetricsRoundtrip:
         path = save_run_result(tmp_path / "result_0.txt", run)
         assert load_run_result(run.benchmark, path).telemetry is None
 
-    def test_stats_table_totals_kernel_fallbacks(self, tmp_path):
-        """Every ``kernel_fallbacks.<op>.<reason>`` counter lands in one column."""
+    def test_kernel_fallback_line_totals_each_op_and_reason(self, tmp_path):
+        """Every ``kernel_fallbacks.<op>.<reason>`` counter survives save/load
+        and lands, summed over the runs, in the one ``kernel fallbacks`` line."""
         from repro.core import build_phase_table, render_phase_table
         from repro.core.artifacts import load_run_result, save_run_result
+        from repro.core.reporting import render_kernel_fallbacks
         from repro.framework import Tensor, linear_bias_act
         from repro.telemetry import Telemetry
 
@@ -282,11 +284,12 @@ class TestRunResultMetricsRoundtrip:
         loaded = load_run_result(run.benchmark,
                                  save_run_result(tmp_path / "result_0.txt", run))
         quiet = BenchmarkRunner(clock=clock).run(FakeBenchmark(clock=clock), seed=1)
-        (row,) = build_phase_table({run.benchmark: [loaded, quiet]})
-        assert row.kernel_fallbacks == 1.5  # 3 calls over 2 runs
-        table = render_phase_table([row])
-        assert "Fallbacks" in table.splitlines()[0]
-        assert table.splitlines()[-1].split()[-1] == "2"  # rendered as a whole count
+        assert render_kernel_fallbacks([loaded, quiet]) == \
+            "  kernel fallbacks: linear/mixed_dtype=1  linear/ndim=2"
+        assert render_kernel_fallbacks([quiet]) == "  kernel fallbacks: none"
+        # The phase table has no column for them: the line is their one view.
+        assert "Fallbacks" not in render_phase_table(
+            build_phase_table({run.benchmark: [loaded, quiet]}))
 
     def test_stats_table_shows_memo_hits_beside_nn_evals(self, tmp_path):
         """Self-play's three counters survive save/load and a snapshot merge."""

@@ -12,10 +12,13 @@ from repro.telemetry import (
     MetricsRegistry,
     Telemetry,
     Tracer,
+    chrome_trace_from_intervals,
     current_metrics,
     current_tracer,
     decompose_log_events,
+    dedupe_metadata_events,
     merge_snapshots,
+    metadata_events,
     trace_from_log_events,
 )
 
@@ -247,3 +250,44 @@ class TestLogDerivedTelemetry:
     def test_unbalanced_stop_tolerated(self):
         events = _interval_log([(Keys.EPOCH_STOP, 10.0, {"epoch_num": 1})])
         assert decompose_log_events(events).epochs == 0
+
+
+def _x_event(name, ts, dur, pid=0, tid=0):
+    return {"name": name, "ph": "X", "ts": ts, "dur": dur,
+            "pid": pid, "tid": tid, "args": {}}
+
+
+class TestMetadataCollisions:
+    def test_pid_reuse_across_attempts_merges_labels(self):
+        # Two attempts of the same cell share pid=3; the merged trace must
+        # keep both identities on the one process row, not let merge order
+        # decide which label survives.
+        merged = (metadata_events(3, "ncf/0 attempt0")
+                  + [_x_event("run", 0, 10, pid=3)]
+                  + metadata_events(3, "ncf/0 attempt1")
+                  + [_x_event("run", 20, 10, pid=3)])
+        deduped = dedupe_metadata_events(merged)
+        meta = [e for e in deduped if e["ph"] == "M"]
+        assert len(meta) == 1
+        assert meta[0]["args"]["name"] == "ncf/0 attempt0 | ncf/0 attempt1"
+        # Non-metadata events all survive, in order.
+        assert [e["ts"] for e in deduped if e["ph"] == "X"] == [0, 20]
+
+    def test_exact_duplicates_collapse_without_suffix(self):
+        events = metadata_events(1, "worker") + metadata_events(1, "worker")
+        deduped = dedupe_metadata_events(events)
+        assert len(deduped) == 1
+        assert deduped[0]["args"]["name"] == "worker"
+
+    def test_distinct_rows_are_untouched(self):
+        events = (metadata_events(1, "a", "t", tid=0)
+                  + metadata_events(2, "b", "t", tid=0))
+        assert len(dedupe_metadata_events(events)) == 4
+
+    def test_intervals_trace_carries_metadata(self):
+        doc = chrome_trace_from_intervals(
+            [("epoch", 0.0, 1.0, {})], pid=7, process_name="ncf/0")
+        meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
+        assert meta and meta[0]["pid"] == 7
+        assert meta[0]["args"]["name"] == "ncf/0"
+        assert [e["name"] for e in doc["traceEvents"] if e["ph"] == "X"] == ["epoch"]

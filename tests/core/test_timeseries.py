@@ -1,4 +1,4 @@
-"""Per-run series: read back out of the log, and the stats table."""
+"""Per-run series: read back out of the log, and the ``profile --series`` table."""
 
 from repro.core import BenchmarkRunner, FakeClock, Keys, RunResult, render_series_table
 from repro.core.mllog import LogEvent, MLLogger, parse_log_lines

@@ -1270,8 +1270,8 @@ class TestAttentionBitIdentity:
 
     def test_profiler_and_fallback_reports_show_the_kernel(self):
         """``repro profile`` lists ``attention`` (one forward and, on the
-        kernel, one backward call per layer call) and ``repro stats`` /
-        ``profile`` total its fallbacks by reason; profiling moves no bit."""
+        kernel, one backward call per layer call) and totals its fallbacks
+        by reason; profiling moves no bit."""
         from repro.core.reporting import kernel_fallback_counts
         from repro.telemetry import Telemetry, render_op_profile
 

@@ -178,7 +178,7 @@ class TestSessionMechanics:
         counters = tele.metrics.snapshot()
         assert counters["mcts_searches"]["value"] == moves
         assert counters["mcts_evaluations"]["value"] == span.args["evaluations"]
-        assert "mcts_evaluations" in tele.metrics.render()  # what `repro stats` prints
+        assert "mcts_evaluations" in tele.metrics.render()
 
     def test_reinforcement_reference_masks_sane(self):
         bench = create_benchmark("reinforcement")

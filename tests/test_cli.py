@@ -217,8 +217,8 @@ class TestRunFailureExit:
 
 
 class TestObservabilityCommands:
-    def test_run_trace_stats_trace_file(self, tmp_path):
-        """campaign --trace emits a Chrome trace; stats and trace work on artifacts."""
+    def test_run_trace_profile_trace_file(self, tmp_path):
+        """campaign --trace emits a Chrome trace; profile and trace work on artifacts."""
         import json
 
         trace_path = tmp_path / "out.json"
@@ -240,8 +240,8 @@ class TestObservabilityCommands:
                    {("M", "process_name"), ("M", "thread_name")}
                    for e in doc["traceEvents"])
 
-        # stats: the per-phase decomposition table over the saved round.
-        code, text = run_cli("stats", str(tmp_path / "subs" / "obs-test"))
+        # profile: the per-phase decomposition table over the saved round.
+        code, text = run_cli("profile", str(tmp_path / "subs" / "obs-test"))
         assert code == 0
         assert "recommendation" in text
         assert "Train" in text and "Eval" in text and "TTT" in text
@@ -283,16 +283,16 @@ class TestObservabilityCommands:
         assert code == 1
         assert "no :::MLLOG events" in text
 
-    def test_stats_empty_submission(self, tmp_path):
+    def test_profile_empty_submission(self, tmp_path):
         code, _ = run_cli(
             "campaign", "recommendation", "--seeds", "1", "--save", str(tmp_path),
             "--submitter", "empty-check",
         )
         assert code == 0
-        # Point stats at a directory whose results were removed.
+        # Point profile at a directory whose results were removed.
         import shutil
         shutil.rmtree(tmp_path / "empty-check" / "results")
-        code, text = run_cli("stats", str(tmp_path / "empty-check"))
+        code, text = run_cli("profile", str(tmp_path / "empty-check"))
         assert code == 1
         assert "no runs" in text
 
@@ -430,11 +430,11 @@ class TestMonitorCommand:
             assert c_row.split()[:7] == m_row.split()[:7]
 
 
-class TestStatsSeries:
+class TestProfileSeries:
     def test_series_table_renders(self, tmp_path):
         run_cli("campaign", "recommendation", "--seeds", "1",
                 "--save", str(tmp_path), "--submitter", "cli-test")
-        code, text = run_cli("stats", str(tmp_path / "cli-test"), "--series")
+        code, text = run_cli("profile", str(tmp_path / "cli-test"), "--series")
         assert code == 0
         assert "eval_quality" in text
         assert "epoch_seconds" in text
@@ -471,7 +471,7 @@ class TestStatsSeries:
     def test_run_without_telemetry_renders_rows_from_its_log(self, tmp_path):
         run, base = self._fake_submission(tmp_path)
         assert run.telemetry is None
-        code, text = run_cli("stats", str(base), "--series")
+        code, text = run_cli("profile", str(base), "--series")
         assert code == 0
         assert "no per-run series" not in text
         rows = self._rows(text)
@@ -486,14 +486,14 @@ class TestStatsSeries:
         from repro.telemetry import Telemetry
 
         _, base = self._fake_submission(tmp_path, lambda clock: Telemetry(clock=clock))
-        code, fresh = run_cli("stats", str(base), "--series")
+        code, fresh = run_cli("profile", str(base), "--series")
         [path] = base.rglob("result_*.txt")
         first, _, rest = path.read_text().partition("\n")
         header = json.loads(first[len("# repro-run "):])
         header["series"] = {"epoch_seconds": [[0.5, 1, 999.0]],
                             "kernel_arena_hit_rate": [[0.5, 0, 0.9]]}
         path.write_text("# repro-run " + json.dumps(header) + "\n" + rest)
-        code, text = run_cli("stats", str(base), "--series")
+        code, text = run_cli("profile", str(base), "--series")
         assert code == 0
         assert text == fresh
         assert "kernel_arena_hit_rate" not in text and "999" not in text
@@ -533,7 +533,7 @@ class TestDamagedResultFiles:
         run = load_run_result(path)
         return {
             "review": run_cli("review", str(submission)),
-            "stats": run_cli("stats", str(submission), "--series"),
+            "profile": run_cli("profile", str(submission), "--series"),
             "trace": (trace[0], json.loads(out.read_text())),
             "load": (run.quality, run.epochs, run.quality_history,
                      run.time_to_train_s),
@@ -548,7 +548,7 @@ class TestDamagedResultFiles:
         assert self._answers(cut, cut_path, tmp_path) \
             == self._answers(dropped, dropped_path, tmp_path)
 
-    @pytest.mark.parametrize("command", ["review", "report", "stats"])
+    @pytest.mark.parametrize("command", ["review", "report", "profile"])
     @pytest.mark.parametrize("damage", ["corrupt header", "no header", "corrupt record"])
     def test_damaged_file_is_one_line_and_exit_1(self, saved, tmp_path, command, damage):
         edits = {
@@ -753,12 +753,48 @@ class TestProfileCommand:
         assert payload["mode"] == "full"
         assert payload["ops"]["backward"]
 
-    def test_unprofiled_run_exits_one_with_hint(self, tmp_path):
+    def test_unprofiled_run_prints_the_phase_table_and_a_hint(self, tmp_path):
         run_cli("campaign", "recommendation", "--seeds", "1",
                 "--save", str(tmp_path), "--submitter", "plain")
         code, text = run_cli("profile", str(tmp_path / "plain"))
+        assert code == 0
+        lines = text.splitlines()
+        assert lines[0] == "1 run(s), 1 reached the target"
+        assert lines[1].split()[:3] == ["Benchmark", "Runs", "Init"]
+        assert lines[3].split()[:2] == ["recommendation", "1"]
+        assert lines[-1] == ("no op profile recorded: run with REPRO_PROFILE=full "
+                             "to record one")
+        # --json has no payload to emit.
+        code, text = run_cli("profile", str(tmp_path / "plain"), "--json")
         assert code == 1
-        assert "REPRO_PROFILE" in text
+        assert text.splitlines() == lines[-1:]
+
+    def test_campaign_dir_adds_its_missed_runs_to_the_submission_rows(self, tmp_path):
+        from repro.core import build_phase_table, load_run_result, render_phase_table
+
+        # Seed 0 misses its target; the resumed campaign's seed 1 reaches it,
+        # so only seed 1 has a submission copy.
+        code, _ = run_cli("campaign", "recommendation", "--seeds", "1",
+                          "--save", str(tmp_path), "--override", "base_lr=0.0")
+        assert code == 1
+        code, _ = run_cli("campaign", "recommendation", "--seeds", "2",
+                          "--resume", str(tmp_path))
+        assert code == 1  # the campaign still holds its missed run
+        jobs = tmp_path / "jobs" / "recommendation"
+        missed, reached = (load_run_result(jobs / f"seed_{k}.txt") for k in (0, 1))
+        assert (missed.reached_target, reached.reached_target) == (False, True)
+
+        def table(runs):
+            return render_phase_table(build_phase_table({"recommendation": runs}))
+
+        code, submission = run_cli("profile", str(tmp_path / "cli-user"))
+        assert code == 0
+        assert submission.startswith("1 run(s), 1 reached the target\n"
+                                     + table([reached]) + "\n")
+        code, campaign = run_cli("profile", str(tmp_path))
+        assert code == 0
+        assert campaign.startswith("2 run(s), 1 reached the target\n"
+                                   + table([missed, reached]) + "\n")
 
     def test_missing_path_is_usage_error(self, tmp_path):
         code, text = run_cli("profile", str(tmp_path / "nope"))
@@ -789,53 +825,6 @@ class TestProfileCommand:
         assert "recommendation/0 fault: ArithmeticError: injected crash\n" in text
         assert "op profile: mode=full" in text
         assert any(line.split()[:1] == ["backward"] for line in text.splitlines())
-
-
-class TestAnalyzeCommand:
-    def test_analyze_trace_file_and_folded_export(self, tmp_path):
-        trace = tmp_path / "trace.json"
-        code, _ = run_cli("campaign", "recommendation", "--seeds", "1",
-                          "--trace", str(trace))
-        assert code == 0
-        folded = tmp_path / "folded.txt"
-        code, text = run_cli("analyze", str(trace), "--folded", str(folded))
-        assert code == 0
-        assert "critical path" in text and "top spans" in text
-        lines = folded.read_text().splitlines()
-        assert lines and all(" " in l for l in lines)
-        # Folded format: semicolon-joined stack, space, integer microseconds.
-        stack, _, us = lines[0].rpartition(" ")
-        assert stack and us.isdigit()
-
-    def test_analyze_campaign_dir(self, tmp_path):
-        code, _ = run_cli("campaign", "recommendation", "--seeds", "2",
-                          "--save", str(tmp_path))
-        assert code == 0
-        code, text = run_cli("analyze", str(tmp_path))
-        assert code == 0
-        assert "run:recommendation" in text
-
-    def test_analyze_json_deterministic(self, tmp_path):
-        import json
-
-        trace = tmp_path / "trace.json"
-        run_cli("campaign", "recommendation", "--seeds", "1", "--trace", str(trace))
-        code, a = run_cli("analyze", str(trace), "--json")
-        assert code == 0
-        _, b = run_cli("analyze", str(trace), "--json")
-        assert a == b
-        assert json.loads(a)["schema"] == "repro.trace_analysis.v1"
-
-    def test_analyze_garbage_file(self, tmp_path):
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text("not json")
-        code, text = run_cli("analyze", str(bogus))
-        assert code == 2
-        assert "analyze:" in text
-
-    def test_analyze_missing_path(self, tmp_path):
-        code, _ = run_cli("analyze", str(tmp_path / "nope"))
-        assert code == 2
 
 
 class TestFailedRunTraceFlush:
@@ -869,10 +858,6 @@ class TestFailedRunTraceFlush:
         names = {e["name"] for e in doc["traceEvents"]}
         assert {"run", "epoch"} <= names
         assert any(e["args"].get("aborted") for e in doc["traceEvents"])
-        # And the partial trace is analyzable like any other.
-        code, text = run_cli("analyze", str(trace))
-        assert code == 0
-        assert "epoch" in text
 
 
 class TestTable1Json:
@@ -964,19 +949,6 @@ class TestLoadgenCommand:
         # No rerun pass -> determinism deliberately unproven.
         assert doc["checks"]["deterministic"] is None
 
-    def test_saved_events_render_in_analyze(self, tmp_path):
-        save = tmp_path / "serving"
-        code, text = run_cli(
-            "loadgen", "--benchmark", "recommendation", "--queries", "8",
-            "--scenario", "offline", "--timing", "virtual",
-            "--train-epochs", "1", "--no-rerun", "-o", "-",
-            "--save", str(save))
-        assert code == 0
-        assert (save / "events" / "loadgen.jsonl").exists()
-        code, text = run_cli("analyze", str(save))
-        assert code == 0
-        assert "serve:offline" in text or "query" in text
-
 
 def _repro_process(env_overrides, *argv, module="repro", **popen_kwargs):
     """``python -m MODULE ARGV`` in a fresh interpreter with extra env vars."""
@@ -1035,6 +1007,19 @@ class TestRetiredEntryPoint:
         assert code == 2
         assert stdout == ""
         assert stderr == "repro: error: run the CLI as `python -m repro`\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["stats", "."], "invalid choice: 'stats'"),
+        (["analyze", "."], "invalid choice: 'analyze'"),
+        (["loadgen", "--save", "X"], "unrecognized arguments: --save X"),
+    ], ids=["stats", "analyze", "loadgen-save"])
+    def test_retired_view_is_a_usage_error(self, argv, message):
+        # `profile` is the one view of where a run's time went; a served
+        # artifact is one `campaign --save` wrote (`loadgen --artifact`).
+        code, stdout, stderr = _repro_run({}, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert message in stderr
 
     def test_run_verb_is_unknown(self):
         # `campaign` is the one verb that runs a benchmark's seeds.
