@@ -107,7 +107,6 @@ from .metrics import (
 from .context import (
     Telemetry,
     activate,
-    current_events,
     current_metrics,
     current_profiler,
     current_telemetry,
@@ -155,7 +154,6 @@ __all__ = [
     "campaign_dir_problem",
     "chrome_trace_from_intervals",
     "compare_reports",
-    "current_events",
     "current_metrics",
     "current_profiler",
     "current_telemetry",

@@ -22,7 +22,7 @@ from .opprof import OpProfiler
 from .trace import Tracer
 
 __all__ = ["Telemetry", "activate", "current_telemetry", "current_tracer",
-           "current_metrics", "current_events", "current_profiler"]
+           "current_metrics", "current_profiler"]
 
 
 class Telemetry:
@@ -93,10 +93,6 @@ def current_tracer() -> Tracer:
 
 def current_metrics() -> MetricsRegistry:
     return _ACTIVE.get().metrics
-
-
-def current_events() -> EventBus:
-    return _ACTIVE.get().events
 
 
 def current_profiler() -> OpProfiler:

@@ -4,9 +4,8 @@ The trace/metrics layer answers *where did the time go* after the fact;
 this module answers *what is happening right now*.  Three pieces:
 
 - :class:`EventBus` — a synchronous publish/subscribe fan-out for
-  lifecycle and progress events.  The runner and campaign engine
-  publish to the ambient bus
-  (:func:`~repro.telemetry.context.current_events`); sinks subscribe.
+  lifecycle and progress events.  The runner publishes to its
+  session's bus and the campaign engine to its own; sinks subscribe.
   A disabled bus (the default when no telemetry session is active)
   collapses every publish to one attribute check.
 - :class:`EventLog` — an append-only JSONL sink.  Each event is one

@@ -9,7 +9,7 @@ from repro.telemetry import (
     EventLog,
     NULL_EVENTS,
     Telemetry,
-    current_events,
+    current_telemetry,
     merge_event_streams,
     read_events,
 )
@@ -46,7 +46,7 @@ class TestEventBus:
         assert seen == []
 
     def test_ambient_bus_default_is_disabled(self):
-        assert current_events().enabled is False
+        assert current_telemetry().events.enabled is False
 
     def test_telemetry_session_activates_its_bus(self):
         clock = FakeClock(start=5.0)
@@ -54,7 +54,7 @@ class TestEventBus:
         seen = []
         session.events.subscribe(seen.append)
         with session.activate():
-            current_events().publish("run_start", seed=0)
+            current_telemetry().events.publish("run_start", seed=0)
         assert [e.name for e in seen] == ["run_start"]
         assert seen[0].time_s == 5.0
 
