@@ -121,6 +121,8 @@ CLI_COMMANDS = [
       for b in ("kernels", "loadgen", "campaign")),
     (["campaign", "recommendation", "--seeds", "1", "--save", "prof",
       "--trace", "prof/trace.json"], {"REPRO_PROFILE": "full"}),
+    (["campaign", "recommendation", "--seeds", "1", "--resume", "prof",
+      "--trace", "prof/resumed-trace.json"], {}),
     (["profile", "prof"], {}),
     (["profile", "prof/jobs/recommendation/seed_0.txt", "--json"], {}),
     (["campaign", "recommendation", "--seeds", "2", "--save", "smoke-campaign",

@@ -22,8 +22,9 @@ core
 systems
     Data-parallel system simulator used for the scaling studies (Figs 4/5).
 telemetry
-    Observability: trace spans (Chrome trace_event export), run metrics,
-    and profiling hooks — zero-overhead no-ops until a session is activated.
+    Observability: run metrics, event streams and profiling hooks —
+    zero-overhead no-ops until a session is activated — and the readers of
+    the structured log (phase table, series, Chrome trace_event export).
 """
 
 __version__ = "0.1.0"

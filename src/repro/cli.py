@@ -14,8 +14,9 @@ Commands mirror how the MLPerf artifacts are used in practice:
 - ``report`` — build the published per-benchmark results table from saved
   submissions;
 - ``trace`` — convert a saved training-session log into a Chrome-loadable
-  ``trace_event`` file (``campaign --trace FILE`` records one live, with
-  spans down to individual training steps);
+  ``trace_event`` file (``campaign --trace FILE`` writes the same rows for
+  every cell of a campaign, resumed cells and faulted attempts included:
+  init, model creation, the run, each epoch and eval);
 - ``monitor`` — a refreshable terminal view of a campaign directory,
   live or post-mortem, built purely from the journal + event streams
   (per-job state, progress, retries, ETA, and stall detection at the
@@ -105,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--submitter", default="cli-user",
                           help="submitter name for saved artifacts")
     campaign.add_argument("--trace", metavar="FILE",
-                          help="write one merged Chrome trace of every run "
-                               "(workers compose on pid=seed rows)")
+                          help="write one Chrome trace of every cell, rebuilt "
+                               "from the cells' logs (one benchmark/seed row each)")
     campaign.add_argument("--bench", metavar="FILE",
                           help="write campaign perf stats JSON "
                                "(BENCH_campaign.json format)")
@@ -396,8 +397,9 @@ def _cmd_campaign(args, out) -> int:
 
         trace = Path(args.trace)
         trace.parent.mkdir(parents=True, exist_ok=True)
-        trace.write_text(json.dumps(outcome.telemetry.to_chrome_trace(), sort_keys=True))
-        print(f"trace written to {args.trace} ({len(outcome.telemetry.trace_events)} "
+        doc = outcome.chrome_trace()
+        trace.write_text(json.dumps(doc, sort_keys=True))
+        print(f"trace written to {args.trace} ({len(doc['traceEvents'])} "
               "events); open in chrome://tracing or https://ui.perfetto.dev", file=out)
     if profile_mode_from_env() != "off":
         print(render_op_profile(outcome.telemetry.op_profile), file=out)

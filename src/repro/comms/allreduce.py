@@ -13,7 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from ..framework.tensor import Tensor
-from ..telemetry import current_metrics, current_profiler, current_tracer
+from ..telemetry import current_profiler
 
 __all__ = ["accumulate_grads", "all_reduce_mean"]
 
@@ -35,21 +35,17 @@ def accumulate_grads(accumulated: dict[int, np.ndarray],
 
 
 def all_reduce_mean(accumulated: dict[int, np.ndarray], params: Iterable[Tensor],
-                    num_workers: int) -> None:
-    """Install each parameter's mean gradient over ``num_workers``.
+                    num_workers: int) -> int:
+    """Install each parameter's mean gradient over ``num_workers``; return the bytes reduced.
 
     A parameter no worker reached keeps ``grad = None`` and is neither
     reduced nor counted.  The averaging is timed as the profiler's
-    ``comms``/``all_reduce`` op, and the reduced elements and bytes are
-    added to the ``allreduce_elements`` / ``allreduce_bytes`` counters.
+    ``comms``/``all_reduce`` op.
     """
     reduced_bytes = sum(g.nbytes for g in accumulated.values())
-    with current_tracer().span("all_reduce", num_workers=num_workers), \
-            current_profiler().op("all_reduce", phase="comms",
-                                  nbytes=reduced_bytes * num_workers):
+    with current_profiler().op("all_reduce", phase="comms",
+                               nbytes=reduced_bytes * num_workers):
         for p in params:
             grad = accumulated.get(id(p))
             p.grad = None if grad is None else grad / num_workers
-    metrics = current_metrics()
-    metrics.counter("allreduce_elements").inc(sum(g.size for g in accumulated.values()))
-    metrics.counter("allreduce_bytes").inc(reduced_bytes)
+    return reduced_bytes

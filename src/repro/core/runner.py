@@ -5,14 +5,15 @@ emitting the §4.1 structured log, and stops the clock the moment an
 evaluation meets the quality target.  A :class:`RunResult` carries
 everything later stages (aggregation §3.2.2, review §4.1, reporting §4.2)
 need — including the full :class:`~repro.core.timing.TimingBreakdown` and,
-when a :class:`~repro.telemetry.Telemetry` session is attached, a trace /
-metrics snapshot for per-phase profiling.
+when a :class:`~repro.telemetry.Telemetry` session is attached, a metrics /
+op-profile snapshot.  The log alone is the run's phase record: its Chrome
+trace and per-epoch series are read back out of it.
 
 A run that raises mid-training does not leave the timing state machine
 stuck: the timer is aborted (closing every open interval at the failure
 instant), a ``run_stop`` event with ``status="error"`` is logged, and the
 exception is re-raised as :class:`RunFailure` carrying the partial log so
-failures stay auditable.
+failures stay auditable (and their trace shows the phase they died in).
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class BenchmarkRunner:
     telemetry:
         Default observability session for runs; disabled (no-op) when
         omitted.  Individual :meth:`run` calls may override it, e.g. to
-        give each seeded run its own tracer.
+        give each seeded run its own metrics registry.
     """
 
     def __init__(self, clock: Clock | None = None, eval_every: int = 1,
@@ -154,10 +155,6 @@ class BenchmarkRunner:
                 logger.event(Keys.RUN_STOP, status="error", error=type(exc).__name__)
                 tele.events.publish("run_stop", benchmark=spec.name, seed=seed,
                                     status="error", error=type(exc).__name__)
-                # Flush the trace before snapshotting: open spans don't
-                # export, so close anything the unwind didn't reach — a
-                # failed run must still leave a loadable partial trace.
-                tele.tracer.abort_open(error=type(exc).__name__)
                 raise RunFailure(
                     spec.name, seed, exc,
                     log_lines=logger.to_lines(),
@@ -182,93 +179,84 @@ class BenchmarkRunner:
 
     def _execute(self, benchmark, spec, seed, hp, max_epochs, logger, timer, tele,
                  deadline=None):
-        """The §3.2.1 phase sequence, instrumented with spans and metrics."""
-        tracer = tele.tracer
+        """The §3.2.1 phase sequence, logged (§4.1) and instrumented with metrics."""
         metrics = tele.metrics
         events = tele.events
         samples = metrics.counter("samples_seen")
 
-        with tracer.span(f"run:{spec.name}", seed=seed):
-            timer.init_start()
-            logger.event(Keys.INIT_START)
-            with tracer.span("init"):
-                pass  # system initialization would go here; untimed by rule
-            timer.init_stop()
-            logger.event(Keys.INIT_STOP)
+        timer.init_start()
+        logger.event(Keys.INIT_START)
+        # System initialization would go here; untimed by rule.
+        timer.init_stop()
+        logger.event(Keys.INIT_STOP)
 
-            timer.model_creation_start()
-            logger.event(Keys.MODEL_CREATION_START)
-            with tracer.span("model_creation"):
-                session = benchmark.create_session(seed, hp)
-            timer.model_creation_stop()
-            logger.event(Keys.MODEL_CREATION_STOP)
+        timer.model_creation_start()
+        logger.event(Keys.MODEL_CREATION_START)
+        session = benchmark.create_session(seed, hp)
+        timer.model_creation_stop()
+        logger.event(Keys.MODEL_CREATION_STOP)
 
-            timer.run_start()
-            logger.event(Keys.RUN_START)
-            events.publish("run_start", benchmark=spec.name, seed=seed,
-                           target=spec.quality_threshold)
+        timer.run_start()
+        logger.event(Keys.RUN_START)
+        events.publish("run_start", benchmark=spec.name, seed=seed,
+                       target=spec.quality_threshold)
 
-            cap = max_epochs if max_epochs is not None else spec.max_epochs
-            reached = False
-            quality = float("-inf")
-            history: list[float] = []
-            epochs_run = 0
-            for epoch in range(1, cap + 1):
-                if deadline is not None and self.clock.now() >= deadline:
-                    raise RunTimeout(
-                        f"{spec.name} (seed {seed}) exceeded its per-job "
-                        f"deadline after {epochs_run} epochs"
-                    )
-                logger.event(Keys.EPOCH_START, epoch, epoch_num=epoch)
-                epoch_t0 = self.clock.now()
-                with tracer.span("epoch", epoch_num=epoch):
-                    epoch_samples = session.run_epoch(epoch - 1) or 0
-                epoch_dt = self.clock.now() - epoch_t0
-                samples.inc(epoch_samples)
-                logger.event(Keys.EPOCH_STOP, epoch, epoch_num=epoch)
-                metrics.histogram("epoch_seconds").observe(epoch_dt)
-                metrics.counter("epochs").inc()
-                stats = {"epoch_seconds": epoch_dt}
-                if epoch_samples:
-                    stats["samples"] = epoch_samples
-                # The all-reduce counter exists only when the run trained
-                # data parallel (dp_workers > 1).
-                if "allreduce_bytes" in metrics:
-                    stats["allreduce_bytes"] = metrics.counter("allreduce_bytes").value
-                logger.event(Keys.TRACKED_STATS, stats, epoch_num=epoch)
-                if epoch_dt > 0 and epoch_samples > 0:
-                    eps = epoch_samples / epoch_dt
-                    metrics.gauge("examples_per_second").set(eps)
-                    logger.event(Keys.THROUGHPUT, eps, epoch_num=epoch)
-                events.publish("epoch", epoch=epoch,
-                               epoch_seconds=epoch_dt,
-                               samples=epoch_samples,
-                               samples_total=samples.value)
-                epochs_run = epoch
-                if epoch % self.eval_every == 0 or epoch == cap:
-                    logger.event(Keys.EVAL_START, epoch_num=epoch)
-                    eval_t0 = self.clock.now()
-                    with tracer.span("eval", epoch_num=epoch):
-                        quality = float(session.evaluate())
-                    metrics.histogram("eval_seconds").observe(self.clock.now() - eval_t0)
-                    history.append(quality)
-                    logger.event(
-                        Keys.EVAL_ACCURACY, quality, epoch_num=epoch,
-                        **session.eval_details()
-                    )
-                    logger.event(Keys.EVAL_STOP, epoch_num=epoch)
-                    events.publish("eval", epoch=epoch, quality=quality)
-                    if quality >= spec.quality_threshold:
-                        reached = True
-                        break
-            model_state = session.export_state()
+        cap = max_epochs if max_epochs is not None else spec.max_epochs
+        reached = False
+        quality = float("-inf")
+        history: list[float] = []
+        epochs_run = 0
+        for epoch in range(1, cap + 1):
+            if deadline is not None and self.clock.now() >= deadline:
+                raise RunTimeout(
+                    f"{spec.name} (seed {seed}) exceeded its per-job "
+                    f"deadline after {epochs_run} epochs"
+                )
+            logger.event(Keys.EPOCH_START, epoch, epoch_num=epoch)
+            epoch_t0 = self.clock.now()
+            epoch_samples = session.run_epoch(epoch - 1) or 0
+            epoch_dt = self.clock.now() - epoch_t0
+            samples.inc(epoch_samples)
+            logger.event(Keys.EPOCH_STOP, epoch, epoch_num=epoch)
+            metrics.histogram("epoch_seconds").observe(epoch_dt)
+            metrics.counter("epochs").inc()
+            stats = {"epoch_seconds": epoch_dt}
+            if epoch_samples:
+                stats["samples"] = epoch_samples
+            stats.update(session.tracked_stats())
+            logger.event(Keys.TRACKED_STATS, stats, epoch_num=epoch)
+            if epoch_dt > 0 and epoch_samples > 0:
+                eps = epoch_samples / epoch_dt
+                metrics.gauge("examples_per_second").set(eps)
+                logger.event(Keys.THROUGHPUT, eps, epoch_num=epoch)
+            events.publish("epoch", epoch=epoch,
+                           epoch_seconds=epoch_dt,
+                           samples=epoch_samples,
+                           samples_total=samples.value)
+            epochs_run = epoch
+            if epoch % self.eval_every == 0 or epoch == cap:
+                logger.event(Keys.EVAL_START, epoch_num=epoch)
+                eval_t0 = self.clock.now()
+                quality = float(session.evaluate())
+                metrics.histogram("eval_seconds").observe(self.clock.now() - eval_t0)
+                history.append(quality)
+                logger.event(
+                    Keys.EVAL_ACCURACY, quality, epoch_num=epoch,
+                    **session.eval_details()
+                )
+                logger.event(Keys.EVAL_STOP, epoch_num=epoch)
+                events.publish("eval", epoch=epoch, quality=quality)
+                if quality >= spec.quality_threshold:
+                    reached = True
+                    break
+        model_state = session.export_state()
 
-            timer.run_stop()
-            logger.event(Keys.RUN_STOP, status="success" if reached else "aborted")
-            logger.event(Keys.TARGET_REACHED, reached)
-            events.publish("run_stop", benchmark=spec.name, seed=seed,
-                           status="success" if reached else "aborted",
-                           epochs=epochs_run, quality=quality)
+        timer.run_stop()
+        logger.event(Keys.RUN_STOP, status="success" if reached else "aborted")
+        logger.event(Keys.TARGET_REACHED, reached)
+        events.publish("run_stop", benchmark=spec.name, seed=seed,
+                       status="success" if reached else "aborted",
+                       epochs=epochs_run, quality=quality)
         return reached, quality, history, epochs_run, model_state
 
     @staticmethod
@@ -276,7 +264,6 @@ class BenchmarkRunner:
         if not tele.enabled:
             return None
         return RunTelemetry(
-            trace_events=tele.tracer.chrome_events(),
             metrics=tele.metrics.snapshot(),
             op_profile=tele.profiler.snapshot(),
         )

@@ -17,8 +17,10 @@ One call, :func:`run_campaign`, owns a campaign end to end:
 
 Scheduler decisions are counted once, in the
 :class:`~repro.core.reporting.CampaignSummary` (and each cell's journal
-record), and per-run telemetry snapshots merge parent-side with
-``pid = seed`` so one Chrome trace shows all workers.
+record); per-run telemetry snapshots (metrics, op profiles) merge
+parent-side.  The campaign's Chrome trace is rebuilt from each cell's
+§4.1 log, executed or resumed, one process row per cell
+(:meth:`CampaignOutcome.chrome_trace`).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
+from ..core.mllog import parse_log_lines
 from ..core.reporting import CampaignSummary
 from ..core.results import BenchmarkScore, score_runs
 from ..core.runner import RunResult
@@ -44,6 +47,8 @@ from ..telemetry import (
     EventLog,
     RunTelemetry,
     merged_run_telemetry,
+    metadata_events,
+    trace_from_log_events,
 )
 from .journal import CampaignJournal, JobRecord
 from .plan import CampaignPlan, CampaignSpec, plan_campaign
@@ -81,6 +86,8 @@ class CampaignOutcome:
     runs_by_benchmark: dict[str, list[RunResult]] = field(default_factory=dict)
     submission: Submission | None = None
     telemetry: RunTelemetry | None = None
+    # cell -> the §4.1 log of each attempt (a resumed cell: its saved run).
+    logs: dict[tuple[str, int], list[list[str]]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -90,6 +97,22 @@ class CampaignOutcome:
             (rec := records.get(f"{b}/{s}")) is not None and rec.status == "reached"
             for (b, s) in self.plan.cells
         )
+
+    def chrome_trace(self) -> dict[str, Any]:
+        """One Chrome trace of the campaign, rebuilt from every cell's log.
+
+        Each cell is one process row (``pid`` = its plan ordinal) labelled
+        ``benchmark/seed``; a retried cell shows every attempt on its row,
+        a faulted attempt up to the phase it died in.
+        """
+        events: list[dict[str, Any]] = []
+        for job in self.plan.jobs:
+            rows = [event for lines in self.logs.get(job.cell, [])
+                    for event in trace_from_log_events(
+                        parse_log_lines(lines), pid=job.ordinal)["traceEvents"]]
+            if rows:
+                events += metadata_events(job.ordinal, job.key) + rows
+        return {"traceEvents": events, "displayTimeUnit": "ms"}
 
     def bench_payload(self) -> dict[str, Any]:
         """The ``BENCH_campaign.json`` record: the perf trajectory datapoint."""
@@ -197,6 +220,7 @@ def run_campaign(
 
     # -- resume: reload terminal cells, schedule only the remainder ----------
     results_by_cell: dict[tuple[str, int], RunResult] = {}
+    logs: dict[tuple[str, int], list[list[str]]] = {}
     resumed_cells = 0
     done = journal.completed_cells() if resume else set()
     wave = []
@@ -204,6 +228,7 @@ def run_campaign(
         prior = journal.load_result(*job.cell) if job.cell in done else None
         if prior is not None:
             results_by_cell[job.cell] = prior
+            logs[job.cell] = [prior.log_lines]
             resumed_cells += 1
         else:
             wave.append(job)
@@ -236,6 +261,7 @@ def run_campaign(
         for outcome in executor.run(wave):
             executed += 1
             outcome_telemetry.append(outcome.telemetry)
+            logs.setdefault(outcome.job.cell, []).append(outcome.log_lines)
             record = _record_for(outcome, backoffs_by_cell)
             will_retry = policy.should_retry(outcome)
             if outcome.status == "reached":
@@ -339,6 +365,7 @@ def run_campaign(
         runs_by_benchmark=runs_by_benchmark,
         submission=submission if submission.runs else None,
         telemetry=merged_run_telemetry(outcome_telemetry),
+        logs=logs,
     )
 
 

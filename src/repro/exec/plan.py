@@ -36,8 +36,8 @@ class JobSpec:
     overrides: tuple[tuple[str, Any], ...] = ()
     max_epochs: int | None = None
     timeout_s: float | None = None
-    # Stable position in the plan — workers use it as the trace/event pid
-    # so merged campaign traces keep one process row per cell.
+    # Stable position in the plan — the cell's event pid, and its process
+    # row in the campaign trace.
     ordinal: int = 0
     # Campaign journal directory for live event streams; None (a
     # campaign kept in memory) disables stream files entirely.

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from pathlib import Path
@@ -56,10 +56,18 @@ class JobOutcome:
     error: str | None = None  # "ExcType: message" for fault/timeout
     error_type: str | None = None
     failure_telemetry: RunTelemetry | None = None
+    failure_log_lines: list[str] = field(default_factory=list)
 
     @property
     def is_fault(self) -> bool:
         return self.status == "fault"
+
+    @property
+    def log_lines(self) -> list[str]:
+        """The attempt's §4.1 log: the result's, or the partial log of a failure."""
+        if self.result is not None:
+            return self.result.log_lines
+        return self.failure_log_lines
 
     @property
     def telemetry(self) -> RunTelemetry | None:
@@ -79,23 +87,17 @@ def execute_job(
     The default factory resolves the benchmark from the suite registry —
     the only thing a spawned worker needs is the job spec.  Telemetry is
     always collected with ``pid = ordinal`` (the cell's position in the
-    plan, not the reseeded attempt seed) so merged campaign traces keep
-    one named process row per cell.  ``events_clock`` defaults to epoch
-    seconds — the only clock comparable across worker processes — and is
-    injectable so stream files are deterministic under a fake clock.
+    plan, not the reseeded attempt seed), which stamps the cell's events.
+    ``events_clock`` defaults to epoch seconds — the only clock comparable
+    across worker processes — and is injectable so stream files are
+    deterministic under a fake clock.
     """
     if benchmark_factory is None:
         from ..suite import create_benchmark as benchmark_factory
 
     benchmark = benchmark_factory(job.benchmark)
     runner = BenchmarkRunner(clock=clock)
-    telemetry = Telemetry(
-        clock=runner.clock,
-        pid=job.ordinal,
-        process_name=f"{job.benchmark}/seed{job.seed}",
-        thread_name="runner",
-        events_clock=events_clock,
-    )
+    telemetry = Telemetry(pid=job.ordinal, events_clock=events_clock)
 
     log: EventLog | None = None
     if job.stream_dir:
@@ -126,6 +128,7 @@ def execute_job(
                 error=f"{type(failure.cause).__name__}: {failure.cause}",
                 error_type=type(failure.cause).__name__,
                 failure_telemetry=failure.telemetry,
+                failure_log_lines=failure.log_lines,
             )
         status = "reached" if result.reached_target else "quality_miss"
         return JobOutcome(job=job, status=status, result=result)

@@ -90,6 +90,15 @@ class TrainingSession(ABC):
         """Optional extra metrics recorded alongside the primary quality."""
         return {}
 
+    def tracked_stats(self) -> dict[str, float]:
+        """Running totals the session keeps, logged in each epoch's ``tracked_stats``.
+
+        The runner logs them beside ``epoch_seconds`` and ``samples``,
+        whatever telemetry is attached: a data-parallel session reports the
+        bytes its engine all-reduced so far.  The default reports none.
+        """
+        return {}
+
     def export_state(self) -> "dict | None":
         """The trained model's parameters and buffers, keyed by name (or ``None``).
 

@@ -24,7 +24,6 @@ from ..framework import (
 )
 from ..metrics import top1_accuracy
 from ..models import MiniResNet
-from ..telemetry import current_tracer
 from .base import Benchmark, BenchmarkSpec, TrainingSession, chunked_forward
 
 __all__ = ["ImageClassificationBenchmark", "classify_logits"]
@@ -94,16 +93,14 @@ class _Session(TrainingSession):
 
     def run_epoch(self, epoch: int) -> int:
         self.model.train()
-        tracer = current_tracer()
         seen = 0
         for images, labels in self.loader:
-            with tracer.span("train_step", batch=len(images)):
-                loss = self.step_executor().step(
-                    lambda: F.cross_entropy(self.model(Tensor(images)), labels),
-                    pre_backward=self.model.zero_grad,
-                )
-                self.optimizer.step()
-                self.scheduler.step()
+            loss = self.step_executor().step(
+                lambda: F.cross_entropy(self.model(Tensor(images)), labels),
+                pre_backward=self.model.zero_grad,
+            )
+            self.optimizer.step()
+            self.scheduler.step()
             seen += len(images)
         return seen
 

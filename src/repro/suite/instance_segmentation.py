@@ -18,7 +18,6 @@ from ..datasets import SceneConfig, ShapeScenes
 from ..framework import SGD, Tensor, WarmupStepLR
 from ..metrics import GroundTruth, mean_average_precision
 from ..models import MiniMaskRCNN
-from ..telemetry import current_tracer
 from .base import Benchmark, BenchmarkSpec, TrainingSession
 
 __all__ = ["InstanceSegmentationBenchmark"]
@@ -75,21 +74,19 @@ class _Session(TrainingSession):
         rng = np.random.default_rng((self.seed, epoch))
         order = rng.permutation(len(self.scenes.train))
         bs = self.hp["batch_size"]
-        tracer = current_tracer()
         seen = 0
         for start in range(0, len(order) - bs + 1, bs):
             batch = [self.scenes.train[i] for i in order[start : start + bs]]
-            with tracer.span("train_step", batch=bs):
-                images = Tensor(ShapeScenes.batch_images(batch))
-                boxes = [np.stack([o.box for o in s.objects]) for s in batch]
-                labels = [np.array([o.label for o in s.objects]) for s in batch]
-                masks = [np.stack([o.mask for o in s.objects]) for s in batch]
-                loss = self.step_executor().step(
-                    lambda: self.model.loss(images, boxes, labels, masks),
-                    pre_backward=self.model.zero_grad,
-                )
-                self.optimizer.step()
-                self.scheduler.step()
+            images = Tensor(ShapeScenes.batch_images(batch))
+            boxes = [np.stack([o.box for o in s.objects]) for s in batch]
+            labels = [np.array([o.label for o in s.objects]) for s in batch]
+            masks = [np.stack([o.mask for o in s.objects]) for s in batch]
+            loss = self.step_executor().step(
+                lambda: self.model.loss(images, boxes, labels, masks),
+                pre_backward=self.model.zero_grad,
+            )
+            self.optimizer.step()
+            self.scheduler.step()
             seen += bs
         return seen
 

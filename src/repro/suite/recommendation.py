@@ -14,7 +14,6 @@ from ..datasets import InteractionConfig, SyntheticInteractions
 from ..framework import Adam
 from ..metrics import leave_one_out_eval
 from ..models import NCF
-from ..telemetry import current_tracer
 from .base import Benchmark, BenchmarkSpec, TrainingSession
 
 __all__ = ["RecommendationBenchmark"]
@@ -81,21 +80,19 @@ class _Session(TrainingSession):
         rng = np.random.default_rng((self.seed, epoch))
         n_pos = len(self.data.train_users)
         bs = self.hp["batch_size"]
-        tracer = current_tracer()
         seen = 0
         for _ in range(max(n_pos // bs, 1)):
-            with tracer.span("train_step", batch=bs):
-                users, items, labels = self.data.sample_training_batch(
-                    bs, self.hp["num_negatives"], rng
+            users, items, labels = self.data.sample_training_batch(
+                bs, self.hp["num_negatives"], rng
+            )
+            if self._engine is not None:
+                self._engine.step((users, items, labels))
+            else:
+                loss = self.step_executor().step(
+                    lambda: self.model.loss(users, items, labels),
+                    pre_backward=self.model.zero_grad,
                 )
-                if self._engine is not None:
-                    self._engine.step((users, items, labels))
-                else:
-                    loss = self.step_executor().step(
-                        lambda: self.model.loss(users, items, labels),
-                        pre_backward=self.model.zero_grad,
-                    )
-                    self.optimizer.step()
+                self.optimizer.step()
             seen += len(users)
         return seen
 
@@ -113,6 +110,11 @@ class _Session(TrainingSession):
 
     def eval_details(self) -> dict[str, float]:
         return {"ndcg@10": self._ndcg}
+
+    def tracked_stats(self) -> dict[str, float]:
+        if self._engine is None:
+            return {}
+        return {"allreduce_bytes": float(self._engine.allreduce_bytes)}
 
 
 class RecommendationBenchmark(Benchmark):

@@ -27,7 +27,7 @@ from ..go import MCTSConfig, selfplay_batch
 from ..go.pro import DEFAULT_KOMI, pro_reference_games
 from ..metrics import move_match_rate
 from ..models import MiniGoNet
-from ..telemetry import current_metrics, current_tracer
+from ..telemetry import current_metrics
 from .base import Benchmark, BenchmarkSpec, TrainingSession, chunked_forward
 
 __all__ = ["ReinforcementBenchmark"]
@@ -75,42 +75,31 @@ class _Session(TrainingSession):
         self.ref_legal_masks = benchmark.ref_legal_masks
 
     def run_epoch(self, epoch: int) -> int:
-        tracer = current_tracer()
-        metrics = current_metrics()
-        # 1. Self-play data generation (the expensive exploration phase).
-        # evaluations = answers the searches asked for; memo_hits of them
-        # came from the game's memo instead of a forward pass.
-        counters = {attr: metrics.counter(f"mcts_{attr}")
-                    for attr in ("searches", "evaluations", "memo_hits")}
-        before = {attr: counter.value for attr, counter in counters.items()}
-        with tracer.span("selfplay", games=self.hp["games_per_iteration"]) as span:
-            examples = selfplay_batch(
-                self.model, self.hp["games_per_iteration"], self.board_size, self.rng,
-                self.mcts_config, komi=self.komi,
-            )
-            span.set(moves=len(examples),
-                     **{attr: int(counter.value - before[attr])
-                        for attr, counter in counters.items()})
+        # 1. Self-play data generation (the expensive exploration phase);
+        # the searches count themselves in the mcts_* counters.
+        examples = selfplay_batch(
+            self.model, self.hp["games_per_iteration"], self.board_size, self.rng,
+            self.mcts_config, komi=self.komi,
+        )
         self.replay.extend(examples)
         if len(self.replay) > self.hp["replay_capacity"]:
             self.replay = self.replay[-self.hp["replay_capacity"] :]
-        metrics.gauge("replay_buffer_size").set(len(self.replay))
+        current_metrics().gauge("replay_buffer_size").set(len(self.replay))
         # 2. Gradient steps on the replay buffer.
         self.model.train()
         seen = 0
-        with tracer.span("train_steps", steps=self.hp["train_steps_per_iteration"]):
-            for _ in range(self.hp["train_steps_per_iteration"]):
-                idx = self.rng.integers(0, len(self.replay), size=min(self.hp["batch_size"],
-                                                                      len(self.replay)))
-                planes = np.stack([self.replay[i].planes for i in idx])
-                policy = np.stack([self.replay[i].policy for i in idx])
-                value = np.array([self.replay[i].value for i in idx])
-                loss = self.step_executor().step(
-                    lambda: self.model.loss(planes, policy, value),
-                    pre_backward=self.model.zero_grad,
-                )
-                self.optimizer.step()
-                seen += len(idx)
+        for _ in range(self.hp["train_steps_per_iteration"]):
+            idx = self.rng.integers(0, len(self.replay), size=min(self.hp["batch_size"],
+                                                                  len(self.replay)))
+            planes = np.stack([self.replay[i].planes for i in idx])
+            policy = np.stack([self.replay[i].policy for i in idx])
+            value = np.array([self.replay[i].value for i in idx])
+            loss = self.step_executor().step(
+                lambda: self.model.loss(planes, policy, value),
+                pre_backward=self.model.zero_grad,
+            )
+            self.optimizer.step()
+            seen += len(idx)
         return seen
 
     def evaluate(self) -> float:

@@ -16,7 +16,6 @@ from ..datasets import SyntheticTranslation, TranslationConfig
 from ..framework import Adam, NoamLR, clip_grad_norm
 from ..metrics import corpus_bleu
 from ..models import MiniGNMT, MiniTransformer
-from ..telemetry import current_tracer
 from .base import Benchmark, BenchmarkSpec, TrainingSession
 
 __all__ = ["TranslationRecurrentBenchmark", "TranslationTransformerBenchmark"]
@@ -47,23 +46,21 @@ class _TranslationSession(TrainingSession):
         pairs = self.corpus.train_pairs
         order = rng.permutation(len(pairs))
         bs = self.hp["batch_size"]
-        tracer = current_tracer()
         seen = 0
         # Bucket by length to limit padding waste: sort each shuffled window.
         for start in range(0, len(order) - bs + 1, bs):
             chunk = [pairs[i] for i in order[start : start + bs]]
             chunk.sort(key=lambda p: len(p[0]))
-            with tracer.span("train_step", batch=bs):
-                src = self.corpus.encoder_inputs([s for s, _ in chunk])
-                dec_in, dec_out = self.corpus.decoder_io([t for _, t in chunk])
-                loss = self.step_executor().step(
-                    lambda: self._loss(src, dec_in, dec_out),
-                    pre_backward=self.optimizer.zero_grad,
-                )
-                clip_grad_norm(self.optimizer.params, self.hp["grad_clip"])
-                self.optimizer.step()
-                if self.scheduler is not None:
-                    self.scheduler.step()
+            src = self.corpus.encoder_inputs([s for s, _ in chunk])
+            dec_in, dec_out = self.corpus.decoder_io([t for _, t in chunk])
+            loss = self.step_executor().step(
+                lambda: self._loss(src, dec_in, dec_out),
+                pre_backward=self.optimizer.zero_grad,
+            )
+            clip_grad_norm(self.optimizer.params, self.hp["grad_clip"])
+            self.optimizer.step()
+            if self.scheduler is not None:
+                self.scheduler.step()
             seen += bs
         return seen
 

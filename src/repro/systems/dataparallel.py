@@ -19,7 +19,7 @@ from ..comms import accumulate_grads, all_reduce_mean
 from ..framework.module import Module
 from ..framework.optim import Optimizer
 from ..framework.tensor import Tensor
-from ..telemetry import current_tracer
+from ..telemetry import current_metrics
 
 __all__ = ["SynchronousDataParallel", "shard_batch"]
 
@@ -67,9 +67,11 @@ class SynchronousDataParallel:
     the same seed and worker count therefore produce the same weights bit
     for bit.  A parameter no shard reaches keeps ``grad = None`` and is
     neither reduced nor counted.  The summing and averaging are the
-    ``comms`` package's all-reduce, which counts ``allreduce_elements`` /
-    ``allreduce_bytes`` and times itself as the profiler's
-    ``comms``/``all_reduce`` op.
+    ``comms`` package's all-reduce, timed as the profiler's
+    ``comms``/``all_reduce`` op.  The engine is the one writer of what it
+    reduced: the running total ``allreduce_bytes`` (which the session logs
+    each epoch, whatever telemetry is attached) and the ambient
+    ``allreduce_elements`` / ``allreduce_bytes`` counters.
     """
 
     def __init__(self, model: Module, optimizer: Optimizer, num_workers: int, loss_fn: LossFn):
@@ -79,23 +81,24 @@ class SynchronousDataParallel:
         self.optimizer = optimizer
         self.num_workers = num_workers
         self.loss_fn = loss_fn
+        self.allreduce_bytes = 0
 
     def step(self, batch: tuple[np.ndarray, ...]) -> float:
         """One global step; returns the mean loss across workers."""
-        tracer = current_tracer()
         shards = shard_batch(batch, self.num_workers)
         accumulated: dict[int, np.ndarray] = {}
         total_loss = 0.0
-        with tracer.span("dp_step", num_workers=self.num_workers, batch=len(batch[0])):
-            for w, shard in enumerate(shards):
-                with tracer.span("worker_grad", worker=w):
-                    self.model.zero_grad()
-                    loss = self.loss_fn(self.model, shard)
-                    loss.backward(release_tape=True)
-                total_loss += float(loss.data)
-                accumulate_grads(accumulated, self.model.parameters())
-            all_reduce_mean(accumulated, self.model.parameters(), self.num_workers)
-            self.optimizer.step()
+        for shard in shards:
+            self.model.zero_grad()
+            loss = self.loss_fn(self.model, shard)
+            loss.backward(release_tape=True)
+            total_loss += float(loss.data)
+            accumulate_grads(accumulated, self.model.parameters())
+        nbytes = all_reduce_mean(accumulated, self.model.parameters(), self.num_workers)
+        self.optimizer.step()
         self.model.zero_grad()
+        self.allreduce_bytes += nbytes
+        metrics = current_metrics()
+        metrics.counter("allreduce_elements").inc(sum(g.size for g in accumulated.values()))
+        metrics.counter("allreduce_bytes").inc(nbytes)
         return total_loss / self.num_workers
-

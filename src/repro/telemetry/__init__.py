@@ -1,4 +1,4 @@
-"""Session-wide observability: trace spans, metrics, and profiling hooks.
+"""Session-wide observability: metrics, event streams, and profiling hooks.
 
 The paper's §4.1 makes structured training-session logs "the foundation
 for subsequent result analysis"; DAWNBench (Coleman et al., 2018) showed
@@ -6,12 +6,10 @@ that time-to-accuracy is only interpretable when wall-clock can be
 decomposed into data pipeline vs. compute vs. eval.  This package is the
 measurement substrate for that decomposition:
 
-- :mod:`repro.telemetry.trace` — nested :class:`Span`/:class:`Tracer`
-  with a context-manager API and Chrome ``trace_event`` JSON export;
 - :mod:`repro.telemetry.metrics` — counters, gauges, and fixed-bucket
   histograms in a :class:`MetricsRegistry` with a text summary renderer;
-- :mod:`repro.telemetry.profile` — the readers of a saved structured
-  log (phase decomposition, Chrome trace, per-epoch series) and the
+- :mod:`repro.telemetry.profile` — the readers of a structured log
+  (phase decomposition, the Chrome trace, per-epoch series) and the
   serializable :class:`RunTelemetry` snapshot;
 - :mod:`repro.telemetry.events` — the live side: an event bus with
   append-only JSONL :class:`EventLog` sinks (one stream per campaign
@@ -31,27 +29,18 @@ measurement substrate for that decomposition:
 ``repro profile`` is the one reader of where a run's time went: the
 phase table and series (:mod:`~repro.telemetry.profile`, rendered by
 :mod:`repro.core.reporting`) and the merged op profile.  Chrome traces
-(``campaign --trace``, ``repro trace``) are rendered by chrome://tracing
-or Perfetto, not here.
+(``campaign --trace``, ``repro trace``) are rebuilt from the §4.1 log by
+:func:`trace_from_log_events` and rendered by chrome://tracing or
+Perfetto, not here.
 
-Telemetry is **zero-overhead by default**: the ambient tracer and
-registry are disabled no-ops until a :class:`Telemetry` session is
+Telemetry is **zero-overhead by default**: the ambient registry and
+profiler are disabled no-ops until a :class:`Telemetry` session is
 activated (``with telemetry.activate(): ...``).  Instrumentation sites
 deep in the suite and framework reach the ambient instances through
-:func:`current_tracer` / :func:`current_metrics`, so no constructor
-threading is required.  Both drive off the same injectable clock as
-:class:`repro.core.timing.Clock`, so traces are deterministic under
-``FakeClock``.
+:func:`current_metrics` / :func:`current_profiler`, so no constructor
+threading is required.
 """
 
-from .trace import (
-    NULL_SPAN,
-    Span,
-    Tracer,
-    chrome_trace_from_intervals,
-    dedupe_metadata_events,
-    metadata_events,
-)
 from .events import (
     Event,
     EventBus,
@@ -106,17 +95,15 @@ from .metrics import (
 )
 from .context import (
     Telemetry,
-    activate,
     current_metrics,
     current_profiler,
-    current_telemetry,
-    current_tracer,
 )
 from .profile import (
     PhaseDecomposition,
     RunTelemetry,
     decompose_log_events,
     merged_run_telemetry,
+    metadata_events,
     series_from_log_events,
     trace_from_log_events,
 )
@@ -139,27 +126,19 @@ __all__ = [
     "MonitorView",
     "NULL_EVENTS",
     "NULL_METRICS",
-    "NULL_SPAN",
     "OpProfiler",
     "PhaseDecomposition",
     "RegressionReport",
     "RunTelemetry",
-    "Span",
     "StreamFold",
     "Telemetry",
-    "Tracer",
-    "activate",
     "attribute_regression",
     "build_view",
     "campaign_dir_problem",
-    "chrome_trace_from_intervals",
     "compare_reports",
     "current_metrics",
     "current_profiler",
-    "current_telemetry",
-    "current_tracer",
     "decompose_log_events",
-    "dedupe_metadata_events",
     "load_monitor_view",
     "load_report",
     "merge_event_streams",

@@ -1,14 +1,15 @@
-"""Ambient telemetry: the active tracer/metrics pair for this context.
+"""Ambient telemetry: the active metrics registry and op profiler for this context.
 
 Instrumentation sites live deep inside the suite, the framework, and the
-data-parallel engine — threading a tracer argument through every layer
+data-parallel engine — threading a registry argument through every layer
 would couple all of them to observability concerns.  Instead one
 :class:`Telemetry` session is *activated* for the dynamic extent of a run
 (a ``contextvars.ContextVar``, so it composes with threads), and hot-path
-code reaches it via :func:`current_tracer` / :func:`current_metrics`.
+code reaches it via :func:`current_metrics` / :func:`current_profiler`.
 
-The default, when nothing is activated, is a disabled tracer and the null
-registry: every probe collapses to an attribute check and a no-op call.
+The default, when nothing is activated, is the null registry and a
+disabled profiler: every probe collapses to an attribute check and a
+no-op call.
 """
 
 from __future__ import annotations
@@ -19,29 +20,22 @@ from contextvars import ContextVar
 from .events import EventBus
 from .metrics import NULL_METRICS, MetricsRegistry
 from .opprof import OpProfiler
-from .trace import Tracer
 
-__all__ = ["Telemetry", "activate", "current_telemetry", "current_tracer",
-           "current_metrics", "current_profiler"]
+__all__ = ["Telemetry", "current_metrics", "current_profiler"]
 
 
 class Telemetry:
-    """One observability session: tracer, metrics registry, and event bus.
+    """One observability session: metrics registry, event bus, op profiler.
 
     ``events_clock`` times published events; it defaults to ``time.time``
-    (epoch seconds — the only clock comparable across worker processes)
-    rather than the tracer's ``clock``, which is usually a perf counter.
-    Tests inject a :class:`~repro.core.timing.FakeClock` for both.
+    (epoch seconds — the only clock comparable across worker processes).
+    Tests inject a :class:`~repro.core.timing.FakeClock`'s ``now``.  Where
+    the run's phases went is its §4.1 log's to say, not the session's.
     """
 
-    def __init__(self, clock=None, enabled: bool = True, pid: int = 0,
-                 process_name: str | None = None,
-                 thread_name: str | None = None,
+    def __init__(self, enabled: bool = True, pid: int = 0,
                  events_clock=None, profile: str | None = None):
         self.enabled = enabled
-        self.tracer = Tracer(clock=clock, enabled=enabled, pid=pid,
-                             process_name=process_name,
-                             thread_name=thread_name)
         self.metrics = MetricsRegistry(enabled=enabled) if enabled else NULL_METRICS
         self.events = EventBus(clock=events_clock, enabled=enabled, pid=pid)
         # ``profile=None`` defers to REPRO_PROFILE (default "off"), so a
@@ -82,23 +76,9 @@ _DISABLED = Telemetry(enabled=False)
 _ACTIVE: ContextVar[Telemetry] = ContextVar("repro_telemetry", default=_DISABLED)
 
 
-def current_telemetry() -> Telemetry:
-    """The ambient session (the disabled singleton when none is active)."""
-    return _ACTIVE.get()
-
-
-def current_tracer() -> Tracer:
-    return _ACTIVE.get().tracer
-
-
 def current_metrics() -> MetricsRegistry:
     return _ACTIVE.get().metrics
 
 
 def current_profiler() -> OpProfiler:
     return _ACTIVE.get().profiler
-
-
-def activate(telemetry: Telemetry):
-    """Module-level alias: ``with activate(t): ...``."""
-    return telemetry.activate()

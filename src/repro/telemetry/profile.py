@@ -5,9 +5,9 @@ Three readers of a parsed log:
 - :func:`decompose_log_events` — reduce a §4.1 structured log to the
   DAWNBench-style question "where did the wall-clock go": init vs. model
   creation vs. train epochs vs. eval;
-- :func:`trace_from_log_events` — reconstruct a Chrome-loadable trace
-  from the paired ``*_start``/``*_stop`` events of a saved log, so
-  ``repro trace`` works on published artifacts, not just live runs;
+- :func:`trace_from_log_events` — the Chrome trace of a run, rebuilt
+  from the paired ``*_start``/``*_stop`` events of its log; the one
+  producer behind ``repro trace`` and ``campaign --trace``;
 - :func:`series_from_log_events` — the run's per-epoch trajectory
   (throughput, eval quality, epoch seconds, all-reduce bytes), behind
   ``repro profile --series`` and the server's series endpoint.
@@ -21,46 +21,38 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
 
-from .trace import chrome_trace_from_intervals
-
 if TYPE_CHECKING:  # the runtime import is lazy: core itself imports telemetry
     from ..core.mllog import LogEvent
 
 __all__ = ["PhaseDecomposition", "RunTelemetry", "decompose_log_events",
-           "merged_run_telemetry", "series_from_log_events", "trace_from_log_events"]
+           "merged_run_telemetry", "metadata_events", "series_from_log_events",
+           "trace_from_log_events"]
 
 
 @dataclass
 class RunTelemetry:
-    """Serializable telemetry snapshot attached to a finished run."""
+    """Serializable telemetry snapshot attached to a finished run.
 
-    trace_events: list[dict[str, Any]] = field(default_factory=list)
+    Only what the §4.1 log does not hold: the metrics registry and the op
+    profile.  The run's trace is rebuilt from its log
+    (:func:`trace_from_log_events`).
+    """
+
     metrics: dict[str, dict[str, Any]] = field(default_factory=dict)
     op_profile: dict[str, Any] = field(default_factory=dict)
-
-    def to_chrome_trace(self) -> dict[str, Any]:
-        return {"traceEvents": list(self.trace_events), "displayTimeUnit": "ms"}
 
 
 def merged_run_telemetry(snapshots: Iterable[RunTelemetry | None]) -> RunTelemetry:
     """Compose per-run snapshots into one campaign-level view.
 
-    Trace events concatenate — each run's tracer already stamped its
-    events with a distinct pid (the job ordinal), so parallel workers
-    land on separate, named process rows in the Chrome viewer; metadata
-    events are deduped afterwards because retry attempts reuse their
-    cell's pid and would otherwise fight over the row label.  Metrics
-    merge via :func:`~repro.telemetry.metrics.merge_snapshots`, op
+    Metrics merge via :func:`~repro.telemetry.metrics.merge_snapshots`, op
     profiles via :func:`~repro.telemetry.opprof.merge_op_profiles`.
     """
     from .metrics import merge_snapshots
     from .opprof import merge_op_profiles
-    from .trace import dedupe_metadata_events
 
     present = [s for s in snapshots if s is not None]
     return RunTelemetry(
-        trace_events=dedupe_metadata_events(
-            e for s in present for e in s.trace_events),
         metrics=merge_snapshots(s.metrics for s in present),
         op_profile=merge_op_profiles(
             s.op_profile for s in present if s.op_profile),
@@ -89,10 +81,18 @@ def _paired_intervals(events: Iterable["LogEvent"]) -> list[tuple[str, float, fl
     """Match ``*_start``/``*_stop`` events into (name, start_s, end_s, args).
 
     Pairing is FIFO per (stem, epoch_num) so repeated epochs/evals pair
-    with their own stop even when logs interleave phases.
+    with their own stop even when logs interleave phases.  A start still
+    open at ``run_stop`` (a run that raised mid-phase) closes there, its
+    args tagged ``aborted`` and with the ``run_stop``'s ``error`` type.
     """
     open_marks: dict[tuple[str, Any], list[LogEvent]] = {}
     intervals: list[tuple[str, float, float, dict]] = []
+
+    def close(stem: str, start: "LogEvent", stop: "LogEvent", **tags) -> None:
+        args = {**start.metadata, **tags}
+        name = f"{stem} {args['epoch_num']}" if "epoch_num" in args else stem
+        intervals.append((name, start.time_ms / 1000.0, stop.time_ms / 1000.0, args))
+
     for event in events:
         if event.key.endswith("_start"):
             stem = event.key[: -len("_start")]
@@ -100,14 +100,16 @@ def _paired_intervals(events: Iterable["LogEvent"]) -> list[tuple[str, float, fl
         elif event.key.endswith("_stop"):
             stem = event.key[: -len("_stop")]
             stack = open_marks.get((stem, event.metadata.get("epoch_num")))
-            if not stack:
-                continue  # unbalanced stop; tolerate, review catches it
-            start = stack.pop(0)
-            name = stem
-            args = dict(start.metadata)
-            if "epoch_num" in args:
-                name = f"{stem} {args['epoch_num']}"
-            intervals.append((name, start.time_ms / 1000.0, event.time_ms / 1000.0, args))
+            if stack:  # an unbalanced stop is tolerated; review catches it
+                close(stem, stack.pop(0), event)
+            if stem == "run":
+                tags = {"aborted": True}
+                if "error" in event.metadata:
+                    tags["error"] = event.metadata["error"]
+                for (open_stem, _), starts in open_marks.items():
+                    for start in starts:
+                        close(open_stem, start, event, **tags)
+                open_marks.clear()
     return intervals
 
 
@@ -135,17 +137,32 @@ def decompose_log_events(events: Iterable["LogEvent"]) -> PhaseDecomposition:
 def trace_from_log_events(events: Iterable["LogEvent"], pid: int = 0) -> dict[str, Any]:
     """A Chrome trace document reconstructed from a structured log.
 
-    Interval events become nested "X" spans (the ``run`` span contains the
-    epochs and evals by timestamp containment); ``eval_accuracy`` events
-    become instant markers carrying the quality value.
+    Interval events become nested complete ("ph": "X") events, which
+    chrome://tracing and Perfetto nest by timestamp containment (the
+    ``run`` span contains the epochs and evals); a phase the run died in
+    ends at its ``run_stop``, tagged ``aborted`` with the error type.
+    ``eval_accuracy`` events become instant markers carrying the quality
+    value.
     """
     from ..core.mllog import Keys  # lazy: core imports telemetry at load time
 
     events = list(events)
-    doc = chrome_trace_from_intervals(_paired_intervals(events), pid=pid)
+    trace_events = [
+        {
+            "name": name,
+            "cat": "repro",
+            "ph": "X",
+            "ts": start_s * 1e6,  # trace_event timestamps are in µs
+            "dur": max(end_s - start_s, 0.0) * 1e6,
+            "pid": pid,
+            "tid": 0,
+            "args": args,
+        }
+        for name, start_s, end_s, args in _paired_intervals(events)
+    ]
     for event in events:
         if event.key == Keys.EVAL_ACCURACY:
-            doc["traceEvents"].append({
+            trace_events.append({
                 "name": "eval_accuracy",
                 "cat": "repro",
                 "ph": "i",
@@ -155,7 +172,17 @@ def trace_from_log_events(events: Iterable["LogEvent"], pid: int = 0) -> dict[st
                 "tid": 0,
                 "args": {"value": event.value, **event.metadata},
             })
-    return doc
+    return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
+
+
+def metadata_events(pid: int, process_name: str) -> list[dict[str, Any]]:
+    """The Chrome ``"M"`` event naming process row ``pid``.
+
+    Without it a row shows as a bare pid integer; a campaign trace labels
+    each cell's row ``benchmark/seed``.
+    """
+    return [{"name": "process_name", "ph": "M", "cat": "__metadata",
+             "ts": 0, "pid": pid, "tid": 0, "args": {"name": process_name}}]
 
 
 def series_from_log_events(events: Iterable["LogEvent"]) -> dict[str, list[list[float]]]:

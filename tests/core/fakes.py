@@ -7,7 +7,6 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.suite.base import Benchmark, BenchmarkSpec, TrainingSession
-from repro.telemetry import current_tracer
 
 FAKE_SPEC = BenchmarkSpec(
     name="fake_benchmark",
@@ -39,11 +38,10 @@ class FakeSession(TrainingSession):
         self.epoch_cost_s = epoch_cost_s
 
     def run_epoch(self, epoch: int) -> int:
-        with current_tracer().span("train_step", batch=32):
-            gain = self.speed * (1.0 + 0.3 * self.rng.standard_normal())
-            self.quality = min(self.quality + max(gain, 0.0), 1.0)
-            if self.clock is not None:
-                self.clock.advance(self.epoch_cost_s)
+        gain = self.speed * (1.0 + 0.3 * self.rng.standard_normal())
+        self.quality = min(self.quality + max(gain, 0.0), 1.0)
+        if self.clock is not None:
+            self.clock.advance(self.epoch_cost_s)
         return 32
 
     def evaluate(self) -> float:

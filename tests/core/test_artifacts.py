@@ -237,7 +237,7 @@ class TestRunResultMetricsRoundtrip:
         clock = FakeClock()
         bench = FakeBenchmark(clock=clock)
         runner = BenchmarkRunner(clock=clock)
-        telemetry = Telemetry(clock=clock)
+        telemetry = Telemetry()
         with telemetry.activate():
             telemetry.metrics.counter("allreduce_elements").inc(1000)
             telemetry.metrics.counter("allreduce_bytes").inc(8000)
@@ -272,7 +272,7 @@ class TestRunResultMetricsRoundtrip:
         from repro.telemetry import Telemetry
 
         clock = FakeClock()
-        telemetry = Telemetry(clock=clock)
+        telemetry = Telemetry()
         with telemetry.activate():
             wide = Tensor(np.ones((2, 3), dtype=np.float64))
             narrow = Tensor(np.ones((4, 3), dtype=np.float32))
@@ -300,7 +300,7 @@ class TestRunResultMetricsRoundtrip:
         clock = FakeClock()
         runs = []
         for seed, (searches, evaluations, hits) in enumerate([(92, 1452, 459), (75, 1139, 470)]):
-            telemetry = Telemetry(clock=clock)
+            telemetry = Telemetry()
             telemetry.metrics.counter("mcts_searches").inc(searches)
             telemetry.metrics.counter("mcts_evaluations").inc(evaluations)
             telemetry.metrics.counter("mcts_memo_hits").inc(hits)
@@ -331,7 +331,7 @@ class TestRunResultSeriesRoundtrip:
         clock = FakeClock()
         bench = FakeBenchmark(clock=clock)
         runner = BenchmarkRunner(clock=clock)
-        telemetry = Telemetry(clock=clock, events_clock=clock.now)
+        telemetry = Telemetry(events_clock=clock.now)
         return runner.run(bench, seed=0, telemetry=telemetry)
 
     def test_series_survive_save_load(self, tmp_path):

@@ -9,7 +9,6 @@ from repro.telemetry import (
     EventLog,
     NULL_EVENTS,
     Telemetry,
-    current_telemetry,
     merge_event_streams,
     read_events,
 )
@@ -46,15 +45,16 @@ class TestEventBus:
         assert seen == []
 
     def test_ambient_bus_default_is_disabled(self):
-        assert current_telemetry().events.enabled is False
+        # With no session activated, the ambient session is the disabled one.
+        assert Telemetry.disabled().events.enabled is False
 
     def test_telemetry_session_activates_its_bus(self):
         clock = FakeClock(start=5.0)
-        session = Telemetry(clock=clock, events_clock=clock.now)
+        session = Telemetry(events_clock=clock.now)
         seen = []
         session.events.subscribe(seen.append)
         with session.activate():
-            current_telemetry().events.publish("run_start", seed=0)
+            session.events.publish("run_start", seed=0)
         assert [e.name for e in seen] == ["run_start"]
         assert seen[0].time_s == 5.0
 

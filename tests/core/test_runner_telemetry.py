@@ -15,17 +15,22 @@ from repro.core import (
     parse_log_lines,
 )
 from repro.core.mllog import LogEvent
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, trace_from_log_events
 from tests.core.fakes import FakeBenchmark, FakeSession
 
 
 def run_with_telemetry(epoch_cost=1.0, seed=0):
     clock = FakeClock()
     bench = FakeBenchmark(clock=clock, epoch_cost_s=epoch_cost)
-    tele = Telemetry(clock=clock, pid=seed)
+    tele = Telemetry(pid=seed)
     runner = BenchmarkRunner(clock=clock)
     result = runner.run(bench, seed=seed, telemetry=tele)
     return result, tele
+
+
+def log_trace(log_lines):
+    """The Chrome trace ``repro trace`` rebuilds from a run's log."""
+    return trace_from_log_events(parse_log_lines(log_lines))["traceEvents"]
 
 
 class TestRunResultBreakdown:
@@ -48,35 +53,37 @@ class TestRunResultBreakdown:
 
 class TestRunTrace:
     def test_nested_spans_for_every_phase(self):
-        result, tele = run_with_telemetry()
-        spans = tele.tracer.spans
+        result, _ = run_with_telemetry()
         by_name = {}
-        for s in spans:
-            by_name.setdefault(s.name.split(":")[0], []).append(s)
+        for event in log_trace(result.log_lines):
+            if event["ph"] == "X":
+                by_name.setdefault(event["name"].split(" ")[0], []).append(event)
         assert len(by_name["run"]) == 1
         assert len(by_name["init"]) == 1
         assert len(by_name["model_creation"]) == 1
         assert len(by_name["epoch"]) == result.epochs
         assert len(by_name["eval"]) == len(result.quality_history)
-        assert len(by_name["train_step"]) == result.epochs  # from the session
-        # Nesting: every epoch span lies inside the run span.
+        # Nesting by containment: every epoch lies inside the run.
         (run_span,) = by_name["run"]
         for epoch_span in by_name["epoch"]:
-            assert run_span.start_s <= epoch_span.start_s
-            assert epoch_span.end_s <= run_span.end_s
-            assert epoch_span.depth == run_span.depth + 1
+            assert run_span["ts"] <= epoch_span["ts"]
+            assert (epoch_span["ts"] + epoch_span["dur"]
+                    <= run_span["ts"] + run_span["dur"])
 
     def test_trace_deterministic_under_fake_clock(self):
-        _, a = run_with_telemetry(seed=3)
-        _, b = run_with_telemetry(seed=3)
-        assert a.tracer.chrome_events() == b.tracer.chrome_events()
+        a, _ = run_with_telemetry(seed=3)
+        b, _ = run_with_telemetry(seed=3)
+        assert log_trace(a.log_lines) == log_trace(b.log_lines)
 
     def test_chrome_snapshot_on_result(self):
+        # The result's log is its trace: the snapshot holds metrics and the
+        # op profile only, the phases come from the log.
         result, _ = run_with_telemetry()
-        doc = result.telemetry.to_chrome_trace()
-        json.dumps(doc)
-        assert {e["name"] for e in doc["traceEvents"]} >= {"init", "model_creation",
-                                                           "epoch", "eval"}
+        events = log_trace(result.log_lines)
+        json.dumps(events)
+        assert {e["name"].split(" ")[0] for e in events} >= {
+            "init", "model_creation", "run", "epoch", "eval"}
+        assert set(vars(result.telemetry)) == {"metrics", "op_profile"}
 
     def test_metrics_snapshot_on_result(self):
         result, _ = run_with_telemetry(epoch_cost=2.0)
@@ -188,35 +195,37 @@ class TestAbort:
     def test_failed_run_trace_spans_closed(self):
         clock = FakeClock()
         bench = _ExplodingBenchmark(clock=clock, epoch_cost_s=1.0)
-        tele = Telemetry(clock=clock)
+        tele = Telemetry()
         runner = BenchmarkRunner(clock=clock)
         with pytest.raises(RunFailure) as excinfo:
             runner.run(bench, seed=0, telemetry=tele)
-        assert tele.tracer.open_spans == []
-        failed = [s for s in tele.tracer.spans if s.args.get("error")]
-        assert failed  # the failing epoch span carries the error tag
+        events = parse_log_lines(excinfo.value.log_lines)
+        starts = [e for e in events if e.key.endswith("_start")]
+        spans = [e for e in log_trace(excinfo.value.log_lines) if e["ph"] == "X"]
+        assert len(spans) == len(starts)  # no phase left open
+        failed = [e for e in spans if e["args"].get("error")]
+        assert [e["name"] for e in failed] == ["epoch 2"]  # the epoch it died in
         assert excinfo.value.telemetry is not None
 
     def test_failure_telemetry_is_a_loadable_partial_trace(self):
-        # Satellite: the snapshot riding on RunFailure must already hold
-        # the exported (closed) spans, so the CLI can write a trace file
-        # without touching the live tracer again.
+        # The partial log riding on RunFailure is a loadable trace: every
+        # phase the run entered, the in-flight epoch tagged with the error.
         clock = FakeClock()
         bench = _ExplodingBenchmark(clock=clock, epoch_cost_s=1.0)
-        tele = Telemetry(clock=clock, profile="full")
+        tele = Telemetry(profile="full")
         runner = BenchmarkRunner(clock=clock)
         with pytest.raises(RunFailure) as excinfo:
             runner.run(bench, seed=0, telemetry=tele)
-        snap = excinfo.value.telemetry
-        names = {e["name"] for e in snap.trace_events if e.get("ph") == "X"}
-        assert "epoch" in names  # aborted spans exported anyway
-        assert any(n.startswith("run:") for n in names)
-        tagged = [e for e in snap.trace_events
+        events = log_trace(excinfo.value.log_lines)
+        names = {e["name"] for e in events if e.get("ph") == "X"}
+        assert {"init", "model_creation", "run", "epoch 1", "eval 1", "epoch 2"} <= names
+        tagged = [e for e in events
                   if e.get("args", {}).get("error") == "ArithmeticError"]
-        assert tagged  # the unwound spans carry the failure tag
-        json.dumps(snap.trace_events)  # serializable as-is
+        assert [(e["name"], e["args"]["aborted"]) for e in tagged] == [("epoch 2", True)]
+        json.dumps(events)  # serializable as-is
         # The profiler snapshot flushed too (its op table is empty: the
         # fake session runs no kernel).
+        snap = excinfo.value.telemetry
         assert snap.op_profile.get("mode") == "full"
         assert snap.op_profile.get("ops") == {}
 

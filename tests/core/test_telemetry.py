@@ -1,98 +1,21 @@
-"""Telemetry primitives: spans, metrics, exporters — deterministic via FakeClock."""
+"""Telemetry primitives: metrics, the ambient session, log-built traces."""
 
 import json
 
 import pytest
 
-from repro.core import FakeClock
 from repro.core.mllog import Keys, LogEvent
 from repro.telemetry import (
     NULL_METRICS,
-    NULL_SPAN,
     MetricsRegistry,
     Telemetry,
-    Tracer,
-    chrome_trace_from_intervals,
     current_metrics,
-    current_tracer,
+    current_profiler,
     decompose_log_events,
-    dedupe_metadata_events,
     merge_snapshots,
     metadata_events,
     trace_from_log_events,
 )
-
-
-class TestTracer:
-    def test_span_records_deterministic_times(self):
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        with tracer.span("outer"):
-            clock.advance(1.0)
-            with tracer.span("inner", detail=7):
-                clock.advance(0.5)
-            clock.advance(0.25)
-        outer, inner = tracer.spans
-        assert outer.name == "outer" and outer.depth == 0
-        assert inner.name == "inner" and inner.depth == 1
-        assert inner.start_s == 1.0 and inner.duration_s == 0.5
-        assert outer.duration_s == pytest.approx(1.75)
-        assert inner.args == {"detail": 7}
-
-    def test_span_set_attaches_args(self):
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("work") as span:
-            span.set(items=3)
-        assert tracer.spans[0].args["items"] == 3
-
-    def test_exception_closes_span_and_tags_error(self):
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        with pytest.raises(ValueError):
-            with tracer.span("doomed"):
-                clock.advance(2.0)
-                raise ValueError("boom")
-        (span,) = tracer.spans
-        assert span.end_s == 2.0
-        assert span.args["error"] == "ValueError"
-        assert tracer.open_spans == []
-
-    def test_instant_event(self):
-        clock = FakeClock(5.0)
-        tracer = Tracer(clock=clock)
-        tracer.instant("marker", note="x")
-        (span,) = tracer.spans
-        assert span.start_s == span.end_s == 5.0
-
-    def test_disabled_tracer_is_noop(self):
-        tracer = Tracer(clock=FakeClock(), enabled=False)
-        cm = tracer.span("anything", a=1)
-        assert cm is NULL_SPAN  # one shared object, no allocation per span
-        with cm as span:
-            span.set(b=2)
-        tracer.instant("marker")
-        assert tracer.spans == []
-
-    def test_chrome_export_shape(self):
-        clock = FakeClock()
-        tracer = Tracer(clock=clock, pid=3)
-        with tracer.span("run"):
-            clock.advance(2.0)
-        doc = tracer.to_chrome_trace()
-        assert doc["displayTimeUnit"] == "ms"
-        (event,) = doc["traceEvents"]
-        assert event["ph"] == "X"
-        assert event["ts"] == 0.0
-        assert event["dur"] == 2e6  # trace_event times are microseconds
-        assert event["pid"] == 3
-        json.loads(tracer.to_json())  # valid JSON document
-
-    def test_open_spans_not_exported(self):
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        cm = tracer.span("open")
-        cm.__enter__()
-        assert tracer.chrome_events() == []
 
 
 class TestMetrics:
@@ -185,15 +108,16 @@ class TestMergeSnapshots:
 
 class TestAmbientContext:
     def test_default_is_disabled(self):
-        assert not current_tracer().enabled
         assert not current_metrics().enabled
+        assert not current_profiler().active
 
     def test_activation_scopes_the_session(self):
-        tele = Telemetry(clock=FakeClock())
+        tele = Telemetry()
         with tele.activate():
-            assert current_tracer() is tele.tracer
+            assert current_metrics() is tele.metrics
+            assert current_profiler() is tele.profiler
             current_metrics().counter("k").inc()
-        assert not current_tracer().enabled
+        assert not current_metrics().enabled
         assert tele.metrics.counter("k").value == 1
 
     def test_disabled_singleton_shared(self):
@@ -252,42 +176,65 @@ class TestLogDerivedTelemetry:
         assert decompose_log_events(events).epochs == 0
 
 
-def _x_event(name, ts, dur, pid=0, tid=0):
-    return {"name": name, "ph": "X", "ts": ts, "dur": dur,
-            "pid": pid, "tid": tid, "args": {}}
+class TestTracer:
+    """The one trace producer: Chrome events rebuilt from a §4.1 log."""
+
+    RUN = TestLogDerivedTelemetry.EVENTS
+
+    def test_span_records_deterministic_times(self):
+        spans = {e["name"]: e for e in trace_from_log_events(self.RUN)["traceEvents"]}
+        assert (spans["epoch 1"]["ts"], spans["epoch 1"]["dur"]) == (300_000.0, 1_000_000.0)
+        assert spans["epoch 1"]["args"] == {"epoch_num": 1}
+        # Nesting is timestamp containment: the epoch and eval lie inside the run.
+        run = spans["run"]
+        for name in ("epoch 1", "eval 1"):
+            assert run["ts"] <= spans[name]["ts"]
+            assert spans[name]["ts"] + spans[name]["dur"] <= run["ts"] + run["dur"]
+
+    def test_exception_closes_span_and_tags_error(self):
+        events = self.RUN[:5] + _interval_log([
+            (Keys.EPOCH_START, 300.0, {"epoch_num": 1}),
+            (Keys.RUN_STOP, 900.0, {"status": "error", "error": "ArithmeticError"}),
+        ])
+        spans = {e["name"]: e for e in trace_from_log_events(events)["traceEvents"]}
+        assert sorted(spans) == ["epoch 1", "init", "model_creation", "run"]
+        assert spans["epoch 1"]["dur"] == pytest.approx(600.0 * 1000)
+        assert spans["epoch 1"]["args"] == {
+            "epoch_num": 1, "aborted": True, "error": "ArithmeticError"}
+        # The phases the run finished are not tagged.
+        assert "aborted" not in spans["run"]["args"]
+
+    def test_instant_event(self):
+        marker = LogEvent(key=Keys.EVAL_ACCURACY, value=0.9, time_ms=5.0,
+                          metadata={"epoch_num": 1})
+        (event,) = trace_from_log_events([marker], pid=4)["traceEvents"]
+        assert (event["ph"], event["ts"], event["pid"]) == ("i", 5000.0, 4)
+        assert event["args"] == {"value": 0.9, "epoch_num": 1}
+
+    def test_chrome_export_shape(self):
+        run = _interval_log([(Keys.RUN_START, 0.0, {}), (Keys.RUN_STOP, 2000.0, {})])
+        doc = trace_from_log_events(run, pid=3)
+        assert doc["displayTimeUnit"] == "ms"
+        (event,) = doc["traceEvents"]
+        assert event["ph"] == "X"
+        assert event["ts"] == 0.0
+        assert event["dur"] == 2e6  # trace_event times are microseconds
+        assert event["pid"] == 3
+        json.loads(json.dumps(doc))  # valid JSON document
+
+    def test_open_spans_not_exported(self):
+        # A log cut before its run_stop (a killed writer) closes nothing.
+        events = self.RUN[:5] + _interval_log([(Keys.EPOCH_START, 300.0, {"epoch_num": 1})])
+        names = {e["name"] for e in trace_from_log_events(events)["traceEvents"]}
+        assert names == {"init", "model_creation"}
 
 
 class TestMetadataCollisions:
-    def test_pid_reuse_across_attempts_merges_labels(self):
-        # Two attempts of the same cell share pid=3; the merged trace must
-        # keep both identities on the one process row, not let merge order
-        # decide which label survives.
-        merged = (metadata_events(3, "ncf/0 attempt0")
-                  + [_x_event("run", 0, 10, pid=3)]
-                  + metadata_events(3, "ncf/0 attempt1")
-                  + [_x_event("run", 20, 10, pid=3)])
-        deduped = dedupe_metadata_events(merged)
-        meta = [e for e in deduped if e["ph"] == "M"]
-        assert len(meta) == 1
-        assert meta[0]["args"]["name"] == "ncf/0 attempt0 | ncf/0 attempt1"
-        # Non-metadata events all survive, in order.
-        assert [e["ts"] for e in deduped if e["ph"] == "X"] == [0, 20]
-
-    def test_exact_duplicates_collapse_without_suffix(self):
-        events = metadata_events(1, "worker") + metadata_events(1, "worker")
-        deduped = dedupe_metadata_events(events)
-        assert len(deduped) == 1
-        assert deduped[0]["args"]["name"] == "worker"
-
-    def test_distinct_rows_are_untouched(self):
-        events = (metadata_events(1, "a", "t", tid=0)
-                  + metadata_events(2, "b", "t", tid=0))
-        assert len(dedupe_metadata_events(events)) == 4
-
     def test_intervals_trace_carries_metadata(self):
-        doc = chrome_trace_from_intervals(
-            [("epoch", 0.0, 1.0, {})], pid=7, process_name="ncf/0")
-        meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
+        epoch = _interval_log([(Keys.EPOCH_START, 0.0, {"epoch_num": 1}),
+                               (Keys.EPOCH_STOP, 1000.0, {"epoch_num": 1})])
+        events = metadata_events(7, "ncf/0") + trace_from_log_events(epoch, pid=7)["traceEvents"]
+        meta = [e for e in events if e["ph"] == "M"]
         assert meta and meta[0]["pid"] == 7
         assert meta[0]["args"]["name"] == "ncf/0"
-        assert [e["name"] for e in doc["traceEvents"] if e["ph"] == "X"] == ["epoch"]
+        assert [(e["name"], e["pid"]) for e in events if e["ph"] == "X"] == [("epoch 1", 7)]

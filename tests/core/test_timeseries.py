@@ -4,17 +4,27 @@ from repro.core import BenchmarkRunner, FakeClock, Keys, RunResult, render_serie
 from repro.core.mllog import LogEvent, MLLogger, parse_log_lines
 from repro.core.reporting import _sparkline
 from repro.telemetry import Telemetry, series_from_log_events
-from tests.core.fakes import FakeBenchmark
+from tests.core.fakes import FakeBenchmark, FakeSession
 
 
-def _run(telemetry=None, allreduce_bytes=None):
+class _AllReducingSession(FakeSession):
+    """Reports the running all-reduce total a data-parallel session logs."""
+
+    def tracked_stats(self):
+        return {"allreduce_bytes": 4096.0}
+
+
+class _AllReducingBenchmark(FakeBenchmark):
+    def create_session(self, seed, hyperparameters):
+        return _AllReducingSession(seed, hyperparameters, clock=self.clock,
+                                   epoch_cost_s=self.epoch_cost_s)
+
+
+def _run(telemetry=None, benchmark=FakeBenchmark):
     clock = FakeClock()
     runner = BenchmarkRunner(clock=clock)
     telemetry = telemetry(clock) if telemetry else None
-    if allreduce_bytes is not None:
-        # The comms layer creates this counter only in data-parallel runs.
-        telemetry.metrics.counter("allreduce_bytes").inc(allreduce_bytes)
-    return runner.run(FakeBenchmark(clock=clock, epoch_cost_s=2.0), seed=0,
+    return runner.run(benchmark(clock=clock, epoch_cost_s=2.0), seed=0,
                       telemetry=telemetry)
 
 
@@ -30,7 +40,7 @@ def _log_run(seed, events) -> RunResult:
 
 class TestRunSeries:
     def test_series_come_from_the_log_events(self):
-        run = _run(lambda clock: Telemetry(clock=clock, events_clock=clock.now))
+        run = _run(lambda clock: Telemetry(events_clock=clock.now))
         events = parse_log_lines(run.log_lines)
         series = series_from_log_events(events)
         assert sorted(series) == ["epoch_seconds", "eval_quality", "examples_per_second"]
@@ -43,12 +53,12 @@ class TestRunSeries:
         assert [v for _, _, v in series["examples_per_second"]] == [16.0] * run.epochs
 
     def test_allreduce_bytes_ride_in_tracked_stats(self):
-        run = _run(lambda clock: Telemetry(clock=clock), allreduce_bytes=4096)
+        run = _run(benchmark=_AllReducingBenchmark)
         series = series_from_log_events(parse_log_lines(run.log_lines))
         assert [(e, v) for _, e, v in series["allreduce_bytes"]] == [
             (epoch, 4096.0) for epoch in range(1, run.epochs + 1)]
-        # No counter, no row: a single-process run carries no empty series.
-        plain = _run(lambda clock: Telemetry(clock=clock))
+        # Nothing reduced, no row: a single-process run carries no empty series.
+        plain = _run(lambda clock: Telemetry())
         assert "allreduce_bytes" not in series_from_log_events(
             parse_log_lines(plain.log_lines))
 

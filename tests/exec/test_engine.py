@@ -173,11 +173,23 @@ class TestCampaignResults:
     def test_merged_telemetry_has_one_pid_row_per_cell(self):
         bench = FakeBenchmark(clock=FakeClock())
         out = _campaign(bench, CampaignSpec(benchmarks=("fake_benchmark",), seeds=3))
-        pids = {e["pid"] for e in out.telemetry.trace_events}
+        pids = {e["pid"] for e in out.chrome_trace()["traceEvents"]}
         assert pids == {0, 1, 2}
         # Worker metrics merged parent-side: epochs from all runs pooled.
         assert out.telemetry.metrics["epochs"]["value"] == sum(
             r.epochs for r in out.runs_by_benchmark["fake_benchmark"])
+
+    def test_faulted_attempt_keeps_its_partial_trace_on_the_cells_row(self):
+        flaky = FlakyBenchmark(failures=1, clock=FakeClock())
+        out = _campaign(flaky, CampaignSpec(benchmarks=("fake_benchmark",), seeds=1))
+        events = out.chrome_trace()["traceEvents"]
+        assert [e["args"]["name"] for e in events if e["ph"] == "M"] == ["fake_benchmark/0"]
+        assert {e["pid"] for e in events} == {0}
+        aborted = [(e["name"], e["args"]) for e in events if e["args"].get("aborted")]
+        # The first attempt died creating its model; the retry ran to target.
+        assert aborted == [("model_creation", {"aborted": True, "error": "ValueError"})]
+        names = [e["name"] for e in events if e["ph"] == "X"]
+        assert names.count("model_creation") == 2 and names.count("run") == 1
 
     def test_bench_payload_shape(self):
         bench = FakeBenchmark(clock=FakeClock())
@@ -230,6 +242,19 @@ class TestResume:
                [(r.seed, r.quality, r.epochs) for r in b]
         assert resumed.scores["fake_benchmark"].mean_epochs == \
                fresh.scores["fake_benchmark"].mean_epochs
+
+    def test_resumed_cells_keep_their_trace_rows(self, tmp_path):
+        spec = CampaignSpec(benchmarks=("fake_benchmark",), seeds=3)
+        fresh = _campaign(FakeBenchmark(clock=FakeClock()), spec, journal_dir=tmp_path)
+        resumed = _campaign(FakeBenchmark(clock=FakeClock()), spec,
+                            journal_dir=tmp_path, resume=True)
+        assert resumed.summary.executed == 0
+        rows = {e["pid"]: e["args"]["name"]
+                for e in resumed.chrome_trace()["traceEvents"] if e["ph"] == "M"}
+        assert rows == {s: f"fake_benchmark/{s}" for s in range(3)}
+        # A resumed cell's row is the one its saved log gives: the same
+        # phases as the run that wrote it.
+        assert resumed.chrome_trace() == fresh.chrome_trace()
 
     def test_resume_requires_a_journal_directory(self):
         bench = FakeBenchmark(clock=FakeClock())

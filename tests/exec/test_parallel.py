@@ -61,7 +61,7 @@ class TestParallelIdentity:
     def test_parallel_merges_worker_telemetry(self):
         outcome = run_campaign(SPEC, executor=MultiprocessExecutor(max_workers=2),
                                policy=RetryPolicy(max_retries=0))
-        pids = {e["pid"] for e in outcome.telemetry.trace_events}
+        pids = {e["pid"] for e in outcome.chrome_trace()["traceEvents"]}
         assert pids == {0, 1, 2}  # one trace row per seed, merged parent-side
 
     def test_worker_cap_validated(self):

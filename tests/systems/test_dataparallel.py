@@ -189,4 +189,21 @@ class TestAllReduceAccounting:
         n_elements = sum(p.data.size for p in model.parameters())
         n_bytes = sum(p.data.size * p.data.itemsize for p in model.parameters())
         assert snap["allreduce_elements"]["value"] == 2 * n_elements
-        assert snap["allreduce_bytes"]["value"] == 2 * n_bytes
+        assert snap["allreduce_bytes"]["value"] == dp.allreduce_bytes == 2 * n_bytes
+
+    def test_library_run_logs_the_bytes_a_session_run_logs(self):
+        """The §4.1 log of a data-parallel run does not depend on an attached session."""
+        from repro.core import BenchmarkRunner, FakeClock, Keys, parse_log_lines
+        from repro.suite import create_benchmark
+        from repro.telemetry import Telemetry
+
+        bench = create_benchmark("recommendation")
+        library = BenchmarkRunner(clock=FakeClock()).run(
+            bench, 0, {"dp_workers": 2}, max_epochs=1)
+        telemetry = Telemetry()
+        session = BenchmarkRunner(clock=FakeClock()).run(
+            bench, 0, {"dp_workers": 2}, max_epochs=1, telemetry=telemetry)
+        assert library.log_lines == session.log_lines
+        (stats,) = [e.value for e in parse_log_lines(library.log_lines)
+                    if e.key == Keys.TRACKED_STATS]
+        assert stats["allreduce_bytes"] == telemetry.metrics.counter("allreduce_bytes").value > 0

@@ -233,11 +233,9 @@ class TestObservabilityCommands:
         doc = json.loads(trace_path.read_text())
         assert doc["displayTimeUnit"] == "ms"
         names = {e["name"] for e in doc["traceEvents"]}
-        assert {"init", "model_creation", "epoch", "eval",
-                "train_step", "run:recommendation"} <= names
-        # Spans and instants, plus the campaign's process/thread name rows.
-        assert all(e["ph"] in ("X", "i") or (e["ph"], e["name"]) in
-                   {("M", "process_name"), ("M", "thread_name")}
+        assert {"init", "model_creation", "run", "epoch 1", "eval 1"} <= names
+        # Spans and instants, plus the cell's process name row.
+        assert all(e["ph"] in ("X", "i") or (e["ph"], e["name"]) == ("M", "process_name")
                    for e in doc["traceEvents"])
 
         # profile: the per-phase decomposition table over the saved round.
@@ -265,6 +263,45 @@ class TestObservabilityCommands:
         assert code == 0
         assert (save / "trace.json").is_file()
         assert "artifacts written" in text
+
+    @staticmethod
+    def _rows(doc):
+        """``{pid: label}`` of a trace's process rows."""
+        return {e["pid"]: e["args"]["name"] for e in doc["traceEvents"] if e["ph"] == "M"}
+
+    def test_campaign_trace_rows_equal_repro_trace_of_each_result_file(self, tmp_path):
+        import json
+
+        code, _ = run_cli("campaign", "recommendation", "--seeds", "2",
+                          "--save", str(tmp_path / "camp"),
+                          "--trace", str(tmp_path / "campaign.json"))
+        assert code == 0
+        doc = json.loads((tmp_path / "campaign.json").read_text())
+        assert self._rows(doc) == {0: "recommendation/0", 1: "recommendation/1"}
+        for seed in (0, 1):
+            result = tmp_path / "camp" / "jobs" / "recommendation" / f"seed_{seed}.txt"
+            out = tmp_path / f"seed_{seed}.json"
+            assert run_cli("trace", str(result), "-o", str(out))[0] == 0
+            from_file = [{**e, "pid": None} for e in json.loads(out.read_text())["traceEvents"]
+                         if e["ph"] == "X"]
+            cell = [{**e, "pid": None} for e in doc["traceEvents"]
+                    if e["ph"] == "X" and e["pid"] == seed]
+            assert cell == from_file
+            assert any(e["name"] == "epoch 1" for e in cell)
+
+    def test_resumed_campaign_trace_has_a_row_per_cell(self, tmp_path):
+        import json
+
+        camp = tmp_path / "camp"
+        assert run_cli("campaign", "recommendation", "--seeds", "2", "--save", str(camp),
+                       "--trace", str(tmp_path / "fresh.json"))[0] == 0
+        code, text = run_cli("campaign", "recommendation", "--seeds", "2",
+                             "--resume", str(camp), "--trace", str(tmp_path / "resumed.json"))
+        assert code == 0
+        assert "(0 events)" not in text
+        resumed = json.loads((tmp_path / "resumed.json").read_text())
+        assert self._rows(resumed) == {0: "recommendation/0", 1: "recommendation/1"}
+        assert resumed == json.loads((tmp_path / "fresh.json").read_text())
 
     def test_campaign_trace_creates_parent_directories(self, tmp_path):
         import json
@@ -485,7 +522,7 @@ class TestProfileSeries:
 
         from repro.telemetry import Telemetry
 
-        _, base = self._fake_submission(tmp_path, lambda clock: Telemetry(clock=clock))
+        _, base = self._fake_submission(tmp_path, lambda clock: Telemetry())
         code, fresh = run_cli("profile", str(base), "--series")
         [path] = base.rglob("result_*.txt")
         first, _, rest = path.read_text().partition("\n")
@@ -829,23 +866,27 @@ class TestProfileCommand:
 
 class TestFailedRunTraceFlush:
     def test_failed_run_writes_partial_trace(self, tmp_path, monkeypatch):
-        """A crashed run still leaves a loadable trace file."""
+        """A crashed run still leaves a loadable trace: every phase it entered,
+        the in-flight epoch tagged with the error."""
         import json
 
+        from repro.core import FakeClock, MLLogger
         from repro.core import runner as runner_mod
-        from repro.telemetry import RunTelemetry
+        from repro.core.mllog import Keys
 
-        events = [{"name": "run", "ph": "X", "ts": 0, "dur": 7_000_000,
-                   "pid": 0, "tid": 0, "args": {"aborted": True}},
-                  {"name": "epoch", "ph": "X", "ts": 0, "dur": 5_000_000,
-                   "pid": 0, "tid": 0,
-                   "args": {"aborted": True, "error": "ValueError"}}]
+        clock = FakeClock()
+        log = MLLogger(clock)
+        for key in (Keys.INIT_START, Keys.INIT_STOP, Keys.MODEL_CREATION_START,
+                    Keys.MODEL_CREATION_STOP, Keys.RUN_START):
+            log.event(key)
+        log.event(Keys.EPOCH_START, 1, epoch_num=1)
+        clock.advance(5.0)
+        log.event(Keys.RUN_STOP, status="error", error="ValueError")
 
         def explode(self, benchmark, *, seed=0, **kwargs):
             raise runner_mod.RunFailure(
                 benchmark=benchmark.spec.name, seed=seed,
-                cause=ValueError("injected crash"), log_lines=[],
-                telemetry=RunTelemetry(trace_events=events))
+                cause=ValueError("injected crash"), log_lines=log.to_lines())
 
         monkeypatch.setattr(runner_mod.BenchmarkRunner, "run", explode)
         trace = tmp_path / "trace.json"
@@ -855,9 +896,11 @@ class TestFailedRunTraceFlush:
         assert "recommendation/0 fault: ValueError: injected crash\n" in text
         assert "trace written" in text
         doc = json.loads(trace.read_text())
-        names = {e["name"] for e in doc["traceEvents"]}
-        assert {"run", "epoch"} <= names
-        assert any(e["args"].get("aborted") for e in doc["traceEvents"])
+        spans = {e["name"]: e for e in doc["traceEvents"] if e["ph"] == "X"}
+        assert set(spans) == {"init", "model_creation", "run", "epoch 1"}
+        assert spans["epoch 1"]["args"] == {
+            "epoch_num": 1, "aborted": True, "error": "ValueError"}
+        assert spans["epoch 1"]["dur"] == 5e6
 
 
 class TestTable1Json:
