@@ -287,11 +287,6 @@ class CampaignSummary:
     def speedup(self) -> float:
         return self.total_ttt_s / self.wall_clock_s if self.wall_clock_s > 0 else 0.0
 
-    @property
-    def failed(self) -> int:
-        """Cells that ended without a result (faults + timeouts)."""
-        return self.faults + self.timeouts
-
 
 def render_campaign_summary(
     summary: CampaignSummary,

@@ -179,10 +179,8 @@ class BenchmarkRunner:
 
     def _execute(self, benchmark, spec, seed, hp, max_epochs, logger, timer, tele,
                  deadline=None):
-        """The §3.2.1 phase sequence, logged (§4.1) and instrumented with metrics."""
-        metrics = tele.metrics
+        """The §3.2.1 phase sequence, logged (§4.1) and published as events."""
         events = tele.events
-        samples = metrics.counter("samples_seen")
 
         timer.init_start()
         logger.event(Keys.INIT_START)
@@ -206,6 +204,7 @@ class BenchmarkRunner:
         quality = float("-inf")
         history: list[float] = []
         epochs_run = 0
+        samples_total = 0.0
         for epoch in range(1, cap + 1):
             if deadline is not None and self.clock.now() >= deadline:
                 raise RunTimeout(
@@ -216,29 +215,24 @@ class BenchmarkRunner:
             epoch_t0 = self.clock.now()
             epoch_samples = session.run_epoch(epoch - 1) or 0
             epoch_dt = self.clock.now() - epoch_t0
-            samples.inc(epoch_samples)
+            samples_total += epoch_samples
             logger.event(Keys.EPOCH_STOP, epoch, epoch_num=epoch)
-            metrics.histogram("epoch_seconds").observe(epoch_dt)
-            metrics.counter("epochs").inc()
             stats = {"epoch_seconds": epoch_dt}
             if epoch_samples:
                 stats["samples"] = epoch_samples
             stats.update(session.tracked_stats())
             logger.event(Keys.TRACKED_STATS, stats, epoch_num=epoch)
             if epoch_dt > 0 and epoch_samples > 0:
-                eps = epoch_samples / epoch_dt
-                metrics.gauge("examples_per_second").set(eps)
-                logger.event(Keys.THROUGHPUT, eps, epoch_num=epoch)
+                logger.event(Keys.THROUGHPUT, epoch_samples / epoch_dt,
+                             epoch_num=epoch)
             events.publish("epoch", epoch=epoch,
                            epoch_seconds=epoch_dt,
                            samples=epoch_samples,
-                           samples_total=samples.value)
+                           samples_total=samples_total)
             epochs_run = epoch
             if epoch % self.eval_every == 0 or epoch == cap:
                 logger.event(Keys.EVAL_START, epoch_num=epoch)
-                eval_t0 = self.clock.now()
                 quality = float(session.evaluate())
-                metrics.histogram("eval_seconds").observe(self.clock.now() - eval_t0)
                 history.append(quality)
                 logger.event(
                     Keys.EVAL_ACCURACY, quality, epoch_num=epoch,

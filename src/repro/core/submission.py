@@ -89,9 +89,6 @@ class Submission:
     def add_runs(self, benchmark: str, results: list[RunResult]) -> None:
         self.runs.setdefault(benchmark, []).extend(results)
 
-    def benchmarks(self) -> list[str]:
-        return sorted(self.runs)
-
     def validate_category(self) -> list[str]:
         """Category self-consistency checks (§4.2.2).
 

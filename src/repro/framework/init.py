@@ -14,9 +14,7 @@ __all__ = [
     "kaiming_normal",
     "kaiming_uniform",
     "xavier_uniform",
-    "xavier_normal",
     "normal",
-    "uniform",
     "zeros",
     "ones",
 ]
@@ -52,18 +50,8 @@ def xavier_uniform(shape, rng: np.random.Generator, gain: float = 1.0) -> np.nda
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
-def xavier_normal(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    fan_in, fan_out = _fan(tuple(shape))
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape).astype(np.float32)
-
-
 def normal(shape, rng: np.random.Generator, std: float = 0.01, mean: float = 0.0) -> np.ndarray:
     return rng.normal(mean, std, size=shape).astype(np.float32)
-
-
-def uniform(shape, rng: np.random.Generator, low: float = -0.1, high: float = 0.1) -> np.ndarray:
-    return rng.uniform(low, high, size=shape).astype(np.float32)
 
 
 def zeros(shape) -> np.ndarray:

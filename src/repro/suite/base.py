@@ -63,8 +63,8 @@ class TrainingSession(ABC):
     def run_epoch(self, epoch: int) -> int | None:
         """Train for one epoch (or one RL iteration); return the samples trained on.
 
-        The runner is the one writer of sample counts: it logs them and
-        feeds the ``samples_seen`` counter, whatever telemetry is attached.
+        The runner is the one writer of sample counts: it logs them in the
+        epoch's ``tracked_stats``, whatever telemetry is attached.
         ``None`` means the session does not count them.
         """
 
@@ -91,11 +91,12 @@ class TrainingSession(ABC):
         return {}
 
     def tracked_stats(self) -> dict[str, float]:
-        """Running totals the session keeps, logged in each epoch's ``tracked_stats``.
+        """Figures the session keeps, logged in each epoch's ``tracked_stats``.
 
         The runner logs them beside ``epoch_seconds`` and ``samples``,
         whatever telemetry is attached: a data-parallel session reports the
-        bytes its engine all-reduced so far.  The default reports none.
+        bytes its engine all-reduced so far, reinforcement the size of its
+        replay buffer.  The default reports none.
         """
         return {}
 

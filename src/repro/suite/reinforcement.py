@@ -27,7 +27,6 @@ from ..go import MCTSConfig, selfplay_batch
 from ..go.pro import DEFAULT_KOMI, pro_reference_games
 from ..metrics import move_match_rate
 from ..models import MiniGoNet
-from ..telemetry import current_metrics
 from .base import Benchmark, BenchmarkSpec, TrainingSession, chunked_forward
 
 __all__ = ["ReinforcementBenchmark"]
@@ -84,7 +83,6 @@ class _Session(TrainingSession):
         self.replay.extend(examples)
         if len(self.replay) > self.hp["replay_capacity"]:
             self.replay = self.replay[-self.hp["replay_capacity"] :]
-        current_metrics().gauge("replay_buffer_size").set(len(self.replay))
         # 2. Gradient steps on the replay buffer.
         self.model.train()
         seen = 0
@@ -101,6 +99,9 @@ class _Session(TrainingSession):
             self.optimizer.step()
             seen += len(idx)
         return seen
+
+    def tracked_stats(self) -> dict[str, float]:
+        return {"replay_buffer_size": float(len(self.replay))}
 
     def evaluate(self) -> float:
         self.model.eval()

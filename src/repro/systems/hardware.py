@@ -16,7 +16,7 @@ time-to-train:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["ChipSpec", "Interconnect", "SystemConfig"]
 
@@ -84,9 +84,3 @@ class SystemConfig:
     num_chips: int
     interconnect: Interconnect
     software_efficiency: float = 1.0
-
-    def with_chips(self, num_chips: int) -> "SystemConfig":
-        return replace(self, num_chips=num_chips)
-
-    def with_software_efficiency(self, efficiency: float) -> "SystemConfig":
-        return replace(self, software_efficiency=efficiency)

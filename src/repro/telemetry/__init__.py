@@ -6,8 +6,9 @@ that time-to-accuracy is only interpretable when wall-clock can be
 decomposed into data pipeline vs. compute vs. eval.  This package is the
 measurement substrate for that decomposition:
 
-- :mod:`repro.telemetry.metrics` — counters, gauges, and fixed-bucket
-  histograms in a :class:`MetricsRegistry` with a text summary renderer;
+- :mod:`repro.telemetry.metrics` — the counters a :class:`MetricsRegistry`
+  keeps for what the log does not hold (MCTS work, all-reduce traffic,
+  kernel fallbacks);
 - :mod:`repro.telemetry.profile` — the readers of a structured log
   (phase decomposition, the Chrome trace, per-epoch series) and the
   serializable :class:`RunTelemetry` snapshot;
@@ -87,8 +88,6 @@ from .opprof import (
 )
 from .metrics import (
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     NULL_METRICS,
     merge_snapshots,
@@ -118,8 +117,6 @@ __all__ = [
     "EventBus",
     "EventCursor",
     "EventLog",
-    "Gauge",
-    "Histogram",
     "JobView",
     "MetricSpec",
     "MetricsRegistry",

@@ -10,12 +10,9 @@ format is unit-testable without a server.
 
 Mapping rules:
 
-- counters/gauges export verbatim under a sanitized ``repro_`` name;
-- histograms export the native histogram family (``_bucket`` with
-  cumulative counts and ``le`` labels, ``_sum``, ``_count``) plus
-  interpolated ``{quantile="0.5|0.9|0.99"}`` gauge lines computed by
-  :meth:`~repro.telemetry.metrics.Histogram.quantile` — the p50/p90/p99
-  a latency dashboard wants without running a query engine;
+- counters export verbatim under a sanitized ``repro_`` name (the
+  registry holds nothing else; epoch time, eval time and throughput are
+  in each run's §4.1 log and its ``/api/runs/.../series``);
 - job states become ``repro_campaign_jobs{campaign=...,status=...}``
   gauges plus per-campaign progress/stall summaries;
 - alerts become a 0/1 ``repro_alert_firing`` gauge per (rule, subject).
@@ -31,8 +28,6 @@ __all__ = ["EXPOSITION_CONTENT_TYPE", "sanitize_metric_name", "format_labels",
            "snapshot_lines", "view_lines", "alert_lines", "render_exposition"]
 
 EXPOSITION_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-EXPORTED_QUANTILES = (0.5, 0.9, 0.99)
 
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _NAME_BAD_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
@@ -68,60 +63,17 @@ def _fmt(value: float) -> str:
     return repr(value)
 
 
-def _interpolated_quantile(inst: dict[str, Any], q: float) -> float | None:
-    """:meth:`Histogram.quantile` over a serialized snapshot entry."""
-    from .metrics import Histogram
-
-    hist = Histogram("_q", tuple(inst["buckets"]))
-    hist.counts = list(inst["counts"])
-    hist.count = int(inst["count"])
-    hist.sum = float(inst["sum"])
-    if inst.get("min") is not None:
-        hist.min = float(inst["min"])
-    if inst.get("max") is not None:
-        hist.max = float(inst["max"])
-    return hist.quantile(q)
-
-
 def snapshot_lines(snapshot: Mapping[str, Mapping[str, Any]],
                    labels: Mapping[str, Any] | None = None,
                    prefix: str = "repro_") -> list[str]:
-    """Exposition lines for one :meth:`MetricsRegistry.snapshot` dict."""
+    """Exposition lines for one :meth:`MetricsRegistry.snapshot` dict
+    (or a :func:`~repro.telemetry.metrics.merge_snapshots` of several)."""
     lines: list[str] = []
+    label_txt = format_labels(labels)
     for raw_name in sorted(snapshot):
-        inst = snapshot[raw_name]
-        kind = inst.get("type")
         name = sanitize_metric_name(raw_name, prefix)
-        label_txt = format_labels(labels)
-        if kind == "counter":
-            lines.append(f"# TYPE {name} counter")
-            lines.append(f"{name}{label_txt} {_fmt(inst['value'])}")
-        elif kind == "gauge":
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name}{label_txt} {_fmt(inst['value'])}")
-        elif kind == "histogram":
-            lines.append(f"# TYPE {name} histogram")
-            cumulative = 0
-            for bound, count in zip(inst["buckets"], inst["counts"]):
-                cumulative += count
-                bucket_labels = dict(labels or {})
-                bucket_labels["le"] = _fmt(bound)
-                lines.append(f"{name}_bucket{format_labels(bucket_labels)} "
-                             f"{cumulative}")
-            inf_labels = dict(labels or {})
-            inf_labels["le"] = "+Inf"
-            lines.append(f"{name}_bucket{format_labels(inf_labels)} "
-                         f"{inst['count']}")
-            lines.append(f"{name}_sum{label_txt} {_fmt(inst['sum'])}")
-            lines.append(f"{name}_count{label_txt} {inst['count']}")
-            for q in EXPORTED_QUANTILES:
-                value = _interpolated_quantile(inst, q)
-                if value is None:
-                    continue
-                q_labels = dict(labels or {})
-                q_labels["quantile"] = _fmt(q)
-                lines.append(f"{name}_q{format_labels(q_labels)} {_fmt(value)}")
-        # "null" entries (disabled registries) export nothing.
+        lines.append(f"# TYPE {name} counter")
+        lines.append(f"{name}{label_txt} {_fmt(snapshot[raw_name]['value'])}")
     return lines
 
 

@@ -10,7 +10,7 @@ Endpoints:
 
 ``/metrics``
     Prometheus text exposition (:mod:`repro.telemetry.export`): merged
-    run metrics per campaign, job-state gauges, firing alerts, and the
+    run counters per campaign, job-state gauges, firing alerts, and the
     server's own tailing counters.
 ``/api/campaigns``, ``/api/campaigns/<id>``, ``/api/campaigns/<id>/jobs``
     JSON monitor views (the ``repro monitor`` table as data).
@@ -215,8 +215,8 @@ class ObservabilityServer:
                 for event in state.refresh(now):
                     self._seq += 1
                     published.append((self._seq, cid, event))
-                self.metrics.gauge(f"server_consumed_bytes_{cid}").set(
-                    state.tailer.consumed_bytes)
+                consumed = self.metrics.counter(f"server_consumed_bytes_{cid}")
+                consumed.inc(state.tailer.consumed_bytes - consumed.value)
             if published:
                 self.metrics.counter("server_events_published").inc(
                     len(published))

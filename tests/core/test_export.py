@@ -1,15 +1,6 @@
-"""Prometheus exposition + the interpolated-quantile satellite.
+"""Prometheus exposition of counters, job states and alerts."""
 
-The quantile cross-check: :meth:`Histogram.quantile` (bucket
-interpolation) must agree with loadgen's exact nearest-rank
-``percentile`` to within one bucket width — the estimator's documented
-error bound.
-"""
-
-import numpy as np
-
-from repro.loadgen.scenarios import percentile
-from repro.telemetry import MetricsRegistry, snapshot_lines
+from repro.telemetry import MetricsRegistry, merge_snapshots, snapshot_lines
 from repro.telemetry.export import (
     EXPOSITION_CONTENT_TYPE,
     alert_lines,
@@ -18,42 +9,7 @@ from repro.telemetry.export import (
     sanitize_metric_name,
     view_lines,
 )
-from repro.telemetry.metrics import Histogram
 from repro.telemetry.monitor import JobView, MonitorView
-
-
-class TestQuantile:
-    def test_empty_histogram_is_none(self):
-        assert Histogram("h").quantile(0.5) is None
-
-    def test_single_value(self):
-        h = Histogram("h", (1.0, 2.0))
-        h.observe(1.5)
-        assert h.quantile(0.0) == h.quantile(1.0) == 1.5
-
-    def test_matches_nearest_rank_within_bucket_width(self):
-        rng = np.random.default_rng(7)
-        values = np.concatenate([
-            rng.uniform(0.0, 1.0, 400),        # bulk
-            rng.uniform(2.0, 4.0, 50),         # heavy tail
-        ])
-        buckets = tuple(np.round(np.arange(0.05, 4.05, 0.05), 2))
-        width = 0.05
-        h = Histogram("lat", buckets)
-        for v in values:
-            h.observe(float(v))
-        latencies = [float(v) for v in values]
-        for q in (0.5, 0.9, 0.99):
-            exact = percentile(latencies, q * 100.0)
-            estimate = h.quantile(q)
-            assert abs(estimate - exact) <= width + 1e-9, (q, exact, estimate)
-
-    def test_extremes_clamped_to_observed_range(self):
-        h = Histogram("h", (10.0, 20.0))
-        for v in (0.5, 12.0, 15.0):
-            h.observe(v)
-        assert h.quantile(0.0) >= h.min
-        assert h.quantile(1.0) <= h.max
 
 
 class TestExposition:
@@ -65,24 +21,20 @@ class TestExposition:
 
     def test_counter_gauge_histogram_families(self):
         registry = MetricsRegistry()
-        registry.counter("samples_seen").inc(64)
-        registry.gauge("replay_depth").set(3.5)
-        hist = registry.histogram("epoch_seconds", (1.0, 5.0))
-        for v in (0.5, 2.0, 7.0):
-            hist.observe(v)
-        lines = snapshot_lines(registry.snapshot(), labels={"campaign": "c1"})
+        registry.counter("mcts_searches").inc(64)
+        snapshot = registry.snapshot()
+        # Result files written before the registry held counters only still
+        # carry gauge and histogram entries: the merge the server runs over
+        # them drops both, so they export nothing.
+        snapshot["replay_depth"] = {"type": "gauge", "value": 3.5}
+        snapshot["epoch_seconds"] = {"type": "histogram", "count": 1, "sum": 0.5,
+                                     "min": 0.5, "max": 0.5, "buckets": [1.0],
+                                     "counts": [1, 0]}
+        lines = snapshot_lines(merge_snapshots([snapshot]), labels={"campaign": "c1"})
         text = render_exposition([lines])
         assert text.endswith("\n")
-        assert "# TYPE repro_samples_seen counter" in text
-        assert 'repro_samples_seen{campaign="c1"} 64' in text
-        assert 'repro_replay_depth{campaign="c1"} 3.5' in text
-        # Cumulative le buckets plus the +Inf catch-all and exact count.
-        assert 'repro_epoch_seconds_bucket{campaign="c1",le="1"} 1' in text
-        assert 'repro_epoch_seconds_bucket{campaign="c1",le="5"} 2' in text
-        assert 'repro_epoch_seconds_bucket{campaign="c1",le="+Inf"} 3' in text
-        assert 'repro_epoch_seconds_count{campaign="c1"} 3' in text
-        # Interpolated quantile gauges ride along.
-        assert 'repro_epoch_seconds_q{campaign="c1",quantile="0.5"}' in text
+        assert lines == ["# TYPE repro_mcts_searches counter",
+                         'repro_mcts_searches{campaign="c1"} 64']
 
     def test_content_type_is_prometheus_text(self):
         assert "version=0.0.4" in EXPOSITION_CONTENT_TYPE

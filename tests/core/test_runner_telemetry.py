@@ -15,7 +15,7 @@ from repro.core import (
     parse_log_lines,
 )
 from repro.core.mllog import LogEvent
-from repro.telemetry import Telemetry, trace_from_log_events
+from repro.telemetry import Telemetry, current_metrics, trace_from_log_events
 from tests.core.fakes import FakeBenchmark, FakeSession
 
 
@@ -26,6 +26,32 @@ def run_with_telemetry(epoch_cost=1.0, seed=0):
     runner = BenchmarkRunner(clock=clock)
     result = runner.run(bench, seed=seed, telemetry=tele)
     return result, tele
+
+
+class _CountingSession(FakeSession):
+    """Counts one thing the log does not hold, as a go session counts searches."""
+
+    def run_epoch(self, epoch: int) -> int:
+        current_metrics().counter("mcts_searches").inc()
+        return super().run_epoch(epoch)
+
+
+class _CountingBenchmark(FakeBenchmark):
+    def create_session(self, seed, hyperparameters):
+        return _CountingSession(seed, hyperparameters, clock=self.clock,
+                                epoch_cost_s=self.epoch_cost_s)
+
+
+def counting_run(epoch_cost=1.0):
+    """A run whose session feeds a counter; returns it and its ``epoch`` events."""
+    clock = FakeClock()
+    tele = Telemetry()
+    epochs = []
+    tele.events.subscribe(lambda e: e.name == "epoch" and epochs.append(e.args))
+    result = BenchmarkRunner(clock=clock).run(
+        _CountingBenchmark(clock=clock, epoch_cost_s=epoch_cost), seed=0,
+        telemetry=tele)
+    return result, epochs
 
 
 def log_trace(log_lines):
@@ -86,11 +112,25 @@ class TestRunTrace:
         assert set(vars(result.telemetry)) == {"metrics", "op_profile"}
 
     def test_metrics_snapshot_on_result(self):
-        result, _ = run_with_telemetry(epoch_cost=2.0)
+        # The snapshot holds what the session counted; the samples the
+        # runner counts are the log's and the epoch events' running total.
+        result, epochs = counting_run(epoch_cost=2.0)
+        assert result.telemetry.metrics == {
+            "mcts_searches": {"type": "counter", "value": float(result.epochs)}}
+        assert [e["samples_total"] for e in epochs] == [
+            32.0 * n for n in range(1, result.epochs + 1)]
+
+
+class TestCountersOnly:
+    """Epoch time, eval time and throughput are the log's; the registry
+    keeps only counts the log does not hold."""
+
+    def test_enabled_run_snapshot_holds_only_counters(self):
+        result, _ = counting_run()
         metrics = result.telemetry.metrics
-        assert metrics["samples_seen"]["value"] == 32 * result.epochs
-        assert metrics["epoch_seconds"]["count"] == result.epochs
-        assert metrics["examples_per_second"]["value"] == pytest.approx(16.0)
+        assert metrics and {inst["type"] for inst in metrics.values()} == {"counter"}
+        assert not {"samples_seen", "epochs", "epoch_seconds", "eval_seconds",
+                    "examples_per_second"} & set(metrics)
 
 
 class TestThroughputLogKeys:

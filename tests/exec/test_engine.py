@@ -15,8 +15,9 @@ from repro.exec import (
     SequentialExecutor,
     run_campaign,
 )
+from repro.telemetry import current_metrics
 
-from ..core.fakes import FAKE_SPEC, FakeBenchmark
+from ..core.fakes import FAKE_SPEC, FakeBenchmark, FakeSession
 
 SPECS = {"fake_benchmark": FAKE_SPEC}
 
@@ -34,6 +35,20 @@ class FlakyBenchmark(FakeBenchmark):
         if self.calls <= self.failures:
             raise ValueError(f"injected fault #{self.calls}")
         return super().create_session(seed, hyperparameters)
+
+
+class _SearchingSession(FakeSession):
+    def run_epoch(self, epoch):
+        current_metrics().counter("mcts_searches").inc()
+        return super().run_epoch(epoch)
+
+
+class SearchingBenchmark(FakeBenchmark):
+    """Each epoch bumps the ``mcts_searches`` counter, as self-play does."""
+
+    def create_session(self, seed, hyperparameters):
+        return _SearchingSession(seed, hyperparameters, clock=self.clock,
+                                 epoch_cost_s=self.epoch_cost_s)
 
 
 class KillSwitchBenchmark(FakeBenchmark):
@@ -171,12 +186,12 @@ class TestCampaignResults:
         assert 0 < out.summary.speedup <= 1.0
 
     def test_merged_telemetry_has_one_pid_row_per_cell(self):
-        bench = FakeBenchmark(clock=FakeClock())
+        bench = SearchingBenchmark(clock=FakeClock())
         out = _campaign(bench, CampaignSpec(benchmarks=("fake_benchmark",), seeds=3))
         pids = {e["pid"] for e in out.chrome_trace()["traceEvents"]}
         assert pids == {0, 1, 2}
-        # Worker metrics merged parent-side: epochs from all runs pooled.
-        assert out.telemetry.metrics["epochs"]["value"] == sum(
+        # Worker metrics merged parent-side: one search per epoch, all runs pooled.
+        assert out.telemetry.metrics["mcts_searches"]["value"] == sum(
             r.epochs for r in out.runs_by_benchmark["fake_benchmark"])
 
     def test_faulted_attempt_keeps_its_partial_trace_on_the_cells_row(self):
