@@ -174,6 +174,9 @@ class TestSessionMechanics:
         assert counters["mcts_searches"]["value"] == moves
         # Root expansion plus at most one per simulation (terminal leaves need none).
         assert moves < counters["mcts_evaluations"]["value"] <= moves * (sims + 1)
+        # The buffer's size is the log's (tracked_stats), not a registry's.
+        assert sess.tracked_stats() == {"replay_buffer_size": float(moves)}
+        assert "replay_buffer_size" not in counters
 
     def test_reinforcement_reference_masks_sane(self):
         bench = create_benchmark("reinforcement")
