@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -129,6 +130,11 @@ class CampaignOutcome:
             "wall_clock_s": self.summary.wall_clock_s,
             "total_ttt_s": self.summary.total_ttt_s,
             "speedup": self.summary.speedup,
+            "scores": {name: score.time_to_train_s for name, score in self.scores.items()},
+            "epochs": {name: dict(sorted(Counter(
+                rec.epochs for rec in self.journal.jobs.values()
+                if rec.benchmark == name and rec.epochs is not None).items()))
+                for name in self.summary.benchmarks},
             "jobs": {
                 key: {
                     "status": rec.status,

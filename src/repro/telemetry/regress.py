@@ -281,7 +281,8 @@ def _git_commit(directory: Path) -> str:
 
 def provenance() -> dict[str, Any]:
     """The host and packages behind a report, named as in the e2e ledger's
-    ``provenance`` (SNIPPETS.md snippet 1), plus the ``MALLOC_*`` settings."""
+    ``provenance`` (SNIPPETS.md snippet 1), plus the BLAS thread count and
+    the ``MALLOC_*`` settings."""
     import os
     import platform
 
@@ -299,6 +300,9 @@ def provenance() -> dict[str, Any]:
         "python": platform.python_version(), "numpy": np.__version__,
         "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip(),
         "kernel_mode": kernel_mode(),
+        # Set before NumPy loads (threadpoolctl is not installed); None: BLAS picks.
+        "blas_threads": next((int(os.environ[k]) for k in ("OPENBLAS_NUM_THREADS",
+                              "OMP_NUM_THREADS") if os.environ.get(k, "").isdigit()), None),
         "malloc": {k: v for k, v in sorted(os.environ.items()) if k.startswith("MALLOC_")},
     }
 

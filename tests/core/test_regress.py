@@ -159,7 +159,7 @@ class TestAttribution:
 
 class TestProvenance:
     FIELDS = {"git", "cpu_count", "platform", "python", "numpy", "blas", "kernel_mode",
-              "malloc"}
+              "blas_threads", "malloc"}
 
     def test_stamp_names_the_host_and_the_malloc_settings(self, monkeypatch):
         import os
@@ -167,8 +167,13 @@ class TestProvenance:
         from repro.telemetry.regress import provenance
 
         monkeypatch.setenv("MALLOC_ARENA_MAX", "2")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         stamp = provenance()
         assert set(stamp) == self.FIELDS
+        assert stamp["blas_threads"] == 1
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        assert provenance()["blas_threads"] is None
         assert stamp["cpu_count"] == os.cpu_count()
         assert stamp["malloc"]["MALLOC_ARENA_MAX"] == "2"
         assert all(key.startswith("MALLOC_") for key in stamp["malloc"])

@@ -5,6 +5,8 @@ benchmark factory, a FakeClock, and a recording sleeper, so retry pacing
 and wall-clock accounting are assertable exactly.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core.timing import FakeClock
@@ -213,6 +215,13 @@ class TestCampaignResults:
         assert payload["schema"] == "repro-campaign-bench/1"
         assert payload["total_cells"] == 3
         assert set(payload["jobs"]) == {f"fake_benchmark/{s}" for s in range(3)}
+        # The score is the olympic mean; epochs count each cell once.
+        assert payload["scores"] == {
+            "fake_benchmark": out.scores["fake_benchmark"].time_to_train_s}
+        histogram = payload["epochs"]["fake_benchmark"]
+        assert sum(histogram.values()) == 3
+        assert histogram == dict(sorted(Counter(
+            r.epochs for r in out.runs_by_benchmark["fake_benchmark"]).items()))
 
 
 class TestResume:
