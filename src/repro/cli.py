@@ -32,7 +32,8 @@ Commands mirror how the MLPerf artifacts are used in practice:
   non-zero exit on regression (CI's perf gate), with per-op attribution
   when a timing gate trips and ``--json`` for machine-readable output;
 - ``profile`` — where the time went, for a result file, a submission
-  or a campaign directory (whose ``jobs/`` holds missed runs too): the
+  or a campaign directory (whose journal records every attempt, missed,
+  faulted and timed-out ones too): the
   per-benchmark phase table (init/create/train/eval), each run's
   per-epoch series with ``--series``, the kernel fallbacks, and the
   merged op profile when the runs recorded one (``REPRO_PROFILE=full``);
@@ -607,21 +608,23 @@ def _cmd_profile(args, out) -> int:
     from .core import (build_phase_table, load_run_result, render_phase_table,
                        render_series_table)
     from .core.reporting import render_kernel_fallbacks
+    from .exec.journal import CampaignJournal
     from .telemetry import merge_op_profiles, render_op_profile
 
     path = Path(args.path)
-    if path.is_file():
-        sources = [path]
-    elif path.is_dir():
-        # A campaign directory holds each run once under jobs/, missed runs
-        # too (its submission copies only the converged runs); a submission
-        # directory, or anything else, is read for its result files.
-        sources = (sorted(path.glob("jobs/*/seed_*.txt"))
-                   or sorted(path.rglob("result_*.txt")))
-    else:
+    if not path.exists():
         print(f"no such file or directory: {path}", file=out)
         return 2
     try:
+        # A campaign directory's journal records every attempt, missed and
+        # failed runs too (its submission copies only the converged runs);
+        # a submission directory, or anything else, is read for its result
+        # files.
+        journal = CampaignJournal.load(path) if path.is_dir() else None
+        sources = ([path] if journal is None else
+                   [source for rec in journal.jobs.values()
+                    for source in journal.attempt_files(rec.benchmark, rec.seed)]
+                   or sorted(path.rglob("result_*.txt")))
         runs = [load_run_result(source) for source in sources]
     except (OSError, ValueError) as exc:
         print(f"cannot load submission {path}: {exc}", file=out)

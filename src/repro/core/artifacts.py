@@ -81,8 +81,9 @@ def save_run_result(path: str | Path, run: RunResult) -> Path:
     """Write one run as a ``result_*.txt``-format file (header + log lines).
 
     This is the unit the submission layout is built from; the campaign
-    journal reuses it so per-job results stay auditable with the same
-    tooling (``repro trace``, ``repro review``) as published files.  What
+    journal reuses it for every attempt, faulted and timed-out ones
+    included, so per-job records stay auditable with the same tooling
+    (``repro trace``, ``repro profile``) as published files.  What
     can be rebuilt from the log (the trace, the per-epoch series) stays
     out of the header.
     """
@@ -106,6 +107,10 @@ def save_run_result(path: str | Path, run: RunResult) -> Path:
             "epochs": run.epochs,
             "quality": run.quality,
             "reached_target": run.reached_target,
+            # A faulted or timed-out attempt is saved too, as a run that did
+            # not reach its target; these two say why.
+            "status": run.status,
+            "error_type": run.error_type,
             "breakdown": (
                 asdict(run.breakdown) if run.breakdown is not None else None
             ),
@@ -234,6 +239,7 @@ def _parse_result_file(benchmark: str | None, path: Path) -> RunResult:
                 if raw_metrics or raw_profile else None
             ),
             model_state=model_state,
+            error_type=header.get("error_type"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: corrupt run header: {exc!r}") from None

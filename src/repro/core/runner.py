@@ -12,8 +12,10 @@ trace and per-epoch series are read back out of it.
 A run that raises mid-training does not leave the timing state machine
 stuck: the timer is aborted (closing every open interval at the failure
 instant), a ``run_stop`` event with ``status="error"`` is logged, and the
-exception is re-raised as :class:`RunFailure` carrying the partial log so
-failures stay auditable (and their trace shows the phase they died in).
+exception is re-raised as :class:`RunFailure` carrying the partial
+:class:`RunResult` (its log, breakdown, telemetry and error type), so a
+failure is recorded, saved and read like any other run (and its trace
+shows the phase it died in).
 """
 
 from __future__ import annotations
@@ -49,10 +51,19 @@ class RunResult:
     # artifact can rehydrate the model for serving; None when the session
     # has nothing to export.
     model_state: dict[str, Any] | None = None
+    # The exception type of a run that raised: its partial record.
+    error_type: str | None = None
 
     @property
     def epochs_to_target(self) -> int | None:
         return self.epochs if self.reached_target else None
+
+    @property
+    def status(self) -> str:
+        """``reached`` or ``quality_miss``; ``timeout`` or ``fault`` if it raised."""
+        if self.error_type is not None:
+            return "timeout" if self.error_type == RunTimeout.__name__ else "fault"
+        return "reached" if self.reached_target else "quality_miss"
 
 
 class RunTimeout(RuntimeError):
@@ -68,23 +79,17 @@ class RunTimeout(RuntimeError):
 
 
 class RunFailure(RuntimeError):
-    """A training session raised mid-run; the partial observability record
-    (log lines, finalized timing, telemetry snapshot) rides along so the
-    failure can be analyzed exactly like a successful run."""
+    """A training session raised mid-run; ``result`` is its partial record
+    (the log up to the failure, the finalized timing, the telemetry
+    snapshot, ``error_type``), so the failure is analyzed like a run."""
 
-    def __init__(self, benchmark: str, seed: int, cause: BaseException,
-                 log_lines: list[str], breakdown: TimingBreakdown | None = None,
-                 telemetry: RunTelemetry | None = None):
+    def __init__(self, cause: BaseException, result: RunResult):
         super().__init__(
-            f"run of {benchmark!r} (seed {seed}) failed: "
+            f"run of {result.benchmark!r} (seed {result.seed}) failed: "
             f"{type(cause).__name__}: {cause}"
         )
-        self.benchmark = benchmark
-        self.seed = seed
         self.cause = cause
-        self.log_lines = log_lines
-        self.breakdown = breakdown
-        self.telemetry = telemetry
+        self.result = result
 
 
 class BenchmarkRunner:
@@ -143,43 +148,27 @@ class BenchmarkRunner:
         logger.event(Keys.SEED, seed)
         logger.hyperparameters(hp)
 
+        run = RunResult(benchmark=spec.name, seed=seed, hyperparameters=dict(hp),
+                        reached_target=False, quality=float("-inf"), epochs=0,
+                        time_to_train_s=0.0)
         with tele.activate():
             try:
-                reached, quality, history, epochs_run, model_state = self._execute(
-                    benchmark, spec, seed, hp, max_epochs, logger, timer, tele,
-                    deadline,
-                )
+                self._execute(benchmark, spec, seed, hp, max_epochs, logger, timer,
+                              tele, deadline, run)
             except Exception as exc:
                 if timer.state not in ("stopped", "aborted"):
                     timer.abort()
                 logger.event(Keys.RUN_STOP, status="error", error=type(exc).__name__)
                 tele.events.publish("run_stop", benchmark=spec.name, seed=seed,
                                     status="error", error=type(exc).__name__)
-                raise RunFailure(
-                    spec.name, seed, exc,
-                    log_lines=logger.to_lines(),
-                    breakdown=timer.breakdown(),
-                    telemetry=self._snapshot(tele),
-                ) from exc
-
-        return RunResult(
-            benchmark=spec.name,
-            seed=seed,
-            hyperparameters=dict(hp),
-            reached_target=reached,
-            quality=quality,
-            epochs=epochs_run,
-            time_to_train_s=timer.time_to_train(),
-            quality_history=history,
-            log_lines=logger.to_lines(),
-            breakdown=timer.breakdown(),
-            telemetry=self._snapshot(tele),
-            model_state=model_state,
-        )
+                run.error_type = type(exc).__name__
+                raise RunFailure(exc, self._finish(run, logger, timer, tele)) from exc
+        return self._finish(run, logger, timer, tele)
 
     def _execute(self, benchmark, spec, seed, hp, max_epochs, logger, timer, tele,
-                 deadline=None):
-        """The §3.2.1 phase sequence, logged (§4.1) and published as events."""
+                 deadline, run):
+        """The §3.2.1 phase sequence, logged (§4.1) and published as events;
+        ``run`` records the epochs and quality as they happen."""
         events = tele.events
 
         timer.init_start()
@@ -200,16 +189,12 @@ class BenchmarkRunner:
                        target=spec.quality_threshold)
 
         cap = max_epochs if max_epochs is not None else spec.max_epochs
-        reached = False
-        quality = float("-inf")
-        history: list[float] = []
-        epochs_run = 0
         samples_total = 0.0
         for epoch in range(1, cap + 1):
             if deadline is not None and self.clock.now() >= deadline:
                 raise RunTimeout(
                     f"{spec.name} (seed {seed}) exceeded its per-job "
-                    f"deadline after {epochs_run} epochs"
+                    f"deadline after {run.epochs} epochs"
                 )
             logger.event(Keys.EPOCH_START, epoch, epoch_num=epoch)
             epoch_t0 = self.clock.now()
@@ -229,29 +214,37 @@ class BenchmarkRunner:
                            epoch_seconds=epoch_dt,
                            samples=epoch_samples,
                            samples_total=samples_total)
-            epochs_run = epoch
+            run.epochs = epoch
             if epoch % self.eval_every == 0 or epoch == cap:
                 logger.event(Keys.EVAL_START, epoch_num=epoch)
-                quality = float(session.evaluate())
-                history.append(quality)
+                run.quality = float(session.evaluate())
+                run.quality_history.append(run.quality)
                 logger.event(
-                    Keys.EVAL_ACCURACY, quality, epoch_num=epoch,
+                    Keys.EVAL_ACCURACY, run.quality, epoch_num=epoch,
                     **session.eval_details()
                 )
                 logger.event(Keys.EVAL_STOP, epoch_num=epoch)
-                events.publish("eval", epoch=epoch, quality=quality)
-                if quality >= spec.quality_threshold:
-                    reached = True
+                events.publish("eval", epoch=epoch, quality=run.quality)
+                if run.quality >= spec.quality_threshold:
+                    run.reached_target = True
                     break
-        model_state = session.export_state()
+        run.model_state = session.export_state()
 
         timer.run_stop()
-        logger.event(Keys.RUN_STOP, status="success" if reached else "aborted")
-        logger.event(Keys.TARGET_REACHED, reached)
-        events.publish("run_stop", benchmark=spec.name, seed=seed,
-                       status="success" if reached else "aborted",
-                       epochs=epochs_run, quality=quality)
-        return reached, quality, history, epochs_run, model_state
+        status = "success" if run.reached_target else "aborted"
+        logger.event(Keys.RUN_STOP, status=status)
+        logger.event(Keys.TARGET_REACHED, run.reached_target)
+        events.publish("run_stop", benchmark=spec.name, seed=seed, status=status,
+                       epochs=run.epochs, quality=run.quality)
+
+    def _finish(self, run: RunResult, logger: MLLogger, timer: TrainingTimer,
+                tele: Telemetry) -> RunResult:
+        """Stamp the stopped (or aborted) run's timing, log and telemetry."""
+        run.time_to_train_s = timer.time_to_train()
+        run.log_lines = logger.to_lines()
+        run.breakdown = timer.breakdown()
+        run.telemetry = self._snapshot(tele)
+        return run
 
     @staticmethod
     def _snapshot(tele: Telemetry) -> RunTelemetry | None:

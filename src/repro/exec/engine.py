@@ -5,22 +5,24 @@ One call, :func:`run_campaign`, owns a campaign end to end:
 1. **plan** — expand the :class:`~repro.exec.plan.CampaignSpec` into
    (benchmark, seed) cells with the §3.2.2 run counts;
 2. **resume** — drop every cell the journal already holds a terminal
-   result for, reloading those runs from their ``# repro-run`` files;
+   result for;
 3. **schedule** — dispatch the remainder to the executor in waves,
-   journaling after every completion;
+   journaling every attempt as it completes;
 4. **supervise** — faulted cells re-enter the next wave (reseeded RNG
    stream, capped exponential backoff) until the retry cap; quality
    misses and timeouts are terminal;
 5. **score** — benchmarks whose cells all reached target get the olympic
-   mean; everything is folded into a :class:`~repro.core.submission.Submission`
-   plus a :class:`~repro.core.reporting.CampaignSummary`.
+   mean over the runs the journal holds; everything is folded into a
+   :class:`~repro.core.submission.Submission` plus a
+   :class:`~repro.core.reporting.CampaignSummary`.
 
-Scheduler decisions are counted once, in the
+The journal is the one record of every attempt: scores, the submission
+and the campaign's Chrome trace (:meth:`CampaignOutcome.chrome_trace`)
+are read back out of it, so an executed cell and a resumed one take the
+same path.  Scheduler decisions are counted once, in the
 :class:`~repro.core.reporting.CampaignSummary` (and each cell's journal
 record); per-run telemetry snapshots (metrics, op profiles) merge
-parent-side.  The campaign's Chrome trace is rebuilt from each cell's
-§4.1 log, executed or resumed, one process row per cell
-(:meth:`CampaignOutcome.chrome_trace`).
+parent-side.
 """
 
 from __future__ import annotations
@@ -87,8 +89,6 @@ class CampaignOutcome:
     runs_by_benchmark: dict[str, list[RunResult]] = field(default_factory=dict)
     submission: Submission | None = None
     telemetry: RunTelemetry | None = None
-    # cell -> the §4.1 log of each attempt (a resumed cell: its saved run).
-    logs: dict[tuple[str, int], list[list[str]]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -100,7 +100,8 @@ class CampaignOutcome:
         )
 
     def chrome_trace(self) -> dict[str, Any]:
-        """One Chrome trace of the campaign, rebuilt from every cell's log.
+        """One Chrome trace of the campaign, rebuilt from the log of every
+        attempt the journal records.
 
         Each cell is one process row (``pid`` = its plan ordinal) labelled
         ``benchmark/seed``; a retried cell shows every attempt on its row,
@@ -108,9 +109,9 @@ class CampaignOutcome:
         """
         events: list[dict[str, Any]] = []
         for job in self.plan.jobs:
-            rows = [event for lines in self.logs.get(job.cell, [])
+            rows = [event for run in self.journal.attempts(*job.cell)
                     for event in trace_from_log_events(
-                        parse_log_lines(lines), pid=job.ordinal)["traceEvents"]]
+                        parse_log_lines(run.log_lines), pid=job.ordinal)["traceEvents"]]
             if rows:
                 events += metadata_events(job.ordinal, job.key) + rows
         return {"traceEvents": events, "displayTimeUnit": "ms"}
@@ -224,20 +225,11 @@ def run_campaign(
     # campaign killed mid-wave still shows its unstarted cells as pending.
     journal.flush()
 
-    # -- resume: reload terminal cells, schedule only the remainder ----------
-    results_by_cell: dict[tuple[str, int], RunResult] = {}
-    logs: dict[tuple[str, int], list[list[str]]] = {}
-    resumed_cells = 0
+    # -- resume: skip terminal cells whose run is on disk, schedule the rest --
     done = journal.completed_cells() if resume else set()
-    wave = []
-    for job in plan.jobs:
-        prior = journal.load_result(*job.cell) if job.cell in done else None
-        if prior is not None:
-            results_by_cell[job.cell] = prior
-            logs[job.cell] = [prior.log_lines]
-            resumed_cells += 1
-        else:
-            wave.append(job)
+    wave = [job for job in plan.jobs
+            if job.cell not in done or journal.load_result(*job.cell) is None]
+    resumed_cells = len(plan.jobs) - len(wave)
 
     # -- live streams: campaign event log + per-job stream directories -------
     events = EventBus(clock=event_clock)
@@ -266,8 +258,7 @@ def run_campaign(
         wave_delays: list[float] = []
         for outcome in executor.run(wave):
             executed += 1
-            outcome_telemetry.append(outcome.telemetry)
-            logs.setdefault(outcome.job.cell, []).append(outcome.log_lines)
+            outcome_telemetry.append(outcome.result.telemetry)
             record = _record_for(outcome, backoffs_by_cell)
             will_retry = policy.should_retry(outcome)
             if outcome.status == "reached":
@@ -294,8 +285,7 @@ def run_campaign(
                            status=outcome.status,
                            attempt=outcome.job.attempt,
                            will_retry=will_retry and outcome.is_fault)
-            if outcome.result is not None:
-                results_by_cell[outcome.job.cell] = outcome.result
+            if record.done:
                 total_ttt += outcome.result.time_to_train_s
         if wave_delays:
             # One parallel backoff pause per wave: every retry in it has
@@ -305,14 +295,12 @@ def run_campaign(
             sleeper(pause)
         wave = next_wave
 
-    # -- aggregate: runs, scores, submission, summary ------------------------
-    runs_by_benchmark: dict[str, list[RunResult]] = {}
-    for benchmark in spec.benchmarks:
-        runs_by_benchmark[benchmark] = [
-            results_by_cell[(benchmark, seed)]
-            for seed in plan.seeds_for(benchmark)
-            if (benchmark, seed) in results_by_cell
-        ]
+    # -- aggregate: runs (from the journal), scores, submission, summary -----
+    runs_by_benchmark = {
+        benchmark: [run for seed in plan.seeds_for(benchmark)
+                    if (run := journal.load_result(benchmark, seed)) is not None]
+        for benchmark in spec.benchmarks
+    }
 
     scores: dict[str, BenchmarkScore] = {}
     unscored: dict[str, str] = {}
@@ -371,14 +359,13 @@ def run_campaign(
         runs_by_benchmark=runs_by_benchmark,
         submission=submission if submission.runs else None,
         telemetry=merged_run_telemetry(outcome_telemetry),
-        logs=logs,
     )
 
 
 def _record_for(outcome: JobOutcome,
                 backoffs_by_cell: dict[tuple[str, int], list[float]]) -> JobRecord:
     job = outcome.job
-    result = outcome.result
+    result = outcome.result if outcome.error is None else None
     return JobRecord(
         benchmark=job.benchmark,
         seed=job.seed,

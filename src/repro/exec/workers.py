@@ -29,15 +29,15 @@ from __future__ import annotations
 
 import concurrent.futures
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from pathlib import Path
 
-from ..core.runner import BenchmarkRunner, RunFailure, RunResult, RunTimeout
+from ..core.runner import BenchmarkRunner, RunFailure, RunResult
 from ..core.timing import Clock
 from ..suite.base import Benchmark
-from ..telemetry import EventLog, RunTelemetry, Telemetry
+from ..telemetry import EventLog, Telemetry
 from .plan import JobSpec
 
 __all__ = ["JobOutcome", "execute_job", "SequentialExecutor",
@@ -51,29 +51,17 @@ class JobOutcome:
     """What one attempt of one cell produced (picklable, process-safe)."""
 
     job: JobSpec
-    status: str  # reached | quality_miss | fault | timeout
-    result: RunResult | None = None
+    result: RunResult  # a faulted or timed-out attempt's: its partial run
     error: str | None = None  # "ExcType: message" for fault/timeout
-    error_type: str | None = None
-    failure_telemetry: RunTelemetry | None = None
-    failure_log_lines: list[str] = field(default_factory=list)
+
+    @property
+    def status(self) -> str:
+        """reached | quality_miss | fault | timeout"""
+        return self.result.status
 
     @property
     def is_fault(self) -> bool:
         return self.status == "fault"
-
-    @property
-    def log_lines(self) -> list[str]:
-        """The attempt's §4.1 log: the result's, or the partial log of a failure."""
-        if self.result is not None:
-            return self.result.log_lines
-        return self.failure_log_lines
-
-    @property
-    def telemetry(self) -> RunTelemetry | None:
-        if self.result is not None:
-            return self.result.telemetry
-        return self.failure_telemetry
 
 
 def execute_job(
@@ -121,17 +109,9 @@ def execute_job(
                 deadline_s=job.timeout_s,
             )
         except RunFailure as failure:
-            status = "timeout" if isinstance(failure.cause, RunTimeout) else "fault"
-            return JobOutcome(
-                job=job,
-                status=status,
-                error=f"{type(failure.cause).__name__}: {failure.cause}",
-                error_type=type(failure.cause).__name__,
-                failure_telemetry=failure.telemetry,
-                failure_log_lines=failure.log_lines,
-            )
-        status = "reached" if result.reached_target else "quality_miss"
-        return JobOutcome(job=job, status=status, result=result)
+            return JobOutcome(job=job, result=failure.result,
+                              error=f"{type(failure.cause).__name__}: {failure.cause}")
+        return JobOutcome(job=job, result=result)
     finally:
         if log is not None:
             log.close()

@@ -49,6 +49,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..core.artifacts import read_run_header
 from ..core.mllog import parse_log_lines
+from ..exec.journal import CampaignJournal
 from .alerts import AlertEngine
 from .events import Event, EventLog
 from .export import (EXPOSITION_CONTENT_TYPE, alert_lines, render_exposition,
@@ -119,13 +120,17 @@ class _CampaignState:
             self._alerts_log.close()
 
     # -- result-file access (headers mtime-cached, no ndarray load) --------
-    def _result_path(self, benchmark: str, seed: str) -> Path:
-        return self.directory / "jobs" / benchmark / f"seed_{seed}.txt"
+    def _journal(self) -> CampaignJournal:
+        """The journal that names the attempt files; empty while unreadable
+        (absent, or foreign to this version)."""
+        try:
+            return CampaignJournal.load(self.directory)
+        except (OSError, ValueError, TypeError):
+            return CampaignJournal(self.directory)
 
-    def run_header(self, benchmark: str, seed: str) -> dict[str, Any] | None:
-        """The result file's header; None while it is absent or unreadable
+    def _header(self, path: Path) -> dict[str, Any] | None:
+        """A result file's header; None while it is absent or unreadable
         (a job still writing it, a damaged file)."""
-        path = self._result_path(benchmark, seed)
         try:
             mtime = path.stat().st_mtime_ns
             cached = self._header_cache.get(str(path))
@@ -138,27 +143,27 @@ class _CampaignState:
         self._header_cache[str(path)] = (mtime, header)
         return header
 
-    def run_series(self, benchmark: str, seed: str) -> dict[str, Any] | None:
-        """The run's per-epoch series from its log; None if unreadable."""
+    def latest_run(self, benchmark: str,
+                   seed: str) -> tuple[dict[str, Any], dict[str, Any]] | None:
+        """The header and per-epoch series (from its log) of the cell's
+        latest attempt; None while either is absent or unreadable."""
+        files = self._journal().attempt_files(benchmark, seed)
+        header = self._header(files[-1]) if files else None
+        if header is None:
+            return None
         try:
-            with open(self._result_path(benchmark, seed), encoding="utf-8",
-                      errors="replace") as fh:
-                return series_from_log_events(parse_log_lines(fh))
+            with open(files[-1], encoding="utf-8", errors="replace") as fh:
+                return header, series_from_log_events(parse_log_lines(fh))
         except (OSError, ValueError):
             return None
 
     def metric_snapshots(self) -> list[dict[str, Any]]:
-        """Every completed job's metrics snapshot (for /metrics merging)."""
-        snaps: list[dict[str, Any]] = []
-        jobs_dir = self.directory / "jobs"
-        if not jobs_dir.is_dir():
-            return snaps
-        for path in sorted(jobs_dir.glob("*/seed_*.txt")):
-            header = self.run_header(path.parent.name,
-                                     path.stem.removeprefix("seed_"))
-            if header and header.get("metrics"):
-                snaps.append(header["metrics"])
-        return snaps
+        """Every recorded attempt's metrics snapshot (for /metrics merging)."""
+        journal = self._journal()
+        headers = (self._header(path) for rec in journal.jobs.values()
+                   for path in journal.attempt_files(rec.benchmark, rec.seed))
+        return [header["metrics"] for header in headers
+                if header and header.get("metrics")]
 
 
 class ObservabilityServer:
@@ -287,10 +292,10 @@ class ObservabilityServer:
             state = self.campaigns.get(cid)
             if state is None:
                 return None
-            header = state.run_header(benchmark, seed)
-            series = state.run_series(benchmark, seed)
-            if header is None or series is None:
+            latest = state.latest_run(benchmark, seed)
+            if latest is None:
                 return None
+            header, series = latest
             return {"run": f"{cid}/{benchmark}/{seed}",
                     "quality": header.get("quality"),
                     "epochs": header.get("epochs"),

@@ -223,14 +223,20 @@ class TestAbort:
             runner.run(bench, seed=0)
         failure = excinfo.value
         assert isinstance(failure.__cause__, ArithmeticError)
-        log = MLLogger.from_lines(failure.log_lines)
+        log = MLLogger.from_lines(failure.result.log_lines)
         stop = log.last(Keys.RUN_STOP)
         assert stop is not None
         assert stop.metadata["status"] == "error"
         assert stop.metadata["error"] == "ArithmeticError"
         # Timing was finalized, not left stuck: one epoch ran before the blast.
-        assert failure.breakdown.aborted
-        assert failure.breakdown.time_to_train_seconds == pytest.approx(1.0)
+        assert failure.result.breakdown.aborted
+        assert failure.result.breakdown.time_to_train_seconds == pytest.approx(1.0)
+        # The partial run is a run that did not reach its target: one epoch,
+        # one evaluation, the error type named.
+        assert (failure.result.reached_target, failure.result.epochs) == (False, 1)
+        assert len(failure.result.quality_history) == 1
+        assert (failure.result.error_type, failure.result.status) == ("ArithmeticError",
+                                                                      "fault")
 
     def test_failed_run_trace_spans_closed(self):
         clock = FakeClock()
@@ -239,13 +245,13 @@ class TestAbort:
         runner = BenchmarkRunner(clock=clock)
         with pytest.raises(RunFailure) as excinfo:
             runner.run(bench, seed=0, telemetry=tele)
-        events = parse_log_lines(excinfo.value.log_lines)
+        events = parse_log_lines(excinfo.value.result.log_lines)
         starts = [e for e in events if e.key.endswith("_start")]
-        spans = [e for e in log_trace(excinfo.value.log_lines) if e["ph"] == "X"]
+        spans = [e for e in log_trace(excinfo.value.result.log_lines) if e["ph"] == "X"]
         assert len(spans) == len(starts)  # no phase left open
         failed = [e for e in spans if e["args"].get("error")]
         assert [e["name"] for e in failed] == ["epoch 2"]  # the epoch it died in
-        assert excinfo.value.telemetry is not None
+        assert excinfo.value.result.telemetry is not None
 
     def test_failure_telemetry_is_a_loadable_partial_trace(self):
         # The partial log riding on RunFailure is a loadable trace: every
@@ -256,7 +262,7 @@ class TestAbort:
         runner = BenchmarkRunner(clock=clock)
         with pytest.raises(RunFailure) as excinfo:
             runner.run(bench, seed=0, telemetry=tele)
-        events = log_trace(excinfo.value.log_lines)
+        events = log_trace(excinfo.value.result.log_lines)
         names = {e["name"] for e in events if e.get("ph") == "X"}
         assert {"init", "model_creation", "run", "epoch 1", "eval 1", "epoch 2"} <= names
         tagged = [e for e in events
@@ -265,7 +271,7 @@ class TestAbort:
         json.dumps(events)  # serializable as-is
         # The profiler snapshot flushed too (its op table is empty: the
         # fake session runs no kernel).
-        snap = excinfo.value.telemetry
+        snap = excinfo.value.result.telemetry
         assert snap.op_profile.get("mode") == "full"
         assert snap.op_profile.get("ops") == {}
 

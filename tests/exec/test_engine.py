@@ -5,9 +5,13 @@ benchmark factory, a FakeClock, and a recording sleeper, so retry pacing
 and wall-clock accounting are assertable exactly.
 """
 
+import shutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
+
+from repro.core.artifacts import load_run_result
 
 from repro.core.timing import FakeClock
 from repro.exec import (
@@ -22,6 +26,10 @@ from repro.telemetry import current_metrics
 from ..core.fakes import FAKE_SPEC, FakeBenchmark, FakeSession
 
 SPECS = {"fake_benchmark": FAKE_SPEC}
+# A campaign directory written before faulted attempts left files: cell 0
+# faulted once and then reached its target, cell 1 reached it, cell 2
+# faulted on both attempts.  Only the two finished runs have files.
+PARENT_LAYOUT = Path(__file__).parent / "data" / "parent_layout"
 
 
 class FlakyBenchmark(FakeBenchmark):
@@ -299,3 +307,60 @@ class TestResume:
         assert second.ok
         assert second.summary.skipped_resumed == 0  # faults are rescheduled
         assert second.summary.executed == 2
+
+
+class TestOneRecordPerAttempt:
+    """Every attempt leaves a ``# repro-run`` file; every reader reads those."""
+
+    SPEC = CampaignSpec(benchmarks=("fake_benchmark",), seeds=3)
+
+    def test_resumed_trace_shows_both_attempts_of_a_retried_cell(self, tmp_path):
+        fresh = _campaign(FlakyBenchmark(failures=1, clock=FakeClock()), self.SPEC,
+                          journal_dir=tmp_path)
+        resumed = _campaign(FakeBenchmark(clock=FakeClock()), self.SPEC,
+                            journal_dir=tmp_path, resume=True)
+        assert resumed.summary.executed == 0
+        assert resumed.chrome_trace() == fresh.chrome_trace()
+        # The files hold what an unsaved campaign keeps in memory.
+        unsaved = _campaign(FlakyBenchmark(failures=1, clock=FakeClock()), self.SPEC)
+        assert unsaved.chrome_trace() == fresh.chrome_trace()
+        row = [e for e in resumed.chrome_trace()["traceEvents"] if e["pid"] == 0]
+        names = [e["name"] for e in row if e["ph"] == "X"]
+        assert names.count("model_creation") == 2 and names.count("run") == 1
+        assert [e["args"] for e in row if e["args"].get("aborted")] == [
+            {"aborted": True, "error": "ValueError"}]
+
+    def test_faulted_attempt_is_a_missed_run_and_is_never_scored(self, tmp_path):
+        out = _campaign(FlakyBenchmark(failures=1, clock=FakeClock()), self.SPEC,
+                        journal_dir=tmp_path)
+        first, retry = out.journal.attempt_files("fake_benchmark", 0)
+        faulted = load_run_result(first)
+        assert (faulted.reached_target, faulted.error_type, faulted.status) == (
+            False, "ValueError", "fault")
+        assert load_run_result(retry).status == "reached"
+        assert [len(out.journal.attempt_files("fake_benchmark", s)) for s in (1, 2)] == [1, 1]
+        # The score and the submission hold the retry only, as before
+        # failed attempts were saved (these figures are that code's).
+        score = out.scores["fake_benchmark"]
+        assert (score.time_to_train_s, score.run_times_s, score.mean_epochs) == (
+            8.0, (8.0, 8.0, 9.0), 25 / 3)
+        assert [(r.seed, r.epochs, r.quality, r.time_to_train_s)
+                for r in out.submission.runs["fake_benchmark"]] == [
+            (RESEED_STRIDE, 9, 0.8676436592245972, 9.0),
+            (1, 8, 0.847711324640545, 8.0),
+            (2, 8, 0.8061209305669701, 8.0)]
+        assert out.summary.total_ttt_s == 25.0
+
+    def test_parent_layout_directory_resumes(self, tmp_path):
+        directory = tmp_path / "camp"
+        shutil.copytree(PARENT_LAYOUT, directory)
+        out = _campaign(FakeBenchmark(clock=FakeClock()), self.SPEC,
+                        journal_dir=directory, resume=True)
+        assert out.ok
+        assert (out.summary.skipped_resumed, out.summary.executed) == (2, 1)
+        assert [r.seed for r in out.runs_by_benchmark["fake_benchmark"]] == [
+            RESEED_STRIDE, 1, 2]
+        # The retried cell kept only its last run, so its row holds one attempt.
+        rows = Counter(e["pid"] for e in out.chrome_trace()["traceEvents"]
+                       if e["name"] == "model_creation")
+        assert rows == {0: 1, 1: 1, 2: 1}

@@ -8,6 +8,7 @@ the tailer's own byte accounting across repeated scrapes.
 
 import io
 import json
+import shutil
 import threading
 import urllib.request
 
@@ -16,6 +17,7 @@ from repro.core.timing import FakeClock
 from repro.telemetry import Event, EventLog
 from repro.telemetry.serve import ObservabilityServer, discover_campaign_dirs
 
+from .test_engine import PARENT_LAYOUT, FlakyBenchmark, _campaign
 from .test_monitor import _run_campaign
 
 
@@ -306,3 +308,37 @@ class TestZeroReread:
             assert not (tmp_path / "alerts.jsonl").exists()
         finally:
             srv.close()
+
+
+class TestAttemptRecords:
+    """The server reads a cell's runs through the journal's attempt files."""
+
+    def test_series_is_the_retried_cells_last_attempt(self, tmp_path):
+        from repro.exec import CampaignSpec
+
+        out = _campaign(FlakyBenchmark(failures=1, clock=FakeClock()),
+                        CampaignSpec(benchmarks=("fake_benchmark",), seeds=1),
+                        journal_dir=tmp_path)
+        record = out.journal.jobs["fake_benchmark/0"]
+        with _Server(tmp_path, FakeClock(start=1000.0)) as srv:
+            status, doc = _get_json(
+                f"{srv.url}/api/runs/{tmp_path.name}/fake_benchmark/0/series")
+        assert status == 200
+        assert (doc["epochs"], doc["quality"]) == (record.epochs, record.quality)
+        assert len(doc["series"]["eval_quality"]) == record.epochs
+
+    def test_parent_layout_campaign_serves_its_finished_runs(self, tmp_path):
+        directory = tmp_path / "parent_layout"
+        shutil.copytree(PARENT_LAYOUT, directory)
+        with _Server(directory, FakeClock(start=1000.0)) as srv:
+            status, doc = _get_json(f"{srv.url}/api/runs/parent_layout/fake_benchmark/0/series")
+            assert status == 200 and doc["epochs"] == 9
+            status, _, text = _get(srv.url + "/metrics")
+            assert status == 200 and 'status="reached"} 2' in text
+            # The cell that faulted twice left no file in this layout.
+            try:
+                urllib.request.urlopen(
+                    f"{srv.url}/api/runs/parent_layout/fake_benchmark/2/series", timeout=10.0)
+                raise AssertionError("expected 404")
+            except urllib.error.HTTPError as err:
+                assert err.code == 404

@@ -190,15 +190,23 @@ class TestCampaignCommand:
         assert args.seeds is None and args.jobs == 1
 
 
+def _partial_run(benchmark, seed, log_lines):
+    """The partial record a session that raised ``ValueError`` leaves."""
+    from repro.core import RunResult
+
+    return RunResult(benchmark=benchmark.spec.name, seed=seed, hyperparameters={},
+                     reached_target=False, quality=float("-inf"), epochs=0,
+                     time_to_train_s=0.0, log_lines=log_lines, error_type="ValueError")
+
+
 class TestRunFailureExit:
     def test_run_failure_exits_nonzero_with_summary(self, monkeypatch):
         """A crashed session never exits 0, and each failed cell names its error."""
         from repro.core import runner as runner_mod
 
         def explode(self, benchmark, *, seed=0, **kwargs):
-            raise runner_mod.RunFailure(
-                benchmark=benchmark.spec.name, seed=seed,
-                cause=ValueError("injected crash"), log_lines=[])
+            raise runner_mod.RunFailure(ValueError("injected crash"),
+                                        _partial_run(benchmark, seed, []))
 
         monkeypatch.setattr(runner_mod.BenchmarkRunner, "run", explode)
         code, text = run_cli("campaign", "recommendation", "--seeds", "2",
@@ -833,6 +841,45 @@ class TestProfileCommand:
         assert campaign.startswith("2 run(s), 1 reached the target\n"
                                    + table([missed, reached]) + "\n")
 
+    def test_profile_of_a_timed_out_campaign_shows_its_row(self, tmp_path):
+        # The cell times out before its first epoch; its attempt's file is
+        # the one run the campaign directory holds.
+        code, _ = run_cli("campaign", "recommendation", "--seeds", "1", "--timeout",
+                          "1e-9", "--retries", "0", "--save", str(tmp_path))
+        assert code == 1
+        code, text = run_cli("profile", str(tmp_path))
+        assert code == 0
+        lines = text.splitlines()
+        assert lines[0] == "1 run(s), 0 reached the target"
+        assert lines[3].split()[:2] == ["recommendation", "1"]
+
+    def test_saved_profile_of_a_crashed_cell_is_read_back(self, tmp_path, monkeypatch):
+        from repro.suite import recommendation
+
+        def explode(self):
+            raise ArithmeticError("injected crash")
+
+        monkeypatch.setattr(recommendation._Session, "evaluate", explode)
+        monkeypatch.setenv("REPRO_PROFILE", "full")
+        code, text = run_cli("campaign", "recommendation", "--seeds", "1",
+                             "--retries", "0", "--save", str(tmp_path))
+        assert code == 1
+        code, saved = run_cli("profile", str(tmp_path))
+        assert code == 0
+        assert saved.startswith("1 run(s), 0 reached the target\n")
+        # The op table the campaign printed is the one its record holds.
+        assert text[text.index("op profile: mode=full"):] == \
+            saved[saved.index("op profile: mode=full"):]
+
+    def test_profile_reads_a_parent_layout_campaign(self):
+        from tests.exec.test_engine import PARENT_LAYOUT
+
+        code, text = run_cli("profile", str(PARENT_LAYOUT))
+        assert code == 0
+        lines = text.splitlines()
+        assert lines[0] == "2 run(s), 2 reached the target"
+        assert lines[3].split()[:2] == ["fake_benchmark", "2"]
+
     def test_missing_path_is_usage_error(self, tmp_path):
         code, text = run_cli("profile", str(tmp_path / "nope"))
         assert code == 2
@@ -884,9 +931,8 @@ class TestFailedRunTraceFlush:
         log.event(Keys.RUN_STOP, status="error", error="ValueError")
 
         def explode(self, benchmark, *, seed=0, **kwargs):
-            raise runner_mod.RunFailure(
-                benchmark=benchmark.spec.name, seed=seed,
-                cause=ValueError("injected crash"), log_lines=log.to_lines())
+            raise runner_mod.RunFailure(ValueError("injected crash"),
+                                        _partial_run(benchmark, seed, log.to_lines()))
 
         monkeypatch.setattr(runner_mod.BenchmarkRunner, "run", explode)
         trace = tmp_path / "trace.json"
