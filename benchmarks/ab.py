@@ -25,7 +25,9 @@ report that exists for the same two trees gains the new workload's pairs,
 its seeds continuing after the last one; for other trees it is refused.
 
 ``--verdict`` reads any ``ab_*.json`` of that schema and prints, per workload
-and end-to-end metric of ``BENCHMARK.json``, each side's median and
+and end-to-end metric of ``BENCHMARK.json`` (plus the derived
+``ttt_per_epoch_s``, ``time_to_train_s / epochs_to_target``, judged the same
+way), each side's median and
 quartiles, the pairs the change wins, the difference of the medians, and that
 difference in multiples of the parent's interquartile range, then each side's
 median minor faults and system CPU seconds where the runs record them.  A
@@ -67,6 +69,17 @@ COMMAND = (f"python3 benchmarks/e2e/run.py --workload W --seed S --seconds {SECO
 
 def end_to_end() -> list[dict]:
     return json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+# The derived row: time_to_train_s / epochs_to_target, so a change that
+# moves the time per epoch is judged apart from one that moves the epochs.
+PER_EPOCH = {"name": "ttt_per_epoch_s", "better": "lower"}
+
+
+def with_per_epoch(run: dict) -> dict:
+    if run.get("epochs_to_target") and "time_to_train_s" in run:
+        return {**run, PER_EPOCH["name"]: run["time_to_train_s"] / run["epochs_to_target"]}
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +222,13 @@ def judge(parent: list[float], change: list[float], lower_is_better: bool) -> di
 
 
 def verdict(paths: list[Path]) -> int:
-    metrics = end_to_end()
+    metrics = end_to_end() + [PER_EPOCH]
     status = 0
     for path in paths:
         try:
             report = json.loads(Path(path).read_text())
-            tables = {w: pair_up(runs) for w, runs in report["runs"].items()}
+            tables = {w: pair_up([with_per_epoch(r) for r in runs])
+                      for w, runs in report["runs"].items()}
         except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"ab: cannot read {path}: {exc}", file=sys.stderr)
             status = 1

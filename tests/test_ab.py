@@ -39,6 +39,10 @@ def _row(text: str, workload: str, metric: str) -> str:
      "same"),
     ("ab_one_kernel_path.json", "smallstep_campaign", "epochs_to_target", ("23.00", "23.00"),
      "0/3", "same"),
+    # The derived row, time_to_train_s / epochs_to_target, per pair: both
+    # sides ran 12 epochs, so it reads as time_to_train_s does.
+    ("ab_gather_unfold.json", "vision_ttt", "ttt_per_epoch_s", ("1.48", "1.34"), "11/12",
+     "better"),
 ])
 def test_verdict_rerenders_committed_claims(report, workload, metric, medians, wins, verdict):
     done = subprocess.run([sys.executable, str(AB), "--verdict", str(REPORTS / report)],
