@@ -12,8 +12,9 @@ are:
 
 - the four workloads of ``benchmarks/e2e/run.py``, each with ``--trace 0``
   and ``--trace 1``;
-- every CLI command CI runs, every other verb, and the ``serve-metrics``
-  endpoints;
+- every CLI command CI runs, every other verb, a campaign whose one cell
+  times out with ``profile`` and ``review`` of it, and the
+  ``serve-metrics`` endpoints;
 - every ``examples/*.py``;
 - the paper benches, ``pytest benchmarks --ignore=benchmarks/e2e
   --benchmark-disable``.  pytest-benchmark switches ``sys.settrace`` off
@@ -128,6 +129,12 @@ CLI_COMMANDS = [
     (["campaign", "recommendation", "--seeds", "2", "--save", "smoke-campaign",
       "--submitter", "serve-smoke"], {}),
     (["alerts", "smoke-campaign"], {}),
+    # The failure path: the deadline is checked at each epoch start, so the
+    # one cell times out before its first epoch, every time.
+    (["campaign", "recommendation", "--seeds", "1", "--timeout", "1e-9", "--retries", "0",
+      "--save", "timed-out"], {}),
+    (["profile", "timed-out"], {}),
+    (["review", "timed-out"], {}),
 ]
 ENDPOINTS = ("/metrics", "/api/campaigns", "/api/campaigns/smoke-campaign/jobs",
              "/api/runs/smoke-campaign/recommendation/0/series", "/api/alerts", "/events")
