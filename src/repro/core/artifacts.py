@@ -105,7 +105,9 @@ def save_run_result(path: str | Path, run: RunResult) -> Path:
             "hyperparameters": _scrub(run.hyperparameters),
             "time_to_train_s": run.time_to_train_s,
             "epochs": run.epochs,
-            "quality": run.quality,
+            # null for an attempt that failed before its first evaluation
+            # (-inf in memory, which strict JSON readers refuse).
+            "quality": run.quality if run.quality_history else None,
             "reached_target": run.reached_target,
             # A faulted or timed-out attempt is saved too, as a run that did
             # not reach its target; these two say why.
@@ -228,7 +230,7 @@ def _parse_result_file(benchmark: str | None, path: Path) -> RunResult:
             seed=int(header["seed"]),
             hyperparameters=dict(header["hyperparameters"]),
             reached_target=bool(header["reached_target"]),
-            quality=float(header["quality"]),
+            quality=float("-inf" if header["quality"] is None else header["quality"]),
             epochs=int(header["epochs"]),
             time_to_train_s=float(header["time_to_train_s"]),
             quality_history=history,

@@ -12,6 +12,8 @@ import shutil
 import threading
 import urllib.request
 
+import pytest
+
 from repro.cli import main
 from repro.core.timing import FakeClock
 from repro.telemetry import Event, EventLog
@@ -326,6 +328,20 @@ class TestAttemptRecords:
         assert status == 200
         assert (doc["epochs"], doc["quality"]) == (record.epochs, record.quality)
         assert len(doc["series"]["eval_quality"]) == record.epochs
+
+    def test_an_attempt_that_timed_out_before_any_eval_serves_strict_json(self, tmp_path):
+        from repro.exec import CampaignSpec
+        from ..core.fakes import FakeBenchmark
+
+        _campaign(FakeBenchmark(clock=FakeClock()),
+                  CampaignSpec(benchmarks=("fake_benchmark",), seeds=1, timeout_s=0.0),
+                  journal_dir=tmp_path)
+        with _Server(tmp_path, FakeClock(start=1000.0)) as srv:
+            status, _, body = _get(
+                f"{srv.url}/api/runs/{tmp_path.name}/fake_benchmark/0/series")
+        doc = json.loads(body, parse_constant=lambda name: pytest.fail(f"{name} in {body}"))
+        assert status == 200
+        assert (doc["epochs"], doc["quality"], doc["series"]) == (0, None, {})
 
     def test_parent_layout_campaign_serves_its_finished_runs(self, tmp_path):
         directory = tmp_path / "parent_layout"
