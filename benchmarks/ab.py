@@ -7,10 +7,13 @@ Usage::
                              [--what TEXT]
     python3 benchmarks/ab.py --verdict FILE [FILE ...]
 
-The measuring form builds the parent ``REV`` and the change (default: the
+The measuring form archives the parent ``REV`` and the change (default: the
 working tree's tracked files, as ``git stash create`` records them, else
-``HEAD``) with ``git archive`` into a temporary directory each, and runs pair
-``i`` as two fresh processes, one a side, on query seed ``i + 1``: each is
+``HEAD``) with ``git archive``, and runs pair ``i`` as two fresh processes,
+one a side, on query seed ``i + 1``.  Every run first extracts its side's
+archive into one and the same temporary directory, so both sides run from
+one path (where a tree lies moves its page faults, not only its code).
+Each run is
 that tree's own ``benchmarks/e2e/run.py --workload W --seed i+1 --seconds 30
 --trace 0``, called as ``run.measure(W, i+1, 30, 0)``, the function behind it,
 so the training fingerprint (epochs, quality; for ``serve_forward`` also the
@@ -45,6 +48,7 @@ import json
 import math
 import os
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -63,8 +67,8 @@ MEASURE = (
 )
 COMMAND = (f"python3 benchmarks/e2e/run.py --workload W --seed S --seconds {SECONDS} "
            f"--trace 0 (called as run.measure(W, S, {SECONDS}, 0), the function behind "
-           "it, so the fingerprint is kept), each side in a fresh process in its own "
-           "git archive of its revision")
+           "it, so the fingerprint is kept), each side in a fresh process, its revision's "
+           "git archive extracted afresh into the one directory every run uses")
 
 
 def end_to_end() -> list[dict]:
@@ -97,11 +101,16 @@ def resolve(rev: str | None) -> str:
     return git("rev-parse", "--verify", f"{rev}^{{commit}}")
 
 
-def build(commit: str, into: Path) -> Path:
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit], check=True,
-                             capture_output=True).stdout
+def archive(commit: str) -> bytes:
+    return subprocess.run(["git", "-C", str(ROOT), "archive", commit], check=True,
+                          capture_output=True).stdout
+
+
+def build(tar: bytes, into: Path) -> Path:
+    """Extract ``tar`` into ``into``, replacing whatever tree was there."""
+    shutil.rmtree(into, ignore_errors=True)
     into.mkdir()
-    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    subprocess.run(["tar", "-x", "-C", str(into)], input=tar, check=True)
     return into
 
 
@@ -158,13 +167,13 @@ def measure(args: argparse.Namespace) -> int:
     runs = report["runs"].setdefault(args.workload, [])
     first = max((r["seed"] for r in runs), default=0) + 1
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
-        trees = {side: build(commit, Path(tmp) / side) for side, commit in revisions.items()}
+        tars = {side: archive(commit) for side, commit in revisions.items()}
         for i in range(args.pairs):
             seed = first + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             outs = {}
             for side in order:
-                outs[side] = run_side(trees[side], args.workload, seed)
+                outs[side] = run_side(build(tars[side], Path(tmp) / "tree"), args.workload, seed)
                 runs.append(record(seed, side, outs[side]))
                 print(f"# pair {i + 1}/{args.pairs} seed {seed} {side}: "
                       + json.dumps({k: v for k, v in runs[-1].items() if k != "fingerprint"}),

@@ -425,10 +425,18 @@ def _load_submissions(directories, out) -> list | None:
 
 def _cmd_review(args, out) -> int:
     from .core import review_directory
+    from .exec.journal import CampaignJournal
     from .suite import REGISTRY, create_benchmark
 
     specs = {name: create_benchmark(name).spec for name in REGISTRY}
     try:
+        jobs = CampaignJournal.load(args.submission_dir).jobs
+        if jobs and not any(rec.status == "reached" for rec in jobs.values()):
+            cells = ", ".join(f"{key} {rec.status}" for key, rec in sorted(jobs.items()))
+            print(f"nothing to review in {args.submission_dir}: its campaign's "
+                  f"{sum(rec.attempts for rec in jobs.values())} attempt(s) reached no "
+                  f"target ({cells})", file=out)
+            return 1
         report = review_directory(args.submission_dir, specs)
     except (FileNotFoundError, ValueError) as exc:
         print(f"cannot load submission {args.submission_dir}: {exc}", file=out)

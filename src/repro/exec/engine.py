@@ -225,11 +225,14 @@ def run_campaign(
     # campaign killed mid-wave still shows its unstarted cells as pending.
     journal.flush()
 
-    # -- resume: skip terminal cells whose run is on disk, schedule the rest --
+    # -- resume: skip terminal cells whose run is on disk, schedule the rest,
+    # each at its next attempt (its files, record and run seed count on) ---
     done = journal.completed_cells() if resume else set()
-    wave = [job for job in plan.jobs
+    wave = [replace(job, attempt=rec.attempts) if (rec := journal.jobs.get(job.key)) else job
+            for job in plan.jobs
             if job.cell not in done or journal.load_result(*job.cell) is None]
     resumed_cells = len(plan.jobs) - len(wave)
+    first_attempt = {job.cell: job.attempt for job in wave}  # the retry budget is per run
 
     # -- live streams: campaign event log + per-job stream directories -------
     events = EventBus(clock=event_clock)
@@ -246,7 +249,8 @@ def run_campaign(
     # -- schedule + supervise, journaling after every completion -------------
     executed = retries = reached = quality_misses = faults = timeouts = 0
     total_ttt = 0.0
-    backoffs_by_cell: dict[tuple[str, int], list[float]] = {}
+    backoffs_by_cell = {job.cell: list(journal.jobs[job.key].backoffs_s)
+                        for job in wave if job.attempt}
     outcome_telemetry: list[RunTelemetry | None] = []
     wave = [replace(job, campaign_id=campaign_id,
                     stream_dir=(str(journal.directory)
@@ -260,7 +264,8 @@ def run_campaign(
             executed += 1
             outcome_telemetry.append(outcome.result.telemetry)
             record = _record_for(outcome, backoffs_by_cell)
-            will_retry = policy.should_retry(outcome)
+            tries = outcome.job.attempt - first_attempt[outcome.job.cell]
+            will_retry = outcome.is_fault and tries < policy.max_retries
             if outcome.status == "reached":
                 reached += 1
             elif outcome.status == "quality_miss":
@@ -270,7 +275,7 @@ def run_campaign(
             elif will_retry:
                 retries += 1
                 retry_job = outcome.job.retry()
-                delay = policy.delay_s(retry_job.attempt)
+                delay = policy.delay_s(tries + 1)
                 backoffs_by_cell.setdefault(outcome.job.cell, []).append(delay)
                 record.backoffs_s = list(backoffs_by_cell[outcome.job.cell])
                 next_wave.append(retry_job)

@@ -20,8 +20,8 @@ Cell states:
 - ``quality_miss`` — run completed below target (terminal: deterministic
   re-execution cannot change it, §3.2.2 treats it as a failed *result*);
 - ``fault`` — the run raised; retried up to the cap, then terminal for
-  this invocation but **rescheduled on resume** (fresh chance, whose
-  attempts replace the cell's earlier ones);
+  this invocation but **rescheduled on resume** (a fresh retry budget;
+  its attempts, their files and run seeds count on from the earlier ones);
 - ``timeout`` — exceeded the per-job deadline; terminal for this
   invocation, rescheduled on resume (the user may raise the budget).
 """

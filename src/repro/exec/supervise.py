@@ -17,17 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .workers import JobOutcome
-
 __all__ = ["RetryPolicy"]
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How many times to re-run a faulted cell and how long to wait.
+    """How many times one invocation re-runs a faulted cell and how long it waits.
 
-    ``delay_s(attempt)`` is the pause before executing attempt ``attempt``
-    (the first retry is attempt 1): ``base * 2**(attempt-1)``, capped.
+    ``delay_s(retry)`` is the pause before the invocation's retry ``retry``
+    (its first is 1): ``base * 2**(retry-1)``, capped.
     """
 
     max_retries: int = 2
@@ -40,10 +38,7 @@ class RetryPolicy:
         if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
             raise ValueError("backoff delays cannot be negative")
 
-    def delay_s(self, attempt: int) -> float:
-        if attempt < 1:
+    def delay_s(self, retry: int) -> float:
+        if retry < 1:
             raise ValueError("retry attempts start at 1")
-        return min(self.backoff_base_s * (2 ** (attempt - 1)), self.backoff_cap_s)
-
-    def should_retry(self, outcome: JobOutcome) -> bool:
-        return outcome.is_fault and outcome.job.attempt < self.max_retries
+        return min(self.backoff_base_s * (2 ** (retry - 1)), self.backoff_cap_s)

@@ -23,9 +23,10 @@ its operands alone:
 
 Both allocate their scratch per call with ``np.empty`` and drop it when
 done (a scratch pool was measured and removed, DESIGN.md).  The fused
-backward closure keeps ``x``, ``w2`` and the ReLU mask, not the patch
-matrix (9x the input for a 3x3 kernel): the weight gradient re-unfolds
-``x`` with the same gather, so a training graph holds no patch matrix.  The
+path's forward is one array function, :func:`conv2d_array`.  Its backward
+closure keeps ``x``, ``w2`` and the ReLU mask, not the patch matrix (9x the
+input for a 3x3 kernel): the weight gradient re-unfolds ``x`` with the same
+gather, so a training graph holds no patch matrix.  The
 fused path is **bit-identical** to the reference: same element values, same
 accumulation order, same dtypes (enforced by tests, including with every
 scratch buffer poisoned before the kernel writes it).
@@ -47,6 +48,7 @@ __all__ = [
     "im2col",
     "col2im",
     "conv2d",
+    "conv2d_array",
     "conv2d_naive",
     "conv2d_same",
     "global_avg_pool2d",
@@ -152,43 +154,44 @@ def _block(n: int, per_sample_bytes: int) -> int:
     return max(1, n)
 
 
-def _conv2d_fused(x: Tensor, weight: Tensor, bias: Tensor | None,
-                  stride: int, pad: int, dt, relu: bool = False) -> Tensor:
-    """im2col + GEMM convolution over a patch-major unfold.
-
-    With ``relu=True`` this is the fused conv→bias→ReLU kernel: the mask is
-    applied to the GEMM output in place and one backward closure handles
-    the whole chain (bit-identical to ``relu(conv2d(...))``).
-    """
-    n, c = x.shape[0], x.shape[1]
+def conv2d_array(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
+                 stride: int, pad: int, relu: bool = False):
+    """The fused forward on raw arrays of one float dtype: the NCHW output and
+    (``relu=True``, else ``None``) the ReLU mask, applied in place on the GEMM
+    output after the bias and kept in its ``(N*OH*OW, F)`` layout."""
+    n, c, h, w = x.shape
     f, _, kh, kw = weight.shape
-    h, w = x.shape[2], x.shape[3]
     oh = (h + 2 * pad - kh) // stride + 1
     ow = (w + 2 * pad - kw) // stride + 1
     p = oh * ow
     ck = c * kh * kw
-
-    xd = x.data
-
-    def unfold() -> np.ndarray:
-        return _unfold(xd, kh, kw, stride, pad).reshape(n * p, ck)
-
-    w2 = weight.data.reshape(f, ck)
-    out_flat = np.matmul(unfold(), w2.T)
+    out_flat = np.matmul(_unfold(x, kh, kw, stride, pad).reshape(n * p, ck),
+                         weight.reshape(f, ck).T)
     if bias is not None:
-        out_flat += bias.data
+        out_flat += bias
     mask = None
     if relu:
         mask = np.greater(out_flat, 0)
         out_flat *= mask
-    out = np.empty((n, f, oh, ow), dtype=dt)
+    out = np.empty((n, f, oh, ow), dtype=x.dtype)
     out.reshape(n, f, p)[...] = out_flat.reshape(n, p, f).transpose(0, 2, 1)
+    return out, mask
 
+
+def _conv2d_fused(x: Tensor, weight: Tensor, bias: Tensor | None,
+                  stride: int, pad: int, dt, relu: bool = False) -> Tensor:
+    """:func:`conv2d_array` as one graph node (with ``relu``: conv→bias→ReLU)."""
+    xd = x.data
+    out, mask = conv2d_array(xd, weight.data, None if bias is None else bias.data,
+                             stride, pad, relu)
     if not is_grad_enabled():
         return Tensor(out)
     parents = (x, weight) if bias is None else (x, weight, bias)
     if not any(t.requires_grad for t in parents):
         return Tensor(out)
+    (n, c, h, w), (f, _, kh, kw), (oh, ow) = xd.shape, weight.shape, out.shape[2:]
+    p = oh * ow
+    w2 = weight.data.reshape(f, c * kh * kw)
 
     def backward(result: Tensor) -> None:
         g2 = np.empty((n * p, f), dt)
@@ -200,7 +203,9 @@ def _conv2d_fused(x: Tensor, weight: Tensor, bias: Tensor | None,
         if weight.requires_grad:
             # Re-unfold the forward's operand: the same gather of the same
             # bits, alive only for this GEMM instead of the whole step.
-            weight._accumulate(np.matmul(g2.T, unfold()).reshape(weight.shape), owned=True)
+            cols = _unfold(xd, kh, kw, stride, pad).reshape(n * p, w2.shape[1])
+            weight._accumulate(np.matmul(g2.T, cols).reshape(weight.shape), owned=True)
+            del cols  # before the input gradient's GEMM and fold allocate
         if x.requires_grad:
             cT = np.matmul(g2, w2).reshape(n, oh, ow, c, kh, kw)
             # Fold channels-last (contiguous inner axis), then hand the

@@ -9,7 +9,9 @@ closures backward.  The kernels here compute the same values (bit-identical
 Each kernel takes its fused path when its operands allow it (one float
 dtype, plus the shape or dropout its own check names) and otherwise runs
 ``_<op>_reference``, the composition of primitives it is checked against,
-counting the fallback; call sites use the kernels unconditionally.
+counting the fallback; call sites use the kernels unconditionally.  A
+fused path's forward is one array function (``*_array``), which the
+no-graph entry points also call once :func:`fused_path` admits them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .prof import profiled_op
 from .functional import softmax
 from .tensor import Tensor, _sigmoid, _unbroadcast, is_grad_enabled
 
-__all__ = ["conv2d_bias_relu", "linear_bias_act", "normalize", "lstm_cell", "attention"]
+__all__ = ["conv2d_bias_relu", "linear_bias_act", "linear_array", "normalize",
+           "normalize_array", "fused_path", "lstm_cell", "attention"]
 
 _ACTS = ("none", "relu")
 
@@ -38,6 +41,15 @@ def _count_fallback(op: str, reason: str) -> None:
     from ..telemetry import current_metrics
 
     current_metrics().counter(f"kernel_fallbacks.{op}.{reason}").inc()
+
+
+def fused_path(op: str, *operands) -> bool:
+    """Whether ``operands`` share one float dtype, so that entry point ``op``
+    may run on the array functions; if not, count its fallback."""
+    if _uniform_float_dtype(*operands) is not None:
+        return True
+    _count_fallback(op, "mixed_dtype")
+    return False
 
 
 @profiled_op("conv2d_bias_relu")
@@ -86,16 +98,23 @@ def _linear_reference(x: Tensor, weight: Tensor, bias: Tensor | None, act: str) 
     return out.relu() if act == "relu" else out
 
 
-def _linear_fused(x: Tensor, weight: Tensor, bias: Tensor | None, act: str, dt) -> Tensor:
-    wd = weight.data
-    y = np.matmul(x.data, wd.T)  # escapes as the result tensor's data
+def linear_array(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
+                 act: str = "none"):
+    """``act(x @ W.T + b)`` on raw arrays of one float dtype, bias and mask in
+    place, and (``act="relu"``, else ``None``) the mask: the kernel's forward."""
+    y = np.matmul(x, weight.T)
     if bias is not None:
-        y += bias.data
+        y += bias
     mask = None
     if act == "relu":
         mask = np.greater(y, 0)
         y *= mask
+    return y, mask
 
+
+def _linear_fused(x: Tensor, weight: Tensor, bias: Tensor | None, act: str, dt) -> Tensor:
+    wd = weight.data
+    y, mask = linear_array(x.data, wd, None if bias is None else bias.data, act)
     if not is_grad_enabled():
         return Tensor(y)
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -177,24 +196,25 @@ def _normalize_reference(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: floa
     return out.relu() if act == "relu" else out
 
 
-def _normalize_fused(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
-                     shape, moments, observe, residual, act) -> Tensor:
-    xd = x.data
-    batch_stats = moments is None
-    if batch_stats:
+def normalize_array(x: np.ndarray, axes, gamma: np.ndarray, beta: np.ndarray, eps: float,
+                    moments: tuple[np.ndarray, np.ndarray] | None = None, observe=None,
+                    residual: np.ndarray | None = None, act: str = "none"):
+    """:func:`normalize`'s forward on raw arrays of one float dtype, ``gamma``
+    and ``beta`` in their broadcast shape: ``y`` and, for the backward,
+    ``(mean, std, 1 / count)`` (the count of batch statistics, else ``None``)."""
+    inv_n = None
+    if moments is None:
         reduced = (axes,) if np.isscalar(axes) else tuple(axes)
-        inv_n = 1.0 / math.prod(xd.shape[a % xd.ndim] for a in reduced)
-        mean = xd.sum(axis=axes, keepdims=True) * inv_n
-        centered = xd + (-mean)
+        inv_n = 1.0 / math.prod(x.shape[a % x.ndim] for a in reduced)
+        mean = x.sum(axis=axes, keepdims=True) * inv_n
+        centered = x + (-mean)
         var = (centered * centered).sum(axis=axes, keepdims=True) * inv_n
         if observe is not None:
             observe(mean, var)
     else:
         mean, var = moments
-        centered = xd + (-mean)
+        centered = x + (-mean)
     std = np.sqrt(var + eps)
-    gd = gamma.data if shape is None else gamma.data.reshape(shape)
-    bd = beta.data if shape is None else beta.data.reshape(shape)
     # Each intermediate is dropped once the next exists.  ``xhat`` stays a
     # named array while it is read, here and in the backward: NumPy may
     # write a product into an unnamed operand's buffer, whose layout need
@@ -202,20 +222,29 @@ def _normalize_fused(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
     # the order of every later reduction over it.
     xhat = centered / std
     del centered
-    y = xhat * gd + bd
+    y = xhat * gamma + beta
     del xhat
     if residual is not None:
-        rd = residual.data
         # The composed add's result takes its operands' layout when they
         # share one; otherwise NumPy picks, so let it.
-        if y.strides == rd.strides:
-            y += rd
+        if y.strides == residual.strides:
+            y += residual
         else:
-            y = y + rd
+            y = y + residual
     if act == "relu":
         # The composed mask is ``z > 0``; it is ``y > 0`` after masking too
         # (a masked element is ±0 or NaN), so the backward recomputes it.
         y *= np.greater(y, 0)
+    return y, (mean, std, inv_n)
+
+
+def _normalize_fused(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
+                     shape, moments, observe, residual, act) -> Tensor:
+    xd = x.data
+    gd = gamma.data if shape is None else gamma.data.reshape(shape)
+    bd = beta.data if shape is None else beta.data.reshape(shape)
+    y, (mean, std, inv_n) = normalize_array(xd, axes, gd, bd, eps, moments, observe,
+                                            None if residual is None else residual.data, act)
     if not is_grad_enabled():
         return Tensor(y)
     parents = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
@@ -250,7 +279,7 @@ def _normalize_fused(x: Tensor, axes, gamma: Tensor, beta: Tensor, eps: float,
         if not x.requires_grad:
             return
         g_centered = g_xhat / std
-        if not batch_stats:
+        if inv_n is None:  # constant moments
             x._accumulate(g_centered, owned=True)
             return
         g_sum = -_unbroadcast(g_centered, mean.shape) * inv_n

@@ -150,15 +150,16 @@ class _BatchNorm(Module):
 
     def forward(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
         _check_features(type(self).__name__, x, 1, self.num_features, self._NDIM)
-        axes = (0, *range(2, x.ndim))
         shape = (1, self.num_features) + (1,) * (x.ndim - 2)
-        kwargs = dict(residual=residual, act=self.activation)
+        return normalize(x, (0, *range(2, x.ndim)), self.gamma, self.beta, self.eps, shape,
+                         *self.statistics(shape), residual=residual, act=self.activation)
+
+    def statistics(self, shape: tuple[int, ...]):
+        """``normalize``'s ``(moments, observe)``: the batch's, observed into the
+        running averages, in training mode; those averages in eval mode."""
         if self.training:
-            return normalize(x, axes, self.gamma, self.beta, self.eps, shape,
-                             observe=self._update_running, **kwargs)
-        moments = (self.running_mean.reshape(shape), self.running_var.reshape(shape))
-        return normalize(x, axes, self.gamma, self.beta, self.eps, shape, moments=moments,
-                         **kwargs)
+            return None, self._update_running
+        return (self.running_mean.reshape(shape), self.running_var.reshape(shape)), None
 
     def _update_running(self, mean: np.ndarray, var: np.ndarray) -> None:
         # The moving-average decay here is itself a hyperparameter the
@@ -210,11 +211,7 @@ class Embedding(Module):
         self.weight = Parameter(init.normal((num_embeddings, dim), rng, std=std))
 
     def forward(self, ids: np.ndarray) -> Tensor:
-        ids = np.asarray(ids)
-        # One reduction: as uint64 a negative id is a huge one.
-        if ids.astype(np.uint64).max(initial=0) >= self.num_embeddings:
-            raise IndexError(f"embedding ids out of range [0, {self.num_embeddings})")
-        return self.weight.take_rows(ids)
+        return self.weight.take_rows(ids)  # gather_rows: checked against the table
 
 
 class Dropout(Module):

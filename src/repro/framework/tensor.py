@@ -21,7 +21,7 @@ import numpy as np
 from .prof import profiled_op, profiler
 
 __all__ = ["Tensor", "no_grad", "inference_mode", "is_grad_enabled",
-           "is_inference_mode", "set_alloc_tracker"]
+           "is_inference_mode", "set_alloc_tracker", "gather_rows"]
 
 _GRAD_ENABLED = True
 _INFERENCE_MODE = False
@@ -683,7 +683,7 @@ class Tensor:
     # Gather / scatter (for embeddings)
     # ------------------------------------------------------------------
     def take_rows(self, indices: np.ndarray) -> "Tensor":
-        """Row gather: ``out[i...] = self[indices[i...]]`` along axis 0.
+        """:func:`gather_rows` of this tensor's rows, as a graph node.
 
         The adjoint scatters (with accumulation on duplicate indices), which
         is exactly the gradient of an embedding lookup.
@@ -695,4 +695,13 @@ class Tensor:
             np.add.at(grad, indices.reshape(-1), out.grad.reshape(-1, *self.shape[1:]))
             self._accumulate(grad, owned=True)
 
-        return Tensor._make(self.data[indices], (self,), backward)
+        return Tensor._make(gather_rows(self.data, indices), (self,), backward)
+
+
+def gather_rows(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Row gather ``out[i...] = table[ids[i...]]``; an id outside
+    ``[0, len(table))`` raises ``IndexError`` instead of wrapping."""
+    # One reduction: as uint64 a negative id is a huge one.
+    if ids.astype(np.uint64).max(initial=0) >= len(table):
+        raise IndexError(f"embedding ids out of range [0, {len(table)})")
+    return table[ids]

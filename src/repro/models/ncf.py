@@ -15,6 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..framework import Embedding, Linear, Module, Tensor, functional as F, no_grad
+from ..framework.fused import fused_path, linear_array
+from ..framework.prof import profiled_op
+from ..framework.tensor import gather_rows
 
 __all__ = ["NCF"]
 
@@ -49,7 +52,23 @@ class NCF(Module):
     def loss(self, users: np.ndarray, items: np.ndarray, labels: np.ndarray) -> Tensor:
         return F.binary_cross_entropy_with_logits(self.forward(users, items), labels)
 
+    @profiled_op("ncf_score")
     def score(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Inference scores (no graph) for ranking evaluation."""
-        with no_grad():
-            return self.forward(users, items).data
+        """Inference scores for serving and ranking evaluation: :meth:`forward`'s
+        values, wired over the kernels' array functions."""
+        tables = (self.user_gmf.weight, self.item_gmf.weight,
+                  self.user_mlp.weight, self.item_mlp.weight)
+        linears = (*self.mlp_layers, self.head)
+        if not fused_path("ncf_score", *tables, *(t for m in linears for t in (m.weight, m.bias))):
+            with no_grad():
+                return self.forward(users, items).data
+        users, items = np.asarray(users), np.asarray(items)
+        user_gmf, item_gmf, user_mlp, item_mlp = (t.data for t in tables)
+        gmf = gather_rows(user_gmf, users) * gather_rows(item_gmf, items)
+        # The MLP tables have the GMF tables' rows, so these ids are checked.
+        h = np.concatenate([user_mlp[users], item_mlp[items]], axis=1)
+        for layer in self.mlp_layers:
+            h = linear_array(h, layer.weight.data, layer.bias.data, layer.activation)[0]
+        h = np.concatenate([gmf, h], axis=1)
+        return linear_array(h, self.head.weight.data, self.head.bias.data,
+                            self.head.activation)[0].reshape(-1)

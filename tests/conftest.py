@@ -7,14 +7,20 @@ import contextlib
 import pytest
 
 from repro.framework import conv, fused
+from repro.models import minigo, ncf
 
-# Every fused implementation, by name, in every module that binds it.
+# Every fused implementation, by name, in every module that binds it.  The
+# models bind the array functions their no-graph entry points are wired
+# over, which ``fused_path`` (the gate) keeps them from reaching here.
 _FUSED_PATHS = {
     "_conv2d_fused": (conv, fused),
     "_linear_fused": (fused,),
     "_normalize_fused": (fused,),
     "_lstm_cell_fused": (fused,),
     "_attention_fused": (fused,),
+    "conv2d_array": (minigo,),
+    "normalize_array": (minigo,),
+    "linear_array": (minigo, ncf),
 }
 
 

@@ -309,6 +309,33 @@ class TestResume:
         assert second.summary.executed == 2
 
 
+    def test_resume_numbers_attempts_on_from_the_journal(self, tmp_path):
+        spec = CampaignSpec(benchmarks=("fake_benchmark",), seeds=1)
+        flaky = FlakyBenchmark(failures=3, clock=FakeClock())
+        first = _campaign(flaky, spec, journal_dir=tmp_path, policy=RetryPolicy(max_retries=1))
+        assert first.summary.faults == 1
+        # A fresh invocation has its own budget: zero retries, one attempt.
+        again = _campaign(flaky, spec, journal_dir=tmp_path, resume=True,
+                          policy=RetryPolicy(max_retries=0))
+        assert (again.summary.executed, again.summary.faults) == (1, 1)
+        record = again.journal.jobs["fake_benchmark/0"]
+        assert record.attempts == 3
+        files = again.journal.attempt_files("fake_benchmark", 0)
+        assert [path.name for path in files] == [
+            "seed_0.txt", "seed_0.attempt_1.txt", "seed_0.attempt_2.txt"]
+        runs = [load_run_result(path) for path in files]
+        assert [run.seed for run in runs] == [0, RESEED_STRIDE, 2 * RESEED_STRIDE]
+        assert {run.status for run in runs} == {"fault"}
+        # ... and so every attempt's row is in the trace.
+        names = [e["name"] for e in again.chrome_trace()["traceEvents"] if e["ph"] == "X"]
+        assert names.count("model_creation") == 3
+        # The resumed cell then reaches its target on the next attempt.
+        done = _campaign(flaky, spec, journal_dir=tmp_path, resume=True)
+        assert done.ok and done.journal.jobs["fake_benchmark/0"].attempts == 4
+        assert [r.seed for r in done.runs_by_benchmark["fake_benchmark"]] == [
+            3 * RESEED_STRIDE]
+
+
 class TestOneRecordPerAttempt:
     """Every attempt leaves a ``# repro-run`` file; every reader reads those."""
 
@@ -358,8 +385,9 @@ class TestOneRecordPerAttempt:
                         journal_dir=directory, resume=True)
         assert out.ok
         assert (out.summary.skipped_resumed, out.summary.executed) == (2, 1)
+        # Cell 2 faulted on both of its attempts, so it resumes at its third.
         assert [r.seed for r in out.runs_by_benchmark["fake_benchmark"]] == [
-            RESEED_STRIDE, 1, 2]
+            RESEED_STRIDE, 1, 2 + 2 * RESEED_STRIDE]
         # The retried cell kept only its last run, so its row holds one attempt.
         rows = Counter(e["pid"] for e in out.chrome_trace()["traceEvents"]
                        if e["name"] == "model_creation")

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import BenchmarkRunner, FakeClock
 from repro.core.artifacts import save_run_result
+from repro.framework import no_grad
 from repro.loadgen import (
     SUT,
     ScenarioSpec,
@@ -77,6 +78,31 @@ class TestLoadSut:
         a, b = load_sut(rec_artifact), load_sut(rec_artifact)
         idx = np.arange(16)
         np.testing.assert_array_equal(a.predict(idx), b.predict(idx))
+
+    def test_inference_entry_points_build_no_tensor(self, rec_artifact, monkeypatch):
+        """One served NCF query built 11 ``Tensor``s and one MiniGo
+        ``evaluate`` 16 while both ran the Tensor forward; on the array
+        functions they build none."""
+        from repro.framework import Tensor
+        from repro.go import GoBoard
+        from repro.models import MiniGoNet
+
+        sut = load_sut(rec_artifact)
+        net = MiniGoNet(5, np.random.default_rng(0))
+        built = []
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        sut.predict(np.array([3]))
+        net.evaluate(GoBoard(5).play(4))
+        assert built == []
+        with no_grad():  # the oracle still builds them: the counter counts
+            sut.adapter.model.forward(np.array([3]), np.array([4]))
+        assert len(built) == 11
 
     def test_serving_params_carry_no_grad(self, rec_artifact):
         model = load_sut(rec_artifact).adapter.model

@@ -6,7 +6,8 @@ dtypes and quietly runs its composed reference instead.  Nothing fails and
 no output differs, so only a test that looks at the tensors themselves can
 see it.  For each of the seven benchmarks this runs
 one training step and one evaluation batch and checks every tensor built
-and every kernel fallback counted on the way.
+and every kernel fallback counted on the way.  The entry points that run on
+the kernels' array functions build no tensor, so their outputs are checked.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from repro.telemetry import Telemetry
 _FAST_HP = {"reinforcement": dict(games_per_iteration=1, mcts_simulations=2)}
 # What a session's evaluate() calls once per batch, by model.
 _EVAL_ENTRY_POINTS = ("greedy_decode", "detect", "score")
+# Entry points that build no ``Tensor``: NCF's scores (evaluation) and
+# MiniGo's self-play evaluations (the training step's set-up).
+_ARRAY_ENTRY_POINTS = ("score", "evaluate")
 
 
 class _Stop(Exception):
@@ -59,6 +63,18 @@ def built_dtypes(monkeypatch):
     return seen
 
 
+def _record_output_dtypes(model, seen):
+    """Note the dtype of each array entry point's (first) output in ``seen``."""
+    for attr in _ARRAY_ENTRY_POINTS:
+        if hasattr(model, attr):
+            def recorded(*args, _real=getattr(model, attr), **kwargs):
+                out = _real(*args, **kwargs)
+                seen.add((out[0] if isinstance(out, tuple) else out).dtype)
+                return out
+
+            setattr(model, attr, recorded)
+
+
 def _session(name):
     bench = create_benchmark(name)
     bench.prepare_data()
@@ -73,6 +89,8 @@ def test_step_and_eval_batch_stay_in_parameter_dtype(name, built_dtypes):
     widest = max(p.dtype.itemsize for p in model.parameters())
     assert widest == 4, "the suite's models are float32"
     built_dtypes.clear()  # what building the model constructed is not the graph
+    outputs: set[np.dtype] = set()
+    _record_output_dtypes(model, outputs)
 
     _stop_after_calls(session.step_executor(), "step")
     telemetry = Telemetry()
@@ -89,6 +107,8 @@ def test_step_and_eval_batch_stay_in_parameter_dtype(name, built_dtypes):
     assert built_dtypes, "the hook saw no tensor"
     wide = sorted(str(dt) for dt in built_dtypes if dt.kind != "f" or dt.itemsize > widest)
     assert not wide, f"{name}: tensors of dtype {wide} in a float32 model"
+    if any(hasattr(model, attr) for attr in _ARRAY_ENTRY_POINTS):
+        assert outputs == {np.dtype(np.float32)}, f"{name}: entry points returned {outputs}"
     fallbacks = [k for k in telemetry.metrics.snapshot() if k.startswith("kernel_fallbacks")]
     assert not fallbacks, f"{name}: {fallbacks}"
 

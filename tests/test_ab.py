@@ -84,6 +84,49 @@ def test_runs_record_their_process_faults_and_system_cpu(tmp_path, capsys):
         assert row[1:3] == [f"{runs[0][key]:.2f}", f"{runs[1][key]:.2f}"]
 
 
+def test_both_sides_run_from_one_path_in_turn(tmp_path, monkeypatch):
+    """Each run extracts its side's archive afresh into the one directory."""
+    import argparse
+    import io
+    import tarfile
+
+    ab = _ab()
+
+    def fake_archive(commit):
+        data = io.BytesIO()
+        with tarfile.open(fileobj=data, mode="w") as tar:
+            body = commit.encode()
+            info = tarfile.TarInfo(f"side_{commit}.txt")  # one file per side
+            info.size = len(body)
+            tar.addfile(info, io.BytesIO(body))
+        return data.getvalue()
+
+    seen = []
+
+    def fake_run_side(tree, workload, seed):
+        seen.append((tree, sorted(p.name for p in tree.iterdir())))
+        return {"correct": 1, "attempted": 1, "failed": 0, "metrics": {},
+                "rusage": {}, "fingerprint": {"seed": seed},
+                "provenance": dict.fromkeys(("cpu_count", "platform", "python", "numpy",
+                                             "blas", "blas_threads", "kernel_mode"), "-")}
+
+    monkeypatch.setattr(ab, "git", lambda *args: args[-1].split("^")[0])
+    monkeypatch.setattr(ab, "archive", fake_archive)
+    monkeypatch.setattr(ab, "run_side", fake_run_side)
+    monkeypatch.setattr(ab, "REPORTS", tmp_path)
+    monkeypatch.setattr(ab, "ROOT", tmp_path)
+    monkeypatch.setattr(ab, "verdict", lambda paths: 0)
+    args = argparse.Namespace(rev="old", change="new", workload="serve_forward", pairs=2,
+                              name=None, what=None)
+    assert ab.measure(args) == 0
+    assert len({tree for tree, _ in seen}) == 1
+    assert [names for _, names in seen] == [
+        ["side_old.txt"], ["side_new.txt"], ["side_new.txt"], ["side_old.txt"]]
+    report = json.loads((tmp_path / "ab_serve_forward.json").read_text())
+    assert [(r["seed"], r["side"]) for r in report["runs"]["serve_forward"]] == [
+        (1, "parent"), (1, "change"), (2, "change"), (2, "parent")]
+
+
 class TestJudge:
     def test_ten_pair_win_beyond_the_spread_is_better(self):
         parent = [10.0 + 0.1 * i for i in range(10)]

@@ -82,6 +82,15 @@ class TestCommands:
                               tmp_path / "jobs" / "recommendation" / "seed_0.txt")
         assert run.hyperparameters["base_lr"] == 0.003
 
+    def test_review_of_a_campaign_directory_with_no_submission(self, tmp_path):
+        code, _ = run_cli("campaign", "recommendation", "--seeds", "1", "--timeout",
+                          "1e-9", "--retries", "0", "--save", str(tmp_path))
+        assert code == 1
+        code, text = run_cli("review", str(tmp_path))
+        assert code == 1
+        assert text == (f"nothing to review in {tmp_path}: its campaign's 1 attempt(s) "
+                        "reached no target (recommendation/0 timeout)\n")
+
 
 class TestUsageErrors:
     """Bad arguments and missing inputs: one line and a non-zero exit, no traceback."""
